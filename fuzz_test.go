@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"math"
 	"runtime"
@@ -144,18 +145,48 @@ func FuzzStreamReader(f *testing.F) {
 	_ = w.Close()
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
+	for _, forged := range forgedOrigLenStreams(f) {
+		f.Add(forged)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return
 		}
-		r := NewReader(bytes.NewReader(data), 1)
-		tmp := make([]byte, 4096)
-		for i := 0; i < 1<<12; i++ {
-			if _, err := r.Read(tmp); err != nil {
-				return
+		if delta := decodeAllocDelta(func() {
+			r := NewReader(bytes.NewReader(data), 1)
+			tmp := make([]byte, 4096)
+			for i := 0; i < 1<<12; i++ {
+				if _, err := r.Read(tmp); err != nil {
+					return
+				}
 			}
+		}); delta > corruptAllocBudget(len(data)) {
+			t.Fatalf("stream read allocated %d bytes for a %d-byte input", delta, len(data))
 		}
 	})
+}
+
+// forgedOrigLenStreams returns one-chunk SEC-DED(64) streams whose
+// header — CRC-valid in all three replicas — claims 1 GiB and 8 GiB of
+// original bytes over the 9-byte payload that really holds 8. The
+// stream reader once sized its output buffer off that field.
+func forgedOrigLenStreams(f *testing.F) [][]byte {
+	enc, err := EncodeContainer(make([]byte, 8), Choice{Config: core.Config{Method: SECDED, Param: 64}, Threads: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	const replica = ContainerOverheadBytes / 3
+	var out [][]byte
+	for _, origLen := range []uint64{1 << 30, 1 << 33} {
+		forged := append([]byte(nil), enc.Encoded...)
+		one := forged[:replica]
+		binary.LittleEndian.PutUint64(one[14:], origLen) // docs/FORMAT.md: OrigLen at 14, CRC over [0,30) at 30
+		binary.LittleEndian.PutUint32(one[replica-4:], crc32.ChecksumIEEE(one[:replica-4]))
+		copy(forged[replica:], one)
+		copy(forged[2*replica:], one)
+		out = append(out, forged)
+	}
+	return out
 }
 
 // FuzzStreamReaderPipelined drives the concurrent read-ahead path over
@@ -182,20 +213,27 @@ func FuzzStreamReaderPipelined(f *testing.F) {
 	mut := append([]byte(nil), buf.Bytes()...)
 	mut[len(mut)/2] ^= 0x40
 	f.Add(mut, true)
+	for _, forged := range forgedOrigLenStreams(f) {
+		f.Add(forged, true)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, drain bool) {
 		if len(data) > 1<<20 {
 			return
 		}
-		r := NewReaderWith(bytes.NewReader(data), 1, StreamOptions{Pipeline: 4})
-		defer r.Close()
-		tmp := make([]byte, 4096)
-		for i := 0; i < 1<<12; i++ {
-			if _, err := r.Read(tmp); err != nil {
-				return
+		if delta := decodeAllocDelta(func() {
+			r := NewReaderWith(bytes.NewReader(data), 1, StreamOptions{Pipeline: 4})
+			defer r.Close()
+			tmp := make([]byte, 4096)
+			for i := 0; i < 1<<12; i++ {
+				if _, err := r.Read(tmp); err != nil {
+					return
+				}
+				if !drain {
+					return // exercise Close-without-drain
+				}
 			}
-			if !drain {
-				return // exercise Close-without-drain
-			}
+		}); delta > corruptAllocBudget(len(data)) {
+			t.Fatalf("pipelined stream read allocated %d bytes for a %d-byte input", delta, len(data))
 		}
 	})
 }

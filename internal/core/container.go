@@ -39,14 +39,6 @@ type header struct {
 
 func (h header) config() Config { return Config{Method: h.Method, Param: h.Param} }
 
-// marshalHeader builds one header replica (with CRC) and returns the
-// full replicated prefix.
-func marshalHeader(h header) []byte {
-	out := make([]byte, headerLen*headerReplicas)
-	marshalHeaderInto(out, h)
-	return out
-}
-
 // marshalHeaderInto writes the replicated header prefix into dst
 // (which must hold ContainerOverheadBytes). The single replica builds
 // on the stack, so the call allocates nothing.
@@ -117,27 +109,6 @@ func parseOne(r []byte) (header, error) {
 		return header{}, fmt.Errorf("%w: negative lengths", ErrContainer)
 	}
 	return h, nil
-}
-
-// wrap assembles the final container: replicated header + payload.
-func wrap(h header, payload []byte) []byte {
-	hdr := marshalHeader(h)
-	out := make([]byte, 0, len(hdr)+len(payload))
-	out = append(out, hdr...)
-	return append(out, payload...)
-}
-
-// unwrap splits a container into header and payload.
-func unwrap(buf []byte) (header, []byte, error) {
-	h, err := unmarshalHeader(buf)
-	if err != nil {
-		return header{}, nil, err
-	}
-	payload := buf[headerLen*headerReplicas:]
-	if len(payload) < h.EncLen {
-		return header{}, nil, fmt.Errorf("%w: payload truncated (%d < %d)", ErrContainer, len(payload), h.EncLen)
-	}
-	return h, payload[:h.EncLen], nil
 }
 
 // ContainerOverheadBytes is the fixed container cost in bytes.

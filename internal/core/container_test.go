@@ -1,12 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/ecc"
 )
+
+// marshalHeader returns h's replicated header prefix in a fresh buffer.
+func marshalHeader(h header) []byte {
+	out := make([]byte, ContainerOverheadBytes)
+	marshalHeaderInto(out, h)
+	return out
+}
 
 func TestHeaderRoundTrip(t *testing.T) {
 	h := header{Method: ecc.MethodSECDED, Param: 64, OrigLen: 12345, EncLen: 14000}
@@ -95,33 +103,40 @@ func TestVote3(t *testing.T) {
 	}
 }
 
-func TestUnwrapValidation(t *testing.T) {
-	if _, _, err := unwrap(nil); !errors.Is(err, ErrContainer) {
+func TestContainerValidation(t *testing.T) {
+	if _, err := DecodeContainer(nil, 1); !errors.Is(err, ErrContainer) {
 		t.Fatal("nil must fail")
 	}
 	h := header{Method: ecc.MethodParity, Param: 8, OrigLen: 8, EncLen: 100}
-	buf := wrap(h, make([]byte, 50)) // EncLen larger than payload
-	if _, _, err := unwrap(buf); !errors.Is(err, ErrContainer) {
+	buf := append(marshalHeader(h), make([]byte, 50)...) // EncLen larger than payload
+	if _, err := DecodeContainer(buf, 1); !errors.Is(err, ErrContainer) {
 		t.Fatal("truncated payload must fail")
 	}
 }
 
-func TestWrapUnwrapRandom(t *testing.T) {
+func TestContainerRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
+	choice := Choice{Config: Config{Method: ecc.MethodSECDED, Param: 8}, Threads: 1}
 	for trial := 0; trial < 50; trial++ {
-		payload := make([]byte, rng.Intn(1000))
-		rng.Read(payload)
-		h := header{
-			Method:  ecc.MethodSECDED,
-			Param:   8,
-			OrigLen: rng.Intn(1 << 20),
-			EncLen:  len(payload),
-		}
-		gh, gp, err := unwrap(wrap(h, payload))
+		data := make([]byte, rng.Intn(1000))
+		rng.Read(data)
+		enc, err := EncodeContainerWith(data, choice)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gh != h || len(gp) != len(payload) {
+		h, err := unmarshalHeader(enc.Encoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := header{Method: ecc.MethodSECDED, Param: 8, OrigLen: len(data), EncLen: len(enc.Encoded) - ContainerOverheadBytes}
+		if h != want {
+			t.Fatalf("header %+v, want %+v", h, want)
+		}
+		dec, err := DecodeContainer(enc.Encoded, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dec.Data, data) || dec.Config != choice.Config {
 			t.Fatal("round trip mismatch")
 		}
 	}

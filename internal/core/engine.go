@@ -125,20 +125,12 @@ func (e *Engine) EncodeWith(data []byte, choice Choice) (*EncodeResult, error) {
 // pair makes a stateless encode/decode round trip possible for callers
 // (like the archive service) that manage configurations themselves.
 func EncodeContainerWith(data []byte, choice Choice) (*EncodeResult, error) {
-	devSize := choice.Config.DeviceSizeFor(len(data))
-	code, err := choice.Config.BuildWithDeviceSize(choice.Threads, devSize)
+	s := getScratch()
+	enc, _, err := encodeChunk(nil, data, choice, s)
+	scratchPool.Put(s)
 	if err != nil {
 		return nil, err
 	}
-	payload := code.Encode(data)
-	h := header{
-		Method:  choice.Config.Method,
-		Param:   choice.Config.Param,
-		DevSize: devSize,
-		OrigLen: len(data),
-		EncLen:  len(payload),
-	}
-	enc := wrap(h, payload)
 	var actual float64
 	if len(data) > 0 {
 		actual = float64(len(enc)-len(data)) / float64(len(data))
@@ -157,46 +149,33 @@ type DecodeResult struct {
 // non-nil error means damage beyond the code's correction ability was
 // detected; Data still carries the best-effort payload in that case.
 func (e *Engine) Decode(encoded []byte) (*DecodeResult, error) {
-	return decodeContainer(encoded, e.maxThreads)
+	return DecodeContainer(encoded, e.maxThreads)
 }
 
 // DecodeContainer decodes without an engine (the container is fully
 // self-describing); workers bounds the parallelism.
 func DecodeContainer(encoded []byte, workers int) (*DecodeResult, error) {
-	return decodeContainer(encoded, workers)
-}
-
-func decodeContainer(encoded []byte, workers int) (res *DecodeResult, err error) {
-	// A corrupted container can, in principle, drive the ecc
-	// constructors or codecs into an internal invariant panic. The
-	// decode boundary turns that into a bounded error: callers asked
-	// for a verdict on untrusted bytes, not a crash.
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("%w: decoder panic: %v", ErrContainer, p)
-		}
-	}()
-	h, payload, err := unwrap(encoded)
+	h, err := unmarshalHeader(encoded)
 	if err != nil {
 		return nil, err
 	}
-	if extra := len(encoded) - ContainerOverheadBytes - h.EncLen; extra > 0 {
+	payload := encoded[ContainerOverheadBytes:]
+	if len(payload) < h.EncLen {
+		return nil, fmt.Errorf("%w: payload truncated (%d < %d)", ErrContainer, len(payload), h.EncLen)
+	}
+	if extra := len(payload) - h.EncLen; extra > 0 {
 		// Refusing beats silently dropping the tail: trailing bytes
 		// mean a multi-chunk stream (use the streaming reader) or a
 		// corrupted length field.
 		return nil, fmt.Errorf("%w: %d trailing bytes after the container (multi-chunk stream? use the stream reader)", ErrContainer, extra)
 	}
-	cfg := h.config()
-	code, err := cfg.BuildWithDeviceSize(workers, h.DevSize)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrContainer, err)
+	s := getScratch()
+	data, rep, err := decodeChunk(nil, h, payload, workers, s)
+	scratchPool.Put(s)
+	if err != nil && !errors.Is(err, ecc.ErrUncorrectable) {
+		return nil, err
 	}
-	data, rep, derr := code.Decode(payload, h.OrigLen)
-	res = &DecodeResult{Data: data, Config: cfg, Report: rep}
-	if derr != nil {
-		return res, derr
-	}
-	return res, nil
+	return &DecodeResult{Data: data, Config: h.config(), Report: rep}, err
 }
 
 // Save persists the training table immediately (arc_save).

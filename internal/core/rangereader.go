@@ -53,10 +53,7 @@ type RangeReader struct {
 	ownCache bool
 	ckey     uint64
 
-	codecs  codecCache
-	scratch sync.Pool // *chunkScratch
-
-	repMu  sync.Mutex
+	repMu  sync.Mutex // guards report and every in-flight call's accumulator
 	report Report
 
 	closed atomic.Bool
@@ -83,7 +80,6 @@ func OpenRangeReader(src io.ReaderAt, size int64, opts RangeOptions) (*RangeRead
 		pipeline: so.Pipeline,
 		ckey:     opts.CacheKey,
 	}
-	rr.scratch.New = func() any { return new(chunkScratch) }
 	if opts.Cache != nil {
 		rr.cache = opts.Cache
 	} else {
@@ -225,22 +221,6 @@ func (rr *RangeReader) Close() error {
 	return nil
 }
 
-// reportAcc collects the per-call repair accounting contributed by
-// chunk loads this call performed (pipeline workers add concurrently).
-type reportAcc struct {
-	mu  sync.Mutex
-	rep Report
-}
-
-func (a *reportAcc) add(rep ecc.Report) {
-	a.mu.Lock()
-	a.rep.Chunks++
-	a.rep.DetectedBlocks += rep.DetectedBlocks
-	a.rep.CorrectedBlocks += rep.CorrectedBlocks
-	a.rep.CorrectedBits += rep.CorrectedBits
-	a.mu.Unlock()
-}
-
 // ReadRange reads n original bytes starting at byte first into dst,
 // decoding only the chunks that cover [first, first+n). It returns the
 // bytes written — always the leading contiguous prefix of the range —
@@ -280,17 +260,15 @@ func (rr *RangeReader) ReadRange(dst []byte, first, n int64) (int, Report, error
 		return rr.entries[i].OrigStart >= end
 	})
 
-	var acc reportAcc
+	// Chunk loads add to rep under repMu (pipeline workers load
+	// concurrently); both read paths join their workers before returning.
 	var written int64
 	var err error
 	if hi-lo <= 1 || rr.pipeline <= 1 {
-		written, err = rr.readSequential(dst, first, end, lo, hi, &acc)
+		written, err = rr.readSequential(dst, first, end, lo, hi, &rep)
 	} else {
-		written, err = rr.readPipelined(dst, first, end, lo, hi, &acc)
+		written, err = rr.readPipelined(dst, first, end, lo, hi, &rep)
 	}
-	acc.mu.Lock()
-	rep = acc.rep
-	acc.mu.Unlock()
 	if err == nil && end < first+n {
 		err = io.EOF
 	}
@@ -305,7 +283,7 @@ func (rr *RangeReader) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // readSequential loads the covering chunks one at a time.
-func (rr *RangeReader) readSequential(dst []byte, first, end int64, lo, hi int, acc *reportAcc) (int64, error) {
+func (rr *RangeReader) readSequential(dst []byte, first, end int64, lo, hi int, acc *Report) (int64, error) {
 	var written int64
 	for ord := lo; ord < hi; ord++ {
 		data, err := rr.chunkData(ord, acc)
@@ -321,7 +299,7 @@ func (rr *RangeReader) readSequential(dst []byte, first, end int64, lo, hi int, 
 // order-preserving pipe: chunk ord lo+i is the i-th delivery, so the
 // copy loop below needs no reordering. The producer goroutine is
 // joined through the pipe's own drain/Wait discipline on every path.
-func (rr *RangeReader) readPipelined(dst []byte, first, end int64, lo, hi int, acc *reportAcc) (int64, error) {
+func (rr *RangeReader) readPipelined(dst []byte, first, end int64, lo, hi int, acc *Report) (int64, error) {
 	workers := rr.pipeline
 	if n := hi - lo; workers > n {
 		workers = n
@@ -389,16 +367,13 @@ func copyOverlap(dst, data []byte, e indexEntry, first, end int64) int64 {
 // chunkData returns chunk ord's decoded bytes, serving repeats from
 // the cache; concurrent readers of one chunk share a single load. The
 // returned slice is shared and read-only.
-func (rr *RangeReader) chunkData(ord int, acc *reportAcc) ([]byte, error) {
+func (rr *RangeReader) chunkData(ord int, acc *Report) ([]byte, error) {
 	return rr.cache.GetOrLoad(cache.Key{Archive: rr.ckey, Chunk: int64(ord)}, func() ([]byte, error) {
 		data, rep, err := rr.loadChunk(ord)
 		if err == nil {
-			acc.add(rep)
 			rr.repMu.Lock()
-			rr.report.Chunks++
-			rr.report.DetectedBlocks += rep.DetectedBlocks
-			rr.report.CorrectedBlocks += rep.CorrectedBlocks
-			rr.report.CorrectedBits += rep.CorrectedBits
+			acc.add(rep)
+			rr.report.add(rep)
 			rr.repMu.Unlock()
 		}
 		return data, err
@@ -407,45 +382,28 @@ func (rr *RangeReader) chunkData(ord int, acc *reportAcc) ([]byte, error) {
 
 // loadChunk reads, verifies, and repairs one chunk into a fresh
 // (cacheable, never pooled) buffer.
-func (rr *RangeReader) loadChunk(ord int) (data []byte, rep ecc.Report, err error) {
-	// Same boundary as the stream decoder: corrupt input must surface
-	// as an error, never a panic.
-	defer func() {
-		if p := recover(); p != nil {
-			data, rep, err = nil, ecc.Report{}, fmt.Errorf("%w: decoder panic: %v", ErrContainer, p)
-		}
-	}()
+func (rr *RangeReader) loadChunk(ord int) ([]byte, ecc.Report, error) {
 	e := rr.entries[ord]
 	buf := getChunkBuf(ContainerOverheadBytes + int(e.EncLen))
 	defer putChunkBuf(buf)
-	if _, rerr := rr.src.ReadAt(buf.b, e.Off); rerr != nil {
-		return nil, rep, fmt.Errorf("%w: chunk read: %v", ErrContainer, rerr)
+	if _, err := rr.src.ReadAt(buf.b, e.Off); err != nil {
+		return nil, ecc.Report{}, fmt.Errorf("%w: chunk read: %v", ErrContainer, err)
 	}
-	h, herr := unmarshalHeader(buf.b)
-	if herr != nil {
-		return nil, rep, herr
+	h, err := unmarshalHeader(buf.b)
+	if err != nil {
+		return nil, ecc.Report{}, err
 	}
-	// The header digest pins index entries to the exact header bytes
-	// written at encode time. A mismatch is either header rot (the
-	// voted parse may still recover it) or a stale index; the geometry
-	// cross-check below rejects the latter before any decode.
-	if int64(h.EncLen) != e.EncLen || int64(h.OrigLen) != e.OrigLen {
-		return nil, rep, fmt.Errorf("%w: chunk header disagrees with the index", ErrContainer)
+	// A stale or misdirected index must error, never mis-serve: the
+	// chunk has to reproduce exactly the bytes the index promised
+	// (decodeChunk checks the payload length against the header).
+	if int64(h.OrigLen) != e.OrigLen {
+		return nil, ecc.Report{}, fmt.Errorf("%w: chunk header disagrees with the index", ErrContainer)
 	}
-	s := rr.scratch.Get().(*chunkScratch)
-	defer rr.scratch.Put(s)
-	code, cerr := s.memo.get(&rr.codecs, h.config(), rr.workers, h.DevSize)
-	if cerr != nil {
-		return nil, rep, fmt.Errorf("%w: %v", ErrContainer, cerr)
-	}
-	payload := buf.b[ContainerOverheadBytes:]
-	if code.EncodedSize(h.OrigLen) != len(payload) {
-		return nil, rep, fmt.Errorf("%w: chunk payload length %d (want %d)", ErrContainer, len(payload), code.EncodedSize(h.OrigLen))
-	}
-	out := make([]byte, h.OrigLen) // cached after return: never from the pool
-	data, rep, derr := ecc.DecodeTo(code, out, payload, h.OrigLen, &s.ecc)
-	if derr != nil {
-		return nil, rep, derr
+	s := getScratch()
+	defer scratchPool.Put(s)
+	data, rep, err := decodeChunk(nil, h, buf.b[ContainerOverheadBytes:], rr.workers, s)
+	if err != nil {
+		return nil, rep, err // uncorrectable chunks are never cached or served
 	}
 	return data, rep, nil
 }

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/ecc"
@@ -68,74 +66,6 @@ func (o StreamOptions) normalize(budget int) StreamOptions {
 	return o
 }
 
-// codecCache builds-and-caches ecc.Codes keyed by their build inputs.
-// Rebuilding a codec per chunk is wasteful (Reed-Solomon builds
-// matrices and CRC tables), and every chunk of a homogeneous stream
-// shares one header configuration. Codes are stateless and safe for
-// concurrent use, so one cache serves all pipeline workers.
-type codecCache struct {
-	mu     sync.Mutex
-	codes  map[codecKey]ecc.Code
-	builds int // build count, exposed for tests
-}
-
-type codecKey struct {
-	cfg     Config
-	devSize int
-	workers int
-}
-
-func (cc *codecCache) get(cfg Config, workers, devSize int) (ecc.Code, error) {
-	key := codecKey{cfg: cfg, devSize: devSize, workers: workers}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if code, ok := cc.codes[key]; ok {
-		return code, nil
-	}
-	code, err := cfg.BuildWithDeviceSize(workers, devSize)
-	if err != nil {
-		return nil, err
-	}
-	if cc.codes == nil {
-		cc.codes = make(map[codecKey]ecc.Code)
-	}
-	cc.codes[key] = code
-	cc.builds++
-	return code, nil
-}
-
-// chunkScratch is the per-worker (or per-sequential-codec) scratch a
-// chunk encode/decode reuses across chunks: the codec memo skips the
-// shared cache's mutex in steady state, and the ecc.Scratch arena
-// holds grow-only codec workspaces (RS stripes, interleave
-// transposes). A chunkScratch is owned by exactly one goroutine.
-type chunkScratch struct {
-	memo codecMemo
-	ecc  ecc.Scratch
-}
-
-// codecMemo caches the last codec a worker resolved. Chunks of a
-// homogeneous stream share one header configuration, so after the
-// first chunk every lookup is a key compare instead of a mutex-guarded
-// map access.
-type codecMemo struct {
-	key  codecKey
-	code ecc.Code
-}
-
-func (m *codecMemo) get(cc *codecCache, cfg Config, workers, devSize int) (ecc.Code, error) {
-	key := codecKey{cfg: cfg, devSize: devSize, workers: workers}
-	if m.code != nil && m.key == key {
-		return m.code, nil
-	}
-	code, err := cc.get(cfg, workers, devSize)
-	if err != nil {
-		return nil, err
-	}
-	m.key, m.code = key, code
-	return code, nil
-}
-
 // ChunkWriter encodes fixed-size chunks of a byte stream with one
 // configuration choice and writes the containers to w.
 type ChunkWriter struct {
@@ -148,7 +78,6 @@ type ChunkWriter struct {
 	closed    bool
 	err       error
 	written   atomic.Int64
-	codecs    codecCache
 	seq       *chunkScratch // sequential-path scratch (pipeline == 1)
 
 	// v2 index accumulation (nil/inactive unless Indexed). Entries are
@@ -167,7 +96,7 @@ type ChunkWriter struct {
 	// w strictly in submission order. Payload and container buffers
 	// circulate through chunkBufPool, so the steady state allocates
 	// nothing per chunk.
-	pipe     *parallel.Pipe[*chunkBuf, *chunkBuf]
+	pipe     *parallel.Pipe[*chunkBuf, encChunk]
 	emitDone chan struct{}
 	emitErr  atomic.Value // error; first writer-side error wins
 }
@@ -209,8 +138,8 @@ func (e *Engine) NewChunkWriterChoice(w io.Writer, choice Choice, opts StreamOpt
 	if cw.pipeline > 1 {
 		cw.pipe = parallel.NewPipeWith(cw.pipeline, cw.pipeline,
 			func() *chunkScratch { return new(chunkScratch) },
-			func(in *chunkBuf, s *chunkScratch) (*chunkBuf, error) {
-				out, err := cw.encodeChunk(in.b, s)
+			func(in *chunkBuf, s *chunkScratch) (encChunk, error) {
+				out, err := cw.encode(in.b, s)
 				putChunkBuf(in) // payload consumed; recycle for the producer
 				return out, err
 			})
@@ -249,32 +178,18 @@ func (cw *ChunkWriter) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// encodeChunk protects one chunk payload and wraps it in a container
-// drawn from the buffer pool. It is the pipeline worker body, so it
-// must be safe to call concurrently (s is the calling worker's private
-// scratch); byte layout matches Engine.EncodeWith exactly.
-func (cw *ChunkWriter) encodeChunk(data []byte, s *chunkScratch) (*chunkBuf, error) {
-	devSize := cw.choice.Config.DeviceSizeFor(len(data))
-	code, err := s.memo.get(&cw.codecs, cw.choice.Config, cw.choice.Threads, devSize)
+// encode protects one chunk payload into a container drawn from the
+// buffer pool. It is the pipeline worker body, so it must be safe to
+// call concurrently (s is the calling worker's private scratch).
+func (cw *ChunkWriter) encode(data []byte, s *chunkScratch) (encChunk, error) {
+	out := getChunkBuf(0)
+	b, h, err := encodeChunk(out.b, data, cw.choice, s)
 	if err != nil {
-		return nil, err
+		putChunkBuf(out)
+		return encChunk{}, err
 	}
-	out := getChunkBuf(ContainerOverheadBytes + code.EncodedSize(len(data)))
-	enc := ecc.EncodeTo(code, out.b[ContainerOverheadBytes:], data, &s.ecc)
-	if len(enc) > 0 && &enc[0] != &out.b[ContainerOverheadBytes] {
-		// A custom Code that ignored dst (or sized its output off
-		// EncodedSize): land its output in the container.
-		out.b = append(out.b[:ContainerOverheadBytes], enc...)
-	}
-	h := header{
-		Method:  cw.choice.Config.Method,
-		Param:   cw.choice.Config.Param,
-		DevSize: devSize,
-		OrigLen: len(data),
-		EncLen:  len(enc),
-	}
-	marshalHeaderInto(out.b[:ContainerOverheadBytes], h)
-	return out, nil
+	out.b = b
+	return encChunk{h: h, buf: out}, nil
 }
 
 // emit is the pipelined writer's consumer goroutine: it receives
@@ -289,50 +204,55 @@ func (cw *ChunkWriter) emit() {
 			return
 		}
 		if cw.emitErr.Load() != nil {
-			putChunkBuf(enc)
+			putChunkBuf(enc.buf)
 			continue // draining after failure
 		}
 		if err == nil {
-			_, werr := cw.w.Write(enc.b)
-			err = werr
+			err = cw.writeChunk(enc)
 		}
 		if err != nil {
-			putChunkBuf(enc)
 			cw.emitErr.Store(err)
 			cw.pipe.Abort()
-			continue
 		}
-		cw.noteChunk(enc.b)
-		cw.written.Add(int64(len(enc.b)))
-		putChunkBuf(enc)
 	}
 }
 
-// noteChunk records one just-emitted container in the v2 index. It is
-// called only by the goroutine that writes chunks (flush when
-// sequential, emit when pipelined), so the index fields need no lock;
-// Close reads them only after that goroutine is joined.
-func (cw *ChunkWriter) noteChunk(container []byte) {
+// writeChunk writes one encoded chunk to w, accounts for it, and
+// recycles its buffer (on failure too). It is called only by the
+// goroutine that emits chunks — flush when sequential, emit when
+// pipelined — so the index fields need no lock; Close reads them only
+// after that goroutine is joined.
+func (cw *ChunkWriter) writeChunk(enc encChunk) error {
+	defer putChunkBuf(enc.buf)
+	if _, err := cw.w.Write(enc.buf.b); err != nil {
+		return err
+	}
+	cw.noteChunk(enc.h, enc.buf.b)
+	cw.written.Add(int64(len(enc.buf.b)))
+	return nil
+}
+
+// noteChunk records one just-written container in the v2 index.
+func (cw *ChunkWriter) noteChunk(h header, container []byte) {
 	if !cw.indexed || cw.indexErr != nil {
 		return
 	}
-	origLen := int64(binary.LittleEndian.Uint64(container[14:22]))
-	if origLen > maxIndexedChunk {
+	if h.OrigLen > maxIndexedChunk {
 		// An index entry stores OrigLen in 32 bits; a chunk beyond that
 		// cannot be indexed. Surface the failure at Close rather than
 		// writing an index that lies.
-		cw.indexErr = fmt.Errorf("core: chunk of %d bytes exceeds the indexable maximum (%d)", origLen, maxIndexedChunk)
+		cw.indexErr = fmt.Errorf("core: chunk of %d bytes exceeds the indexable maximum (%d)", h.OrigLen, maxIndexedChunk)
 		return
 	}
 	cw.index = append(cw.index, indexEntry{
 		Off:       cw.nextOff,
-		EncLen:    int64(len(container) - ContainerOverheadBytes),
+		EncLen:    int64(h.EncLen),
 		OrigStart: cw.origOff,
-		OrigLen:   origLen,
+		OrigLen:   int64(h.OrigLen),
 		HdrCRC:    headerCRC(container),
 	})
 	cw.nextOff += int64(len(container))
-	cw.origOff += origLen
+	cw.origOff += int64(h.OrigLen)
 }
 
 // maxIndexedChunk is the largest OrigLen an index entry can record.
@@ -352,19 +272,14 @@ func (cw *ChunkWriter) flush() error {
 		return nil
 	}
 	if cw.pipe == nil {
-		enc, err := cw.encodeChunk(cw.payload.b, cw.seq)
+		enc, err := cw.encode(cw.payload.b, cw.seq)
+		if err == nil {
+			err = cw.writeChunk(enc)
+		}
 		if err != nil {
 			cw.err = err
 			return err
 		}
-		if _, err := cw.w.Write(enc.b); err != nil {
-			putChunkBuf(enc)
-			cw.err = err
-			return err
-		}
-		cw.noteChunk(enc.b)
-		cw.written.Add(int64(len(enc.b)))
-		putChunkBuf(enc)
 		cw.payload.b = cw.payload.b[:0]
 		return nil
 	}
@@ -456,7 +371,6 @@ type ChunkReader struct {
 	err      error
 	closed   bool
 	report   Report
-	codecs   codecCache
 	seq      *chunkScratch // sequential-path scratch (pipeline == 1)
 
 	// Pipelined state (nil/unused when pipeline == 1). The producer
@@ -470,11 +384,12 @@ type ChunkReader struct {
 	prodErr  error // read-side terminal error; valid once prodDone is closed
 }
 
-// encChunk is one still-encoded chunk handed to a decode worker, which
-// takes ownership of payload.
+// encChunk is one encoded chunk in a pooled buffer, with its header
+// parsed: the whole container on its way out of an encode worker, the
+// bare payload on its way into a decode worker. The receiver owns buf.
 type encChunk struct {
-	h       header
-	payload *chunkBuf
+	h   header
+	buf *chunkBuf
 }
 
 // decChunk is one decoded chunk plus its repair statistics. data is
@@ -559,7 +474,7 @@ func (cr *ChunkReader) next() error {
 		cr.started = true
 		cr.pipe = parallel.NewPipeWith(cr.pipeline, cr.pipeline,
 			func() *chunkScratch { return new(chunkScratch) },
-			cr.decodeChunk)
+			cr.decode)
 		cr.prodDone = make(chan struct{})
 		go cr.produce()
 	}
@@ -568,10 +483,12 @@ func (cr *ChunkReader) next() error {
 		<-cr.prodDone
 		return cr.prodErr
 	}
-	cr.report.Chunks++
-	cr.report.DetectedBlocks += out.rep.DetectedBlocks
-	cr.report.CorrectedBlocks += out.rep.CorrectedBlocks
-	cr.report.CorrectedBits += out.rep.CorrectedBits
+	return cr.deliver(out, err)
+}
+
+// deliver accounts for one decoded chunk and makes it current.
+func (cr *ChunkReader) deliver(out decChunk, err error) error {
+	cr.report.add(out.rep)
 	if err != nil {
 		putChunkBuf(out.data)
 		return fmt.Errorf("chunk %d: %w", cr.report.Chunks, err)
@@ -599,61 +516,58 @@ func (cr *ChunkReader) produce() {
 	}
 }
 
-// decodeChunk is the decode-worker body: verify and repair one chunk
-// into a pooled output buffer, consuming (and recycling) the encoded
-// payload. An ecc error (e.g. uncorrectable damage) is returned
-// alongside the best-effort statistics.
-func (cr *ChunkReader) decodeChunk(c encChunk, s *chunkScratch) (dec decChunk, err error) {
-	// Same boundary as decodeContainer: a corrupted chunk header must
-	// surface as an error from the pipeline, never panic a worker.
-	defer func() {
-		if p := recover(); p != nil {
-			dec, err = decChunk{}, fmt.Errorf("%w: decoder panic: %v", ErrContainer, p)
-		}
-	}()
-	code, err := s.memo.get(&cr.codecs, c.h.config(), cr.workers, c.h.DevSize)
-	if err != nil {
-		putChunkBuf(c.payload)
-		return decChunk{}, fmt.Errorf("%w: %v", ErrContainer, err)
-	}
-	out := getChunkBuf(c.h.OrigLen)
-	data, rep, derr := ecc.DecodeTo(code, out.b, c.payload.b, c.h.OrigLen, &s.ecc)
-	putChunkBuf(c.payload)
+// decode is the decode-worker body: verify and repair one chunk into a
+// pooled output buffer, consuming (and recycling) the encoded payload.
+// An ecc error (e.g. uncorrectable damage) is returned alongside the
+// best-effort bytes and statistics.
+func (cr *ChunkReader) decode(c encChunk, s *chunkScratch) (decChunk, error) {
+	out := getChunkBuf(0)
+	data, rep, err := decodeChunk(out.b, c.h, c.buf.b, cr.workers, s)
+	putChunkBuf(c.buf)
 	if data == nil {
 		putChunkBuf(out)
-		return decChunk{rep: rep}, derr
+		return decChunk{rep: rep}, err
 	}
 	// data aliases out.b whenever the code honored dst (all built-ins
 	// do); adopting it keeps the right storage circulating either way.
 	out.b = data
-	return decChunk{data: out, rep: rep}, derr
+	return decChunk{data: out, rep: rep}, err
+}
+
+// readHeader reads the next chunk header of a sequential stream into
+// hdr (ContainerOverheadBytes long) and parses it. io.EOF is the clean
+// end: the stream stopped at a chunk boundary, or the v2 footer began —
+// its index payload and trailer are consumed, so a caller layering more
+// reads on the same stream lands past the footer.
+func readHeader(r io.Reader, hdr []byte) (header, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		if err == io.EOF {
+			return header{}, io.EOF
+		}
+		return header{}, fmt.Errorf("%w: truncated chunk header: %v", ErrContainer, err)
+	}
+	h, err := unmarshalHeader(hdr)
+	if err != nil {
+		return header{}, err
+	}
+	if h.Method == indexMethod {
+		if _, err := io.CopyN(io.Discard, r, int64(h.EncLen)); err == nil {
+			_, _ = io.CopyN(io.Discard, r, TrailerBytes) // best-effort: a short trailer changes nothing already delivered
+		}
+		return header{}, io.EOF
+	}
+	if h.EncLen > maxChunkPayload {
+		return header{}, fmt.Errorf("%w: implausible chunk payload %d", ErrContainer, h.EncLen)
+	}
+	return h, nil
 }
 
 // readChunk reads one encoded container (header + payload) off the
-// underlying reader into a pooled payload buffer. io.EOF at a chunk
-// boundary is the clean end.
+// underlying reader into a pooled payload buffer.
 func (cr *ChunkReader) readChunk() (encChunk, error) {
-	if _, err := io.ReadFull(cr.r, cr.hdr[:]); err != nil {
-		if err == io.EOF {
-			return encChunk{}, io.EOF // clean end at a chunk boundary
-		}
-		return encChunk{}, fmt.Errorf("%w: truncated chunk header: %v", ErrContainer, err)
-	}
-	h, err := unmarshalHeader(cr.hdr[:])
+	h, err := readHeader(cr.r, cr.hdr[:])
 	if err != nil {
 		return encChunk{}, err
-	}
-	if h.Method == indexMethod {
-		// The v2 footer: data is over. Consume the index payload and
-		// trailer so a caller layering more reads on the same stream
-		// lands past the footer, then report the clean end.
-		if _, err := io.CopyN(io.Discard, cr.r, int64(h.EncLen)); err == nil {
-			_, _ = io.CopyN(io.Discard, cr.r, TrailerBytes) // best-effort: a short trailer changes nothing already delivered
-		}
-		return encChunk{}, io.EOF
-	}
-	if h.EncLen < 0 || h.EncLen > maxChunkPayload {
-		return encChunk{}, fmt.Errorf("%w: implausible chunk payload %d", ErrContainer, h.EncLen)
 	}
 	pb := getChunkBuf(0)
 	pb.b, err = readCappedInto(cr.r, pb.b, h.EncLen)
@@ -661,7 +575,7 @@ func (cr *ChunkReader) readChunk() (encChunk, error) {
 		putChunkBuf(pb)
 		return encChunk{}, fmt.Errorf("%w: truncated chunk payload: %v", ErrContainer, err)
 	}
-	return encChunk{h: h, payload: pb}, nil
+	return encChunk{h: h, buf: pb}, nil
 }
 
 // directReadCap is the largest chunk payload readCappedInto pre-sizes
@@ -728,18 +642,7 @@ func (cr *ChunkReader) nextChunk() error {
 	if cr.seq == nil {
 		cr.seq = new(chunkScratch)
 	}
-	out, derr := cr.decodeChunk(c, cr.seq)
-	cr.report.Chunks++
-	cr.report.DetectedBlocks += out.rep.DetectedBlocks
-	cr.report.CorrectedBlocks += out.rep.CorrectedBlocks
-	cr.report.CorrectedBits += out.rep.CorrectedBits
-	if derr != nil {
-		putChunkBuf(out.data)
-		return fmt.Errorf("chunk %d: %w", cr.report.Chunks, derr)
-	}
-	cr.cur = out.data.b
-	cr.curBuf = out.data
-	return nil
+	return cr.deliver(cr.decode(c, cr.seq))
 }
 
 // ChunkInfo summarizes one container of a stream without decoding its
@@ -757,26 +660,12 @@ func InspectStream(r io.Reader) ([]ChunkInfo, error) {
 	var infos []ChunkInfo
 	hdr := make([]byte, ContainerOverheadBytes)
 	for {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			if err == io.EOF {
-				return infos, nil
-			}
-			return infos, fmt.Errorf("%w: truncated header after %d chunk(s): %v", ErrContainer, len(infos), err)
-		}
-		h, err := unmarshalHeader(hdr)
-		if err != nil {
-			return infos, err
-		}
-		if h.Method == indexMethod {
-			// v2 footer: skip the index payload and trailer; the chunk
-			// walk is complete.
-			if _, err := io.CopyN(io.Discard, r, int64(h.EncLen)); err == nil {
-				_, _ = io.CopyN(io.Discard, r, TrailerBytes) // best-effort, as in readChunk
-			}
+		h, err := readHeader(r, hdr)
+		if err == io.EOF {
 			return infos, nil
 		}
-		if h.EncLen > maxChunkPayload {
-			return infos, fmt.Errorf("%w: implausible chunk payload %d", ErrContainer, h.EncLen)
+		if err != nil {
+			return infos, fmt.Errorf("after %d chunk(s): %w", len(infos), err)
 		}
 		if _, err := io.CopyN(io.Discard, r, int64(h.EncLen)); err != nil {
 			return infos, fmt.Errorf("%w: truncated payload: %v", ErrContainer, err)

@@ -287,47 +287,6 @@ func TestPipelinedWriterCloseIsTheOnlyJoinNeeded(t *testing.T) {
 	checkNoLeaks(t, base)
 }
 
-func TestChunkReaderCachesCodecsAcrossChunks(t *testing.T) {
-	data := make([]byte, 32<<10)
-	rand.New(rand.NewSource(109)).Read(data)
-	// Reed-Solomon is the expensive build; 8 full chunks share one
-	// header, the final partial chunk differs (smaller device size).
-	choice := Choice{Config: Config{Method: ecc.MethodReedSolomon, Param: 15}, Threads: 1}
-	enc := encodeStream(t, choice, StreamOptions{ChunkSize: 4 << 10, Pipeline: 1}, append(data, 0xFF))
-	for _, pl := range []int{1, 4} {
-		cr := NewChunkReaderWith(bytes.NewReader(enc), 1, StreamOptions{Pipeline: pl})
-		if _, err := io.ReadAll(cr); err != nil {
-			t.Fatal(err)
-		}
-		if cr.Report().Chunks != 9 {
-			t.Fatalf("read %d chunks, want 9", cr.Report().Chunks)
-		}
-		if got := cr.codecs.builds; got != 2 { // full-chunk codec + final-partial codec
-			t.Fatalf("pipeline %d: built %d codecs for 9 chunks, want 2", pl, got)
-		}
-	}
-}
-
-func TestChunkWriterCachesCodecsAcrossChunks(t *testing.T) {
-	data := make([]byte, 32<<10+1)
-	rand.New(rand.NewSource(110)).Read(data)
-	var buf bytes.Buffer
-	choice := Choice{Config: Config{Method: ecc.MethodReedSolomon, Param: 15}, Threads: 1}
-	cw, err := streamTestEngine(1).NewChunkWriterChoice(&buf, choice, StreamOptions{ChunkSize: 4 << 10, Pipeline: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cw.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := cw.codecs.builds; got != 2 {
-		t.Fatalf("built %d codecs for 9 chunks, want 2 (full + partial)", got)
-	}
-}
-
 func TestPipelineDefaultsAndSequentialFallback(t *testing.T) {
 	// Pipeline <= 0 must resolve to the worker budget; 1 must never
 	// allocate pipeline machinery.

@@ -369,11 +369,13 @@ func (s *Server) writeResponses(conn net.Conn, pipe *parallel.Pipe[request, resp
 			return err
 		}
 		buf = AppendFrame(buf[:0], Frame{Op: resp.op, Status: resp.status, Payload: resp.payload})
+		// Counted when the response is ready, before the client can see
+		// it: a STATS request sent after a reply always includes it.
+		failed := resp.status != StatusOK
+		s.stats.RequestDone(int(resp.op)-1, failed, resp.in, len(resp.payload), time.Since(resp.start))
 		if _, err := conn.Write(buf); err != nil {
 			return err
 		}
-		failed := resp.status != StatusOK
-		s.stats.RequestDone(int(resp.op)-1, failed, resp.in, len(resp.payload), time.Since(resp.start))
 		if resp.status == StatusOversized {
 			// The request that provoked this was never fully read;
 			// the stream is done.
@@ -550,9 +552,11 @@ func (s *Server) processEncode(req request, resp *response) {
 	resp.payload = res.Encoded
 }
 
-// processDecode handles OpDecode (withData true: report + original
-// bytes) and OpVerify (report only).
-func (s *Server) processDecode(req request, resp *response, withData bool) {
+// decodeRequest decodes the request's container for DECODE, VERIFY and
+// REPAIR: it records the repair outcome and fills resp with the failure,
+// or with StatusOK and the 12-byte repair report for the caller to
+// append to. It returns nil when the request has failed.
+func (s *Server) decodeRequest(req request, resp *response) *core.DecodeResult {
 	res, err := core.DecodeContainer(req.payload, s.cfg.Threads)
 	if res != nil {
 		rep := res.Report
@@ -560,31 +564,31 @@ func (s *Server) processDecode(req request, resp *response, withData bool) {
 	}
 	if err != nil {
 		resp.status, resp.payload = decodeFailure(err)
-		return
+		return nil
 	}
 	resp.status = StatusOK
-	out := AppendReport(nil, Report{
+	resp.payload = AppendReport(nil, Report{
 		DetectedBlocks:  res.Report.DetectedBlocks,
 		CorrectedBits:   res.Report.CorrectedBits,
 		CorrectedBlocks: res.Report.CorrectedBlocks,
 	})
-	if withData {
-		out = append(out, res.Data...)
+	return res
+}
+
+// processDecode handles OpDecode (withData true: report + original
+// bytes) and OpVerify (report only).
+func (s *Server) processDecode(req request, resp *response, withData bool) {
+	if res := s.decodeRequest(req, resp); res != nil && withData {
+		resp.payload = append(resp.payload, res.Data...)
 	}
-	resp.payload = out
 }
 
 // processRepair decodes, then re-encodes the recovered bytes with the
 // container's own configuration: the response is a fresh container
 // with every correction folded in and full ECC budget restored.
 func (s *Server) processRepair(req request, resp *response) {
-	res, err := core.DecodeContainer(req.payload, s.cfg.Threads)
-	if res != nil {
-		rep := res.Report
-		s.stats.RepairObserved(rep.DetectedBlocks, rep.CorrectedBits, rep.CorrectedBlocks, err != nil)
-	}
-	if err != nil {
-		resp.status, resp.payload = decodeFailure(err)
+	res := s.decodeRequest(req, resp)
+	if res == nil {
 		return
 	}
 	enc, err := core.EncodeContainerWith(res.Data, core.Choice{Config: res.Config, Threads: s.cfg.Threads})
@@ -593,13 +597,7 @@ func (s *Server) processRepair(req request, resp *response) {
 		resp.payload = []byte(err.Error())
 		return
 	}
-	resp.status = StatusOK
-	out := AppendReport(nil, Report{
-		DetectedBlocks:  res.Report.DetectedBlocks,
-		CorrectedBits:   res.Report.CorrectedBits,
-		CorrectedBlocks: res.Report.CorrectedBlocks,
-	})
-	resp.payload = append(out, enc.Encoded...)
+	resp.payload = append(resp.payload, enc.Encoded...)
 }
 
 // decodeFailure maps a container decode error to a response status:

@@ -12,6 +12,12 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+echo "== benchmark module (own go.mod: vet + smoke test) =="
+# benchmark/ compiles against the root API and internal/{core,ecc,...}
+# but ./... never sees it: without this step a change that breaks it
+# fails the benchmark run instead of the gate.
+(cd benchmark && go vet . && go test .)
+
 echo "== cross-compile arm64 (NEON dispatch path) =="
 # The arm64 assembly and dispatch hooks only compile under GOARCH=arm64,
 # so an amd64-only gate would let them rot.
