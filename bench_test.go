@@ -185,7 +185,7 @@ func BenchmarkFig10ErrorLoad(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, row := range r.Rows {
-				if row.Config == "rs-k241-m15" {
+				if row.Config == "rs-m15" {
 					b.ReportMetric(row.DecMBs, "rs-dec-MB/s")
 				}
 			}

@@ -143,8 +143,12 @@ const (
 	// or under this many allocs/op. See docs/ALLOCATIONS.md.
 	steadyAllocsMax = 2
 
-	secdedSpeedupMin = 3.0
-	gf256SpeedupMin  = 2.0
+	// SEC-DED(72,64) table kernel over the per-block popcount
+	// reference, EncodeTo/DecodeTo into a reused buffer: half the
+	// ratios measured when the kernel landed (18x and 8.7x).
+	secdedEncodeSpeedupMin = 9.0
+	secdedDecodeSpeedupMin = 4.0
+	gf256SpeedupMin        = 2.0
 
 	// Vectorized codec kernels: the batched SZ quantizer and the
 	// unrolled ZFP lifting transform, each against its retained scalar
@@ -247,7 +251,8 @@ func runKernels(in io.Reader, out, errw io.Writer) error {
 		speedups["GF256MulSliceAVX2VsSSSE3"] = round2(avx2 / ssse3)
 	}
 	targets := map[string]float64{
-		"SECDED64Encode_min": secdedSpeedupMin,
+		"SECDED64Encode_min": secdedEncodeSpeedupMin,
+		"SECDED64Decode_min": secdedDecodeSpeedupMin,
 		"GF256MulSlice_min":  gf256SpeedupMin,
 		"SZQuantize_min":     szQuantizeSpeedupMin,
 		"ZFPLift_min":        zfpLiftSpeedupMin,
@@ -271,7 +276,8 @@ func runKernels(in io.Reader, out, errw io.Writer) error {
 		name string
 		min  float64
 	}{
-		{"SECDED64Encode", secdedSpeedupMin},
+		{"SECDED64Encode", secdedEncodeSpeedupMin},
+		{"SECDED64Decode", secdedDecodeSpeedupMin},
 		{"GF256MulSlice", gf256SpeedupMin},
 		{"SZQuantize", szQuantizeSpeedupMin},
 		{"ZFPLift", zfpLiftSpeedupMin},

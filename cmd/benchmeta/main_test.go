@@ -29,7 +29,10 @@ ok  	repro	1.760s
 `
 
 const kernelsSample = `BenchmarkKernelSECDED64Encode/scalar-1 	1000	 100 ns/op	 300.00 MB/s	0 B/op	0 allocs/op
-BenchmarkKernelSECDED64Encode/word-1   	5000	  21 ns/op	1410.00 MB/s	0 B/op	0 allocs/op
+BenchmarkKernelSECDED64Encode/word-1   	5000	  21 ns/op	5400.00 MB/s	0 B/op	0 allocs/op
+BenchmarkKernelSECDED64Decode/scalar-1 	1000	 100 ns/op	 500.00 MB/s	0 B/op	0 allocs/op
+BenchmarkKernelSECDED64Decode/word-1   	5000	  21 ns/op	4300.00 MB/s	0 B/op	0 allocs/op
+BenchmarkKernelSECDED64Decode/dense-1  	5000	  24 ns/op	3900.00 MB/s	0 B/op	0 allocs/op
 BenchmarkKernelGF256MulSlice/scalar-1  	1000	 100 ns/op	 200.00 MB/s	0 B/op	0 allocs/op
 BenchmarkKernelGF256MulSlice/word-1    	9000	  11 ns/op	1806.00 MB/s	0 B/op	0 allocs/op
 BenchmarkKernelGF256MulSliceTier/avx2-1 	9000	  10 ns/op	3600.00 MB/s	0 B/op	0 allocs/op
@@ -145,8 +148,11 @@ func TestKernelsArtifactAndGate(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &art); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
-	if got := art.Speedups["SECDED64Encode"]; got != 4.7 {
-		t.Errorf("SECDED64Encode speedup = %v, want 4.7", got)
+	if got := art.Speedups["SECDED64Encode"]; got != 18 {
+		t.Errorf("SECDED64Encode speedup = %v, want 18", got)
+	}
+	if got := art.Speedups["SECDED64Decode"]; got != 8.6 {
+		t.Errorf("SECDED64Decode speedup = %v, want 8.6", got)
 	}
 	if got := art.Speedups["GF256MulSlice"]; got != 9.03 {
 		t.Errorf("GF256MulSlice speedup = %v, want 9.03", got)
@@ -172,11 +178,15 @@ func TestKernelsArtifactAndGate(t *testing.T) {
 }
 
 func TestKernelsGateFailsBelowFloor(t *testing.T) {
-	slow := strings.Replace(kernelsSample, "1410.00 MB/s", " 310.00 MB/s", 1)
-	var out, errw bytes.Buffer
-	err := runKernels(strings.NewReader(slow), &out, &errw)
-	if err == nil || !strings.Contains(err.Error(), "kernel gate FAILED") {
-		t.Fatalf("err = %v, want kernel gate failure", err)
+	for _, slow := range []string{
+		strings.Replace(kernelsSample, "5400.00 MB/s", "2600.00 MB/s", 1), // encode 8.67x, need 9x
+		strings.Replace(kernelsSample, "4300.00 MB/s", "1900.00 MB/s", 1), // decode 3.8x, need 4x
+	} {
+		var out, errw bytes.Buffer
+		err := runKernels(strings.NewReader(slow), &out, &errw)
+		if err == nil || !strings.Contains(err.Error(), "kernel gate FAILED") {
+			t.Fatalf("err = %v, want kernel gate failure", err)
+		}
 	}
 }
 

@@ -178,6 +178,34 @@ func (cw *ChunkWriter) Write(p []byte) (int, error) {
 	return total, nil
 }
 
+// ReadFrom implements io.ReaderFrom: r is read straight into the chunk
+// buffer, up to a whole chunk per Read, so io.Copy into the writer
+// skips its own 32 KiB buffer and the copy out of it. The stream
+// written is the one Write produces from the same bytes.
+func (cw *ChunkWriter) ReadFrom(r io.Reader) (int64, error) {
+	if cw.err != nil {
+		return 0, cw.err
+	}
+	var total int64
+	for {
+		b := cw.payload.b
+		n, err := r.Read(b[len(b):cw.chunkSize])
+		cw.payload.b = b[:len(b)+n]
+		total += int64(n)
+		if len(cw.payload.b) == cw.chunkSize {
+			if err := cw.flush(); err != nil {
+				return total, err
+			}
+		}
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return total, err
+		}
+	}
+}
+
 // encode protects one chunk payload into a container drawn from the
 // buffer pool. It is the pipeline worker body, so it must be safe to
 // call concurrently (s is the calling worker's private scratch).
@@ -426,6 +454,40 @@ func (cr *ChunkReader) Report() Report { return cr.report }
 // every chunk before it is delivered intact, and the pipeline shuts
 // down without leaking goroutines.
 func (cr *ChunkReader) Read(p []byte) (int, error) {
+	if err := cr.fill(); err != nil {
+		return 0, err
+	}
+	n := copy(p, cr.cur)
+	cr.cur = cr.cur[n:]
+	return n, nil
+}
+
+// WriteTo implements io.WriterTo: every delivered chunk goes to w in
+// one Write, in Read's order and up to the error Read would return, so
+// io.Copy out of the reader skips its own 32 KiB buffer and the copy
+// into it.
+func (cr *ChunkReader) WriteTo(w io.Writer) (int64, error) {
+	var total int64
+	for {
+		if err := cr.fill(); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return total, err
+		}
+		n, err := w.Write(cr.cur)
+		cr.cur = cr.cur[n:]
+		total += int64(n)
+		if err != nil {
+			return total, err
+		}
+	}
+}
+
+// fill makes cr.cur the undelivered rest of the current chunk, moving
+// on to the next chunk when there is none; it returns the reader's
+// terminal error once nothing is left to deliver.
+func (cr *ChunkReader) fill() error {
 	for len(cr.cur) == 0 {
 		if cr.curBuf != nil {
 			// The previous chunk is fully delivered; recycle its buffer
@@ -434,17 +496,15 @@ func (cr *ChunkReader) Read(p []byte) (int, error) {
 			cr.curBuf = nil
 		}
 		if cr.err != nil {
-			return 0, cr.err
+			return cr.err
 		}
 		if err := cr.next(); err != nil {
 			cr.err = err
 			cr.shutdown()
-			return 0, err
+			return err
 		}
 	}
-	n := copy(p, cr.cur)
-	cr.cur = cr.cur[n:]
-	return n, nil
+	return nil
 }
 
 // Close releases the reader without requiring a full drain: in-flight

@@ -13,6 +13,12 @@
 // bits packed MSB-first. Keeping data contiguous means encode is a copy
 // plus check-bit computation and decode verifies in place — the layout
 // of the protected stream never interleaves.
+//
+// Encode and Decode work in steps of eight blocks: eight check words
+// are 8*CheckLen bits, always whole bytes, and come from byte tables
+// (stepCheck). Decode recomputes a step's packed check words, compares
+// them with the stored ones in one word compare, and looks at single
+// blocks (decodeBlock) only where the two differ.
 package hamming
 
 import (
@@ -28,14 +34,15 @@ import (
 // Params holds the derived constants for a Hamming code over k data
 // bits.
 type Params struct {
-	K        int      // data bits per block (8 or 64)
-	R        int      // parity bits
-	N        int      // codeword length K + R
-	Extended bool     // SEC-DED: one extra overall parity bit
-	CheckLen int      // check bits per block: R (+1 if Extended)
-	dataPos  []int    // codeword position of data bit i
-	posToBit []int    // codeword position -> data bit index, -1 for parity
-	masks    []uint64 // masks[j]: data bits covered by parity j
+	K        int         // data bits per block (8 or 64)
+	R        int         // parity bits
+	N        int         // codeword length K + R
+	Extended bool        // SEC-DED: one extra overall parity bit
+	CheckLen int         // check bits per block: R (+1 if Extended)
+	dataPos  []int       // codeword position of data bit i
+	posToBit []int       // codeword position -> data bit index, -1 for parity
+	masks    []uint64    // masks[j]: data bits covered by parity j
+	tab      [][256]byte // checkTabs[K/64]
 }
 
 // NewParams derives the code constants for k data bits. Only k = 8 and
@@ -55,6 +62,7 @@ func NewParams(k int, extended bool) *Params {
 	if extended {
 		p.CheckLen++
 	}
+	p.tab = checkTabs[k/64]
 	p.dataPos = make([]int, 0, k)
 	p.posToBit = make([]int, p.N+1)
 	for i := range p.posToBit {
@@ -91,6 +99,61 @@ func (p *Params) checkBits(data uint64) byte {
 		c |= byte(bits.OnesCount64(data&m)&1) << j
 	}
 	return c
+}
+
+// blockCheck computes the full check-bit word for a block: parity bits
+// in the low R bits, and (when extended) the overall parity bit above
+// them. Overall parity covers data bits and parity bits so that the
+// whole codeword has even weight.
+func (p *Params) blockCheck(data uint64) uint16 {
+	chk := uint16(p.checkBits(data))
+	if p.Extended {
+		overall := (bits.OnesCount64(data) + bits.OnesCount16(chk)) & 1
+		chk |= uint16(overall) << p.R
+	}
+	return chk
+}
+
+// checkTabs holds one table per block width, K=8 then K=64, with a
+// row per data byte of a block: row i maps the value of byte i to the
+// extended check word of the block whose only nonzero byte is that
+// one. Parity bits and the overall parity bit are XORs of data bits,
+// so a block's check word is the XOR of one entry per data byte; a
+// non-extended code masks the overall bit off.
+var checkTabs = [2][][256]byte{make([][256]byte, 1), make([][256]byte, 8)}
+
+func init() {
+	for _, tab := range checkTabs {
+		p := NewParams(8*len(tab), true)
+		for i := range tab {
+			for v := range tab[i] {
+				tab[i][v] = byte(p.blockCheck(uint64(v) << (8 * i)))
+			}
+		}
+	}
+}
+
+// stepCheck returns the check words of the eight blocks in src (K
+// bytes), the first block's in the most significant field, packed into
+// the low 8*CheckLen bits: the bit string EncodeRef writes for them.
+func (p *Params) stepCheck(src []byte) uint64 {
+	cl := uint(p.CheckLen)
+	keep := byte(1<<cl - 1) // the CheckLen low bits of a table entry
+	var acc uint64
+	if p.K == 8 {
+		t := &p.tab[0]
+		for _, x := range src[:8] {
+			acc = acc<<cl | uint64(t[x]&keep)
+		}
+		return acc
+	}
+	t := (*[8][256]byte)(p.tab)
+	for src = src[:64]; len(src) > 0; src = src[8:] {
+		b := src[:8]
+		v := t[0][b[0]] ^ t[1][b[1]] ^ t[2][b[2]] ^ t[3][b[3]] ^ t[4][b[4]] ^ t[5][b[5]] ^ t[6][b[6]] ^ t[7][b[7]]
+		acc = acc<<cl | uint64(v&keep)
+	}
+	return acc
 }
 
 // Code is a Hamming (or extended Hamming) code over fixed-width blocks.
@@ -175,17 +238,18 @@ func (c *Code) storeBlock(data []byte, b int, v uint64) {
 	}
 }
 
-// blockCheck computes the full check-bit word for a block: parity bits
-// in the low R bits, and (when extended) the overall parity bit above
-// them. Overall parity covers data bits and parity bits so that the
-// whole codeword has even weight.
-func (c *Code) blockCheck(data uint64) uint16 {
-	chk := uint16(c.P.checkBits(data))
-	if c.P.Extended {
-		overall := (bits.OnesCount64(data) + bits.OnesCount16(chk)) & 1
-		chk |= uint16(overall) << c.P.R
+// stepCheck returns Params.stepCheck of step s of data: blocks
+// [8s, 8s+8). A final short step is zero-padded; a block of zeros has
+// a zero check word, so the fields of absent blocks come out as the
+// zero bits EncodeRef leaves there.
+func (c *Code) stepCheck(data []byte, s int) uint64 {
+	span := c.P.K // eight blocks of K/8 bytes
+	if lo := s * span; lo+span <= len(data) {
+		return c.P.stepCheck(data[lo : lo+span])
 	}
-	return chk
+	var pad [64]byte
+	copy(pad[:], data[s*span:])
+	return c.P.stepCheck(pad[:span])
 }
 
 // Encode implements ecc.Code.
@@ -194,80 +258,47 @@ func (c *Code) Encode(data []byte) []byte {
 }
 
 // EncodeTo implements ecc.EncoderTo. Every check byte is fully
-// assigned (encodeChecks zero-pads partial groups in-register), so a
-// reused dst needs no clearing.
+// assigned (encodeSteps writes whole bytes, zero bits after the last
+// block), so a reused dst needs no clearing.
 func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
 	n := len(data)
-	nb := c.blocks(n)
 	out := ecc.GrowTo(dst, c.EncodedSize(n))
-	copy(out, data)
-	chk := out[n:]
-	cl := c.P.CheckLen
-	// Workers own whole check bytes; with CheckLen in {4,5,7,8}, block
-	// boundaries rarely align to bytes, so parallelize over groups of
-	// blocks whose check bits start at a byte boundary: lcm(cl,8)/cl
-	// blocks per group.
-	group := lcm(cl, 8) / cl
-	groups := (nb + group - 1) / group
+	steps := (c.blocks(n) + 7) / 8
 	// Serial fast path: a closure handed to parallel.For escapes and
 	// would allocate even when it runs inline — the chunk-stream
 	// steady state encodes with one worker.
-	if parallel.Clamp(c.Workers, groups) == 1 {
-		c.encodeChecks(data, chk, 0, groups, group, nb)
+	if parallel.Clamp(c.Workers, steps) == 1 {
+		c.encodeSteps(out, data, 0, steps)
 	} else {
-		parallel.For(groups, c.Workers, func(glo, ghi int) {
-			c.encodeChecks(data, chk, glo, ghi, group, nb)
+		parallel.For(steps, c.Workers, func(lo, hi int) {
+			c.encodeSteps(out, data, lo, hi)
 		})
 	}
 	return out
 }
 
-// encodeChecks computes and packs the check words for block groups
-// [glo, ghi). Each group's check bits start at a byte boundary and
-// span group*CheckLen <= 56 bits, so a whole group accumulates into
-// one uint64 and lands with whole-byte stores — the word-level
-// replacement for the per-bit writeBits packing that EncodeRef
-// retains as the scalar reference.
-func (c *Code) encodeChecks(data, chk []byte, glo, ghi, group, nb int) {
-	cl := c.P.CheckLen
-	if cl == 8 && c.P.K == 64 {
-		// SEC-DED(72,64): one byte-aligned check byte per 8-byte block
-		// (group == 1, so group index == block index). The hottest
-		// configuration gets a flat loop: word load, a handful of
-		// popcounts, one byte store.
-		full := len(data) / 8
-		for b := glo; b < ghi && b < full; b++ {
-			chk[b] = byte(c.blockCheck(binary.LittleEndian.Uint64(data[b*8:])))
-		}
-		for b := max(glo, full); b < ghi; b++ {
-			chk[b] = byte(c.blockCheck(c.loadBlock(data, b)))
-		}
-		return
-	}
-	bb := c.blockBytes()
-	for g := glo; g < ghi; g++ {
-		b0 := g * group
-		b1 := min(b0+group, nb)
-		var acc uint64
-		for b := b0; b < b1; b++ {
-			var v uint16
-			if bb == 8 && (b+1)*8 <= len(data) {
-				v = c.blockCheck(binary.LittleEndian.Uint64(data[b*8:]))
-			} else {
-				v = c.blockCheck(c.loadBlock(data, b))
-			}
-			acc = acc<<cl | uint64(v)
-		}
-		nbits := (b1 - b0) * cl
-		nbytes := (nbits + 7) / 8
-		// MSB-align the bit string within its byte span (the final
-		// partial group zero-pads, exactly like writeBits into a zeroed
-		// buffer).
-		acc <<= uint(nbytes*8 - nbits)
-		off := b0 * cl / 8
-		for k := nbytes - 1; k >= 0; k-- {
-			chk[off+k] = byte(acc)
-			acc >>= 8
+// copySteps is how many steps' data Encode and Decode copy at a time
+// before computing their check words: 4 KiB of K=64 data, so that the
+// second pass over the bytes finds them in the first-level cache
+// whatever the size of the input.
+const copySteps = 64
+
+// encodeSteps copies the data of steps [lo, hi) into out and stores
+// their check words after the data. A step owns check bytes
+// [s*CheckLen, (s+1)*CheckLen), cut short at the end of out for the
+// final step, so ranges never share a byte.
+func (c *Code) encodeSteps(out, data []byte, lo, hi int) {
+	cl, span := c.P.CheckLen, c.P.K
+	chk := out[len(data):]
+	for ; lo < hi; lo += copySteps {
+		end := min(lo+copySteps, hi)
+		copy(out[lo*span:], data[lo*span:min(end*span, len(data))])
+		for s := lo; s < end; s++ {
+			// MSB-align: big-endian byte k of w is check byte k of the step.
+			w := c.stepCheck(data, s) << uint(64-8*cl)
+			var be [8]byte
+			binary.BigEndian.PutUint64(be[:], w)
+			copy(chk[s*cl:min(s*cl+cl, len(chk))], be[:])
 		}
 	}
 }
@@ -285,7 +316,7 @@ func (c *Code) EncodeRef(data []byte) []byte {
 	cl := c.P.CheckLen
 	bitPos := 0
 	for b := 0; b < nb; b++ {
-		v := c.blockCheck(c.loadBlock(data, b))
+		v := c.P.blockCheck(c.loadBlock(data, b))
 		writeBits(chk, bitPos, uint64(v), cl)
 		bitPos += cl
 	}
@@ -295,9 +326,31 @@ func (c *Code) EncodeRef(data []byte) []byte {
 // blockStats accumulates one worker's decode counters.
 type blockStats struct{ det, bits, blocks, unc int64 }
 
+// correct repairs the single flipped bit that syndrome names in block
+// b (value data) of out. It reports false, leaving out alone, when no
+// stored bit lives there and more than one flip must have produced the
+// syndrome: a position past the codeword, or a data bit in the zero
+// padding of a trailing partial block.
+func (c *Code) correct(out []byte, b int, data uint64, syndrome int) bool {
+	if syndrome > c.P.N {
+		return false
+	}
+	bi := c.P.posToBit[syndrome]
+	if bi >= 8*(len(out)-b*c.blockBytes()) {
+		return false
+	}
+	// bi < 0 is a parity position: the stored check bits were hit and
+	// the data is already correct.
+	if bi >= 0 {
+		c.storeBlock(out, b, data^(1<<bi))
+	}
+	return true
+}
+
 // decodeBlock verifies block b of out against its stored check word,
-// correcting out in place and updating st. It is shared by Decode's
-// word-level check unpacking and DecodeRef's per-bit reference.
+// correcting out in place and updating st. It is shared by Decode,
+// which calls it for the blocks whose check words differ, and
+// DecodeRef, which calls it for every block.
 func (c *Code) decodeBlock(out []byte, b int, stored uint16, st *blockStats) {
 	data := c.loadBlock(out, b)
 	storedParity := stored & ((1 << c.P.R) - 1)
@@ -319,17 +372,11 @@ func (c *Code) decodeBlock(out []byte, b int, stored uint16, st *blockStats) {
 		case odd:
 			// Single error; the syndrome names its position.
 			st.det++
-			if syndrome > c.P.N {
-				// A position outside the codeword means at least a
-				// triple flip. Detect only.
+			if !c.correct(out, b, data, syndrome) {
+				// At least a triple flip. Detect only.
 				st.unc++
 				return
 			}
-			if bi := c.P.posToBit[syndrome]; bi >= 0 {
-				c.storeBlock(out, b, data^(1<<bi))
-			}
-			// Syndrome at a parity position: the stored check bits
-			// were hit; data is already correct.
 			st.bits++
 			st.blocks++
 		default:
@@ -344,14 +391,10 @@ func (c *Code) decodeBlock(out []byte, b int, stored uint16, st *blockStats) {
 		return
 	}
 	st.det++
-	if syndrome > c.P.N {
-		// Syndrome points outside the codeword: multi-bit corruption.
-		// Detect only.
+	if !c.correct(out, b, data, syndrome) {
+		// Multi-bit corruption. Detect only.
 		st.unc++
 		return
-	}
-	if bi := c.P.posToBit[syndrome]; bi >= 0 {
-		c.storeBlock(out, b, data^(1<<bi))
 	}
 	st.bits++
 	st.blocks++
@@ -369,22 +412,18 @@ func (c *Code) DecodeTo(dst, encoded []byte, origLen int, _ *ecc.Scratch) ([]byt
 		return nil, rep, fmt.Errorf("%w: need %d bytes, have %d", ecc.ErrTruncated, c.EncodedSize(origLen), len(encoded))
 	}
 	out := ecc.GrowTo(dst, origLen)
-	copy(out, encoded[:origLen])
-	chk := encoded[origLen:c.EncodedSize(origLen)]
-	nb := c.blocks(origLen)
-	cl := c.P.CheckLen
-	group := lcm(cl, 8) / cl
-	groups := (nb + group - 1) / group
+	encoded = encoded[:c.EncodedSize(origLen)]
+	steps := (c.blocks(origLen) + 7) / 8
 	var total blockStats
 	// Serial fast path: see EncodeTo — the closure plus the counters it
 	// captures by address would otherwise allocate per Decode.
-	if parallel.Clamp(c.Workers, groups) == 1 {
-		c.decodeGroups(out, chk, 0, groups, group, nb, &total)
+	if parallel.Clamp(c.Workers, steps) == 1 {
+		c.decodeSteps(out, encoded, 0, steps, &total)
 	} else {
 		var detected, corrBits, corrBlocks, uncorrectable int64
-		parallel.For(groups, c.Workers, func(glo, ghi int) {
+		parallel.For(steps, c.Workers, func(lo, hi int) {
 			var st blockStats
-			c.decodeGroups(out, chk, glo, ghi, group, nb, &st)
+			c.decodeSteps(out, encoded, lo, hi, &st)
 			atomic.AddInt64(&detected, st.det)
 			atomic.AddInt64(&corrBits, st.bits)
 			atomic.AddInt64(&corrBlocks, st.blocks)
@@ -401,34 +440,40 @@ func (c *Code) DecodeTo(dst, encoded []byte, origLen int, _ *ecc.Scratch) ([]byt
 	return out, rep, nil
 }
 
-// decodeGroups verifies and repairs block groups [glo, ghi) of out,
-// accumulating into st; safe to run concurrently on disjoint ranges.
-func (c *Code) decodeGroups(out, chk []byte, glo, ghi, group, nb int, st *blockStats) {
-	cl := c.P.CheckLen
-	if cl == 8 {
-		// Byte-aligned check words (group == 1): read directly.
-		for b := glo; b < ghi; b++ {
-			c.decodeBlock(out, b, uint16(chk[b]), st)
-		}
-		return
-	}
-	// Load each group's byte-aligned check span into a uint64 and peel
-	// the per-block fields MSB-first — the word-level replacement for
-	// per-bit readBits.
-	for g := glo; g < ghi; g++ {
-		b0 := g * group
-		b1 := min(b0+group, nb)
-		nbits := (b1 - b0) * cl
-		nbytes := (nbits + 7) / 8
-		off := b0 * cl / 8
-		var acc uint64
-		for k := 0; k < nbytes; k++ {
-			acc = acc<<8 | uint64(chk[off+k])
-		}
-		sh := uint(nbytes * 8)
-		for b := b0; b < b1; b++ {
-			sh -= uint(cl)
-			c.decodeBlock(out, b, uint16(acc>>sh)&((1<<cl)-1), st)
+// decodeSteps copies the data of steps [lo, hi) from encoded into out,
+// then verifies and repairs it there, accumulating into st; safe to
+// run concurrently on disjoint ranges. A step whose recomputed check
+// words equal the stored ones is clean and costs one compare; in any
+// other, exactly the blocks whose fields differ go to decodeBlock,
+// which is where every verdict is made.
+func (c *Code) decodeSteps(out, encoded []byte, lo, hi int, st *blockStats) {
+	cl, span := c.P.CheckLen, c.P.K
+	chk := encoded[len(out):]
+	nb := c.blocks(len(out))
+	field := uint64(1)<<cl - 1
+	for ; lo < hi; lo += copySteps {
+		end := min(lo+copySteps, hi)
+		copy(out[lo*span:], encoded[lo*span:min(end*span, len(out))])
+		for s := lo; s < end; s++ {
+			// The step's check bytes, right-aligned like stepCheck's result.
+			var be [8]byte
+			copy(be[:cl], chk[s*cl:])
+			stored := binary.BigEndian.Uint64(be[:]) >> uint(64-8*cl)
+			if n := nb - 8*s; n < 8 {
+				// Final short step: the bits after its last block are
+				// padding that Encode never set and Decode never reads.
+				stored &^= 1<<uint(cl*(8-n)) - 1
+			}
+			diff := stored ^ c.stepCheck(out, s)
+			if diff == 0 {
+				continue
+			}
+			for j := 0; j < 8; j++ {
+				sh := uint(cl * (7 - j))
+				if diff>>sh&field != 0 {
+					c.decodeBlock(out, 8*s+j, uint16(stored>>sh&field), st)
+				}
+			}
 		}
 	}
 }
@@ -483,15 +528,6 @@ func readBits(buf []byte, pos int, width int) uint64 {
 	}
 	return v
 }
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm(a, b int) int { return a / gcd(a, b) * b }
 
 var (
 	_ ecc.Code      = (*Code)(nil)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/raceflag"
 )
 
 // tiny keeps experiment tests fast.
@@ -126,8 +127,10 @@ func TestFig89ShapeClaims(t *testing.T) {
 	if !(enc["parity8"] > enc["secded64"]) {
 		t.Fatalf("parity (%.0f) must out-encode secded (%.0f)", enc["parity8"], enc["secded64"])
 	}
-	if !(enc["secded64"] > enc["rs-k241-m15"]) {
-		t.Fatalf("secded (%.0f) must out-encode RS (%.0f)", enc["secded64"], enc["rs-k241-m15"])
+	// The race detector instruments the table kernel and not the
+	// GF(256) assembly, so under it this comparison measures the detector.
+	if !raceflag.Enabled && !(enc["secded64"] > enc["rs-m15"]) {
+		t.Fatalf("secded (%.0f) must out-encode RS (%.0f)", enc["secded64"], enc["rs-m15"])
 	}
 }
 

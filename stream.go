@@ -66,6 +66,10 @@ func (a *ARC) NewWriterChoice(w io.Writer, c Choice, opts StreamOptions) (*Write
 // Write implements io.Writer.
 func (w *Writer) Write(p []byte) (int, error) { return w.cw.Write(p) }
 
+// ReadFrom implements io.ReaderFrom, so io.Copy into a Writer reads
+// the source a chunk at a time straight into the chunk buffer.
+func (w *Writer) ReadFrom(r io.Reader) (int64, error) { return w.cw.ReadFrom(r) }
+
 // Close flushes the final chunk and joins any in-flight encodes. It
 // does not close the underlying writer.
 func (w *Writer) Close() error { return w.cw.Close() }
@@ -100,6 +104,10 @@ func NewReaderWith(r io.Reader, workers int, opts StreamOptions) *Reader {
 // Read implements io.Reader.
 func (r *Reader) Read(p []byte) (int, error) { return r.cr.Read(p) }
 
+// WriteTo implements io.WriterTo, so io.Copy out of a Reader writes
+// each repaired chunk in one piece; it stops where Read would fail.
+func (r *Reader) WriteTo(w io.Writer) (int64, error) { return r.cr.WriteTo(w) }
+
 // Close releases the reader without requiring a full drain: in-flight
 // chunk decodes are cancelled and joined. Reading the stream to its
 // terminal error (or EOF) also releases everything, but callers that
@@ -117,3 +125,10 @@ type ChunkInfo = core.ChunkInfo
 func InspectStream(r io.Reader) ([]ChunkInfo, error) {
 	return core.InspectStream(r)
 }
+
+// io.Copy in EncodeFileWith/DecodeFileWith moves whole chunks through
+// these two.
+var (
+	_ io.ReaderFrom = (*Writer)(nil)
+	_ io.WriterTo   = (*Reader)(nil)
+)

@@ -170,4 +170,9 @@ echo "== gf256 dispatch fuzz smoke (10s) =="
 # the word fallback.
 go test -run '^$' -fuzz '^FuzzGF256Dispatch$' -fuzztime 10s ./internal/gf256
 
+echo "== hamming kernel fuzz smoke (10s) =="
+# Differential fuzz of the eight-codeword table kernel (all four codes,
+# one and four workers) against the per-block references.
+go test -run '^$' -fuzz '^FuzzHammingKernel$' -fuzztime 10s ./internal/ecc/hamming
+
 echo "verify: OK"
