@@ -5,14 +5,16 @@ package arc
 // is measured in the same run on the same host. verify.sh records the
 // results (plus host metadata) to BENCH_kernels.json and gates on the
 // word/scalar ratios: >=9x for SECDED-64 encode, >=4x for its decode,
-// >=2x for GF(256) MulSlice. See docs/KERNELS.md for how the kernels
-// work and why their output is bit-identical to the references.
+// >=2x for GF(256) MulSlice, and >=5x for Reed-Solomon repair (solve
+// over ref). See docs/KERNELS.md for how the kernels work and why
+// their output is bit-identical to the references.
 
 import (
 	"math/rand"
 	"testing"
 
 	"repro/internal/bitio"
+	"repro/internal/ecc"
 	"repro/internal/ecc/hamming"
 	"repro/internal/ecc/interleave"
 	"repro/internal/ecc/reedsolomon"
@@ -229,6 +231,46 @@ func BenchmarkKernelRSEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		code.Encode(data)
 	}
+}
+
+// BenchmarkKernelRSRepair times Reed-Solomon repair on the paper's
+// 241+15 with 1 KiB devices and 7 random corrupt devices in every
+// stripe (the end-to-end benchmark's protect-rs damage): "solve" is
+// DecodeTo with a kept output and scratch (an e x e system per stripe),
+// "ref" the retained K x K inversion. benchmeta gates solve/ref.
+func BenchmarkKernelRSRepair(b *testing.B) {
+	code, err := reedsolomon.New(241, 15, 1024, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 4 * 241 * 1024
+	enc := code.Encode(randBytes(n, 14))
+	rng := rand.New(rand.NewSource(15))
+	stripeEnc := len(enc) / 4
+	for s := 0; s < 4; s++ {
+		for _, d := range rng.Perm(256)[:7] {
+			enc[s*stripeEnc+d*1024+rng.Intn(1024)] ^= 0x5A
+		}
+	}
+	b.Run("solve", func(b *testing.B) {
+		b.SetBytes(n)
+		var dst []byte
+		var scratch ecc.Scratch
+		for i := 0; i < b.N; i++ {
+			var err error
+			if dst, _, err = code.DecodeTo(dst, enc, n, &scratch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ref", func(b *testing.B) {
+		b.SetBytes(n)
+		for i := 0; i < b.N; i++ {
+			if _, _, err := code.DecodeRef(enc, n); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkKernelInterleaveEncode tracks the division-free bit

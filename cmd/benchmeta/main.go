@@ -24,11 +24,11 @@
 // benchmark under a "host" header, and both gate: `stream` fails (exit
 // 1) when any steady-state benchmark exceeds the allocation budget or
 // the expected benchmarks are missing; `kernels` fails when a
-// word-level kernel misses its speedup floor over its scalar
-// reference. Host metadata is embedded so recorded numbers are
-// self-explanatory: a "cores": 1 artifact reads very differently from
-// an 8-core one, and kernel MB/s only compares across runs on the same
-// GOARCH and Go version.
+// kernel misses its speedup floor over its retained reference (word
+// over scalar, Reed-Solomon repair's solve over ref). Host metadata is
+// embedded so recorded numbers are self-explanatory: a "cores": 1
+// artifact reads very differently from an 8-core one, and kernel MB/s
+// only compares across runs on the same GOARCH and Go version.
 package main
 
 import (
@@ -150,6 +150,11 @@ const (
 	secdedDecodeSpeedupMin = 4.0
 	gf256SpeedupMin        = 2.0
 
+	// Reed-Solomon repair of 7 corrupt devices per 241+15 stripe: the
+	// e x e solve over the retained K x K inversion, half the ratio
+	// measured when the solve landed (10-11x).
+	rsRepairSpeedupMin = 5.0
+
 	// Vectorized codec kernels: the batched SZ quantizer and the
 	// unrolled ZFP lifting transform, each against its retained scalar
 	// reference.
@@ -232,16 +237,20 @@ func runKernels(in io.Reader, out, errw io.Writer) error {
 		mbps[b.Name] = b.MBPerS
 	}
 	speedups := make(map[string]float64)
-	for _, b := range benches {
-		base, ok := strings.CutSuffix(b.Name, "/word")
-		if !ok {
-			continue
+	// A kernel is paired with its retained reference by sub-benchmark
+	// name: word over scalar, and for Reed-Solomon repair solve over ref.
+	for _, pair := range [][2]string{{"/word", "/scalar"}, {"/solve", "/ref"}} {
+		for _, b := range benches {
+			base, ok := strings.CutSuffix(b.Name, pair[0])
+			if !ok {
+				continue
+			}
+			ref := mbps[base+pair[1]]
+			if ref <= 0 {
+				continue
+			}
+			speedups[strings.TrimPrefix(base, "BenchmarkKernel")] = round2(b.MBPerS / ref)
 		}
-		scalar := mbps[base+"/scalar"]
-		if scalar <= 0 {
-			continue
-		}
-		speedups[strings.TrimPrefix(base, "BenchmarkKernel")] = round2(b.MBPerS / scalar)
 	}
 	// The per-tier MulSlice runs are not word/scalar pairs; derive the
 	// AVX2-over-SSSE3 ratio from them when both tiers were measured.
@@ -254,6 +263,7 @@ func runKernels(in io.Reader, out, errw io.Writer) error {
 		"SECDED64Encode_min": secdedEncodeSpeedupMin,
 		"SECDED64Decode_min": secdedDecodeSpeedupMin,
 		"GF256MulSlice_min":  gf256SpeedupMin,
+		"RSRepair_min":       rsRepairSpeedupMin,
 		"SZQuantize_min":     szQuantizeSpeedupMin,
 		"ZFPLift_min":        zfpLiftSpeedupMin,
 	}
@@ -263,7 +273,7 @@ func runKernels(in io.Reader, out, errw io.Writer) error {
 	}
 	art := kernelsArtifact{
 		Host:       host(),
-		Note:       "word/scalar pairs are measured in the same run; speedups are word MB/s over scalar MB/s. GF256MulSliceTier runs the same kernel under each dispatch tier; its avx2/ssse3 ratio is gated only on hosts that report AVX2.",
+		Note:       "each kernel and its retained reference (word/scalar; solve/ref for RSRepair) are measured in the same run; speedups are kernel MB/s over reference MB/s. GF256MulSliceTier runs the same kernel under each dispatch tier; its avx2/ssse3 ratio is gated only on hosts that report AVX2.",
 		Benchmarks: benches,
 		Speedups:   speedups,
 		Targets:    targets,
@@ -279,6 +289,7 @@ func runKernels(in io.Reader, out, errw io.Writer) error {
 		{"SECDED64Encode", secdedEncodeSpeedupMin},
 		{"SECDED64Decode", secdedDecodeSpeedupMin},
 		{"GF256MulSlice", gf256SpeedupMin},
+		{"RSRepair", rsRepairSpeedupMin},
 		{"SZQuantize", szQuantizeSpeedupMin},
 		{"ZFPLift", zfpLiftSpeedupMin},
 	}

@@ -43,6 +43,8 @@ BenchmarkKernelSZQuantize/scalar-1     	 600	 163 ns/op	 200.00 MB/s	0 B/op	3 al
 BenchmarkKernelZFPLift/word-1          	3000	  40 ns/op	 840.00 MB/s	0 B/op	0 allocs/op
 BenchmarkKernelZFPLift/scalar-1        	1000	 112 ns/op	 300.00 MB/s	0 B/op	0 allocs/op
 BenchmarkKernelBitReader/word-1        	1000	 100 ns/op	 900.00 MB/s	0 B/op	0 allocs/op
+BenchmarkKernelRSRepair/solve-1        	2000	  55 ns/op	1760.00 MB/s	0 B/op	0 allocs/op
+BenchmarkKernelRSRepair/ref-1          	 200	 600 ns/op	 160.00 MB/s	2802722 B/op	49 allocs/op
 PASS
 `
 
@@ -166,6 +168,9 @@ func TestKernelsArtifactAndGate(t *testing.T) {
 	if got := art.Speedups["GF256MulSliceAVX2VsSSSE3"]; got != 2.0 {
 		t.Errorf("GF256MulSliceAVX2VsSSSE3 = %v, want 2.0", got)
 	}
+	if got := art.Speedups["RSRepair"]; got != 11 {
+		t.Errorf("RSRepair speedup = %v, want 11 (solve over ref)", got)
+	}
 	if _, ok := art.Speedups["BitReader"]; ok {
 		t.Error("word bench without a scalar pair must not produce a speedup")
 	}
@@ -181,6 +186,7 @@ func TestKernelsGateFailsBelowFloor(t *testing.T) {
 	for _, slow := range []string{
 		strings.Replace(kernelsSample, "5400.00 MB/s", "2600.00 MB/s", 1), // encode 8.67x, need 9x
 		strings.Replace(kernelsSample, "4300.00 MB/s", "1900.00 MB/s", 1), // decode 3.8x, need 4x
+		strings.Replace(kernelsSample, "1760.00 MB/s", "760.00 MB/s", 1),  // RS repair 4.75x, need 5x
 	} {
 		var out, errw bytes.Buffer
 		err := runKernels(strings.NewReader(slow), &out, &errw)

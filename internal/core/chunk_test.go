@@ -277,5 +277,28 @@ func TestOneShotSteadyStateAllocs(t *testing.T) {
 		}); avg > budget {
 			t.Errorf("%s: one-shot decode = %.2f allocs/op, budget %.0f", cfg, avg, budget)
 		}
+		if cfg.Method != ecc.MethodReedSolomon {
+			continue
+		}
+		// Repair is held to the same budget: 7 of the stripe's 256
+		// devices damaged (one of them parity), solved on the scratch.
+		damaged := append([]byte(nil), enc.Encoded...)
+		devSize := cfg.DeviceSizeFor(len(data))
+		for _, d := range []int{0, 37, 74, 111, 148, 240, 250} {
+			damaged[ContainerOverheadBytes+d*devSize+d] ^= 0x5A
+		}
+		repair := func() {
+			res, err := DecodeContainer(damaged, 1)
+			if err != nil {
+				t.Fatalf("%s: damaged decode: %v", cfg, err)
+			}
+			if res.Report.CorrectedBlocks != 7 {
+				t.Fatalf("%s: damaged decode corrected %d devices, want 7", cfg, res.Report.CorrectedBlocks)
+			}
+		}
+		repair() // grows the scratch's repair slot
+		if avg := testing.AllocsPerRun(100, repair); avg > budget {
+			t.Errorf("%s: one-shot repair = %.2f allocs/op, budget %.0f", cfg, avg, budget)
+		}
 	}
 }

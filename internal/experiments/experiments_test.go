@@ -146,11 +146,15 @@ func TestFig10ShapeClaims(t *testing.T) {
 		}
 		dec[row.Config][row.Errors] = row.DecMBs
 	}
-	// Heavy error load must slow Reed-Solomon sharply (per-device
-	// rebuild cost — the paper's headline Figure-10 effect). Hamming
-	// and SEC-DED syndrome repair is one table lookup in this
-	// implementation, so their drop is within timing noise; only
-	// require they never speed up beyond noise.
+	// Heavy error load must slow Reed-Solomon sharply: 20k errors put
+	// 15 corrupt data devices into every stripe, and their syndromes
+	// cost about what encoding the stripe did, on top of the CRC scan
+	// that is all a clean decode pays. (One error no longer shows: it
+	// is a 1x1 solve in one stripe — the deviation from the paper's
+	// Figure 10 that EXPERIMENTS.md records.) Hamming and SEC-DED
+	// syndrome repair is one table lookup in this implementation, so
+	// their drop is within timing noise; only require they never speed
+	// up beyond noise.
 	rs := dec["rs-m15"]
 	if rs[20000] >= rs[1]/2 {
 		t.Fatalf("RS under 20k errors decoded %.1f MB/s vs %.1f clean; expected a sharp drop", rs[20000], rs[1])

@@ -29,3 +29,27 @@ func TestMulSliceAllocFree(t *testing.T) {
 		t.Errorf("XorSlice allocates %.2f allocs/op, want 0", avg)
 	}
 }
+
+// TestInvertInPlaceAllocFree pins the contract Reed-Solomon repair
+// leans on: one e x e solve per damaged stripe, on the caller's
+// storage, with no allocation (e <= 15 for the paper's 241+15).
+func TestInvertInPlaceAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation accounting is unreliable under the race detector")
+	}
+	const n = 15
+	cau, err := Cauchy(n, n) // every Cauchy matrix is invertible
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := make([]byte, n*n)
+	inv := make([]byte, n*n)
+	if avg := testing.AllocsPerRun(100, func() {
+		copy(a, cau.Data)
+		if err := InvertInPlace(a, inv, n); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("InvertInPlace allocates %.2f allocs/op, want 0", avg)
+	}
+}

@@ -131,6 +131,54 @@ func (m *Matrix) Invert() (*Matrix, error) {
 	return inv, nil
 }
 
+// InvertInPlace is Invert on caller-owned storage, for callers that
+// invert small systems in a hot loop (Reed-Solomon repair solves one
+// e x e system per damaged stripe): it allocates nothing. a and inv
+// are n x n row-major (len >= n*n each, not overlapping). On success
+// inv holds the inverse and a has been reduced to the identity. On
+// ErrSingular both are left partially reduced and hold nothing
+// useful: a caller that needs its matrix afterwards inverts a copy.
+//
+// The elimination is deliberately not shared with Invert: Invert is
+// what the Reed-Solomon reference decoder runs, and an oracle that
+// called the code it checks would agree with its bugs.
+func InvertInPlace(a, inv []byte, n int) error {
+	if n <= 0 || len(a) < n*n || len(inv) < n*n {
+		panic(fmt.Sprintf("gf256: InvertInPlace needs two %dx%d buffers, got %d and %d bytes", n, n, len(a), len(inv)))
+	}
+	a, inv = a[:n*n], inv[:n*n]
+	clear(inv)
+	for i := 0; i < n; i++ {
+		inv[i*n+i] = 1
+	}
+	for col := 0; col < n; col++ {
+		pivot := col
+		for pivot < n && a[pivot*n+col] == 0 {
+			pivot++
+		}
+		if pivot == n {
+			return ErrSingular
+		}
+		arow, irow := a[col*n:(col+1)*n], inv[col*n:(col+1)*n]
+		if pivot != col {
+			swapSlices(arow, a[pivot*n:(pivot+1)*n])
+			swapSlices(irow, inv[pivot*n:(pivot+1)*n])
+		}
+		if p := arow[col]; p != 1 {
+			scale := Inv(p)
+			scaleRow(arow, scale)
+			scaleRow(irow, scale)
+		}
+		for r := 0; r < n; r++ {
+			if f := a[r*n+col]; r != col && f != 0 {
+				addScaledRow(a[r*n:(r+1)*n], arow, f)
+				addScaledRow(inv[r*n:(r+1)*n], irow, f)
+			}
+		}
+	}
+	return nil
+}
+
 // SubMatrix returns the matrix restricted to the given rows (all
 // columns), in the order provided.
 func (m *Matrix) SubMatrix(rows []int) *Matrix {
@@ -141,8 +189,9 @@ func (m *Matrix) SubMatrix(rows []int) *Matrix {
 	return out
 }
 
-func swapRows(m *Matrix, a, b int) {
-	ra, rb := m.Row(a), m.Row(b)
+func swapRows(m *Matrix, a, b int) { swapSlices(m.Row(a), m.Row(b)) }
+
+func swapSlices(ra, rb []byte) {
 	for i := range ra {
 		ra[i], rb[i] = rb[i], ra[i]
 	}

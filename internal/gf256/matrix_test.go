@@ -1,6 +1,7 @@
 package gf256
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -80,6 +81,60 @@ func TestInvertSingular(t *testing.T) {
 	if _, err := m.Invert(); err != ErrSingular {
 		t.Fatalf("expected ErrSingular, got %v", err)
 	}
+}
+
+// TestInvertInPlaceMatchesInvert holds the allocation-free inversion to
+// Matrix.Invert on random matrices (about 1 in 256 draws per size is
+// singular, small sizes more often): same verdict, same inverse, a
+// reduced to the identity, and spare bytes past n*n left alone.
+func TestInvertInPlaceMatchesInvert(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	singular := 0
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(16)
+		m := NewMatrix(n, n)
+		for i := range m.Data {
+			m.Data[i] = byte(rng.Intn(256))
+		}
+		if trial%5 == 0 && n > 1 { // force rank deficiency
+			copy(m.Row(n-1), m.Row(0))
+		}
+		a := append(append([]byte(nil), m.Data...), 0xA5, 0xA5)
+		inv := make([]byte, n*n+2)
+		for i := range inv {
+			inv[i] = 0xA5 // stale scratch must not leak into the result
+		}
+		want, wantErr := m.Invert()
+		err := InvertInPlace(a, inv, n)
+		if err != wantErr {
+			t.Fatalf("trial %d n=%d: err %v, Invert says %v", trial, n, err, wantErr)
+		}
+		if a[n*n] != 0xA5 || inv[n*n] != 0xA5 || inv[n*n+1] != 0xA5 {
+			t.Fatalf("trial %d n=%d: wrote past n*n", trial, n)
+		}
+		if err != nil {
+			singular++
+			continue
+		}
+		if !bytes.Equal(inv[:n*n], want.Data) {
+			t.Fatalf("trial %d n=%d: inverse differs from Matrix.Invert", trial, n)
+		}
+		if !bytes.Equal(a[:n*n], Identity(n).Data) {
+			t.Fatalf("trial %d n=%d: a not reduced to the identity", trial, n)
+		}
+	}
+	if singular < 100 {
+		t.Fatalf("only %d singular draws: the ErrSingular side is not covered", singular)
+	}
+}
+
+func TestInvertInPlaceShortBufferPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a buffer shorter than n*n should panic")
+		}
+	}()
+	_ = InvertInPlace(make([]byte, 9), make([]byte, 8), 3)
 }
 
 func TestInvertNonSquarePanics(t *testing.T) {

@@ -175,4 +175,10 @@ echo "== hamming kernel fuzz smoke (10s) =="
 # one and four workers) against the per-block references.
 go test -run '^$' -fuzz '^FuzzHammingKernel$' -fuzztime 10s ./internal/ecc/hamming
 
+echo "== reed-solomon repair fuzz smoke (10s) =="
+# Differential fuzz of the repair path (code shape, generator, checksum
+# width, workers, arbitrary erasure sets) against the retained K x K
+# inversion decoder.
+go test -run '^$' -fuzz '^FuzzRSRepair$' -fuzztime 10s ./internal/ecc/reedsolomon
+
 echo "verify: OK"
