@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	arc "repro"
 	"repro/internal/pressio"
@@ -79,6 +80,11 @@ type Info struct {
 // writes a protected checkpoint to w.
 func Save(w io.Writer, a *arc.ARC, data []float64, dims []int, opts Options) (*Info, error) {
 	opts = opts.withDefaults()
+	for _, d := range dims {
+		if d < 0 || int64(d) > math.MaxUint32 {
+			return nil, fmt.Errorf("checkpoint: dimension %d does not fit the header's 32 bits", d)
+		}
+	}
 	comp, err := pressio.New(opts.Compressor, opts.Bound)
 	if err != nil {
 		return nil, err
@@ -129,10 +135,15 @@ func Save(w io.Writer, a *arc.ARC, data []float64, dims []int, opts Options) (*I
 // and decompresses the field. workers bounds decode parallelism.
 func Load(r io.Reader, workers int) ([]float64, []int, *Info, error) {
 	ar := arc.NewReader(r, workers)
-	payload, err := io.ReadAll(ar)
-	if err != nil {
+	// WriteTo, not io.ReadAll: the reader hands over whole repaired
+	// chunks (4 MiB by default), so the buffer is sized once for a
+	// one-chunk checkpoint and doubles past that, where reading in small
+	// pieces allocates five times the payload in growth steps.
+	var buf bytes.Buffer
+	if _, err := ar.WriteTo(&buf); err != nil {
 		return nil, nil, nil, err
 	}
+	payload := buf.Bytes()
 	rd := bytes.NewReader(payload)
 	hdr := make([]byte, len(magic)+2)
 	if _, err := io.ReadFull(rd, hdr); err != nil || string(hdr[:len(magic)]) != magic {
@@ -170,6 +181,12 @@ func Load(r io.Reader, workers int) ([]float64, []int, *Info, error) {
 	data, gotDims, err := comp.Decompress(compressed)
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	// The header's shape and the compressor stream's must be one shape:
+	// a header that survived ECC with the wrong dims (a miscorrection, a
+	// spliced file) would otherwise load as whatever the stream says.
+	if !slices.Equal(dims, gotDims) {
+		return nil, nil, nil, fmt.Errorf("%w: header dims %v, compressed stream dims %v", ErrFormat, dims, gotDims)
 	}
 	info := &Info{
 		Compressor:      string(nameBuf),

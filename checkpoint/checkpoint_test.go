@@ -2,9 +2,13 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	arc "repro"
@@ -123,6 +127,35 @@ func TestCheckpointSurvivesSoftErrors(t *testing.T) {
 	}
 }
 
+// TestLoadManyChunks loads a checkpoint that spans several ARC chunks,
+// which Load gathers chunk by chunk, and holds a stream cut short inside
+// a later chunk to an error, not a shorter field.
+func TestLoadManyChunks(t *testing.T) {
+	a := testARC(t)
+	f := datasets.NYX(16, 16, 16, 6)
+	var buf bytes.Buffer
+	info, err := Save(&buf, a, f.Data, f.Dims, Options{Compressor: "ZFP-ACC", Bound: 1e-6, ChunkBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.CompressedBytes < 3*(4<<10) {
+		t.Fatalf("payload of %d bytes does not span three chunks", info.CompressedBytes)
+	}
+	got, _, linfo, err := Load(bytes.NewReader(buf.Bytes()), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if linfo.CompressedBytes != info.CompressedBytes {
+		t.Fatalf("loaded %d compressed bytes, saved %d", linfo.CompressedBytes, info.CompressedBytes)
+	}
+	if n := metrics.CountIncorrect(f.Data, got, 1e-6*(1+1e-9)); n != 0 {
+		t.Fatalf("%d bound violations", n)
+	}
+	if _, _, _, err := Load(bytes.NewReader(buf.Bytes()[:buf.Len()*2/3]), 2); err == nil {
+		t.Fatal("a stream cut inside a later chunk loaded")
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, _, _, err := Load(bytes.NewReader([]byte("not a checkpoint")), 1); err == nil {
 		t.Fatal("garbage must fail")
@@ -146,5 +179,64 @@ func TestSaveRejectsUnknownCompressor(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := Save(&buf, a, []float64{1}, []int{1}, Options{Compressor: "LZMA"}); err == nil {
 		t.Fatal("unknown compressor must fail")
+	}
+}
+
+// TestLoadRejectsHeaderStreamDimsMismatch rewrites the dims in the
+// checkpoint header of an otherwise valid payload — what a
+// within-budget miscorrection or a spliced file amounts to — and
+// re-protects it: the compressor stream still decodes, to its own
+// shape, and Load must not hand that back under a header that says
+// otherwise.
+func TestLoadRejectsHeaderStreamDimsMismatch(t *testing.T) {
+	a := testARC(t)
+	f := datasets.CESM(16, 32, 3)
+	for _, comp := range []string{"SZ-ABS", "ZFP-ACC"} {
+		var saved bytes.Buffer
+		if _, err := Save(&saved, a, f.Data, f.Dims, Options{Compressor: comp, Bound: 0.01}); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := io.ReadAll(arc.NewReader(bytes.NewReader(saved.Bytes()), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// magic, version, name length, name, bound, ndims, then the dims.
+		dimsOff := len(magic) + 2 + len(comp) + 8 + 1
+		if got := binary.LittleEndian.Uint32(payload[dimsOff:]); int(got) != f.Dims[0] {
+			t.Fatalf("%s: header layout moved: dims[0] reads %d", comp, got)
+		}
+		// Same element count, other shape: 16x32 -> 32x16.
+		binary.LittleEndian.PutUint32(payload[dimsOff:], uint32(f.Dims[1]))
+		binary.LittleEndian.PutUint32(payload[dimsOff+4:], uint32(f.Dims[0]))
+		var forged bytes.Buffer
+		w, err := a.NewWriter(&forged, arc.AnyMem, arc.AnyBW, arc.AnyECC, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := Load(bytes.NewReader(forged.Bytes()), 1); !errors.Is(err, ErrFormat) {
+			t.Fatalf("%s: header dims disagree with the stream: want ErrFormat, got %v", comp, err)
+		}
+	}
+}
+
+func TestSaveRejectsDimensionBeyondHeader(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("every int fits the header's uint32")
+	}
+	a := testARC(t)
+	var buf bytes.Buffer
+	big := int(int64(math.MaxUint32) + 1)
+	_, err := Save(&buf, a, make([]float64, 4), []int{big}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "does not fit") {
+		t.Fatalf("want a header-width error, got %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("%d bytes written for a rejected checkpoint", buf.Len())
 	}
 }

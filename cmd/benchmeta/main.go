@@ -161,6 +161,12 @@ const (
 	szQuantizeSpeedupMin = 2.0
 	zfpLiftSpeedupMin    = 2.0
 
+	// ZFP's embedded coder, encode plus decode over the coefficient
+	// blocks of a 2-D and a 3-D field: one field per plane prefix and
+	// per run over the retained call-per-bit coder, half the ratio
+	// measured when the word coder landed (3.6-3.8x).
+	zfpPlanesSpeedupMin = 1.8
+
 	// avx2VsSSSE3Min gates the 32-byte GF(256) kernel against the
 	// 16-byte one on hosts whose dispatcher reports AVX2: twice the
 	// lanes should buy at least 1.5x after memory effects.
@@ -266,6 +272,7 @@ func runKernels(in io.Reader, out, errw io.Writer) error {
 		"RSRepair_min":       rsRepairSpeedupMin,
 		"SZQuantize_min":     szQuantizeSpeedupMin,
 		"ZFPLift_min":        zfpLiftSpeedupMin,
+		"ZFPPlanes_min":      zfpPlanesSpeedupMin,
 	}
 	hostHasAVX2 := slices.Contains(gf256.Features(), "avx2")
 	if hostHasAVX2 {
@@ -292,6 +299,7 @@ func runKernels(in io.Reader, out, errw io.Writer) error {
 		{"RSRepair", rsRepairSpeedupMin},
 		{"SZQuantize", szQuantizeSpeedupMin},
 		{"ZFPLift", zfpLiftSpeedupMin},
+		{"ZFPPlanes", zfpPlanesSpeedupMin},
 	}
 	if hostHasAVX2 {
 		floors = append(floors, struct {

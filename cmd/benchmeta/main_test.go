@@ -42,6 +42,8 @@ BenchmarkKernelSZQuantize/word-1       	2000	  50 ns/op	 650.00 MB/s	0 B/op	3 al
 BenchmarkKernelSZQuantize/scalar-1     	 600	 163 ns/op	 200.00 MB/s	0 B/op	3 allocs/op
 BenchmarkKernelZFPLift/word-1          	3000	  40 ns/op	 840.00 MB/s	0 B/op	0 allocs/op
 BenchmarkKernelZFPLift/scalar-1        	1000	 112 ns/op	 300.00 MB/s	0 B/op	0 allocs/op
+BenchmarkKernelZFPPlanes/word-1        	 500	2100 ns/op	 240.00 MB/s	0 B/op	0 allocs/op
+BenchmarkKernelZFPPlanes/scalar-1      	 150	8000 ns/op	  64.00 MB/s	0 B/op	0 allocs/op
 BenchmarkKernelBitReader/word-1        	1000	 100 ns/op	 900.00 MB/s	0 B/op	0 allocs/op
 BenchmarkKernelRSRepair/solve-1        	2000	  55 ns/op	1760.00 MB/s	0 B/op	0 allocs/op
 BenchmarkKernelRSRepair/ref-1          	 200	 600 ns/op	 160.00 MB/s	2802722 B/op	49 allocs/op
@@ -165,6 +167,9 @@ func TestKernelsArtifactAndGate(t *testing.T) {
 	if got := art.Speedups["ZFPLift"]; got != 2.8 {
 		t.Errorf("ZFPLift speedup = %v, want 2.8", got)
 	}
+	if got := art.Speedups["ZFPPlanes"]; got != 3.75 {
+		t.Errorf("ZFPPlanes speedup = %v, want 3.75", got)
+	}
 	if got := art.Speedups["GF256MulSliceAVX2VsSSSE3"]; got != 2.0 {
 		t.Errorf("GF256MulSliceAVX2VsSSSE3 = %v, want 2.0", got)
 	}
@@ -187,6 +192,7 @@ func TestKernelsGateFailsBelowFloor(t *testing.T) {
 		strings.Replace(kernelsSample, "5400.00 MB/s", "2600.00 MB/s", 1), // encode 8.67x, need 9x
 		strings.Replace(kernelsSample, "4300.00 MB/s", "1900.00 MB/s", 1), // decode 3.8x, need 4x
 		strings.Replace(kernelsSample, "1760.00 MB/s", "760.00 MB/s", 1),  // RS repair 4.75x, need 5x
+		strings.Replace(kernelsSample, "240.00 MB/s", "112.00 MB/s", 1),   // ZFP planes 1.75x, need 1.8x
 	} {
 		var out, errw bytes.Buffer
 		err := runKernels(strings.NewReader(slow), &out, &errw)

@@ -324,7 +324,9 @@ func FuzzIndexDecode(f *testing.F) {
 // field written must read back bit-exactly (masked to its width), the
 // write and read cursors must agree, and reading one bit past the end
 // must fail — pinning the accumulator kernels against the per-bit
-// semantics the stream formats were built on.
+// semantics the stream formats were built on. The writer starts behind
+// a caller-supplied prefix (bitio.NewWriter) whose length the input
+// picks; the prefix must come back untouched and uncounted.
 func FuzzBitIORoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0xFF, 64, 1, 2, 3, 4, 5, 6, 7, 8})
@@ -335,7 +337,8 @@ func FuzzBitIORoundTrip(f *testing.F) {
 		}
 		var vals []uint64
 		var widths []int
-		var w bitio.Writer
+		prefix := bytes.Repeat([]byte{0xC3}, len(data)%11)
+		w := bitio.NewWriter(bytes.Clone(prefix))
 		total := 0
 		for i := 0; i+9 <= len(data); i += 9 {
 			n := int(data[i]) % 65
@@ -355,6 +358,10 @@ func FuzzBitIORoundTrip(f *testing.F) {
 			}
 		}
 		buf := w.Bytes()
+		if !bytes.HasPrefix(buf, prefix) {
+			t.Fatalf("prefix % x came back as % x", prefix, buf[:min(len(buf), len(prefix))])
+		}
+		buf = buf[len(prefix):]
 		if len(buf) != (total+7)/8 {
 			t.Fatalf("buffer %d bytes for %d bits", len(buf), total)
 		}

@@ -3,8 +3,9 @@
 // the ZFP-like embedded bit-plane coder (internal/zfp).
 //
 // Both directions run word-at-a-time: the Writer batches bits in a
-// 64-bit accumulator and flushes whole bytes, and the Reader extracts
-// multi-bit fields from 8-byte loads instead of walking bit by bit.
+// 64-bit accumulator and appends it a whole word at a time, and the
+// Reader extracts multi-bit fields from 8-byte loads instead of walking
+// bit by bit.
 // The bit stream layout is unchanged from the original per-bit
 // implementation — see docs/KERNELS.md for the equivalence argument.
 package bitio
@@ -18,16 +19,24 @@ import (
 // The zero value is ready to use.
 type Writer struct {
 	buf  []byte
-	acc  uint64 // pending bits in the low nAcc positions, oldest highest
-	nAcc int    // bits currently in acc (0..7 between calls)
+	head int    // bytes buf held before the first bit (NewWriter)
+	acc  uint64 // pending bits in the low nAcc positions, oldest highest; zero above them
+	nAcc int    // bits currently in acc (0..63 between calls)
 }
+
+// NewWriter returns a Writer that appends its bits to buf, after the
+// bytes buf already holds. A caller that knows roughly how much is
+// coming hands in a pre-sized slice — with its header already in it, if
+// it has one — and Bytes returns header and bit stream in that one
+// buffer. Len counts only the bits written through the Writer.
+func NewWriter(buf []byte) *Writer { return &Writer{buf: buf, head: len(buf)} }
 
 // WriteBit appends a single bit (the low bit of b).
 func (w *Writer) WriteBit(b uint) {
 	w.acc = w.acc<<1 | uint64(b&1)
 	w.nAcc++
-	if w.nAcc == 8 {
-		w.buf = append(w.buf, byte(w.acc))
+	if w.nAcc == 64 {
+		w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc)
 		w.acc, w.nAcc = 0, 0
 	}
 }
@@ -35,39 +44,43 @@ func (w *Writer) WriteBit(b uint) {
 // WriteBits appends the low n bits of v, most significant first.
 // n must be in [0, 64].
 func (w *Writer) WriteBits(v uint64, n int) {
+	// A field that leaves the accumulator short of full is a shift and
+	// an or; the buffer is touched once per 64 bits.
+	if n < 64-w.nAcc {
+		w.acc = w.acc<<uint(n) | v&(1<<uint(n)-1)
+		w.nAcc += n
+		return
+	}
+	w.spill(v, n)
+}
+
+// spill tops the accumulator up to 64 bits with the head of the field,
+// appends it as one big-endian word, and keeps the field's tail.
+func (w *Writer) spill(v uint64, n int) {
 	if n < 64 {
 		v &= 1<<uint(n) - 1
 	}
-	if w.nAcc+n > 64 {
-		// acc holds at most 7 residual bits, so only fields wider than
-		// 57 bits can overflow the accumulator; split the field and
-		// recurse (each half fits).
-		w.WriteBits(v>>32, n-32)
-		w.WriteBits(v&0xFFFFFFFF, 32)
-		return
-	}
-	w.acc = w.acc<<uint(n) | v
-	w.nAcc += n
+	tail := n - (64 - w.nAcc) // 0..63 bits of the field stay pending
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc<<uint(64-w.nAcc)|v>>uint(tail))
+	w.acc, w.nAcc = v&(1<<uint(tail)-1), tail
+}
+
+// Len returns the number of bits written so far.
+func (w *Writer) Len() int { return (len(w.buf)-w.head)*8 + w.nAcc }
+
+// Bytes flushes the pending bits (the last byte zero padded on the
+// right) and returns the accumulated buffer. The Writer remains usable;
+// further writes continue after the flushed padding, so callers should
+// only call Bytes once when finished.
+func (w *Writer) Bytes() []byte {
 	for w.nAcc >= 8 {
 		w.nAcc -= 8
 		w.buf = append(w.buf, byte(w.acc>>uint(w.nAcc)))
 	}
-}
-
-// Len returns the number of bits written so far.
-func (w *Writer) Len() int { return len(w.buf)*8 + w.nAcc }
-
-// Bytes flushes any partial byte (zero padded on the right) and
-// returns the accumulated buffer. The Writer remains usable; further
-// writes continue after the flushed padding, so callers should only
-// call Bytes once when finished.
-func (w *Writer) Bytes() []byte {
 	if w.nAcc > 0 {
-		// Only the low nAcc bits of acc are live; bits above them may
-		// be stale from earlier flushes.
-		w.buf = append(w.buf, byte(w.acc&(1<<uint(w.nAcc)-1))<<(8-w.nAcc))
-		w.acc, w.nAcc = 0, 0
+		w.buf = append(w.buf, byte(w.acc)<<uint(8-w.nAcc))
 	}
+	w.acc, w.nAcc = 0, 0
 	return w.buf
 }
 

@@ -6,9 +6,28 @@ import (
 	"testing"
 )
 
+// refWriter is the per-bit writer the stream formats were defined by:
+// every bit goes straight into its byte, MSB first. It shares nothing
+// with Writer's accumulator.
+type refWriter struct {
+	buf  []byte
+	bits int
+}
+
+func (w *refWriter) WriteBit(b uint) {
+	if w.bits%8 == 0 {
+		w.buf = append(w.buf, 0)
+	}
+	w.buf[w.bits/8] |= byte(b&1) << uint(7-w.bits%8)
+	w.bits++
+}
+
+func (w *refWriter) Len() int      { return w.bits }
+func (w *refWriter) Bytes() []byte { return w.buf }
+
 // refWriteBits is the scalar reference for WriteBits: one WriteBit per
-// bit, exactly the original implementation.
-func refWriteBits(w *Writer, v uint64, n int) {
+// bit, most significant first.
+func refWriteBits(w *refWriter, v uint64, n int) {
 	for i := n - 1; i >= 0; i-- {
 		w.WriteBit(uint(v >> uint(i)))
 	}
@@ -44,7 +63,8 @@ func randomFields(seed int64, count int) (vals []uint64, widths []int) {
 // buffers at every prefix length.
 func TestWriteBitsMatchesRef(t *testing.T) {
 	vals, widths := randomFields(20, 4000)
-	var fast, ref Writer
+	var fast Writer
+	var ref refWriter
 	for i := range vals {
 		fast.WriteBits(vals[i], widths[i])
 		refWriteBits(&ref, vals[i], widths[i])
@@ -61,7 +81,8 @@ func TestWriteBitsMatchesRef(t *testing.T) {
 // writes so the accumulator sees every residual fill level.
 func TestWriteBitsInterleavedWithWriteBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	var fast, ref Writer
+	var fast Writer
+	var ref refWriter
 	for i := 0; i < 3000; i++ {
 		if rng.Intn(2) == 0 {
 			b := uint(rng.Intn(2))
@@ -75,6 +96,46 @@ func TestWriteBitsInterleavedWithWriteBit(t *testing.T) {
 	}
 	if !bytes.Equal(fast.Bytes(), ref.Bytes()) {
 		t.Fatal("interleaved WriteBit/WriteBits diverges from reference")
+	}
+}
+
+// TestNewWriterAppendsAfterPrefix starts the bit stream behind every
+// prefix length and accumulator fill level: the prefix must come back
+// untouched, the bits must equal the reference stream, Len must count
+// the bits alone, and a pre-sized buffer must not be reallocated.
+func TestNewWriterAppendsAfterPrefix(t *testing.T) {
+	vals, widths := randomFields(26, 300)
+	var ref refWriter
+	for i := range vals {
+		refWriteBits(&ref, vals[i], widths[i])
+	}
+	for prefix := 0; prefix <= 17; prefix++ {
+		buf := make([]byte, prefix, prefix+len(ref.Bytes()))
+		for i := range buf {
+			buf[i] = byte(0xA0 + i)
+		}
+		w := NewWriter(buf)
+		if w.Len() != 0 {
+			t.Fatalf("prefix %d: fresh writer has Len %d", prefix, w.Len())
+		}
+		total := 0
+		for i := range vals {
+			w.WriteBits(vals[i], widths[i])
+			total += widths[i]
+			if w.Len() != total {
+				t.Fatalf("prefix %d field %d: Len %d, want %d", prefix, i, w.Len(), total)
+			}
+		}
+		out := w.Bytes()
+		if !bytes.Equal(out[:prefix], buf) {
+			t.Fatalf("prefix %d: prefix bytes changed", prefix)
+		}
+		if !bytes.Equal(out[prefix:], ref.Bytes()) {
+			t.Fatalf("prefix %d: bit stream differs from reference", prefix)
+		}
+		if &out[0] != &buf[:1][0] {
+			t.Fatalf("prefix %d: a buffer with room for the stream was reallocated", prefix)
+		}
 	}
 }
 

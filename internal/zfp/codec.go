@@ -56,60 +56,80 @@ func minRate(size int) float64 {
 	return float64(2+expBits) / float64(size)
 }
 
-// kminFor computes the lowest bit plane a variable-length mode must
-// keep. For accuracy mode, bit k of a coefficient carries weight
-// 2^(k-fixedPointBits+emax), and truncation below the tolerance (with
-// a safety margin for inverse transform growth) is allowed. For
-// precision mode, exactly Param planes from the top are kept.
-func kminFor(opts Options, emax int) int {
-	var k int
+// blockParams is what one Compress or Decompress call fixes for every
+// block of the stream, worked out once instead of once per block.
+type blockParams struct {
+	rate      bool
+	budget    int  // bits per block: exact in ModeRate, out of reach otherwise
+	kmin      int  // lowest plane kept (0 in ModeRate: the budget decides)
+	perExp    bool // ModeAccuracy: kmin is for exponent 0 and falls as emax rises
+	maxPlanes int
+}
+
+func newBlockParams(opts Options, size int) blockParams {
+	p := blockParams{budget: 1 + expBits + intPrec*size} // effectively unlimited
 	switch opts.Mode {
+	case ModeRate:
+		p.rate = true
+		p.budget = blockBits(opts.Param, size)
+		p.maxPlanes = opts.maxDecodePlanes
 	case ModePrecision:
-		k = intPrec - int(opts.Param)
+		// Exactly Param planes from the top are kept.
+		p.kmin = intPrec - int(opts.Param)
 	default: // ModeAccuracy
+		// Bit k of a coefficient carries weight 2^(k-fixedPointBits+emax),
+		// and truncation below the tolerance (with a safety margin for
+		// inverse transform growth) is allowed:
 		// 2^(kmin - fixedPointBits + emax) <= tol / 2^accMargin
-		k = int(math.Floor(math.Log2(opts.Param))) + fixedPointBits - emax - accMargin
+		p.kmin = int(math.Floor(math.Log2(opts.Param))) + fixedPointBits - accMargin
+		p.perExp = true
 	}
-	if k < 0 {
-		k = 0
+	return p
+}
+
+// kminFor returns the lowest bit plane a block with exponent emax keeps.
+func (p *blockParams) kminFor(emax int) int {
+	k := p.kmin
+	if p.perExp {
+		k -= emax
 	}
-	if k > intPrec {
-		k = intPrec
-	}
-	return k
+	return min(max(k, 0), intPrec)
 }
 
 // blockExp returns the max binary exponent over the block per
 // math.Frexp (value magnitude < 2^e), and whether any value is
-// nonzero.
+// nonzero. Frexp's exponent is monotone in the magnitude of a finite
+// value, so one call on the largest magnitude — compared as bit
+// patterns, which order like the magnitudes, subnormals included —
+// stands for one call per value; NaN and ±Inf report exponent 0.
 func blockExp(vals []float64) (int, bool) {
-	e := math.MinInt32
-	nonzero := false
+	const expMask = 0x7ff << 52
+	var maxFinite, seen uint64
+	special := false
 	for _, v := range vals {
-		if v == 0 {
-			continue
-		}
-		nonzero = true
-		_, ve := math.Frexp(v)
-		if ve > e {
-			e = ve
+		b := math.Float64bits(v) &^ (1 << 63)
+		seen |= b
+		if b >= expMask {
+			special = true
+		} else if b > maxFinite {
+			maxFinite = b
 		}
 	}
-	return e, nonzero
+	e := math.MinInt32
+	if maxFinite != 0 {
+		_, e = math.Frexp(math.Float64frombits(maxFinite))
+	}
+	if special && e < 0 {
+		e = 0
+	}
+	return e, seen != 0
 }
 
 // encodeBlock writes one block from s.vals (filled by the caller's
 // gather); s.coeffs and s.u are scratch.
-func encodeBlock(w *bitio.Writer, s *blockScratch, bl *blocker, opts Options) {
+func encodeBlock(w *bitio.Writer, s *blockScratch, bl *blocker, p *blockParams) {
 	vals, coeffs := s.vals, s.coeffs
 	size := bl.blockSize
-	rateMode := opts.Mode == ModeRate
-	var budget int
-	if rateMode {
-		budget = blockBits(opts.Param, size)
-	} else {
-		budget = 1 + expBits + intPrec*size // effectively unlimited
-	}
 	start := w.Len()
 
 	emax, nonzero := blockExp(vals)
@@ -120,8 +140,7 @@ func encodeBlock(w *bitio.Writer, s *blockScratch, bl *blocker, opts Options) {
 	if !nonzero {
 		w.WriteBit(0)
 	} else {
-		w.WriteBit(1)
-		w.WriteBits(uint64(biased), expBits) //arcvet:ignore mathbits biased is checked in [1, 2*expBias] above
+		w.WriteBits(1<<expBits|uint64(biased), 1+expBits) //arcvet:ignore mathbits biased is checked in [1, 2*expBias] above
 		scale := math.Ldexp(1, fixedPointBits-emax)
 		for i, v := range vals {
 			coeffs[i] = int64(v * scale)
@@ -129,91 +148,22 @@ func encodeBlock(w *bitio.Writer, s *blockScratch, bl *blocker, opts Options) {
 		fwdXform(coeffs, bl.nd)
 		// Reorder to sequency order and map to negabinary. Every entry
 		// of the reused scratch is assigned, so no clearing is needed.
-		u := s.u
-		int2uintBlock(u, coeffs, bl.perm)
-		kmin := 0
-		if !rateMode {
-			kmin = kminFor(opts, emax)
-		}
-		encodePlanes(w, u, size, kmin, budget-1-expBits)
+		int2uintBlock(s.u, coeffs, bl.perm)
+		encodePlanes(w, s.u, size, p.kminFor(emax), p.budget-1-expBits)
 	}
-	if rateMode {
+	if p.rate {
 		// Pad to the exact fixed size.
-		for w.Len()-start < budget {
-			w.WriteBit(0)
-		}
-	}
-}
-
-// encodePlanes implements ZFP's embedded group-testing coder: for each
-// bit plane from MSB down, the first n bits (coefficients already
-// significant) are written verbatim and the remainder is unary
-// run-length coded. n grows monotonically as coefficients become
-// significant.
-func encodePlanes(w *bitio.Writer, u []uint64, size, kmin, bits int) {
-	n := 0
-	for k := intPrec - 1; k >= kmin && bits > 0; k-- {
-		// Gather plane k: bit i of x = bit k of coefficient i.
-		var x uint64
-		for i := 0; i < size; i++ {
-			x |= (u[i] >> uint(k) & 1) << uint(i)
-		}
-		// Step 2: first n bits verbatim (LSB of x first).
-		m := n
-		if m > bits {
-			m = bits
-		}
-		bits -= m
-		for i := 0; i < m; i++ {
-			w.WriteBit(uint(x))
-			x >>= 1
-		}
-		// Step 3: unary run-length encode the remainder. Bit 0 of x is
-		// position n. Each outer iteration emits a group-test bit
-		// ("any 1s left in this plane?"); a positive test is followed
-		// by the run of bits up to and including the next 1 — except
-		// that a 1 in the final position is implied, not written.
-		for n < size && bits > 0 {
-			bits--
-			if x == 0 {
-				w.WriteBit(0)
-				break
-			}
-			w.WriteBit(1)
-			hit := false
-			for n < size-1 && bits > 0 {
-				bits--
-				b := uint(x & 1)
-				w.WriteBit(b)
-				if b == 1 {
-					hit = true
-					break
-				}
-				x >>= 1
-				n++
-			}
-			// Consume the position that held (or implies) the 1. When
-			// bits ran out mid-run with positions left, this consumes
-			// one position silently; the decoder mirrors that.
-			_ = hit
-			x >>= 1
-			n++
+		for pad := p.budget - (w.Len() - start); pad > 0; pad -= intPrec {
+			w.WriteBits(0, min(pad, intPrec))
 		}
 	}
 }
 
 // decodeBlock reads one block into s.vals (scattered by the caller);
 // s.coeffs and s.u are scratch.
-func decodeBlock(r *bitio.Reader, s *blockScratch, bl *blocker, opts Options) error {
+func decodeBlock(r *bitio.Reader, s *blockScratch, bl *blocker, p *blockParams) error {
 	vals, coeffs := s.vals, s.coeffs
 	size := bl.blockSize
-	rateMode := opts.Mode == ModeRate
-	var budget int
-	if rateMode {
-		budget = blockBits(opts.Param, size)
-	} else {
-		budget = 1 + expBits + intPrec*size
-	}
 	start := r.Pos()
 
 	flag, err := r.ReadBit()
@@ -221,28 +171,18 @@ func decodeBlock(r *bitio.Reader, s *blockScratch, bl *blocker, opts Options) er
 		return fmt.Errorf("%w: truncated block flag", ErrCorrupt)
 	}
 	if flag == 0 {
-		for i := range vals {
-			vals[i] = 0
-		}
+		clear(vals)
 	} else {
 		biasedU, err := r.ReadBits(expBits)
 		if err != nil {
 			return fmt.Errorf("%w: truncated exponent", ErrCorrupt)
 		}
 		emax := int(biasedU) - expBias //arcvet:ignore mathbits biasedU fits in expBits (11) bits
-		kmin := 0
-		if !rateMode {
-			kmin = kminFor(opts, emax)
-		}
 		// decodePlanes ORs bits into u, so the reused scratch must start
 		// zeroed.
 		u := s.u
 		clear(u)
-		maxPlanes := 0
-		if rateMode {
-			maxPlanes = opts.maxDecodePlanes
-		}
-		if err := decodePlanes(r, u, size, kmin, budget-1-expBits, maxPlanes); err != nil {
+		if err := decodePlanes(r, u, size, p.kminFor(emax), p.budget-1-expBits, p.maxPlanes); err != nil {
 			return err
 		}
 		uint2intBlock(coeffs, u, bl.perm)
@@ -252,78 +192,13 @@ func decodeBlock(r *bitio.Reader, s *blockScratch, bl *blocker, opts Options) er
 			vals[i] = float64(coeffs[i]) * scale
 		}
 	}
-	if rateMode {
+	if p.rate {
 		consumed := r.Pos() - start
-		if consumed > budget {
+		if consumed > p.budget {
 			return fmt.Errorf("%w: block overran its budget", ErrCorrupt)
 		}
-		if err := r.Skip(budget - consumed); err != nil {
+		if err := r.Skip(p.budget - consumed); err != nil {
 			return fmt.Errorf("%w: truncated block padding", ErrCorrupt)
-		}
-	}
-	return nil
-}
-
-// decodePlanes mirrors encodePlanes exactly. maxPlanes > 0 stops the
-// consumption early (progressive decode); the caller skips the block's
-// remaining budget, which is only sound for fixed-rate blocks.
-func decodePlanes(r *bitio.Reader, u []uint64, size, kmin, bits, maxPlanes int) error {
-	n := 0
-	for k := intPrec - 1; k >= kmin && bits > 0; k-- {
-		if maxPlanes > 0 && intPrec-k > maxPlanes {
-			break
-		}
-		m := n
-		if m > bits {
-			m = bits
-		}
-		bits -= m
-		var x uint64
-		for i := 0; i < m; i++ {
-			b, err := r.ReadBit()
-			if err != nil {
-				return fmt.Errorf("%w: truncated plane", ErrCorrupt)
-			}
-			x |= uint64(b) << uint(i)
-		}
-		for n < size && bits > 0 {
-			bits--
-			g, err := r.ReadBit()
-			if err != nil {
-				return fmt.Errorf("%w: truncated group bit", ErrCorrupt)
-			}
-			if g == 0 {
-				break
-			}
-			hit := false
-			for n < size-1 && bits > 0 {
-				bits--
-				b, err := r.ReadBit()
-				if err != nil {
-					return fmt.Errorf("%w: truncated run", ErrCorrupt)
-				}
-				if b == 1 {
-					hit = true
-					break
-				}
-				n++
-			}
-			switch {
-			case hit:
-				// Explicit 1 at position n.
-				x |= 1 << uint(n)
-			case n == size-1:
-				// The group test guaranteed a 1 remains and only the
-				// final position is left: the 1 is implied.
-				x |= 1 << uint(n)
-			default:
-				// Bits exhausted mid-run: the encoder consumed this
-				// position without confirming it; leave it zero.
-			}
-			n++
-		}
-		for i := 0; x != 0; i, x = i+1, x>>1 {
-			u[i] |= (x & 1) << uint(k)
 		}
 	}
 	return nil

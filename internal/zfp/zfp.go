@@ -25,7 +25,6 @@
 package zfp
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -127,30 +126,35 @@ func Compress(data []float64, dims []int, opts Options) ([]byte, error) {
 		return nil, fmt.Errorf("zfp: unknown mode %d", opts.Mode)
 	}
 
-	var out bytes.Buffer
-	out.WriteString(magic)
-	out.WriteByte(version)
-	out.WriteByte(byte(opts.Mode))
-	out.WriteByte(safecast.U8(len(dims)))
-	for _, d := range dims {
-		binWrite(&out, safecast.U32(d))
-	}
-	binWrite(&out, math.Float64bits(opts.Param))
-
 	bl := newBlocker(dims)
-	if opts.Mode == ModeRate && opts.Workers > 1 && bl.numBlocks > 1 {
-		out.Write(encodeRateParallel(data, bl, opts))
-		return out.Bytes(), nil
+	p := newBlockParams(opts, bl.blockSize)
+	// Header and payload share one buffer, sized once: exactly in rate
+	// mode, and otherwise for a 6x ratio — the variable-length modes at
+	// the study's bounds land between 7x and 14x — past which append
+	// grows it.
+	payload := len(data) * 8 / 6
+	if p.rate {
+		payload = (bl.numBlocks*p.budget + 7) / 8
 	}
-	var w bitio.Writer
+	out := make([]byte, 0, len(magic)+3+4*len(dims)+8+payload)
+	out = append(out, magic...)
+	out = append(out, version, byte(opts.Mode), safecast.U8(len(dims)))
+	for _, d := range dims {
+		out = binary.LittleEndian.AppendUint32(out, safecast.U32(d))
+	}
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(opts.Param))
+
+	if p.rate && opts.Workers > 1 && bl.numBlocks > 1 {
+		return encodeRateParallel(out, data, bl, opts), nil
+	}
+	w := bitio.NewWriter(out)
 	s := getBlockScratch(bl.blockSize)
 	for b := 0; b < bl.numBlocks; b++ {
 		bl.gather(data, b, s.vals)
-		encodeBlock(&w, s, bl, opts)
+		encodeBlock(w, s, bl, &p)
 	}
 	putBlockScratch(s)
-	out.Write(w.Bytes())
-	return out.Bytes(), nil
+	return w.Bytes(), nil
 }
 
 // rateGroup returns the number of fixed-rate blocks whose combined bit
@@ -170,9 +174,10 @@ func gcdInt(a, b int) int {
 }
 
 // encodeRateParallel compresses fixed-rate blocks with worker-owned
-// byte-aligned groups; the output is bit-identical to the serial path.
-func encodeRateParallel(data []float64, bl *blocker, opts Options) []byte {
-	bb := blockBits(opts.Param, bl.blockSize)
+// byte-aligned groups and appends them to dst; the output is
+// bit-identical to the serial path.
+func encodeRateParallel(dst []byte, data []float64, bl *blocker, opts Options) []byte {
+	p := newBlockParams(opts, bl.blockSize)
 	group := rateGroup(opts, bl.blockSize)
 	groups := (bl.numBlocks + group - 1) / group
 	bufs := make([][]byte, groups)
@@ -183,17 +188,15 @@ func encodeRateParallel(data []float64, bl *blocker, opts Options) []byte {
 			var w bitio.Writer
 			for b := g * group; b < (g+1)*group && b < bl.numBlocks; b++ {
 				bl.gather(data, b, s.vals)
-				encodeBlock(&w, s, bl, opts)
+				encodeBlock(&w, s, bl, &p)
 			}
 			bufs[g] = w.Bytes()
 		}
 	})
-	total := (bl.numBlocks*bb + 7) / 8
-	out := make([]byte, 0, total)
 	for _, b := range bufs {
-		out = append(out, b...)
+		dst = append(dst, b...)
 	}
-	return out
+	return dst
 }
 
 func checkDims(data []float64, dims []int) error {
@@ -236,15 +239,15 @@ func Decompress(buf []byte) ([]float64, []int, error) {
 }
 
 func decompress(buf []byte, maxPlanes, workers int) ([]float64, []int, Mode, error) {
-	rd := bytes.NewReader(buf)
-	hdr := make([]byte, len(magic))
-	if _, err := rd.Read(hdr); err != nil || string(hdr) != magic {
+	if len(buf) < len(magic) || string(buf[:len(magic)]) != magic {
 		return nil, nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	var ver, modeB, ndims uint8
-	if err := binRead(rd, &ver, &modeB, &ndims); err != nil {
+	rest := buf[len(magic):]
+	if len(rest) < 3 {
 		return nil, nil, 0, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
+	ver, modeB, ndims := rest[0], rest[1], rest[2]
+	rest = rest[3:]
 	if ver != version {
 		return nil, nil, 0, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
@@ -258,10 +261,11 @@ func decompress(buf []byte, maxPlanes, workers int) ([]float64, []int, Mode, err
 	dims := make([]int, ndims)
 	n := 1
 	for i := range dims {
-		var d uint32
-		if err := binRead(rd, &d); err != nil {
+		if len(rest) < 4 {
 			return nil, nil, 0, fmt.Errorf("%w: truncated dims", ErrCorrupt)
 		}
+		d := binary.LittleEndian.Uint32(rest)
+		rest = rest[4:]
 		if d == 0 || d > maxDim {
 			return nil, nil, 0, fmt.Errorf("%w: bad dimension %d", ErrCorrupt, d)
 		}
@@ -271,10 +275,11 @@ func decompress(buf []byte, maxPlanes, workers int) ([]float64, []int, Mode, err
 			return nil, nil, 0, fmt.Errorf("%w: element count overflows cap", ErrCorrupt)
 		}
 	}
-	var paramBits uint64
-	if err := binRead(rd, &paramBits); err != nil {
+	if len(rest) < 8 {
 		return nil, nil, 0, fmt.Errorf("%w: truncated param", ErrCorrupt)
 	}
+	paramBits := binary.LittleEndian.Uint64(rest)
+	payload := rest[8:]
 	param := math.Float64frombits(paramBits)
 	opts := Options{Mode: mode, Param: param, Workers: workers, maxDecodePlanes: maxPlanes}
 	switch mode {
@@ -292,9 +297,8 @@ func decompress(buf []byte, maxPlanes, workers int) ([]float64, []int, Mode, err
 		}
 	}
 
-	headerLen := len(buf) - rd.Len()
-	payload := buf[headerLen:]
 	bl := newBlocker(dims)
+	p := newBlockParams(opts, bl.blockSize)
 	// Every block consumes at least one bit (the zero-block flag), so a
 	// payload shorter than numBlocks bits cannot be a valid stream.
 	// Rejecting it before sizing the output keeps allocations
@@ -303,7 +307,7 @@ func decompress(buf []byte, maxPlanes, workers int) ([]float64, []int, Mode, err
 		return nil, nil, 0, fmt.Errorf("%w: %d blocks cannot fit in %d payload bytes", ErrCorrupt, bl.numBlocks, len(payload))
 	}
 	out := make([]float64, n)
-	if mode == ModeRate && opts.Workers > 1 && bl.numBlocks > 1 {
+	if p.rate && opts.Workers > 1 && bl.numBlocks > 1 {
 		if err := decodeRateParallel(payload, out, bl, opts); err != nil {
 			return nil, nil, 0, err
 		}
@@ -313,7 +317,7 @@ func decompress(buf []byte, maxPlanes, workers int) ([]float64, []int, Mode, err
 	s := getBlockScratch(bl.blockSize)
 	defer putBlockScratch(s)
 	for b := 0; b < bl.numBlocks; b++ {
-		if err := decodeBlock(br, s, bl, opts); err != nil {
+		if err := decodeBlock(br, s, bl, &p); err != nil {
 			return nil, nil, 0, err
 		}
 		bl.scatter(out, b, s.vals)
@@ -324,10 +328,10 @@ func decompress(buf []byte, maxPlanes, workers int) ([]float64, []int, Mode, err
 // decodeRateParallel is the random-access decode path: each worker
 // seeks directly to its group's byte offset.
 func decodeRateParallel(payload []byte, out []float64, bl *blocker, opts Options) error {
-	bb := blockBits(opts.Param, bl.blockSize)
+	p := newBlockParams(opts, bl.blockSize)
 	group := rateGroup(opts, bl.blockSize)
 	groups := (bl.numBlocks + group - 1) / group
-	groupBytes := group * bb / 8
+	groupBytes := group * p.budget / 8
 	return parallel.ForErr(groups, opts.Workers, func(lo, hi int) error {
 		s := getBlockScratch(bl.blockSize)
 		defer putBlockScratch(s)
@@ -338,7 +342,7 @@ func decodeRateParallel(payload []byte, out []float64, bl *blocker, opts Options
 			}
 			br := bitio.NewReader(payload[off:])
 			for b := g * group; b < (g+1)*group && b < bl.numBlocks; b++ {
-				if err := decodeBlock(br, s, bl, opts); err != nil {
+				if err := decodeBlock(br, s, bl, &p); err != nil {
 					return err
 				}
 				bl.scatter(out, b, s.vals)
@@ -346,15 +350,4 @@ func decodeRateParallel(payload []byte, out []float64, bl *blocker, opts Options
 		}
 		return nil
 	})
-}
-
-func binWrite(w *bytes.Buffer, v interface{}) { _ = binary.Write(w, binary.LittleEndian, v) }
-
-func binRead(r *bytes.Reader, vs ...interface{}) error {
-	for _, v := range vs {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -95,7 +95,8 @@ echo "wrote BENCH_stream.json"
 
 echo "== kernel bench (recorded to BENCH_kernels.json) =="
 # The kernel pairs live in the root package plus the codec packages
-# that grew vectorized paths (core voting, SZ quantize, ZFP lift).
+# that grew vectorized paths (core voting, SZ quantize, ZFP lift and
+# embedded coder).
 go test -run '^$' -bench 'BenchmarkKernel' -benchtime=1s -benchmem -count=1 \
     . ./internal/core ./internal/sz ./internal/zfp | tee /tmp/arc_bench_kernels.txt
 # benchmeta enforces the word/scalar speedup floors plus the
@@ -180,5 +181,11 @@ echo "== reed-solomon repair fuzz smoke (10s) =="
 # width, workers, arbitrary erasure sets) against the retained K x K
 # inversion decoder.
 go test -run '^$' -fuzz '^FuzzRSRepair$' -fuzztime 10s ./internal/ecc/reedsolomon
+
+echo "== zfp embedded coder fuzz smoke (10s) =="
+# Differential fuzz of the word-speed group-testing coder (block size,
+# kmin, bit budget, bit offset, progressive cap; clean, truncated,
+# bit-flipped and zero-extended input) against the per-bit reference.
+go test -run '^$' -fuzz '^FuzzZFPPlanes$' -fuzztime 10s ./internal/zfp
 
 echo "verify: OK"
