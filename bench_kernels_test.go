@@ -287,37 +287,95 @@ func BenchmarkKernelInterleaveEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelHuffmanDecode tracks the LUT decode path over the
-// word-level Peek/Skip reader.
-func BenchmarkKernelHuffmanDecode(b *testing.B) {
+// huffmanKernelInput is what SZ hands its entropy stage: 1<<16 symbols
+// over the quantizer's 65 536-symbol alphabet, two-sided geometric
+// around the centre (≈5.5 bits a symbol, the benchmark fields' range)
+// with one outlier in 128 anywhere in the alphabet, whose codes are
+// longer than the decode tables' window.
+func huffmanKernelInput(tb testing.TB) (codec *huffman.Codec, syms []int32, coded []byte) {
 	rng := rand.New(rand.NewSource(11))
-	freqs := make([]int64, 256)
-	syms := make([]int, 1<<16)
+	const alphabet = 1 << 16
+	freqs := make([]int64, alphabet)
+	syms = make([]int32, 1<<16)
 	for i := range syms {
-		// Geometric-ish skew so code lengths vary like quantization codes.
-		s := rng.Intn(16)
-		if rng.Intn(4) == 0 {
-			s = rng.Intn(256)
+		d := 0
+		for d < 200 && rng.Intn(8) != 0 {
+			d++
 		}
-		syms[i] = s
+		s := alphabet/2 + d*(1-2*rng.Intn(2))
+		if rng.Intn(128) == 0 {
+			s = rng.Intn(alphabet)
+		}
+		syms[i] = int32(s)
 		freqs[s]++
 	}
 	codec, err := huffman.Build(freqs)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var w bitio.Writer
-	for _, s := range syms {
-		codec.Encode(&w, s)
-	}
-	buf := w.Bytes()
-	b.SetBytes(int64(len(buf)))
-	for i := 0; i < b.N; i++ {
-		r := bitio.NewReader(buf)
-		for range syms {
-			if _, err := codec.Decode(r); err != nil {
+	codec.EncodeAll(&w, syms)
+	return codec, syms, w.Bytes()
+}
+
+// BenchmarkKernelHuffmanDecode pairs DecodeAll (local bit window, two
+// symbols per table lookup) with the per-symbol Decode loop it
+// replaced in SZ, over the same stream.
+func BenchmarkKernelHuffmanDecode(b *testing.B) {
+	codec, syms, coded := huffmanKernelInput(b)
+	dst := make([]int32, len(syms))
+	b.Run("word", func(b *testing.B) {
+		b.SetBytes(int64(len(coded)))
+		b.ReportAllocs()
+		var r bitio.Reader
+		for i := 0; i < b.N; i++ {
+			r = *bitio.NewReader(coded)
+			if _, err := codec.DecodeAll(&r, dst); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
+	})
+	b.Run("scalar", func(b *testing.B) {
+		b.SetBytes(int64(len(coded)))
+		b.ReportAllocs()
+		var r bitio.Reader
+		for i := 0; i < b.N; i++ {
+			r = *bitio.NewReader(coded)
+			for j := range dst {
+				s, err := codec.Decode(&r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				dst[j] = int32(s)
+			}
+		}
+	})
+}
+
+// BenchmarkKernelHuffmanEncode pairs EncodeAll (codes packed in a local
+// word, one WriteBits per <= 64 bits) with one Encode per symbol. Both
+// append to a buffer already large enough, as SZ's does.
+func BenchmarkKernelHuffmanEncode(b *testing.B) {
+	codec, syms, coded := huffmanKernelInput(b)
+	buf := make([]byte, 0, len(coded)+8)
+	b.Run("word", func(b *testing.B) {
+		b.SetBytes(int64(len(coded)))
+		b.ReportAllocs()
+		var w bitio.Writer
+		for i := 0; i < b.N; i++ {
+			w = *bitio.NewWriter(buf)
+			codec.EncodeAll(&w, syms)
+		}
+	})
+	b.Run("scalar", func(b *testing.B) {
+		b.SetBytes(int64(len(coded)))
+		b.ReportAllocs()
+		var w bitio.Writer
+		for i := 0; i < b.N; i++ {
+			w = *bitio.NewWriter(buf)
+			for _, s := range syms {
+				codec.Encode(&w, int(s))
+			}
+		}
+	})
 }

@@ -93,29 +93,30 @@ func Save(w io.Writer, a *arc.ARC, data []float64, dims []int, opts Options) (*I
 	if err != nil {
 		return nil, err
 	}
-	var payload bytes.Buffer
-	payload.WriteString(magic)
-	payload.WriteByte(version)
 	if len(opts.Compressor) > 255 {
 		return nil, fmt.Errorf("checkpoint: compressor name too long")
 	}
-	payload.WriteByte(byte(len(opts.Compressor)))
-	payload.WriteString(opts.Compressor)
-	var scratch [8]byte
-	binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(opts.Bound))
-	payload.Write(scratch[:])
-	payload.WriteByte(byte(len(dims)))
+	hdr := make([]byte, 0, len(magic)+3+len(opts.Compressor)+8+4*len(dims))
+	hdr = append(hdr, magic...)
+	hdr = append(hdr, version, byte(len(opts.Compressor)))
+	hdr = append(hdr, opts.Compressor...)
+	hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(opts.Bound))
+	hdr = append(hdr, byte(len(dims)))
 	for _, d := range dims {
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(d))
-		payload.Write(scratch[:4])
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d))
 	}
-	payload.Write(compressed)
 
 	aw, err := a.NewWriter(w, opts.Mem, opts.BW, opts.Resiliency, opts.ChunkBytes)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := aw.Write(payload.Bytes()); err != nil {
+	// Header and field go in as two writes: the chunk writer cuts the
+	// stream by byte count, so it is the stream one write of both makes,
+	// without a second copy of the field to put them side by side.
+	if _, err := aw.Write(hdr); err != nil {
+		return nil, err
+	}
+	if _, err := aw.Write(compressed); err != nil {
 		return nil, err
 	}
 	if err := aw.Close(); err != nil {

@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -238,5 +240,42 @@ func TestSaveRejectsDimensionBeyondHeader(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("%d bytes written for a rejected checkpoint", buf.Len())
+	}
+}
+
+// TestSaveStreamUnchanged pins the bytes Save writes to the ones it
+// wrote while it still copied header and compressed field into one
+// buffer for a single Write (SHA-256 recorded at PR 18, 7bd7c67): the
+// chunk writer cuts by byte count, so two Writes are the same stream,
+// in one chunk or across many.
+func TestSaveStreamUnchanged(t *testing.T) {
+	a := testARC(t)
+	cesm := datasets.CESM(32, 64, 1)
+	nyx := datasets.NYX(16, 16, 16, 6)
+	for _, c := range []struct {
+		name string
+		f    *datasets.Field
+		opts Options
+		want string
+	}{
+		{"SZ-ABS/one-chunk", cesm, Options{Compressor: "SZ-ABS", Bound: 0.01}, "315f5a7285eba0c677b3a4d79030b7545d94e9883810b8c0ce846fafe98f3b75"},
+		{"ZFP-ACC/4KiB-chunks", nyx, Options{Compressor: "ZFP-ACC", Bound: 1e-6, ChunkBytes: 4 << 10}, "e19623c1b65154d94dade426b14c9cf9a9c1830071bb76c2a5f4926aed9717c5"},
+		{"SZ-ABS/256B-chunks", cesm, Options{Compressor: "SZ-ABS", Bound: 0.01, ChunkBytes: 256}, "286f15dae03bd2e8ed627ae1f9a960569fe6e34ddc65a1c9ce9c68007584cef2"},
+	} {
+		// An error rate and no storage budget is the one request whose
+		// answer does not depend on what training measured.
+		c.opts.Resiliency = arc.WithErrorsPerMB(1)
+		var buf bytes.Buffer
+		info, err := Save(&buf, a, c.f.Data, c.f.Dims, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := info.Choice.Config.String(); got != "secded64" {
+			t.Fatalf("%s: ARC chose %s, the recording is of secded64", c.name, got)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s: stream sha256 = %s (%d bytes), want %s", c.name, got, buf.Len(), c.want)
+		}
 	}
 }

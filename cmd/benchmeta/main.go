@@ -167,6 +167,13 @@ const (
 	// measured when the word coder landed (3.6-3.8x).
 	zfpPlanesSpeedupMin = 1.8
 
+	// SZ's entropy stage, decode side: huffman.DecodeAll (local bit
+	// window, two symbols per table lookup) over one Decode call per
+	// symbol on a 65 536-symbol alphabet with SZ-like skew, half the
+	// ratio measured when the batch call landed (3.1-3.2x). The encode
+	// pair (1.9x) is recorded without a floor.
+	huffmanDecodeSpeedupMin = 1.6
+
 	// avx2VsSSSE3Min gates the 32-byte GF(256) kernel against the
 	// 16-byte one on hosts whose dispatcher reports AVX2: twice the
 	// lanes should buy at least 1.5x after memory effects.
@@ -273,6 +280,7 @@ func runKernels(in io.Reader, out, errw io.Writer) error {
 		"SZQuantize_min":     szQuantizeSpeedupMin,
 		"ZFPLift_min":        zfpLiftSpeedupMin,
 		"ZFPPlanes_min":      zfpPlanesSpeedupMin,
+		"HuffmanDecode_min":  huffmanDecodeSpeedupMin,
 	}
 	hostHasAVX2 := slices.Contains(gf256.Features(), "avx2")
 	if hostHasAVX2 {
@@ -300,6 +308,7 @@ func runKernels(in io.Reader, out, errw io.Writer) error {
 		{"SZQuantize", szQuantizeSpeedupMin},
 		{"ZFPLift", zfpLiftSpeedupMin},
 		{"ZFPPlanes", zfpPlanesSpeedupMin},
+		{"HuffmanDecode", huffmanDecodeSpeedupMin},
 	}
 	if hostHasAVX2 {
 		floors = append(floors, struct {

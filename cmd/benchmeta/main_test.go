@@ -44,6 +44,10 @@ BenchmarkKernelZFPLift/word-1          	3000	  40 ns/op	 840.00 MB/s	0 B/op	0 al
 BenchmarkKernelZFPLift/scalar-1        	1000	 112 ns/op	 300.00 MB/s	0 B/op	0 allocs/op
 BenchmarkKernelZFPPlanes/word-1        	 500	2100 ns/op	 240.00 MB/s	0 B/op	0 allocs/op
 BenchmarkKernelZFPPlanes/scalar-1      	 150	8000 ns/op	  64.00 MB/s	0 B/op	0 allocs/op
+BenchmarkKernelHuffmanDecode/word-1    	5000	 210 ns/op	 208.00 MB/s	0 B/op	0 allocs/op
+BenchmarkKernelHuffmanDecode/scalar-1  	1800	 660 ns/op	  65.00 MB/s	0 B/op	0 allocs/op
+BenchmarkKernelHuffmanEncode/word-1    	7000	 170 ns/op	 256.00 MB/s	0 B/op	0 allocs/op
+BenchmarkKernelHuffmanEncode/scalar-1  	3700	 320 ns/op	 128.00 MB/s	0 B/op	0 allocs/op
 BenchmarkKernelBitReader/word-1        	1000	 100 ns/op	 900.00 MB/s	0 B/op	0 allocs/op
 BenchmarkKernelRSRepair/solve-1        	2000	  55 ns/op	1760.00 MB/s	0 B/op	0 allocs/op
 BenchmarkKernelRSRepair/ref-1          	 200	 600 ns/op	 160.00 MB/s	2802722 B/op	49 allocs/op
@@ -170,6 +174,15 @@ func TestKernelsArtifactAndGate(t *testing.T) {
 	if got := art.Speedups["ZFPPlanes"]; got != 3.75 {
 		t.Errorf("ZFPPlanes speedup = %v, want 3.75", got)
 	}
+	if got := art.Speedups["HuffmanDecode"]; got != 3.2 {
+		t.Errorf("HuffmanDecode speedup = %v, want 3.2", got)
+	}
+	if got := art.Speedups["HuffmanEncode"]; got != 2 {
+		t.Errorf("HuffmanEncode speedup = %v, want 2 (recorded, no floor)", got)
+	}
+	if art.Targets["HuffmanDecode_min"] != huffmanDecodeSpeedupMin {
+		t.Errorf("targets = %v, want a HuffmanDecode floor", art.Targets)
+	}
 	if got := art.Speedups["GF256MulSliceAVX2VsSSSE3"]; got != 2.0 {
 		t.Errorf("GF256MulSliceAVX2VsSSSE3 = %v, want 2.0", got)
 	}
@@ -193,6 +206,7 @@ func TestKernelsGateFailsBelowFloor(t *testing.T) {
 		strings.Replace(kernelsSample, "4300.00 MB/s", "1900.00 MB/s", 1), // decode 3.8x, need 4x
 		strings.Replace(kernelsSample, "1760.00 MB/s", "760.00 MB/s", 1),  // RS repair 4.75x, need 5x
 		strings.Replace(kernelsSample, "240.00 MB/s", "112.00 MB/s", 1),   // ZFP planes 1.75x, need 1.8x
+		strings.Replace(kernelsSample, "208.00 MB/s", "100.00 MB/s", 1),   // Huffman decode 1.54x, need 1.6x
 	} {
 		var out, errw bytes.Buffer
 		err := runKernels(strings.NewReader(slow), &out, &errw)

@@ -149,6 +149,12 @@ func (r *Reader) ReadBits(n int) (uint64, error) {
 	return v, nil
 }
 
+// Buffer returns the slice the Reader reads from, unread part and read
+// part alike. A decoder that keeps its own bit window over those bytes
+// (huffman.DecodeAll) loads words from it directly, from Pos on, and
+// hands the bits it consumed back through Skip.
+func (r *Reader) Buffer() []byte { return r.buf }
+
 // Pos returns the current absolute bit position.
 func (r *Reader) Pos() int { return r.pos }
 

@@ -162,3 +162,27 @@ func TestPeekDoesNotAdvance(t *testing.T) {
 		t.Fatal("empty peek must report 0 available")
 	}
 }
+
+// TestBufferIsTheReadersSlice pins what a decoder with its own bit
+// window relies on: Buffer is the slice the Reader was given, whole,
+// wherever the cursor is, and bits consumed from it directly are handed
+// back with Skip.
+func TestBufferIsTheReadersSlice(t *testing.T) {
+	buf := []byte{0xA5, 0x3C, 0xFF, 0x00, 0x81}
+	r := NewReader(buf)
+	if _, err := r.ReadBits(11); err != nil {
+		t.Fatal(err)
+	}
+	got := r.Buffer()
+	if len(got) != len(buf) || &got[0] != &buf[0] {
+		t.Fatal("Buffer is not the slice the Reader was built over")
+	}
+	// Take 13 bits from bit 11 by hand, tell the Reader, and the next
+	// ReadBits continues behind them.
+	if err := r.Skip(13); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := r.ReadBits(8); err != nil || v != 0x00 {
+		t.Fatalf("after Skip: %#x, %v; want byte 3", v, err)
+	}
+}

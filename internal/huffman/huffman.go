@@ -7,6 +7,7 @@ package huffman
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -38,6 +39,10 @@ type Codec struct {
 	// entries with length 0 fall back to the canonical walk.
 	lut []lutEntry
 
+	// multi accelerates DecodeAll: the same index yields every whole
+	// code inside the window at once (see buildMulti).
+	multi []uint64
+
 	// nodes is grow-only scratch for the Huffman tree: BuildInto carves
 	// all 2*nused-1 nodes out of one slab instead of allocating each.
 	nodes []hnode
@@ -55,7 +60,8 @@ func grow[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// lutBits sizes the fast decode table (4096 entries, 24 KiB).
+// lutBits sizes the two decode tables: 4096 entries of 8 bytes each,
+// 32 KiB for lut and 32 KiB for multi.
 const lutBits = 12
 
 type lutEntry struct {
@@ -95,7 +101,7 @@ func Build(freqs []int64) (*Codec, error) {
 }
 
 // BuildInto is Build reusing c's storage (tables, tree nodes, and the
-// decode LUT) when their capacity suffices, so a codec rebuilt per
+// decode tables) when their capacity suffices, so a codec rebuilt per
 // chunk allocates nothing in steady state. A nil c allocates a fresh
 // codec. On error c's tables are left in an unspecified state; reusing
 // it for a later BuildInto/ReadTableMaxInto call remains valid.
@@ -243,6 +249,7 @@ func (c *Codec) buildCanonical() error {
 		next[l]++
 	}
 	c.buildLUT()
+	c.buildMulti()
 	return nil
 }
 
@@ -266,6 +273,59 @@ func (c *Codec) buildLUT() {
 	}
 }
 
+// A multi entry packs what DecodeAll takes from one window of lutBits
+// bits: the symbols of the whole codes the window starts with, how many
+// there are, and the bits they occupy together —
+//
+//	sym1<<32 | sym2<<16 | count<<8 | totalLen
+//
+// count is 0 (the whole entry is 0) where lut has no code, 1 or 2
+// otherwise. sym2 has 16 bits, so only alphabets of at most 1<<16
+// symbols get a second symbol; sym1 needs 26 (maxAlphabet).
+const (
+	multiSym1Shift  = 32
+	multiSym2Shift  = 16
+	multiCountShift = 8
+	multiLenMask    = 0xff
+	// multiSyms is the most symbols one entry holds: DecodeAll stores
+	// that many for every entry and advances by count, so it takes a
+	// table step only while dst has room for multiSyms more.
+	multiSyms = 2
+	// wordSteps is the number of lookups DecodeAll makes per 8-byte
+	// load. A fixed count keeps the loop free of a branch on the data:
+	// a load whose first bit is any of a byte's eight leaves 57 bits.
+	wordSteps = 57 / lutBits
+)
+
+// buildMulti derives the multi-symbol table from lut. A second code
+// counts only if it ends inside the window: the bits past the window
+// are unknown, and lut's answer for a window padded with zeros is the
+// code's own only when the code is no longer than the bits that were
+// real. Every entry is assigned, so a reused codec keeps nothing of the
+// table it held before.
+func (c *Codec) buildMulti() {
+	c.multi = grow(c.multi, 1<<lutBits)
+	pair := c.NumSymbols <= 1<<16
+	for w := range c.multi {
+		e1 := c.lut[w]
+		if e1.len == 0 {
+			c.multi[w] = 0
+			continue
+		}
+		//arcvet:ignore mathbits symbols are indices in [0, maxAlphabet)
+		entry := uint64(e1.sym)<<multiSym1Shift | 1<<multiCountShift | uint64(e1.len)
+		if pair {
+			rest := w << e1.len & (1<<lutBits - 1)
+			if e2 := c.lut[rest]; e2.len != 0 && e1.len+e2.len <= lutBits {
+				//arcvet:ignore mathbits symbols are indices in [0, 1<<16) under pair
+				entry = uint64(e1.sym)<<multiSym1Shift | uint64(e2.sym)<<multiSym2Shift |
+					2<<multiCountShift | uint64(e1.len+e2.len)
+			}
+		}
+		c.multi[w] = entry
+	}
+}
+
 // Length returns the code length of symbol s (0 when unused).
 func (c *Codec) Length(s int) int { return int(c.lengths[s]) }
 
@@ -278,6 +338,28 @@ func (c *Codec) Encode(w *bitio.Writer, s int) {
 		panic(fmt.Sprintf("huffman: symbol %d has no code", s))
 	}
 	w.WriteBits(c.codes[s], int(l))
+}
+
+// EncodeAll appends the codes of syms to w, exactly the bits one Encode
+// per symbol appends: the codes are packed into a local word and handed
+// to w one field of up to 64 bits at a time. Like Encode it panics on a
+// symbol without a code.
+func (c *Codec) EncodeAll(w *bitio.Writer, syms []int32) {
+	var acc uint64
+	nAcc := 0
+	for _, s := range syms {
+		l := int(c.lengths[s])
+		if l == 0 {
+			panic(fmt.Sprintf("huffman: symbol %d has no code", s))
+		}
+		if nAcc+l > 64 {
+			w.WriteBits(acc, nAcc)
+			acc, nAcc = 0, 0
+		}
+		acc = acc<<uint(l) | c.codes[s]
+		nAcc += l
+	}
+	w.WriteBits(acc, nAcc)
 }
 
 // Decode reads one symbol from r. Invalid codes and truncated streams
@@ -298,6 +380,68 @@ func (c *Codec) Decode(r *bitio.Reader) (int, error) {
 		}
 	}
 	return c.decodeSlow(r)
+}
+
+// DecodeAll reads len(dst) symbols from r into dst, exactly as one
+// Decode per symbol would: it returns how many symbols it stored before
+// the first error, that error, and leaves r where that Decode loop
+// would have left it.
+//
+// The bit window lives in a local word loaded straight from r's bytes,
+// eight at a time, and one multi lookup yields up to multiSyms symbols.
+// That step is taken only while eight real bytes remain at the window's
+// byte (so none of the word is padding) and dst has room for a whole
+// entry; a code longer than lutBits, the last bytes of the buffer, the
+// last symbols of dst and every error go through Decode itself.
+func (c *Codec) DecodeAll(r *bitio.Reader, dst []int32) (int, error) {
+	buf := r.Buffer()
+	tab := (*[1 << lutBits]uint64)(c.multi)
+	n := 0
+	for {
+		k, pos := decodeWords(tab, buf, r.Pos(), dst[n:])
+		n += k
+		_ = r.Skip(pos - r.Pos()) // cannot fail: pos is inside buf
+		if n == len(dst) {
+			return n, nil
+		}
+		s, err := c.Decode(r)
+		if err != nil {
+			return n, err
+		}
+		dst[n] = int32(s) //arcvet:ignore mathbits s < NumSymbols <= maxAlphabet (1<<26)
+		n++
+	}
+}
+
+// decodeWords is DecodeAll's table step: from bit pos of buf it stores
+// symbols in dst until the next code is not in tab, fewer than eight
+// bytes remain at the window's byte, or dst may not hold another word's
+// worth; it returns the symbols stored and the bit position behind
+// them. It is a function of its own so that the loop's few values stay
+// in registers.
+func decodeWords(tab *[1 << lutBits]uint64, buf []byte, pos int, dst []int32) (n, end int) {
+	for pos>>3+8 <= len(buf) && n+wordSteps*multiSyms <= len(dst) {
+		// 64-pos&7 >= 57 real bits, and wordSteps lookups use at most
+		// wordSteps*lutBits = 48 of them: the zeros the shifts bring in
+		// are never looked up.
+		w := binary.BigEndian.Uint64(buf[pos>>3:]) << uint(pos&7)
+		for k := 0; k < wordSteps; k++ {
+			// The mask is a no-op (w>>52 < 1<<lutBits) that makes the
+			// bound explicit, as in Decode: no wire-derived window can
+			// index past the table.
+			e := tab[w>>(64-lutBits)&(1<<lutBits-1)]
+			if e == 0 {
+				return n, pos
+			}
+			dst[n] = int32(e >> multiSym1Shift)           //arcvet:ignore mathbits sym1 < maxAlphabet (1<<26)
+			dst[n+1] = int32(uint16(e >> multiSym2Shift)) //arcvet:ignore mathbits the truncation extracts the 16-bit sym2 field
+			n += int(e >> multiCountShift & 0xff)         //arcvet:ignore mathbits count is 1 or 2
+			l := e & multiLenMask
+			w <<= l & 63  // totalLen <= lutBits; the mask spares the shift its range check
+			pos += int(l) //arcvet:ignore mathbits totalLen <= lutBits
+		}
+	}
+	return n, pos
 }
 
 // decodeSlow is the canonical per-length walk, used near the end of

@@ -155,3 +155,53 @@ func TestReadTableMaxIntoAfterError(t *testing.T) {
 		t.Fatalf("decode after reload: sym=%d err=%v", s, err)
 	}
 }
+
+// TestReusedCodecHasNoStaleMultiEntries rebuilds one codec from a large
+// table that fills every multi-symbol entry, with two symbols wherever
+// two fit, down to tables that leave most windows without a code — a
+// single one-bit code, an alphabet too large for a second symbol —
+// through both BuildInto and ReadTableMaxInto. An entry surviving from
+// the table before would decode a window the new code does not have
+// (the bug class buildLUT's clear guards against), so the reused table
+// must equal a fresh codec's entry for entry, and DecodeAll over noise
+// must agree with the Decode loop.
+func TestReusedCodecHasNoStaleMultiEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	dense := make([]int64, 256)
+	for i := range dense {
+		dense[i] = int64(rng.Intn(50)) + 1
+	}
+	single := make([]int64, 300)
+	single[17] = 4
+	wide := make([]int64, 70000)
+	wide[3], wide[69999] = 9, 1
+	noise := make([]byte, 4096)
+	rng.Read(noise)
+
+	reused := new(Codec)
+	for step, freqs := range [][]int64{dense, single, dense, wide, dense, {1, 1, 1}} {
+		fresh, err := Build(freqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w bitio.Writer
+		fresh.WriteTable(&w)
+		for _, via := range []string{"BuildInto", "ReadTableMaxInto"} {
+			var got *Codec
+			if via == "BuildInto" {
+				got, err = BuildInto(reused, freqs)
+			} else {
+				got, err = ReadTableMaxInto(reused, bitio.NewReader(w.Bytes()), len(freqs))
+			}
+			if err != nil {
+				t.Fatalf("step %d %s: %v", step, via, err)
+			}
+			for i := range fresh.multi {
+				if got.multi[i] != fresh.multi[i] {
+					t.Fatalf("step %d %s: multi[%#x] = %#x, a fresh codec has %#x", step, via, i, got.multi[i], fresh.multi[i])
+				}
+			}
+			checkDecodeAll(t, got, noise, step, 5000)
+		}
+	}
+}

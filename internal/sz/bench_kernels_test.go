@@ -53,7 +53,7 @@ func BenchmarkKernelSZDequantize(b *testing.B) {
 	b.Run("word", func(b *testing.B) {
 		b.SetBytes(nbytes)
 		for i := 0; i < b.N; i++ {
-			if _, err := dequantize(syms, benchQuantDims, eb, unpred); err != nil {
+			if _, err := dequantize(&symReader{have: syms}, benchQuantDims, eb, unpred); err != nil {
 				b.Fatal(err)
 			}
 		}

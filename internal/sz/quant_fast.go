@@ -299,56 +299,75 @@ func quantize3D(data []float64, d0, d1, d2 int, eb float64, syms []int32, recon 
 
 // dequantize reverses quantize given the symbol stream and the
 // unpredictable values, through the same dimension-specialized batched
-// kernels; dequantizeRef is the retained scalar reference.
-func dequantize(syms []int32, dims []int, eb float64, unpred []float64) ([]float64, error) {
-	n := len(syms)
+// kernels; dequantizeRef is the retained scalar reference. Symbols are
+// taken from syms a row at a time, so a Huffman-backed reader decodes
+// them a chunk ahead and the field's worth is never in memory.
+func dequantize(syms *symReader, dims []int, eb float64, unpred []float64) ([]float64, error) {
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
 	recon := make([]float64, n)
-	var ok bool
+	var err error
 	switch len(dims) {
 	case 2:
-		ok = dequantize2D(syms, dims[0], dims[1], eb, unpred, recon)
+		err = dequantize2D(syms, dims[0], dims[1], eb, unpred, recon)
 	case 3:
-		ok = dequantize3D(syms, dims[0], dims[1], dims[2], eb, unpred, recon)
+		err = dequantize3D(syms, dims[0], dims[1], dims[2], eb, unpred, recon)
 	default:
-		ok = dequantize1D(syms, eb, unpred, recon)
+		err = dequantize1D(syms, eb, unpred, recon)
 	}
-	if !ok {
-		return nil, wrapCorrupt("unpredictable pool exhausted")
+	if err != nil {
+		return nil, err
 	}
 	return recon, nil
 }
 
-func dequantize1D(syms []int32, eb float64, unpred []float64, recon []float64) bool {
+// errUnpredExhausted reports a stream with more unpredictable symbols
+// than unpredictable values.
+var errUnpredExhausted = wrapCorrupt("unpredictable pool exhausted")
+
+func dequantize1D(syms *symReader, eb float64, unpred []float64, recon []float64) error {
 	twoEB := 2 * eb
 	left := 0.0
 	ui := 0
-	for i, s := range syms {
-		if s == 0 {
-			if ui >= len(unpred) {
-				return false
-			}
-			left = unpred[ui]
-			ui++
-		} else {
-			left += float64(s-quantRadius) * twoEB
+	for base := 0; base < len(recon); base += symChunk {
+		out := recon[base:min(base+symChunk, len(recon))]
+		ss, err := syms.next(len(out))
+		if err != nil {
+			return err
 		}
-		recon[i] = left
+		for i, s := range ss {
+			if s == 0 {
+				if ui >= len(unpred) {
+					return errUnpredExhausted
+				}
+				left = unpred[ui]
+				ui++
+			} else {
+				left += float64(s-quantRadius) * twoEB
+			}
+			out[i] = left
+		}
 	}
-	return true
+	return nil
 }
 
-func dequantize2D(syms []int32, d0, d1 int, eb float64, unpred []float64, recon []float64) bool {
+func dequantize2D(syms *symReader, d0, d1 int, eb float64, unpred []float64, recon []float64) error {
 	twoEB := 2 * eb
 	up := make([]float64, d1)
 	ui := 0
 	for x := 0; x < d0; x++ {
 		base := x * d1
 		row := recon[base : base+d1 : base+d1]
-		ss := syms[base : base+d1 : base+d1]
+		ss, err := syms.next(d1)
+		if err != nil {
+			return err
+		}
 		var left float64
 		if s := ss[0]; s == 0 {
 			if ui >= len(unpred) {
-				return false
+				return errUnpredExhausted
 			}
 			left = unpred[ui]
 			ui++
@@ -360,7 +379,7 @@ func dequantize2D(syms []int32, d0, d1 int, eb float64, unpred []float64, recon 
 		for y := 1; y < d1; y++ {
 			if s := ss[y]; s == 0 {
 				if ui >= len(unpred) {
-					return false
+					return errUnpredExhausted
 				}
 				left = unpred[ui]
 				ui++
@@ -372,10 +391,10 @@ func dequantize2D(syms []int32, d0, d1 int, eb float64, unpred []float64, recon 
 		}
 		up = row
 	}
-	return true
+	return nil
 }
 
-func dequantize3D(syms []int32, d0, d1, d2 int, eb float64, unpred []float64, recon []float64) bool {
+func dequantize3D(syms *symReader, d0, d1, d2 int, eb float64, unpred []float64, recon []float64) error {
 	twoEB := 2 * eb
 	zeroRow := make([]float64, d2)
 	planeStride := d1 * d2
@@ -384,7 +403,10 @@ func dequantize3D(syms []int32, d0, d1, d2 int, eb float64, unpred []float64, re
 		for y := 0; y < d1; y++ {
 			base := z*planeStride + y*d2
 			row := recon[base : base+d2 : base+d2]
-			ss := syms[base : base+d2 : base+d2]
+			ss, err := syms.next(d2)
+			if err != nil {
+				return err
+			}
 			up, back, backup := zeroRow, zeroRow, zeroRow
 			if y > 0 {
 				up = recon[base-d2 : base : base]
@@ -398,7 +420,7 @@ func dequantize3D(syms []int32, d0, d1, d2 int, eb float64, unpred []float64, re
 			var left float64
 			if s := ss[0]; s == 0 {
 				if ui >= len(unpred) {
-					return false
+					return errUnpredExhausted
 				}
 				left = unpred[ui]
 				ui++
@@ -410,7 +432,7 @@ func dequantize3D(syms []int32, d0, d1, d2 int, eb float64, unpred []float64, re
 			for x := 1; x < d2; x++ {
 				if s := ss[x]; s == 0 {
 					if ui >= len(unpred) {
-						return false
+						return errUnpredExhausted
 					}
 					left = unpred[ui]
 					ui++
@@ -422,7 +444,7 @@ func dequantize3D(syms []int32, d0, d1, d2 int, eb float64, unpred []float64, re
 			}
 		}
 	}
-	return true
+	return nil
 }
 
 // mixedQuantizer carries the state shared by the batched block kernels
@@ -565,25 +587,15 @@ func quantizeMixed(data []float64, dims []int, eb float64) *mixedResult {
 	}
 	for b := 0; b < g.blocks; b++ {
 		lo, hi := g.blockBounds(b)
-		var coeffs []float64
-		var qc []int64
-		useReg := false
-		if fit, ok := fitRegression(data, dims, lo, hi); ok {
-			if qq, ok2 := quantizeCoeffs(fit, eb); ok2 {
-				deq := dequantizeCoeffs(qq, eb)
-				if regressionWins(data, dims, lo, hi, deq, nd) {
-					coeffs, qc, useReg = deq, qq, true
-				}
-			}
-		}
+		coeffs, qc, useReg := chooseRegression(data, dims, lo, hi, eb)
 		res.modes[b] = useReg
 		switch {
 		case useReg && nd == 2:
-			res.qcoeffs = append(res.qcoeffs, qc...)
-			q.regBlock2D(lo, hi, coeffs)
+			res.qcoeffs = append(res.qcoeffs, qc[:nd+1]...)
+			q.regBlock2D(lo, hi, coeffs[:])
 		case useReg:
-			res.qcoeffs = append(res.qcoeffs, qc...)
-			q.regBlock3D(lo, hi, coeffs)
+			res.qcoeffs = append(res.qcoeffs, qc[:nd+1]...)
+			q.regBlock3D(lo, hi, coeffs[:])
 		case nd == 2:
 			q.lorenzoBlock2D(lo, hi)
 		default:

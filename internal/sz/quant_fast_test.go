@@ -82,7 +82,7 @@ func TestDequantizeMatchesRef(t *testing.T) {
 		eb := 1e-4
 		data := quantTestField(dims, int64(100+di))
 		syms, unpred := quantizeRef(data, dims, eb)
-		got, err := dequantize(syms, dims, eb, unpred)
+		got, err := dequantize(&symReader{have: syms}, dims, eb, unpred)
 		if err != nil {
 			t.Fatalf("dims=%v: dequantize: %v", dims, err)
 		}
@@ -103,7 +103,7 @@ func TestDequantizeExhaustedPool(t *testing.T) {
 			n *= d
 		}
 		syms := make([]int32, n) // all unpredictable, empty pool
-		if _, err := dequantize(syms, dims, 1e-3, nil); err == nil {
+		if _, err := dequantize(&symReader{have: syms}, dims, 1e-3, nil); err == nil {
 			t.Fatalf("dims=%v: no error on exhausted unpredictable pool", dims)
 		}
 	}
@@ -156,7 +156,7 @@ func TestQuantizeRoundTripFast(t *testing.T) {
 		eb := 1e-5
 		data := quantTestField(dims, int64(300+di))
 		syms, unpred := quantize(data, dims, eb)
-		recon, err := dequantize(syms, dims, eb, unpred)
+		recon, err := dequantize(&symReader{have: syms}, dims, eb, unpred)
 		if err != nil {
 			t.Fatalf("dims=%v: %v", dims, err)
 		}
@@ -176,7 +176,8 @@ func TestQuantizeRoundTripFast(t *testing.T) {
 
 // TestQuantizeAllocs bounds the allocations of the batched kernels:
 // symbol buffer, reconstruction buffer, zero row, and the unpred pool
-// growth on a predictable field.
+// growth on a predictable field — and, for the mixed predictor, nothing
+// per block: the fit and its coefficients are values, not slices.
 func TestQuantizeAllocs(t *testing.T) {
 	dims := []int{32, 32}
 	data := make([]float64, 32*32) // constant field: fully predictable
@@ -186,8 +187,14 @@ func TestQuantizeAllocs(t *testing.T) {
 	}); allocs > 3 {
 		t.Errorf("quantize allocates %v times per run, want <= 3", allocs)
 	}
+	mixed := quantTestField(dims, 1) // 36 blocks, regression and Lorenzo both chosen
 	if allocs := testing.AllocsPerRun(10, func() {
-		if _, err := dequantize(syms, dims, 1e-3, unpred); err != nil {
+		quantizeMixed(mixed, dims, 1e-3)
+	}); allocs > 20 {
+		t.Errorf("quantizeMixed allocates %v times per run, want <= 20", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := dequantize(&symReader{have: syms}, dims, 1e-3, unpred); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 2 {

@@ -58,9 +58,9 @@ func CompressRegions(data []float64, dims []int, opts Options, regions, workers 
 	}
 	var out bytes.Buffer
 	out.WriteString(regionMagic)
-	binWrite(&out, safecast.U32(regions))
+	putU32(&out, safecast.U32(regions))
 	for _, s := range streams {
-		binWrite(&out, safecast.U32(len(s)))
+		putU32(&out, safecast.U32(len(s)))
 	}
 	for _, s := range streams {
 		out.Write(s)

@@ -61,13 +61,18 @@ func (g *regGrid) blockBounds(b int) (lo, hi [3]int) {
 	return lo, hi
 }
 
+// regCoeffs holds the nd+1 coefficients of one block's model (a0 and
+// one slope per axis, nd <= 3) by value, so fitting a block allocates
+// nothing; entries past nd stay zero.
+type regCoeffs [4]float64
+
 // fitRegression fits v ~ a0 + sum_i a_i * x_i by least squares over a
 // block, using the closed form for a regular grid. Returns false when
 // the block is degenerate (single cell per axis everywhere).
-func fitRegression(data []float64, dims []int, lo, hi [3]int) ([]float64, bool) {
+func fitRegression(data []float64, dims []int, lo, hi [3]int) (coeffs regCoeffs, ok bool) {
 	nd := len(dims)
 	n := 0.0
-	mean := make([]float64, nd) // mean of local coordinate per axis
+	var mean [3]float64 // mean of local coordinate per axis
 	var vMean float64
 	forEachCell(dims, lo, hi, func(idx int, c [3]int) {
 		n++
@@ -77,7 +82,7 @@ func fitRegression(data []float64, dims []int, lo, hi [3]int) ([]float64, bool) 
 		}
 	})
 	if n == 0 {
-		return nil, false
+		return coeffs, false
 	}
 	vMean /= n
 	for i := range mean {
@@ -85,8 +90,7 @@ func fitRegression(data []float64, dims []int, lo, hi [3]int) ([]float64, bool) 
 	}
 	// On a regular grid the coordinate axes are uncorrelated, so each
 	// slope is cov(x_i, v)/var(x_i) independently.
-	cov := make([]float64, nd)
-	vr := make([]float64, nd)
+	var cov, vr [3]float64
 	forEachCell(dims, lo, hi, func(idx int, c [3]int) {
 		dv := data[idx] - vMean
 		for i := 0; i < nd; i++ {
@@ -95,7 +99,6 @@ func fitRegression(data []float64, dims []int, lo, hi [3]int) ([]float64, bool) 
 			vr[i] += dx * dx
 		}
 	})
-	coeffs := make([]float64, nd+1)
 	for i := 0; i < nd; i++ {
 		if vr[i] > 0 {
 			coeffs[i+1] = cov[i] / vr[i]
@@ -108,7 +111,7 @@ func fitRegression(data []float64, dims []int, lo, hi [3]int) ([]float64, bool) 
 	coeffs[0] = a0
 	for _, c := range coeffs {
 		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return nil, false
+			return coeffs, false
 		}
 	}
 	return coeffs, true
@@ -140,13 +143,12 @@ func forEachCell(dims []int, lo, hi [3]int, f func(idx int, c [3]int)) {
 // quantizeCoeffs converts coefficients to integers with step
 // eb/coeffQuantScale; saturating coefficients disqualify regression
 // for the block.
-func quantizeCoeffs(coeffs []float64, eb float64) ([]int64, bool) {
+func quantizeCoeffs(coeffs []float64, eb float64) (out [4]int64, ok bool) {
 	step := eb / coeffQuantScale
-	out := make([]int64, len(coeffs))
 	for i, c := range coeffs {
 		q := math.Round(c / step)
 		if math.Abs(q) > math.MaxInt32 || math.IsNaN(q) {
-			return nil, false
+			return out, false
 		}
 		out[i] = int64(q)
 	}
@@ -154,13 +156,28 @@ func quantizeCoeffs(coeffs []float64, eb float64) ([]int64, bool) {
 }
 
 // dequantizeCoeffs inverts quantizeCoeffs.
-func dequantizeCoeffs(q []int64, eb float64) []float64 {
+func dequantizeCoeffs(q []int64, eb float64) (out regCoeffs) {
 	step := eb / coeffQuantScale
-	out := make([]float64, len(q))
 	for i, v := range q {
 		out[i] = float64(v) * step
 	}
 	return out
+}
+
+// chooseRegression fits one block and decides its predictor: the model
+// as the decoder will see it (quantized, then dequantized), its integer
+// form for the stream, and whether it beats Lorenzo.
+func chooseRegression(data []float64, dims []int, lo, hi [3]int, eb float64) (coeffs regCoeffs, qc [4]int64, useReg bool) {
+	nc := len(dims) + 1
+	fit, ok := fitRegression(data, dims, lo, hi)
+	if !ok {
+		return coeffs, qc, false
+	}
+	if qc, ok = quantizeCoeffs(fit[:nc], eb); !ok {
+		return coeffs, qc, false
+	}
+	coeffs = dequantizeCoeffs(qc[:nc], eb)
+	return coeffs, qc, regressionWins(data, dims, lo, hi, coeffs[:nc], nc-1)
 }
 
 // regPredict evaluates a regression model at local coordinates.
@@ -196,25 +213,15 @@ func quantizeMixedRef(data []float64, dims []int, eb float64) *mixedResult {
 	twoEB := 2 * eb
 	for b := 0; b < g.blocks; b++ {
 		lo, hi := g.blockBounds(b)
-		var coeffs []float64
-		var qc []int64
-		useReg := false
-		if fit, ok := fitRegression(data, dims, lo, hi); ok {
-			if q, ok2 := quantizeCoeffs(fit, eb); ok2 {
-				deq := dequantizeCoeffs(q, eb)
-				if regressionWins(data, dims, lo, hi, deq, nd) {
-					coeffs, qc, useReg = deq, q, true
-				}
-			}
-		}
+		coeffs, qc, useReg := chooseRegression(data, dims, lo, hi, eb)
 		res.modes[b] = useReg
 		if useReg {
-			res.qcoeffs = append(res.qcoeffs, qc...)
+			res.qcoeffs = append(res.qcoeffs, qc[:nd+1]...)
 		}
 		forEachCell(dims, lo, hi, func(idx int, c [3]int) {
 			var p float64
 			if useReg {
-				p = regPredict(coeffs, lo, c, nd)
+				p = regPredict(coeffs[:], lo, c, nd)
 			} else {
 				p = pred.predict(idx)
 			}
@@ -249,8 +256,9 @@ func regressionWins(data []float64, dims []int, lo, hi [3]int, coeffs []float64,
 	return regErr < lorErr
 }
 
-// dequantizeMixed reverses quantizeMixed.
-func dequantizeMixed(syms []int32, dims []int, eb float64, unpred []float64, modes []bool, qcoeffs []int64) ([]float64, error) {
+// dequantizeMixed reverses quantizeMixed, taking the symbols a block at
+// a time in the order quantizeMixed emitted them.
+func dequantizeMixed(syms *symReader, dims []int, eb float64, unpred []float64, modes []bool, qcoeffs []int64) ([]float64, error) {
 	g := newRegGrid(dims)
 	nd := len(dims)
 	if len(modes) != g.blocks {
@@ -260,16 +268,13 @@ func dequantizeMixed(syms []int32, dims []int, eb float64, unpred []float64, mod
 	for _, d := range dims {
 		n *= d
 	}
-	if len(syms) != n {
-		return nil, errCorruptf("symbol count %d != %d", len(syms), n)
-	}
 	recon := make([]float64, n)
 	pred := newPredictor(dims, recon)
 	twoEB := 2 * eb
-	si, ui, ci := 0, 0, 0
+	ui, ci := 0, 0
 	for b := 0; b < g.blocks; b++ {
 		lo, hi := g.blockBounds(b)
-		var coeffs []float64
+		var coeffs regCoeffs
 		if modes[b] {
 			cc := g.coeffCount()
 			if ci+cc > len(qcoeffs) {
@@ -278,16 +283,25 @@ func dequantizeMixed(syms []int32, dims []int, eb float64, unpred []float64, mod
 			coeffs = dequantizeCoeffs(qcoeffs[ci:ci+cc], eb)
 			ci += cc
 		}
+		cells := 1
+		for i := 0; i < nd; i++ {
+			cells *= hi[i] - lo[i]
+		}
+		ss, err := syms.next(cells)
+		if err != nil {
+			return nil, err
+		}
+		si := 0
 		var derr error
 		forEachCell(dims, lo, hi, func(idx int, c [3]int) {
 			if derr != nil {
 				return
 			}
-			s := syms[si]
+			s := ss[si]
 			si++
 			if s == 0 {
 				if ui >= len(unpred) {
-					derr = errCorruptf("unpredictable pool exhausted")
+					derr = errUnpredExhausted
 					return
 				}
 				recon[idx] = unpred[ui]
@@ -296,7 +310,7 @@ func dequantizeMixed(syms []int32, dims []int, eb float64, unpred []float64, mod
 			}
 			var p float64
 			if modes[b] {
-				p = regPredict(coeffs, lo, c, nd)
+				p = regPredict(coeffs[:], lo, c, nd)
 			} else {
 				p = pred.predict(idx)
 			}

@@ -46,7 +46,7 @@ func TestFitRegressionExactOnLinear(t *testing.T) {
 		}
 		// Prediction must be exact everywhere in the block.
 		forEachCell(dims, lo, hi, func(idx int, c [3]int) {
-			p := regPredict(coeffs, lo, c, 2)
+			p := regPredict(coeffs[:], lo, c, 2)
 			if math.Abs(p-data[idx]) > 1e-9 {
 				t.Fatalf("block %d cell %v: predict %g want %g", b, c, p, data[idx])
 			}
@@ -61,7 +61,7 @@ func TestCoeffQuantRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("quantize failed")
 	}
-	deq := dequantizeCoeffs(q, eb)
+	deq := dequantizeCoeffs(q[:len(coeffs)], eb)
 	step := eb / coeffQuantScale
 	for i := range coeffs {
 		if math.Abs(deq[i]-coeffs[i]) > step/2+1e-15 {

@@ -339,16 +339,54 @@ func compressPWREL(data []float64, dims []int, rel float64, useReg bool) ([]byte
 	return assemble(ModePWREL, rel, eb, dims, syms, unpred, flags, minLog, nil)
 }
 
-// encScratch holds assemble's large reusable state: the 512 KiB symbol
-// histogram (cleared on reuse) and the Huffman codec whose tables are
-// rebuilt in place via huffman.BuildInto. It circulates through
-// encScratchPool; holders must not retain any view of it past Put.
+// encScratch holds assemble's large reusable state: the symbol
+// histogram with its four counting lanes and the Huffman codec whose
+// tables are rebuilt in place via huffman.BuildInto. It circulates
+// through encScratchPool; holders must not retain any view of it past
+// Put.
 type encScratch struct {
 	freqs []int64
+	lanes []uint32 // histLanes partial histograms, back to back
 	codec huffman.Codec
 }
 
 var encScratchPool = sync.Pool{New: func() any { return new(encScratch) }}
+
+// histLanes is the number of partial histograms count fills. SZ's
+// symbols come in runs of the same value, and a run through one counter
+// is a chain of store-to-load forwards, one increment per ~5 cycles;
+// neighbours in separate lanes increment independently.
+const histLanes = 4
+
+// count fills es.freqs with the histogram of syms over the quantizer's
+// alphabet. A symbol is a valid index by construction: quantOne emits 0
+// or code+quantRadius with |code| < quantRadius-1.
+func (es *encScratch) count(syms []int32) []int64 {
+	const n = 2 * quantRadius
+	if cap(es.freqs) < n {
+		es.freqs = make([]int64, n)
+		es.lanes = make([]uint32, histLanes*n)
+	}
+	clear(es.lanes)
+	l0, l1, l2, l3 := es.lanes[:n], es.lanes[n:2*n], es.lanes[2*n:3*n], es.lanes[3*n:4*n]
+	i := 0
+	for ; i+histLanes <= len(syms); i += histLanes {
+		q := syms[i : i+histLanes : i+histLanes]
+		l0[q[0]]++
+		l1[q[1]]++
+		l2[q[2]]++
+		l3[q[3]]++
+	}
+	for ; i < len(syms); i++ {
+		l0[syms[i]]++
+	}
+	// A lane holds at most len(syms) <= maxElements (1<<27) per counter.
+	freqs := es.freqs[:n]
+	for s := range freqs {
+		freqs[s] = int64(l0[s]) + int64(l1[s]) + int64(l2[s]) + int64(l3[s])
+	}
+	return freqs
+}
 
 // flateWriterPool recycles DEFLATE compressors across assemble calls;
 // each use rebinds the writer to its destination with Reset. Writers
@@ -380,14 +418,14 @@ func assemble(mode Mode, param, eb float64, dims []int, syms []int32, unpred []f
 	payload.WriteByte(streamFlags)
 	payload.WriteByte(safecast.U8(len(dims)))
 	for _, d := range dims {
-		binWrite(&payload, safecast.U32(d))
+		putU32(&payload, safecast.U32(d))
 	}
-	binWrite(&payload, math.Float64bits(eb))
-	binWrite(&payload, math.Float64bits(param))
-	binWrite(&payload, math.Float64bits(minLog))
-	binWrite(&payload, safecast.U32(len(unpred)))
+	putU64(&payload, math.Float64bits(eb))
+	putU64(&payload, math.Float64bits(param))
+	putU64(&payload, math.Float64bits(minLog))
+	putU32(&payload, safecast.U32(len(unpred)))
 	if mr != nil {
-		binWrite(&payload, safecast.U32(len(mr.modes)))
+		putU32(&payload, safecast.U32(len(mr.modes)))
 		// Pack the per-block mode flags 64 at a time through the bit
 		// writer's word path; the layout matches one WriteBit per flag.
 		var mw bitio.Writer
@@ -405,43 +443,31 @@ func assemble(mode Mode, param, eb float64, dims []int, syms []int32, unpred []f
 		}
 		mw.WriteBits(acc, nAcc)
 		payload.Write(mw.Bytes())
-		binWrite(&payload, safecast.U32(len(mr.qcoeffs)))
+		putU32(&payload, safecast.U32(len(mr.qcoeffs)))
 		for _, q := range mr.qcoeffs {
-			binWrite(&payload, safecast.Bits32(safecast.I32From64(q)))
+			putU32(&payload, safecast.Bits32(safecast.I32From64(q)))
 		}
 	}
 
 	// Huffman stage over the symbol alphabet actually used. The
 	// histogram and codec tables come from the scratch pool so repeated
-	// compressions reuse their half-megabyte of state.
+	// compressions reuse their megabyte and a half of state.
 	es := encScratchPool.Get().(*encScratch)
 	defer encScratchPool.Put(es)
-	if cap(es.freqs) < 2*quantRadius {
-		es.freqs = make([]int64, 2*quantRadius)
-	} else {
-		es.freqs = es.freqs[:2*quantRadius]
-		clear(es.freqs)
-	}
-	freqs := es.freqs
-	for _, s := range syms {
-		freqs[s]++
-	}
 	var hw bitio.Writer
 	if len(syms) > 0 {
-		codec, err := huffman.BuildInto(&es.codec, freqs)
+		codec, err := huffman.BuildInto(&es.codec, es.count(syms))
 		if err != nil {
 			return nil, err
 		}
 		codec.WriteTable(&hw)
-		for _, s := range syms {
-			codec.Encode(&hw, int(s))
-		}
+		codec.EncodeAll(&hw, syms)
 	}
 	hb := hw.Bytes()
-	binWrite(&payload, safecast.U32(len(hb)))
+	putU32(&payload, safecast.U32(len(hb)))
 	payload.Write(hb)
 	for _, u := range unpred {
-		binWrite(&payload, math.Float64bits(u))
+		putU64(&payload, math.Float64bits(u))
 	}
 	if mode == ModePWREL {
 		var fw bitio.Writer
@@ -457,7 +483,7 @@ func assemble(mode Mode, param, eb float64, dims []int, syms []int32, unpred []f
 	// practice).
 	var out bytes.Buffer
 	out.WriteString(magic)
-	binWrite(&out, safecast.U64(payload.Len()))
+	putU64(&out, safecast.U64(payload.Len()))
 	fw := flateWriterPool.Get().(*flate.Writer)
 	fw.Reset(&out)
 	if _, err := fw.Write(payload.Bytes()); err != nil {
@@ -471,9 +497,20 @@ func assemble(mode Mode, param, eb float64, dims []int, syms []int32, unpred []f
 	return out.Bytes(), nil
 }
 
-func binWrite(w io.Writer, v interface{}) {
-	// bytes.Buffer writes cannot fail; ignore the error by contract.
-	_ = binary.Write(w, binary.LittleEndian, v)
+// putU32 and putU64 append a little-endian value to a buffer (whose
+// writes cannot fail) without binary.Write's reflection and boxing per
+// value: a field with many unpredictable values or regression
+// coefficients writes one of these for each.
+func putU32(b *bytes.Buffer, v uint32) {
+	var tmp [4]byte
+	binary.LittleEndian.PutUint32(tmp[:], v)
+	b.Write(tmp[:])
+}
+
+func putU64(b *bytes.Buffer, v uint64) {
+	var tmp [8]byte
+	binary.LittleEndian.PutUint64(tmp[:], v)
+	b.Write(tmp[:])
 }
 
 // Decompress reverses Compress, returning the reconstructed values and
@@ -525,9 +562,12 @@ var inflaterPool = sync.Pool{New: func() any {
 }}
 
 // inflate decompresses src, expecting exactly want bytes. The output
-// buffer grows geometrically as bytes actually arrive instead of being
+// buffer starts at what a stream of src's size plausibly holds (DEFLATE
+// gains little on Huffman-coded symbols, so twice the compressed bytes
+// covers every stream Compress writes in one allocation) and past that
+// grows geometrically as bytes actually arrive instead of being
 // pre-sized from the header, so a corrupted length field costs memory
-// proportional to what the DEFLATE stream really yields.
+// proportional to the bytes supplied and to what they really yield.
 func inflate(src []byte, want int) ([]byte, error) {
 	inf, ok := inflaterPool.Get().(*inflater)
 	if !ok {
@@ -553,7 +593,7 @@ func inflate(src []byte, want int) ([]byte, error) {
 		inf.fr = flate.NewReader(&inf.src)
 	}
 	fr := inf.fr
-	buf := make([]byte, min(want, 64<<10))
+	buf := make([]byte, min(want, 2*len(src)+64<<10))
 	read := 0
 	for {
 		if _, err := io.ReadFull(fr, buf[read:]); err != nil {
@@ -569,9 +609,79 @@ func inflate(src []byte, want int) ([]byte, error) {
 	}
 }
 
-// decCodecPool recycles decode-side Huffman codecs across parsePayload
-// calls (ReadTableMaxInto reuses the tables in place).
-var decCodecPool = sync.Pool{New: func() any { return new(huffman.Codec) }}
+// decScratch holds parsePayload's reusable state: the decode-side
+// Huffman codec (ReadTableMaxInto rebuilds its tables in place) and the
+// chunk of symbols between the Huffman stage and dequantize. It
+// circulates through decScratchPool; it is self-contained (no view of
+// the payload or of the output survives in it), so pooling it after an
+// error is safe.
+type decScratch struct {
+	codec huffman.Codec
+	chunk []int32
+}
+
+var decScratchPool = sync.Pool{New: func() any { return new(decScratch) }}
+
+// symChunk is how many symbols the decoder keeps between the Huffman
+// stage and dequantize: 256 KiB of them, so a chunk is still in the
+// second-level cache when dequantize reads it, and the field's worth of
+// symbols (4 bytes a value) is never allocated. A row longer than this
+// gets a chunk of its own length.
+const symChunk = 64 << 10
+
+// symReader hands the symbol stream to dequantize in order, a row or a
+// block at a time. Over a Huffman section it decodes a chunk ahead with
+// DecodeAll; over symbols already in memory (the differential tests and
+// kernel benchmarks) it only slices them.
+type symReader struct {
+	have []int32 // decoded and not yet handed out
+
+	codec   *huffman.Codec // nil: have is all there is
+	br      *bitio.Reader
+	chunk   []int32 // storage have is a view of
+	decoded int     // symbols DecodeAll has produced so far
+	left    int     // symbols still to decode
+}
+
+// next returns the next n symbols of the stream. The slice is valid
+// until the following call.
+func (r *symReader) next(n int) ([]int32, error) {
+	if len(r.have) < n {
+		if err := r.fill(n); err != nil {
+			return nil, err
+		}
+	}
+	out := r.have[:n:n]
+	r.have = r.have[n:]
+	return out, nil
+}
+
+// fill moves the unread symbols to the front of the chunk and decodes
+// behind them as many as fit, so that at least n are there.
+func (r *symReader) fill(n int) error {
+	if len(r.have)+r.left < n {
+		// The caller asks for what the header promised, and parsePayload
+		// sized the stream from the same header.
+		return wrapCorrupt("symbol stream ends %d symbols early", n-len(r.have)-r.left)
+	}
+	if cap(r.chunk) < n {
+		grown := make([]int32, max(n, min(symChunk, len(r.have)+r.left)))
+		copy(grown, r.have)
+		r.chunk = grown
+	} else {
+		copy(r.chunk[:cap(r.chunk)], r.have)
+	}
+	kept := len(r.have)
+	more := min(cap(r.chunk)-kept, r.left)
+	r.have = r.chunk[:kept+more]
+	got, err := r.codec.DecodeAll(r.br, r.have[kept:])
+	if err != nil {
+		return fmt.Errorf("%w: symbol %d: %v", ErrCorrupt, r.decoded+got, err)
+	}
+	r.decoded += more
+	r.left -= more
+	return nil
+}
 
 func parsePayload(p []byte) ([]float64, []int, error) {
 	rd := &byteReader{buf: p}
@@ -663,33 +773,6 @@ func parsePayload(p []byte) ([]float64, []int, error) {
 	if n > 8*huffLen {
 		return nil, nil, wrapCorrupt("element count %d exceeds huffman section capacity (%d bytes)", n, huffLen)
 	}
-	syms := make([]int32, n)
-	if n > 0 {
-		br := bitio.NewReader(hb)
-		// The decode codec's tables (including the 24 KiB LUT) are
-		// pooled; ReadTableMaxInto rebuilds them in place. The codec is
-		// self-contained (no views of hb survive in it), so pooling it
-		// after an error is safe.
-		cd, ok := decCodecPool.Get().(*huffman.Codec)
-		if !ok {
-			cd = new(huffman.Codec) // unreachable: the pool's New returns *huffman.Codec
-		}
-		defer decCodecPool.Put(cd)
-		codec, err := huffman.ReadTableMaxInto(cd, br, 2*quantRadius)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		if codec.NumSymbols != 2*quantRadius {
-			return nil, nil, fmt.Errorf("%w: alphabet size %d", ErrCorrupt, codec.NumSymbols)
-		}
-		for i := 0; i < n; i++ {
-			s, err := codec.Decode(br)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: symbol %d: %v", ErrCorrupt, i, err)
-			}
-			syms[i] = int32(s) //arcvet:ignore mathbits s < NumSymbols == 2*quantRadius, checked above
-		}
-	}
 	unpred := make([]float64, nUnpred)
 	for i := range unpred {
 		unpred[i] = math.Float64frombits(rd.u64())
@@ -697,8 +780,26 @@ func parsePayload(p []byte) ([]float64, []int, error) {
 	if rd.err != nil {
 		return nil, nil, fmt.Errorf("%w: truncated unpredictables", ErrCorrupt)
 	}
+	// Symbols are decoded a chunk ahead of dequantize, which asks for
+	// them a row or a block at a time: a Huffman error surfaces from
+	// whichever request reaches it, with the index of the symbol.
+	ds, ok := decScratchPool.Get().(*decScratch)
+	if !ok {
+		ds = new(decScratch) // unreachable: the pool's New returns *decScratch
+	}
+	defer decScratchPool.Put(ds)
+	br := bitio.NewReader(hb)
+	codec, err := huffman.ReadTableMaxInto(&ds.codec, br, 2*quantRadius)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	// Every decoded symbol is below NumSymbols, the quantizer's alphabet.
+	if codec.NumSymbols != 2*quantRadius {
+		return nil, nil, fmt.Errorf("%w: alphabet size %d", ErrCorrupt, codec.NumSymbols)
+	}
+	syms := &symReader{codec: codec, br: br, chunk: ds.chunk, left: n}
+	defer func() { ds.chunk = syms.chunk }()
 	var recon []float64
-	var err error
 	if streamFlags&flagRegression != 0 {
 		recon, err = dequantizeMixed(syms, dims, eb, unpred, modes, qcoeffs)
 	} else {

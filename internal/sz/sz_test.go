@@ -353,7 +353,7 @@ func TestQuantizeDequantizeInverse(t *testing.T) {
 	data, dims := smoothField2D(24, 24, 300)
 	eb := 0.01
 	syms, unpred := quantize(data, dims, eb)
-	recon, err := dequantize(syms, dims, eb, unpred)
+	recon, err := dequantize(&symReader{have: syms}, dims, eb, unpred)
 	if err != nil {
 		t.Fatal(err)
 	}

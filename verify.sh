@@ -188,4 +188,11 @@ echo "== zfp embedded coder fuzz smoke (10s) =="
 # bit-flipped and zero-extended input) against the per-bit reference.
 go test -run '^$' -fuzz '^FuzzZFPPlanes$' -fuzztime 10s ./internal/zfp
 
+echo "== huffman batch decode fuzz smoke (10s) =="
+# Differential fuzz of DecodeAll (local bit window, multi-symbol table)
+# against one Decode per symbol, over whatever table the input's header
+# yields: same symbols, same count before the first error, same error,
+# same reader position.
+go test -run '^$' -fuzz '^FuzzHuffmanDecodeAll$' -fuzztime 10s ./internal/huffman
+
 echo "verify: OK"
