@@ -18,9 +18,10 @@
 //
 // Those four lines are the paper's Algorithm 1. Encode picks among
 // single-bit even parity, Hamming, SEC-DED, and Reed-Solomon
-// configurations using a trained, cached throughput model of this
-// machine; Decode verifies, repairs what the chosen code can repair,
-// and returns an error for damage beyond it.
+// configurations using a cached throughput model of this machine,
+// measured point by point as requests need it; Decode verifies, repairs
+// what the chosen code can repair, and returns an error for damage
+// beyond it.
 //
 // The ARC Engine functions of the paper's Table 1 (direct ECC
 // encode/decode and the constraint optimizers) are exposed in this
@@ -86,14 +87,17 @@ type Options struct {
 	// CacheDir overrides where training results are cached
 	// ("" = the platform cache dir; "-" disables persistence).
 	CacheDir string
-	// TrainSampleBytes sizes the training buffer (0 = 4 MiB).
+	// TrainSampleBytes sizes the training buffer (0 = the default
+	// chunk size, 4 MiB).
 	TrainSampleBytes int
 }
 
-// Init initializes ARC with a maximum thread count (arc_init). The
-// first run on a machine trains every ECC configuration at thread
-// counts up to maxThreads and caches the results; later runs load the
-// cache and train only what is missing.
+// Init initializes ARC with a maximum thread count (arc_init). It loads
+// the cached throughput model and measures nothing: a (configuration,
+// threads) point is measured the first time a request's decision needs
+// it, and Save and Close persist what was measured. Table trains every
+// configuration at thread counts up to maxThreads, as the paper's
+// arc_init does.
 func Init(maxThreads int) (*ARC, error) {
 	return InitWithOptions(maxThreads, Options{})
 }
@@ -144,11 +148,12 @@ func (a *ARC) Close() error { return a.eng.Close() }
 // MaxThreads reports the engine's thread cap.
 func (a *ARC) MaxThreads() int { return a.eng.MaxThreads() }
 
-// TrainedPoints reports how many (configuration, threads) points Init
-// measured (0 on a warm cache).
+// TrainedPoints reports how many (configuration, threads) points this
+// engine has measured so far (0 while the cache answers every request).
 func (a *ARC) TrainedPoints() int { return a.eng.TrainedPoints() }
 
-// Table exposes the trained throughput model.
+// Table completes the training and returns a snapshot of the
+// throughput model.
 func (a *ARC) Table() *core.TrainTable { return a.eng.Table() }
 
 // MemoryOptimizer (arc_memory_optimizer) returns ARC's suggested

@@ -13,16 +13,18 @@ import (
 // ARC_ANY_THREADS).
 const AnyThreads = 0
 
-// Engine is the ARC engine: a trained, constraint-driven encoder and
-// decoder for protecting byte streams. Construct with NewEngine (which
-// runs or loads the training phase, mirroring arc_init) and release
-// with Close (arc_close).
+// Engine is the ARC engine: a constraint-driven encoder and decoder
+// for protecting byte streams. Construct with NewEngine (arc_init) and
+// release with Close (arc_close). Where arc_init trains every
+// configuration up front, the engine measures a (configuration,
+// threads) point the first time a request's decision needs it and
+// caches it; Table completes the training on demand.
 type Engine struct {
 	mu         sync.Mutex
 	trainer    *Trainer
-	table      *TrainTable
+	table      *TrainTable // guarded by mu; grows as requests need points
 	maxThreads int
-	trained    int // points measured at init
+	trained    int // points this engine measured
 	closed     bool
 	dirty      bool // table changed since last save
 }
@@ -34,13 +36,12 @@ type EngineOptions struct {
 	// CacheDir overrides the training-cache directory ("" = default;
 	// "-" disables persistence).
 	CacheDir string
-	// SampleBytes sizes the training buffer (0 = 4 MiB default).
+	// SampleBytes sizes the training buffer (0 = DefaultChunkSize).
 	SampleBytes int
 }
 
 // NewEngine initializes ARC: it loads any cached training data for
-// this machine and measures whatever configurations are missing, as
-// arc_init does.
+// this machine and measures nothing yet.
 func NewEngine(opts EngineOptions) (*Engine, error) {
 	maxThreads := opts.MaxThreads
 	if maxThreads <= 0 {
@@ -54,31 +55,56 @@ func NewEngine(opts EngineOptions) (*Engine, error) {
 		dir = ""
 	}
 	tr := &Trainer{CacheDir: dir, SampleBytes: opts.SampleBytes}
-	table := tr.LoadCache()
-	table, measured, err := tr.Train(table, maxThreads)
-	if err != nil {
-		return nil, fmt.Errorf("core: training: %w", err)
-	}
-	e := &Engine{trainer: tr, table: table, maxThreads: maxThreads, trained: measured, dirty: measured > 0}
-	if err := tr.SaveCache(table); err == nil {
-		e.dirty = false
-	}
-	return e, nil
+	return &Engine{trainer: tr, table: tr.LoadCache(), maxThreads: maxThreads}, nil
 }
 
 // MaxThreads returns the engine's thread cap.
 func (e *Engine) MaxThreads() int { return e.maxThreads }
 
-// TrainedPoints returns how many (config, threads) points init had to
-// measure (0 when the cache was complete).
-func (e *Engine) TrainedPoints() int { return e.trained }
+// TrainedPoints returns how many (config, threads) points the engine
+// has measured so far (0 while the cache answers every request).
+func (e *Engine) TrainedPoints() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.trained
+}
 
-// Table exposes the trained throughput table (read-only by convention).
-func (e *Engine) Table() *TrainTable { return e.table }
+// point returns the throughput of cfg at threads, measuring it first
+// when the table lacks it. The measurement runs under the mutex, so
+// concurrent requests for one point measure it once and measurements
+// never time each other.
+func (e *Engine) point(cfg Config, threads int) (TrainEntry, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ent, measured, err := e.trainer.point(e.table, cfg, threads)
+	if measured {
+		e.trained++
+		e.dirty = true
+	}
+	return ent, err
+}
 
-// Optimizer returns a constraint optimizer over the trained table.
+// Table completes the training — every configuration at every thread
+// count up to the cap, the paper's arc_init — and returns a sorted
+// snapshot. Training stops at a configuration that cannot be measured
+// (a broken custom code); the snapshot then holds the points before it.
+func (e *Engine) Table() *TrainTable {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	// The error is dropped for want of a return slot: the points stay
+	// missing and the request that needs one of them reports why.
+	_, measured, _ := e.trainer.Train(e.table, e.maxThreads)
+	if measured > 0 {
+		e.trained += measured
+		e.dirty = true
+	}
+	return e.table.sorted()
+}
+
+// Optimizer returns a constraint optimizer that asks the engine for
+// the points its decision needs.
 func (e *Engine) Optimizer() *Optimizer {
-	return &Optimizer{Table: e.table, MaxThreads: e.maxThreads}
+	return &Optimizer{MaxThreads: e.maxThreads, eng: e}
 }
 
 // ErrClosed reports use after Close.

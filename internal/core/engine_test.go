@@ -162,13 +162,26 @@ func TestEngineClosedErrors(t *testing.T) {
 func TestEngineCachePersistence(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "arc-cache")
 	opts := EngineOptions{MaxThreads: 2, CacheDir: dir, SampleBytes: 32 << 10}
+	requests := func(e *Engine) {
+		t.Helper()
+		if _, err := e.Encode([]byte("x"), AnyMem, AnyBW, Resiliency{ErrorsPerMB: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Optimizer().Joint(0.1, 1e9, Resiliency{Methods: []ecc.Method{ecc.MethodReedSolomon}}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	e1, err := NewEngine(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if e1.TrainedPoints() != 0 {
+		t.Fatalf("init measured %d points, want none before a request", e1.TrainedPoints())
+	}
+	requests(e1)
 	first := e1.TrainedPoints()
 	if first == 0 {
-		t.Fatal("first init must train")
+		t.Fatal("first request must train")
 	}
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)
@@ -176,23 +189,37 @@ func TestEngineCachePersistence(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "train-cache.json")); err != nil {
 		t.Fatalf("cache file missing: %v", err)
 	}
-	// Second init: fully cached.
+	// Second engine, same requests: the cache answers them all.
 	e2, err := NewEngine(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e2.Close()
+	requests(e2)
 	if e2.TrainedPoints() != 0 {
-		t.Fatalf("second init trained %d points, want 0 (cache hit)", e2.TrainedPoints())
+		t.Fatalf("second engine trained %d points, want 0 (cache hit)", e2.TrainedPoints())
 	}
-	// Raising the thread cap trains only the missing thread counts.
+	// Raising the thread cap trains only the missing thread counts:
+	// the unreachable bound needs every tier of the RS configurations
+	// under the budget, and tiers 1 and 2 are cached.
 	e3, err := NewEngine(EngineOptions{MaxThreads: 4, CacheDir: dir, SampleBytes: 32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e3.Close()
+	requests(e3)
 	if e3.TrainedPoints() == 0 || e3.TrainedPoints() >= first {
 		t.Fatalf("incremental training measured %d points (first %d)", e3.TrainedPoints(), first)
+	}
+	// A differently sized sample shares nothing with that cache.
+	e4, err := NewEngine(EngineOptions{MaxThreads: 2, CacheDir: dir, SampleBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e4.Close()
+	requests(e4)
+	if e4.TrainedPoints() != first {
+		t.Fatalf("other sample size measured %d points, want %d (cache discarded)", e4.TrainedPoints(), first)
 	}
 }
 

@@ -83,10 +83,26 @@ type Choice struct {
 }
 
 // Optimizer selects ECC configurations under the three constraints,
-// driven by the trained throughput table.
+// driven by measured throughput: the points of Table, or — for an
+// optimizer obtained from Engine.Optimizer, whose Table is nil — points
+// the engine measures the first time a decision asks for them. Thread
+// counts considered are the trained tiers up to MaxThreads; a point
+// Table lacks is skipped.
 type Optimizer struct {
 	Table      *TrainTable
 	MaxThreads int
+	eng        *Engine
+}
+
+// point returns the throughput of cfg at threads; ok is false when a
+// literal table has no such point.
+func (o *Optimizer) point(cfg Config, threads int) (e TrainEntry, ok bool, err error) {
+	if o.eng != nil {
+		e, err = o.eng.point(cfg, threads)
+		return e, err == nil, err
+	}
+	e, ok = o.Table.Lookup(cfg.String(), threads)
+	return e, ok, nil
 }
 
 // candidate pairs a configuration with its best thread choice for a
@@ -100,44 +116,52 @@ type candidate struct {
 	meetsBW  bool
 }
 
-// candidates enumerates allowed configurations; for each, threads are
-// chosen as the fewest that meet the throughput bound (the paper uses
-// fewer threads when resources suffice), falling back to the fastest
-// available when none meets it.
-func (o *Optimizer) candidates(res Resiliency, bw float64) []candidate {
-	var out []candidate
-	counts := o.Table.ThreadCounts()
-	for _, cfg := range AllConfigs() {
-		if !res.allows(cfg) {
+// candidate resolves cfg's threads: the fewest that meet the bound
+// (the paper uses fewer threads when resources suffice), else the
+// fastest. Tiers are asked for in ascending order and no further than
+// the first that meets the bound; ok is false when none is known.
+func (o *Optimizer) candidate(cfg Config, bw float64) (best candidate, ok bool, err error) {
+	for _, th := range trainThreadCounts(o.MaxThreads) {
+		e, found, err := o.point(cfg, th)
+		if err != nil {
+			return candidate{}, false, err
+		}
+		if !found {
 			continue
 		}
-		var best *candidate
-		for _, th := range counts {
-			if o.MaxThreads > 0 && th > o.MaxThreads {
-				continue
-			}
-			e, ok := o.Table.Lookup(cfg.String(), th)
-			if !ok {
-				continue
-			}
-			c := candidate{cfg: cfg, threads: th, encMBs: e.EncMBs, decMBs: e.DecMBs,
-				overhead: cfg.Overhead(), meetsBW: e.EncMBs >= bw}
-			if c.meetsBW {
-				// Fewest threads that meet the bound: counts ascend,
-				// so the first hit wins.
-				best = &c
-				break
-			}
-			// Track the fastest as fallback.
-			if best == nil || c.encMBs > best.encMBs {
-				best = &c
-			}
+		c := candidate{cfg: cfg, threads: th, encMBs: e.EncMBs, decMBs: e.DecMBs,
+			overhead: cfg.Overhead(), meetsBW: e.EncMBs >= bw}
+		if c.meetsBW {
+			return c, true, nil
 		}
-		if best != nil {
-			out = append(out, *best)
+		if !ok || c.encMBs > best.encMBs {
+			best, ok = c, true
 		}
 	}
-	return out
+	return best, ok, nil
+}
+
+// level resolves the configurations of one overhead level: the one
+// that meets the bound with the smallest surplus, and the fastest
+// whether it meets it or not — the first in order on ties, nil when no
+// point is known.
+func (o *Optimizer) level(cfgs []Config, bw float64) (meets, fastest *candidate, err error) {
+	for _, cfg := range cfgs {
+		c, ok, err := o.candidate(cfg, bw)
+		if err != nil {
+			return nil, nil, err
+		}
+		if !ok {
+			continue
+		}
+		if c.meetsBW && (meets == nil || c.encMBs < meets.encMBs) {
+			meets = &c
+		}
+		if fastest == nil || c.encMBs > fastest.encMBs {
+			fastest = &c
+		}
+	}
+	return meets, fastest, nil
 }
 
 // ErrNoConfiguration reports an over-constrained request (e.g. a
@@ -149,6 +173,13 @@ var ErrNoConfiguration = fmt.Errorf("core: no ECC configuration matches the cons
 // under but closest to it) and the throughput bound (above but closest
 // to it); if none meets both, fall back to the configuration closest
 // to the memory budget with throughput closest to the bound.
+//
+// The walk asks only for the points that can change the answer, and
+// returns what the complete table would: without a throughput bound
+// that is one thread tier of the configurations tied at the winning
+// overhead; with one, tiers ascend until the bound is met, overhead
+// level by overhead level; only a bound nothing in the budget reaches
+// needs every point in the budget.
 func (o *Optimizer) Joint(mem, bw float64, res Resiliency) (Choice, error) {
 	if res.ErrorsPerMB > 0 && mem == AnyMem {
 		// Guarantee mode: the user stated an error rate but no storage
@@ -160,53 +191,56 @@ func (o *Optimizer) Joint(mem, bw float64, res Resiliency) (Choice, error) {
 			mem = cfg.Overhead()
 		}
 	}
-	cands := o.candidates(res, bw)
-	if len(cands) == 0 {
-		return Choice{}, ErrNoConfiguration
-	}
-	// Pass 1: overhead <= mem and throughput >= bw; maximize overhead
-	// (closest under budget = strongest protection the budget buys),
-	// tie-break on smallest throughput surplus.
-	var best *candidate
-	for i := range cands {
-		c := &cands[i]
-		if c.overhead > mem || !c.meetsBW {
+	var levels [][]Config // allowed configurations by overhead, ascending
+	fit := 0              // levels[:fit] are within the budget
+	for _, cfg := range AllConfigs() {
+		if !res.allows(cfg) {
 			continue
 		}
-		if best == nil || c.overhead > best.overhead ||
-			(c.overhead == best.overhead && c.encMBs < best.encMBs) {
-			best = c
-		}
-	}
-	if best != nil {
-		return choiceFrom(*best, mem, bw), nil
-	}
-	// Pass 2: the throughput bound is unreachable; hold the budget and
-	// get as close to the bound as possible (paper: "ARC attempts to
-	// get as close as possible"), breaking ties toward protection.
-	for i := range cands {
-		c := &cands[i]
-		if c.overhead > mem {
+		if n := len(levels); n > 0 && levels[n-1][0].Overhead() == cfg.Overhead() {
+			levels[n-1] = append(levels[n-1], cfg)
 			continue
 		}
-		if best == nil || c.encMBs > best.encMBs ||
-			(c.encMBs == best.encMBs && c.overhead > best.overhead) {
-			best = c
+		levels = append(levels, []Config{cfg})
+		if cfg.Overhead() <= mem {
+			fit++
 		}
 	}
-	if best != nil {
-		return choiceFrom(*best, mem, bw), nil
+	// Within the budget, from the level closest under it (the strongest
+	// protection the budget buys) down: the first level where some
+	// configuration meets the bound decides.
+	var fastest *candidate
+	for i := fit - 1; i >= 0; i-- {
+		meets, fast, err := o.level(levels[i], bw)
+		if err != nil {
+			return Choice{}, err
+		}
+		if meets != nil {
+			return choiceFrom(*meets, mem, bw), nil
+		}
+		if fast != nil && (fastest == nil || fast.encMBs > fastest.encMBs) {
+			fastest = fast
+		}
 	}
-	// Pass 3: nothing fits the budget (paper: go over, warn, use the
+	// The throughput bound is unreachable within the budget; hold the
+	// budget and get as close to the bound as possible (paper: "ARC
+	// attempts to get as close as possible"), ties toward protection —
+	// levels were visited from the highest overhead down.
+	if fastest != nil {
+		return choiceFrom(*fastest, mem, bw), nil
+	}
+	// Nothing fits the budget (paper: go over, warn, use the
 	// configuration with the lowest possible overhead).
-	for i := range cands {
-		c := &cands[i]
-		if best == nil || c.overhead < best.overhead ||
-			(c.overhead == best.overhead && c.encMBs > best.encMBs) {
-			best = c
+	for _, cfgs := range levels[fit:] {
+		_, fast, err := o.level(cfgs, bw)
+		if err != nil {
+			return Choice{}, err
+		}
+		if fast != nil {
+			return choiceFrom(*fast, mem, bw), nil
 		}
 	}
-	return choiceFrom(*best, mem, bw), nil
+	return Choice{}, ErrNoConfiguration
 }
 
 // Memory optimizes for the storage budget only.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/raceflag"
 )
@@ -195,6 +196,43 @@ func TestFig11ConstraintTracking(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Figure 11") {
 		t.Fatal("bad tables")
+	}
+}
+
+// TestHonestyConstraintsKept is the constraint-honesty gate: what
+// EncodeFile stores stays within the budget whenever the choice does
+// not say OverBudget (deterministic, always checked), and what it
+// achieves is at least half the bound whenever the choice does not say
+// UnderThroughput (timed, median of 3 on 16 MiB; the shared VM forbids
+// a tighter gate, and -short and -race runs skip it along with the
+// bounded requests, whose walk down the overhead levels measures the
+// table codes the race detector slows fifty-fold).
+func TestHonestyConstraintsKept(t *testing.T) {
+	timed := !testing.Short() && !raceflag.Enabled
+	size, reps, bws := 16<<20, 3, []float64{core.AnyBW, 25, 60}
+	if !timed {
+		size, reps, bws = 1<<20, 1, bws[:1]
+	}
+	r, err := Honesty(2, size, reps, bws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.Table().Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(honestyResiliencies) * len(honestyMems) * len(bws); len(r.Rows) != want {
+		t.Fatalf("grid has %d rows, want %d", len(r.Rows), want)
+	}
+	for _, row := range r.Rows {
+		if !row.Kept(timed) {
+			t.Errorf("res=%s mem=%g bw=%g: %s x%d stored %.4f over plain at %.1f MB/s (over=%v under=%v)",
+				row.Res, row.Mem, row.BW, row.Config, row.Threads, row.RealizedOverhead, row.AchievedMBs,
+				row.OverBudget, row.UnderThroughput)
+		}
+	}
+	if t.Failed() {
+		t.Log("\n" + buf.String())
 	}
 }
 

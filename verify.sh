@@ -83,6 +83,12 @@ echo "== race-built arcvet over its own sources =="
 # caught here before the scheduler ever overlaps units.
 go run -race ./cmd/arcvet ./internal/analysis ./cmd/arcvet
 
+echo "== on-demand training (1-point pins, cold-engine race, cache identity) =="
+# A cold engine measures only the points a request can choose, each
+# once even with goroutines racing for it, and trusts a cache only
+# under the fingerprint it was written with.
+go test -race ./internal/core -run 'Lazy|Train|Cache'
+
 echo "== service shutdown/disconnect leak regressions (race, 5 runs) =="
 go test -race -run 'TestArcdShutdownDrains|TestArcdClientDisconnectMidStream' -count=5 ./internal/service
 
