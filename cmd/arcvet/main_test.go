@@ -2,10 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -17,18 +14,23 @@ func TestRunExitCodes(t *testing.T) {
 		want int
 	}{
 		{"list", []string{"-list"}, 0},
-		{"unknown analyzer", []string{"-only", "nosuch"}, 2},
+		{"unknown analyzer", []string{"-analyzers", "mutexcopy"}, 2},
 		{"unknown analyzers flag value", []string{"-analyzers", "nosuch"}, 2},
 		{"unknown flag", []string{"-bogus"}, 2},
 		{"unknown format", []string{"-format", "xml"}, 2},
-		{"json conflicts with sarif", []string{"-json", "-format", "sarif"}, 2},
-		{"only and analyzers disagree", []string{"-only", "bitwidth", "-analyzers", "deadwait"}, 2},
 		{"waivercheck with subset", []string{"-waivercheck", "-analyzers", "bitwidth", "."}, 2},
+		// Flags and formats that are gone are usage errors, not
+		// silently accepted spellings.
+		{"self sarif", []string{"-format", "sarif", "-analyzers", "lockorder,chansafety,ctxflow", "."}, 2},
+		{"json conflicts with sarif", []string{"-json", "-format", "sarif"}, 2},
+		{"json shorthand", []string{"-json", "."}, 2},
+		{"only and analyzers disagree", []string{"-only", "bitwidth", "-analyzers", "deadwait"}, 2},
 		{"waivercheck with only", []string{"-waivercheck", "-only", "bitwidth", "."}, 2},
-		// The driver's own directory must be clean, via all renderers.
-		{"self text", []string{"-only", "uncheckederr", "."}, 0},
-		{"self json", []string{"-json", "-only", "bitwidth", "."}, 0},
-		{"self sarif", []string{"-format", "sarif", "-analyzers", "lockorder,chansafety,ctxflow", "."}, 0},
+		{"cache dir", []string{"-cache-dir", "/tmp/x", "."}, 2},
+		{"timing", []string{"-timing", "/tmp/x.json", "."}, 2},
+		// The driver's own directory must be clean, via both renderers.
+		{"self text", []string{"-analyzers", "uncheckederr", "."}, 0},
+		{"self json", []string{"-format", "json", "-analyzers", "bitwidth", "."}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,77 +60,17 @@ func TestUnknownAnalyzerListsValidNames(t *testing.T) {
 	}
 }
 
-// TestTimingAndCacheFlags runs the same directory cold then warm
-// through a temp cache and checks the -timing records show a full
-// replay with identical findings.
-func TestTimingAndCacheFlags(t *testing.T) {
-	cacheDir := filepath.Join(t.TempDir(), "cache")
-	coldPath := filepath.Join(t.TempDir(), "cold.json")
-	warmPath := filepath.Join(t.TempDir(), "warm.json")
-	read := func(path string) timingRecord {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rec timingRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			t.Fatal(err)
-		}
-		return rec
+// TestRepoSweepClean is the gate's one arcvet run (verify.sh and CI
+// have no step of their own): the full suite with waivercheck over the
+// whole module must report nothing, so `go test ./...` fails on a
+// finding or a stale waiver.
+func TestRepoSweepClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks every package of the module")
 	}
-	if got := run([]string{"-cache-dir", cacheDir, "-timing", coldPath, "."}, io.Discard, io.Discard); got != 0 {
-		t.Fatalf("cold run = %d, want 0", got)
-	}
-	if got := run([]string{"-cache-dir", cacheDir, "-timing", warmPath, "."}, io.Discard, io.Discard); got != 0 {
-		t.Fatalf("warm run = %d, want 0", got)
-	}
-	cold, warm := read(coldPath), read(warmPath)
-	if cold.Schema != "arcvet-timing-v1" || warm.Schema != "arcvet-timing-v1" {
-		t.Fatalf("bad schema: cold %q warm %q", cold.Schema, warm.Schema)
-	}
-	if cold.LiveUnits == 0 || cold.CachedUnits != 0 {
-		t.Errorf("cold run: live=%d cached=%d, want all live", cold.LiveUnits, cold.CachedUnits)
-	}
-	if warm.LiveUnits != 0 || warm.CachedUnits != cold.LiveUnits {
-		t.Errorf("warm run: live=%d cached=%d, want 0/%d", warm.LiveUnits, warm.CachedUnits, cold.LiveUnits)
-	}
-	if warm.FindingsHash != cold.FindingsHash {
-		t.Errorf("findings hash changed across warm replay: %s vs %s", cold.FindingsHash, warm.FindingsHash)
-	}
-}
-
-// TestSARIFOutput checks the emitted document is well-formed SARIF
-// 2.1.0 carrying the driver name code scanning keys uploads under,
-// even for a clean run (the upload step always runs, findings or
-// not), and that results is an array rather than null.
-func TestSARIFOutput(t *testing.T) {
-	var out bytes.Buffer
-	if got := run([]string{"-format", "sarif", "-analyzers", "lockorder", "."}, &out, io.Discard); got != 0 {
-		t.Fatalf("run = %d, want 0", got)
-	}
-	var log struct {
-		Schema  string `json:"$schema"`
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name string `json:"name"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []any `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &log); err != nil {
-		t.Fatalf("output is not JSON: %v", err)
-	}
-	if log.Version != "2.1.0" {
-		t.Errorf("version = %q, want 2.1.0", log.Version)
-	}
-	if len(log.Runs) != 1 || log.Runs[0].Tool.Driver.Name != "arcvet" {
-		t.Errorf("runs/driver malformed: %+v", log.Runs)
-	}
-	if log.Runs[0].Results == nil {
-		t.Error("results is null; code scanning requires an empty array")
+	var out, errOut bytes.Buffer
+	// The module root, seen from this package's directory.
+	if got := run([]string{"-waivercheck", "../../..."}, &out, &errOut); got != 0 {
+		t.Fatalf("arcvet -waivercheck ./... = %d, want 0\n%s%s", got, out.String(), errOut.String())
 	}
 }

@@ -9,16 +9,10 @@
 //	go test -bench 'BenchmarkKernel' -benchmem . | benchmeta kernels > BENCH_kernels.json
 //	go test -bench 'BenchmarkSeek' -benchmem .   | benchmeta seek    > BENCH_seek.json
 //	arcload -addr $ADDR -corrupt 0.5      | benchmeta service > BENCH_service.json
-//	benchmeta arcvet cold.json warm.json                      > BENCH_arcvet.json
 //
 // The service subcommand reads an arcload workload result instead of
 // benchmark lines and gates on the fault-injection integrity contract
-// plus smoke-scale throughput/latency floors (docs/SERVICE.md). The
-// arcvet subcommand takes two `arcvet -timing` records as file
-// arguments (a cold run that populates the fact cache, then a warm
-// rerun) and gates the incremental cache: the warm run must replay
-// every unit, reproduce the cold findings hash exactly, and beat the
-// cold wall time by at least 5x.
+// plus smoke-scale throughput/latency floors (docs/SERVICE.md).
 //
 // Both subcommands record ns/op, MB/s, B/op, and allocs/op per
 // benchmark under a "host" header, and both gate: `stream` fails (exit
@@ -397,109 +391,6 @@ func runSeek(in io.Reader, out, errw io.Writer) error {
 	return err
 }
 
-// arcvetWarmSpeedupMin is the incremental-cache floor: a warm arcvet
-// run over unchanged sources replays everything from the fact cache,
-// so it must beat the cold run by a wide margin. Measured warm runs
-// are 20-30x faster; 5x is a loose floor that still catches a cache
-// that has silently stopped hitting. See docs/STATIC_ANALYSIS.md.
-const arcvetWarmSpeedupMin = 5.0
-
-// arcvetTiming mirrors cmd/arcvet's -timing record (schema
-// arcvet-timing-v1). Kept as a local copy so benchmeta stays
-// decoupled from the analyzer internals.
-type arcvetTiming struct {
-	Schema       string  `json:"schema"`
-	WallMs       float64 `json:"wall_ms"`
-	Packages     int     `json:"packages"`
-	LiveUnits    int     `json:"live_units"`
-	CachedUnits  int     `json:"cached_units"`
-	Findings     int     `json:"findings"`
-	FindingsHash string  `json:"findings_hash"`
-}
-
-type arcvetArtifact struct {
-	Host     hostMeta           `json:"host"`
-	Note     string             `json:"note"`
-	Cold     arcvetTiming       `json:"cold"`
-	Warm     arcvetTiming       `json:"warm"`
-	Speedups map[string]float64 `json:"speedups"`
-	Targets  map[string]float64 `json:"targets"`
-}
-
-// readTiming loads and sanity-checks one arcvet -timing record.
-func readTiming(path string) (arcvetTiming, error) {
-	var rec arcvetTiming
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rec, err
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return rec, fmt.Errorf("%s: %w", path, err)
-	}
-	if rec.Schema != "arcvet-timing-v1" {
-		return rec, fmt.Errorf("%s: schema %q, want arcvet-timing-v1", path, rec.Schema)
-	}
-	if rec.WallMs <= 0 {
-		return rec, fmt.Errorf("%s: wall_ms %v is not positive", path, rec.WallMs)
-	}
-	return rec, nil
-}
-
-// runArcvet reads two arcvet -timing records (cold then warm, as file
-// arguments rather than stdin — the two runs cannot share a pipe),
-// records the cache artifact, and gates on the incremental-cache
-// contract: the warm run re-analyzes nothing, reproduces the cold
-// run's findings bit-for-bit, and lands the speedup floor.
-func runArcvet(args []string, out, errw io.Writer) error {
-	if len(args) != 2 {
-		return fmt.Errorf("arcvet gate FAILED: want two file arguments cold.json warm.json, got %d", len(args))
-	}
-	cold, err := readTiming(args[0])
-	if err != nil {
-		return fmt.Errorf("arcvet gate FAILED: %w", err)
-	}
-	warm, err := readTiming(args[1])
-	if err != nil {
-		return fmt.Errorf("arcvet gate FAILED: %w", err)
-	}
-	speedup := round2(cold.WallMs / warm.WallMs)
-	art := arcvetArtifact{
-		Host: host(),
-		Note: "cold run populates the arcvet fact cache, warm run replays it over unchanged sources; the gate requires a full replay (live_units=0), identical findings hashes, and the wall-clock speedup floor",
-		Cold: cold,
-		Warm: warm,
-		Speedups: map[string]float64{
-			"WarmVsCold": speedup,
-		},
-		Targets: map[string]float64{
-			"WarmVsCold_min": arcvetWarmSpeedupMin,
-		},
-	}
-	if err := emit(out, art); err != nil {
-		return err
-	}
-
-	var fails []string
-	if cold.LiveUnits == 0 {
-		fails = append(fails, "cold run analyzed nothing (was the cache dir already warm?)")
-	}
-	if warm.LiveUnits != 0 {
-		fails = append(fails, fmt.Sprintf("warm run re-analyzed %d units, want a full replay", warm.LiveUnits))
-	}
-	if warm.FindingsHash != cold.FindingsHash {
-		fails = append(fails, fmt.Sprintf("warm findings hash %s diverges from cold %s", warm.FindingsHash, cold.FindingsHash))
-	}
-	if speedup < arcvetWarmSpeedupMin {
-		fails = append(fails, fmt.Sprintf("warm run only %.2fx faster than cold (need %gx)", speedup, arcvetWarmSpeedupMin))
-	}
-	if len(fails) > 0 {
-		return fmt.Errorf("arcvet gate FAILED: %s", strings.Join(fails, "; "))
-	}
-	_, err = fmt.Fprintf(errw, "arcvet gate OK: warm replay of %d units %.1fx faster than cold (%.0fms -> %.0fms), findings identical\n",
-		warm.CachedUnits, speedup, cold.WallMs, warm.WallMs)
-	return err
-}
-
 const (
 	// Smoke-scale service floors: deliberately conservative so they
 	// hold on a loaded single-core CI runner while still catching a
@@ -616,10 +507,8 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 		return runService(in, out, errw)
 	case "seek":
 		return runSeek(in, out, errw)
-	case "arcvet":
-		return runArcvet(args[1:], out, errw)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want stream, kernels, seek, arcvet, or service, or no argument for host metadata)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want stream, kernels, seek, or service, or no argument for host metadata)", args[0])
 	}
 }
 

@@ -102,7 +102,7 @@ type Diagnostic struct {
 	Pos      token.Position `json:"-"`
 	Message  string         `json:"message"`
 
-	// Flattened position fields for -json output.
+	// Flattened position fields for -format json output.
 	File string `json:"file"`
 	Line int    `json:"line"`
 	Col  int    `json:"col"`
@@ -136,7 +136,7 @@ func All() []*Analyzer {
 }
 
 // ByName resolves a comma-separated analyzer list; unknown names are
-// an error so typos in -only do not silently skip checks.
+// an error so typos in -analyzers do not silently skip checks.
 func ByName(names string) ([]*Analyzer, error) {
 	if names == "" {
 		return All(), nil

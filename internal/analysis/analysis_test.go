@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"runtime"
 	"sort"
@@ -30,8 +31,9 @@ func writeFixture(t *testing.T, files map[string]string) string {
 	return root
 }
 
-// analyze runs every registered analyzer over the fixture module.
-func analyze(t *testing.T, root string) []analysis.Diagnostic {
+// analyzeResult runs every registered analyzer over the fixture
+// module and returns the full Result (findings, facts, graph).
+func analyzeResult(t *testing.T, root string, waiverCheck bool) *analysis.Result {
 	t.Helper()
 	loader, err := analysis.NewLoader(root)
 	if err != nil {
@@ -41,11 +43,17 @@ func analyze(t *testing.T, root string) []analysis.Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := analysis.Run(loader, dirs, analysis.All())
+	res, err := analysis.Run(loader, dirs, analysis.All(), waiverCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Diagnostics
+	return res
+}
+
+// analyze is analyzeResult for tests that only read the findings.
+func analyze(t *testing.T, root string) []analysis.Diagnostic {
+	t.Helper()
+	return analyzeResult(t, root, false).Diagnostics
 }
 
 var wantRe = regexp.MustCompile(`// want ([a-z ]+)$`)
@@ -188,50 +196,15 @@ func bits(w *bitio.Writer, r *bitio.Reader, v uint64) {
 }
 
 func shifts(x uint32, y uint64, n int) uint64 {
-	_ = x >> 32 // want bitwidth
+	_ = x >> 32 // go vet's shift pass reports this line, so bitwidth does not
 	_ = x >> 31
-	y <<= 64 // want bitwidth
+	y <<= 64 // and this one
 	y <<= 1
-	_ = y << uint(n) // non-constant count: not this analyzer's job
+	_ = y << uint(n)
 	return uint64(x) << 40
 }
 `,
 	}
-	root := writeFixture(t, files)
-	checkMarkers(t, root, files, analyze(t, root))
-}
-
-func TestMutexCopy(t *testing.T) {
-	files := map[string]string{"p/p.go": `package p
-
-import "sync"
-
-type locked struct {
-	mu sync.Mutex
-	n  int
-}
-
-func byValue(l locked)    {} // want mutexcopy
-func byPointer(l *locked) {}
-func plain(n int)         {}
-
-func (l locked) bad()   {} // want mutexcopy
-func (l *locked) good() {}
-
-func iterate(xs []locked) int {
-	total := 0
-	for _, x := range xs { // want mutexcopy
-		total += x.n
-	}
-	for i := range xs {
-		total += xs[i].n
-	}
-	p := &xs[0]
-	y := *p // want mutexcopy
-	_ = y
-	return total
-}
-`}
 	root := writeFixture(t, files)
 	checkMarkers(t, root, files, analyze(t, root))
 }
@@ -357,6 +330,37 @@ func f() {
 	}
 }
 
+// TestWaiverCheck seeds one waiver that suppresses a real finding and
+// one that suppresses nothing; only the stale one must be reported.
+func TestWaiverCheck(t *testing.T) {
+	files := map[string]string{
+		"p/p.go": `package p
+
+func mayFail() error { return nil }
+
+func uses() int {
+	//arcvet:ignore uncheckederr fixture exercises the waiver path
+	mayFail()
+	x := 1
+	//arcvet:ignore uncheckederr nothing to suppress here
+	return x
+}
+`,
+	}
+	root := writeFixture(t, files)
+	var stale []string
+	for _, d := range analyzeResult(t, root, true).Diagnostics {
+		if d.Analyzer != "waivercheck" {
+			t.Errorf("unexpected finding %v", d)
+			continue
+		}
+		stale = append(stale, fmt.Sprintf("%s:%d", filepath.Base(d.File), d.Line))
+	}
+	if want := []string{"p.go:9"}; !reflect.DeepEqual(stale, want) {
+		t.Errorf("stale waivers %v, want %v", stale, want)
+	}
+}
+
 func TestDiagnosticString(t *testing.T) {
 	files := map[string]string{"p/p.go": `package p
 
@@ -382,8 +386,8 @@ func f() {
 
 func TestByName(t *testing.T) {
 	all, err := analysis.ByName("")
-	if err != nil || len(all) != 15 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want the full set of 15", len(all), err)
+	if err != nil || len(all) != 14 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want the full set of 14", len(all), err)
 	}
 	two, err := analysis.ByName("bitwidth, mathbits")
 	if err != nil || len(two) != 2 {

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"strings"
 )
 
@@ -18,9 +17,9 @@ var bitioWidthArg = map[string]int{
 func init() {
 	Register(&Analyzer{
 		Name: "bitwidth",
-		Doc: "reports bitio read/write calls with a constant width outside [1,64] " +
-			"and shifts whose constant count meets or exceeds the operand's bit " +
-			"size — both silently corrupt SZ/ZFP bit streams",
+		Doc: "reports bitio read/write calls with a constant width outside [1,64], " +
+			"which silently corrupt SZ/ZFP bit streams (constant over-shifts are " +
+			"go vet's shift pass)",
 		Run: runBitWidth,
 	})
 }
@@ -28,17 +27,8 @@ func init() {
 func runBitWidth(pass *Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.CallExpr:
-				checkBitioWidth(pass, x)
-			case *ast.BinaryExpr:
-				if x.Op == token.SHL || x.Op == token.SHR {
-					checkShift(pass, x.X, x.Y, x.OpPos, x.Op)
-				}
-			case *ast.AssignStmt:
-				if x.Tok == token.SHL_ASSIGN || x.Tok == token.SHR_ASSIGN {
-					checkShift(pass, x.Lhs[0], x.Rhs[0], x.TokPos, x.Tok)
-				}
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkBitioWidth(pass, call)
 			}
 			return true
 		})
@@ -62,33 +52,5 @@ func checkBitioWidth(pass *Pass, call *ast.CallExpr) {
 	}
 	if width < 1 || width > 64 {
 		pass.Reportf(call.Args[idx].Pos(), "bitio.%s width %d outside [1,64]", f.Name(), width)
-	}
-}
-
-// checkShift flags constant shift counts that meet or exceed the
-// shifted operand's bit size (the result is always zero / sign fill,
-// which is never what stream code intends).
-func checkShift(pass *Pass, lhs, rhs ast.Expr, pos token.Pos, op token.Token) {
-	// A fully constant shift is folded and range-checked by the
-	// compiler; only typed, non-constant operands can mask bugs.
-	// Info.TypeOf (rather than the Types map alone) also resolves
-	// identifiers on the left of <<= / >>=.
-	if tv, ok := pass.Info.Types[lhs]; ok && tv.Value != nil {
-		return
-	}
-	t := pass.Info.TypeOf(lhs)
-	if t == nil {
-		return
-	}
-	b, ok := basicInt(t)
-	if !ok {
-		return
-	}
-	count, ok := constInt(pass.Info, rhs)
-	if !ok {
-		return
-	}
-	if count >= int64(intBits(b)) || count < 0 {
-		pass.Reportf(pos, "%s by %d on %d-bit %s always yields a constant", op, count, intBits(b), b.Name())
 	}
 }

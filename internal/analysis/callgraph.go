@@ -14,15 +14,10 @@ import (
 // literal's body only runs via its host (directly or as a goroutine
 // it spawns).
 type CGNode struct {
-	Key  string      // FuncKey of the function
-	Fn   *types.Func // nil for nodes only ever seen as callees
-	Decl *ast.FuncDecl
-	Pos  token.Pos
-	// The fields below duplicate what Finish phases need from Fn/Decl
-	// in a serializable form, so nodes replayed from the incremental
-	// cache (where no live type info exists) behave identically.
+	Key string // FuncKey of the function
 	// HasDecl marks a node whose declaration was seen in a loaded
-	// unit; Name/Exported/IsMethod/TestFile are only meaningful then.
+	// unit (false for nodes only ever seen as callees);
+	// Name/Exported/IsMethod/TestFile are only meaningful then.
 	HasDecl  bool
 	Name     string
 	Exported bool
@@ -98,84 +93,59 @@ func (g *CallGraph) edge(from, to string) {
 	g.node(to)
 }
 
-// BuildCallGraph constructs the call graph over every loaded unit.
+// addUnit collects one unit's declarations and call edges into g.
 // Interface method calls get class-hierarchy edges: an abstract
-// method node links to the matching method of every module-local
-// named type that implements the interface, so panic and taint facts
-// flow through dynamic dispatch instead of vanishing at it.
-func BuildCallGraph(fset *token.FileSet, units []*Unit) *CallGraph {
-	g := &CallGraph{nodes: map[string]*CGNode{}}
-	g.addUnits(fset, units, nil)
-	g.finalize()
-	return g
-}
-
-// addUnits collects declarations and call edges from units into g.
-// extraTypes widens the CHA concrete-type pool beyond the units' own
-// package scopes — the incremental driver passes the scopes of
-// type-checked dependency packages so interface calls in re-analyzed
-// units still resolve to implementations declared elsewhere.
-func (g *CallGraph) addUnits(fset *token.FileSet, units []*Unit, extraTypes []types.Type) {
+// method node links to the matching method of every type in concrete
+// that implements the interface, so panic and taint facts flow
+// through dynamic dispatch instead of vanishing at it.
+func (g *CallGraph) addUnit(fset *token.FileSet, unit *Unit, concrete []types.Type) {
 	type ifaceCall struct {
 		iface  *types.Interface
 		method *types.Func
 	}
 	var abstract []ifaceCall
 	seenAbstract := map[string]bool{}
-	concrete := append([]types.Type(nil), extraTypes...)
 
-	for _, unit := range units {
-		// Every exported named type is an implementation candidate
-		// for CHA resolution of interface calls.
-		scope := unit.Pkg.Scope()
-		for _, name := range scope.Names() {
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
-				concrete = append(concrete, tn.Type())
+	for _, file := range unit.Files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
 			}
-		}
-		for _, file := range unit.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := unit.Info.Defs[fd.Name].(*types.Func)
+			fn, ok := unit.Info.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			caller := FuncKey(fn)
+			node := g.node(caller)
+			node.HasDecl = true
+			node.Name = fn.Name()
+			node.Exported = fn.Exported()
+			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+				node.IsMethod = true
+			}
+			node.Position = fset.Position(fd.Pos())
+			node.TestFile = strings.HasSuffix(node.Position.Filename, "_test.go")
+			node.HasRecover = hasRecoverGuard(unit.Info, fd.Body)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
 				if !ok {
-					continue
-				}
-				caller := FuncKey(fn)
-				node := g.node(caller)
-				node.Fn, node.Decl, node.Pos = fn, fd, fd.Pos()
-				node.HasDecl = true
-				node.Name = fn.Name()
-				node.Exported = fn.Exported()
-				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-					node.IsMethod = true
-				}
-				node.Position = fset.Position(fd.Pos())
-				node.TestFile = strings.HasSuffix(node.Position.Filename, "_test.go")
-				node.HasRecover = hasRecoverGuard(unit.Info, fd.Body)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					callee := calleeFunc(unit.Info, call)
-					if callee == nil {
-						return true
-					}
-					key := FuncKey(callee)
-					g.edge(caller, key)
-					if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
-						if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok && !seenAbstract[key] {
-							seenAbstract[key] = true
-							abstract = append(abstract, ifaceCall{iface, callee})
-							g.node(key).Fn = callee
-						}
-					}
 					return true
-				})
-			}
+				}
+				callee := calleeFunc(unit.Info, call)
+				if callee == nil {
+					return true
+				}
+				key := FuncKey(callee)
+				g.edge(caller, key)
+				if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
+					if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok && !seenAbstract[key] {
+						seenAbstract[key] = true
+						abstract = append(abstract, ifaceCall{iface, callee})
+					}
+				}
+				return true
+			})
 		}
 	}
 
@@ -197,8 +167,8 @@ func (g *CallGraph) addUnits(fset *token.FileSet, units []*Unit, extraTypes []ty
 }
 
 // finalize freezes the edge maps into sorted Callees lists and
-// computes the Callers back-edges. Call once, after every unit (live
-// or replayed from cache) has contributed its edges.
+// computes the Callers back-edges. The driver calls it after each
+// unit, so analyzers see the graph of everything loaded so far.
 func (g *CallGraph) finalize() {
 	for _, n := range g.nodes {
 		n.Callees = make([]string, 0, len(n.callees))

@@ -38,7 +38,6 @@ type ChanUseFact struct {
 func (*ChanUseFact) FactName() string { return "chansafety.chanuse" }
 
 func init() {
-	RegisterFactType(func() Fact { return new(ChanUseFact) })
 	Register(&Analyzer{
 		Name: "chansafety",
 		Doc: "channel contract violation: send or close after a reachable close (panics at runtime), " +
@@ -340,20 +339,33 @@ type closeRec struct {
 	via string
 }
 
-// csWalker performs the order-sensitive walk for the send-after-close
-// rule, with lockorder's snapshot discipline for branches, plus the
-// loop-spawn rule (it needs loop nesting).
+// csWalker holds the order-sensitive state of the send-after-close
+// rule, snapshotted around branches like lockorder's held set, plus
+// the loop nesting the loop-spawn rule needs.
 type csWalker struct {
 	pass    *Pass
 	profile *chanProfile
 	closed  map[chainRef]closeRec
 	// loops is the stack of enclosing unbounded-loop bodies.
 	loops []*ast.BlockStmt
+	flow  *flow
 }
 
 func checkChanSafety(pass *Pass, t declTarget) {
 	w := &csWalker{pass: pass, profile: profileChans(pass, t.decl.Body), closed: map[chainRef]closeRec{}}
-	w.walkBody(t.decl.Body)
+	w.flow = &flow{
+		expr:   w.walkExpr,
+		send:   w.send,
+		branch: w.snapshot,
+		loop:   w.loop,
+		sel: func(s *ast.SelectStmt) bool {
+			w.checkDeadSelect(s)
+			return false
+		},
+		goStmt:    w.goStmt,
+		deferStmt: func(s *ast.DeferStmt) { w.flow.exprs(s.Call.Args) },
+	}
+	w.flow.stmts(t.decl.Body.List)
 }
 
 func (w *csWalker) snapshot(walk func()) {
@@ -365,154 +377,62 @@ func (w *csWalker) snapshot(walk func()) {
 	w.closed = saved
 }
 
-func (w *csWalker) walkBody(body *ast.BlockStmt) {
-	for _, s := range body.List {
-		w.walkStmt(s)
+// ownDomain walks a function literal that may run on another
+// goroutine: its view of this function's closes is racy, so it starts
+// with an empty closed set and outside every loop.
+func (w *csWalker) ownDomain(lit *ast.FuncLit) {
+	closed, loops := w.closed, w.loops
+	w.closed, w.loops = map[chainRef]closeRec{}, nil
+	w.flow.stmts(lit.Body.List)
+	w.closed, w.loops = closed, loops
+}
+
+func (w *csWalker) send(s *ast.SendStmt) {
+	w.walkExpr(s.Value)
+	if ref, ok := chanChain(w.pass.Info, s.Chan); ok {
+		if rec, isClosed := w.closed[ref]; isClosed {
+			w.pass.Reportf(s.Pos(), "send on %s, which a reachable path closes at %s%s: send on a closed channel panics",
+				chainDisplay(s.Chan), posDisplay(rec.pos), viaSuffix(rec.via))
+		}
 	}
 }
 
-func (w *csWalker) walkStmt(s ast.Stmt) {
+// loop snapshots the body and, for a loop with no bound of its own
+// (range, or for without a condition), records it for checkLoopSpawn.
+func (w *csWalker) loop(s ast.Stmt, body func()) {
+	var unbounded *ast.BlockStmt
 	switch s := s.(type) {
-	case *ast.BlockStmt:
-		w.walkBody(s)
-	case *ast.ExprStmt:
-		w.walkExpr(s.X)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.walkExpr(e)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.walkExpr(e)
-					}
-				}
-			}
-		}
-	case *ast.SendStmt:
-		w.walkExpr(s.Value)
-		if ref, ok := chanChain(w.pass.Info, s.Chan); ok {
-			if rec, isClosed := w.closed[ref]; isClosed {
-				w.pass.Reportf(s.Pos(), "send on %s, which a reachable path closes at %s%s: send on a closed channel panics",
-					chainDisplay(s.Chan), posDisplay(rec.pos), viaSuffix(rec.via))
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.walkExpr(e)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.walkExpr(s.Cond)
-		w.snapshot(func() { w.walkBody(s.Body) })
-		if s.Else != nil {
-			w.snapshot(func() { w.walkStmt(s.Else) })
-		}
 	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
+		if s.Cond == nil {
+			unbounded = s.Body
 		}
-		unbounded := s.Cond == nil
-		w.snapshot(func() {
-			if unbounded {
-				w.loops = append(w.loops, s.Body)
-			}
-			w.walkBody(s.Body)
-			if s.Post != nil {
-				w.walkStmt(s.Post)
-			}
-			if unbounded {
-				w.loops = w.loops[:len(w.loops)-1]
-			}
-		})
 	case *ast.RangeStmt:
-		w.walkExpr(s.X)
-		w.snapshot(func() {
-			w.loops = append(w.loops, s.Body)
-			w.walkBody(s.Body)
+		unbounded = s.Body
+	}
+	w.snapshot(func() {
+		if unbounded != nil {
+			w.loops = append(w.loops, unbounded)
+		}
+		body()
+		if unbounded != nil {
 			w.loops = w.loops[:len(w.loops)-1]
-		})
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		var caseBodies [][]ast.Stmt
-		switch sw := s.(type) {
-		case *ast.SwitchStmt:
-			if sw.Init != nil {
-				w.walkStmt(sw.Init)
-			}
-			if sw.Tag != nil {
-				w.walkExpr(sw.Tag)
-			}
-			for _, c := range sw.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					caseBodies = append(caseBodies, cc.Body)
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			if sw.Init != nil {
-				w.walkStmt(sw.Init)
-			}
-			for _, c := range sw.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					caseBodies = append(caseBodies, cc.Body)
-				}
-			}
 		}
-		for _, body := range caseBodies {
-			body := body
-			w.snapshot(func() {
-				for _, st := range body {
-					w.walkStmt(st)
-				}
-			})
-		}
-	case *ast.SelectStmt:
-		w.checkDeadSelect(s)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.snapshot(func() {
-					for _, st := range cc.Body {
-						w.walkStmt(st)
-					}
-				})
-			}
-		}
-	case *ast.GoStmt:
-		w.checkLoopSpawn(s)
-		// The goroutine body runs in its own order domain: walk it
-		// with a fresh closed set (its view of closes is racy), but
-		// keep loop context empty.
-		for _, arg := range s.Call.Args {
-			w.walkExpr(arg)
-		}
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			inner := &csWalker{pass: w.pass, profile: w.profile, closed: map[chainRef]closeRec{}}
-			inner.walkBody(lit.Body)
-		}
-	case *ast.DeferStmt:
-		for _, arg := range s.Call.Args {
-			w.walkExpr(arg)
-		}
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt)
-	case *ast.IncDecStmt:
-		w.walkExpr(s.X)
+	})
+}
+
+func (w *csWalker) goStmt(s *ast.GoStmt) {
+	w.checkLoopSpawn(s)
+	w.flow.exprs(s.Call.Args)
+	if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
+		w.ownDomain(lit)
 	}
 }
 
 func (w *csWalker) walkExpr(e ast.Expr) {
-	if e == nil {
-		return
-	}
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			// Literals may run on other goroutines: own order domain.
-			inner := &csWalker{pass: w.pass, profile: w.profile, closed: map[chainRef]closeRec{}}
-			inner.walkBody(n.Body)
+			w.ownDomain(n)
 			return false
 		case *ast.CallExpr:
 			w.handleCall(n)

@@ -284,6 +284,17 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 	return false
 }
 
+// rangesOverChan reports whether loop statement s is a range over a
+// channel, which blocks until the channel is closed.
+func rangesOverChan(info *types.Info, s ast.Stmt) bool {
+	rs, ok := s.(*ast.RangeStmt)
+	if !ok {
+		return false
+	}
+	tv, ok := info.Types[rs.X]
+	return ok && isChanType(tv.Type)
+}
+
 // isChanType reports whether t's underlying type is a channel.
 func isChanType(t types.Type) bool {
 	if t == nil {

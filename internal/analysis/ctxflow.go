@@ -40,7 +40,6 @@ func (*CtxBlockFact) FactName() string { return "ctxflow.blocks" }
 const maxCtxOps = 6
 
 func init() {
-	RegisterFactType(func() Fact { return new(CtxBlockFact) })
 	Register(&Analyzer{
 		Name: "ctxflow",
 		Doc: "cancellation contract violation: an exported API blocks with no context.Context or done-channel " +
@@ -63,15 +62,11 @@ type ctxCollect struct {
 // can unblock it).
 func ctxSyncFlow(pass *Pass, top *ast.BlockStmt) *ctxCollect {
 	c := &ctxCollect{}
-	var walkStmt func(ast.Stmt)
 	addOp := func(pos token.Pos, what string) {
 		p := pass.Fset.Position(pos)
 		c.ops = append(c.ops, BlockSite{File: p.Filename, Line: p.Line, Col: p.Column, What: what})
 	}
 	walkExpr := func(e ast.Expr) {
-		if e == nil {
-			return
-		}
 		ast.Inspect(e, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncLit:
@@ -105,95 +100,26 @@ func ctxSyncFlow(pass *Pass, top *ast.BlockStmt) *ctxCollect {
 			return true
 		})
 	}
-	walkStmt = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.BlockStmt:
-			for _, st := range s.List {
-				walkStmt(st)
-			}
-		case *ast.ExprStmt:
-			walkExpr(s.X)
-		case *ast.AssignStmt:
-			for _, e := range s.Rhs {
-				walkExpr(e)
-			}
-		case *ast.DeclStmt:
-			if gd, ok := s.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for _, e := range vs.Values {
-							walkExpr(e)
-						}
-					}
-				}
-			}
-		case *ast.SendStmt:
+	f := &flow{
+		expr: walkExpr,
+		send: func(s *ast.SendStmt) {
 			walkExpr(s.Value)
 			addOp(s.Pos(), "channel send")
-		case *ast.ReturnStmt:
-			for _, e := range s.Results {
-				walkExpr(e)
-			}
-		case *ast.IfStmt:
-			if s.Init != nil {
-				walkStmt(s.Init)
-			}
-			walkExpr(s.Cond)
-			walkStmt(s.Body)
-			if s.Else != nil {
-				walkStmt(s.Else)
-			}
-		case *ast.ForStmt:
-			if s.Init != nil {
-				walkStmt(s.Init)
-			}
-			walkExpr(s.Cond)
-			walkStmt(s.Body)
-			if s.Post != nil {
-				walkStmt(s.Post)
-			}
-		case *ast.RangeStmt:
-			walkExpr(s.X)
-			if tv, ok := pass.Info.Types[s.X]; ok && isChanType(tv.Type) {
+		},
+		loop: func(s ast.Stmt, body func()) {
+			if rangesOverChan(pass.Info, s) {
 				addOp(s.Pos(), "range over channel")
 			}
-			walkStmt(s.Body)
-		case *ast.SwitchStmt:
-			if s.Init != nil {
-				walkStmt(s.Init)
-			}
-			walkExpr(s.Tag)
-			walkStmt(s.Body)
-		case *ast.TypeSwitchStmt:
-			if s.Init != nil {
-				walkStmt(s.Init)
-			}
-			walkStmt(s.Body)
-		case *ast.CaseClause:
-			for _, st := range s.Body {
-				walkStmt(st)
-			}
-		case *ast.SelectStmt:
-			// Only the case bodies are sync flow; the communications
-			// themselves have alternatives.
-			for _, cl := range s.Body.List {
-				if cc, ok := cl.(*ast.CommClause); ok {
-					for _, st := range cc.Body {
-						walkStmt(st)
-					}
-				}
-			}
-		case *ast.LabeledStmt:
-			walkStmt(s.Stmt)
-		case *ast.IncDecStmt:
-			walkExpr(s.X)
-		case *ast.GoStmt, *ast.DeferStmt:
-			// Not this goroutine's flow; rules 2 and 4 inspect them.
-		}
+			body()
+		},
+		// Only the case bodies of a select are sync flow; the
+		// communications themselves have alternatives.
+		sel: func(*ast.SelectStmt) bool { return false },
+		// Not this goroutine's flow; rules 2 and 4 inspect them.
+		goStmt:    func(*ast.GoStmt) {},
+		deferStmt: func(*ast.DeferStmt) {},
 	}
-	for _, st := range top.List {
-		walkStmt(st)
-	}
+	f.stmts(top.List)
 	return c
 }
 

@@ -37,7 +37,6 @@ type WaitGroupEffectFact struct {
 func (*WaitGroupEffectFact) FactName() string { return "deadwait.effects" }
 
 func init() {
-	RegisterFactType(func() Fact { return new(WaitGroupEffectFact) })
 	Register(&Analyzer{
 		Name: "deadwait",
 		Doc: "sync.WaitGroup Add/Done imbalance on a path through a goroutine body: Add inside the " +
@@ -79,6 +78,10 @@ type dwWalker struct {
 	params  map[types.Object]int
 	records []wgRecord
 	escaped map[wgKey]bool
+	// ctx is where the statement being walked sits: loop depth, the
+	// spawned literal it belongs to, whether it runs deferred.
+	ctx  dwCtx
+	flow *flow
 }
 
 func runDeadWait(pass *Pass) error {
@@ -109,7 +112,7 @@ func runDeadWait(pass *Pass) error {
 		changed := false
 		for _, t := range targets {
 			w := newDWWalker(pass, t.decl)
-			w.walkStmts(t.decl.Body.List, dwCtx{})
+			w.flow.stmts(t.decl.Body.List)
 			walkers[FuncKey(t.fn)] = w
 			if w.exportFact(t.fn) {
 				changed = true
@@ -146,171 +149,92 @@ func newDWWalker(pass *Pass, decl *ast.FuncDecl) *dwWalker {
 			idx++
 		}
 	}
+	w.flow = &flow{
+		expr: w.walkExpr,
+		loop: func(_ ast.Stmt, body func()) {
+			w.ctx.loop++
+			body()
+			w.ctx.loop--
+		},
+		goStmt: func(s *ast.GoStmt) { w.handleSpawnedCall(s.Call) },
+		deferStmt: func(s *ast.DeferStmt) {
+			inner := w.ctx
+			inner.deferred = true
+			w.within(inner, func() {
+				if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
+					w.flow.stmts(lit.Body.List)
+				} else {
+					w.walkExpr(s.Call)
+				}
+			})
+		},
+	}
 	return w
 }
 
-func (w *dwWalker) walkStmts(list []ast.Stmt, ctx dwCtx) {
-	for _, s := range list {
-		w.walkStmt(s, ctx)
-	}
-}
-
-func (w *dwWalker) walkStmt(s ast.Stmt, ctx dwCtx) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		w.walkStmts(s.List, ctx)
-	case *ast.ExprStmt:
-		w.walkExpr(s.X, ctx)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.walkExpr(e, ctx)
-		}
-		for _, e := range s.Lhs {
-			w.walkExpr(e, ctx)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.walkExpr(v, ctx)
-					}
-				}
-			}
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, ctx)
-		}
-		w.walkExpr(s.Cond, ctx)
-		w.walkStmts(s.Body.List, ctx)
-		if s.Else != nil {
-			w.walkStmt(s.Else, ctx)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, ctx)
-		}
-		inner := ctx
-		inner.loop++
-		if s.Cond != nil {
-			w.walkExpr(s.Cond, ctx)
-		}
-		w.walkStmts(s.Body.List, inner)
-		if s.Post != nil {
-			w.walkStmt(s.Post, inner)
-		}
-	case *ast.RangeStmt:
-		w.walkExpr(s.X, ctx)
-		inner := ctx
-		inner.loop++
-		w.walkStmts(s.Body.List, inner)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, ctx)
-		}
-		if s.Tag != nil {
-			w.walkExpr(s.Tag, ctx)
-		}
-		for _, c := range s.Body.List {
-			w.walkStmts(c.(*ast.CaseClause).Body, ctx)
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, ctx)
-		}
-		w.walkStmt(s.Assign, ctx)
-		for _, c := range s.Body.List {
-			w.walkStmts(c.(*ast.CaseClause).Body, ctx)
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			if cc.Comm != nil {
-				w.walkStmt(cc.Comm, ctx)
-			}
-			w.walkStmts(cc.Body, ctx)
-		}
-	case *ast.GoStmt:
-		w.handleSpawnedCall(s.Call, ctx)
-	case *ast.DeferStmt:
-		inner := ctx
-		inner.deferred = true
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			w.walkStmts(lit.Body.List, inner)
-		} else {
-			w.walkExpr(s.Call, inner)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.walkExpr(e, ctx)
-		}
-	case *ast.SendStmt:
-		w.walkExpr(s.Chan, ctx)
-		w.walkExpr(s.Value, ctx)
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, ctx)
-	case *ast.IncDecStmt:
-		w.walkExpr(s.X, ctx)
-	}
+// within runs walk with ctx in place of the current context.
+func (w *dwWalker) within(ctx dwCtx, walk func()) {
+	saved := w.ctx
+	w.ctx = ctx
+	walk()
+	w.ctx = saved
 }
 
 // handleSpawnedCall processes `go f(...)`: a function literal's body
 // is walked in goroutine context; a named callee contributes its
 // summarized WaitGroup effects at the spawn site.
-func (w *dwWalker) handleSpawnedCall(call *ast.CallExpr, ctx dwCtx) {
-	for _, a := range call.Args {
-		w.walkExpr(a, ctx)
-	}
+func (w *dwWalker) handleSpawnedCall(call *ast.CallExpr) {
+	w.flow.exprs(call.Args)
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		w.walkStmts(lit.Body.List, dwCtx{loop: ctx.loop, goLit: lit})
+		w.within(dwCtx{loop: w.ctx.loop, goLit: lit}, func() { w.flow.stmts(lit.Body.List) })
 		return
 	}
-	w.handleCall(call, ctx, true)
+	w.handleCall(call, true)
 }
 
-func (w *dwWalker) walkExpr(e ast.Expr, ctx dwCtx) {
+func (w *dwWalker) walkExpr(e ast.Expr) {
 	switch e := e.(type) {
 	case nil:
 	case *ast.CallExpr:
-		w.handleCall(e, ctx, false)
+		w.handleCall(e, false)
 	case *ast.FuncLit:
-		w.walkStmts(e.Body.List, ctx)
+		w.flow.stmts(e.Body.List)
 	case *ast.ParenExpr:
-		w.walkExpr(e.X, ctx)
+		w.walkExpr(e.X)
 	case *ast.BinaryExpr:
-		w.walkExpr(e.X, ctx)
-		w.walkExpr(e.Y, ctx)
+		w.walkExpr(e.X)
+		w.walkExpr(e.Y)
 	case *ast.UnaryExpr:
-		w.walkExpr(e.X, ctx)
+		w.walkExpr(e.X)
 	case *ast.StarExpr:
-		w.walkExpr(e.X, ctx)
+		w.walkExpr(e.X)
 	case *ast.IndexExpr:
-		w.walkExpr(e.X, ctx)
-		w.walkExpr(e.Index, ctx)
+		w.walkExpr(e.X)
+		w.walkExpr(e.Index)
 	case *ast.SliceExpr:
-		w.walkExpr(e.X, ctx)
-		w.walkExpr(e.Low, ctx)
-		w.walkExpr(e.High, ctx)
-		w.walkExpr(e.Max, ctx)
+		w.walkExpr(e.X)
+		w.walkExpr(e.Low)
+		w.walkExpr(e.High)
+		w.walkExpr(e.Max)
 	case *ast.SelectorExpr:
-		w.walkExpr(e.X, ctx)
+		w.walkExpr(e.X)
 	case *ast.CompositeLit:
 		for _, elt := range e.Elts {
 			if kv, ok := elt.(*ast.KeyValueExpr); ok {
 				elt = kv.Value
 			}
-			w.walkExpr(elt, ctx)
+			w.walkExpr(elt)
 			w.noteEscape(elt)
 		}
 	case *ast.TypeAssertExpr:
-		w.walkExpr(e.X, ctx)
+		w.walkExpr(e.X)
 	}
 }
 
 // handleCall classifies one call: a WaitGroup method, a summarized
 // delegate, or an escape point for any WaitGroup argument.
-func (w *dwWalker) handleCall(call *ast.CallExpr, ctx dwCtx, spawned bool) {
+func (w *dwWalker) handleCall(call *ast.CallExpr, spawned bool) {
+	ctx := w.ctx
 	if key, method, ok := w.wgMethodCall(call); ok {
 		switch method {
 		case "Add", "Done":
@@ -327,7 +251,7 @@ func (w *dwWalker) handleCall(call *ast.CallExpr, ctx dwCtx, spawned bool) {
 			})
 		}
 		for _, a := range call.Args {
-			w.walkExpr(a, ctx)
+			w.walkExpr(a)
 		}
 		return
 	}
@@ -339,23 +263,24 @@ func (w *dwWalker) handleCall(call *ast.CallExpr, ctx dwCtx, spawned bool) {
 		}
 	}
 	if fact != nil {
-		w.applyFact(call, fact, ctx, spawned)
+		w.applyFact(call, fact, spawned)
 	} else {
 		for _, a := range call.Args {
 			w.noteEscape(a)
 		}
 	}
 	for _, a := range call.Args {
-		w.walkExpr(a, ctx)
+		w.walkExpr(a)
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		w.walkExpr(sel.X, ctx)
+		w.walkExpr(sel.X)
 	}
 }
 
 // applyFact synthesizes Add/Done records at a call site from the
 // callee's summarized effects.
-func (w *dwWalker) applyFact(call *ast.CallExpr, fact *WaitGroupEffectFact, ctx dwCtx, spawned bool) {
+func (w *dwWalker) applyFact(call *ast.CallExpr, fact *WaitGroupEffectFact, spawned bool) {
+	ctx := w.ctx
 	resolve := func(ref WGRef) (wgKey, bool) {
 		var base ast.Expr
 		if ref.Param < 0 {

@@ -11,26 +11,12 @@ import (
 // function, keyed by the function's stable full name so that facts
 // exported while analyzing one package can be imported by analyzers
 // running later (in topological import order) on its dependents.
-// Facts must round-trip through JSON: the driver can dump the whole
-// store for debugging, and the golden tests pin the schema.
+// Facts must marshal to JSON, so a run's whole store can be dumped and
+// diffed when debugging an analyzer (TestFactStoreRoundTrip).
 type Fact interface {
 	// FactName distinguishes fact kinds on one function. Each
 	// analyzer should namespace its facts (e.g. "allocguard.result").
 	FactName() string
-}
-
-// factTypes maps fact names to constructors so a serialized store can
-// be decoded back into concrete fact values.
-var factTypes = map[string]func() Fact{}
-
-// RegisterFactType makes a fact kind decodable. Call from the owning
-// analyzer's init. Duplicate names panic, mirroring Register.
-func RegisterFactType(fresh func() Fact) {
-	name := fresh().FactName()
-	if _, dup := factTypes[name]; dup {
-		panic("analysis: duplicate fact type " + name)
-	}
-	factTypes[name] = fresh
 }
 
 // FuncKey is the stable identity of a function across type-check
@@ -49,43 +35,6 @@ func FuncKey(f *types.Func) string {
 // FuncKey then fact name.
 type FactStore struct {
 	m map[string]map[string]Fact
-
-	// journal, when non-nil, receives every export/delete in order.
-	// The incremental driver points it at the current unit's op list
-	// so the unit's fact activity can be replayed from cache.
-	journal *[]factOp
-}
-
-// factOp is one journaled store mutation.
-type factOp struct {
-	Del  bool            `json:"del,omitempty"`
-	Key  string          `json:"func"`
-	Name string          `json:"fact"`
-	Data json.RawMessage `json:"data,omitempty"`
-}
-
-// setJournal directs subsequent ops into dst (nil stops recording).
-func (s *FactStore) setJournal(dst *[]factOp) { s.journal = dst }
-
-// replayOps applies a journaled op sequence, decoding facts through
-// the registered constructors.
-func (s *FactStore) replayOps(ops []factOp) error {
-	for _, op := range ops {
-		if op.Del {
-			s.DeleteKey(op.Key, op.Name)
-			continue
-		}
-		fresh, ok := factTypes[op.Name]
-		if !ok {
-			return fmt.Errorf("unregistered fact type %q", op.Name)
-		}
-		fact := fresh()
-		if err := json.Unmarshal(op.Data, fact); err != nil {
-			return fmt.Errorf("fact %s on %s: %w", op.Name, op.Key, err)
-		}
-		s.ExportKey(op.Key, fact)
-	}
-	return nil
 }
 
 // NewFactStore returns an empty store.
@@ -101,13 +50,6 @@ func (s *FactStore) ExportKey(key string, fact Fact) {
 		s.m[key] = map[string]Fact{}
 	}
 	s.m[key][fact.FactName()] = fact
-	if s.journal != nil {
-		data, err := json.Marshal(fact)
-		if err != nil {
-			data = nil
-		}
-		*s.journal = append(*s.journal, factOp{Key: key, Name: fact.FactName(), Data: data})
-	}
 }
 
 // Export records a fact for fn.
@@ -133,9 +75,6 @@ func (s *FactStore) Import(fn *types.Func, name string) (Fact, bool) {
 // fixpoint round withdraws a previously exported summary.
 func (s *FactStore) DeleteKey(key, name string) {
 	delete(s.m[key], name)
-	if s.journal != nil {
-		*s.journal = append(*s.journal, factOp{Del: true, Key: key, Name: name})
-	}
 }
 
 // Len counts stored facts.
@@ -174,26 +113,4 @@ func (s *FactStore) MarshalJSON() ([]byte, error) {
 		return out[i].Name < out[j].Name
 	})
 	return json.Marshal(out)
-}
-
-// UnmarshalJSON rebuilds a store from MarshalJSON output using the
-// registered fact constructors.
-func (s *FactStore) UnmarshalJSON(data []byte) error {
-	var in []serializedFact
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	s.m = map[string]map[string]Fact{}
-	for _, sf := range in {
-		fresh, ok := factTypes[sf.Name]
-		if !ok {
-			return fmt.Errorf("unregistered fact type %q", sf.Name)
-		}
-		fact := fresh()
-		if err := json.Unmarshal(sf.Data, fact); err != nil {
-			return fmt.Errorf("fact %s on %s: %w", sf.Name, sf.Func, err)
-		}
-		s.ExportKey(sf.Func, fact)
-	}
-	return nil
 }

@@ -21,7 +21,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 // -update).
 func TestJSONGolden(t *testing.T) {
 	root := writeFixture(t, allocGuardFixture)
-	res := analyzeResult(t, root)
+	res := analyzeResult(t, root, false)
 
 	// Fixture roots are temp directories; rewrite them to a stable
 	// placeholder so the golden file is machine-independent.

@@ -47,50 +47,6 @@ func resultsWithError(info *types.Info, call *ast.CallExpr) bool {
 	}
 }
 
-// syncLockNames are the sync types that must never be copied after
-// first use.
-var syncLockNames = map[string]bool{
-	"sync.Mutex":     true,
-	"sync.RWMutex":   true,
-	"sync.WaitGroup": true,
-	"sync.Once":      true,
-	"sync.Cond":      true,
-	"sync.Pool":      true,
-	"sync.Map":       true,
-}
-
-// lockPath returns a human-readable path to the first sync primitive
-// held by value inside t ("" when none). Pointers and interfaces stop
-// the search: copying a pointer to a mutex is fine.
-func lockPath(t types.Type) string {
-	return lockPathDepth(t, 0)
-}
-
-func lockPathDepth(t types.Type, depth int) string {
-	if depth > 10 {
-		return ""
-	}
-	if named, ok := t.(*types.Named); ok {
-		if pkg := named.Obj().Pkg(); pkg != nil && syncLockNames[pkg.Path()+"."+named.Obj().Name()] {
-			return pkg.Name() + "." + named.Obj().Name()
-		}
-		return lockPathDepth(named.Underlying(), depth+1)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if p := lockPathDepth(u.Field(i).Type(), depth+1); p != "" {
-				return u.Field(i).Name() + "." + p
-			}
-		}
-	case *types.Array:
-		if p := lockPathDepth(u.Elem(), depth+1); p != "" {
-			return "[...]" + p
-		}
-	}
-	return ""
-}
-
 // constInt extracts an integer constant value from an expression when
 // the type checker proved one.
 func constInt(info *types.Info, e ast.Expr) (int64, bool) {

@@ -45,8 +45,6 @@ type EscapesFact struct {
 func (*EscapesFact) FactName() string { return "integrity.escapes" }
 
 func init() {
-	RegisterFactType(func() Fact { return new(VerifiesFact) })
-	RegisterFactType(func() Fact { return new(EscapesFact) })
 	Register(&Analyzer{
 		Name: "integrityflow",
 		Doc: "unverified bytes from storage or the wire escape through an exported API return, a service " +
@@ -123,7 +121,7 @@ func runIntegrityFlow(pass *Pass) error {
 	}
 	for _, fd := range decls {
 		if e := newIntegrityEngine(pass, fd, true); e != nil {
-			e.stmts(fd.Body.List)
+			e.flow.stmts(fd.Body.List)
 		}
 	}
 	return nil
@@ -158,6 +156,8 @@ type integrityEngine struct {
 	// reported dedups diagnostics: loop bodies are walked twice so
 	// verification state reaches the loop head.
 	reported map[string]bool
+
+	flow *flow
 }
 
 func newIntegrityEngine(pass *Pass, fd *ast.FuncDecl, report bool) *integrityEngine {
@@ -181,13 +181,23 @@ func newIntegrityEngine(pass *Pass, fd *ast.FuncDecl, report bool) *integrityEng
 			e.params[sig.Params().At(i)] = i
 		}
 	}
+	e.flow = &flow{
+		expr:   func(x ast.Expr) { e.expr(x) },
+		cond:   e.cond,
+		assign: e.assign,
+		decl:   e.valueSpec,
+		rng:    e.rangeHead,
+		// Two passes so state reaching the loop tail feeds the head.
+		loop: func(_ ast.Stmt, body func()) { body(); body() },
+		ret:  e.ret,
+	}
 	return e
 }
 
 // summarize runs the walk in summary mode and exports or withdraws
 // this function's facts, reporting whether anything changed.
 func (e *integrityEngine) summarize() bool {
-	e.stmts(e.decl.Body.List)
+	e.flow.stmts(e.decl.Body.List)
 	key := FuncKey(e.fn)
 	changed := false
 
@@ -240,115 +250,30 @@ func (e *integrityEngine) markVerified(obj types.Object) {
 	}
 }
 
-// ---- statement walk ----
+// ---- statement callbacks (the walk itself is flow.go) ----
 
-func (e *integrityEngine) stmts(list []ast.Stmt) {
-	for _, s := range list {
-		e.stmt(s)
+func (e *integrityEngine) valueSpec(vs *ast.ValueSpec) {
+	for i, name := range vs.Names {
+		if i < len(vs.Values) {
+			e.assignTo(name, e.expr(vs.Values[i]), vs.Values[i])
+		}
 	}
 }
 
-func (e *integrityEngine) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		e.assign(s)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if i < len(vs.Values) {
-						e.assignTo(name, e.expr(vs.Values[i]), vs.Values[i])
-					}
-				}
-			}
-		}
-	case *ast.ExprStmt:
-		e.expr(s.X)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
-		}
-		e.expr(s.Cond)
-		e.condVerify(s.Cond)
-		e.stmts(s.Body.List)
-		if s.Else != nil {
-			e.stmt(s.Else)
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
-		}
-		if s.Tag != nil {
-			e.expr(s.Tag)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, x := range cc.List {
-					e.expr(x)
-					e.condVerify(x)
-				}
-				e.stmts(cc.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
-		}
-		e.stmt(s.Assign)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				e.stmts(cc.Body)
-			}
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
-		}
-		if s.Cond != nil {
-			e.expr(s.Cond)
-			e.condVerify(s.Cond)
-		}
-		if s.Post != nil {
-			e.stmt(s.Post)
-		}
-		// Two passes so state reaching the loop tail feeds the head.
-		e.stmts(s.Body.List)
-		e.stmts(s.Body.List)
-	case *ast.RangeStmt:
-		o := e.expr(s.X)
-		if s.Value != nil {
-			e.assignTo(s.Value, o, s.X)
-		}
-		e.stmts(s.Body.List)
-		e.stmts(s.Body.List)
-	case *ast.BlockStmt:
-		e.stmts(s.List)
-	case *ast.ReturnStmt:
-		e.ret(s)
-	case *ast.DeferStmt:
-		e.expr(s.Call)
-	case *ast.GoStmt:
-		e.expr(s.Call)
-	case *ast.SendStmt:
-		e.expr(s.Chan)
-		e.expr(s.Value)
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				if cc.Comm != nil {
-					e.stmt(cc.Comm)
-				}
-				e.stmts(cc.Body)
-			}
-		}
-	case *ast.LabeledStmt:
-		e.stmt(s.Stmt)
-	case *ast.IncDecStmt:
-		e.expr(s.X)
+// cond evaluates a branch-deciding expression and lets a checksum
+// comparison in it verify its operands. A switch tag alone compares
+// nothing; its case expressions do.
+func (e *integrityEngine) cond(kind condKind, x ast.Expr) {
+	e.expr(x)
+	if kind != condTag {
+		e.condVerify(x)
+	}
+}
+
+func (e *integrityEngine) rangeHead(s *ast.RangeStmt) {
+	o := e.expr(s.X)
+	if s.Value != nil {
+		e.assignTo(s.Value, o, s.X)
 	}
 }
 
@@ -575,7 +500,7 @@ func (e *integrityEngine) expr(x ast.Expr) string {
 		// with the cache sink disabled.
 		saved := e.cacheRet
 		e.cacheRet = 0
-		e.stmts(x.Body.List)
+		e.flow.stmts(x.Body.List)
 		e.cacheRet = saved
 		return ""
 	}
@@ -625,7 +550,7 @@ func (e *integrityEngine) call(call *ast.CallExpr) string {
 		for _, a := range call.Args {
 			if lit, ok := ast.Unparen(a).(*ast.FuncLit); ok {
 				e.cacheRet++
-				e.stmts(lit.Body.List)
+				e.flow.stmts(lit.Body.List)
 				e.cacheRet--
 				continue
 			}

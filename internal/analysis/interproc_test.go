@@ -9,24 +9,6 @@ import (
 	"repro/internal/analysis"
 )
 
-// analyzeResult is analyze returning the full Result (facts, graph).
-func analyzeResult(t *testing.T, root string) *analysis.Result {
-	t.Helper()
-	loader, err := analysis.NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := analysis.ExpandPatterns(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := analysis.Run(loader, dirs, analysis.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // allocGuardFixture exercises every allocguard sink, including the
 // two interprocedural ones: a tainted result crossing a package
 // boundary (taint.result fact) and a tainted argument reaching an
@@ -117,6 +99,31 @@ func AllocViaParam(b []byte) []int {
 func TestAllocGuard(t *testing.T) {
 	root := writeFixture(t, allocGuardFixture)
 	checkMarkers(t, root, allocGuardFixture, analyze(t, root))
+}
+
+// TestAllocGuardLoopInsideCond: a loop inside a function literal in the
+// outer loop's condition must not take the outer loop's trip origin.
+func TestAllocGuardLoopInsideCond(t *testing.T) {
+	fixture := map[string]string{"p/p.go": `package p
+
+import "encoding/binary"
+
+func LoopAppend(hdr []byte) []int {
+	n := int(binary.LittleEndian.Uint32(hdr))
+	var out []int
+	for i := 0; i < n && ok(func() {
+		for j := 0; j < 2; j++ {
+		}
+	}); i++ {
+		out = append(out, i) // want allocguard
+	}
+	return out
+}
+
+func ok(func()) bool { return true }
+`}
+	root := writeFixture(t, fixture)
+	checkMarkers(t, root, fixture, analyze(t, root))
 }
 
 func TestDeadWait(t *testing.T) {
@@ -314,7 +321,7 @@ func unwaived(buf []byte) []byte {
 // fixture: cross-package edges exist and reachability follows them.
 func TestTopoOrderAndGraph(t *testing.T) {
 	root := writeFixture(t, allocGuardFixture)
-	res := analyzeResult(t, root)
+	res := analyzeResult(t, root, false)
 	if res.Graph == nil || res.Facts == nil {
 		t.Fatal("Result must expose the call graph and fact store")
 	}
@@ -348,11 +355,13 @@ func TestTopoOrderAndGraph(t *testing.T) {
 	}
 }
 
-// TestFactStoreRoundTrip pins the serialization contract: a store
-// survives JSON marshal/unmarshal byte-identically.
+// TestFactStoreRoundTrip pins the dump contract: two runs over the
+// same tree marshal to the same bytes, and the dump decodes with plain
+// encoding/json into (func, fact, data) triples sorted by function then
+// fact name that re-encode to those bytes.
 func TestFactStoreRoundTrip(t *testing.T) {
 	root := writeFixture(t, panicFactFixture)
-	res := analyzeResult(t, root)
+	res := analyzeResult(t, root, false)
 	if res.Facts.Len() == 0 {
 		t.Fatal("expected exported facts")
 	}
@@ -360,21 +369,50 @@ func TestFactStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back analysis.FactStore
+	again, err := json.Marshal(analyzeResult(t, root, false).Facts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, again) {
+		t.Fatalf("two runs dump differently:\nfirst:  %s\nsecond: %s", first, again)
+	}
+	type triple struct {
+		Func string          `json:"func"`
+		Fact string          `json:"fact"`
+		Data json.RawMessage `json:"data"`
+	}
+	var back []triple
 	if err := json.Unmarshal(first, &back); err != nil {
 		t.Fatal(err)
 	}
-	second, err := json.Marshal(&back)
+	if len(back) != res.Facts.Len() {
+		t.Fatalf("dump has %d facts, store %d", len(back), res.Facts.Len())
+	}
+	second, err := json.Marshal(back)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first, second) {
-		t.Fatalf("fact store does not round-trip:\nfirst:  %s\nsecond: %s", first, second)
+		t.Fatalf("fact dump does not round-trip:\nfirst:  %s\nsecond: %s", first, second)
 	}
-	if f, ok := back.ImportKey("fixture/inner.MustPositive", "panicfact.maypanic"); !ok {
-		t.Fatal("round-tripped store lost panicfact.maypanic on MustPositive")
-	} else if mp := f.(*analysis.MayPanicFact); len(mp.Sources) == 0 || mp.Sources[0].What != "explicit panic" {
-		t.Fatalf("unexpected fact content after round trip: %+v", f)
+	found := false
+	for i, f := range back {
+		if i > 0 && (back[i-1].Func > f.Func || (back[i-1].Func == f.Func && back[i-1].Fact >= f.Fact)) {
+			t.Fatalf("dump not sorted at %d: %s/%s before %s/%s", i, back[i-1].Func, back[i-1].Fact, f.Func, f.Fact)
+		}
+		if f.Func == "fixture/inner.MustPositive" && f.Fact == "panicfact.maypanic" {
+			found = true
+			var mp analysis.MayPanicFact
+			if err := json.Unmarshal(f.Data, &mp); err != nil {
+				t.Fatal(err)
+			}
+			if len(mp.Sources) == 0 || mp.Sources[0].What != "explicit panic" {
+				t.Fatalf("unexpected fact content in dump: %+v", mp)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("dump lost panicfact.maypanic on MustPositive")
 	}
 }
 

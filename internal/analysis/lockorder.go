@@ -61,7 +61,6 @@ const (
 )
 
 func init() {
-	RegisterFactType(func() Fact { return new(LockOrderFact) })
 	Register(&Analyzer{
 		Name: "lockorder",
 		Doc: "lock-order hazard: a cycle in the repo-wide lock-acquisition-order graph (potential deadlock), " +
@@ -166,6 +165,43 @@ type loWalker struct {
 	// body is the block being walked at top level, consulted by the
 	// local fork-join and local join-receive exemptions.
 	body *ast.BlockStmt
+	flow *flow
+}
+
+// walkLockOrder walks one declaration with an empty held set and
+// returns the walker for its summary.
+func walkLockOrder(pass *Pass, decl *ast.FuncDecl, report bool) *loWalker {
+	w := &loWalker{pass: pass, sum: newLoSummary(), sync: true, report: report, body: decl.Body}
+	w.flow = &flow{
+		expr: w.walkExpr,
+		send: func(s *ast.SendStmt) {
+			w.walkExpr(s.Value)
+			w.block(s.Pos(), "channel send")
+		},
+		ret: func(s *ast.ReturnStmt) {
+			w.flow.exprs(s.Results)
+			w.finishBody()
+		},
+		branch: w.snapshot,
+		loop: func(s ast.Stmt, body func()) {
+			if rangesOverChan(pass.Info, s) {
+				w.block(s.Pos(), "range over channel")
+			}
+			w.snapshot(body)
+		},
+		// The communications of a select are covered by the select
+		// itself: they block only when no case is ready.
+		sel: func(s *ast.SelectStmt) bool {
+			if !selectHasDefault(s) {
+				w.block(s.Pos(), "select without default")
+			}
+			return false
+		},
+		goStmt:    func(s *ast.GoStmt) { w.walkAsync(s.Call) },
+		deferStmt: func(s *ast.DeferStmt) { w.walkDefer(s.Call) },
+	}
+	w.flow.stmts(decl.Body.List)
+	return w
 }
 
 func runLockOrder(pass *Pass) error {
@@ -180,8 +216,7 @@ func runLockOrder(pass *Pass) error {
 	for round := 0; round < 8; round++ {
 		changed := false
 		for _, t := range targets {
-			w := &loWalker{pass: pass, sum: newLoSummary(), sync: true, body: t.decl.Body}
-			w.walkBody(t.decl.Body)
+			w := walkLockOrder(pass, t.decl, false)
 			w.finishBody()
 			key := FuncKey(t.fn)
 			fact, present := w.sum.fact()
@@ -200,8 +235,7 @@ func runLockOrder(pass *Pass) error {
 
 	// Report pass: walk once more with diagnostics enabled.
 	for _, t := range targets {
-		w := &loWalker{pass: pass, sum: newLoSummary(), sync: true, report: true, body: t.decl.Body}
-		w.walkBody(t.decl.Body)
+		walkLockOrder(pass, t.decl, true)
 	}
 	return nil
 }
@@ -217,12 +251,6 @@ func (w *loWalker) finishBody() {
 	}
 }
 
-func (w *loWalker) walkBody(body *ast.BlockStmt) {
-	for _, s := range body.List {
-		w.walkStmt(s)
-	}
-}
-
 // snapshot walks a branch with a copy of the held stack, so lock
 // operations inside one branch do not leak into siblings or the code
 // after the construct. An early-return branch that unlocks before
@@ -234,132 +262,26 @@ func (w *loWalker) snapshot(walk func()) {
 	w.held = saved
 }
 
-func (w *loWalker) walkStmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		w.walkBody(s)
-	case *ast.ExprStmt:
-		w.walkExpr(s.X)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.walkExpr(e)
-		}
-		for _, e := range s.Lhs {
-			w.walkExpr(e)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.walkExpr(e)
-					}
-				}
-			}
-		}
-	case *ast.SendStmt:
-		w.walkExpr(s.Value)
-		w.block(s.Pos(), "channel send")
-	case *ast.IncDecStmt:
-		w.walkExpr(s.X)
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.walkExpr(e)
-		}
-		w.finishBody()
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.walkExpr(s.Cond)
-		w.snapshot(func() { w.walkBody(s.Body) })
-		if s.Else != nil {
-			w.snapshot(func() { w.walkStmt(s.Else) })
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		if s.Cond != nil {
-			w.walkExpr(s.Cond)
-		}
-		w.snapshot(func() {
-			w.walkBody(s.Body)
-			if s.Post != nil {
-				w.walkStmt(s.Post)
-			}
-		})
-	case *ast.RangeStmt:
-		w.walkExpr(s.X)
-		if tv, ok := w.pass.Info.Types[s.X]; ok && isChanType(tv.Type) {
-			w.block(s.Pos(), "range over channel")
-		}
-		w.snapshot(func() { w.walkBody(s.Body) })
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		if s.Tag != nil {
-			w.walkExpr(s.Tag)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.snapshot(func() {
-					for _, st := range cc.Body {
-						w.walkStmt(st)
-					}
-				})
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.snapshot(func() {
-					for _, st := range cc.Body {
-						w.walkStmt(st)
-					}
-				})
-			}
-		}
-	case *ast.SelectStmt:
-		if !selectHasDefault(s) {
-			w.block(s.Pos(), "select without default")
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.snapshot(func() {
-					for _, st := range cc.Body {
-						w.walkStmt(st)
-					}
-				})
-			}
-		}
-	case *ast.GoStmt:
-		// The spawned body runs with its own (empty) held set; locks
-		// the spawner holds are not held inside the goroutine. Walk it
-		// for acquires/edges and for lock misuse local to the
-		// goroutine, but its blocking ops do not block the caller.
-		w.walkAsync(s.Call)
-	case *ast.DeferStmt:
-		w.walkDefer(s.Call)
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt)
-	}
+// async walks a function literal that may run on another goroutine
+// (a spawned body, a literal handed to a worker pool or kept as a
+// callback): a fresh held stack — locks the enclosing code holds are
+// not held in there — and no Blocks contribution to the enclosing
+// function, while its acquires and edges still count.
+func (w *loWalker) async(lit *ast.FuncLit) {
+	held, sync, body := w.held, w.sync, w.body
+	w.held, w.sync, w.body = nil, false, lit.Body
+	w.flow.stmts(lit.Body.List)
+	w.held, w.sync, w.body = held, sync, body
 }
 
-// walkAsync walks a call whose function may run on another goroutine
-// (go statements, literals handed to worker pools): a fresh held
-// stack, and no Blocks contribution to the enclosing function.
+// walkAsync walks a go or defer call: its arguments are evaluated
+// here and now, a literal body runs async.
 func (w *loWalker) walkAsync(call *ast.CallExpr) {
 	for _, arg := range call.Args {
 		w.walkExpr(arg)
 	}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		inner := &loWalker{pass: w.pass, sum: w.sum, report: w.report, sync: false, body: lit.Body}
-		inner.walkBody(lit.Body)
+		w.async(lit)
 	} else {
 		w.walkExpr(call.Fun)
 	}
@@ -462,10 +384,7 @@ func (w *loWalker) walkExpr(e ast.Expr) {
 	case *ast.TypeAssertExpr:
 		w.walkExpr(e.X)
 	case *ast.FuncLit:
-		// A literal not directly invoked may run on any goroutine
-		// (worker pools, callbacks): fresh held set, no caller blocks.
-		inner := &loWalker{pass: w.pass, sum: w.sum, report: w.report, sync: false, body: e.Body}
-		inner.walkBody(e.Body)
+		w.async(e)
 	}
 }
 
@@ -484,7 +403,7 @@ func (w *loWalker) handleCall(call *ast.CallExpr) {
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		// Immediately-invoked literal runs synchronously: walk with
 		// the current held set.
-		w.walkBody(lit.Body)
+		w.flow.stmts(lit.Body.List)
 		return
 	}
 	sel, selOK := ast.Unparen(call.Fun).(*ast.SelectorExpr)

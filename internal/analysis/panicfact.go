@@ -46,7 +46,6 @@ func (*MayPanicFact) FactName() string { return "panicfact.maypanic" }
 const maxPanicSites = 6
 
 func init() {
-	RegisterFactType(func() Fact { return new(MayPanicFact) })
 	Register(&Analyzer{
 		Name: "panicfact",
 		Doc: "a potential panic (explicit panic call, single-form type assertion, or index/slice bound " +
@@ -249,9 +248,7 @@ func finishPanicFact(pass *Pass) error {
 
 // isDecodeEntry recognizes the exported decoder entry points: a
 // module-local top-level function (not a method) whose name starts
-// with Decompress or Decode, declared outside test files. It reads
-// only the node's serializable metadata, so entries replayed from the
-// incremental cache are recognized identically.
+// with Decompress or Decode, declared outside test files.
 func isDecodeEntry(pass *Pass, node *CGNode) bool {
 	if node == nil || !node.HasDecl || node.HasRecover {
 		return false

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -14,171 +13,66 @@ import (
 type Result struct {
 	Diagnostics []Diagnostic
 	// Packages counts the units (including external test packages)
-	// that were loaded and checked or replayed from cache.
+	// that were loaded and checked.
 	Packages int
 	// Facts is the run's fact store, exposed for tests and debugging.
 	Facts *FactStore
 	// Graph is the whole-repo call graph.
 	Graph *CallGraph
-	// Stats breaks down how much work the run actually did.
-	Stats RunStats
 }
 
-// RunStats reports the incremental-cache effectiveness of one run.
-type RunStats struct {
-	// Units counts all analysis units; LiveUnits were parsed,
-	// type-checked, and analyzed this run; CachedUnits replayed.
-	Units       int
-	LiveUnits   int
-	CachedUnits int
-	// LiveDirs lists the module-relative directories analyzed live.
-	LiveDirs []string
-}
-
-// Options tunes a driver run.
-type Options struct {
-	// CacheDir, when set, enables the incremental cache: directories
-	// whose content key (own sources plus transitive module-local
-	// deps) matches a stored entry are replayed instead of analyzed.
-	CacheDir string
-	// WaiverCheck reports //arcvet:ignore directives that suppressed
-	// nothing this run. It requires the full analyzer set — with a
-	// subset, waivers for the analyzers not run would read as stale.
-	WaiverCheck bool
-}
-
-// Run analyzes dirs with no cache and no waiver check.
-func Run(loader *Loader, dirs []string, analyzers []*Analyzer) (*Result, error) {
-	return RunWith(loader, dirs, analyzers, Options{})
-}
-
-// workUnit is one unit to process: either a live loaded Unit or a
-// replayable cached record.
-type workUnit struct {
-	path    string
-	imports []string
-	dir     string // absolute package directory
-	live    *Unit
-	cached  *cachedUnit
-}
-
-// RunWith loads or replays every directory, orders units
-// topologically by import dependency, builds the call graph and taint
-// summaries, applies the given analyzers unit by unit, then runs each
+// Run loads every directory, orders units topologically by import
+// dependency, and unit by unit builds the call graph and taint
+// summaries and applies the given analyzers; then it runs each
 // analyzer's Finish phase over the accumulated facts. It returns
-// position-sorted, suppression-filtered diagnostics.
-func RunWith(loader *Loader, dirs []string, analyzers []*Analyzer, opts Options) (*Result, error) {
+// position-sorted, suppression-filtered diagnostics. waiverCheck also
+// reports //arcvet:ignore directives that suppressed nothing; it needs
+// the full analyzer set — with a subset, waivers for the analyzers not
+// run would read as stale.
+func Run(loader *Loader, dirs []string, analyzers []*Analyzer, waiverCheck bool) (*Result, error) {
 	res := &Result{Facts: NewFactStore(), Graph: &CallGraph{nodes: map[string]*CGNode{}}}
 
-	// Content keys decide which directories replay from cache.
-	var keys map[string]string
-	var infos map[string]*dirInfo
-	if opts.CacheDir != "" {
-		var err error
-		infos, err = scanDirs(loader, dirs)
-		if err != nil {
-			return nil, err
-		}
-		keys = computeDirKeys(cacheHeader(loader, analyzers), infos)
-	}
-
-	var work []*workUnit
-	liveByDir := map[string][]*workUnit{}
-	cachedDirs := map[string]*cacheEntry{}
+	var units []*Unit
 	for _, dir := range dirs {
-		abs := dir
-		if infos != nil {
-			if info := infos[absPath(dir)]; info != nil {
-				abs = info.Dir
-				if ent := loadCacheEntry(opts.CacheDir, info.Rel, keys[abs]); ent != nil {
-					cachedDirs[abs] = ent
-					for i := range ent.Units {
-						cu := &ent.Units[i]
-						work = append(work, &workUnit{path: cu.Path, imports: cu.Imports, dir: abs, cached: cu})
-					}
-					continue
-				}
-			}
-		}
-		units, err := loader.LoadDir(dir)
+		loaded, err := loader.LoadDir(dir)
 		if err != nil {
 			return nil, err
 		}
-		for _, u := range units {
-			w := &workUnit{path: u.Path, imports: importPaths(u), dir: abs, live: u}
-			work = append(work, w)
-			liveByDir[abs] = append(liveByDir[abs], w)
-		}
-		if opts.CacheDir != "" && liveByDir[abs] == nil {
-			// A dir with no buildable files still earns an (empty)
-			// entry so warm runs skip re-scanning its sources.
-			liveByDir[abs] = []*workUnit{}
-		}
+		units = append(units, loaded...)
 	}
-	work = topoSortWork(work)
-	res.Packages = len(work)
-	res.Stats.Units = len(work)
+	units = topoSort(units)
+	res.Packages = len(units)
 
-	// The CHA pool for per-unit call-graph construction: every live
-	// unit's package scope plus every dependency package the loader
-	// type-checked. Implementations living in cached packages that no
-	// live unit imports are approximated by the cached subgraph edges.
-	var extraTypes []types.Type
-	for _, w := range work {
-		if w.live != nil {
-			extraTypes = append(extraTypes, scopeTypes(w.live.Pkg)...)
-		}
+	// The pool of concrete types interface calls resolve against:
+	// every unit's package scope plus every dependency package the
+	// loader type-checked.
+	var concrete []types.Type
+	for _, u := range units {
+		concrete = append(concrete, scopeTypes(u.Pkg)...)
 	}
 	for _, pkg := range loader.deps {
-		extraTypes = append(extraTypes, scopeTypes(pkg)...)
+		concrete = append(concrete, scopeTypes(pkg)...)
 	}
 
 	sup := suppressions{}
-	spans := newStmtSpans()
-	var waiverRecs []suppRecord
-	var badDiags []Diagnostic
-	var rawDiags []Diagnostic
-	capture := map[string][]cachedUnit{}
+	spans := stmtSpans{}
+	var waivers []waiver
+	var diags []Diagnostic // malformed directives, which no waiver silences
+	var raw []Diagnostic   // analyzer findings before suppression
 
-	for _, w := range work {
-		if w.cached != nil {
-			cu := w.cached
-			if err := res.Facts.replayOps(cu.FactOps); err != nil {
-				return nil, fmt.Errorf("cache replay %s: %w", w.path, err)
-			}
-			res.Graph.mergeCached(cu.Nodes)
-			res.Graph.finalize()
-			for _, r := range cu.Waivers {
-				sup.add(r)
-			}
-			waiverRecs = append(waiverRecs, cu.Waivers...)
-			spans.merge(cu.Spans)
-			badDiags = append(badDiags, withPos(cu.BadDirectives)...)
-			rawDiags = append(rawDiags, withPos(cu.Diags)...)
-			res.Stats.CachedUnits++
-			continue
-		}
-
-		unit := w.live
+	for _, unit := range units {
 		recs, bad := collectSuppressions(loader, unit.Files)
 		for _, r := range recs {
 			sup.add(r)
 		}
-		waiverRecs = append(waiverRecs, recs...)
-		unitSpans := collectSpans(loader.Fset, unit.Files)
-		spans.merge(unitSpans)
-		badDiags = append(badDiags, bad...)
+		waivers = append(waivers, recs...)
+		spans.collect(loader.Fset, unit.Files)
+		diags = append(diags, bad...)
 
-		var ops []factOp
-		res.Facts.setJournal(&ops)
 		summarizeUnitTaint(loader.Fset, unit, res.Facts)
-
-		ug := &CallGraph{nodes: map[string]*CGNode{}}
-		ug.addUnits(loader.Fset, []*Unit{unit}, extraTypes)
-		res.Graph.mergeLive(ug)
+		res.Graph.addUnit(loader.Fset, unit, concrete)
 		res.Graph.finalize()
 
-		var unitDiags []Diagnostic
 		for _, a := range analyzers {
 			if !a.AppliesTo(unit.Path) {
 				continue
@@ -192,33 +86,14 @@ func RunWith(loader *Loader, dirs []string, analyzers []*Analyzer, opts Options)
 				PkgPath:  unit.Path,
 				Facts:    res.Facts,
 				Graph:    res.Graph,
-				diags:    &unitDiags,
+				diags:    &raw,
 			}
 			if err := a.Run(pass); err != nil {
-				res.Facts.setJournal(nil)
 				return nil, fmt.Errorf("%s on %s: %w", a.Name, unit.Path, err)
 			}
 		}
-		res.Facts.setJournal(nil)
-		rawDiags = append(rawDiags, unitDiags...)
-		res.Stats.LiveUnits++
-
-		if opts.CacheDir != "" {
-			capture[w.dir] = append(capture[w.dir], cachedUnit{
-				Path:          unit.Path,
-				Imports:       w.imports,
-				Diags:         flattened(unitDiags),
-				BadDirectives: flattened(bad),
-				FactOps:       ops,
-				Nodes:         snapshotGraph(ug),
-				Waivers:       recs,
-				Spans:         unitSpans,
-			})
-		}
 	}
-	res.Graph.finalize()
 
-	var finishDiags []Diagnostic
 	for _, a := range analyzers {
 		if a.Finish == nil {
 			continue
@@ -228,53 +103,26 @@ func RunWith(loader *Loader, dirs []string, analyzers []*Analyzer, opts Options)
 			Fset:     loader.Fset,
 			Facts:    res.Facts,
 			Graph:    res.Graph,
-			diags:    &finishDiags,
+			diags:    &raw,
 		}
 		if err := a.Finish(pass); err != nil {
 			return nil, fmt.Errorf("%s finish: %w", a.Name, err)
 		}
 	}
 
-	// Persist entries for every live directory (after a fully
-	// successful analysis pass, never mid-run).
-	if opts.CacheDir != "" {
-		for dir, units := range liveByDir {
-			info := infos[dir]
-			if info == nil {
-				continue
-			}
-			cus := make([]cachedUnit, 0, len(units))
-			cus = append(cus, capture[dir]...)
-			if err := writeCacheEntry(opts.CacheDir, info.Rel, keys[dir], cus); err != nil {
-				return nil, fmt.Errorf("cache write %s: %w", info.Rel, err)
-			}
-			res.Stats.LiveDirs = append(res.Stats.LiveDirs, info.Rel)
-		}
-		sort.Strings(res.Stats.LiveDirs)
-	} else {
-		for dir := range liveByDir {
-			res.Stats.LiveDirs = append(res.Stats.LiveDirs, dir)
-		}
-		sort.Strings(res.Stats.LiveDirs)
-	}
-
-	used := map[string]bool{}
-	res.Diagnostics = append(res.Diagnostics, badDiags...)
-	for _, d := range append(rawDiags, finishDiags...) {
+	used := map[waiver]bool{}
+	for _, d := range raw {
 		if !sup.matches(d, spans, used) {
-			res.Diagnostics = append(res.Diagnostics, d)
+			diags = append(diags, d)
 		}
 	}
-
-	if opts.WaiverCheck {
-		seen := map[string]bool{}
-		for _, r := range waiverRecs {
-			k := fmt.Sprintf("%s:%d:%s", r.File, r.Line, r.Analyzer)
-			if used[k] || seen[k] {
+	if waiverCheck {
+		for _, r := range waivers {
+			if used[r] {
 				continue
 			}
-			seen[k] = true
-			res.Diagnostics = append(res.Diagnostics, Diagnostic{
+			used[r] = true // one report per directive
+			diags = append(diags, Diagnostic{
 				Analyzer: "waivercheck",
 				Pos:      token.Position{Filename: r.File, Line: r.Line, Column: 1},
 				Message:  fmt.Sprintf("arcvet:ignore %s suppresses nothing here; remove the stale waiver", r.Analyzer),
@@ -282,12 +130,12 @@ func RunWith(loader *Loader, dirs []string, analyzers []*Analyzer, opts Options)
 		}
 	}
 
-	for i := range res.Diagnostics {
-		d := &res.Diagnostics[i]
+	for i := range diags {
+		d := &diags[i]
 		d.File, d.Line, d.Col = d.Pos.Filename, d.Pos.Line, d.Pos.Column
 	}
-	sort.Slice(res.Diagnostics, func(i, j int) bool {
-		a, b := res.Diagnostics[i], res.Diagnostics[j]
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
 		if a.File != b.File {
 			return a.File < b.File
 		}
@@ -299,26 +147,8 @@ func RunWith(loader *Loader, dirs []string, analyzers []*Analyzer, opts Options)
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	res.Diagnostics = diags
 	return res, nil
-}
-
-// absPath resolves dir, swallowing errors (callers fall back to the
-// original string on failure).
-func absPath(dir string) string {
-	if abs, err := filepath.Abs(dir); err == nil {
-		return abs
-	}
-	return dir
-}
-
-// importPaths lists every import of a live unit.
-func importPaths(u *Unit) []string {
-	var out []string
-	for _, imp := range u.Pkg.Imports() {
-		out = append(out, imp.Path())
-	}
-	sort.Strings(out)
-	return out
 }
 
 // scopeTypes collects the named types declared at package scope.
@@ -333,34 +163,13 @@ func scopeTypes(pkg *types.Package) []types.Type {
 	return out
 }
 
-// flattened copies diags with File/Line/Col mirrored from Pos so the
-// positions survive JSON serialization.
-func flattened(diags []Diagnostic) []Diagnostic {
-	out := make([]Diagnostic, len(diags))
-	for i, d := range diags {
-		d.File, d.Line, d.Col = d.Pos.Filename, d.Pos.Line, d.Pos.Column
-		out[i] = d
-	}
-	return out
-}
-
-// withPos reconstructs Pos from the flattened fields after replay.
-func withPos(diags []Diagnostic) []Diagnostic {
-	out := make([]Diagnostic, len(diags))
-	for i, d := range diags {
-		d.Pos = token.Position{Filename: d.File, Line: d.Line, Column: d.Col}
-		out[i] = d
-	}
-	return out
-}
-
-// topoSortWork orders units so every unit follows the units it
-// imports (Kahn's algorithm; ties break on import path so the order
-// is deterministic). External test units depend on their base unit.
-func topoSortWork(units []*workUnit) []*workUnit {
+// topoSort orders units so every unit follows the units it imports
+// (Kahn's algorithm; ties break on import path so the order is
+// deterministic). External test units depend on their base unit.
+func topoSort(units []*Unit) []*Unit {
 	index := map[string]int{}
 	for i, u := range units {
-		index[u.path] = i
+		index[u.Path] = i
 	}
 	indeg := make([]int, len(units))
 	dependents := make([][]int, len(units))
@@ -369,12 +178,12 @@ func topoSortWork(units []*workUnit) []*workUnit {
 		indeg[from]++
 	}
 	for i, u := range units {
-		for _, imp := range u.imports {
-			if j, ok := index[imp]; ok && j != i {
+		for _, imp := range u.Pkg.Imports() {
+			if j, ok := index[imp.Path()]; ok && j != i {
 				addEdge(i, j)
 			}
 		}
-		if base, ok := strings.CutSuffix(u.path, "_test"); ok {
+		if base, ok := strings.CutSuffix(u.Path, "_test"); ok {
 			if j, ok := index[base]; ok && j != i {
 				addEdge(i, j)
 			}
@@ -386,9 +195,9 @@ func topoSortWork(units []*workUnit) []*workUnit {
 			ready = append(ready, i)
 		}
 	}
-	byPath := func(a, b int) bool { return units[a].path < units[b].path }
+	byPath := func(a, b int) bool { return units[a].Path < units[b].Path }
 	sort.Slice(ready, func(i, j int) bool { return byPath(ready[i], ready[j]) })
-	var order []*workUnit
+	var order []*Unit
 	for len(ready) > 0 {
 		i := ready[0]
 		ready = ready[1:]
@@ -408,7 +217,7 @@ func topoSortWork(units []*workUnit) []*workUnit {
 	// Import cycles cannot occur in compiled Go; if something slipped
 	// through, keep the leftovers rather than dropping units.
 	if len(order) < len(units) {
-		seen := map[*workUnit]bool{}
+		seen := map[*Unit]bool{}
 		for _, u := range order {
 			seen[u] = true
 		}
@@ -421,23 +230,15 @@ func topoSortWork(units []*workUnit) []*workUnit {
 	return order
 }
 
-// stmtSpans indexes the line spans of every statement (and top-level
-// declaration) so a waiver directive anchored to the first line of a
-// multi-line statement covers findings on its continuation lines.
-type stmtSpans struct {
-	files map[string][]lineSpan
-}
+// stmtSpans indexes, per file, the line spans of every multi-line
+// statement (and top-level declaration) so a waiver directive
+// anchored to the first line of a multi-line statement covers
+// findings on its continuation lines.
+type stmtSpans map[string][]lineSpan
 
 type lineSpan struct{ start, end int }
 
-func newStmtSpans() *stmtSpans {
-	return &stmtSpans{files: map[string][]lineSpan{}}
-}
-
-// collectSpans extracts the multi-line statement spans of files in a
-// serializable form.
-func collectSpans(fset *token.FileSet, files []*ast.File) []spanRecord {
-	var out []spanRecord
+func (ss stmtSpans) collect(fset *token.FileSet, files []*ast.File) {
 	for _, file := range files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n.(type) {
@@ -445,18 +246,11 @@ func collectSpans(fset *token.FileSet, files []*ast.File) []spanRecord {
 				start := fset.Position(n.Pos())
 				end := fset.Position(n.End())
 				if end.Line > start.Line {
-					out = append(out, spanRecord{File: start.Filename, Start: start.Line, End: end.Line})
+					ss[start.Filename] = append(ss[start.Filename], lineSpan{start.Line, end.Line})
 				}
 			}
 			return true
 		})
-	}
-	return out
-}
-
-func (ss *stmtSpans) merge(recs []spanRecord) {
-	for _, r := range recs {
-		ss.files[r.File] = append(ss.files[r.File], lineSpan{r.Start, r.End})
 	}
 }
 
@@ -464,10 +258,10 @@ func (ss *stmtSpans) merge(recs []spanRecord) {
 // statement covering (file, line), or 0 when the line is not inside
 // one. "Innermost" keeps a directive on an assignment from waiving an
 // entire enclosing block.
-func (ss *stmtSpans) stmtStart(file string, line int) int {
+func (ss stmtSpans) stmtStart(file string, line int) int {
 	best := lineSpan{}
 	found := false
-	for _, sp := range ss.files[file] {
+	for _, sp := range ss[file] {
 		if line < sp.start || line > sp.end {
 			continue
 		}
@@ -488,7 +282,14 @@ func (ss *stmtSpans) stmtStart(file string, line int) int {
 // statement — on the statement's first line or the line above that.
 type suppressions map[string]map[int]map[string]bool
 
-func (s suppressions) add(r suppRecord) {
+// waiver is one //arcvet:ignore directive occurrence.
+type waiver struct {
+	File     string
+	Line     int
+	Analyzer string
+}
+
+func (s suppressions) add(r waiver) {
 	if s[r.File] == nil {
 		s[r.File] = map[int]map[string]bool{}
 	}
@@ -499,24 +300,20 @@ func (s suppressions) add(r suppRecord) {
 }
 
 // matches reports whether d is suppressed; a match also marks the
-// matching directive as used in the used map (key file:line:analyzer)
-// so -waivercheck can report the directives that matched nothing.
-func (s suppressions) matches(d Diagnostic, spans *stmtSpans, used map[string]bool) bool {
+// matching directive as used so -waivercheck can report the
+// directives that matched nothing.
+func (s suppressions) matches(d Diagnostic, spans stmtSpans, used map[waiver]bool) bool {
 	lines := s[d.Pos.Filename]
 	if lines == nil {
 		return false
 	}
 	candidates := []int{d.Pos.Line, d.Pos.Line - 1}
-	if spans != nil {
-		if start := spans.stmtStart(d.Pos.Filename, d.Pos.Line); start > 0 && start != d.Pos.Line {
-			candidates = append(candidates, start, start-1)
-		}
+	if start := spans.stmtStart(d.Pos.Filename, d.Pos.Line); start > 0 && start != d.Pos.Line {
+		candidates = append(candidates, start, start-1)
 	}
 	for _, line := range candidates {
-		if names := lines[line]; names != nil && names[d.Analyzer] {
-			if used != nil {
-				used[fmt.Sprintf("%s:%d:%s", d.Pos.Filename, line, d.Analyzer)] = true
-			}
+		if lines[line][d.Analyzer] {
+			used[waiver{d.Pos.Filename, line, d.Analyzer}] = true
 			return true
 		}
 	}
@@ -524,11 +321,11 @@ func (s suppressions) matches(d Diagnostic, spans *stmtSpans, used map[string]bo
 }
 
 // collectSuppressions scans comments for //arcvet:ignore directives,
-// returning the well-formed directives as records plus diagnostics
-// for malformed ones (no analyzer named, or an unknown analyzer) so
-// waivers stay auditable.
-func collectSuppressions(loader *Loader, files []*ast.File) ([]suppRecord, []Diagnostic) {
-	var recs []suppRecord
+// returning the well-formed directives plus diagnostics for malformed
+// ones (no analyzer named, or an unknown analyzer) so waivers stay
+// auditable.
+func collectSuppressions(loader *Loader, files []*ast.File) ([]waiver, []Diagnostic) {
+	var recs []waiver
 	var bad []Diagnostic
 	known := map[string]bool{}
 	for _, a := range All() {
@@ -561,7 +358,7 @@ func collectSuppressions(loader *Loader, files []*ast.File) ([]suppRecord, []Dia
 					})
 					continue
 				}
-				recs = append(recs, suppRecord{File: pos.Filename, Line: pos.Line, Analyzer: name})
+				recs = append(recs, waiver{pos.Filename, pos.Line, name})
 			}
 		}
 	}

@@ -57,12 +57,6 @@ type ParamAllocFact struct {
 
 func (*ParamAllocFact) FactName() string { return "taint.paramalloc" }
 
-func init() {
-	RegisterFactType(func() Fact { return new(UntrustedResultFact) })
-	RegisterFactType(func() Fact { return new(TaintsPtrArgsFact) })
-	RegisterFactType(func() Fact { return new(ParamAllocFact) })
-}
-
 // taintHooks receive sink events during a scan. Nil fields are
 // skipped, so each analyzer subscribes only to the sinks it reports.
 type taintHooks struct {
@@ -133,8 +127,11 @@ type taintEngine struct {
 
 	tainted map[types.Object]string
 	// loopOrigins is the stack of tainted loop-trip origins enclosing
-	// the current statement.
+	// the current statement; pendingLoop carries the origin a loop head
+	// found to the loop callback that pushes it.
 	loopOrigins []string
+	pendingLoop string
+	flow        *flow
 
 	// Summary-mode state (hooks == nil): params are pre-tainted with
 	// param origins and the walk records what escapes where.
@@ -146,7 +143,7 @@ type taintEngine struct {
 }
 
 func newTaintEngine(info *types.Info, facts *FactStore, hooks *taintHooks) *taintEngine {
-	return &taintEngine{
+	e := &taintEngine{
 		info:        info,
 		facts:       facts,
 		hooks:       hooks,
@@ -155,13 +152,23 @@ func newTaintEngine(info *types.Info, facts *FactStore, hooks *taintHooks) *tain
 		ptrParams:   map[int]string{},
 		allocParams: map[int]bool{},
 	}
+	e.flow = &flow{
+		expr:   func(x ast.Expr) { e.expr(x) },
+		cond:   e.cond,
+		assign: e.assignStmt,
+		decl:   e.valueSpec,
+		rng:    e.rangeHead,
+		loop:   e.loop,
+		ret:    e.ret,
+	}
+	return e
 }
 
 // scanTaint runs the reporting walk over one declared function,
 // firing hooks at unguarded sinks.
 func scanTaint(info *types.Info, facts *FactStore, decl *ast.FuncDecl, hooks *taintHooks) {
 	e := newTaintEngine(info, facts, hooks)
-	e.stmts(decl.Body.List)
+	e.flow.stmts(decl.Body.List)
 }
 
 // summarizeUnitTaint computes and exports the three summary fact
@@ -230,7 +237,7 @@ func summarizeFunc(info *types.Info, facts *FactStore, fn *types.Func, decl *ast
 			}
 		}
 	}
-	e.stmts(decl.Body.List)
+	e.flow.stmts(decl.Body.List)
 
 	key := FuncKey(fn)
 	changed := false
@@ -286,148 +293,85 @@ func sortInts(s []int) {
 	}
 }
 
-// ---- statement walk ----
+// ---- statement callbacks (the walk itself is flow.go) ----
 
-func (e *taintEngine) stmts(list []ast.Stmt) {
-	for _, s := range list {
-		e.stmt(s)
+func (e *taintEngine) valueSpec(vs *ast.ValueSpec) {
+	for i, name := range vs.Names {
+		o := ""
+		if i < len(vs.Values) {
+			o = e.expr(vs.Values[i])
+		} else if len(vs.Values) == 1 {
+			o = e.expr(vs.Values[0])
+		}
+		e.taintIdent(name, o)
 	}
 }
 
-func (e *taintEngine) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		e.expr(s.X)
-	case *ast.AssignStmt:
-		e.assignStmt(s)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					o := ""
-					if i < len(vs.Values) {
-						o = e.expr(vs.Values[i])
-					} else if len(vs.Values) == 1 {
-						o = e.expr(vs.Values[0])
-					}
-					e.taintIdent(name, o)
-				}
-			}
+// cond evaluates a branch-deciding expression. An if condition, a
+// switch tag and the cases of a tagless switch are bound checks and
+// sanitize what they compare; a loop condition over a tainted operand
+// instead marks the loop as running a wire-controlled number of trips.
+func (e *taintEngine) cond(kind condKind, x ast.Expr) {
+	switch kind {
+	case condFor:
+		// Assigned after e.expr: a FuncLit in the condition may hold a
+		// loop of its own, which consumes pendingLoop.
+		origin := e.taintedCondOrigin(x)
+		e.expr(x)
+		e.pendingLoop = origin
+	case condIf, condTag, condCaseBool:
+		e.expr(x)
+		e.sanitizeCond(x)
+	default:
+		e.expr(x)
+	}
+}
+
+func (e *taintEngine) rangeHead(s *ast.RangeStmt) {
+	o := e.expr(s.X)
+	overInt := false
+	if tv, ok := e.info.Types[s.X]; ok && tv.Type != nil {
+		if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
+			overInt = true
 		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
+	}
+	if s.Key != nil {
+		ko := ""
+		if overInt {
+			ko = o
 		}
-		e.expr(s.Cond)
-		e.sanitizeCond(s.Cond)
-		e.stmts(s.Body.List)
-		if s.Else != nil {
-			e.stmt(s.Else)
+		e.assignTo(s.Key, ko)
+	}
+	if s.Value != nil {
+		e.assignTo(s.Value, o)
+	}
+	if overInt {
+		e.pendingLoop = o
+	}
+}
+
+// loop pushes the trip-count origin its head left in pendingLoop for
+// the duration of the body.
+func (e *taintEngine) loop(_ ast.Stmt, body func()) {
+	origin := e.pendingLoop
+	e.pendingLoop = ""
+	if origin == "" {
+		body()
+		return
+	}
+	e.loopOrigins = append(e.loopOrigins, origin)
+	body()
+	e.loopOrigins = e.loopOrigins[:len(e.loopOrigins)-1]
+}
+
+func (e *taintEngine) ret(s *ast.ReturnStmt) {
+	for _, r := range s.Results {
+		e.noteReturn(e.expr(r))
+	}
+	if len(s.Results) == 0 {
+		for _, obj := range e.resultObjs {
+			e.noteReturn(e.tainted[obj])
 		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
-		}
-		if s.Tag != nil {
-			e.expr(s.Tag)
-			e.sanitizeCond(s.Tag)
-		}
-		for _, clause := range s.Body.List {
-			cc := clause.(*ast.CaseClause)
-			for _, c := range cc.List {
-				e.expr(c)
-				if s.Tag == nil {
-					e.sanitizeCond(c)
-				}
-			}
-			e.stmts(cc.Body)
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
-		}
-		e.stmt(s.Assign)
-		for _, clause := range s.Body.List {
-			e.stmts(clause.(*ast.CaseClause).Body)
-		}
-	case *ast.SelectStmt:
-		for _, clause := range s.Body.List {
-			cc := clause.(*ast.CommClause)
-			if cc.Comm != nil {
-				e.stmt(cc.Comm)
-			}
-			e.stmts(cc.Body)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			e.stmt(s.Init)
-		}
-		loopOrigin := ""
-		if s.Cond != nil {
-			loopOrigin = e.taintedCondOrigin(s.Cond)
-			e.expr(s.Cond)
-		}
-		if loopOrigin != "" {
-			e.loopOrigins = append(e.loopOrigins, loopOrigin)
-		}
-		e.stmts(s.Body.List)
-		if s.Post != nil {
-			e.stmt(s.Post)
-		}
-		if loopOrigin != "" {
-			e.loopOrigins = e.loopOrigins[:len(e.loopOrigins)-1]
-		}
-	case *ast.RangeStmt:
-		o := e.expr(s.X)
-		overInt := false
-		if tv, ok := e.info.Types[s.X]; ok && tv.Type != nil {
-			if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
-				overInt = true
-			}
-		}
-		if s.Key != nil {
-			ko := ""
-			if overInt {
-				ko = o
-			}
-			e.assignTo(s.Key, ko)
-		}
-		if s.Value != nil {
-			e.assignTo(s.Value, o)
-		}
-		if overInt && o != "" {
-			e.loopOrigins = append(e.loopOrigins, o)
-			e.stmts(s.Body.List)
-			e.loopOrigins = e.loopOrigins[:len(e.loopOrigins)-1]
-		} else {
-			e.stmts(s.Body.List)
-		}
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			e.noteReturn(e.expr(r))
-		}
-		if len(s.Results) == 0 {
-			for _, obj := range e.resultObjs {
-				e.noteReturn(e.tainted[obj])
-			}
-		}
-	case *ast.GoStmt:
-		e.expr(s.Call)
-	case *ast.DeferStmt:
-		e.expr(s.Call)
-	case *ast.SendStmt:
-		e.expr(s.Chan)
-		e.expr(s.Value)
-	case *ast.IncDecStmt:
-		e.expr(s.X)
-	case *ast.BlockStmt:
-		e.stmts(s.List)
-	case *ast.LabeledStmt:
-		e.stmt(s.Stmt)
 	}
 }
 
@@ -681,7 +625,7 @@ func (e *taintEngine) expr(x ast.Expr) string {
 	case *ast.TypeAssertExpr:
 		return e.expr(x.X)
 	case *ast.FuncLit:
-		e.stmts(x.Body.List)
+		e.flow.stmts(x.Body.List)
 		return ""
 	}
 	return ""

@@ -24,31 +24,6 @@ echo "== cross-compile arm64 (NEON dispatch path) =="
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./...
 
-echo "== arcvet (full suite + waivercheck, cold cache) =="
-# Built once so the cache benchmark below times the analysis, not the
-# toolchain. -waivercheck keeps //arcvet:ignore directives honest: a
-# waiver that suppresses nothing fails the sweep.
-go build -o /tmp/arcvet_verify ./cmd/arcvet
-arcvet_cache=$(mktemp -d)
-/tmp/arcvet_verify -waivercheck -cache-dir "$arcvet_cache" \
-    -timing /tmp/arcvet_cold.json ./...
-
-echo "== arcvet warm replay (recorded to BENCH_arcvet.json) =="
-# Same sources, warm cache: benchmeta gates that the rerun re-analyzed
-# nothing, reproduced the cold findings hash, and beat the cold wall
-# time by the speedup floor (nonzero exit fails verify under set -e).
-/tmp/arcvet_verify -waivercheck -cache-dir "$arcvet_cache" \
-    -timing /tmp/arcvet_warm.json ./...
-go run ./cmd/benchmeta arcvet /tmp/arcvet_cold.json /tmp/arcvet_warm.json > BENCH_arcvet.json
-rm -rf "$arcvet_cache"
-echo "wrote BENCH_arcvet.json"
-
-echo "== arcvet self-analysis =="
-/tmp/arcvet_verify ./internal/analysis ./cmd/arcvet
-
-echo "== arcvet concurrency contracts =="
-/tmp/arcvet_verify -analyzers lockorder,chansafety,ctxflow ./...
-
 echo "== govulncheck =="
 if command -v govulncheck >/dev/null 2>&1; then
     govulncheck ./...
@@ -64,6 +39,9 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# The arcvet sweep (full suite + waivercheck over ./...) is a test:
+# cmd/arcvet's TestRepoSweepClean, part of go test below. Copied locks
+# and constant over-shifts are go vet's, above.
 if [ "${1:-}" = "quick" ]; then
     echo "== go test (quick) =="
     go test ./...
@@ -73,15 +51,6 @@ fi
 
 echo "== go test -race =="
 go test -race ./...
-
-echo "== analyzer fixtures under race =="
-go test -race ./internal/analysis ./cmd/arcvet
-
-echo "== race-built arcvet over its own sources =="
-# A race-built binary sweeping the analysis packages keeps the door
-# open to a concurrent driver: any data race an analyzer grows is
-# caught here before the scheduler ever overlaps units.
-go run -race ./cmd/arcvet ./internal/analysis ./cmd/arcvet
 
 echo "== on-demand training (1-point pins, cold-engine race, cache identity) =="
 # A cold engine measures only the points a request can choose, each
