@@ -195,7 +195,9 @@ func EncodeContainer(data []byte, c Choice) (*EncodeResult, error) {
 	return core.EncodeContainerWith(data, c)
 }
 
-// ContainerOverheadBytes is the fixed per-container header cost.
+// ContainerOverheadBytes is the per-container header cost of the chunk
+// header version written (a version-1 header, decode-only, is 12 bytes
+// shorter).
 const ContainerOverheadBytes = core.ContainerOverheadBytes
 
 // ILSECDED (ARC_IL_SECDED) is ARC's extension method: interleaved

@@ -245,9 +245,10 @@ func TestSaveRejectsDimensionBeyondHeader(t *testing.T) {
 
 // TestSaveStreamUnchanged pins the bytes Save writes to the ones it
 // wrote while it still copied header and compressed field into one
-// buffer for a single Write (SHA-256 recorded at PR 18, 7bd7c67): the
-// chunk writer cuts by byte count, so two Writes are the same stream,
-// in one chunk or across many.
+// buffer for a single Write: the chunk writer cuts by byte count, so two
+// Writes are the same stream, in one chunk or across many. The hashes
+// are of chunk header version 2, which carries the chunk digest; the
+// payloads are byte-for-byte those of the version-1 recording.
 func TestSaveStreamUnchanged(t *testing.T) {
 	a := testARC(t)
 	cesm := datasets.CESM(32, 64, 1)
@@ -258,9 +259,9 @@ func TestSaveStreamUnchanged(t *testing.T) {
 		opts Options
 		want string
 	}{
-		{"SZ-ABS/one-chunk", cesm, Options{Compressor: "SZ-ABS", Bound: 0.01}, "315f5a7285eba0c677b3a4d79030b7545d94e9883810b8c0ce846fafe98f3b75"},
-		{"ZFP-ACC/4KiB-chunks", nyx, Options{Compressor: "ZFP-ACC", Bound: 1e-6, ChunkBytes: 4 << 10}, "e19623c1b65154d94dade426b14c9cf9a9c1830071bb76c2a5f4926aed9717c5"},
-		{"SZ-ABS/256B-chunks", cesm, Options{Compressor: "SZ-ABS", Bound: 0.01, ChunkBytes: 256}, "286f15dae03bd2e8ed627ae1f9a960569fe6e34ddc65a1c9ce9c68007584cef2"},
+		{"SZ-ABS/one-chunk", cesm, Options{Compressor: "SZ-ABS", Bound: 0.01}, "c8a47e53da91033c13c71a68519f4c2555f4de04020604032a2f2b48ba16942c"},
+		{"ZFP-ACC/4KiB-chunks", nyx, Options{Compressor: "ZFP-ACC", Bound: 1e-6, ChunkBytes: 4 << 10}, "8ff9bd497a0d473bfe1486106b8be0b789e4c39bc8ad320862b801ec3573cc9a"},
+		{"SZ-ABS/256B-chunks", cesm, Options{Compressor: "SZ-ABS", Bound: 0.01, ChunkBytes: 256}, "9bf6bb30366f6738d107f9b97873f770941d0a8d1caf4880dea6ad1290b23fbd"},
 	} {
 		// An error rate and no storage budget is the one request whose
 		// answer does not depend on what training measured.

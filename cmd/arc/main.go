@@ -303,6 +303,7 @@ func cmdVerify(args []string) (err error) {
 	fmt.Printf("chunks:    %d\n", rep.Chunks)
 	fmt.Printf("detected:  %d block(s)\n", rep.DetectedBlocks)
 	fmt.Printf("corrected: %d block(s) (%d bit corrections)\n", rep.CorrectedBlocks, rep.CorrectedBits)
+	fmt.Printf("digest:    %d chunk(s) the ECC passed and the digest refused\n", rep.DigestMismatches)
 	if cerr != nil {
 		return fmt.Errorf("verification FAILED: %w", cerr)
 	}

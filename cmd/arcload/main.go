@@ -1,16 +1,17 @@
 // Command arcload is the workload harness for arcd: it hammers a
 // running daemon with a configurable mix of encode/decode/verify/
-// repair traffic over Zipf-skewed payload sizes, optionally corrupting
-// containers mid-flight — within or beyond the ECC budget — and
-// byte-checks every response against ground truth.
+// repair traffic over Zipf-skewed payload sizes, optionally damaging
+// containers mid-flight — a random bit, three bits, or a 1-, 4- or
+// 64-byte burst, anywhere in the container — and byte-checks every
+// response against ground truth: repaired, reported, or silent.
 //
 //	arcload -addr 127.0.0.1:7410 -clients 8 -requests 200 -corrupt 0.5
 //
 // The machine-readable workload result goes to stdout as JSON (pipe it
 // to `benchmeta service` for the gated artifact); a human summary goes
 // to stderr. The exit status is about the harness, not the service:
-// integrity verdicts (silent mismatches, unrepaired corruptions) are
-// in the JSON for the gate to judge.
+// integrity verdicts (silent mismatches above all) are in the JSON for
+// the gate to judge.
 package main
 
 import (
@@ -37,9 +38,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		minSize     = fs.Int("min-size", 64, "smallest payload in bytes")
 		maxSize     = fs.Int("max-size", 256<<10, "largest payload in bytes")
 		zipfS       = fs.Float64("zipf", 1.4, "Zipf skew of payload sizes (>1; larger favors small payloads)")
-		corrupt     = fs.Float64("corrupt", 0, "fraction of decode-side containers corrupted mid-flight")
-		overBudget  = fs.Float64("over-budget", 0.25, "fraction of corruptions pushed beyond the ECC budget")
-		maxFlips    = fs.Int("max-flips", 3, "within-budget bit flips per corrupted container")
+		corrupt     = fs.Float64("corrupt", 0, "fraction of decode-side containers damaged mid-flight")
 		seed        = fs.Int64("seed", 1, "workload RNG seed")
 		rangeArch   = fs.String("range-archive", "", "archive name (in the server's -root) for READ_RANGE traffic")
 		rangeFile   = fs.String("range-file", "", "plaintext file the range archive encodes (ground truth for byte checks)")
@@ -59,20 +58,18 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	}
 
 	res, err := service.RunWorkload(ctx, service.WorkloadOptions{
-		Addr:           *addr,
-		Clients:        *clients,
-		Requests:       *requests,
-		EncodeRatio:    *encodeRatio,
-		MinSize:        *minSize,
-		MaxSize:        *maxSize,
-		ZipfS:          *zipfS,
-		CorruptRate:    *corrupt,
-		OverBudgetRate: *overBudget,
-		MaxFlips:       *maxFlips,
-		Seed:           *seed,
-		RangeRatio:     *rangeRatio,
-		RangeArchive:   *rangeArch,
-		RangePlain:     rangePlain,
+		Addr:         *addr,
+		Clients:      *clients,
+		Requests:     *requests,
+		EncodeRatio:  *encodeRatio,
+		MinSize:      *minSize,
+		MaxSize:      *maxSize,
+		ZipfS:        *zipfS,
+		CorruptRate:  *corrupt,
+		Seed:         *seed,
+		RangeRatio:   *rangeRatio,
+		RangeArchive: *rangeArch,
+		RangePlain:   rangePlain,
 	})
 	if err != nil {
 		return err
@@ -89,10 +86,10 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		"arcload: %d requests (%d enc / %d dec / %d ver / %d rep / %d range) in %.0fms: %.0f req/s, %.1f MB/s, p50 %.2fms p99 %.2fms\n",
 		res.Requests, res.Encodes, res.Decodes, res.Verifies, res.Repairs, res.RangeReads,
 		res.ElapsedMs, res.RequestsPerS, res.ThroughputMBs, res.Latency.P50Ms, res.Latency.P99Ms)
+	v := res.CorruptedTotal()
 	_, _ = fmt.Fprintf(errw, // as above
-		"arcload: injected %d within-budget (%d bits) + %d over-budget; repaired %d, reported %d, silent mismatches %d, errors %d\n",
-		res.InjectedWithin, res.InjectedWithinBits, res.InjectedOver,
-		res.RepairedWithin, res.ReportedOver, res.SilentMismatches, res.Errors)
+		"arcload: damaged %d containers: repaired %d, reported %d, silent %d; silent mismatches %d, errors %d\n",
+		v.Repaired+v.Reported+v.Silent, v.Repaired, v.Reported, v.Silent, res.SilentMismatches, res.Errors)
 	return nil
 }
 

@@ -44,8 +44,8 @@ func TestArcloadAgainstLiveServer(t *testing.T) {
 	if res.Requests != 75 || res.Errors != 0 || res.SilentMismatches != 0 {
 		t.Fatalf("workload result: %+v", res)
 	}
-	if res.InjectedWithin == 0 || res.RepairedWithin != res.InjectedWithin {
-		t.Fatalf("fault injection accounting: %+v", res)
+	if v := res.CorruptedTotal(); v.Repaired == 0 || v.Reported == 0 || v.Silent != 0 {
+		t.Fatalf("fault injection verdicts: %+v", res.Corrupted)
 	}
 	if !strings.Contains(errw.String(), "req/s") || !strings.Contains(errw.String(), "silent mismatches 0") {
 		t.Fatalf("summary missing from stderr:\n%s", errw.String())

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/metrics"
 	"repro/internal/service"
 )
@@ -15,8 +16,7 @@ import (
 func healthyWorkload() service.WorkloadResult {
 	return service.WorkloadResult{
 		Clients: 4, Requests: 200, Encodes: 100, Decodes: 80, Verifies: 10, Repairs: 10,
-		InjectedWithin: 30, InjectedWithinBits: 55, RepairedWithin: 30, CorrectedBits: 55,
-		InjectedOver: 12, ReportedOver: 12,
+		Corrupted: map[string]faultinject.Verdicts{"single-bit": {Repaired: 30}, "burst-64B": {Reported: 12}},
 		ElapsedMs: 1000, RequestsPerS: 200,
 		Latency: metrics.HistogramSnapshot{Count: 200, P50Ms: 2, P99Ms: 20, MaxMs: 30},
 	}
@@ -62,13 +62,8 @@ func TestServiceGateFailures(t *testing.T) {
 		want   string
 	}{
 		{"silent mismatch", func(r *service.WorkloadResult) { r.SilentMismatches = 1 }, "SILENT MISMATCH"},
-		{"unrepaired", func(r *service.WorkloadResult) { r.RepairedWithin--; r.UnrepairedWithin = 1 }, "within-budget"},
-		{"unreported over-budget", func(r *service.WorkloadResult) { r.ReportedOver-- }, "over-budget"},
-		{"bit accounting drift", func(r *service.WorkloadResult) { r.CorrectedBits++ }, "bits"},
 		{"request errors", func(r *service.WorkloadResult) { r.Errors = 3 }, "request errors"},
-		{"no injection", func(r *service.WorkloadResult) {
-			r.InjectedWithin, r.InjectedWithinBits, r.RepairedWithin, r.CorrectedBits = 0, 0, 0, 0
-		}, "no within-budget corruption"},
+		{"no injection", func(r *service.WorkloadResult) { r.Corrupted = nil }, "no container was damaged"},
 		{"throughput floor", func(r *service.WorkloadResult) { r.RequestsPerS = 1 }, "req/s"},
 		{"latency ceiling", func(r *service.WorkloadResult) { r.Latency.P99Ms = 99999 }, "p99"},
 	}

@@ -13,7 +13,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	mrand "math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/bitio"
@@ -23,28 +25,51 @@ import (
 	"repro/internal/zfp"
 )
 
+// FuzzContainerDecode has two halves. Arbitrary bytes must decode to
+// an error or a result, never a panic. And damage — the bytes of
+// damage XORed into a valid container of a known plaintext, for the
+// configuration cfg picks, from byte off on — must decode to an error
+// or exactly the plaintext: never silently wrong.
 func FuzzContainerDecode(f *testing.F) {
+	plain := make([]byte, 4096)
+	mrand.New(mrand.NewSource(0xF022)).Read(plain)
+	configs := core.AllConfigs()
+	containers := make([][]byte, len(configs))
+	for i, c := range configs {
+		enc, err := EncodeContainer(plain, Choice{Config: c, Threads: 1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		containers[i] = enc.Encoded
+	}
+	secded64 := slices.Index(configs, core.Config{Method: SECDED, Param: 64})
+
 	// Seed with a valid container and a few mutations.
-	eng, err := InitWithOptions(1, Options{CacheDir: "-", TrainSampleBytes: 16 << 10})
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer eng.Close()
-	enc, err := eng.Encode(bytes.Repeat([]byte{0xA5}, 4096), AnyMem, AnyBW, AnyECC)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(enc.Encoded)
-	f.Add([]byte{})
-	f.Add([]byte("ARC1 but not really a container........"))
-	mut := append([]byte(nil), enc.Encoded...)
+	f.Add(containers[secded64], uint8(0), uint32(0), []byte{})
+	f.Add([]byte{}, uint8(0), uint32(0), []byte{})
+	f.Add([]byte("ARC1 but not really a container........"), uint8(0), uint32(0), []byte{})
+	mut := append([]byte(nil), containers[secded64]...)
 	mut[3] ^= 0xFF
-	f.Add(mut)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<20 {
+	f.Add(mut, uint8(0), uint32(0), []byte{})
+	// Three flips in one data byte: SEC-DED(72,64) takes them for one
+	// and "repairs" a fourth bit. Only the chunk digest refuses it.
+	f.Add([]byte{}, uint8(secded64), uint32(1000), []byte{0x07})
+	f.Add([]byte{}, uint8(secded64), uint32(110), bytes.Repeat([]byte{0xFF}, 8)) // header and payload
+	f.Fuzz(func(t *testing.T, data []byte, cfg uint8, off uint32, damage []byte) {
+		if len(data) > 1<<20 || len(damage) > 1<<16 {
 			return
 		}
 		_, _ = Decode(data, 1)
+
+		c := int(cfg) % len(configs)
+		mut := append([]byte(nil), containers[c]...)
+		for i, d := range damage {
+			mut[(int(off)+i)%len(mut)] ^= d
+		}
+		res, err := Decode(mut, 1)
+		if err == nil && !bytes.Equal(res.Data, plain) {
+			t.Fatalf("%s: %d damage bytes at %d decoded to wrong bytes without an error", configs[c], len(damage), off)
+		}
 	})
 }
 
@@ -180,7 +205,9 @@ func forgedOrigLenStreams(f *testing.F) [][]byte {
 	for _, origLen := range []uint64{1 << 30, 1 << 33} {
 		forged := append([]byte(nil), enc.Encoded...)
 		one := forged[:replica]
-		binary.LittleEndian.PutUint64(one[14:], origLen) // docs/FORMAT.md: OrigLen at 14, CRC over [0,30) at 30
+		// docs/FORMAT.md, chunk header version 2: OrigLen at 14, the
+		// CRC over everything before it in the replica's last 4 bytes.
+		binary.LittleEndian.PutUint64(one[14:], origLen)
 		binary.LittleEndian.PutUint32(one[replica-4:], crc32.ChecksumIEEE(one[:replica-4]))
 		copy(forged[replica:], one)
 		copy(forged[2*replica:], one)

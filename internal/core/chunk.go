@@ -68,23 +68,26 @@ func (m *codecMemo) get(cfg Config, workers, devSize int) (ecc.Code, error) {
 	return code, nil
 }
 
-// encodeChunk protects data under choice and returns the finished
-// container — replicated header plus ECC payload — built in dst's
-// storage when its capacity suffices. The header comes back too, so
-// callers that index chunks need not re-parse it. Byte layout depends
-// only on (data, choice.Config), never on dst, s or choice.Threads.
-func encodeChunk(dst, data []byte, choice Choice, s *chunkScratch) ([]byte, header, error) {
+// encodeChunk protects data — the chunk starting at original byte off
+// of its stream — under choice and returns the finished container —
+// replicated header plus ECC payload — built in dst's storage when its
+// capacity suffices. The header comes back too, so callers that index
+// chunks need not re-parse it. Byte layout depends only on (data, off,
+// choice.Config), never on dst, s or choice.Threads.
+func encodeChunk(dst, data []byte, off int64, choice Choice, s *chunkScratch) ([]byte, header, error) {
 	devSize := choice.Config.DeviceSizeFor(len(data))
 	code, err := s.memo.get(choice.Config, choice.Threads, devSize)
 	if err != nil {
 		return nil, header{}, err
 	}
 	h := header{
+		Version: containerVersion,
 		Method:  choice.Config.Method,
 		Param:   choice.Config.Param,
 		DevSize: devSize,
 		OrigLen: len(data),
 		EncLen:  code.EncodedSize(len(data)),
+		Digest:  chunkDigest(off, data),
 	}
 	dst = growTo(dst, ContainerOverheadBytes+h.EncLen)
 	if enc := ecc.EncodeTo(code, dst[ContainerOverheadBytes:], data, &s.ecc); len(enc) != h.EncLen {
@@ -98,18 +101,20 @@ func encodeChunk(dst, data []byte, choice Choice, s *chunkScratch) ([]byte, head
 }
 
 // decodeChunk verifies and repairs one chunk: h is its parsed header,
-// payload the bytes that followed it. The recovered bytes land in dst's
+// payload the bytes that followed it, off the original byte offset the
+// reader expects it to start at. The recovered bytes land in dst's
 // storage when its capacity suffices. Nothing is allocated before the
 // header's geometry is checked against the payload actually in hand, so
 // a forged OrigLen costs an error, not memory.
 //
 // Every failure wraps ErrContainer, except damage beyond the code's
 // budget: that wraps ecc.ErrUncorrectable and comes with the best-effort
-// bytes and a valid report. This is also the one place a decoder panic —
-// a corrupt header driving a constructor or codec into an internal
-// invariant — turns into an error: callers asked for a verdict on
-// untrusted bytes, not a crash.
-func decodeChunk(dst []byte, h header, payload []byte, workers int, s *chunkScratch) (data []byte, rep ecc.Report, err error) {
+// bytes and a valid report. Bytes the code passes but the digest of a
+// version-2 header refuses are such damage too (ErrDigestMismatch). This
+// is also the one place a decoder panic — a corrupt header driving a
+// constructor or codec into an internal invariant — turns into an
+// error: callers asked for a verdict on untrusted bytes, not a crash.
+func decodeChunk(dst []byte, h header, payload []byte, off int64, workers int, s *chunkScratch) (data []byte, rep ecc.Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			data, rep, err = nil, ecc.Report{}, fmt.Errorf("%w: decoder panic: %v", ErrContainer, p)
@@ -127,13 +132,20 @@ func decodeChunk(dst []byte, h header, payload []byte, workers int, s *chunkScra
 	if err != nil && !errors.Is(err, ecc.ErrUncorrectable) {
 		return nil, rep, fmt.Errorf("%w: %v", ErrContainer, err)
 	}
+	if err == nil && h.Version >= 2 && chunkDigest(off, data) != h.Digest {
+		err = ErrDigestMismatch
+	}
 	return data, rep, err
 }
 
-// add folds one chunk's repair statistics into the aggregate.
-func (r *Report) add(rep ecc.Report) {
+// add folds one chunk's repair statistics and verdict into the
+// aggregate.
+func (r *Report) add(rep ecc.Report, err error) {
 	r.Chunks++
 	r.DetectedBlocks += rep.DetectedBlocks
 	r.CorrectedBlocks += rep.CorrectedBlocks
 	r.CorrectedBits += rep.CorrectedBits
+	if errors.Is(err, ErrDigestMismatch) {
+		r.DigestMismatches++
+	}
 }

@@ -47,7 +47,7 @@ func decodeEveryPath(t *testing.T, stream []byte, origLen int) []pathResult {
 	res, err := DecodeContainer(stream, 1)
 	r := pathResult{name: "DecodeContainer", class: errClass(err)}
 	if res != nil {
-		r.rep.add(res.Report)
+		r.rep.add(res.Report, err)
 		if err == nil {
 			r.data = res.Data
 		}
@@ -148,9 +148,7 @@ func TestChunkCodecPathsAgree(t *testing.T) {
 				if !bytes.Equal(r.data, ref.data) {
 					t.Errorf("%s/%s: %s and %s deliver different bytes", cfg, dmg.name, r.name, ref.name)
 				}
-				// A range read that fails reports nothing: the chunk was
-				// neither served nor cached.
-				if r.rep != ref.rep && !(r.name == "RangeReader" && r.class != "ok") {
+				if r.rep != ref.rep {
 					t.Errorf("%s/%s: %s report %+v, %s report %+v", cfg, dmg.name, r.name, r.rep, ref.name, ref.rep)
 				}
 			}
@@ -158,6 +156,58 @@ func TestChunkCodecPathsAgree(t *testing.T) {
 	}
 	if !sawCustom {
 		t.Fatal("the custom code was not part of the table")
+	}
+}
+
+// TestDigestCatchesWhatTheECCPasses: bytes a code hands back as
+// repaired but wrong, and a chunk read at another offset than it was
+// written for, fail every read path with ErrDigestMismatch, counted in
+// Report.DigestMismatches.
+func TestDigestCatchesWhatTheECCPasses(t *testing.T) {
+	data := make([]byte, 3000)
+	rand.New(rand.NewSource(0xD16)).Read(data)
+	cfg := Config{Method: ecc.MethodHamming, Param: 64} // a double flip may miscorrect
+	one, err := EncodeContainerWith(data, Choice{Config: cfg, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := cfg.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := one.Encoded[ContainerOverheadBytes:]
+	var damaged []byte
+	for bit := 1; bit < 64 && damaged == nil; bit++ {
+		mut := append([]byte(nil), payload...)
+		mut[0] ^= 0x80
+		mut[bit/8] ^= 0x80 >> (bit % 8)
+		if got, _, err := code.Decode(mut, len(data)); err == nil && !bytes.Equal(got, data) {
+			damaged = append(append([]byte(nil), one.Encoded[:ContainerOverheadBytes]...), mut...)
+		}
+	}
+	if damaged == nil {
+		t.Fatal("no double flip in codeword 0 miscorrects")
+	}
+	for _, r := range decodeEveryPath(t, damaged, len(data)) {
+		if r.class != "uncorrectable" || r.rep.DigestMismatches != 1 {
+			t.Errorf("miscorrected chunk: %s reports %q, %d digest mismatches", r.name, r.class, r.rep.DigestMismatches)
+		}
+	}
+
+	// Three chunks, the first two swapped: each decodes cleanly, at the
+	// wrong offset.
+	stream := encodeStream(t, Choice{Config: cfg, Threads: 1}, StreamOptions{ChunkSize: 1000, Pipeline: 1}, data)
+	n := len(stream) / 3
+	swapped := append(append(append([]byte(nil), stream[n:2*n]...), stream[:n]...), stream[2*n:]...)
+	for _, pl := range []int{1, 4} {
+		cr := NewChunkReaderWith(bytes.NewReader(swapped), 1, StreamOptions{Pipeline: pl})
+		got, err := io.ReadAll(cr)
+		if !errors.Is(err, ErrDigestMismatch) || len(got) != 0 || cr.Report().DigestMismatches != 1 {
+			t.Errorf("pipeline %d: swapped chunks: %d bytes, %v, report %+v", pl, len(got), err, cr.Report())
+		}
+		if err := cr.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

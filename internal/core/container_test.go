@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -17,7 +19,7 @@ func marshalHeader(h header) []byte {
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
-	h := header{Method: ecc.MethodSECDED, Param: 64, OrigLen: 12345, EncLen: 14000}
+	h := header{Version: containerVersion, Method: ecc.MethodSECDED, Param: 64, OrigLen: 12345, EncLen: 14000, Digest: 0xC0FFEE}
 	buf := marshalHeader(h)
 	if len(buf) != ContainerOverheadBytes {
 		t.Fatalf("header length %d", len(buf))
@@ -32,7 +34,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 func TestHeaderSurvivesSingleReplicaDestruction(t *testing.T) {
-	h := header{Method: ecc.MethodReedSolomon, Param: 15, OrigLen: 999, EncLen: 2048}
+	h := header{Version: containerVersion, Method: ecc.MethodReedSolomon, Param: 15, OrigLen: 999, EncLen: 2048}
 	buf := marshalHeader(h)
 	// Obliterate the entire first replica.
 	for i := 0; i < headerLen; i++ {
@@ -48,7 +50,7 @@ func TestHeaderSurvivesSingleReplicaDestruction(t *testing.T) {
 }
 
 func TestHeaderSurvivesScatteredDamageViaVoting(t *testing.T) {
-	h := header{Method: ecc.MethodParity, Param: 8, OrigLen: 100, EncLen: 120}
+	h := header{Version: containerVersion, Method: ecc.MethodParity, Param: 8, OrigLen: 100, EncLen: 120}
 	buf := marshalHeader(h)
 	// Damage each replica at a different offset: every replica's CRC
 	// fails, but byte-wise majority voting recovers.
@@ -65,7 +67,7 @@ func TestHeaderSurvivesScatteredDamageViaVoting(t *testing.T) {
 }
 
 func TestHeaderEverySingleBitFlipRecoverable(t *testing.T) {
-	h := header{Method: ecc.MethodHamming, Param: 64, OrigLen: 5000, EncLen: 5600}
+	h := header{Version: containerVersion, Method: ecc.MethodHamming, Param: 64, OrigLen: 5000, EncLen: 5600, Digest: 0x12345678}
 	clean := marshalHeader(h)
 	for bit := 0; bit < len(clean)*8; bit++ {
 		buf := append([]byte(nil), clean...)
@@ -91,6 +93,23 @@ func TestHeaderAlignedDamageFails(t *testing.T) {
 	// Voting returns the (corrupt) majority value, whose CRC fails.
 	if !errors.Is(err, ErrContainer) {
 		t.Fatalf("want ErrContainer, got %v", err)
+	}
+}
+
+// TestChunkDigestIsCRC32COfOffsetAndBytes pins the digest's definition
+// (docs/FORMAT.md): CRC-32C over the little-endian u64 start offset,
+// then the chunk's original bytes.
+func TestChunkDigestIsCRC32COfOffsetAndBytes(t *testing.T) {
+	data := []byte("a chunk's original bytes")
+	for _, off := range []int64{0, 1, 4 << 20, 1<<40 + 7, -1} {
+		seeded := append(binary.LittleEndian.AppendUint64(nil, uint64(off)), data...)
+		want := crc32.Checksum(seeded, crc32.MakeTable(crc32.Castagnoli))
+		if got := chunkDigest(off, data); got != want {
+			t.Errorf("offset %d: digest %#08x, want %#08x", off, got, want)
+		}
+	}
+	if chunkDigest(0, data) == chunkDigest(int64(len(data)), data) {
+		t.Error("the digest does not depend on the offset")
 	}
 }
 
@@ -128,7 +147,8 @@ func TestContainerRoundTripRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := header{Method: ecc.MethodSECDED, Param: 8, OrigLen: len(data), EncLen: len(enc.Encoded) - ContainerOverheadBytes}
+		want := header{Version: containerVersion, Method: ecc.MethodSECDED, Param: 8, OrigLen: len(data),
+			EncLen: len(enc.Encoded) - ContainerOverheadBytes, Digest: chunkDigest(0, data)}
 		if h != want {
 			t.Fatalf("header %+v, want %+v", h, want)
 		}

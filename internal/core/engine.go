@@ -152,7 +152,7 @@ func (e *Engine) EncodeWith(data []byte, choice Choice) (*EncodeResult, error) {
 // (like the archive service) that manage configurations themselves.
 func EncodeContainerWith(data []byte, choice Choice) (*EncodeResult, error) {
 	s := getScratch()
-	enc, _, err := encodeChunk(nil, data, choice, s)
+	enc, _, err := encodeChunk(nil, data, 0, choice, s)
 	scratchPool.Put(s)
 	if err != nil {
 		return nil, err
@@ -179,13 +179,14 @@ func (e *Engine) Decode(encoded []byte) (*DecodeResult, error) {
 }
 
 // DecodeContainer decodes without an engine (the container is fully
-// self-describing); workers bounds the parallelism.
+// self-describing); workers bounds the parallelism. The container must
+// be a whole stream of one chunk: its digest is checked at offset 0.
 func DecodeContainer(encoded []byte, workers int) (*DecodeResult, error) {
 	h, err := unmarshalHeader(encoded)
 	if err != nil {
 		return nil, err
 	}
-	payload := encoded[ContainerOverheadBytes:]
+	payload := encoded[h.size():]
 	if len(payload) < h.EncLen {
 		return nil, fmt.Errorf("%w: payload truncated (%d < %d)", ErrContainer, len(payload), h.EncLen)
 	}
@@ -196,7 +197,7 @@ func DecodeContainer(encoded []byte, workers int) (*DecodeResult, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after the container (multi-chunk stream? use the stream reader)", ErrContainer, extra)
 	}
 	s := getScratch()
-	data, rep, err := decodeChunk(nil, h, payload, workers, s)
+	data, rep, err := decodeChunk(nil, h, payload, 0, workers, s)
 	scratchPool.Put(s)
 	if err != nil && !errors.Is(err, ecc.ErrUncorrectable) {
 		return nil, err

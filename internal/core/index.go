@@ -1,26 +1,29 @@
 package core
 
-// Container format v2: a v1 chunk stream followed by a footer index
-// and a fixed-size trailer. The index maps element (byte) ranges to
-// chunk locations so a reader can decode just the chunks covering a
-// requested range; it is wrapped in the same self-describing container
-// header as a data chunk (with a reserved pseudo-method byte) and its
-// payload is protected by its own SEC-DED code plus a CRC over the raw
-// entries — the index is as resilient as the data it points to. The
-// trailer is written three times with per-replica CRCs and read back
-// with byte-wise majority voting, mirroring the chunk header's
-// defense. v1 streams carry neither and remain fully readable; a v2
-// stream whose entire footer is destroyed degrades to the sequential
-// scan path (see rangereader.go).
+// Container format v2: a chunk stream followed by a footer index and a
+// fixed-size trailer (a stream format version; chunk headers carry
+// their own). The index maps element (byte) ranges to chunk locations
+// so a reader can decode just the chunks covering a requested range; it
+// is wrapped in the same self-describing container header as a data
+// chunk (with a reserved pseudo-method byte) and its payload is
+// protected by its own SEC-DED code plus a CRC over the raw entries —
+// the index is as resilient as the data it points to. The trailer is
+// written three times with per-replica CRCs and read back with
+// byte-wise majority voting, mirroring the chunk header's defense. v1
+// streams carry neither and remain fully readable; a v2 stream whose
+// entire footer is destroyed degrades to the sequential scan path (see
+// rangereader.go).
 //
 //	[chunk 0][chunk 1]...[chunk n-1][index chunk][trailer x3]
 //
-// Index chunk: a standard replicated container header with
-// Method = indexMethod, OrigLen = len(entries)*indexEntrySize + 4
-// (the raw entries plus their CRC32), EncLen = the SEC-DED(64)
-// encoding of that, and Param = the entry count. Sequential readers
-// recognize the method byte, consume the footer, and report a clean
-// EOF, so `arc decode` of a v2 stream yields exactly the v1 bytes.
+// Index chunk: a standard replicated container header with Method =
+// indexMethod, OrigLen = len(entries)*indexEntrySize + 4 (the raw
+// entries plus their CRC32), EncLen = the SEC-DED(64) encoding of that,
+// Param = the entry count, and Digest unused (0). Its header version is
+// the data chunks' version: one writer writes a whole stream.
+// Sequential readers recognize the method byte, consume the footer, and
+// report a clean EOF, so `arc decode` of a v2 stream yields exactly the
+// v1 bytes.
 //
 // Trailer replica layout (24 bytes, little-endian):
 //
@@ -67,10 +70,11 @@ const (
 // is attempted.
 type indexEntry struct {
 	Off       int64  // container offset from stream start
-	EncLen    int64  // encoded payload length (container is ContainerOverheadBytes + EncLen)
+	EncLen    int64  // encoded payload length (container is hdrLen + EncLen)
 	OrigStart int64  // cumulative original-byte offset of this chunk
 	OrigLen   int64  // original bytes this chunk reproduces
 	HdrCRC    uint32 // CRC32 (IEEE) of the container's replicated header
+	hdrLen    int64  // replicated header bytes for the chunk's version (not stored)
 }
 
 // indexCode returns the SEC-DED(64) code protecting index payloads,
@@ -193,6 +197,7 @@ func decodeIndexPayload(h header, enc []byte, entries int, indexOff, streamSize 
 	if crc32.ChecksumIEEE(raw[:rawLen-4]) != want {
 		return nil, rep, fmt.Errorf("%w: index CRC mismatch after repair", ErrContainer)
 	}
+	hdrLen := int64(h.size())
 	out := make([]indexEntry, entries)
 	var nextOff, nextOrig int64
 	for i := range out {
@@ -203,14 +208,15 @@ func decodeIndexPayload(h header, enc []byte, entries int, indexOff, streamSize 
 			OrigStart: int64(binary.LittleEndian.Uint64(p[16:])),
 			OrigLen:   int64(binary.LittleEndian.Uint32(p[24:])),
 			HdrCRC:    binary.LittleEndian.Uint32(p[28:]),
+			hdrLen:    hdrLen,
 		}
 		if e.Off != nextOff || e.OrigStart != nextOrig || e.EncLen < 0 || e.OrigLen <= 0 {
 			return nil, rep, fmt.Errorf("%w: index entry %d is inconsistent", ErrContainer, i)
 		}
-		if e.Off+int64(ContainerOverheadBytes)+e.EncLen > indexOff || indexOff > streamSize {
+		if e.Off+hdrLen+e.EncLen > indexOff || indexOff > streamSize {
 			return nil, rep, fmt.Errorf("%w: index entry %d exceeds the stream", ErrContainer, i)
 		}
-		nextOff = e.Off + int64(ContainerOverheadBytes) + e.EncLen
+		nextOff = e.Off + hdrLen + e.EncLen
 		nextOrig = e.OrigStart + e.OrigLen
 		out[i] = e
 	}
@@ -218,10 +224,4 @@ func decodeIndexPayload(h header, enc []byte, entries int, indexOff, streamSize 
 		return nil, rep, fmt.Errorf("%w: index covers %d stream bytes, expected %d", ErrContainer, nextOff, indexOff)
 	}
 	return out, rep, nil
-}
-
-// headerCRC digests a container's replicated header region — the
-// chunk-identity check an index entry carries.
-func headerCRC(container []byte) uint32 {
-	return crc32.ChecksumIEEE(container[:ContainerOverheadBytes])
 }

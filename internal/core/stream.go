@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/crc32"
 	"io"
 	"runtime"
 	"sync/atomic"
@@ -78,6 +79,7 @@ type ChunkWriter struct {
 	closed    bool
 	err       error
 	written   atomic.Int64
+	flushed   int64         // original bytes handed to the encoder so far
 	seq       *chunkScratch // sequential-path scratch (pipeline == 1)
 
 	// v2 index accumulation (nil/inactive unless Indexed). Entries are
@@ -87,7 +89,6 @@ type ChunkWriter struct {
 	indexed  bool
 	index    []indexEntry
 	nextOff  int64
-	origOff  int64
 	indexErr error
 
 	// Pipelined state (nil/unused when pipeline == 1). The producer
@@ -96,7 +97,7 @@ type ChunkWriter struct {
 	// w strictly in submission order. Payload and container buffers
 	// circulate through chunkBufPool, so the steady state allocates
 	// nothing per chunk.
-	pipe     *parallel.Pipe[*chunkBuf, encChunk]
+	pipe     *parallel.Pipe[encChunk, encChunk]
 	emitDone chan struct{}
 	emitErr  atomic.Value // error; first writer-side error wins
 }
@@ -138,9 +139,9 @@ func (e *Engine) NewChunkWriterChoice(w io.Writer, choice Choice, opts StreamOpt
 	if cw.pipeline > 1 {
 		cw.pipe = parallel.NewPipeWith(cw.pipeline, cw.pipeline,
 			func() *chunkScratch { return new(chunkScratch) },
-			func(in *chunkBuf, s *chunkScratch) (encChunk, error) {
-				out, err := cw.encode(in.b, s)
-				putChunkBuf(in) // payload consumed; recycle for the producer
+			func(in encChunk, s *chunkScratch) (encChunk, error) {
+				out, err := cw.encode(in.buf.b, in.off, s)
+				putChunkBuf(in.buf) // payload consumed; recycle for the producer
 				return out, err
 			})
 		cw.emitDone = make(chan struct{})
@@ -206,18 +207,19 @@ func (cw *ChunkWriter) ReadFrom(r io.Reader) (int64, error) {
 	}
 }
 
-// encode protects one chunk payload into a container drawn from the
-// buffer pool. It is the pipeline worker body, so it must be safe to
-// call concurrently (s is the calling worker's private scratch).
-func (cw *ChunkWriter) encode(data []byte, s *chunkScratch) (encChunk, error) {
+// encode protects one chunk payload, starting at original byte off,
+// into a container drawn from the buffer pool. It is the pipeline worker
+// body, so it must be safe to call concurrently (s is the calling
+// worker's private scratch).
+func (cw *ChunkWriter) encode(data []byte, off int64, s *chunkScratch) (encChunk, error) {
 	out := getChunkBuf(0)
-	b, h, err := encodeChunk(out.b, data, cw.choice, s)
+	b, h, err := encodeChunk(out.b, data, off, cw.choice, s)
 	if err != nil {
 		putChunkBuf(out)
 		return encChunk{}, err
 	}
 	out.b = b
-	return encChunk{h: h, buf: out}, nil
+	return encChunk{h: h, off: off, buf: out}, nil
 }
 
 // emit is the pipelined writer's consumer goroutine: it receives
@@ -255,13 +257,14 @@ func (cw *ChunkWriter) writeChunk(enc encChunk) error {
 	if _, err := cw.w.Write(enc.buf.b); err != nil {
 		return err
 	}
-	cw.noteChunk(enc.h, enc.buf.b)
+	cw.noteChunk(enc)
 	cw.written.Add(int64(len(enc.buf.b)))
 	return nil
 }
 
 // noteChunk records one just-written container in the v2 index.
-func (cw *ChunkWriter) noteChunk(h header, container []byte) {
+func (cw *ChunkWriter) noteChunk(enc encChunk) {
+	h := enc.h
 	if !cw.indexed || cw.indexErr != nil {
 		return
 	}
@@ -275,12 +278,11 @@ func (cw *ChunkWriter) noteChunk(h header, container []byte) {
 	cw.index = append(cw.index, indexEntry{
 		Off:       cw.nextOff,
 		EncLen:    int64(h.EncLen),
-		OrigStart: cw.origOff,
+		OrigStart: enc.off,
 		OrigLen:   int64(h.OrigLen),
-		HdrCRC:    headerCRC(container),
+		HdrCRC:    crc32.ChecksumIEEE(enc.buf.b[:ContainerOverheadBytes]),
 	})
-	cw.nextOff += int64(len(container))
-	cw.origOff += int64(h.OrigLen)
+	cw.nextOff += int64(len(enc.buf.b))
 }
 
 // maxIndexedChunk is the largest OrigLen an index entry can record.
@@ -299,8 +301,10 @@ func (cw *ChunkWriter) flush() error {
 	if cw.payload == nil || len(cw.payload.b) == 0 {
 		return nil
 	}
+	off := cw.flushed
+	cw.flushed += int64(len(cw.payload.b))
 	if cw.pipe == nil {
-		enc, err := cw.encode(cw.payload.b, cw.seq)
+		enc, err := cw.encode(cw.payload.b, off, cw.seq)
 		if err == nil {
 			err = cw.writeChunk(enc)
 		}
@@ -318,7 +322,7 @@ func (cw *ChunkWriter) flush() error {
 	// Hand the buffer to the pipeline (blocking while the window is
 	// full) and start a fresh one from the pool; the chunk now belongs
 	// to a worker, which recycles it after encoding.
-	if cw.pipe.Submit(cw.payload) != nil {
+	if cw.pipe.Submit(encChunk{off: off, buf: cw.payload}) != nil {
 		if err := cw.firstErr(); err != nil {
 			cw.err = err
 			return err
@@ -399,6 +403,7 @@ type ChunkReader struct {
 	err      error
 	closed   bool
 	report   Report
+	nextOrig int64         // original offset of the next chunk read off r
 	seq      *chunkScratch // sequential-path scratch (pipeline == 1)
 
 	// Pipelined state (nil/unused when pipeline == 1). The producer
@@ -412,11 +417,13 @@ type ChunkReader struct {
 	prodErr  error // read-side terminal error; valid once prodDone is closed
 }
 
-// encChunk is one encoded chunk in a pooled buffer, with its header
-// parsed: the whole container on its way out of an encode worker, the
-// bare payload on its way into a decode worker. The receiver owns buf.
+// encChunk is one chunk in a pooled buffer with its original start
+// offset in the stream: the plaintext on its way into an encode worker,
+// the whole container (header parsed into h) on its way out, the bare
+// payload on its way into a decode worker. The receiver owns buf.
 type encChunk struct {
 	h   header
+	off int64
 	buf *chunkBuf
 }
 
@@ -433,6 +440,10 @@ type Report struct {
 	DetectedBlocks  int
 	CorrectedBlocks int
 	CorrectedBits   int
+	// DigestMismatches counts chunks the ECC passed whose bytes the
+	// header's digest refused (ErrDigestMismatch): how often the code
+	// was wrong about the damage, or a chunk was out of place.
+	DigestMismatches int
 }
 
 // NewChunkReader creates a streaming decoder over r.
@@ -548,7 +559,7 @@ func (cr *ChunkReader) next() error {
 
 // deliver accounts for one decoded chunk and makes it current.
 func (cr *ChunkReader) deliver(out decChunk, err error) error {
-	cr.report.add(out.rep)
+	cr.report.add(out.rep, err)
 	if err != nil {
 		putChunkBuf(out.data)
 		return fmt.Errorf("chunk %d: %w", cr.report.Chunks, err)
@@ -582,7 +593,7 @@ func (cr *ChunkReader) produce() {
 // best-effort bytes and statistics.
 func (cr *ChunkReader) decode(c encChunk, s *chunkScratch) (decChunk, error) {
 	out := getChunkBuf(0)
-	data, rep, err := decodeChunk(out.b, c.h, c.buf.b, cr.workers, s)
+	data, rep, err := decodeChunk(out.b, c.h, c.buf.b, c.off, cr.workers, s)
 	putChunkBuf(c.buf)
 	if data == nil {
 		putChunkBuf(out)
@@ -595,20 +606,28 @@ func (cr *ChunkReader) decode(c encChunk, s *chunkScratch) (decChunk, error) {
 }
 
 // readHeader reads the next chunk header of a sequential stream into
-// hdr (ContainerOverheadBytes long) and parses it. io.EOF is the clean
-// end: the stream stopped at a chunk boundary, or the v2 footer began —
-// its index payload and trailer are consumed, so a caller layering more
-// reads on the same stream lands past the footer.
+// hdr (ContainerOverheadBytes long) and parses it, consuming exactly
+// the header: a version-1 one, then the rest of a version-2 one if it
+// is not that. io.EOF is the clean end: the stream stopped at a chunk
+// boundary, or the v2 footer began — its index payload and trailer are
+// consumed, so a caller layering more reads on the same stream lands
+// past the footer.
 func readHeader(r io.Reader, hdr []byte) (header, error) {
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	v1 := hdr[:headerLenV1*headerReplicas]
+	if _, err := io.ReadFull(r, v1); err != nil {
 		if err == io.EOF {
 			return header{}, io.EOF
 		}
 		return header{}, fmt.Errorf("%w: truncated chunk header: %v", ErrContainer, err)
 	}
-	h, err := unmarshalHeader(hdr)
+	h, err := unmarshalHeader(v1)
 	if err != nil {
-		return header{}, err
+		if _, err := io.ReadFull(r, hdr[len(v1):]); err != nil {
+			return header{}, fmt.Errorf("%w: truncated chunk header: %v", ErrContainer, err)
+		}
+		if h, err = unmarshalHeader(hdr); err != nil {
+			return header{}, err
+		}
 	}
 	if h.Method == indexMethod {
 		if _, err := io.CopyN(io.Discard, r, int64(h.EncLen)); err == nil {
@@ -635,7 +654,9 @@ func (cr *ChunkReader) readChunk() (encChunk, error) {
 		putChunkBuf(pb)
 		return encChunk{}, fmt.Errorf("%w: truncated chunk payload: %v", ErrContainer, err)
 	}
-	return encChunk{h: h, buf: pb}, nil
+	off := cr.nextOrig
+	cr.nextOrig += int64(h.OrigLen)
+	return encChunk{h: h, off: off, buf: pb}, nil
 }
 
 // directReadCap is the largest chunk payload readCappedInto pre-sizes

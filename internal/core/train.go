@@ -33,7 +33,7 @@ const cacheVersion = 2
 // codecRevision is part of the cache fingerprint. A PR that changes the
 // speed of an ECC kernel or of the chunk codec bumps it, so tables
 // measured against the old code are measured again instead of trusted.
-const codecRevision = 1
+const codecRevision = 2
 
 // Fingerprint says where a table was measured and against which code;
 // throughputs from another fingerprint are not comparable.
@@ -292,13 +292,13 @@ func measure(cfg Config, threads, sampleBytes int) (encMBs, decMBs float64, err 
 	var encT, decT [trainReps]time.Duration
 	for r := -1; r < trainReps; r++ { // r == -1 warms buffers and caches up
 		t0 := time.Now()
-		enc, h, err := encodeChunk(p.enc, p.sample, choice, &p.scratch)
+		enc, h, err := encodeChunk(p.enc, p.sample, 0, choice, &p.scratch)
 		t1 := time.Now()
 		if err != nil {
 			return 0, 0, err
 		}
 		p.enc = enc
-		dec, rep, err := decodeChunk(p.dec, h, enc[ContainerOverheadBytes:], threads, &p.scratch)
+		dec, rep, err := decodeChunk(p.dec, h, enc[ContainerOverheadBytes:], 0, threads, &p.scratch)
 		t2 := time.Now()
 		if err != nil {
 			return 0, 0, fmt.Errorf("core: training decode failed for %s: %w", cfg, err)

@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"math/rand"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/ecc"
+	"repro/internal/faultinject"
 )
 
 // ExtCrossoverResult maps the burst-protection trade space between
@@ -45,7 +45,6 @@ func ExtCrossover(payloadBytes, trials int, seed int64) (*ExtCrossoverResult, er
 	}
 	burstSizes := []int{16, 64, 512, 4096}
 	res := &ExtCrossoverResult{}
-	rng := rand.New(rand.NewSource(seed))
 	for _, cfg := range configs {
 		code, err := cfg.Build(1)
 		if err != nil {
@@ -54,42 +53,24 @@ func ExtCrossover(payloadBytes, trials int, seed int64) (*ExtCrossoverResult, er
 		t0 := time.Now()
 		protected := code.Encode(payload)
 		encMBs := mbs(len(payload), time.Since(t0))
+		repair := func(mut []byte) ([]byte, error) {
+			//arcvet:ignore integrityflow campaign verdicts on recovered bytes vs ground truth; per-trial reports are not aggregated
+			got, _, err := code.Decode(mut, len(payload))
+			return got, err
+		}
 		for _, bs := range burstSizes {
-			row := ExtCrossoverRow{
+			v := faultinject.RunRepairCampaign(protected, payload, faultinject.Burst{Bytes: bs}, repair, trials, seed)
+			res.Rows = append(res.Rows, ExtCrossoverRow{
 				Config:     cfg.String(),
 				Overhead:   cfg.Overhead(),
 				EncMBs:     encMBs,
 				BurstBytes: bs,
 				Trials:     trials,
-			}
-			for trial := 0; trial < trials; trial++ {
-				mut := append([]byte(nil), protected...)
-				off := rng.Intn(len(mut) - bs)
-				for i := 0; i < bs; i++ {
-					mut[off+i] ^= byte(1 + rng.Intn(255))
-				}
-				//arcvet:ignore integrityflow campaign verdicts on recovered bytes vs ground truth; per-trial reports are not aggregated
-				got, _, derr := code.Decode(mut, len(payload))
-				if derr == nil && equal(got, payload) {
-					row.Recovered++
-				}
-			}
-			res.Rows = append(res.Rows, row)
+				Recovered:  v.Repaired,
+			})
 		}
 	}
 	return res, nil
-}
-
-func equal(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Table renders the crossover map.

@@ -338,10 +338,17 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestExtResilienceMatrix is the "never silently wrong" gate: every
+// configuration, every fault pattern, 300 trials a cell, and not one
+// decode may return wrong bytes without an error.
 func TestExtResilienceMatrix(t *testing.T) {
-	r, err := ExtResilienceMatrix(16<<10, 40, 11)
+	const trials = 300
+	r, err := ExtResilienceMatrix(2<<10, trials, 11)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := len(core.AllConfigs()) * 9; len(r.Rows) != want {
+		t.Fatalf("%d cells, want %d", len(r.Rows), want)
 	}
 	cell := func(cfg, inj string) ExtMatrixRow {
 		for _, row := range r.Rows {
@@ -352,31 +359,38 @@ func TestExtResilienceMatrix(t *testing.T) {
 		t.Fatalf("missing cell %s/%s", cfg, inj)
 		return ExtMatrixRow{}
 	}
-	// Parity never recovers and never stays silent on single flips.
-	p := cell("parity8", "single-bit")
-	if p.Recovered != 0 || p.Silent != 0 {
-		t.Fatalf("parity single-bit: %+v", p)
+	for _, row := range r.Rows {
+		if row.Trials != trials || row.Recovered+row.Detected+row.Silent != trials || row.Digest > row.Detected {
+			t.Errorf("%s/%s: verdicts do not add up: %+v", row.Config, row.Injector, row)
+		}
+		if row.Silent != 0 {
+			t.Errorf("%s/%s: %d SILENT corruptions", row.Config, row.Injector, row.Silent)
+		}
+		// A chunk moved in its stream decodes cleanly; only its digest
+		// knows it is out of place.
+		if (row.Injector == "duplicated" || row.Injector == "reordered") && row.Digest != trials {
+			t.Errorf("%s/%s: digest caught %d of %d", row.Config, row.Injector, row.Digest, trials)
+		}
 	}
-	// SEC-DED recovers all single flips with zero silent corruption.
-	s := cell("secded64", "single-bit")
-	if s.Recovered != s.Trials {
-		t.Fatalf("secded single-bit: %+v", s)
+	// Parity detects what lands in the payload; the header votes.
+	if p := cell("parity8", "single-bit"); p.Detected == 0 || p.Digest != 0 {
+		t.Errorf("parity single-bit: %+v", p)
 	}
-	// RS recovers all bursts.
-	b := cell("rs-m15", "burst-64B")
-	if b.Recovered != b.Trials {
-		t.Fatalf("rs burst: %+v", b)
+	// SEC-DED and RS repair every single flip, header included.
+	for _, cfg := range []string{"secded64", "rs-m15"} {
+		if s := cell(cfg, "single-bit"); s.Recovered != trials {
+			t.Errorf("%s single-bit: %+v", cfg, s)
+		}
 	}
-	// SEC-DED under 64-byte bursts must detect (not silently corrupt).
-	sb := cell("secded64", "burst-64B")
-	if sb.Silent != 0 {
-		t.Fatalf("secded burst produced silent corruption: %+v", sb)
+	// Hamming miscorrects three flips in one byte; the digest catches it.
+	if h := cell("hamming64", "burst-1B"); h.Digest == 0 {
+		t.Errorf("hamming64 burst-1B: nothing for the digest to catch: %+v", h)
 	}
 	var buf bytes.Buffer
 	if err := r.Table().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "recovery matrix") {
+	if !strings.Contains(buf.String(), "recovery matrix") || !strings.Contains(buf.String(), "caught by digest") {
 		t.Fatal("bad table")
 	}
 }
@@ -387,15 +401,13 @@ func TestExtMatrixInterleavedSECDED(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range r.Rows {
-		if row.Config != "ilsecded256" {
+		// Interleaved SEC-DED recovers singles AND 64-byte bursts, as RS
+		// does at its full device size.
+		if row.Config != "ilsecded256" && (row.Config != "rs-m15" || row.Injector != "burst-64B") {
 			continue
 		}
-		// Interleaved SEC-DED recovers singles AND 64-byte bursts.
-		if row.Injector == "single-bit" && row.Recovered != row.Trials {
-			t.Fatalf("ilsecded single-bit: %+v", row)
-		}
-		if row.Injector == "burst-64B" && row.Recovered != row.Trials {
-			t.Fatalf("ilsecded burst: %+v", row)
+		if (row.Injector == "single-bit" || row.Injector == "burst-64B") && row.Recovered != row.Trials {
+			t.Fatalf("%s %s: %+v", row.Config, row.Injector, row)
 		}
 	}
 }

@@ -294,40 +294,6 @@ func injectCorrectable(enc []byte, cfg core.Config, origLen, count int, seed int
 	}
 }
 
-// SpeedupDrop returns decode speedup (max threads vs 1) per config and
-// error count — the paper's headline Figure-10 observation is RS's
-// collapse from 18.3x to 2.7x with one error.
-func (r *Fig10Result) SpeedupDrop() map[string]map[int]float64 {
-	type key struct {
-		cfg     string
-		errs    int
-		threads int
-	}
-	vals := map[key]float64{}
-	maxTh := 0
-	for _, row := range r.Rows {
-		vals[key{row.Config, row.Errors, row.Threads}] = row.DecMBs
-		if row.Threads > maxTh {
-			maxTh = row.Threads
-		}
-	}
-	out := map[string]map[int]float64{}
-	for k, v := range vals {
-		if k.threads != maxTh {
-			continue
-		}
-		base := vals[key{k.cfg, k.errs, 1}]
-		if base <= 0 {
-			continue
-		}
-		if out[k.cfg] == nil {
-			out[k.cfg] = map[int]float64{}
-		}
-		out[k.cfg][k.errs] = v / base
-	}
-	return out
-}
-
 // Table renders the error-load sweep.
 func (r *Fig10Result) Table() *Table {
 	t := &Table{

@@ -168,27 +168,6 @@ func (c *Campaign) PercentByStatus(s Status) float64 {
 	return 100 * float64(c.Counts()[s]) / float64(len(c.Trials))
 }
 
-// CompletedStats aggregates the percent-incorrect distribution over
-// Completed trials: mean, min, max.
-func (c *Campaign) CompletedStats() (mean, lo, hi float64, n int) {
-	lo = 101
-	for _, t := range c.Trials {
-		if t.Status != Completed {
-			continue
-		}
-		p := t.Metrics.PercentIncorrect
-		mean += p
-		lo = min(lo, p)
-		hi = max(hi, p)
-		n++
-	}
-	if n == 0 {
-		return 0, 0, 0, 0
-	}
-	mean /= float64(n)
-	return mean, lo, hi, n
-}
-
 // Run executes the campaign: compress once, measure the control
 // decode, then flip each sampled bit and classify the outcome.
 func Run(cfg Config) (*Campaign, error) {

@@ -125,12 +125,7 @@ func TestCampaignSZ(t *testing.T) {
 	if camp.Ratio <= 1 {
 		t.Fatalf("compression ratio %.2f", camp.Ratio)
 	}
-	mean, _, worst, n := camp.CompletedStats()
-	if n == 0 {
-		t.Fatal("no completed trials in stats")
-	}
-	t.Logf("SZ-ABS: %d trials, %.1f%% completed, mean incorrect %.2f%%, max %.2f%%",
-		len(camp.Trials), camp.PercentByStatus(Completed), mean, worst)
+	t.Logf("SZ-ABS: %d trials, %.1f%% completed", len(camp.Trials), camp.PercentByStatus(Completed))
 }
 
 func TestCampaignZFPRateAllComplete(t *testing.T) {

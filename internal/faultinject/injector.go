@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 )
@@ -74,44 +75,39 @@ func (b Burst) Inject(buf []byte, rng *rand.Rand) []byte {
 	return mut
 }
 
-// RegionBurst is Burst restricted to offsets in [Lo, Hi) — useful for
-// keeping bursts out of (or inside) a container header.
-type RegionBurst struct {
-	Bytes  int
-	Lo, Hi int
+// Patterns are the damage patterns every campaign draws from: a single
+// bit, three bits anywhere, and bursts of 1, 4 and 64 bytes. None is
+// shaped to stay inside any code's budget; the verdict says what came of
+// it.
+func Patterns() []Injector {
+	return []Injector{SingleBit{}, MultiBit{K: 3}, Burst{Bytes: 1}, Burst{Bytes: 4}, Burst{Bytes: 64}}
 }
 
-// Name implements Injector.
-func (b RegionBurst) Name() string { return fmt.Sprintf("burst-%dB@[%d,%d)", b.Bytes, b.Lo, b.Hi) }
-
-// Inject implements Injector.
-func (b RegionBurst) Inject(buf []byte, rng *rand.Rand) []byte {
-	mut := append([]byte(nil), buf...)
-	lo, hi := b.Lo, b.Hi
-	if hi > len(mut) {
-		hi = len(mut)
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	n := b.Bytes
-	if lo >= hi || n <= 0 {
-		return mut
-	}
-	if n > hi-lo {
-		n = hi - lo
-	}
-	off := lo + rng.Intn(hi-lo-n+1)
-	for i := 0; i < n; i++ {
-		mut[off+i] ^= byte(1 + rng.Intn(255))
-	}
-	return mut
+// Verdicts tallies the ground-truth outcomes of decoding damaged bytes.
+type Verdicts struct {
+	Repaired int `json:"repaired"` // no error, exactly the original bytes
+	Reported int `json:"reported"` // an error: the damage was detected
+	Silent   int `json:"silent"`   // no error, wrong bytes
 }
 
-// InjectionTrial is the outcome of one injector-driven repair trial.
-type InjectionTrial struct {
-	Recovered bool
-	Detected  bool
+// Add records the verdict on one decode of damaged bytes that protect
+// want: it returned got and err.
+func (v *Verdicts) Add(got, want []byte, err error) {
+	switch {
+	case err != nil:
+		v.Reported++
+	case bytes.Equal(got, want):
+		v.Repaired++
+	default:
+		v.Silent++
+	}
+}
+
+// Merge adds o's counts to v.
+func (v *Verdicts) Merge(o Verdicts) {
+	v.Repaired += o.Repaired
+	v.Reported += o.Reported
+	v.Silent += o.Silent
 }
 
 // RepairFunc attempts to verify/repair a corrupted buffer, returning
@@ -119,34 +115,15 @@ type InjectionTrial struct {
 // detected but not correctable.
 type RepairFunc func(mut []byte) (recovered []byte, err error)
 
-// RunRepairCampaign drives an injector against a protected buffer:
-// for each trial the buffer is corrupted, repaired, and compared to
-// the expected payload. It returns the recovery and detection rates.
-func RunRepairCampaign(protected, expect []byte, inj Injector, repair RepairFunc, trials int, seed int64) (recovered, detectedButLost, silentCorruption int) {
+// RunRepairCampaign drives an injector against a protected buffer: for
+// each trial the buffer is corrupted, repaired, and judged against the
+// expected payload.
+func RunRepairCampaign(protected, expect []byte, inj Injector, repair RepairFunc, trials int, seed int64) Verdicts {
 	rng := rand.New(rand.NewSource(seed))
+	var v Verdicts
 	for i := 0; i < trials; i++ {
-		mut := inj.Inject(protected, rng)
-		got, err := repair(mut)
-		switch {
-		case err == nil && equalBytes(got, expect):
-			recovered++
-		case err != nil:
-			detectedButLost++
-		default:
-			silentCorruption++
-		}
+		got, err := repair(inj.Inject(protected, rng))
+		v.Add(got, expect, err)
 	}
-	return recovered, detectedButLost, silentCorruption
-}
-
-func equalBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return v
 }

@@ -182,6 +182,7 @@ type Live struct {
 	detectedBlocks   atomic.Int64
 	correctedBits    atomic.Int64
 	correctedBlocks  atomic.Int64
+	digestMismatches atomic.Int64
 
 	latency Histogram
 
@@ -241,12 +242,14 @@ func (l *Live) RequestDone(op int, failed bool, bytesIn, bytesOut int, d time.Du
 }
 
 // RepairObserved accumulates a decode/verify/repair report: blocks
-// with detected damage, bit and block corrections applied, and whether
-// the damage exceeded the code's budget.
-func (l *Live) RepairObserved(detectedBlocks, correctedBits, correctedBlocks int, uncorrectable bool) {
+// with detected damage, bit and block corrections applied, chunks the
+// ECC passed but their digest refused, and whether the damage exceeded
+// the code's budget.
+func (l *Live) RepairObserved(detectedBlocks, correctedBits, correctedBlocks, digestMismatches int, uncorrectable bool) {
 	l.detectedBlocks.Add(int64(detectedBlocks))
 	l.correctedBits.Add(int64(correctedBits))
 	l.correctedBlocks.Add(int64(correctedBlocks))
+	l.digestMismatches.Add(int64(digestMismatches))
 	if correctedBits > 0 || correctedBlocks > 0 {
 		l.repairedRequests.Add(1)
 	}
@@ -291,6 +294,7 @@ type LiveSnapshot struct {
 	DetectedBlocks   int64             `json:"detected_blocks"`
 	CorrectedBits    int64             `json:"corrected_bits"`
 	CorrectedBlocks  int64             `json:"corrected_blocks"`
+	DigestMismatches int64             `json:"digest_mismatches"`
 	Latency          HistogramSnapshot `json:"latency"`
 	Cache            *CacheStats       `json:"cache,omitempty"`
 	Ops              []OpSnapshot      `json:"ops"`
@@ -311,6 +315,7 @@ func (l *Live) Snapshot() LiveSnapshot {
 		DetectedBlocks:   l.detectedBlocks.Load(),
 		CorrectedBits:    l.correctedBits.Load(),
 		CorrectedBlocks:  l.correctedBlocks.Load(),
+		DigestMismatches: l.digestMismatches.Load(),
 		Latency:          l.latency.Snapshot(),
 		Ops:              make([]OpSnapshot, len(l.ops)),
 	}

@@ -85,8 +85,8 @@ func TestLiveSnapshot(t *testing.T) {
 	l.RequestDone(0, false, 1000, 1200, 2*time.Millisecond)
 	l.RequestDone(1, true, 1200, 40, 5*time.Millisecond)
 	l.RequestDone(99, false, 1, 1, time.Millisecond) // out of range: bytes still counted
-	l.RepairObserved(3, 2, 1, false)
-	l.RepairObserved(1, 0, 0, true)
+	l.RepairObserved(3, 2, 1, 0, false)
+	l.RepairObserved(1, 0, 0, 1, true)
 
 	s := l.Snapshot()
 	if s.ConnsTotal != 2 || s.ConnsActive != 1 {
@@ -98,7 +98,7 @@ func TestLiveSnapshot(t *testing.T) {
 	if s.BytesIn != 2201 || s.BytesOut != 1241 {
 		t.Fatalf("bytes = %d/%d", s.BytesIn, s.BytesOut)
 	}
-	if s.RepairedRequests != 1 || s.Uncorrectable != 1 || s.CorrectedBits != 2 || s.DetectedBlocks != 4 {
+	if s.RepairedRequests != 1 || s.Uncorrectable != 1 || s.CorrectedBits != 2 || s.DetectedBlocks != 4 || s.DigestMismatches != 1 {
 		t.Fatalf("repair counters: %+v", s)
 	}
 	if len(s.Ops) != 3 || s.Ops[0].Name != "encode" || s.Ops[0].Requests != 1 || s.Ops[1].Errors != 1 {

@@ -40,21 +40,12 @@ type WorkloadOptions struct {
 	// means smaller payloads dominate harder).
 	ZipfS float64
 	// CorruptRate is the fraction of decode-side requests whose
-	// container is corrupted mid-flight before being sent (default 0;
-	// the chaos suite runs 0.5).
+	// container is damaged mid-flight before being sent, by one of
+	// faultinject.Patterns() drawn at random and applied anywhere in
+	// the container (default 0; the chaos suite runs 0.6).
 	CorruptRate float64
-	// OverBudgetRate is the fraction of those corruptions pushed
-	// beyond the ECC budget (two bit flips inside one SEC-DED
-	// codeword), which the server must report as uncorrectable.
-	OverBudgetRate float64
-	// MaxFlips bounds the within-budget bit flips per corrupted
-	// container; each lands in a distinct codeword (default 3).
-	MaxFlips int
-	// Method/Param is the ECC configuration requested on encodes.
-	// The fault-injection accounting assumes SEC-DED over 64-bit
-	// blocks (the default), whose data-verbatim layout makes
-	// within/over-budget corruption constructible by position; other
-	// configurations may only run with CorruptRate 0.
+	// Method/Param is the ECC configuration requested on encodes
+	// (default SEC-DED over 64-bit blocks).
 	Method ecc.Method
 	Param  int
 	// Seed makes runs reproducible (0 means 1).
@@ -103,17 +94,11 @@ func (o WorkloadOptions) withDefaults() (WorkloadOptions, error) {
 	if o.ZipfS <= 1 {
 		o.ZipfS = 1.4
 	}
-	if o.MaxFlips <= 0 {
-		o.MaxFlips = 3
-	}
 	if o.Method == 0 {
 		o.Method, o.Param = ecc.MethodSECDED, 64
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.CorruptRate > 0 && (o.Method != ecc.MethodSECDED || o.Param != 64) {
-		return o, errors.New("service: fault injection requires the secded64 configuration (its layout makes error budgets constructible)")
 	}
 	if o.RangeRatio < 0 {
 		o.RangeRatio = 0
@@ -143,31 +128,19 @@ type WorkloadResult struct {
 	// A healthy run reports 0.
 	Errors int `json:"errors"`
 
-	// InjectedWithin / InjectedOver count corrupted containers sent,
-	// by whether the damage fit the ECC budget. InjectedWithinBits is
-	// the total bit flips across within-budget containers.
-	InjectedWithin     int `json:"injected_within_budget"`
-	InjectedWithinBits int `json:"injected_within_budget_bits"`
-	InjectedOver       int `json:"injected_over_budget"`
-	// RepairedWithin counts within-budget containers that decoded to
-	// exactly the original bytes; CorrectedBits sums the server's
-	// reported corrections on them. A healthy run has RepairedWithin
-	// == InjectedWithin and CorrectedBits == InjectedWithinBits.
-	RepairedWithin int `json:"repaired_within_budget"`
-	CorrectedBits  int `json:"corrected_bits"`
-	// RangeCorrectedBits sums the corrections READ_RANGE responses
-	// reported — repairs the archive performed silently under reads.
-	RangeCorrectedBits int `json:"range_corrected_bits"`
-	// ReportedOver counts over-budget containers the server refused
-	// as uncorrectable — the only acceptable outcome for them.
-	ReportedOver int `json:"reported_over_budget"`
-	// SilentMismatches counts decodes that returned OK with bytes
-	// differing from the original — the catastrophic outcome the ECC
-	// stack exists to prevent. Any value but 0 is a bug.
+	// Corrupted tallies the requests whose container was damaged
+	// before sending, by fault pattern name and ground-truth verdict:
+	// repaired (OK and exact bytes), reported (uncorrectable or
+	// corrupt), silent (OK and wrong bytes).
+	Corrupted map[string]faultinject.Verdicts `json:"corrupted,omitempty"`
+	// CorrectedBits sums the bit corrections the server's responses
+	// reported: READ_RANGE repairs of the archive under reads, and the
+	// repairs of damaged containers.
+	CorrectedBits int `json:"corrected_bits"`
+	// SilentMismatches counts responses that returned OK with bytes
+	// differing from the original, damaged or not — the catastrophic
+	// outcome the ECC stack exists to prevent. Any value but 0 is a bug.
 	SilentMismatches int `json:"silent_mismatches"`
-	// UnrepairedWithin counts within-budget corruptions the server
-	// failed to repair. Any value but 0 is a bug.
-	UnrepairedWithin int `json:"unrepaired_within_budget"`
 
 	BytesSent     int64   `json:"bytes_sent"`
 	BytesReceived int64   `json:"bytes_received"`
@@ -272,17 +245,32 @@ func mergeResults(dst, src *WorkloadResult) {
 	dst.Repairs += src.Repairs
 	dst.RangeReads += src.RangeReads
 	dst.Errors += src.Errors
-	dst.InjectedWithin += src.InjectedWithin
-	dst.InjectedWithinBits += src.InjectedWithinBits
-	dst.InjectedOver += src.InjectedOver
-	dst.RepairedWithin += src.RepairedWithin
+	for name, v := range src.Corrupted {
+		dst.noteCorrupted(name, v)
+	}
 	dst.CorrectedBits += src.CorrectedBits
-	dst.RangeCorrectedBits += src.RangeCorrectedBits
-	dst.ReportedOver += src.ReportedOver
 	dst.SilentMismatches += src.SilentMismatches
-	dst.UnrepairedWithin += src.UnrepairedWithin
 	dst.BytesSent += src.BytesSent
 	dst.BytesReceived += src.BytesReceived
+}
+
+// noteCorrupted adds v to the verdicts of fault pattern name.
+func (r *WorkloadResult) noteCorrupted(name string, v faultinject.Verdicts) {
+	if r.Corrupted == nil {
+		r.Corrupted = make(map[string]faultinject.Verdicts)
+	}
+	sum := r.Corrupted[name]
+	sum.Merge(v)
+	r.Corrupted[name] = sum
+}
+
+// CorruptedTotal sums the verdicts over every fault pattern.
+func (r *WorkloadResult) CorruptedTotal() faultinject.Verdicts {
+	var sum faultinject.Verdicts
+	for _, v := range r.Corrupted {
+		sum.Merge(v)
+	}
+	return sum
 }
 
 // runClient is one worker: a dedicated connection issuing Requests
@@ -374,7 +362,7 @@ func clientRangeRead(ctx context.Context, c *Client, opts WorkloadOptions, rng *
 	lat.Observe(time.Since(start))
 	t.result.Requests++
 	t.result.RangeReads++
-	t.result.RangeCorrectedBits += rep.CorrectedBits
+	t.result.CorrectedBits += rep.CorrectedBits
 	t.result.BytesSent += rangeReqHeaderLen + int64(len(opts.RangeArchive))
 	if err != nil {
 		t.result.Errors++
@@ -392,42 +380,27 @@ func clientRangeRead(ctx context.Context, c *Client, opts WorkloadOptions, rng *
 }
 
 // clientDecodeSide issues one decode-shaped request (DECODE, VERIFY,
-// or REPAIR), optionally corrupting the container first, and verdicts
+// or REPAIR), optionally damaging the container first, and verdicts
 // the response against the ground truth.
 func clientDecodeSide(ctx context.Context, c *Client, opts WorkloadOptions, rng *rand.Rand, item cachedItem, lat *metrics.Histogram, t *clientTally) error {
 	container := item.container
-	kind := corruptNone
-	flips := 0
+	var fault faultinject.Injector
 	if opts.CorruptRate > 0 && rng.Float64() < opts.CorruptRate {
-		mut := append([]byte(nil), container...)
-		if rng.Float64() < opts.OverBudgetRate {
-			if corruptOverBudget(mut, len(item.original), rng) {
-				kind = corruptOver
-			}
-		} else {
-			flips = corruptWithinBudget(mut, len(item.original), rng, opts.MaxFlips)
-			if flips > 0 {
-				kind = corruptWithin
-				t.result.InjectedWithin++
-				t.result.InjectedWithinBits += flips
-			}
-		}
-		container = mut
+		patterns := faultinject.Patterns()
+		fault = patterns[rng.Intn(len(patterns))]
+		container = fault.Inject(container, rng)
 	}
 
 	// Rotate through the three decode-shaped ops; REPAIR and VERIFY
 	// each take a slice of the traffic so every server path sees load.
+	// VERIFY answers no bytes to judge, so damaged containers take
+	// REPAIR in its place.
 	op := OpDecode
 	switch r := rng.Float64(); {
-	case r < 0.15:
+	case r < 0.15 && fault == nil:
 		op = OpVerify
 	case r < 0.3:
 		op = OpRepair
-	}
-	if kind == corruptOver {
-		// VERIFY has no data to compare; the uncorrectable verdict is
-		// still exercised. REPAIR and DECODE behave identically here.
-		op = OpDecode
 	}
 
 	start := time.Now()
@@ -448,11 +421,9 @@ func clientDecodeSide(ctx context.Context, c *Client, opts WorkloadOptions, rng 
 			// A repaired container must decode (locally — the ground
 			// truth check must not trust the server twice) to the
 			// original bytes.
-			res, derr := core.DecodeContainer(fresh, 1)
-			if derr != nil || !bytes.Equal(res.Data, item.original) {
-				t.result.SilentMismatches++
+			if res, derr := core.DecodeContainer(fresh, 1); derr == nil {
+				data = res.Data
 			}
-			data = item.original // comparison already done
 		}
 	default:
 		data, rep, err = c.Decode(ctx, container)
@@ -460,50 +431,27 @@ func clientDecodeSide(ctx context.Context, c *Client, opts WorkloadOptions, rng 
 	}
 	lat.Observe(time.Since(start))
 	t.result.Requests++
+	t.result.CorrectedBits += rep.CorrectedBits
 	t.result.BytesSent += int64(len(container))
 	t.result.BytesReceived += int64(len(data))
 
-	switch kind {
-	case corruptNone, corruptWithin:
-		if err != nil {
-			t.result.Errors++
-			if kind == corruptWithin {
-				t.result.UnrepairedWithin++
-			}
-			if transportError(err) {
-				return fmt.Errorf("%s: %w", op, err)
-			}
-			return nil
+	var re *RemoteErr
+	reported := errors.As(err, &re) && (re.Status == StatusUncorrectable || re.Status == StatusBadRequest)
+	switch {
+	case err != nil && (fault == nil || !reported):
+		t.result.Errors++
+		if transportError(err) {
+			return fmt.Errorf("%s: %w", op, err)
 		}
-		if op != OpVerify && op != OpRepair && !bytes.Equal(data, item.original) {
-			t.result.SilentMismatches++
-			t.result.Errors++
-			return nil
-		}
-		if kind == corruptWithin {
-			t.result.RepairedWithin++
-			t.result.CorrectedBits += rep.CorrectedBits
-		}
-	case corruptOver:
-		t.result.InjectedOver++
-		switch {
-		case err == nil:
-			// The server claims success on damage beyond the budget:
-			// either it miscorrected (bytes differ — silent wrongness)
-			// or the "over-budget" construction failed. Both are
-			// integrity bugs worth failing the run over.
-			t.result.Errors++
-			if !bytes.Equal(data, item.original) {
-				t.result.SilentMismatches++
-			}
-		case IsUncorrectable(err):
-			t.result.ReportedOver++
-		default:
-			t.result.Errors++
-			if transportError(err) {
-				return fmt.Errorf("%s: %w", op, err)
-			}
-		}
+		return nil
+	case fault != nil:
+		var v faultinject.Verdicts
+		v.Add(data, item.original, err)
+		t.result.noteCorrupted(fault.Name(), v)
+	}
+	if err == nil && op != OpVerify && !bytes.Equal(data, item.original) {
+		t.result.SilentMismatches++
+		t.result.Errors++
 	}
 	return nil
 }
@@ -513,69 +461,4 @@ func clientDecodeSide(ctx context.Context, c *Client, opts WorkloadOptions, rng 
 func transportError(err error) bool {
 	var re *RemoteErr
 	return !errors.As(err, &re)
-}
-
-type corruptKind int
-
-const (
-	corruptNone corruptKind = iota
-	corruptWithin
-	corruptOver
-)
-
-// secded64 layout facts the injectors rely on (see
-// internal/ecc/hamming: "the data verbatim, followed by the per-block
-// check bits"): byte i of the original data lives at container offset
-// ContainerOverheadBytes+i, and bits of data block b are the 64 bits
-// at offsets [8b, 8b+8) of that region. Flips in distinct blocks are
-// independently correctable; two flips in one block are detectable
-// but beyond the correction budget.
-
-// corruptWithinBudget flips up to maxFlips bits, each in a distinct
-// SEC-DED data block, and returns how many bits it flipped (0 when
-// the payload is too small to corrupt safely).
-func corruptWithinBudget(container []byte, origLen int, rng *rand.Rand, maxFlips int) int {
-	if origLen == 0 {
-		return 0
-	}
-	blocks := (origLen + 7) / 8
-	n := 1 + rng.Intn(maxFlips)
-	if n > blocks {
-		n = blocks
-	}
-	flipped := 0
-	for _, b := range rng.Perm(blocks)[:n] {
-		lo := b * 8
-		hi := min(lo+8, origLen)
-		bit := lo*8 + rng.Intn((hi-lo)*8)
-		faultinject.FlipBitInPlace(container[core.ContainerOverheadBytes:], bit)
-		flipped++
-	}
-	return flipped
-}
-
-// corruptOverBudget flips two distinct bits inside one SEC-DED data
-// block — a double error the code must detect but cannot correct.
-// Returns false when the payload has no full byte to corrupt.
-func corruptOverBudget(container []byte, origLen int, rng *rand.Rand) bool {
-	if origLen < 1 {
-		return false
-	}
-	blocks := (origLen + 7) / 8
-	b := rng.Intn(blocks)
-	lo := b * 8
-	hi := min(lo+8, origLen)
-	width := (hi - lo) * 8
-	if width < 2 {
-		return false
-	}
-	first := rng.Intn(width)
-	second := rng.Intn(width - 1)
-	if second >= first {
-		second++
-	}
-	payload := container[core.ContainerOverheadBytes:]
-	faultinject.FlipBitInPlace(payload, lo*8+first)
-	faultinject.FlipBitInPlace(payload, lo*8+second)
-	return true
 }

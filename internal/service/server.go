@@ -509,7 +509,7 @@ func (s *Server) processReadRange(req request, resp *response) {
 	dst := make([]byte, n)
 	got, rep, err := a.rr.ReadRange(dst, first, n)
 	if rep.Chunks > 0 || err != nil {
-		s.stats.RepairObserved(rep.DetectedBlocks, rep.CorrectedBits, rep.CorrectedBlocks,
+		s.stats.RepairObserved(rep.DetectedBlocks, rep.CorrectedBits, rep.CorrectedBlocks, rep.DigestMismatches,
 			err != nil && !errors.Is(err, io.EOF))
 	}
 	if err != nil && !errors.Is(err, io.EOF) {
@@ -559,8 +559,11 @@ func (s *Server) processEncode(req request, resp *response) {
 func (s *Server) decodeRequest(req request, resp *response) *core.DecodeResult {
 	res, err := core.DecodeContainer(req.payload, s.cfg.Threads)
 	if res != nil {
-		rep := res.Report
-		s.stats.RepairObserved(rep.DetectedBlocks, rep.CorrectedBits, rep.CorrectedBlocks, err != nil)
+		rep, digest := res.Report, 0
+		if errors.Is(err, core.ErrDigestMismatch) {
+			digest = 1
+		}
+		s.stats.RepairObserved(rep.DetectedBlocks, rep.CorrectedBits, rep.CorrectedBlocks, digest, err != nil)
 	}
 	if err != nil {
 		resp.status, resp.payload = decodeFailure(err)

@@ -87,11 +87,12 @@ go run ./cmd/benchmeta seek < /tmp/arc_bench_seek.txt > BENCH_seek.json
 echo "wrote BENCH_seek.json"
 
 echo "== service smoke (arcd + arcload with fault injection, recorded to BENCH_service.json) =="
-# Boot a real daemon on an ephemeral port, hammer it with a corrupting
-# workload, and gate the result: every within-budget corruption must be
-# repaired, every over-budget one reported, zero silent mismatches, and
-# the smoke-scale throughput/latency floors must hold (benchmeta's
-# nonzero exit fails verify under set -e).
+# Boot a real daemon on an ephemeral port, hammer it with a workload
+# that damages half the decode-side containers anywhere (a random bit,
+# three bits, or a 1-, 4- or 64-byte burst), and gate the result: every
+# response repaired or reported, zero silently wrong, no request
+# failed, and the smoke-scale throughput/latency floors must hold
+# (benchmeta's nonzero exit fails verify under set -e).
 service_tmp=$(mktemp -d)
 arcd_pid=""
 cleanup_service() {
