@@ -1,8 +1,13 @@
 // Package cache provides the decoded-chunk cache behind ARC's range
-// reads: a sharded, mutex-striped LRU keyed by (archive, chunk) with a
-// byte-size budget, single-flight loading so concurrent readers of one
-// chunk decode it once, and hit/miss/eviction counters exported as a
+// reads: one byte-budgeted cache keyed by (archive, chunk) with SIEVE
+// eviction (Zhang et al., "SIEVE is Simpler than LRU", NSDI '24),
+// single-flight loading so concurrent readers of one chunk decode it
+// once, and hit/miss/eviction counters exported as a
 // metrics.CacheStats for the arcd STATS endpoint.
+//
+// The budget is one pool, not stripes: under a Zipf-skewed read mix the
+// hot chunks must stay resident wherever their keys hash, which
+// per-stripe budgets of a few chunks each cannot promise.
 //
 // Values are immutable once inserted: readers receive the cached slice
 // directly and must not write through it. Eviction only drops the
@@ -27,11 +32,6 @@ type Key struct {
 	Chunk   int64
 }
 
-// shardCount is the number of independent LRU shards. Striping the
-// mutex keeps concurrent readers of different chunks off each other's
-// locks; 16 shards cover the worker counts the range decoder runs.
-const shardCount = 16
-
 // DefaultBudgetBytes is the cache budget when the caller passes <= 0.
 const DefaultBudgetBytes = 64 << 20
 
@@ -39,12 +39,12 @@ const DefaultBudgetBytes = 64 << 20
 // cache.
 var ErrClosed = errors.New("cache: closed")
 
-// entry is one resident chunk, linked into its shard's LRU list
-// (front = most recent).
+// entry is one resident chunk in the FIFO of insertion order.
 type entry struct {
-	key        Key
-	val        []byte
-	prev, next *entry // LRU neighbors; nil at list ends
+	key          Key
+	val          []byte
+	visited      bool   // set by a hit, cleared as the hand sweeps past
+	newer, older *entry // FIFO neighbors; nil at the ends
 }
 
 // flight is one in-progress load. The leader closes done after
@@ -55,62 +55,43 @@ type flight struct {
 	err  error
 }
 
-// shard is one LRU stripe. All fields are guarded by mu.
-type shard struct {
-	mu       sync.Mutex
-	entries  map[Key]*entry
-	inflight map[Key]*flight
-	head     *entry // most recently used
-	tail     *entry // least recently used
-	bytes    int64
-}
-
-// Cache is a sharded single-flight LRU of decoded chunks. Construct
+// Cache is a single-flight SIEVE cache of decoded chunks. Construct
 // with New; all methods are safe for concurrent use. The quit channel
 // doubles as the cancellation affordance for followers parked on an
 // in-flight load: Close unblocks them with ErrClosed.
 type Cache struct {
-	shards      [shardCount]shard
-	shardBudget int64
-	budget      int64
-	quit        chan struct{}
-	quitOnce    sync.Once
+	mu       sync.Mutex // guards the maps, the FIFO, the hand and visited bits
+	byKey    map[Key]*entry
+	inflight map[Key]*flight
+	newest   *entry
+	oldest   *entry
+	hand     *entry // next eviction candidate; nil restarts at oldest
+
+	budget   int64
+	quit     chan struct{}
+	quitOnce sync.Once
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-	bytes     atomic.Int64
+	bytes     atomic.Int64 // written only under mu
 	entries   atomic.Int64
 }
 
 // New creates a cache with the given byte budget (<= 0 selects
-// DefaultBudgetBytes). The budget is split evenly across shards; each
-// shard always retains at least its most recent entry, so a single
-// chunk larger than a shard's slice is still cacheable.
+// DefaultBudgetBytes). The entry being inserted is never evicted, so a
+// single chunk larger than the whole budget is still cacheable until
+// the next insert displaces it.
 func New(budgetBytes int64) *Cache {
 	if budgetBytes <= 0 {
 		budgetBytes = DefaultBudgetBytes
 	}
-	c := &Cache{
-		budget:      budgetBytes,
-		shardBudget: budgetBytes / shardCount,
-		quit:        make(chan struct{}),
+	return &Cache{
+		byKey:    make(map[Key]*entry),
+		inflight: make(map[Key]*flight),
+		budget:   budgetBytes,
+		quit:     make(chan struct{}),
 	}
-	if c.shardBudget < 1 {
-		c.shardBudget = 1
-	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[Key]*entry)
-		c.shards[i].inflight = make(map[Key]*flight)
-	}
-	return c
-}
-
-// shardFor maps a key to its stripe with a cheap integer mix.
-func (c *Cache) shardFor(k Key) *shard {
-	h := k.Archive*0x9E3779B97F4A7C15 + uint64(k.Chunk)*0xBF58476D1CE4E5B9
-	h ^= h >> 29
-	return &c.shards[h%shardCount]
 }
 
 // GetOrLoad returns the cached value for k, or runs load exactly once
@@ -124,16 +105,15 @@ func (c *Cache) GetOrLoad(k Key, load func() ([]byte, error)) ([]byte, error) {
 		return nil, ErrClosed
 	default:
 	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	if e, ok := s.entries[k]; ok {
-		s.moveToFront(e)
-		s.mu.Unlock()
+	c.mu.Lock()
+	if e, ok := c.byKey[k]; ok {
+		e.visited = true // a hit marks the entry and never moves it
+		c.mu.Unlock()
 		c.hits.Add(1)
 		return e.val, nil
 	}
-	if fl, ok := s.inflight[k]; ok {
-		s.mu.Unlock()
+	if fl, ok := c.inflight[k]; ok {
+		c.mu.Unlock()
 		c.misses.Add(1)
 		select {
 		case <-fl.done:
@@ -143,8 +123,8 @@ func (c *Cache) GetOrLoad(k Key, load func() ([]byte, error)) ([]byte, error) {
 		}
 	}
 	fl := &flight{done: make(chan struct{})}
-	s.inflight[k] = fl
-	s.mu.Unlock()
+	c.inflight[k] = fl
+	c.mu.Unlock()
 	c.misses.Add(1)
 
 	fl.val, fl.err = load()
@@ -156,40 +136,76 @@ func (c *Cache) GetOrLoad(k Key, load func() ([]byte, error)) ([]byte, error) {
 		closed = true // Close raced the load; don't repopulate a drained cache
 	default:
 	}
-	s.mu.Lock()
-	delete(s.inflight, k)
+	c.mu.Lock()
+	delete(c.inflight, k)
 	if fl.err == nil && !closed {
-		c.insertLocked(s, k, fl.val)
+		c.insertLocked(k, fl.val)
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	close(fl.done)
 	return fl.val, fl.err
 }
 
-// insertLocked adds (k, val) to s, evicting from the cold end until the
-// shard is back under budget. The newly inserted entry is never
-// evicted, so an oversized chunk still serves repeat reads until the
-// next insert displaces it. Caller holds s.mu.
-func (c *Cache) insertLocked(s *shard, k Key, val []byte) {
-	if _, ok := s.entries[k]; ok {
+// insertLocked evicts until (k, val) fits the budget, or nothing is
+// left to evict, then adds it as the newest entry: resident bytes stay
+// within the budget unless val alone exceeds it. Caller holds c.mu.
+func (c *Cache) insertLocked(k Key, val []byte) {
+	if _, ok := c.byKey[k]; ok {
 		return // a racing leader for the same key already landed it
 	}
-	e := &entry{key: k, val: val}
-	s.entries[k] = e
-	s.pushFront(e)
-	s.bytes += int64(len(val))
-	c.bytes.Add(int64(len(val)))
-	c.entries.Add(1)
-	for s.bytes > c.shardBudget && s.tail != nil && s.tail != e {
-		c.evictLocked(s, s.tail)
+	size := int64(len(val))
+	for c.oldest != nil && c.bytes.Load()+size > c.budget {
+		c.evictLocked(c.victimLocked())
 	}
+	e := &entry{key: k, val: val, older: c.newest}
+	if c.newest != nil {
+		c.newest.newer = e
+	} else {
+		c.oldest = e
+	}
+	c.newest = e
+	c.byKey[k] = e
+	c.bytes.Add(size)
+	c.entries.Add(1)
 }
 
-// evictLocked removes e from s. Caller holds s.mu.
-func (c *Cache) evictLocked(s *shard, e *entry) {
-	s.unlink(e)
-	delete(s.entries, e.key)
-	s.bytes -= int64(len(e.val))
+// victimLocked moves the hand from where it stopped toward the newest
+// entry, wrapping to the oldest, and returns the first entry not
+// visited since the hand last passed it; the visited entries it passes
+// lose their bit. The hand stays on the victim, so evicting it moves
+// the hand on. Caller holds c.mu and the FIFO is non-empty.
+func (c *Cache) victimLocked() *entry {
+	e := c.hand
+	if e == nil {
+		e = c.oldest
+	}
+	for e.visited {
+		e.visited = false
+		if e = e.newer; e == nil {
+			e = c.oldest
+		}
+	}
+	c.hand = e
+	return e
+}
+
+// evictLocked unlinks e, leaving the hand on its newer neighbor.
+// Caller holds c.mu.
+func (c *Cache) evictLocked(e *entry) {
+	if c.hand == e {
+		c.hand = e.newer
+	}
+	if e.newer != nil {
+		e.newer.older = e.older
+	} else {
+		c.newest = e.older
+	}
+	if e.older != nil {
+		e.older.newer = e.newer
+	} else {
+		c.oldest = e.newer
+	}
+	delete(c.byKey, e.key)
 	c.bytes.Add(-int64(len(e.val)))
 	c.entries.Add(-1)
 	c.evictions.Add(1)
@@ -197,18 +213,15 @@ func (c *Cache) evictLocked(s *shard, e *entry) {
 
 // Close marks the cache closed and unblocks every follower parked on
 // an in-flight load. Leaders finish their loads (the result is still
-// delivered to them); resident entries are dropped. Close is
-// idempotent.
+// delivered to them); resident entries are dropped and count as
+// evictions. Close is idempotent.
 func (c *Cache) Close() error {
 	c.quitOnce.Do(func() { close(c.quit) })
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for s.tail != nil {
-			c.evictLocked(s, s.tail)
-		}
-		s.mu.Unlock()
+	c.mu.Lock()
+	for c.oldest != nil {
+		c.evictLocked(c.oldest)
 	}
+	c.mu.Unlock()
 	return nil
 }
 
@@ -222,41 +235,4 @@ func (c *Cache) Stats() metrics.CacheStats {
 		Bytes:       c.bytes.Load(),
 		BudgetBytes: c.budget,
 	}
-}
-
-// pushFront links e as the most recently used entry.
-func (s *shard) pushFront(e *entry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-// unlink removes e from the LRU list.
-func (s *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// moveToFront marks e as most recently used.
-func (s *shard) moveToFront(e *entry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
 }

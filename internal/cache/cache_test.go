@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,33 +54,160 @@ func TestLoadErrorNotCached(t *testing.T) {
 }
 
 func TestEvictionUnderBudget(t *testing.T) {
-	// A tiny budget forces every insert to evict its predecessors.
-	c := New(shardCount * 16) // 16 bytes per shard
-	val := bytes.Repeat([]byte{0xAB}, 12)
-	// Same archive, consecutive chunks; keys spread across shards, so
-	// drive enough of them through that some shard sees two inserts.
-	for i := int64(0); i < 64; i++ {
+	// Values of 1..12 bytes through a 40-byte budget: every insert past
+	// the first few must evict, and only as much as the newcomer needs.
+	const budget = 40
+	c := New(budget)
+	for i := int64(0); i < 200; i++ {
+		val := bytes.Repeat([]byte{0xAB}, int(1+i*7%12))
+		before := c.Stats()
 		if _, err := c.GetOrLoad(Key{Archive: 7, Chunk: i}, func() ([]byte, error) { return val, nil }); err != nil {
 			t.Fatal(err)
 		}
+		st := c.Stats()
+		if st.Bytes > budget {
+			t.Fatalf("insert %d: resident bytes %d exceed the %d-byte budget: %+v", i, st.Bytes, budget, st)
+		}
+		if st.Evictions > before.Evictions && before.Bytes+int64(len(val)) <= budget {
+			t.Fatalf("insert %d evicted though %d+%d bytes fit the budget", i, before.Bytes, len(val))
+		}
+		// The entry just inserted always survives its own insert.
+		if _, err := c.GetOrLoad(Key{Archive: 7, Chunk: i}, func() ([]byte, error) {
+			t.Fatalf("insert %d: the newest entry was evicted", i)
+			return nil, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions after 64 oversized inserts: %+v", st)
+	if st := c.Stats(); st.Evictions == 0 {
+		t.Fatalf("no evictions after 200 inserts into %d bytes: %+v", budget, st)
 	}
-	if st.Bytes > int64(shardCount*16+len(val)*shardCount) {
-		t.Fatalf("resident bytes %d exceed budget slack: %+v", st.Bytes, st)
+}
+
+// resident lists the cached chunk ordinals from oldest to newest.
+func resident(c *Cache) []int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []int64
+	for e := c.oldest; e != nil; e = e.newer {
+		out = append(out, e.key.Chunk)
 	}
-	// The most recent entry in its shard always survives.
-	hit := false
-	if _, err := c.GetOrLoad(Key{Archive: 7, Chunk: 63}, func() ([]byte, error) {
-		return val, nil
+	return out
+}
+
+func TestVisitedEntrySurvivesSweep(t *testing.T) {
+	c := New(4)
+	get := func(ch int64) {
+		t.Helper()
+		if _, err := c.GetOrLoad(Key{Chunk: ch}, func() ([]byte, error) { return []byte{byte(ch)}, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ch := int64(0); ch < 4; ch++ {
+		get(ch)
+	}
+	get(1) // a hit: 1 is visited
+	for _, step := range []struct {
+		insert int64
+		want   []int64
+	}{
+		// The hand starts at the oldest entry, unvisited, and takes it.
+		{4, []int64{1, 2, 3, 4}},
+		// It passes 1, clearing its bit, and takes 2.
+		{5, []int64{1, 3, 4, 5}},
+		// It resumes after 2, not at the oldest entry: 1, unvisited
+		// now, outlives newer entries until the hand wraps to it.
+		{6, []int64{1, 4, 5, 6}},
+		{7, []int64{1, 5, 6, 7}},
+	} {
+		get(step.insert)
+		if got := resident(c); fmt.Sprint(got) != fmt.Sprint(step.want) {
+			t.Fatalf("after inserting %d: resident %v, want %v", step.insert, got, step.want)
+		}
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Evictions != 4 || st.Bytes != 4 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+func TestOversizedEntryCachedThenDisplaced(t *testing.T) {
+	c := New(8)
+	put := func(ch int64, size int) {
+		t.Helper()
+		if _, err := c.GetOrLoad(Key{Chunk: ch}, func() ([]byte, error) { return make([]byte, size), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(0, 4)
+	put(1, 4)
+	put(2, 16) // twice the budget: everything else goes, it stays
+	if got, st := resident(c), c.Stats(); fmt.Sprint(got) != "[2]" || st.Bytes != 16 || st.Evictions != 2 {
+		t.Fatalf("after the oversized insert: resident %v, stats %+v", got, st)
+	}
+	// It serves repeat reads...
+	if _, err := c.GetOrLoad(Key{Chunk: 2}, func() ([]byte, error) {
+		t.Fatal("oversized entry was not cached")
+		return nil, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	hit = c.Stats().Hits > 0
-	if !hit {
-		t.Fatalf("most recent entry was evicted: %+v", c.Stats())
+	// ...until the next insert displaces it, visited or not.
+	put(3, 4)
+	if got, st := resident(c), c.Stats(); fmt.Sprint(got) != "[3]" || st.Bytes != 4 || st.Evictions != 3 {
+		t.Fatalf("after the next insert: resident %v, stats %+v", got, st)
+	}
+}
+
+// TestZipfHitRatio replays a seeded trace shaped like the benchmark's
+// service workload: four archives of 32 chunks of 256 KiB, Zipf
+// s = 1.2 over the archives and over each one's chunks, reads of
+// 4-64 KiB from a uniform offset in the chosen chunk (touching the next
+// chunk too when they cross its end), after one pass over every chunk,
+// through a budget of half the 128 chunks. A budget split into 16
+// stripes of four chunks each held 0.75 of these reads; one SIEVE
+// budget holds about 0.90 (a static choice of the 64 hottest, 0.91).
+func TestZipfHitRatio(t *testing.T) {
+	const (
+		archives, chunks = 4, 32
+		chunkBytes       = 256 << 10
+		readMin, readMax = 4 << 10, 64 << 10
+		valBytes         = 1 << 10 // stands in for a chunk's decoded bytes
+		reads            = 20000
+	)
+	c := New(archives * chunks / 2 * valBytes)
+	val := make([]byte, valBytes)
+	read := func(a, ch int) {
+		if _, err := c.GetOrLoad(Key{Archive: uint64(a + 1), Chunk: int64(ch)}, func() ([]byte, error) { return val, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for a := 0; a < archives; a++ {
+		for ch := 0; ch < chunks; ch++ {
+			read(a, ch)
+		}
+	}
+	warm := c.Stats()
+	rng := rand.New(rand.NewSource(1))
+	zArchive := rand.NewZipf(rng, 1.2, 1, archives-1)
+	var zChunk [archives]*rand.Zipf
+	for a := range zChunk {
+		zChunk[a] = rand.NewZipf(rng, 1.2, 1, chunks-1)
+	}
+	for i := 0; i < reads; i++ {
+		a := int(zArchive.Uint64())
+		ch := int(zChunk[a].Uint64())
+		first := ch*chunkBytes + rng.Intn(chunkBytes)
+		n := readMin + rng.Intn(readMax-readMin+1)
+		for last := min((first+n-1)/chunkBytes, chunks-1); ch <= last; ch++ {
+			read(a, ch)
+		}
+	}
+	st := c.Stats()
+	hits, misses := st.Hits-warm.Hits, st.Misses-warm.Misses
+	ratio := float64(hits) / float64(hits+misses)
+	t.Logf("hit ratio %.3f over %d lookups (%d misses, %d evictions)", ratio, hits+misses, misses, st.Evictions-warm.Evictions)
+	if ratio < 0.87 {
+		t.Fatalf("hit ratio %.3f, want >= 0.87", ratio)
 	}
 }
 
@@ -184,5 +312,31 @@ func TestConcurrentMixedKeys(t *testing.T) {
 	st := c.Stats()
 	if st.Hits+st.Misses != 8*200 {
 		t.Fatalf("hits+misses = %d, want %d (%+v)", st.Hits+st.Misses, 8*200, st)
+	}
+}
+
+// BenchmarkGetOrLoadHit is the cost of a hit from every processor at
+// once: warm keys, the single lock's worst case.
+func BenchmarkGetOrLoadHit(b *testing.B) {
+	const keys = 64
+	c := New(0)
+	val := make([]byte, 1<<10)
+	load := func() ([]byte, error) { return val, nil }
+	for i := 0; i < keys; i++ {
+		if _, err := c.GetOrLoad(Key{Archive: 1, Chunk: int64(i)}, load); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if _, err := c.GetOrLoad(Key{Archive: 1, Chunk: int64(i % keys)}, load); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	if st := c.Stats(); st.Misses != keys {
+		b.Fatalf("%d misses on warm keys, want only the %d warming loads", st.Misses, keys)
 	}
 }

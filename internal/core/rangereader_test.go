@@ -189,7 +189,7 @@ func TestRangeReaderHammer(t *testing.T) {
 
 	rr := openRange(t, stream, RangeOptions{
 		Pipeline:   4,
-		CacheBytes: 20 << 10, // ~2.5 chunks across 16 shards: constant churn
+		CacheBytes: 20 << 10, // ~2.5 chunks: constant churn
 	})
 
 	const goroutines = 8

@@ -506,8 +506,10 @@ func (s *Server) processReadRange(req request, resp *response) {
 		resp.payload = []byte(err.Error())
 		return
 	}
-	dst := make([]byte, n)
-	got, rep, err := a.rr.ReadRange(dst, first, n)
+	// One buffer is the whole response: the range decodes straight into
+	// it behind the room its report takes.
+	payload := make([]byte, reportLen+n)
+	got, rep, err := a.rr.ReadRange(payload[reportLen:], first, n)
 	if rep.Chunks > 0 || err != nil {
 		s.stats.RepairObserved(rep.DetectedBlocks, rep.CorrectedBits, rep.CorrectedBlocks, rep.DigestMismatches,
 			err != nil && !errors.Is(err, io.EOF))
@@ -517,12 +519,13 @@ func (s *Server) processReadRange(req request, resp *response) {
 		return
 	}
 	resp.status = StatusOK
-	out := AppendReport(nil, Report{
+	// Appending to the empty prefix writes the report into its room.
+	AppendReport(payload[:0], Report{
 		DetectedBlocks:  rep.DetectedBlocks,
 		CorrectedBits:   rep.CorrectedBits,
 		CorrectedBlocks: rep.CorrectedBlocks,
 	})
-	resp.payload = append(out, dst[:got]...)
+	resp.payload = payload[:reportLen+got]
 }
 
 // chooseConfig resolves a request's method/param prefix, falling back

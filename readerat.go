@@ -5,7 +5,7 @@ package arc
 // the container v2 footer index when present (see docs/CONTAINER.md)
 // and a sequential header scan otherwise — v1 streams and
 // index-destroyed v2 streams keep full random access, only opening
-// costs more. Decoded chunks are kept in a bounded LRU cache, so
+// costs more. Decoded chunks are kept in a bounded SIEVE cache, so
 // repeated reads of a hot region skip the ECC decode entirely.
 
 import (
