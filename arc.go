@@ -184,7 +184,7 @@ func (a *ARC) EncodeWith(data []byte, c Choice) (*EncodeResult, error) {
 // self-describing. workers bounds the decode parallelism (AnyThreads
 // = all CPUs).
 func Decode(encoded []byte, workers int) (*DecodeResult, error) {
-	return core.DecodeContainer(encoded, workers)
+	return core.DecodeContainer(nil, encoded, workers)
 }
 
 // EncodeContainer encodes a container without an engine, using an
@@ -192,7 +192,7 @@ func Decode(encoded []byte, workers int) (*DecodeResult, error) {
 // for callers (services, tooling) that pick configurations themselves
 // and never need the trained optimizer.
 func EncodeContainer(data []byte, c Choice) (*EncodeResult, error) {
-	return core.EncodeContainerWith(data, c)
+	return core.EncodeContainerWith(nil, data, c)
 }
 
 // ContainerOverheadBytes is the per-container header cost of the chunk

@@ -44,7 +44,7 @@ func decodeEveryPath(t *testing.T, stream []byte, origLen int) []pathResult {
 	t.Helper()
 	var out []pathResult
 
-	res, err := DecodeContainer(stream, 1)
+	res, err := DecodeContainer(nil, stream, 1)
 	r := pathResult{name: "DecodeContainer", class: errClass(err)}
 	if res != nil {
 		r.rep.add(res.Report, err)
@@ -98,7 +98,7 @@ func TestChunkCodecPathsAgree(t *testing.T) {
 	for _, cfg := range AllConfigs() {
 		sawCustom = sawCustom || cfg.Method == tripleMethod.ID
 		choice := Choice{Config: cfg, Threads: 1}
-		one, err := EncodeContainerWith(data, choice)
+		one, err := EncodeContainerWith(nil, data, choice)
 		if err != nil {
 			t.Fatalf("%s: one-shot encode: %v", cfg, err)
 		}
@@ -167,7 +167,7 @@ func TestDigestCatchesWhatTheECCPasses(t *testing.T) {
 	data := make([]byte, 3000)
 	rand.New(rand.NewSource(0xD16)).Read(data)
 	cfg := Config{Method: ecc.MethodHamming, Param: 64} // a double flip may miscorrect
-	one, err := EncodeContainerWith(data, Choice{Config: cfg, Threads: 1})
+	one, err := EncodeContainerWith(nil, data, Choice{Config: cfg, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestForgedOrigLenCostsAnErrorNotMemory(t *testing.T) {
 				t.Errorf("OrigLen=%d pipeline=%d: allocated %d bytes for a %d-byte stream (limit %d)", origLen, pl, grew, len(stream), limit)
 			}
 		}
-		if _, err := DecodeContainer(stream, 1); !errors.Is(err, ErrContainer) {
+		if _, err := DecodeContainer(nil, stream, 1); !errors.Is(err, ErrContainer) {
 			t.Errorf("OrigLen=%d: one-shot decode: %v, want ErrContainer", origLen, err)
 		}
 	}
@@ -277,7 +277,7 @@ func TestEncodeRefusesCodeThatMisstatesItsSize(t *testing.T) {
 			t.Errorf("%s: got %v, want a refusal naming the code", where, err)
 		}
 	}
-	_, err := EncodeContainerWith(data, choice)
+	_, err := EncodeContainerWith(nil, data, choice)
 	check("one-shot", err)
 	for _, pl := range []int{1, 4} {
 		var buf bytes.Buffer
@@ -306,22 +306,22 @@ func TestOneShotSteadyStateAllocs(t *testing.T) {
 	rand.New(rand.NewSource(3)).Read(data)
 	for _, cfg := range []Config{{ecc.MethodSECDED, 64}, {ecc.MethodReedSolomon, 15}} {
 		choice := Choice{Config: cfg, Threads: 1}
-		enc, err := EncodeContainerWith(data, choice) // also warms the scratch
+		enc, err := EncodeContainerWith(nil, data, choice) // also warms the scratch
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeContainer(enc.Encoded, 1); err != nil {
+		if _, err := DecodeContainer(nil, enc.Encoded, 1); err != nil {
 			t.Fatal(err)
 		}
 		if avg := testing.AllocsPerRun(100, func() {
-			if _, err := EncodeContainerWith(data, choice); err != nil {
+			if _, err := EncodeContainerWith(nil, data, choice); err != nil {
 				t.Fatal(err)
 			}
 		}); avg > budget {
 			t.Errorf("%s: one-shot encode = %.2f allocs/op, budget %.0f", cfg, avg, budget)
 		}
 		if avg := testing.AllocsPerRun(100, func() {
-			if _, err := DecodeContainer(enc.Encoded, 1); err != nil {
+			if _, err := DecodeContainer(nil, enc.Encoded, 1); err != nil {
 				t.Fatal(err)
 			}
 		}); avg > budget {
@@ -338,7 +338,7 @@ func TestOneShotSteadyStateAllocs(t *testing.T) {
 			damaged[ContainerOverheadBytes+d*devSize+d] ^= 0x5A
 		}
 		repair := func() {
-			res, err := DecodeContainer(damaged, 1)
+			res, err := DecodeContainer(nil, damaged, 1)
 			if err != nil {
 				t.Fatalf("%s: damaged decode: %v", cfg, err)
 			}

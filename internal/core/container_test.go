@@ -123,12 +123,12 @@ func TestVote3(t *testing.T) {
 }
 
 func TestContainerValidation(t *testing.T) {
-	if _, err := DecodeContainer(nil, 1); !errors.Is(err, ErrContainer) {
+	if _, err := DecodeContainer(nil, nil, 1); !errors.Is(err, ErrContainer) {
 		t.Fatal("nil must fail")
 	}
 	h := header{Method: ecc.MethodParity, Param: 8, OrigLen: 8, EncLen: 100}
 	buf := append(marshalHeader(h), make([]byte, 50)...) // EncLen larger than payload
-	if _, err := DecodeContainer(buf, 1); !errors.Is(err, ErrContainer) {
+	if _, err := DecodeContainer(nil, buf, 1); !errors.Is(err, ErrContainer) {
 		t.Fatal("truncated payload must fail")
 	}
 }
@@ -139,7 +139,7 @@ func TestContainerRoundTripRandom(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		data := make([]byte, rng.Intn(1000))
 		rng.Read(data)
-		enc, err := EncodeContainerWith(data, choice)
+		enc, err := EncodeContainerWith(nil, data, choice)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,12 +152,49 @@ func TestContainerRoundTripRandom(t *testing.T) {
 		if h != want {
 			t.Fatalf("header %+v, want %+v", h, want)
 		}
-		dec, err := DecodeContainer(enc.Encoded, 1)
+		dec, err := DecodeContainer(nil, enc.Encoded, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(dec.Data, data) || dec.Config != choice.Config {
 			t.Fatal("round trip mismatch")
 		}
+	}
+}
+
+// TestContainerIntoDst checks that the one-shot pair builds its output
+// in dst's storage when the capacity suffices, and allocates otherwise.
+func TestContainerIntoDst(t *testing.T) {
+	data := make([]byte, 5000)
+	rand.New(rand.NewSource(41)).Read(data)
+	choice := Choice{Config: Config{Method: ecc.MethodSECDED, Param: 64}, Threads: 1}
+	want, err := EncodeContainerWith(nil, data, choice)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	encDst := make([]byte, 3, len(want.Encoded)) // length does not matter, capacity does
+	enc, err := EncodeContainerWith(encDst, data, choice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc.Encoded, want.Encoded) || &enc.Encoded[0] != &encDst[:1][0] {
+		t.Fatal("EncodeContainerWith did not build the container in dst")
+	}
+	decDst := make([]byte, 0, len(data))
+	dec, err := DecodeContainer(decDst, enc.Encoded, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dec.Data, data) || &dec.Data[0] != &decDst[:1][0] {
+		t.Fatal("DecodeContainer did not decode into dst")
+	}
+
+	small := make([]byte, 0, 16)
+	if enc, err := EncodeContainerWith(small, data, choice); err != nil || &enc.Encoded[0] == &small[:1][0] {
+		t.Fatalf("EncodeContainerWith wrote past a too-small dst (err %v)", err)
+	}
+	if dec, err := DecodeContainer(small, want.Encoded, 1); err != nil || !bytes.Equal(dec.Data, data) {
+		t.Fatalf("DecodeContainer with a too-small dst: %v", err)
 	}
 }

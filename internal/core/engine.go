@@ -143,16 +143,18 @@ func (e *Engine) Encode(data []byte, mem, bw float64, res Resiliency) (*EncodeRe
 // EncodeWith protects data with an explicit optimizer choice, for
 // callers that want to inspect or override the selection.
 func (e *Engine) EncodeWith(data []byte, choice Choice) (*EncodeResult, error) {
-	return EncodeContainerWith(data, choice)
+	return EncodeContainerWith(nil, data, choice)
 }
 
 // EncodeContainerWith encodes without an engine: an explicit choice
 // needs no trained state, just as DecodeContainer needs none — the
 // pair makes a stateless encode/decode round trip possible for callers
 // (like the archive service) that manage configurations themselves.
-func EncodeContainerWith(data []byte, choice Choice) (*EncodeResult, error) {
+// The container is built in dst's storage when its capacity suffices
+// (nil always allocates); Encoded then aliases dst.
+func EncodeContainerWith(dst, data []byte, choice Choice) (*EncodeResult, error) {
 	s := getScratch()
-	enc, _, err := encodeChunk(nil, data, 0, choice, s)
+	enc, _, err := encodeChunk(dst, data, 0, choice, s)
 	scratchPool.Put(s)
 	if err != nil {
 		return nil, err
@@ -175,13 +177,16 @@ type DecodeResult struct {
 // non-nil error means damage beyond the code's correction ability was
 // detected; Data still carries the best-effort payload in that case.
 func (e *Engine) Decode(encoded []byte) (*DecodeResult, error) {
-	return DecodeContainer(encoded, e.maxThreads)
+	return DecodeContainer(nil, encoded, e.maxThreads)
 }
 
 // DecodeContainer decodes without an engine (the container is fully
 // self-describing); workers bounds the parallelism. The container must
 // be a whole stream of one chunk: its digest is checked at offset 0.
-func DecodeContainer(encoded []byte, workers int) (*DecodeResult, error) {
+// The data lands in dst's storage when its capacity suffices (nil
+// always allocates); a custom code may also return bytes aliasing
+// encoded, so Data must not outlive either buffer.
+func DecodeContainer(dst, encoded []byte, workers int) (*DecodeResult, error) {
 	h, err := unmarshalHeader(encoded)
 	if err != nil {
 		return nil, err
@@ -197,7 +202,7 @@ func DecodeContainer(encoded []byte, workers int) (*DecodeResult, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after the container (multi-chunk stream? use the stream reader)", ErrContainer, extra)
 	}
 	s := getScratch()
-	data, rep, err := decodeChunk(nil, h, payload, 0, workers, s)
+	data, rep, err := decodeChunk(dst, h, payload, 0, workers, s)
 	scratchPool.Put(s)
 	if err != nil && !errors.Is(err, ecc.ErrUncorrectable) {
 		return nil, err

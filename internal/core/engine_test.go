@@ -245,7 +245,7 @@ func TestDecodeContainerStandalone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeContainer(res.Encoded, 1)
+	dec, err := DecodeContainer(nil, res.Encoded, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

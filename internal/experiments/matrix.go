@@ -47,7 +47,7 @@ func ExtResilienceMatrix(payloadBytes, trials int, seed int64) (*ExtMatrixResult
 	res := &ExtMatrixResult{}
 	for _, cfg := range core.AllConfigs() {
 		choice := core.Choice{Config: cfg, Threads: 1}
-		one, err := core.EncodeContainerWith(payload, choice)
+		one, err := core.EncodeContainerWith(nil, payload, choice)
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +90,7 @@ func ExtResilienceMatrix(payloadBytes, trials int, seed int64) (*ExtMatrixResult
 }
 
 func decodeOne(container []byte) ([]byte, error) {
-	res, err := core.DecodeContainer(container, 1)
+	res, err := core.DecodeContainer(nil, container, 1)
 	if res == nil {
 		return nil, err
 	}

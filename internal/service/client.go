@@ -17,6 +17,7 @@ import (
 // per-connection pipelining.
 type Client struct {
 	conn       net.Conn
+	fw         frameWriter
 	scratch    []byte // response payload buffer, reused across calls
 	maxPayload int
 }
@@ -60,9 +61,11 @@ func IsUncorrectable(err error) bool {
 	return errors.As(err, &re) && re.Status == StatusUncorrectable
 }
 
-// roundTrip performs one call. The returned payload aliases the
-// client's scratch buffer: it is valid until the next call.
-func (c *Client) roundTrip(ctx context.Context, op Op, payload []byte) ([]byte, error) {
+// roundTrip performs one call whose request payload is head followed
+// by body, sent as one frame without joining them. The returned
+// payload aliases the client's scratch buffer: it is valid until the
+// next call.
+func (c *Client) roundTrip(ctx context.Context, op Op, head, body []byte) ([]byte, error) {
 	if deadline, ok := ctx.Deadline(); ok {
 		if err := c.conn.SetDeadline(deadline); err != nil {
 			return nil, err
@@ -73,7 +76,7 @@ func (c *Client) roundTrip(ctx context.Context, op Op, payload []byte) ([]byte, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := WriteFrame(c.conn, Frame{Op: op, Status: StatusRequest, Payload: payload}); err != nil {
+	if err := c.fw.write(c.conn, op, StatusRequest, head, body); err != nil {
 		return nil, err
 	}
 	f, err := ReadFrame(c.conn, c.maxPayload, c.scratch[:0])
@@ -96,8 +99,8 @@ func (c *Client) roundTrip(ctx context.Context, op Op, payload []byte) ([]byte, 
 // configuration (method 0 selects the server's default). It returns
 // the ARC container, copied out of the receive buffer.
 func (c *Client) Encode(ctx context.Context, method ecc.Method, param int, data []byte) ([]byte, error) {
-	req := AppendEncodeRequest(make([]byte, 0, encodeReqHeaderLen+len(data)), method, param, data)
-	out, err := c.roundTrip(ctx, OpEncode, req)
+	h := encodeRequestHeader(method, param)
+	out, err := c.roundTrip(ctx, OpEncode, h[:], data)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +112,7 @@ func (c *Client) Encode(ctx context.Context, method ecc.Method, param int, data 
 // over-budget damage the error is a StatusUncorrectable RemoteErr and
 // no data is returned.
 func (c *Client) Decode(ctx context.Context, container []byte) ([]byte, Report, error) {
-	out, err := c.roundTrip(ctx, OpDecode, container)
+	out, err := c.roundTrip(ctx, OpDecode, nil, container)
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -123,7 +126,7 @@ func (c *Client) Decode(ctx context.Context, container []byte) ([]byte, Report, 
 // Verify asks the server to verify (and count repairs for) a
 // container without returning its data.
 func (c *Client) Verify(ctx context.Context, container []byte) (Report, error) {
-	out, err := c.roundTrip(ctx, OpVerify, container)
+	out, err := c.roundTrip(ctx, OpVerify, nil, container)
 	if err != nil {
 		return Report{}, err
 	}
@@ -135,7 +138,7 @@ func (c *Client) Verify(ctx context.Context, container []byte) (Report, error) {
 // fresh: the returned container (copied) has all corrections folded
 // in and its full ECC budget restored.
 func (c *Client) Repair(ctx context.Context, container []byte) ([]byte, Report, error) {
-	out, err := c.roundTrip(ctx, OpRepair, container)
+	out, err := c.roundTrip(ctx, OpRepair, nil, container)
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -153,7 +156,7 @@ func (c *Client) Repair(ctx context.Context, container []byte) ([]byte, Report, 
 // this call — cache-warm ranges report zero.
 func (c *Client) ReadRange(ctx context.Context, name string, first, n int64) ([]byte, Report, error) {
 	req := AppendReadRangeRequest(make([]byte, 0, rangeReqHeaderLen+len(name)), name, first, n)
-	out, err := c.roundTrip(ctx, OpReadRange, req)
+	out, err := c.roundTrip(ctx, OpReadRange, nil, req)
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -167,7 +170,7 @@ func (c *Client) ReadRange(ctx context.Context, name string, first, n int64) ([]
 // Stats fetches the server's live counters as raw JSON (a
 // metrics.LiveSnapshot).
 func (c *Client) Stats(ctx context.Context) ([]byte, error) {
-	out, err := c.roundTrip(ctx, OpStats, nil)
+	out, err := c.roundTrip(ctx, OpStats, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 
 	"repro/internal/ecc"
 )
@@ -125,29 +126,52 @@ var (
 // constructed through the exported API (ReadFrame would refuse them
 // anyway).
 func AppendFrame(dst []byte, f Frame) []byte {
-	var h [FrameHeaderLen]byte
-	h[0], h[1], h[2] = frameMagic0, frameMagic1, frameVer
-	h[3] = byte(f.Op)
-	h[4] = byte(f.Status)
-	binary.BigEndian.PutUint32(h[8:], uint32(len(f.Payload)))
-	dst = append(dst, h[:]...)
+	dst = appendFrameHeader(dst, f.Op, f.Status, len(f.Payload))
 	return append(dst, f.Payload...)
 }
 
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, f Frame) error {
+// appendFrameHeader appends the 12-byte header of a frame whose
+// payload is n bytes long.
+func appendFrameHeader(dst []byte, op Op, status Status, n int) []byte {
 	var h [FrameHeaderLen]byte
 	h[0], h[1], h[2] = frameMagic0, frameMagic1, frameVer
-	h[3] = byte(f.Op)
-	h[4] = byte(f.Status)
-	binary.BigEndian.PutUint32(h[8:], uint32(len(f.Payload)))
-	if _, err := w.Write(h[:]); err != nil {
-		return err
+	h[3] = byte(op)
+	h[4] = byte(status)
+	binary.BigEndian.PutUint32(h[8:], uint32(n))
+	return append(dst, h[:]...)
+}
+
+// WriteFrame writes one frame to w as one net.Buffers: a single writev
+// on a TCP connection, sequential writes on other writers.
+func WriteFrame(w io.Writer, f Frame) error {
+	var fw frameWriter
+	return fw.write(w, f.Op, f.Status, nil, f.Payload)
+}
+
+// frameWriter writes frames whose payload is a short head followed by
+// a body, without joining the two: the frame header and head are
+// copied into hdr, and hdr plus body go out as one net.Buffers. Its
+// buffers are reused from frame to frame, so one writer per connection
+// writes allocation-free.
+type frameWriter struct {
+	hdr []byte
+	vec [2][]byte
+	// bufs is a field, not a local, because WriteTo's pointer receiver
+	// would move a local to the heap on every frame.
+	bufs net.Buffers
+}
+
+// write sends one frame whose payload is head followed by body.
+func (fw *frameWriter) write(w io.Writer, op Op, status Status, head, body []byte) error {
+	fw.hdr = appendFrameHeader(fw.hdr[:0], op, status, len(head)+len(body))
+	fw.hdr = append(fw.hdr, head...)
+	fw.vec = [2][]byte{fw.hdr, body}
+	fw.bufs = fw.vec[:1]
+	if len(body) > 0 {
+		fw.bufs = fw.vec[:2]
 	}
-	if len(f.Payload) == 0 {
-		return nil
-	}
-	_, err := w.Write(f.Payload)
+	_, err := fw.bufs.WriteTo(w)
+	fw.vec[1] = nil // hold no reference to body past the write
 	return err
 }
 
@@ -165,41 +189,9 @@ const directPayloadCap = 64 << 10
 // returned Frame aliases it. A truncated header or payload fails with
 // io.EOF or io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, limit int, scratch []byte) (Frame, error) {
-	if limit <= 0 {
-		limit = DefaultMaxPayload
-	}
-	var h [FrameHeaderLen]byte
-	// ReadFull keeps a clean EOF between frames as io.EOF and turns a
-	// partial header into io.ErrUnexpectedEOF.
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return Frame{}, err
-	}
-	if h[0] != frameMagic0 || h[1] != frameMagic1 {
-		return Frame{}, fmt.Errorf("%w: bad magic %#02x%02x", ErrBadFrame, h[0], h[1])
-	}
-	if h[2] != frameVer {
-		return Frame{}, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, h[2])
-	}
-	op, status := Op(h[3]), Status(h[4])
-	if op < OpEncode || op > opMax {
-		return Frame{}, fmt.Errorf("%w: unknown op %d", ErrBadFrame, h[3])
-	}
-	if status > statusMax {
-		return Frame{}, fmt.Errorf("%w: unknown status %d", ErrBadFrame, h[4])
-	}
-	if h[5] != 0 || h[6] != 0 || h[7] != 0 {
-		return Frame{}, fmt.Errorf("%w: nonzero reserved bytes", ErrBadFrame)
-	}
-	n64 := binary.BigEndian.Uint32(h[8:])
-	if int64(n64) > int64(limit) {
-		// The op and status still come back with the error so a server
-		// can address its refusal to the right request.
-		return Frame{Op: op, Status: status}, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, n64, limit)
-	}
-	n := int(n64)
-	f := Frame{Op: op, Status: status}
-	if n == 0 {
-		return f, nil
+	f, n, err := readFrameHeader(r, limit)
+	if err != nil || n == 0 {
+		return f, err
 	}
 	buf, err := readPayload(r, scratch, n)
 	if err != nil {
@@ -207,6 +199,44 @@ func ReadFrame(r io.Reader, limit int, scratch []byte) (Frame, error) {
 	}
 	f.Payload = buf
 	return f, nil
+}
+
+// readFrameHeader reads and validates one frame header, returning the
+// frame's op and status and its payload length, which the caller reads
+// next. On ErrFrameTooLarge the op and status still come back.
+func readFrameHeader(r io.Reader, limit int) (Frame, int, error) {
+	if limit <= 0 {
+		limit = DefaultMaxPayload
+	}
+	var h [FrameHeaderLen]byte
+	// ReadFull keeps a clean EOF between frames as io.EOF and turns a
+	// partial header into io.ErrUnexpectedEOF.
+	if _, err := io.ReadFull(r, h[:]); err != nil {
+		return Frame{}, 0, err
+	}
+	if h[0] != frameMagic0 || h[1] != frameMagic1 {
+		return Frame{}, 0, fmt.Errorf("%w: bad magic %#02x%02x", ErrBadFrame, h[0], h[1])
+	}
+	if h[2] != frameVer {
+		return Frame{}, 0, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, h[2])
+	}
+	op, status := Op(h[3]), Status(h[4])
+	if op < OpEncode || op > opMax {
+		return Frame{}, 0, fmt.Errorf("%w: unknown op %d", ErrBadFrame, h[3])
+	}
+	if status > statusMax {
+		return Frame{}, 0, fmt.Errorf("%w: unknown status %d", ErrBadFrame, h[4])
+	}
+	if h[5] != 0 || h[6] != 0 || h[7] != 0 {
+		return Frame{}, 0, fmt.Errorf("%w: nonzero reserved bytes", ErrBadFrame)
+	}
+	n64 := binary.BigEndian.Uint32(h[8:])
+	if int64(n64) > int64(limit) {
+		// The op and status still come back with the error so a server
+		// can address its refusal to the right request.
+		return Frame{Op: op, Status: status}, 0, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, n64, limit)
+	}
+	return Frame{Op: op, Status: status}, int(n64), nil
 }
 
 // readPayload reads exactly n bytes, reusing dst's storage when it
@@ -264,11 +294,17 @@ const encodeReqHeaderLen = 3
 // method/param prefix followed by data. Method 0 asks the server to
 // use its configured default.
 func AppendEncodeRequest(dst []byte, method ecc.Method, param int, data []byte) []byte {
+	h := encodeRequestHeader(method, param)
+	dst = append(dst, h[:]...)
+	return append(dst, data...)
+}
+
+// encodeRequestHeader is the method/param prefix of an OpEncode payload.
+func encodeRequestHeader(method ecc.Method, param int) [encodeReqHeaderLen]byte {
 	var h [encodeReqHeaderLen]byte
 	h[0] = byte(method)
 	binary.BigEndian.PutUint16(h[1:], uint16(param))
-	dst = append(dst, h[:]...)
-	return append(dst, data...)
+	return h
 }
 
 // ParseEncodeRequest splits an OpEncode payload. The returned data

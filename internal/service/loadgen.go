@@ -421,7 +421,7 @@ func clientDecodeSide(ctx context.Context, c *Client, opts WorkloadOptions, rng 
 			// A repaired container must decode (locally — the ground
 			// truth check must not trust the server twice) to the
 			// original bytes.
-			if res, derr := core.DecodeContainer(fresh, 1); derr == nil {
+			if res, derr := core.DecodeContainer(nil, fresh, 1); derr == nil {
 				data = res.Data
 			}
 		}

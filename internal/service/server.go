@@ -226,24 +226,95 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
+// frameBuf is a pooled payload buffer. Pooling the wrapper, not the
+// slice, keeps pool round trips free of boxing allocations; a buffer
+// whose storage an operation replaced (because it needed more) adopts
+// the new storage, so the pool's buffers grow to the sizes in use.
+type frameBuf struct{ b []byte }
+
+// maxPooledBuf bounds the storage the pool keeps: one default stream
+// chunk. A larger buffer — a 32 MiB frame, say — is dropped after use
+// rather than pinned for the next request.
+const maxPooledBuf = core.DefaultChunkSize
+
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+
+// getBuf returns a pooled buffer (contents and length unspecified).
+func getBuf() *frameBuf { return framePool.Get().(*frameBuf) }
+
+// putBuf returns fb to the pool and reports whether the pool kept it:
+// storage above maxPooledBuf is dropped. nil is a no-op.
+func putBuf(fb *frameBuf) bool {
+	if fb == nil || cap(fb.b) > maxPooledBuf {
+		return false
+	}
+	framePool.Put(fb)
+	return true
+}
+
 // request is one framed request in flight through a connection's
-// pipeline. oversized marks a frame refused by the reader before its
-// payload was consumed; it flows through the pipeline so the refusal
-// reaches the client in submission order.
+// pipeline. buf holds payload's storage; it travels on to the response
+// and back to the pool through the writer. oversized marks a frame
+// refused by the reader before its payload was consumed; it flows
+// through the pipeline so the refusal reaches the client in submission
+// order.
 type request struct {
 	op        Op
 	payload   []byte
+	buf       *frameBuf
 	oversized bool
 	start     time.Time
 }
 
-// response is the processed result, ready to frame.
+// response is the processed result, ready to frame: the wire payload
+// is head (the repair report, or nothing) followed by payload, written
+// without joining them.
+//
+// Ownership: bufs holds the request's buffer and every pooled buffer
+// the response was built in. Only the writer recycles them, after the
+// frame is on the socket — payload may alias any of them (a custom
+// ecc.Code may even return its input), so no earlier point is safe.
 type response struct {
 	op      Op
 	status  Status
+	head    [reportLen]byte
+	headLen int // 0, or reportLen when head carries a report
 	payload []byte
+	bufs    [3]*frameBuf
 	in      int // request payload bytes, for the byte counters
 	start   time.Time
+}
+
+// setReport puts rep ahead of the payload.
+func (r *response) setReport(rep Report) {
+	AppendReport(r.head[:0], rep)
+	r.headLen = reportLen
+}
+
+// fail makes r an error response carrying msg.
+func (r *response) fail(status Status, msg string) {
+	r.status, r.headLen, r.payload = status, 0, []byte(msg)
+}
+
+// output lends r a pooled buffer to build its result in; the writer
+// recycles it with the rest of bufs.
+func (r *response) output() *frameBuf {
+	fb := getBuf()
+	for i := range r.bufs {
+		if r.bufs[i] == nil {
+			r.bufs[i] = fb
+			return fb
+		}
+	}
+	panic("service: response holds too many buffers")
+}
+
+// recycle returns r's buffers to the pool.
+func (r *response) recycle() {
+	for i, fb := range r.bufs {
+		putBuf(fb)
+		r.bufs[i] = nil
+	}
 }
 
 // handleConn runs one connection: this goroutine reads frames and
@@ -282,9 +353,11 @@ func (s *Server) handleConn(conn net.Conn) {
 	pipe.Close()
 	<-writerDone
 	for {
-		if _, ok, _ := pipe.Next(); !ok {
+		resp, ok, _ := pipe.Next()
+		if !ok {
 			break
 		}
+		resp.recycle()
 	}
 	pipe.Wait()
 }
@@ -309,10 +382,19 @@ func (s *Server) readRequests(conn net.Conn, pipe *parallel.Pipe[request, respon
 			return
 		default:
 		}
-		// No scratch reuse here: each payload is handed to a pipeline
-		// worker and must survive until it runs.
-		f, err := ReadFrame(conn, s.cfg.MaxPayload, nil)
+		f, n, err := readFrameHeader(conn, s.cfg.MaxPayload)
+		var fb *frameBuf
+		if err == nil {
+			// Each payload gets its own pooled buffer: it is handed to a
+			// pipeline worker and must survive until the writer is done
+			// with the response.
+			fb = getBuf()
+			if f.Payload, err = readPayload(conn, fb.b[:0], n); err == nil {
+				fb.b = f.Payload
+			}
+		}
 		if err != nil {
+			putBuf(fb)
 			switch {
 			case errors.Is(err, io.EOF):
 				// Clean disconnect between frames.
@@ -333,10 +415,12 @@ func (s *Server) readRequests(conn net.Conn, pipe *parallel.Pipe[request, respon
 			return
 		}
 		if f.Status != StatusRequest {
+			putBuf(fb)
 			s.stats.FrameError()
 			return
 		}
-		if err := pipe.Submit(request{op: f.Op, payload: f.Payload, start: time.Now()}); err != nil {
+		if err := pipe.Submit(request{op: f.Op, payload: f.Payload, buf: fb, start: time.Now()}); err != nil {
+			putBuf(fb) // never enqueued: nothing else holds it
 			return
 		}
 	}
@@ -359,21 +443,24 @@ func isDrainTimeout(err error, quit chan struct{}) bool {
 }
 
 // writeResponses is the connection's consumer loop: it frames results
-// in submission order. A write error (client gone) stops the loop;
-// the handler then aborts and drains the pipeline.
+// in submission order, each as one writev of header+head and payload,
+// and recycles each response's buffers once its frame is written. A
+// write error (client gone) stops the loop; the handler then aborts
+// and drains the pipeline.
 func (s *Server) writeResponses(conn net.Conn, pipe *parallel.Pipe[request, response]) error {
-	var buf []byte
+	var fw frameWriter
 	for {
 		resp, ok, err := pipe.Next()
 		if !ok || err != nil {
 			return err
 		}
-		buf = AppendFrame(buf[:0], Frame{Op: resp.op, Status: resp.status, Payload: resp.payload})
 		// Counted when the response is ready, before the client can see
 		// it: a STATS request sent after a reply always includes it.
 		failed := resp.status != StatusOK
-		s.stats.RequestDone(int(resp.op)-1, failed, resp.in, len(resp.payload), time.Since(resp.start))
-		if _, err := conn.Write(buf); err != nil {
+		s.stats.RequestDone(int(resp.op)-1, failed, resp.in, resp.headLen+len(resp.payload), time.Since(resp.start))
+		err = fw.write(conn, resp.op, resp.status, resp.head[:resp.headLen], resp.payload)
+		resp.recycle()
+		if err != nil {
 			return err
 		}
 		if resp.status == StatusOversized {
@@ -394,10 +481,9 @@ func (s *Server) process(req request) response {
 	s.budget <- struct{}{}
 	defer func() { <-s.budget }()
 
-	resp := response{op: req.op, in: len(req.payload), start: req.start}
+	resp := response{op: req.op, in: len(req.payload), start: req.start, bufs: [3]*frameBuf{req.buf}}
 	if req.oversized {
-		resp.status = StatusOversized
-		resp.payload = []byte("request payload exceeds the server's frame budget")
+		resp.fail(StatusOversized, "request payload exceeds the server's frame budget")
 		return resp
 	}
 	switch req.op {
@@ -412,8 +498,7 @@ func (s *Server) process(req request) response {
 	case OpStats:
 		b, err := json.Marshal(s.stats.Snapshot())
 		if err != nil {
-			resp.status = StatusInternal
-			resp.payload = []byte(err.Error())
+			resp.fail(StatusInternal, err.Error())
 			return resp
 		}
 		resp.status = StatusOK
@@ -485,47 +570,41 @@ func (s *Server) archive(name string) (*archive, error) {
 // fewer than requested when the range runs past the archive's end.
 func (s *Server) processReadRange(req request, resp *response) {
 	if s.cache == nil {
-		resp.status = StatusBadRequest
-		resp.payload = []byte("server has no archive root configured")
+		resp.fail(StatusBadRequest, "server has no archive root configured")
 		return
 	}
 	name, first, n, err := ParseReadRangeRequest(req.payload)
 	if err != nil {
-		resp.status = StatusBadRequest
-		resp.payload = []byte(err.Error())
+		resp.fail(StatusBadRequest, err.Error())
 		return
 	}
 	if n > int64(s.cfg.MaxPayload-reportLen) {
-		resp.status = StatusBadRequest
-		resp.payload = []byte(fmt.Sprintf("range of %d bytes exceeds the response frame budget (%d)", n, s.cfg.MaxPayload-reportLen))
+		resp.fail(StatusBadRequest, fmt.Sprintf("range of %d bytes exceeds the response frame budget (%d)", n, s.cfg.MaxPayload-reportLen))
 		return
 	}
 	a, err := s.archive(name)
 	if err != nil {
-		resp.status = StatusBadRequest
-		resp.payload = []byte(err.Error())
+		resp.fail(StatusBadRequest, err.Error())
 		return
 	}
-	// One buffer is the whole response: the range decodes straight into
-	// it behind the room its report takes.
-	payload := make([]byte, reportLen+n)
-	got, rep, err := a.rr.ReadRange(payload[reportLen:], first, n)
+	out := resp.output()
+	out.b = growTo(out.b, int(n))
+	got, rep, err := a.rr.ReadRange(out.b, first, n)
 	if rep.Chunks > 0 || err != nil {
 		s.stats.RepairObserved(rep.DetectedBlocks, rep.CorrectedBits, rep.CorrectedBlocks, rep.DigestMismatches,
 			err != nil && !errors.Is(err, io.EOF))
 	}
 	if err != nil && !errors.Is(err, io.EOF) {
-		resp.status, resp.payload = decodeFailure(err)
+		resp.fail(decodeFailure(err))
 		return
 	}
 	resp.status = StatusOK
-	// Appending to the empty prefix writes the report into its room.
-	AppendReport(payload[:0], Report{
+	resp.setReport(Report{
 		DetectedBlocks:  rep.DetectedBlocks,
 		CorrectedBits:   rep.CorrectedBits,
 		CorrectedBlocks: rep.CorrectedBlocks,
 	})
-	resp.payload = payload[:reportLen+got]
+	resp.payload = out.b[:got]
 }
 
 // chooseConfig resolves a request's method/param prefix, falling back
@@ -540,27 +619,33 @@ func (s *Server) chooseConfig(method ecc.Method, param int) core.Config {
 func (s *Server) processEncode(req request, resp *response) {
 	method, param, data, err := ParseEncodeRequest(req.payload)
 	if err != nil {
-		resp.status = StatusBadRequest
-		resp.payload = []byte(err.Error())
+		resp.fail(StatusBadRequest, err.Error())
 		return
 	}
 	cfg := s.chooseConfig(method, param)
-	res, err := core.EncodeContainerWith(data, core.Choice{Config: cfg, Threads: s.cfg.Threads})
+	out := resp.output()
+	res, err := core.EncodeContainerWith(out.b, data, core.Choice{Config: cfg, Threads: s.cfg.Threads})
 	if err != nil {
-		resp.status = StatusBadRequest
-		resp.payload = []byte(err.Error())
+		resp.fail(StatusBadRequest, err.Error())
 		return
 	}
+	out.b = res.Encoded
 	resp.status = StatusOK
 	resp.payload = res.Encoded
 }
 
 // decodeRequest decodes the request's container for DECODE, VERIFY and
-// REPAIR: it records the repair outcome and fills resp with the failure,
-// or with StatusOK and the 12-byte repair report for the caller to
-// append to. It returns nil when the request has failed.
+// REPAIR into a pooled buffer: it records the repair outcome and fills
+// resp with the failure, or with StatusOK and the 12-byte repair
+// report. It returns nil when the request has failed.
 func (s *Server) decodeRequest(req request, resp *response) *core.DecodeResult {
-	res, err := core.DecodeContainer(req.payload, s.cfg.Threads)
+	// Decoded data is never longer than its container, so sizing the
+	// buffer to the request means the decode lands in it. The result is
+	// never adopted as the buffer's storage: a custom code may return
+	// bytes aliasing the request's buffer instead.
+	out := resp.output()
+	out.b = growTo(out.b, len(req.payload))
+	res, err := core.DecodeContainer(out.b, req.payload, s.cfg.Threads)
 	if res != nil {
 		rep, digest := res.Report, 0
 		if errors.Is(err, core.ErrDigestMismatch) {
@@ -569,11 +654,11 @@ func (s *Server) decodeRequest(req request, resp *response) *core.DecodeResult {
 		s.stats.RepairObserved(rep.DetectedBlocks, rep.CorrectedBits, rep.CorrectedBlocks, digest, err != nil)
 	}
 	if err != nil {
-		resp.status, resp.payload = decodeFailure(err)
+		resp.fail(decodeFailure(err))
 		return nil
 	}
 	resp.status = StatusOK
-	resp.payload = AppendReport(nil, Report{
+	resp.setReport(Report{
 		DetectedBlocks:  res.Report.DetectedBlocks,
 		CorrectedBits:   res.Report.CorrectedBits,
 		CorrectedBlocks: res.Report.CorrectedBlocks,
@@ -585,7 +670,7 @@ func (s *Server) decodeRequest(req request, resp *response) *core.DecodeResult {
 // bytes) and OpVerify (report only).
 func (s *Server) processDecode(req request, resp *response, withData bool) {
 	if res := s.decodeRequest(req, resp); res != nil && withData {
-		resp.payload = append(resp.payload, res.Data...)
+		resp.payload = res.Data
 	}
 }
 
@@ -597,23 +682,24 @@ func (s *Server) processRepair(req request, resp *response) {
 	if res == nil {
 		return
 	}
-	enc, err := core.EncodeContainerWith(res.Data, core.Choice{Config: res.Config, Threads: s.cfg.Threads})
+	out := resp.output()
+	enc, err := core.EncodeContainerWith(out.b, res.Data, core.Choice{Config: res.Config, Threads: s.cfg.Threads})
 	if err != nil {
-		resp.status = StatusInternal
-		resp.payload = []byte(err.Error())
+		resp.fail(StatusInternal, err.Error())
 		return
 	}
-	resp.payload = append(resp.payload, enc.Encoded...)
+	out.b = enc.Encoded
+	resp.payload = enc.Encoded
 }
 
 // decodeFailure maps a container decode error to a response status:
 // detected-but-uncorrectable damage is reported as such (never as
 // data), anything else as a bad request.
-func decodeFailure(err error) (Status, []byte) {
+func decodeFailure(err error) (Status, string) {
 	if errors.Is(err, ecc.ErrUncorrectable) {
-		return StatusUncorrectable, []byte(err.Error())
+		return StatusUncorrectable, err.Error()
 	}
-	return StatusBadRequest, []byte(err.Error())
+	return StatusBadRequest, err.Error()
 }
 
 // Shutdown gracefully stops the server: it closes the listener,

@@ -159,7 +159,7 @@ func TestServerRepairRestoresBudget(t *testing.T) {
 	}
 	// The fresh container decodes cleanly — corrections folded in, no
 	// residual damage.
-	res, err := core.DecodeContainer(fresh, 1)
+	res, err := core.DecodeContainer(nil, fresh, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestServerPipelinedResponsesInOrder(t *testing.T) {
 		if f.Op != OpEncode || f.Status != StatusOK {
 			t.Fatalf("response %d: %s/%s", i, f.Op, f.Status)
 		}
-		res, err := core.DecodeContainer(f.Payload, 1)
+		res, err := core.DecodeContainer(nil, f.Payload, 1)
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
