@@ -1,12 +1,13 @@
 // Command arcvet runs this repository's static-analysis suite:
-// fourteen repo-specific analyzers over type-checked packages, built
+// eight repo-specific analyzers over type-checked packages, built
 // entirely on the standard library (see internal/analysis and
 // docs/STATIC_ANALYSIS.md). Packages are analyzed in topological
 // import order, so facts exported about a dependency's functions
-// (may-panic, taint summaries, lock and channel effects) are visible
-// while analyzing its dependents. It runs after `go vet`, which owns
-// the checks it would otherwise duplicate (copied locks, constant
-// over-shifts).
+// (may-panic, taint and integrity summaries) are visible while
+// analyzing its dependents. It runs after `go vet`, which owns the
+// checks it would otherwise duplicate (copied locks, constant
+// over-shifts). Concurrency is checked at run time instead, by
+// `go test -race` and the goroutine-leak tests.
 //
 // Usage:
 //

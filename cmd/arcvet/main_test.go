@@ -21,10 +21,10 @@ func TestRunExitCodes(t *testing.T) {
 		{"waivercheck with subset", []string{"-waivercheck", "-analyzers", "bitwidth", "."}, 2},
 		// Flags and formats that are gone are usage errors, not
 		// silently accepted spellings.
-		{"self sarif", []string{"-format", "sarif", "-analyzers", "lockorder,chansafety,ctxflow", "."}, 2},
+		{"self sarif", []string{"-format", "sarif", "-analyzers", "mathbits,panicfact", "."}, 2},
 		{"json conflicts with sarif", []string{"-json", "-format", "sarif"}, 2},
 		{"json shorthand", []string{"-json", "."}, 2},
-		{"only and analyzers disagree", []string{"-only", "bitwidth", "-analyzers", "deadwait"}, 2},
+		{"only and analyzers disagree", []string{"-only", "bitwidth", "-analyzers", "mathbits,panicfact"}, 2},
 		{"waivercheck with only", []string{"-waivercheck", "-only", "bitwidth", "."}, 2},
 		{"cache dir", []string{"-cache-dir", "/tmp/x", "."}, 2},
 		{"timing", []string{"-timing", "/tmp/x.json", "."}, 2},
@@ -53,7 +53,7 @@ func TestUnknownAnalyzerListsValidNames(t *testing.T) {
 	if !strings.Contains(msg, `unknown analyzer "nosuch"`) {
 		t.Errorf("stderr %q does not identify the unknown name", msg)
 	}
-	for _, want := range []string{"integrityflow", "uncheckederr", "panicfact", "lockorder"} {
+	for _, want := range []string{"integrityflow", "uncheckederr", "panicfact", "mathbits"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("stderr %q does not list valid analyzer %q", msg, want)
 		}

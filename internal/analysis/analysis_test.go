@@ -138,35 +138,6 @@ func uses() {
 	checkMarkers(t, root, files, analyze(t, root))
 }
 
-func TestGoroLeak(t *testing.T) {
-	files := map[string]string{"p/p.go": `package p
-
-import "sync"
-
-func work() {}
-
-func consume(ch chan int) {}
-
-func spawn(ch chan int, wg *sync.WaitGroup) {
-	go work()              // want goroleak
-	go func() { work() }() // want goroleak
-	go func() { ch <- 1 }()
-	go func() {
-		defer wg.Done()
-		work()
-	}()
-	go func() {
-		for range ch {
-		}
-	}()
-	go func() { close(ch) }()
-	go consume(ch)
-}
-`}
-	root := writeFixture(t, files)
-	checkMarkers(t, root, files, analyze(t, root))
-}
-
 func TestBitWidth(t *testing.T) {
 	files := map[string]string{
 		"internal/bitio/bitio.go": `package bitio
@@ -235,40 +206,6 @@ func convert(n int, u uint64, w uint32, xs []int) {
 func convert(n int, u uint64) {
 	_ = uint32(n)
 	_ = int(u)
-}
-`,
-	}
-	root := writeFixture(t, files)
-	checkMarkers(t, root, files, analyze(t, root))
-}
-
-func TestTParallel(t *testing.T) {
-	files := map[string]string{
-		"p/p.go": `package p
-
-var counter int
-
-var registry = map[string]int{}
-`,
-		"p/p_test.go": `package p
-
-import "testing"
-
-func TestParallelMutation(t *testing.T) {
-	t.Parallel()
-	counter++ // want tparallel
-	registry["k"] = 1 // want tparallel
-}
-
-func TestSerialMutation(t *testing.T) {
-	counter++
-}
-
-func TestParallelLocal(t *testing.T) {
-	t.Parallel()
-	local := 0
-	local++
-	_ = local
 }
 `,
 	}
@@ -386,8 +323,8 @@ func f() {
 
 func TestByName(t *testing.T) {
 	all, err := analysis.ByName("")
-	if err != nil || len(all) != 14 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want the full set of 14", len(all), err)
+	if err != nil || len(all) != 8 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want the full set of 8", len(all), err)
 	}
 	two, err := analysis.ByName("bitwidth, mathbits")
 	if err != nil || len(two) != 2 {

@@ -1,18 +1,11 @@
 package analysis
 
-import (
-	"encoding/json"
-	"fmt"
-	"go/types"
-	"sort"
-)
+import "go/types"
 
-// A Fact is a serializable statement an analyzer proves about a
+// A Fact is a statement an analyzer proves about a
 // function, keyed by the function's stable full name so that facts
 // exported while analyzing one package can be imported by analyzers
 // running later (in topological import order) on its dependents.
-// Facts must marshal to JSON, so a run's whole store can be dumped and
-// diffed when debugging an analyzer (TestFactStoreRoundTrip).
 type Fact interface {
 	// FactName distinguishes fact kinds on one function. Each
 	// analyzer should namespace its facts (e.g. "allocguard.result").
@@ -75,42 +68,4 @@ func (s *FactStore) Import(fn *types.Func, name string) (Fact, bool) {
 // fixpoint round withdraws a previously exported summary.
 func (s *FactStore) DeleteKey(key, name string) {
 	delete(s.m[key], name)
-}
-
-// Len counts stored facts.
-func (s *FactStore) Len() int {
-	n := 0
-	for _, facts := range s.m {
-		n += len(facts)
-	}
-	return n
-}
-
-// serializedFact is the JSON shape of one (function, fact) pair.
-type serializedFact struct {
-	Func string          `json:"func"`
-	Name string          `json:"fact"`
-	Data json.RawMessage `json:"data"`
-}
-
-// MarshalJSON renders the store as a deterministic array sorted by
-// (function key, fact name).
-func (s *FactStore) MarshalJSON() ([]byte, error) {
-	var out []serializedFact
-	for key, facts := range s.m {
-		for name, fact := range facts {
-			data, err := json.Marshal(fact)
-			if err != nil {
-				return nil, fmt.Errorf("fact %s on %s: %w", name, key, err)
-			}
-			out = append(out, serializedFact{Func: key, Name: name, Data: data})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Func != out[j].Func {
-			return out[i].Func < out[j].Func
-		}
-		return out[i].Name < out[j].Name
-	})
-	return json.Marshal(out)
 }

@@ -15,15 +15,15 @@ const (
 )
 
 // flow is the one ordered walk over Go's statement kinds shared by
-// the flow-sensitive analyzers (taint, integrityflow, chansafety,
-// lockorder, deadwait, ctxflow). It owns the structure — Init before
+// the two flow-sensitive analyzers, taint (behind allocguard and
+// panicfact) and integrityflow. It owns the structure — Init before
 // Cond, clause iteration, block and label unwrapping, body before
-// Post — and knows nothing about what any analyzer tracks: every
-// field below is a callback for one place the analyzers differ. Only
-// expr is required. Each other callback, when set, replaces the
-// default written next to it; an analyzer enters a function literal
-// or a go/defer body by calling stmts on it from its own callback,
-// after setting up whatever state the body should start with.
+// Post — and knows nothing about what either analyzer tracks: every
+// field below is a callback for one place they differ. Only expr is
+// required. Each other callback, when set, replaces the default
+// written next to it. Sends, go and defer statements go through expr,
+// select communications are walked as statements, and every branch
+// alternative is walked once, in source order.
 type flow struct {
 	// expr evaluates one expression in statement position.
 	expr func(ast.Expr)
@@ -37,8 +37,6 @@ type flow struct {
 	decl func(*ast.ValueSpec)
 	// ret handles a return. Default: expr over the results.
 	ret func(*ast.ReturnStmt)
-	// send handles a channel send. Default: expr over Chan, then Value.
-	send func(*ast.SendStmt)
 	// rng handles the head of a range statement (operand, key, value).
 	// Default: expr over the operand.
 	rng func(*ast.RangeStmt)
@@ -46,16 +44,6 @@ type flow struct {
 	// evaluated, and body, which walks the loop body and then Post. It
 	// decides how often and under what state body runs. Default: once.
 	loop func(s ast.Stmt, body func())
-	// branch receives the walk of one alternative: an if body, an else,
-	// a case or select clause body. Analyzers whose state must not leak
-	// between alternatives snapshot around it. Default: run it.
-	branch func(body func())
-	// sel sees a select statement before its clauses and reports
-	// whether the communications are walked as statements. Default: yes.
-	sel func(*ast.SelectStmt) bool
-	// goStmt and deferStmt handle a spawn. Default: expr over the call.
-	goStmt    func(*ast.GoStmt)
-	deferStmt func(*ast.DeferStmt)
 }
 
 func (f *flow) stmts(list []ast.Stmt) {
@@ -75,14 +63,6 @@ func (f *flow) condExpr(kind condKind, x ast.Expr) {
 		f.cond(kind, x)
 	} else {
 		f.expr(x)
-	}
-}
-
-func (f *flow) alternative(body func()) {
-	if f.branch != nil {
-		f.branch(body)
-	} else {
-		body()
 	}
 }
 
@@ -126,32 +106,20 @@ func (f *flow) stmt(s ast.Stmt) {
 			f.exprs(s.Results)
 		}
 	case *ast.SendStmt:
-		if f.send != nil {
-			f.send(s)
-		} else {
-			f.expr(s.Chan)
-			f.expr(s.Value)
-		}
+		f.expr(s.Chan)
+		f.expr(s.Value)
 	case *ast.GoStmt:
-		if f.goStmt != nil {
-			f.goStmt(s)
-		} else {
-			f.expr(s.Call)
-		}
+		f.expr(s.Call)
 	case *ast.DeferStmt:
-		if f.deferStmt != nil {
-			f.deferStmt(s)
-		} else {
-			f.expr(s.Call)
-		}
+		f.expr(s.Call)
 	case *ast.IfStmt:
 		if s.Init != nil {
 			f.stmt(s.Init)
 		}
 		f.condExpr(condIf, s.Cond)
-		f.alternative(func() { f.stmts(s.Body.List) })
+		f.stmts(s.Body.List)
 		if s.Else != nil {
-			f.alternative(func() { f.stmt(s.Else) })
+			f.stmt(s.Else)
 		}
 	case *ast.SwitchStmt:
 		if s.Init != nil {
@@ -167,7 +135,7 @@ func (f *flow) stmt(s ast.Stmt) {
 			for _, x := range cc.List {
 				f.condExpr(caseKind, x)
 			}
-			f.alternative(func() { f.stmts(cc.Body) })
+			f.stmts(cc.Body)
 		}
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
@@ -175,16 +143,15 @@ func (f *flow) stmt(s ast.Stmt) {
 		}
 		f.stmt(s.Assign)
 		for _, c := range s.Body.List {
-			f.alternative(func() { f.stmts(c.(*ast.CaseClause).Body) })
+			f.stmts(c.(*ast.CaseClause).Body)
 		}
 	case *ast.SelectStmt:
-		comms := f.sel == nil || f.sel(s)
 		for _, c := range s.Body.List {
 			cc := c.(*ast.CommClause)
-			if comms && cc.Comm != nil {
+			if cc.Comm != nil {
 				f.stmt(cc.Comm)
 			}
-			f.alternative(func() { f.stmts(cc.Body) })
+			f.stmts(cc.Body)
 		}
 	case *ast.ForStmt:
 		if s.Init != nil {

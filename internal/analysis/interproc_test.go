@@ -1,8 +1,7 @@
 package analysis_test
 
 import (
-	"bytes"
-	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -126,97 +125,6 @@ func ok(func()) bool { return true }
 	checkMarkers(t, root, fixture, analyze(t, root))
 }
 
-func TestDeadWait(t *testing.T) {
-	// The fixture path must fall under deadwait's package restriction.
-	files := map[string]string{"internal/parallel/wg.go": `package parallel
-
-import "sync"
-
-func addInsideGoroutine(wg *sync.WaitGroup) {
-	go func() {
-		wg.Add(1) // want deadwait
-		wg.Done()
-	}()
-	wg.Wait()
-}
-
-func addWithoutDone(wg *sync.WaitGroup, ch chan int) {
-	wg.Add(1) // want deadwait
-	go func() {
-		ch <- 1
-	}()
-	wg.Wait()
-}
-
-func loopSpawnMismatch(wg *sync.WaitGroup, items []int) {
-	wg.Add(1) // want deadwait
-	for range items {
-		go func() { //arcvet:ignore chansafety fixture exercises join accounting, not spawn bounds
-			defer wg.Done()
-		}()
-	}
-	wg.Wait()
-}
-
-func skippableDone(wg *sync.WaitGroup, fail bool) {
-	wg.Add(1)
-	go func() {
-		if fail {
-			return
-		}
-		wg.Done() // want deadwait
-	}()
-	wg.Wait()
-}
-
-func balanced(wg *sync.WaitGroup, items []int) {
-	for range items {
-		wg.Add(1)
-		go func() { //arcvet:ignore chansafety fixture exercises join accounting, not spawn bounds
-			defer wg.Done()
-		}()
-	}
-	wg.Wait()
-}
-
-func addCounted(wg *sync.WaitGroup, items []int) {
-	wg.Add(len(items))
-	for range items {
-		go func() { //arcvet:ignore chansafety fixture exercises join accounting, not spawn bounds
-			defer wg.Done()
-		}()
-	}
-	wg.Wait()
-}
-
-type pool struct {
-	workers sync.WaitGroup
-}
-
-// worker's deferred Done on a receiver field becomes a
-// deadwait.effects fact, so start's spawn loop below accounts as
-// balanced even though no Done is syntactically visible there.
-func (p *pool) worker(jobs chan int) {
-	defer p.workers.Done()
-	for range jobs {
-	}
-}
-
-func (p *pool) start(jobs chan int, n int) {
-	for i := 0; i < n; i++ {
-		p.workers.Add(1)
-		go p.worker(jobs)
-	}
-	go func() {
-		p.workers.Wait()
-		close(jobs)
-	}()
-}
-`}
-	root := writeFixture(t, files)
-	checkMarkers(t, root, files, analyze(t, root))
-}
-
 var panicFactFixture = map[string]string{
 	"inner/inner.go": `package inner
 
@@ -282,7 +190,54 @@ func helperPanics() {
 
 func TestPanicFact(t *testing.T) {
 	root := writeFixture(t, panicFactFixture)
-	checkMarkers(t, root, panicFactFixture, analyze(t, root))
+	res := analyzeResult(t, root, false)
+	checkMarkers(t, root, panicFactFixture, res.Diagnostics)
+	// The fact crosses the package boundary with its source intact.
+	f, ok := res.Facts.ImportKey("fixture/inner.MustPositive", "panicfact.maypanic")
+	if !ok {
+		t.Fatal("no panicfact.maypanic fact on inner.MustPositive")
+	}
+	if mp := f.(*analysis.MayPanicFact); len(mp.Sources) == 0 || mp.Sources[0].What != "explicit panic" {
+		t.Fatalf("unexpected fact content: %+v", mp)
+	}
+}
+
+// TestFactStoreRoundTrip pins the store contract analyzers rely on
+// across fixpoint rounds and package boundaries: a fact read back by
+// key is the one exported, a re-export replaces it, a delete withdraws
+// it, and two runs over the same tree prove the same fact.
+func TestFactStoreRoundTrip(t *testing.T) {
+	root := writeFixture(t, panicFactFixture)
+	const key, name = "fixture/inner.MustPositive", "panicfact.maypanic"
+	first, ok := analyzeResult(t, root, false).Facts.ImportKey(key, name)
+	if !ok {
+		t.Fatalf("no %s fact on %s", name, key)
+	}
+	again, ok := analyzeResult(t, root, false).Facts.ImportKey(key, name)
+	if !ok || !reflect.DeepEqual(first, again) {
+		t.Fatalf("two runs prove different facts:\nfirst:  %+v\nsecond: %+v", first, again)
+	}
+
+	s := analysis.NewFactStore()
+	if _, ok := s.ImportKey(key, name); ok {
+		t.Fatal("empty store returned a fact")
+	}
+	s.ExportKey(key, first)
+	if got, ok := s.ImportKey(key, name); !ok || got != first {
+		t.Fatalf("ImportKey after ExportKey = %v, %v; want the exported fact", got, ok)
+	}
+	replaced := &analysis.MayPanicFact{}
+	s.ExportKey(key, replaced)
+	if got, _ := s.ImportKey(key, name); got != replaced {
+		t.Fatalf("re-export did not replace the fact: got %+v", got)
+	}
+	if _, ok := s.Import(nil, name); ok {
+		t.Fatal("Import(nil) returned a fact")
+	}
+	s.DeleteKey(key, name)
+	if _, ok := s.ImportKey(key, name); ok {
+		t.Fatal("DeleteKey left the fact in place")
+	}
 }
 
 // TestWaiverStatementSpan proves the satellite fix: a directive on
@@ -352,67 +307,6 @@ func TestTopoOrderAndGraph(t *testing.T) {
 	}
 	if _, ok := res.Facts.ImportKey("fixture/q.Table", "taint.paramalloc"); !ok {
 		t.Fatal("missing taint.paramalloc fact on fixture/q.Table")
-	}
-}
-
-// TestFactStoreRoundTrip pins the dump contract: two runs over the
-// same tree marshal to the same bytes, and the dump decodes with plain
-// encoding/json into (func, fact, data) triples sorted by function then
-// fact name that re-encode to those bytes.
-func TestFactStoreRoundTrip(t *testing.T) {
-	root := writeFixture(t, panicFactFixture)
-	res := analyzeResult(t, root, false)
-	if res.Facts.Len() == 0 {
-		t.Fatal("expected exported facts")
-	}
-	first, err := json.Marshal(res.Facts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := json.Marshal(analyzeResult(t, root, false).Facts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, again) {
-		t.Fatalf("two runs dump differently:\nfirst:  %s\nsecond: %s", first, again)
-	}
-	type triple struct {
-		Func string          `json:"func"`
-		Fact string          `json:"fact"`
-		Data json.RawMessage `json:"data"`
-	}
-	var back []triple
-	if err := json.Unmarshal(first, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != res.Facts.Len() {
-		t.Fatalf("dump has %d facts, store %d", len(back), res.Facts.Len())
-	}
-	second, err := json.Marshal(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatalf("fact dump does not round-trip:\nfirst:  %s\nsecond: %s", first, second)
-	}
-	found := false
-	for i, f := range back {
-		if i > 0 && (back[i-1].Func > f.Func || (back[i-1].Func == f.Func && back[i-1].Fact >= f.Fact)) {
-			t.Fatalf("dump not sorted at %d: %s/%s before %s/%s", i, back[i-1].Func, back[i-1].Fact, f.Func, f.Fact)
-		}
-		if f.Func == "fixture/inner.MustPositive" && f.Fact == "panicfact.maypanic" {
-			found = true
-			var mp analysis.MayPanicFact
-			if err := json.Unmarshal(f.Data, &mp); err != nil {
-				t.Fatal(err)
-			}
-			if len(mp.Sources) == 0 || mp.Sources[0].What != "explicit panic" {
-				t.Fatalf("unexpected fact content in dump: %+v", mp)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("dump lost panicfact.maypanic on MustPositive")
 	}
 }
 

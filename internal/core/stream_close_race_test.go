@@ -1,15 +1,16 @@
 package core
 
 // Regression test for ChunkReader.Close racing a mid-stream decode
-// error — the scenario the chansafety analyzer guards statically. The
-// reader's Close cancels the pipeline from the consumer side at the
-// same moment a decode worker is failing a damaged chunk and the
-// producer is still submitting; a shutdown bug here strands the
-// producer on a send or a worker on a result channel. The test runs
-// the window at several read depths (before the pipeline starts, with
-// the error chunk still in flight, and after the error has surfaced)
-// and checks the goroutine count settles back every time. CI runs it
-// under -race with -count=5 to vary scheduling.
+// error. No static check covers this scenario: this test is its
+// guard. The reader's Close cancels the pipeline from the consumer
+// side at the same moment a decode worker is failing a damaged chunk
+// and the producer is still submitting; a shutdown bug here strands
+// the producer on a send or a worker on a result channel. The test
+// runs the window at several read depths (before the pipeline starts,
+// with the error chunk still in flight, and after the error has
+// surfaced) and checks the goroutine count settles back every time.
+// CI and verify.sh run it under -race with -count=5 to vary
+// scheduling.
 
 import (
 	"bytes"

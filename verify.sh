@@ -58,6 +58,14 @@ echo "== on-demand training (1-point pins, cold-engine race, cache identity) =="
 # under the fingerprint it was written with.
 go test -race ./internal/core -run 'Lazy|Train|Cache'
 
+# These run-time gates are the repo's concurrency checks; arcvet has
+# no concurrency analyzer.
+echo "== stream close/decode-error race regression (race, 5 runs) =="
+go test -race -run 'TestChunkReaderCloseRacesMidStreamError' -count=5 ./internal/core
+
+echo "== worker-pool and pipe goroutine-leak regressions (race, 5 runs) =="
+go test -race -run 'TestPipeStressLeakFree|TestForLeaksNoGoroutines|TestForErrLeaksNoGoroutines' -count=5 ./internal/parallel
+
 echo "== service shutdown/disconnect leak regressions (race, 5 runs) =="
 go test -race -run 'TestArcdShutdownDrains|TestArcdClientDisconnectMidStream' -count=5 ./internal/service
 
