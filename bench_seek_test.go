@@ -1,11 +1,9 @@
 package arc
 
 // Seek benchmark: the cost of reading a small range out of a large v2
-// archive, against the v1 answer of decoding the whole stream. The
-// sub-benchmark names (full_seq, full_pipe, range_cold, range_warm)
-// are a contract with `benchmeta seek`, which gates BENCH_seek.json on
-// the cold range read beating the sequential full decode by >=20x and
-// the cache-warm repeat beating the cold read by >=5x
+// archive, against the v1 answer of decoding the whole stream. That a
+// cold range read decodes only its covering chunks and a warm one
+// decodes none is asserted by TestRangeReaderWarmReadsSkipDecode
 // (docs/CONTAINER.md).
 
 import (
@@ -72,10 +70,9 @@ func seekArchive(b *testing.B) []byte {
 func BenchmarkSeek(b *testing.B) {
 	encoded := seekArchive(b)
 
-	// The v1 answer: decode the whole stream to reach any byte of it.
-	// Sequential is the gated baseline; the pipelined variant is
-	// recorded alongside so the artifact shows the honest best case of
-	// not having an index.
+	// The v1 answer: decode the whole stream to reach any byte of it,
+	// sequentially and pipelined (the honest best case of not having an
+	// index).
 	for _, fv := range []struct {
 		name     string
 		pipeline int

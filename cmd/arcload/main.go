@@ -7,11 +7,10 @@
 //
 //	arcload -addr 127.0.0.1:7410 -clients 8 -requests 200 -corrupt 0.5
 //
-// The machine-readable workload result goes to stdout as JSON (pipe it
-// to `benchmeta service` for the gated artifact); a human summary goes
-// to stderr. The exit status is about the harness, not the service:
-// integrity verdicts (silent mismatches above all) are in the JSON for
-// the gate to judge.
+// The machine-readable workload result goes to stdout as JSON; a human
+// summary goes to stderr. The exit status is about the harness, not the
+// service: integrity verdicts (silent mismatches above all) are in the
+// JSON for the caller to judge.
 package main
 
 import (

@@ -2,9 +2,8 @@ package core
 
 // Allocation-regression tests for the chunk stream hot path: after
 // warm-up, steady-state chunk encode and decode must stay within a
-// small amortized allocation budget (the tentpole claim recorded in
-// BENCH_stream.json and gated by verify.sh). Measured with
-// testing.AllocsPerRun, which counts mallocs process-wide — worker
+// small amortized allocation budget (docs/ALLOCATIONS.md). Measured
+// with testing.AllocsPerRun, which counts mallocs process-wide — worker
 // and emitter goroutine allocations are included, which is the point.
 
 import (

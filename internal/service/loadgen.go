@@ -114,7 +114,7 @@ func (o WorkloadOptions) withDefaults() (WorkloadOptions, error) {
 
 // WorkloadResult is an arcload run's summary: the op and corruption
 // accounting, the integrity verdicts, and the client-side service
-// levels. It is the JSON contract consumed by `benchmeta service`.
+// levels. It is the JSON arcload prints.
 type WorkloadResult struct {
 	Clients    int `json:"clients"`
 	Requests   int `json:"requests"`

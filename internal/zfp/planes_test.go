@@ -451,99 +451,3 @@ func TestBlockExpMatchesRef(t *testing.T) {
 		}
 	}
 }
-
-// planesBench is one field as the embedded coder sees it under ZFP-ACC
-// at 1e-3 of the value range: every block's negabinary coefficients in
-// sequency order, and the lowest plane each keeps.
-type planesBench struct {
-	size  int
-	u     []uint64 // size coefficients per block
-	kmins []int    // -1: an all-zero block, which never reaches the coder
-	bytes int
-}
-
-func newPlanesBench(f *datasets.Field) planesBench {
-	bl := newBlocker(f.Dims)
-	p := newBlockParams(Options{Mode: ModeAccuracy, Param: 1e-3 * valueRange(f.Data)}, bl.blockSize)
-	pb := planesBench{size: bl.blockSize, bytes: f.SizeBytes()}
-	s := getBlockScratch(bl.blockSize)
-	defer putBlockScratch(s)
-	for b := 0; b < bl.numBlocks; b++ {
-		bl.gather(f.Data, b, s.vals)
-		emax, nonzero := blockExp(s.vals)
-		kmin := -1
-		if nonzero {
-			scale := math.Ldexp(1, fixedPointBits-emax)
-			for i, v := range s.vals {
-				s.coeffs[i] = int64(v * scale)
-			}
-			fwdXform(s.coeffs, bl.nd)
-			int2uintBlock(s.u, s.coeffs, bl.perm)
-			kmin = p.kminFor(emax)
-		}
-		pb.u = append(pb.u, s.u...)
-		pb.kmins = append(pb.kmins, kmin)
-	}
-	return pb
-}
-
-// BenchmarkKernelZFPPlanes times the embedded coder alone, encode then
-// decode, over the coefficient blocks of a 2-D and a 3-D study field —
-// the word coder against the per-bit reference it replaced. Bytes are
-// field bytes, so MB/s reads like a compressor's.
-func BenchmarkKernelZFPPlanes(b *testing.B) {
-	fields := []planesBench{
-		newPlanesBench(datasets.CESM(128, 256, 1)),
-		newPlanesBench(datasets.NYX(32, 32, 32, 3)),
-	}
-	total := 0
-	for _, f := range fields {
-		total += f.bytes
-	}
-	buf := make([]byte, 0, total)
-	run := func(b *testing.B, word bool) {
-		got := make([]uint64, 64)
-		pass := func() {
-			for _, f := range fields {
-				unlimited := 1 + expBits + intPrec*f.size
-				w := bitio.NewWriter(buf[:0])
-				for i, kmin := range f.kmins {
-					if kmin < 0 {
-						continue
-					}
-					if u := f.u[i*f.size : (i+1)*f.size]; word {
-						encodePlanes(w, u, f.size, kmin, unlimited)
-					} else {
-						encodePlanesRef(w, u, f.size, intPrec-1, kmin, 0, unlimited)
-					}
-				}
-				r := bitio.NewReader(w.Bytes())
-				for _, kmin := range f.kmins {
-					if kmin < 0 {
-						continue
-					}
-					clear(got[:f.size])
-					var err error
-					if word {
-						err = decodePlanes(r, got[:f.size], f.size, kmin, unlimited, 0)
-					} else {
-						err = decodePlanesRef(r, got[:f.size], f.size, intPrec-1, kmin, 0, unlimited, 0)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-		if allocs := testing.AllocsPerRun(1, pass); allocs != 0 && !raceflag.Enabled {
-			b.Fatalf("%v allocs per pass, want 0", allocs)
-		}
-		b.SetBytes(int64(total))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pass()
-		}
-	}
-	b.Run("word", func(b *testing.B) { run(b, true) })
-	b.Run("scalar", func(b *testing.B) { run(b, false) })
-}

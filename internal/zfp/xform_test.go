@@ -103,30 +103,3 @@ func TestXformAllocs(t *testing.T) {
 		t.Errorf("xform kernels allocate %v times per run, want 0", allocs)
 	}
 }
-
-func BenchmarkKernelZFPLift(b *testing.B) {
-	blocks := make([]int64, 64*256)
-	rng := rand.New(rand.NewSource(9))
-	for i := range blocks {
-		blocks[i] = int64(rng.Uint64()) >> 9 //arcvet:ignore mathbits random sign-extended coefficients, wraparound is fine
-	}
-	nbytes := int64(len(blocks) * 8)
-	b.Run("word", func(b *testing.B) {
-		b.SetBytes(nbytes)
-		for i := 0; i < b.N; i++ {
-			for off := 0; off < len(blocks); off += 64 {
-				fwdXform(blocks[off:off+64], 3)
-				invXform(blocks[off:off+64], 3)
-			}
-		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		b.SetBytes(nbytes)
-		for i := 0; i < b.N; i++ {
-			for off := 0; off < len(blocks); off += 64 {
-				fwdXformRef(blocks[off:off+64], 3)
-				invXformRef(blocks[off:off+64], 3)
-			}
-		}
-	})
-}

@@ -69,77 +69,12 @@ go test -race -run 'TestPipeStressLeakFree|TestForLeaksNoGoroutines|TestForErrLe
 echo "== service shutdown/disconnect leak regressions (race, 5 runs) =="
 go test -race -run 'TestArcdShutdownDrains|TestArcdClientDisconnectMidStream' -count=5 ./internal/service
 
-echo "== stream bench (recorded to BENCH_stream.json) =="
-go test -run '^$' -bench 'BenchmarkStream' -benchtime=2s -benchmem -count=1 . | tee /tmp/arc_bench_stream.txt
-# benchmeta parses the run, emits the artifact, and enforces the
-# steady-state allocation budget (nonzero exit fails verify under set -e).
-go run ./cmd/benchmeta stream < /tmp/arc_bench_stream.txt > BENCH_stream.json
-echo "wrote BENCH_stream.json"
-
-echo "== kernel bench (recorded to BENCH_kernels.json) =="
-# The kernel pairs live in the root package plus the codec packages
-# that grew vectorized paths (core voting, SZ quantize, ZFP lift and
-# embedded coder).
-go test -run '^$' -bench 'BenchmarkKernel' -benchtime=1s -benchmem -count=1 \
-    . ./internal/core ./internal/sz ./internal/zfp | tee /tmp/arc_bench_kernels.txt
-# benchmeta enforces the word/scalar speedup floors plus the
-# AVX2-over-SSSE3 tier ratio on hosts that report AVX2.
-go run ./cmd/benchmeta kernels < /tmp/arc_bench_kernels.txt > BENCH_kernels.json
-echo "wrote BENCH_kernels.json"
-
-echo "== seek bench (recorded to BENCH_seek.json) =="
-go test -run '^$' -bench 'BenchmarkSeek' -benchtime=1s -benchmem -count=1 . | tee /tmp/arc_bench_seek.txt
-# benchmeta enforces the ranged-read speedup floors: cold range vs
-# sequential full decode, warm (cached) range vs cold.
-go run ./cmd/benchmeta seek < /tmp/arc_bench_seek.txt > BENCH_seek.json
-echo "wrote BENCH_seek.json"
-
-echo "== service smoke (arcd + arcload with fault injection, recorded to BENCH_service.json) =="
-# Boot a real daemon on an ephemeral port, hammer it with a workload
-# that damages half the decode-side containers anywhere (a random bit,
-# three bits, or a 1-, 4- or 64-byte burst), and gate the result: every
-# response repaired or reported, zero silently wrong, no request
-# failed, and the smoke-scale throughput/latency floors must hold
-# (benchmeta's nonzero exit fails verify under set -e).
-service_tmp=$(mktemp -d)
-arcd_pid=""
-cleanup_service() {
-    if [ -n "$arcd_pid" ]; then
-        kill "$arcd_pid" 2>/dev/null || true
-    fi
-    rm -rf "$service_tmp"
-}
-trap cleanup_service EXIT
-go build -o "$service_tmp/arcd" ./cmd/arcd
-go build -o "$service_tmp/arcload" ./cmd/arcload
-go build -o "$service_tmp/arc" ./cmd/arc
-# A root archive so the smoke also exercises READ_RANGE: plaintext
-# ground truth plus its v2 encoding served from the daemon's -root.
-mkdir "$service_tmp/root"
-dd if=/dev/urandom of="$service_tmp/plain.bin" bs=65536 count=4 2>/dev/null
-"$service_tmp/arc" encode -in "$service_tmp/plain.bin" \
-    -out "$service_tmp/root/data.arc" -chunk-kb 32 -ecc secded
-"$service_tmp/arcd" -addr 127.0.0.1:0 -addrfile "$service_tmp/arcd.addr" \
-    -root "$service_tmp/root" -cache-mb 4 &
-arcd_pid=$!
-i=0
-while [ ! -f "$service_tmp/arcd.addr" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "arcd never wrote its addrfile" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-"$service_tmp/arcload" -addr "$(cat "$service_tmp/arcd.addr")" \
-    -clients 4 -requests 40 -max-size 65536 -corrupt 0.5 -seed 1 \
-    -range-archive data.arc -range-file "$service_tmp/plain.bin" -range-ratio 0.3 \
-    > "$service_tmp/workload.json"
-go run ./cmd/benchmeta service < "$service_tmp/workload.json" > BENCH_service.json
-kill -TERM "$arcd_pid"
-wait "$arcd_pid"
-arcd_pid=""
-echo "wrote BENCH_service.json"
+echo "== kernel floors and bench smoke (every kernel, stream and seek benchmark once) =="
+# go test -race above skips TestKernelFloors (the detector slows the
+# pure-Go kernels and not the assembly), so the speedup floors run here
+# without it. One iteration of each benchmark fails on any that b.Fatals.
+go test -run TestKernelFloors -bench 'Kernel|Stream|Seek' -benchtime=1x \
+    . ./internal/core ./internal/sz ./internal/zfp
 
 echo "== fuzz smoke (10s per target) =="
 for target in FuzzContainerDecode FuzzSZDecompress FuzzSZDecodeCorruptHeader FuzzZFPDecompress FuzzZFPDecodeCorruptHeader FuzzHuffmanTable FuzzStreamReader FuzzStreamReaderPipelined FuzzIndexDecode FuzzBitIORoundTrip; do
