@@ -1,14 +1,13 @@
 package arc
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, as indexed in DESIGN.md. Each benchmark regenerates the
-// corresponding rows/series via internal/experiments and reports the
-// headline quantity with b.ReportMetric, so `go test -bench=.` emits a
-// machine-readable reproduction of the whole evaluation.
+// Benchmarks of the library's own surfaces: the Table-1 engine calls,
+// the ablations DESIGN.md calls out, chunk-stream pipelining, the SZ
+// substrate and one fault-injection trial. The paper's figures are not
+// benchmarks: `arcstudy <experiment>` regenerates each one over
+// internal/experiments, whose tests assert the shape claims (who wins,
+// step functions, collapse under error load).
 //
-// Absolute MB/s values reflect this host, not the paper's Xeon nodes;
-// the shape claims (who wins, step functions, collapse under error
-// load) are asserted by the experiments package's own tests.
+// Absolute MB/s values reflect the host, not the paper's Xeon nodes.
 
 import (
 	"bytes"
@@ -21,228 +20,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/ecc/reedsolomon"
-	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/pressio"
 	"repro/internal/sz"
 )
-
-// benchStudy keeps fault-injection benchmarks snappy.
-var benchStudy = experiments.StudyOptions{Scale: 1, MaxTrials: 120, Seed: 1, Workers: 1}
-
-// BenchmarkFig1SingleFlipImpact regenerates Figure 1: the per-location
-// severity of single flips in SZ-compressed Isabel-like data.
-func BenchmarkFig1SingleFlipImpact(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig1(benchStudy)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Trials) > 0 {
-			b.ReportMetric(r.Trials[len(r.Trials)-1].PercentIncorrect, "worst-%incorrect")
-		}
-	}
-}
-
-// BenchmarkFig2ReturnStatuses regenerates Figure 2: the return-status
-// distribution over all 15 (compressor, dataset) cells.
-func BenchmarkFig2ReturnStatuses(b *testing.B) {
-	opts := benchStudy
-	opts.MaxTrials = 60
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.AverageCompleted(), "%completed")
-	}
-}
-
-// BenchmarkFig3ErrorBoundViolations regenerates Figure 3: mean percent
-// of incorrect elements per mode on the CESM-like field.
-func BenchmarkFig3ErrorBoundViolations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig3(benchStudy)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range r.Series {
-			if s.Compressor == "SZ-ABS" {
-				b.ReportMetric(s.MeanPercent, "szabs-mean-%incorrect")
-			}
-			if s.Compressor == "ZFP-Rate" {
-				b.ReportMetric(s.MeanElements, "zfprate-mean-elems")
-			}
-		}
-	}
-}
-
-// BenchmarkFig4LossLevels regenerates Figure 4: violations at target
-// compression ratios 50x/25x/13x/7x.
-func BenchmarkFig4LossLevels(b *testing.B) {
-	opts := benchStudy
-	opts.MaxTrials = 60
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range r.Cells {
-			if c.Compressor == "SZ-ABS" && c.TargetCR == 7 {
-				b.ReportMetric(c.MeanPercent, "szabs-7x-%incorrect")
-			}
-		}
-	}
-}
-
-// BenchmarkFig5IntegrityMetrics regenerates Figure 5: bandwidth /
-// max-diff / PSNR aggregates over Completed trials.
-func BenchmarkFig5IntegrityMetrics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5(benchStudy)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range r.Rows {
-			if row.Compressor == "SZ-ABS" {
-				b.ReportMetric(row.MeanPSNR, "szabs-mean-psnr-dB")
-			}
-		}
-	}
-}
-
-// BenchmarkFig6TrainingCost regenerates Figure 6: training wall time
-// and configuration count vs thread cap.
-func BenchmarkFig6TrainingCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6([]int{1, 2, 4}, 64<<10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := r.Rows[len(r.Rows)-1]
-		b.ReportMetric(float64(last.Configs), "configs-trained")
-		b.ReportMetric(last.TrainSeconds, "train-s")
-	}
-}
-
-// BenchmarkFig8EncodeScaling regenerates Figure 8: per-ECC encode
-// throughput across a thread sweep.
-func BenchmarkFig8EncodeScaling(b *testing.B) {
-	for _, cfg := range experiments.ScalingConfigs() {
-		for _, th := range []int{1, 2, 4} {
-			cfg, th := cfg, th
-			b.Run(fmt.Sprintf("%s/threads=%d", cfg, th), func(b *testing.B) {
-				code, err := cfg.Build(th)
-				if err != nil {
-					b.Fatal(err)
-				}
-				data := make([]byte, 1<<20)
-				rand.New(rand.NewSource(1)).Read(data)
-				b.SetBytes(int64(len(data)))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_ = code.Encode(data)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig9DecodeScaling regenerates Figure 9: per-ECC decode
-// throughput on clean data.
-func BenchmarkFig9DecodeScaling(b *testing.B) {
-	for _, cfg := range experiments.ScalingConfigs() {
-		for _, th := range []int{1, 2, 4} {
-			cfg, th := cfg, th
-			b.Run(fmt.Sprintf("%s/threads=%d", cfg, th), func(b *testing.B) {
-				code, err := cfg.Build(th)
-				if err != nil {
-					b.Fatal(err)
-				}
-				data := make([]byte, 1<<20)
-				rand.New(rand.NewSource(2)).Read(data)
-				enc := code.Encode(data)
-				b.SetBytes(int64(len(data)))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := code.Decode(enc, len(data)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig10ErrorLoad regenerates Figure 10: decode throughput with
-// 1 and 100,000 correctable errors present.
-func BenchmarkFig10ErrorLoad(b *testing.B) {
-	for _, errs := range []int{1, 100000} {
-		errs := errs
-		b.Run(fmt.Sprintf("errors=%d", errs), func(b *testing.B) {
-			r, err := experiments.Fig10([]int{1}, 1<<20, []int{errs}, 3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, row := range r.Rows {
-				if row.Config == "rs-m15" {
-					b.ReportMetric(row.DecMBs, "rs-dec-MB/s")
-				}
-			}
-			for i := 1; i < b.N; i++ { // the experiment above is the work
-				_, _ = experiments.Fig10([]int{1}, 1<<20, []int{errs}, 3)
-			}
-		})
-	}
-}
-
-// BenchmarkFig11AnyECC regenerates Figure 11: constraint tracking with
-// ARC_ANY_ECC.
-func BenchmarkFig11AnyECC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig11(2, 1, 4, []float64{0.1, 0.2, 0.5, 0.9}, []float64{0.5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var worst float64
-		for _, row := range r.MemRows {
-			if gap := row.TargetOverhead - row.ChoiceOverhead; gap > worst {
-				worst = gap
-			}
-		}
-		b.ReportMetric(worst, "worst-budget-slack")
-	}
-}
-
-// BenchmarkFig12SingleECC regenerates Figure 12: single-ECC target vs
-// true overhead step functions.
-func BenchmarkFig12SingleECC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig12(1, 1, 5, []float64{0.05, 0.2, 0.63, 1.0})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(r.MemRows)), "points")
-	}
-}
-
-// BenchmarkSec63Resiliency regenerates Section 6.3: the fault study
-// rerun under ARC protection; the metric is the corrected fraction
-// (must be 1.0).
-func BenchmarkSec63Resiliency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Sec63(1, 1, 40, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tot, cor := 0, 0
-		for _, r := range rows {
-			tot += r.Trials
-			cor += r.Corrected
-		}
-		b.ReportMetric(float64(cor)/float64(tot), "corrected-fraction")
-	}
-}
 
 // BenchmarkTable1EngineCalls measures the Table-1 engine surface: one
 // call of each encode function on a 1 MiB payload.
@@ -488,22 +269,6 @@ func newStudyCompressor() (pressio.Compressor, error) {
 	return pressio.New("SZ-ABS", 0.1)
 }
 
-// BenchmarkExtResilienceMatrix runs the extension experiment: the full
-// ECC-method x fault-pattern recovery matrix.
-func BenchmarkExtResilienceMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.ExtResilienceMatrix(32<<10, 30, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		silent := 0
-		for _, row := range r.Rows {
-			silent += row.Silent
-		}
-		b.ReportMetric(float64(silent), "silent-corruptions")
-	}
-}
-
 // BenchmarkAblationBurstProtection compares the two burst-capable
 // methods: interleaved SEC-DED (12.5% overhead, permutation cost) vs
 // Reed-Solomon (tunable overhead, matrix cost) on encode throughput.
@@ -554,23 +319,5 @@ func BenchmarkAblationCRCWidth(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(enc)-len(data))/float64(len(data)), "overhead")
 		})
-	}
-}
-
-// BenchmarkExtCrossover runs the burst-protection crossover map; the
-// metric is the recovery gap between the methods at a 512-byte burst.
-func BenchmarkExtCrossover(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.ExtCrossover(128<<10, 8, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		covered := 0
-		for _, row := range r.Rows {
-			if row.BurstBytes == 512 && row.Recovered == row.Trials {
-				covered++
-			}
-		}
-		b.ReportMetric(float64(covered), "configs-covering-512B")
 	}
 }

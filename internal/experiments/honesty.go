@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	mrand "math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
+	arc "repro"
 	"repro/internal/core"
 	"repro/internal/ecc"
 )
@@ -61,39 +61,10 @@ var honestyResiliencies = []struct {
 	{"rs", core.Resiliency{Methods: []ecc.Method{ecc.MethodReedSolomon}}},
 }
 
-// encodeFile is arc.EncodeFile (file to indexed v2 archive through the
-// engine's chunk writer with default options), restated over the core
-// engine because the root package's benchmarks import this one.
-func encodeFile(eng *core.Engine, src, dst string, mem, bw float64, res core.Resiliency) (core.Choice, int64, error) {
-	in, err := os.Open(src)
-	if err != nil {
-		return core.Choice{}, 0, err
-	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return core.Choice{}, 0, err
-	}
-	w, err := eng.NewChunkWriterWith(out, mem, bw, res, core.StreamOptions{Indexed: true})
-	if err == nil {
-		_, err = io.Copy(w, in)
-		if cerr := w.Close(); err == nil { // Close joins in-flight encodes on either path
-			err = cerr
-		}
-	}
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return core.Choice{}, 0, err
-	}
-	return w.Choice(), w.BytesWritten(), nil
-}
-
-// Honesty runs the grid on a fresh engine (no cache, default training
-// sample, so each request measures the points it needs at chunk size):
-// every request encodes a sampleBytes file reps times and keeps the
-// median throughput.
+// Honesty runs the grid through arc.EncodeFile on a fresh handle (no
+// cache, default training sample, so each request measures the points
+// it needs at chunk size): every request encodes a sampleBytes file
+// reps times and keeps the median throughput.
 func Honesty(maxThreads, sampleBytes, reps int, bws []float64) (*HonestyResult, error) {
 	if sampleBytes <= 0 {
 		sampleBytes = 16 << 20
@@ -104,11 +75,11 @@ func Honesty(maxThreads, sampleBytes, reps int, bws []float64) (*HonestyResult, 
 	if len(bws) == 0 {
 		bws = []float64{core.AnyBW, 25, 250}
 	}
-	eng, err := core.NewEngine(core.EngineOptions{MaxThreads: maxThreads, CacheDir: "-"})
+	a, err := arc.InitWithOptions(maxThreads, arc.Options{CacheDir: "-"})
 	if err != nil {
 		return nil, err
 	}
-	defer eng.Close()
+	defer a.Close()
 	dir, err := os.MkdirTemp("", "arc-honesty-")
 	if err != nil {
 		return nil, err
@@ -129,7 +100,7 @@ func Honesty(maxThreads, sampleBytes, reps int, bws []float64) (*HonestyResult, 
 				secs := make([]float64, reps)
 				for i := range secs {
 					t0 := time.Now()
-					if choice, stored, err = encodeFile(eng, src, dst, mem, bw, rc.res); err != nil {
+					if choice, stored, err = a.EncodeFile(src, dst, mem, bw, rc.res, 0); err != nil {
 						return nil, fmt.Errorf("honesty mem=%g bw=%g res=%s: %w", mem, bw, rc.name, err)
 					}
 					secs[i] = time.Since(t0).Seconds()

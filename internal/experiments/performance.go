@@ -291,9 +291,6 @@ type Sec63Result struct {
 
 // Sec63 runs the resiliency evaluation on each study dataset.
 func Sec63(maxThreads, scale int, maxTrials int, seed int64) ([]Sec63Result, error) {
-	if maxTrials <= 0 {
-		maxTrials = 200
-	}
 	eng, err := buildEngine(maxThreads, 0)
 	if err != nil {
 		return nil, err

@@ -27,12 +27,6 @@ type Fig6Row struct {
 // engine measures on demand, so the full training the figure times is
 // the completing Table call.
 func Fig6(maxThreads []int, sampleBytes int) (*Fig6Result, error) {
-	if len(maxThreads) == 0 {
-		maxThreads = []int{1, 2, 4, 8}
-	}
-	if sampleBytes <= 0 {
-		sampleBytes = 256 << 10
-	}
 	res := &Fig6Result{}
 	for _, mt := range maxThreads {
 		t0 := time.Now()
@@ -68,9 +62,9 @@ func (r *Fig6Result) Table() *Table {
 	return t
 }
 
-// ScalingConfigs are the four ECC methods Figures 8-10 sweep, at the
+// scalingConfigs are the four ECC methods Figures 8-10 sweep, at the
 // parameters the ARC engine defaults to for each family.
-func ScalingConfigs() []core.Config {
+func scalingConfigs() []core.Config {
 	return []core.Config{
 		{Method: ecc.MethodParity, Param: 8},
 		{Method: ecc.MethodHamming, Param: 64},
@@ -95,15 +89,9 @@ type Fig89Row struct {
 
 // Fig89 measures encode/decode throughput over a thread sweep.
 func Fig89(threadCounts []int, payloadBytes int, seed int64) (*Fig89Result, error) {
-	if len(threadCounts) == 0 {
-		threadCounts = []int{1, 2, 4}
-	}
-	if payloadBytes <= 0 {
-		payloadBytes = 4 << 20
-	}
 	data := randomBytes(payloadBytes, seed)
 	res := &Fig89Result{}
-	for _, cfg := range ScalingConfigs() {
+	for _, cfg := range scalingConfigs() {
 		for _, th := range threadCounts {
 			code, err := cfg.Build(th)
 			if err != nil {
@@ -119,31 +107,29 @@ func Fig89(threadCounts []int, payloadBytes int, seed int64) (*Fig89Result, erro
 	return res, nil
 }
 
-// Speedup returns the max-thread/1-thread encode and decode speedups
-// per config.
-func (r *Fig89Result) Speedup() map[string][2]float64 {
-	base := map[string][2]float64{}
-	best := map[string][2]float64{}
-	for _, row := range r.Rows {
-		if row.Threads == 1 {
-			base[row.Config] = [2]float64{row.EncMBs, row.DecMBs}
-		}
-		b := best[row.Config]
-		if row.EncMBs > b[0] {
-			b[0] = row.EncMBs
-		}
-		if row.DecMBs > b[1] {
-			b[1] = row.DecMBs
-		}
-		best[row.Config] = b
+// SpeedupTable renders each config's best encode and decode throughput
+// over its one-thread throughput, in sweep order.
+func (r *Fig89Result) SpeedupTable() *Table {
+	t := &Table{
+		Title:  "Figures 8-9: speedup, best thread count vs 1",
+		Header: []string{"config", "encode", "decode"},
 	}
-	out := map[string][2]float64{}
-	for cfg, b := range best {
-		if bs, ok := base[cfg]; ok && bs[0] > 0 && bs[1] > 0 {
-			out[cfg] = [2]float64{b[0] / bs[0], b[1] / bs[1]}
+	for i := 0; i < len(r.Rows); {
+		var base, best [2]float64
+		j := i
+		for ; j < len(r.Rows) && r.Rows[j].Config == r.Rows[i].Config; j++ {
+			row := r.Rows[j]
+			if row.Threads == 1 {
+				base = [2]float64{row.EncMBs, row.DecMBs}
+			}
+			best = [2]float64{max(best[0], row.EncMBs), max(best[1], row.DecMBs)}
 		}
+		if base[0] > 0 && base[1] > 0 {
+			t.AddRow(r.Rows[i].Config, f2(best[0]/base[0])+"x", f2(best[1]/base[1])+"x")
+		}
+		i = j
 	}
-	return out
+	return t
 }
 
 // Table renders the scalability sweep.
@@ -177,18 +163,9 @@ type Fig10Row struct {
 // Fig10 injects correctable errors and measures the decode cost. Only
 // correcting methods run (the paper drops parity here too).
 func Fig10(threadCounts []int, payloadBytes int, errorCounts []int, seed int64) (*Fig10Result, error) {
-	if len(threadCounts) == 0 {
-		threadCounts = []int{1, 2, 4}
-	}
-	if payloadBytes <= 0 {
-		payloadBytes = 4 << 20
-	}
-	if len(errorCounts) == 0 {
-		errorCounts = []int{1, 100000}
-	}
 	data := randomBytes(payloadBytes, seed)
 	res := &Fig10Result{}
-	for _, cfg := range ScalingConfigs() {
+	for _, cfg := range scalingConfigs() {
 		if cfg.Method == ecc.MethodParity {
 			continue
 		}

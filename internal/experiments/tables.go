@@ -1,8 +1,8 @@
 // Package experiments implements the paper's evaluation: one function
 // per table or figure, each regenerating the corresponding rows or
-// series on this machine. The cmd/ binaries and the repository-level
-// benchmarks are thin wrappers around this package (the DESIGN.md
-// per-experiment index maps figures to these functions).
+// series on this machine. `arcstudy <experiment>` (cmd/arcstudy) is the
+// one driver over this package; the DESIGN.md per-experiment index maps
+// figures to these functions and their experiment names.
 package experiments
 
 import (

@@ -1,8 +1,8 @@
 // Package profiling wires the conventional -cpuprofile/-memprofile
 // flags into a command's flag set and manages the runtime/pprof
 // sessions behind them. Both cmd/arc and cmd/arcstudy use it, so the
-// chunk hot path and the fault-injection study can be profiled with
-// the same switches `go test` uses:
+// chunk hot path and every experiment can be profiled with the same
+// switches `go test` uses:
 //
 //	arc encode -in f -out f.arc -cpuprofile cpu.pprof -memprofile mem.pprof
 //	go tool pprof cpu.pprof
