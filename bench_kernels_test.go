@@ -199,7 +199,7 @@ func BenchmarkKernelGF256Xor(b *testing.B) {
 }
 
 func secdedEncodePair() kernelPair {
-	code := hamming.NewExtended(64, 1, "secded64")
+	code := hamming.NewSECDED(64, 1)
 	data := randBytes(kernelBuf, 5)
 	var dst []byte
 	return kernelPair{kernelBuf,
@@ -214,8 +214,8 @@ func BenchmarkKernelSECDED64Encode(b *testing.B) { secdedEncodePair().bench(b) }
 // the same at the end-to-end benchmark's fault density ("dense": one
 // flip per 503 B in distinct codewords, about one step in eight).
 func secdedDecodeInputs() (code *hamming.Code, enc, dense []byte) {
-	code = hamming.NewExtended(64, 1, "secded64")
-	enc = code.Encode(randBytes(kernelBuf, 6))
+	code = hamming.NewSECDED(64, 1)
+	enc = code.EncodeTo(nil, randBytes(kernelBuf, 6), nil)
 	dense = append([]byte(nil), enc...)
 	for i := 100; i < kernelBuf; i += 503 {
 		dense[i] ^= 0x10
@@ -328,7 +328,7 @@ func BenchmarkKernelRSEncode(b *testing.B) {
 	data := randBytes(kernelBuf, 9)
 	b.SetBytes(kernelBuf)
 	for i := 0; i < b.N; i++ {
-		code.Encode(data)
+		code.EncodeTo(nil, data, nil)
 	}
 }
 
@@ -343,7 +343,7 @@ func rsRepairPair(tb testing.TB) kernelPair {
 		tb.Fatal(err)
 	}
 	const n = 4 * 241 * 1024
-	enc := code.Encode(randBytes(n, 14))
+	enc := code.EncodeTo(nil, randBytes(n, 14), nil)
 	rng := rand.New(rand.NewSource(15))
 	stripeEnc := len(enc) / 4
 	for s := 0; s < 4; s++ {
@@ -379,7 +379,7 @@ func BenchmarkKernelInterleaveEncode(b *testing.B) {
 	data := randBytes(kernelBuf, 10)
 	b.SetBytes(kernelBuf)
 	for i := 0; i < b.N; i++ {
-		code.Encode(data)
+		code.EncodeTo(nil, data, nil)
 	}
 }
 

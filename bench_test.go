@@ -288,7 +288,7 @@ func BenchmarkAblationBurstProtection(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			var enc []byte
 			for i := 0; i < b.N; i++ {
-				enc = code.Encode(data)
+				enc = code.EncodeTo(nil, data, nil)
 			}
 			b.ReportMetric(float64(len(enc)-len(data))/float64(len(data)), "overhead")
 		})
@@ -315,7 +315,7 @@ func BenchmarkAblationCRCWidth(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			var enc []byte
 			for i := 0; i < b.N; i++ {
-				enc = code.Encode(data)
+				enc = code.EncodeTo(nil, data, nil)
 			}
 			b.ReportMetric(float64(len(enc)-len(data))/float64(len(data)), "overhead")
 		})

@@ -12,7 +12,6 @@ import (
 	"repro/internal/ecc/hamming"
 	"repro/internal/ecc/parity"
 	"repro/internal/ecc/reedsolomon"
-	"repro/internal/ecc/secded"
 )
 
 // Report re-exports the decode report type.
@@ -21,38 +20,38 @@ type Report = ecc.Report
 // ParityEncode (arc_parity_encode) protects data with one even parity
 // bit per blockBytes of data.
 func ParityEncode(data []byte, blockBytes, workers int) []byte {
-	return parity.New(blockBytes, workers).Encode(data)
+	return parity.New(blockBytes, workers).EncodeTo(nil, data, nil)
 }
 
 // ParityDecode (arc_parity_decode) verifies a parity stream. Parity
 // detects but cannot correct: on any mismatch the data is returned
 // together with an error wrapping ecc.ErrUncorrectable.
 func ParityDecode(encoded []byte, origLen, blockBytes, workers int) ([]byte, Report, error) {
-	return parity.New(blockBytes, workers).Decode(encoded, origLen)
+	return parity.New(blockBytes, workers).DecodeTo(nil, encoded, origLen, nil)
 }
 
 // HammingEncode (arc_hamming_encode) protects data with Hamming
 // codewords over dataBits-wide blocks (8 or 64).
 func HammingEncode(data []byte, dataBits, workers int) []byte {
-	return hamming.New(dataBits, workers).Encode(data)
+	return hamming.New(dataBits, workers).EncodeTo(nil, data, nil)
 }
 
 // HammingDecode (arc_hamming_decode) corrects single-bit errors per
 // codeword.
 func HammingDecode(encoded []byte, origLen, dataBits, workers int) ([]byte, Report, error) {
-	return hamming.New(dataBits, workers).Decode(encoded, origLen)
+	return hamming.New(dataBits, workers).DecodeTo(nil, encoded, origLen, nil)
 }
 
 // SecdedEncode (arc_secded_encode) protects data with SEC-DED
 // (extended Hamming) codewords over dataBits-wide blocks (8 or 64).
 func SecdedEncode(data []byte, dataBits, workers int) []byte {
-	return secded.New(dataBits, workers).Encode(data)
+	return hamming.NewSECDED(dataBits, workers).EncodeTo(nil, data, nil)
 }
 
 // SecdedDecode (arc_secded_decode) corrects single-bit and detects
 // double-bit errors per codeword.
 func SecdedDecode(encoded []byte, origLen, dataBits, workers int) ([]byte, Report, error) {
-	return secded.New(dataBits, workers).Decode(encoded, origLen)
+	return hamming.NewSECDED(dataBits, workers).DecodeTo(nil, encoded, origLen, nil)
 }
 
 // ReedSolomonEncode (arc_reed_solomon_encode) stripes data over k data
@@ -63,7 +62,7 @@ func ReedSolomonEncode(data []byte, k, m, deviceSize, workers int) ([]byte, erro
 	if err != nil {
 		return nil, err
 	}
-	return c.Encode(data), nil
+	return c.EncodeTo(nil, data, nil), nil
 }
 
 // ReedSolomonDecode (arc_reed_solomon_decode) locates corrupt devices
@@ -73,5 +72,5 @@ func ReedSolomonDecode(encoded []byte, origLen, k, m, deviceSize, workers int) (
 	if err != nil {
 		return nil, Report{}, err
 	}
-	return c.Decode(encoded, origLen)
+	return c.DecodeTo(nil, encoded, origLen, nil)
 }

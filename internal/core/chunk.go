@@ -89,12 +89,12 @@ func encodeChunk(dst, data []byte, off int64, choice Choice, s *chunkScratch) ([
 		EncLen:  code.EncodedSize(len(data)),
 		Digest:  chunkDigest(off, data),
 	}
-	dst = growTo(dst, ContainerOverheadBytes+h.EncLen)
-	if enc := ecc.EncodeTo(code, dst[ContainerOverheadBytes:], data, &s.ecc); len(enc) != h.EncLen {
+	dst = ecc.GrowTo(dst, ContainerOverheadBytes+h.EncLen)
+	if enc := code.EncodeTo(dst[ContainerOverheadBytes:], data, &s.ecc); len(enc) != h.EncLen {
 		// Decoders size and check everything off EncodedSize; a code that
 		// disagrees with itself would write chunks they refuse.
 		return nil, header{}, fmt.Errorf("core: code %s encoded %d bytes into %d, but its EncodedSize says %d",
-			code.Name(), len(data), len(enc), h.EncLen)
+			choice.Config, len(data), len(enc), h.EncLen)
 	}
 	marshalHeaderInto(dst, h)
 	return dst, h, nil
@@ -128,7 +128,7 @@ func decodeChunk(dst []byte, h header, payload []byte, off int64, workers int, s
 		return nil, rep, fmt.Errorf("%w: chunk payload of %d bytes (header says %d, %d original bytes need %d)",
 			ErrContainer, len(payload), h.EncLen, h.OrigLen, want)
 	}
-	data, rep, err = ecc.DecodeTo(code, growTo(dst, h.OrigLen), payload, h.OrigLen, &s.ecc)
+	data, rep, err = code.DecodeTo(ecc.GrowTo(dst, h.OrigLen), payload, h.OrigLen, &s.ecc)
 	if err != nil && !errors.Is(err, ecc.ErrUncorrectable) {
 		return nil, rep, fmt.Errorf("%w: %v", ErrContainer, err)
 	}

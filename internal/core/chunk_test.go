@@ -181,7 +181,7 @@ func TestDigestCatchesWhatTheECCPasses(t *testing.T) {
 		mut := append([]byte(nil), payload...)
 		mut[0] ^= 0x80
 		mut[bit/8] ^= 0x80 >> (bit % 8)
-		if got, _, err := code.Decode(mut, len(data)); err == nil && !bytes.Equal(got, data) {
+		if got, _, err := code.DecodeTo(nil, mut, len(data), nil); err == nil && !bytes.Equal(got, data) {
 			damaged = append(append([]byte(nil), one.Encoded[:ContainerOverheadBytes]...), mut...)
 		}
 	}
@@ -254,11 +254,10 @@ func TestForgedOrigLenCostsAnErrorNotMemory(t *testing.T) {
 // writes.
 type lyingCode struct{ triplicate }
 
-func (lyingCode) Name() string          { return "liar1" }
 func (lyingCode) EncodedSize(n int) int { return 3*n + 1 }
 
 // TestEncodeRefusesCodeThatMisstatesItsSize: every decoder sizes and
-// checks a chunk off EncodedSize, so a code whose Encode disagrees with
+// checks a chunk off EncodedSize, so a code whose EncodeTo disagrees with
 // it must be stopped before it writes a file only some readers accept.
 func TestEncodeRefusesCodeThatMisstatesItsSize(t *testing.T) {
 	liar := tripleMethod

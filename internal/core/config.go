@@ -14,7 +14,6 @@ import (
 	"repro/internal/ecc/interleave"
 	"repro/internal/ecc/parity"
 	"repro/internal/ecc/reedsolomon"
-	"repro/internal/ecc/secded"
 )
 
 // Config identifies one ECC configuration in ARC's search space.
@@ -64,6 +63,7 @@ func (c Config) Build(workers int) (ecc.Code, error) {
 // BuildWithDeviceSize is Build with an explicit Reed-Solomon device
 // size (ignored by the other methods). The engine shrinks devices on
 // inputs smaller than a full default stripe so padding stays marginal.
+// A registered code comes back behind customCode; built-ins never do.
 func (c Config) BuildWithDeviceSize(workers, devSize int) (ecc.Code, error) {
 	if devSize <= 0 {
 		devSize = rsDeviceSize
@@ -83,7 +83,7 @@ func (c Config) BuildWithDeviceSize(workers, devSize int) (ecc.Code, error) {
 		if c.Param != 8 && c.Param != 64 {
 			return nil, fmt.Errorf("core: invalid secded width %d", c.Param)
 		}
-		return secded.New(c.Param, workers), nil
+		return hamming.NewSECDED(c.Param, workers), nil
 	case ecc.MethodReedSolomon:
 		if c.Param <= 0 || c.Param >= rsTotalDevices {
 			return nil, fmt.Errorf("core: invalid RS code devices %d", c.Param)
@@ -93,7 +93,11 @@ func (c Config) BuildWithDeviceSize(workers, devSize int) (ecc.Code, error) {
 		return interleave.NewSECDED(c.Param, workers)
 	default:
 		if m, ok := lookupCustom(c.Method); ok {
-			return m.Build(c.Param, workers, devSize)
+			code, err := m.Build(c.Param, workers, devSize)
+			if err != nil {
+				return nil, err
+			}
+			return customCode{code}, nil
 		}
 		return nil, fmt.Errorf("core: unknown method %d", c.Method)
 	}

@@ -21,9 +21,16 @@ func TestAllConfigsSortedAndBuildable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: build: %v", c, err)
 		}
-		// Overhead estimate must match the built code's figure.
-		if diff := code.Overhead() - c.Overhead(); diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("%s: Overhead mismatch: config %f code %f", c, c.Overhead(), code.Overhead())
+		// The declared overhead is what the code stores, at a length
+		// with no padding: whole parity bytes, Hamming steps and
+		// interleaver rows at 64 KiB, one whole default stripe for RS.
+		n := 64 << 10
+		if c.Method == ecc.MethodReedSolomon {
+			n = (rsTotalDevices - c.Param) * rsDeviceSize
+		}
+		stored := float64(code.EncodedSize(n)-n) / float64(n)
+		if diff := stored - c.Overhead(); diff > 1e-12 || diff < -1e-12 {
+			t.Fatalf("%s: declares overhead %v, stores %v over %d bytes", c, c.Overhead(), stored, n)
 		}
 	}
 }

@@ -177,7 +177,7 @@ var chunkBufPool = sync.Pool{New: func() any { return new(chunkBuf) }}
 // unspecified).
 func getChunkBuf(n int) *chunkBuf {
 	cb := chunkBufPool.Get().(*chunkBuf)
-	cb.b = growTo(cb.b, n)
+	cb.b = ecc.GrowTo(cb.b, n)
 	return cb
 }
 
@@ -185,13 +185,4 @@ func putChunkBuf(cb *chunkBuf) {
 	if cb != nil {
 		chunkBufPool.Put(cb)
 	}
-}
-
-// growTo returns b resized to length n, reusing its storage when the
-// capacity suffices. Contents are unspecified.
-func growTo(b []byte, n int) []byte {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	return make([]byte, n)
 }

@@ -89,3 +89,32 @@ func lookupCustom(id ecc.Method) (CustomMethod, bool) {
 	m, ok := customMethods[id]
 	return m, ok
 }
+
+// customCode holds a registered code to what the chunk codec assumes of
+// every code: its result lives in dst. The ecc.Code contract lets a code
+// return other storage, and a decode result aliasing encoded would be
+// recycled under its reader: ChunkReader.decode returns the payload
+// buffer to the pool before it adopts the result, and arcd recycles the
+// request frame. Built-ins keep to dst and are never wrapped.
+type customCode struct{ ecc.Code }
+
+func (c customCode) EncodeTo(dst, data []byte, s *ecc.Scratch) []byte {
+	return inDst(dst, c.Code.EncodeTo(dst, data, s))
+}
+
+func (c customCode) DecodeTo(dst, encoded []byte, origLen int, s *ecc.Scratch) ([]byte, ecc.Report, error) {
+	out, rep, err := c.Code.DecodeTo(dst, encoded, origLen, s)
+	return inDst(dst, out), rep, err
+}
+
+// inDst returns out in dst's storage: out itself when the code wrote it
+// there (or it is empty, nil included), otherwise a copy into dst, grown
+// if its capacity falls short.
+func inDst(dst, out []byte) []byte {
+	if len(out) == 0 || cap(dst) > 0 && &dst[:1][0] == &out[0] {
+		return out
+	}
+	dst = ecc.GrowTo(dst, len(out))
+	copy(dst, out)
+	return dst
+}

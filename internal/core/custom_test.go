@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -13,27 +16,22 @@ import (
 // majority-voted on decode. Param is unused (grid of one).
 type triplicate struct{}
 
-func (triplicate) Name() string          { return "triple1" }
-func (triplicate) Overhead() float64     { return 2.0 }
 func (triplicate) EncodedSize(n int) int { return 3 * n }
-func (triplicate) Caps() ecc.Capability {
-	return ecc.DetectSparse | ecc.CorrectSparse | ecc.CorrectBurst
-}
 
-func (triplicate) Encode(data []byte) []byte {
-	out := make([]byte, 3*len(data))
+func (triplicate) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
+	out := ecc.GrowTo(dst, 3*len(data))
 	copy(out, data)
 	copy(out[len(data):], data)
 	copy(out[2*len(data):], data)
 	return out
 }
 
-func (triplicate) Decode(enc []byte, origLen int) ([]byte, ecc.Report, error) {
+func (triplicate) DecodeTo(dst, enc []byte, origLen int, _ *ecc.Scratch) ([]byte, ecc.Report, error) {
 	var rep ecc.Report
 	if len(enc) < 3*origLen {
 		return nil, rep, ecc.ErrTruncated
 	}
-	out := make([]byte, origLen)
+	out := ecc.GrowTo(dst, origLen)
 	for i := 0; i < origLen; i++ {
 		a, b, c := enc[i], enc[origLen+i], enc[2*origLen+i]
 		v := (a & b) | (a & c) | (b & c)
@@ -148,6 +146,102 @@ func TestCustomMethodSelectedByBudget(t *testing.T) {
 	}
 	if choice.Config.Method != tripleMethod.ID {
 		t.Fatalf("budget 2.5 chose %s, want the custom family", choice.Config)
+	}
+}
+
+// aliasCode uses all the room the ecc.Code contract leaves a code:
+// EncodeTo ignores dst, and DecodeTo hands back a subslice of encoded.
+// It stores the data twice, each copy followed by its CRC-32, and
+// decodes to the first copy whose CRC holds.
+type aliasCode struct{}
+
+func (aliasCode) EncodedSize(n int) int { return 2 * (n + 4) }
+
+func (c aliasCode) EncodeTo(_, data []byte, _ *ecc.Scratch) []byte {
+	out := make([]byte, 0, c.EncodedSize(len(data)))
+	for k := 0; k < 2; k++ {
+		out = append(out, data...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(data))
+	}
+	return out
+}
+
+func (c aliasCode) DecodeTo(_, enc []byte, origLen int, _ *ecc.Scratch) ([]byte, ecc.Report, error) {
+	if len(enc) < c.EncodedSize(origLen) {
+		return nil, ecc.Report{}, ecc.ErrTruncated
+	}
+	half := origLen + 4
+	for k := 0; k < 2; k++ {
+		cp := enc[k*half : k*half+origLen]
+		if crc32.ChecksumIEEE(cp) == binary.LittleEndian.Uint32(enc[k*half+origLen:]) {
+			return cp, ecc.Report{DetectedBlocks: k, CorrectedBlocks: k}, nil
+		}
+	}
+	return enc[:origLen], ecc.Report{DetectedBlocks: 2}, ecc.ErrUncorrectable
+}
+
+// TestCustomCodeAdapter: a registered code whose results live in its own
+// storage — a fresh encoding, a decode aliasing the payload — round-trips
+// byte for byte on every read path, because the adapter puts the results
+// where the chunk codec expects them. Pipelined readers recycle payload
+// buffers while decoded chunks wait to be read, so a decode left
+// aliasing its payload would change bytes after the fact.
+func TestCustomCodeAdapter(t *testing.T) {
+	m := CustomMethod{
+		ID: CustomMethodBase + 2, Name: "alias", Params: []int{1},
+		Overhead: func(int) float64 { return 1 },
+		Caps:     ecc.DetectSparse | ecc.CorrectBurst,
+		Build:    func(param, workers, devSize int) (ecc.Code, error) { return aliasCode{}, nil },
+	}
+	if err := RegisterCustomMethod(m); err != nil {
+		t.Fatal(err)
+	}
+	defer UnregisterCustomMethod(m.ID)
+	choice := Choice{Config: Config{Method: m.ID, Param: 1}, Threads: 1}
+	data := make([]byte, 20_000)
+	rand.New(rand.NewSource(0xA11A5)).Read(data)
+
+	one, err := EncodeContainerWith(nil, data, choice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range decodeEveryPath(t, one.Encoded, len(data)) {
+		if r.class != "ok" || !bytes.Equal(r.data, data) {
+			t.Errorf("clean: %s reports %q, bytes intact %v", r.name, r.class, bytes.Equal(r.data, data))
+		}
+	}
+	// Both copies wrecked: over budget on every path.
+	ruined := append([]byte(nil), one.Encoded...)
+	for i := ContainerOverheadBytes; i < len(ruined); i += 1000 {
+		ruined[i] ^= 0xFF
+	}
+	for _, r := range decodeEveryPath(t, ruined, len(data)) {
+		if r.class != "uncorrectable" {
+			t.Errorf("over budget: %s reports %q, want uncorrectable", r.name, r.class)
+		}
+	}
+
+	// Twenty chunks, each decoded while the readers recycle the
+	// payload buffers of the chunks around it.
+	stream := encodeStream(t, choice, StreamOptions{ChunkSize: 1000, Pipeline: 4, Indexed: true}, data)
+	for _, pl := range []int{1, 4} {
+		cr := NewChunkReaderWith(bytes.NewReader(stream), 1, StreamOptions{Pipeline: pl})
+		got, err := io.ReadAll(cr)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("ChunkReader pipeline %d: %v, bytes intact %v", pl, err, bytes.Equal(got, data))
+		}
+		if err := cr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rr, err := OpenRangeReader(bytes.NewReader(stream), int64(len(stream)), RangeOptions{Pipeline: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rr.Close()
+	got := make([]byte, len(data))
+	if n, _, err := rr.ReadRange(got, 0, int64(len(data))); err != nil || n != len(data) || !bytes.Equal(got, data) {
+		t.Errorf("RangeReader: %d bytes, %v, bytes intact %v", n, err, bytes.Equal(got, data))
 	}
 }
 

@@ -41,7 +41,7 @@ import (
 	"sync"
 
 	"repro/internal/ecc"
-	"repro/internal/ecc/secded"
+	"repro/internal/ecc/hamming"
 )
 
 const (
@@ -79,7 +79,7 @@ type indexEntry struct {
 
 // indexCode returns the SEC-DED(64) code protecting index payloads,
 // built once — codes are stateless and safe for concurrent use.
-var indexCode = sync.OnceValue(func() ecc.Code { return secded.New(64, 1) })
+var indexCode = sync.OnceValue(func() ecc.Code { return hamming.NewSECDED(64, 1) })
 
 // appendIndexFooter appends the complete v2 footer — index chunk plus
 // replicated trailer — for the given entries (streamLen is the byte
@@ -98,7 +98,7 @@ func appendIndexFooter(dst []byte, entries []indexEntry, streamLen int64) []byte
 	crc := crc32.ChecksumIEEE(raw[:len(raw)-4])
 	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc)
 
-	enc := indexCode().Encode(raw)
+	enc := indexCode().EncodeTo(nil, raw, nil)
 	h := header{
 		Method:  indexMethod,
 		Param:   len(entries),
@@ -189,7 +189,7 @@ func decodeIndexPayload(h header, enc []byte, entries int, indexOff, streamSize 
 	if h.EncLen != code.EncodedSize(rawLen) || h.EncLen != len(enc) {
 		return nil, zero, fmt.Errorf("%w: index payload length %d (want %d)", ErrContainer, len(enc), code.EncodedSize(rawLen))
 	}
-	raw, rep, err := code.Decode(enc, rawLen)
+	raw, rep, err := code.DecodeTo(nil, enc, rawLen, nil)
 	if err != nil {
 		return nil, rep, fmt.Errorf("%w: index beyond ECC budget: %v", ErrContainer, err)
 	}

@@ -599,8 +599,9 @@ func (cr *ChunkReader) decode(c encChunk, s *chunkScratch) (decChunk, error) {
 		putChunkBuf(out)
 		return decChunk{rep: rep}, err
 	}
-	// data aliases out.b whenever the code honored dst (all built-ins
-	// do); adopting it keeps the right storage circulating either way.
+	// data never aliases the payload buffer recycled above: built-ins
+	// write into out.b (grown if need be), and a custom code's adapter
+	// copies its result there.
 	out.b = data
 	return decChunk{data: out, rep: rep}, err
 }
@@ -673,11 +674,11 @@ const directReadCap = 1 << 20
 // forged length nothing new.
 func readCappedInto(r io.Reader, dst []byte, n int) ([]byte, error) {
 	if n <= directReadCap || cap(dst) >= n {
-		buf := growTo(dst, n)
+		buf := ecc.GrowTo(dst, n)
 		_, err := io.ReadFull(r, buf)
 		return buf, err
 	}
-	buf := growTo(dst, directReadCap)
+	buf := ecc.GrowTo(dst, directReadCap)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}

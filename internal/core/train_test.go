@@ -131,8 +131,8 @@ func TestTrainMeasureRunsTheChunkCodec(t *testing.T) {
 // lossyCode decodes without error to bytes that are not the input.
 type lossyCode struct{ triplicate }
 
-func (c lossyCode) Decode(enc []byte, origLen int) ([]byte, ecc.Report, error) {
-	out, rep, err := c.triplicate.Decode(enc, origLen)
+func (c lossyCode) DecodeTo(dst, enc []byte, origLen int, s *ecc.Scratch) ([]byte, ecc.Report, error) {
+	out, rep, err := c.triplicate.DecodeTo(dst, enc, origLen, s)
 	if len(out) > 0 {
 		out[len(out)/2] ^= 1
 	}

@@ -6,81 +6,40 @@ package ecc
 import "errors"
 
 // Code is an error-correcting code over byte streams. Implementations
-// are stateless after construction and safe for concurrent use.
+// are stateless after construction and safe for concurrent use. A code
+// only encodes and decodes: what a configuration is called, what it
+// costs and what it corrects is core.Config's to say.
 type Code interface {
-	// Name identifies the code and its parameters, e.g. "secded8" or
-	// "rs-k241-m15".
-	Name() string
-
-	// Overhead is the asymptotic storage overhead as a fraction of the
-	// input size (0.125 means the encoded stream is ~12.5% larger).
-	Overhead() float64
-
 	// EncodedSize returns the exact encoded length in bytes for an
 	// input of n bytes.
 	EncodedSize(n int) int
 
-	// Encode protects data and returns the encoded stream. The input
-	// is not modified.
-	Encode(data []byte) []byte
-
-	// Decode verifies encoded, corrects what it can, and returns the
-	// original data (of length origLen, which the caller persists out
-	// of band — ARC's container header carries it). A non-nil error
-	// means errors were detected that the code could not correct; the
-	// returned Report is valid either way.
-	Decode(encoded []byte, origLen int) ([]byte, Report, error)
-
-	// Caps describes what error patterns the code can detect/correct.
-	Caps() Capability
-}
-
-// EncoderTo is the allocation-free variant of Code.Encode, implemented
-// by all built-in codes. EncodeTo writes the encoded stream into dst
-// when cap(dst) suffices (dst may be nil) and returns the encoded
-// slice, which has length EncodedSize(len(data)) and aliases dst only
-// when dst's capacity was used. dst must not overlap data. s provides
-// reusable internal scratch and may be nil (fresh buffers are then
-// allocated, making EncodeTo(nil, data, nil) equivalent to Encode).
-type EncoderTo interface {
+	// EncodeTo protects data and writes the encoded stream into dst
+	// when cap(dst) suffices (dst may be nil). It returns the encoded
+	// slice, which has length EncodedSize(len(data)) and aliases dst
+	// only when dst's capacity was used. data is not modified and must
+	// not overlap dst. s provides reusable internal scratch and may be
+	// nil (fresh buffers are then allocated): EncodeTo(nil, data, nil)
+	// is the one-shot form.
 	EncodeTo(dst, data []byte, s *Scratch) []byte
-}
 
-// DecoderTo is the allocation-free variant of Code.Decode. DecodeTo
-// writes the recovered data into dst when cap(dst) suffices (dst may
-// be nil) and follows Decode's contract otherwise. dst must not
-// overlap encoded. s provides reusable internal scratch and may be nil.
-type DecoderTo interface {
+	// DecodeTo verifies encoded, corrects what it can, and writes the
+	// original data (of length origLen, which the caller persists out
+	// of band — ARC's container header carries it) into dst when
+	// cap(dst) suffices (dst may be nil). A non-nil error means errors
+	// were detected that the code could not correct; the returned
+	// Report is valid either way. dst must not overlap encoded. s is
+	// EncodeTo's.
 	DecodeTo(dst, encoded []byte, origLen int, s *Scratch) ([]byte, Report, error)
 }
 
-// EncodeTo calls c.EncodeTo when c implements EncoderTo, and otherwise
-// falls back to c.Encode plus a copy into dst. Use it to stay
-// allocation-free with built-in codes while remaining correct for
-// third-party Code implementations.
-func EncodeTo(c Code, dst, data []byte, s *Scratch) []byte {
-	if e, ok := c.(EncoderTo); ok {
-		return e.EncodeTo(dst, data, s)
-	}
-	out := c.Encode(data)
-	dst = GrowTo(dst, len(out))
-	copy(dst, out)
-	return dst
-}
+// EncodeTo forwards to c.EncodeTo. Its one caller is the ECC replay in
+// benchmark/trace.go; ROADMAP item 2(C) deletes both.
+func EncodeTo(c Code, dst, data []byte, s *Scratch) []byte { return c.EncodeTo(dst, data, s) }
 
-// DecodeTo calls c.DecodeTo when c implements DecoderTo, and otherwise
-// falls back to c.Decode plus a copy into dst.
+// DecodeTo forwards to c.DecodeTo, for the same caller as EncodeTo.
 func DecodeTo(c Code, dst, encoded []byte, origLen int, s *Scratch) ([]byte, Report, error) {
-	if d, ok := c.(DecoderTo); ok {
-		return d.DecodeTo(dst, encoded, origLen, s)
-	}
-	out, rep, err := c.Decode(encoded, origLen)
-	if out == nil {
-		return nil, rep, err
-	}
-	dst = GrowTo(dst, len(out))
-	copy(dst, out)
-	return dst, rep, err
+	return c.DecodeTo(dst, encoded, origLen, s)
 }
 
 // Scratch is a grow-only arena of reusable byte buffers for the *To
@@ -116,7 +75,7 @@ func GrowTo(b []byte, n int) []byte {
 	return make([]byte, n)
 }
 
-// Report summarizes what a Decode observed.
+// Report summarizes what a DecodeTo observed.
 type Report struct {
 	// DetectedBlocks is the number of code blocks (parity blocks,
 	// Hamming codewords, or RS devices) in which an error was detected.

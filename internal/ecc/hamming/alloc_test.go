@@ -1,10 +1,10 @@
-package secded_test
+package hamming_test
 
 import (
 	"testing"
 
 	"repro/internal/ecc"
-	"repro/internal/ecc/secded"
+	"repro/internal/ecc/hamming"
 	"repro/internal/raceflag"
 )
 
@@ -15,7 +15,7 @@ func TestSECDEDEncodeToAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation accounting is unreliable under the race detector")
 	}
-	c := secded.New(64, 1)
+	c := hamming.NewSECDED(64, 1)
 	data := make([]byte, 64<<10)
 	for i := range data {
 		data[i] = byte(i * 17)

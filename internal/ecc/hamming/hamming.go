@@ -1,6 +1,7 @@
 // Package hamming implements ARC's single-error-correcting Hamming
-// codes over 8-bit and 64-bit data blocks, plus the extended (SEC-DED)
-// variant used by internal/ecc/secded.
+// codes over 8-bit and 64-bit data blocks, plus the extended SEC-DED
+// (single-error-correct, double-error-detect) variant: the classical
+// (13,8) and (72,64) codes.
 //
 // Codewords use the classical positional construction: data bits occupy
 // the non-power-of-two positions 1..n of a codeword, parity bits the
@@ -14,9 +15,9 @@
 // plus check-bit computation and decode verifies in place — the layout
 // of the protected stream never interleaves.
 //
-// Encode and Decode work in steps of eight blocks: eight check words
+// EncodeTo and DecodeTo work in steps of eight blocks: eight check words
 // are 8*CheckLen bits, always whole bytes, and come from byte tables
-// (stepCheck). Decode recomputes a step's packed check words, compares
+// (stepCheck). DecodeTo recomputes a step's packed check words, compares
 // them with the stored ones in one word compare, and looks at single
 // blocks (decodeBlock) only where the two differ.
 package hamming
@@ -160,9 +161,6 @@ func (p *Params) stepCheck(src []byte) uint64 {
 type Code struct {
 	P       *Params
 	Workers int
-	// nameOverride lets the secded package present the extended code
-	// under its own family name.
-	nameOverride string
 }
 
 // New returns a single-error-correcting Hamming code over dataBits-wide
@@ -171,28 +169,10 @@ func New(dataBits, workers int) *Code {
 	return &Code{P: NewParams(dataBits, false), Workers: workers}
 }
 
-// NewExtended returns the SEC-DED variant; used by internal/ecc/secded.
-func NewExtended(dataBits, workers int, name string) *Code {
-	return &Code{P: NewParams(dataBits, true), Workers: workers, nameOverride: name}
-}
-
-// Name implements ecc.Code.
-func (c *Code) Name() string {
-	if c.nameOverride != "" {
-		return c.nameOverride
-	}
-	return fmt.Sprintf("hamming%d", c.P.K)
-}
-
-// Caps implements ecc.Code.
-func (c *Code) Caps() ecc.Capability {
-	caps := ecc.DetectSparse | ecc.CorrectSparse
-	return caps
-}
-
-// Overhead implements ecc.Code.
-func (c *Code) Overhead() float64 {
-	return float64(c.P.CheckLen) / float64(c.P.K)
+// NewSECDED returns the extended (SEC-DED) code over dataBits-wide
+// blocks (8 or 64).
+func NewSECDED(dataBits, workers int) *Code {
+	return &Code{P: NewParams(dataBits, true), Workers: workers}
 }
 
 // blockBytes is the data bytes per block.
@@ -252,12 +232,7 @@ func (c *Code) stepCheck(data []byte, s int) uint64 {
 	return c.P.stepCheck(pad[:span])
 }
 
-// Encode implements ecc.Code.
-func (c *Code) Encode(data []byte) []byte {
-	return c.EncodeTo(nil, data, nil)
-}
-
-// EncodeTo implements ecc.EncoderTo. Every check byte is fully
+// EncodeTo implements ecc.Code. Every check byte is fully
 // assigned (encodeSteps writes whole bytes, zero bits after the last
 // block), so a reused dst needs no clearing.
 func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
@@ -277,7 +252,7 @@ func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
 	return out
 }
 
-// copySteps is how many steps' data Encode and Decode copy at a time
+// copySteps is how many steps' data EncodeTo and DecodeTo copy at a time
 // before computing their check words: 4 KiB of K=64 data, so that the
 // second pass over the bytes finds them in the first-level cache
 // whatever the size of the input.
@@ -303,10 +278,10 @@ func (c *Code) encodeSteps(out, data []byte, lo, hi int) {
 	}
 }
 
-// EncodeRef is the retained scalar reference implementation of Encode
+// EncodeRef is the retained scalar reference implementation of EncodeTo
 // (per-bit writeBits packing), kept for differential tests and as the
 // baseline the word kernels are benchmarked against. Its output is
-// byte-identical to Encode's.
+// byte-identical to EncodeTo's.
 func (c *Code) EncodeRef(data []byte) []byte {
 	n := len(data)
 	nb := c.blocks(n)
@@ -348,7 +323,7 @@ func (c *Code) correct(out []byte, b int, data uint64, syndrome int) bool {
 }
 
 // decodeBlock verifies block b of out against its stored check word,
-// correcting out in place and updating st. It is shared by Decode,
+// correcting out in place and updating st. It is shared by DecodeTo,
 // which calls it for the blocks whose check words differ, and
 // DecodeRef, which calls it for every block.
 func (c *Code) decodeBlock(out []byte, b int, stored uint16, st *blockStats) {
@@ -356,7 +331,7 @@ func (c *Code) decodeBlock(out []byte, b int, stored uint16, st *blockStats) {
 	storedParity := stored & ((1 << c.P.R) - 1)
 	syndrome := int(storedParity ^ uint16(c.P.checkBits(data)))
 	if c.P.Extended {
-		// Encode makes the whole codeword (data bits, parity bits,
+		// EncodeTo makes the whole codeword (data bits, parity bits,
 		// overall bit) even-weight, so an odd received weight means an
 		// odd number of flips.
 		odd := (bits.OnesCount64(data)+bits.OnesCount16(stored))&1 == 1
@@ -400,12 +375,7 @@ func (c *Code) decodeBlock(out []byte, b int, stored uint16, st *blockStats) {
 	st.blocks++
 }
 
-// Decode implements ecc.Code.
-func (c *Code) Decode(encoded []byte, origLen int) ([]byte, ecc.Report, error) {
-	return c.DecodeTo(nil, encoded, origLen, nil)
-}
-
-// DecodeTo implements ecc.DecoderTo.
+// DecodeTo implements ecc.Code.
 func (c *Code) DecodeTo(dst, encoded []byte, origLen int, _ *ecc.Scratch) ([]byte, ecc.Report, error) {
 	var rep ecc.Report
 	if origLen < 0 || len(encoded) < c.EncodedSize(origLen) {
@@ -416,7 +386,7 @@ func (c *Code) DecodeTo(dst, encoded []byte, origLen int, _ *ecc.Scratch) ([]byt
 	steps := (c.blocks(origLen) + 7) / 8
 	var total blockStats
 	// Serial fast path: see EncodeTo — the closure plus the counters it
-	// captures by address would otherwise allocate per Decode.
+	// captures by address would otherwise allocate per DecodeTo.
 	if parallel.Clamp(c.Workers, steps) == 1 {
 		c.decodeSteps(out, encoded, 0, steps, &total)
 	} else {
@@ -461,7 +431,7 @@ func (c *Code) decodeSteps(out, encoded []byte, lo, hi int, st *blockStats) {
 			stored := binary.BigEndian.Uint64(be[:]) >> uint(64-8*cl)
 			if n := nb - 8*s; n < 8 {
 				// Final short step: the bits after its last block are
-				// padding that Encode never set and Decode never reads.
+				// padding that EncodeTo never sets and DecodeTo never reads.
 				stored &^= 1<<uint(cl*(8-n)) - 1
 			}
 			diff := stored ^ c.stepCheck(out, s)
@@ -478,9 +448,9 @@ func (c *Code) decodeSteps(out, encoded []byte, lo, hi int, st *blockStats) {
 	}
 }
 
-// DecodeRef is the retained scalar reference implementation of Decode
+// DecodeRef is the retained scalar reference implementation of DecodeTo
 // (per-bit readBits unpacking), kept for differential tests and as the
-// benchmark baseline. Results are identical to Decode's.
+// benchmark baseline. Results are identical to DecodeTo's.
 func (c *Code) DecodeRef(encoded []byte, origLen int) ([]byte, ecc.Report, error) {
 	var rep ecc.Report
 	if origLen < 0 || len(encoded) < c.EncodedSize(origLen) {
@@ -529,8 +499,4 @@ func readBits(buf []byte, pos int, width int) uint64 {
 	return v
 }
 
-var (
-	_ ecc.Code      = (*Code)(nil)
-	_ ecc.EncoderTo = (*Code)(nil)
-	_ ecc.DecoderTo = (*Code)(nil)
-)
+var _ ecc.Code = (*Code)(nil)

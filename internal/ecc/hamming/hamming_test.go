@@ -38,18 +38,6 @@ func TestParamsUnsupportedWidthPanics(t *testing.T) {
 	NewParams(16, false)
 }
 
-func TestOverhead(t *testing.T) {
-	if got := New(8, 1).Overhead(); got != 0.5 {
-		t.Fatalf("hamming8 overhead %f, want 0.5", got)
-	}
-	if got := New(64, 1).Overhead(); got != 7.0/64.0 {
-		t.Fatalf("hamming64 overhead %f", got)
-	}
-	if got := NewExtended(64, 1, "secded64").Overhead(); got != 0.125 {
-		t.Fatalf("secded64 overhead %f, want 0.125", got)
-	}
-}
-
 func TestRoundTripClean(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, k := range []int{8, 64} {
@@ -58,11 +46,11 @@ func TestRoundTripClean(t *testing.T) {
 				c := &Code{P: NewParams(k, ext), Workers: 1}
 				data := make([]byte, n)
 				rng.Read(data)
-				enc := c.Encode(data)
+				enc := c.EncodeTo(nil, data, nil)
 				if len(enc) != c.EncodedSize(n) {
 					t.Fatalf("k=%d ext=%v n=%d: size mismatch", k, ext, n)
 				}
-				got, rep, err := c.Decode(enc, n)
+				got, rep, err := c.DecodeTo(nil, enc, n, nil)
 				if err != nil {
 					t.Fatalf("k=%d ext=%v n=%d: %v", k, ext, n, err)
 				}
@@ -84,7 +72,7 @@ func TestCorrectsEverySingleBitFlip(t *testing.T) {
 			c := &Code{P: NewParams(k, ext), Workers: 1}
 			data := make([]byte, 24)
 			rng.Read(data)
-			enc := c.Encode(data)
+			enc := c.EncodeTo(nil, data, nil)
 			// Bits past usedBits are padding in the final check byte;
 			// flips there are invisible (and harmless).
 			usedBits := len(data)*8 + c.blocks(len(data))*c.P.CheckLen
@@ -92,7 +80,7 @@ func TestCorrectsEverySingleBitFlip(t *testing.T) {
 				mut := make([]byte, len(enc))
 				copy(mut, enc)
 				mut[bit/8] ^= 0x80 >> (bit % 8)
-				got, rep, err := c.Decode(mut, len(data))
+				got, rep, err := c.DecodeTo(nil, mut, len(data), nil)
 				if err != nil {
 					t.Fatalf("k=%d ext=%v bit=%d: single flip not corrected: %v", k, ext, bit, err)
 				}
@@ -117,7 +105,7 @@ func TestExtendedDetectsDoubleErrors(t *testing.T) {
 		c := &Code{P: NewParams(k, true), Workers: 1}
 		data := make([]byte, k/8) // exactly one block
 		rng.Read(data)
-		enc := c.Encode(data)
+		enc := c.EncodeTo(nil, data, nil)
 		totalBits := len(enc) * 8
 		trials := 0
 		for t1 := 0; t1 < totalBits && trials < 300; t1++ {
@@ -126,7 +114,7 @@ func TestExtendedDetectsDoubleErrors(t *testing.T) {
 				copy(mut, enc)
 				mut[t1/8] ^= 0x80 >> (t1 % 8)
 				mut[t2/8] ^= 0x80 >> (t2 % 8)
-				got, _, err := c.Decode(mut, len(data))
+				got, _, err := c.DecodeTo(nil, mut, len(data), nil)
 				trials++
 				if err == nil && !bytes.Equal(got, data) {
 					t.Fatalf("k=%d flips (%d,%d): silent miscorrection — SEC-DED must detect doubles", k, t1, t2)
@@ -145,7 +133,7 @@ func TestPlainHammingMiscorrectsSomeDoubles(t *testing.T) {
 	// but cannot reliably detect.
 	c := New(8, 1)
 	data := []byte{0xA5}
-	enc := c.Encode(data)
+	enc := c.EncodeTo(nil, data, nil)
 	sawMiscorrection := false
 	total := len(enc) * 8
 	for t1 := 0; t1 < total; t1++ {
@@ -154,7 +142,7 @@ func TestPlainHammingMiscorrectsSomeDoubles(t *testing.T) {
 			copy(mut, enc)
 			mut[t1/8] ^= 0x80 >> (t1 % 8)
 			mut[t2/8] ^= 0x80 >> (t2 % 8)
-			got, _, err := c.Decode(mut, 1)
+			got, _, err := c.DecodeTo(nil, mut, 1, nil)
 			if err == nil && !bytes.Equal(got, data) {
 				sawMiscorrection = true
 			}
@@ -167,8 +155,8 @@ func TestPlainHammingMiscorrectsSomeDoubles(t *testing.T) {
 
 func TestTruncated(t *testing.T) {
 	c := New(64, 1)
-	enc := c.Encode(make([]byte, 128))
-	if _, _, err := c.Decode(enc[:len(enc)-1], 128); !errors.Is(err, ecc.ErrTruncated) {
+	enc := c.EncodeTo(nil, make([]byte, 128), nil)
+	if _, _, err := c.DecodeTo(nil, enc[:len(enc)-1], 128, nil); !errors.Is(err, ecc.ErrTruncated) {
 		t.Fatalf("want ErrTruncated, got %v", err)
 	}
 }
@@ -179,9 +167,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	rng.Read(data)
 	for _, k := range []int{8, 64} {
 		for _, ext := range []bool{false, true} {
-			serial := (&Code{P: NewParams(k, ext), Workers: 1}).Encode(data)
+			serial := (&Code{P: NewParams(k, ext), Workers: 1}).EncodeTo(nil, data, nil)
 			for _, w := range []int{2, 5} {
-				par := (&Code{P: NewParams(k, ext), Workers: w}).Encode(data)
+				par := (&Code{P: NewParams(k, ext), Workers: w}).EncodeTo(nil, data, nil)
 				if !bytes.Equal(serial, par) {
 					t.Fatalf("k=%d ext=%v workers=%d: encoding differs", k, ext, w)
 				}
@@ -196,10 +184,10 @@ func TestQuickSingleFlipAlwaysCorrected(t *testing.T) {
 		if len(data) == 0 {
 			return true
 		}
-		enc := c.Encode(data)
+		enc := c.EncodeTo(nil, data, nil)
 		bit := int(where) % (len(enc) * 8)
 		enc[bit/8] ^= 0x80 >> (bit % 8)
-		got, _, err := c.Decode(enc, len(data))
+		got, _, err := c.DecodeTo(nil, enc, len(data), nil)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
@@ -231,14 +219,5 @@ func TestSyndromePointsAtFlippedPosition(t *testing.T) {
 		if int(base^got) != p.dataPos[i] {
 			t.Fatalf("bit %d: syndrome %d, want position %d", i, base^got, p.dataPos[i])
 		}
-	}
-}
-
-func TestName(t *testing.T) {
-	if New(8, 1).Name() != "hamming8" {
-		t.Fatal("bad name")
-	}
-	if NewExtended(64, 1, "secded64").Name() != "secded64" {
-		t.Fatal("bad override name")
 	}
 }

@@ -19,11 +19,14 @@ var kernelLens = []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100, 511, 512, 513
 func kernelCodes() []*Code {
 	return []*Code{
 		New(8, 1), New(64, 1),
-		NewExtended(8, 1, "secded8"), NewExtended(64, 1, "secded64"),
+		NewSECDED(8, 1), NewSECDED(64, 1),
 		New(8, 4), New(64, 4),
-		NewExtended(8, 4, "secded8"), NewExtended(64, 4, "secded64"),
+		NewSECDED(8, 4), NewSECDED(64, 4),
 	}
 }
+
+// name labels c in failure messages.
+func name(c *Code) string { return fmt.Sprintf("k=%d extended=%v", c.P.K, c.P.Extended) }
 
 // TestEncodeMatchesRef pins the word-packed check path to the per-bit
 // scalar reference for every code family and awkward length.
@@ -41,10 +44,10 @@ func TestEncodeMatchesRef(t *testing.T) {
 		for _, n := range lens {
 			data := make([]byte, n)
 			rng.Read(data)
-			got := c.Encode(data)
+			got := c.EncodeTo(nil, data, nil)
 			want := c.EncodeRef(data)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%s workers=%d n=%d: Encode diverges from EncodeRef", c.Name(), c.Workers, n)
+				t.Fatalf("%s workers=%d n=%d: Encode diverges from EncodeRef", name(c), c.Workers, n)
 			}
 		}
 	}
@@ -59,7 +62,7 @@ func TestDecodeMatchesRef(t *testing.T) {
 		for _, n := range kernelLens {
 			data := make([]byte, n)
 			rng.Read(data)
-			enc := c.Encode(data)
+			enc := c.EncodeTo(nil, data, nil)
 			for _, flips := range []int{0, 1, 2, 5} {
 				cor := append([]byte(nil), enc...)
 				for f := 0; f < flips && len(cor) > 0; f++ {
@@ -67,7 +70,7 @@ func TestDecodeMatchesRef(t *testing.T) {
 					cor[i/8] ^= 0x80 >> (i % 8)
 				}
 				if _, _, err := decodeBoth(t, c, cor, n, fmt.Sprint(flips, " random flips")); flips == 0 && err != nil {
-					t.Fatalf("%s n=%d: clean decode: %v", c.Name(), n, err)
+					t.Fatalf("%s n=%d: clean decode: %v", name(c), n, err)
 				}
 			}
 		}
@@ -78,7 +81,7 @@ func TestDecodeMatchesRef(t *testing.T) {
 // own: encode, flip one bit, decode, expect the original back.
 func TestRefRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for _, c := range []*Code{New(64, 1), NewExtended(64, 1, "secded64")} {
+	for _, c := range []*Code{New(64, 1), NewSECDED(64, 1)} {
 		data := make([]byte, 256)
 		rng.Read(data)
 		enc := c.EncodeRef(data)
@@ -86,13 +89,13 @@ func TestRefRoundTrip(t *testing.T) {
 		enc[i/8] ^= 0x80 >> (i % 8)
 		out, rep, err := c.DecodeRef(enc, len(data))
 		if err != nil {
-			t.Fatalf("%s: single flip should correct: %v", c.Name(), err)
+			t.Fatalf("%s: single flip should correct: %v", name(c), err)
 		}
 		if !bytes.Equal(out, data) {
-			t.Fatalf("%s: reference round trip corrupted data", c.Name())
+			t.Fatalf("%s: reference round trip corrupted data", name(c))
 		}
 		if rep.CorrectedBits != 1 {
-			t.Fatalf("%s: corrected %d bits, want 1", c.Name(), rep.CorrectedBits)
+			t.Fatalf("%s: corrected %d bits, want 1", name(c), rep.CorrectedBits)
 		}
 	}
 }
@@ -109,16 +112,16 @@ func TestDecodeRefTruncated(t *testing.T) {
 // agree on bytes, report and error class; it returns Decode's results.
 func decodeBoth(t *testing.T, c *Code, enc []byte, n int, what string) ([]byte, ecc.Report, error) {
 	t.Helper()
-	got, gotRep, gotErr := c.Decode(enc, n)
+	got, gotRep, gotErr := c.DecodeTo(nil, enc, n, nil)
 	want, wantRep, wantErr := c.DecodeRef(enc, n)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("%s workers=%d n=%d %s: Decode output diverges from DecodeRef", c.Name(), c.Workers, n, what)
+		t.Fatalf("%s workers=%d n=%d %s: Decode output diverges from DecodeRef", name(c), c.Workers, n, what)
 	}
 	if gotRep != wantRep {
-		t.Fatalf("%s workers=%d n=%d %s: report %+v != %+v", c.Name(), c.Workers, n, what, gotRep, wantRep)
+		t.Fatalf("%s workers=%d n=%d %s: report %+v != %+v", name(c), c.Workers, n, what, gotRep, wantRep)
 	}
 	if errors.Is(gotErr, ecc.ErrUncorrectable) != errors.Is(wantErr, ecc.ErrUncorrectable) || (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("%s workers=%d n=%d %s: error %v != %v", c.Name(), c.Workers, n, what, gotErr, wantErr)
+		t.Fatalf("%s workers=%d n=%d %s: error %v != %v", name(c), c.Workers, n, what, gotErr, wantErr)
 	}
 	return got, gotRep, gotErr
 }
@@ -159,7 +162,7 @@ func TestKernelFlipsMatchRef(t *testing.T) {
 		}
 		data := make([]byte, n)
 		rng.Read(data)
-		enc := c.Encode(data)
+		enc := c.EncodeTo(nil, data, nil)
 		cor := make([]byte, len(enc))
 		for _, b := range blocks {
 			pos := codewordBits(c, n, b)
@@ -168,16 +171,16 @@ func TestKernelFlipsMatchRef(t *testing.T) {
 				flipBit(cor, p1)
 				got, rep, err := decodeBoth(t, c, cor, n, "single flip")
 				if err != nil || !bytes.Equal(got, data) || rep != (ecc.Report{DetectedBlocks: 1, CorrectedBits: 1, CorrectedBlocks: 1}) {
-					t.Fatalf("%s workers=%d block %d bit %d: single flip gave %+v, %v", c.Name(), c.Workers, b, i, rep, err)
+					t.Fatalf("%s workers=%d block %d bit %d: single flip gave %+v, %v", name(c), c.Workers, b, i, rep, err)
 				}
 				for _, p2 := range pos[i+1:] {
 					flipBit(cor, p2)
 					_, rep, err := decodeBoth(t, c, cor, n, "double flip")
 					if rep.DetectedBlocks != 1 {
-						t.Fatalf("%s workers=%d block %d: double flip detected in %d blocks", c.Name(), c.Workers, b, rep.DetectedBlocks)
+						t.Fatalf("%s workers=%d block %d: double flip detected in %d blocks", name(c), c.Workers, b, rep.DetectedBlocks)
 					}
 					if c.P.Extended && !errors.Is(err, ecc.ErrUncorrectable) {
-						t.Fatalf("%s workers=%d block %d: SEC-DED answered a double flip with %v", c.Name(), c.Workers, b, err)
+						t.Fatalf("%s workers=%d block %d: SEC-DED answered a double flip with %v", name(c), c.Workers, b, err)
 					}
 					flipBit(cor, p2)
 				}
@@ -196,8 +199,8 @@ func TestKernelFlipsMatchRef(t *testing.T) {
 func TestPaddingBitSyndromeIsUncorrectable(t *testing.T) {
 	const n = 11
 	data := []byte("padding bit")
-	for _, c := range []*Code{New(64, 1), NewExtended(64, 1, "secded64")} {
-		enc := c.Encode(data)
+	for _, c := range []*Code{New(64, 1), NewSECDED(64, 1)} {
+		enc := c.EncodeTo(nil, data, nil)
 		pos := codewordBits(c, n, 1)
 		cor := make([]byte, len(enc))
 		named := 0
@@ -219,26 +222,26 @@ func TestPaddingBitSyndromeIsUncorrectable(t *testing.T) {
 					if padding {
 						named++
 						if !errors.Is(err, ecc.ErrUncorrectable) || rep.CorrectedBits != 0 {
-							t.Fatalf("%s flips %d,%d,%d: syndrome %d names a padding bit, got %+v, %v", c.Name(), p1, p2, p3, syn, rep, err)
+							t.Fatalf("%s flips %d,%d,%d: syndrome %d names a padding bit, got %+v, %v", name(c), p1, p2, p3, syn, rep, err)
 						}
 					}
 					if err != nil {
 						continue
 					}
 					dist := 0
-					for k, x := range c.Encode(got) {
+					for k, x := range c.EncodeTo(nil, got, nil) {
 						dist += bits.OnesCount8(x ^ cor[k])
 					}
 					if dist != rep.CorrectedBits {
-						t.Fatalf("%s flips %d,%d,%d: %d bit(s) reported corrected, output is %d bit(s) from the received word", c.Name(), p1, p2, p3, rep.CorrectedBits, dist)
+						t.Fatalf("%s flips %d,%d,%d: %d bit(s) reported corrected, output is %d bit(s) from the received word", name(c), p1, p2, p3, rep.CorrectedBits, dist)
 					}
 				}
 			}
 		}
 		if named == 0 {
-			t.Fatalf("%s: no triple flip produced a padding-bit syndrome", c.Name())
+			t.Fatalf("%s: no triple flip produced a padding-bit syndrome", name(c))
 		}
-		t.Logf("%s: %d of the triple flips name a padding bit", c.Name(), named)
+		t.Logf("%s: %d of the triple flips name a padding bit", name(c), named)
 	}
 }
 
@@ -254,15 +257,15 @@ func FuzzHammingKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, length uint16, flips []byte, sel uint8) {
 		c := codes[int(sel)%len(codes)]
 		data = data[:int(length)%(len(data)+1)]
-		enc := c.Encode(data)
+		enc := c.EncodeTo(nil, data, nil)
 		if !bytes.Equal(enc, c.EncodeRef(data)) {
-			t.Fatalf("%s workers=%d n=%d: Encode diverges from EncodeRef", c.Name(), c.Workers, len(data))
+			t.Fatalf("%s workers=%d n=%d: Encode diverges from EncodeRef", name(c), c.Workers, len(data))
 		}
 		for ; len(flips) >= 2 && len(enc) > 0; flips = flips[2:] {
 			flipBit(enc, int(binary.BigEndian.Uint16(flips))%(len(enc)*8))
 		}
 		if _, _, err := decodeBoth(t, c, enc, len(data), "fuzz"); err != nil && !errors.Is(err, ecc.ErrUncorrectable) {
-			t.Fatalf("%s n=%d: a full-length encoding decoded to %v", c.Name(), len(data), err)
+			t.Fatalf("%s n=%d: a full-length encoding decoded to %v", name(c), len(data), err)
 		}
 	})
 }

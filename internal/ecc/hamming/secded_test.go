@@ -1,4 +1,4 @@
-package secded
+package hamming
 
 import (
 	"bytes"
@@ -9,36 +9,19 @@ import (
 	"repro/internal/ecc"
 )
 
-func TestNameAndOverhead(t *testing.T) {
-	c8 := New(8, 1)
-	if c8.Name() != "secded8" {
-		t.Fatalf("name %q", c8.Name())
-	}
-	if c8.Overhead() != 5.0/8.0 {
-		t.Fatalf("secded8 overhead %f, want 0.625", c8.Overhead())
-	}
-	c64 := New(64, 1)
-	if c64.Name() != "secded64" {
-		t.Fatalf("name %q", c64.Name())
-	}
-	if c64.Overhead() != 0.125 {
-		t.Fatalf("secded64 overhead %f, want 0.125 (the (72,64) code)", c64.Overhead())
-	}
-}
-
 func TestSingleErrorCorrectedDoubleDetected(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	c := New(64, 1)
+	c := NewSECDED(64, 1)
 	data := make([]byte, 64)
 	rng.Read(data)
-	enc := c.Encode(data)
+	enc := c.EncodeTo(nil, data, nil)
 
 	// Single flip anywhere: corrected.
 	for trial := 0; trial < 200; trial++ {
 		bit := rng.Intn(len(enc) * 8)
 		mut := append([]byte(nil), enc...)
 		mut[bit/8] ^= 0x80 >> (bit % 8)
-		got, rep, err := c.Decode(mut, len(data))
+		got, rep, err := c.DecodeTo(nil, mut, len(data), nil)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("single flip at %d not corrected: %v", bit, err)
 		}
@@ -59,7 +42,7 @@ func TestSingleErrorCorrectedDoubleDetected(t *testing.T) {
 		mut := append([]byte(nil), enc...)
 		mut[b1/8] ^= 0x80 >> (b1 % 8)
 		mut[b2/8] ^= 0x80 >> (b2 % 8)
-		got, _, err := c.Decode(mut, len(data))
+		got, _, err := c.DecodeTo(nil, mut, len(data), nil)
 		if err == nil {
 			if !bytes.Equal(got, data) {
 				t.Fatalf("double flip (%d, %d) silently miscorrected", b1, b2)
@@ -77,16 +60,16 @@ func TestErrorsInDifferentBlocksAllCorrected(t *testing.T) {
 	// blocks are all repairable — this is why ARC's 1-error-per-MB
 	// resiliency constraint maps to SEC-DED over 8-byte blocks.
 	rng := rand.New(rand.NewSource(10))
-	c := New(64, 1)
+	c := NewSECDED(64, 1)
 	data := make([]byte, 1024)
 	rng.Read(data)
-	enc := c.Encode(data)
+	enc := c.EncodeTo(nil, data, nil)
 	// Flip one bit in each of ten distinct data blocks.
 	for b := 0; b < 10; b++ {
 		bit := (b*13)*64 + rng.Intn(64)
 		enc[bit/8] ^= 0x80 >> (bit % 8)
 	}
-	got, rep, err := c.Decode(enc, len(data))
+	got, rep, err := c.DecodeTo(nil, enc, len(data), nil)
 	if err != nil {
 		t.Fatalf("distinct-block errors should all correct: %v", err)
 	}
@@ -95,15 +78,5 @@ func TestErrorsInDifferentBlocksAllCorrected(t *testing.T) {
 	}
 	if rep.CorrectedBlocks != 10 {
 		t.Fatalf("corrected %d blocks, want 10", rep.CorrectedBlocks)
-	}
-}
-
-func TestCaps(t *testing.T) {
-	c := New(64, 1)
-	if !c.Caps().Has(ecc.CorrectSparse) || !c.Caps().Has(ecc.DetectSparse) {
-		t.Fatal("secded must detect and correct sparse errors")
-	}
-	if c.Caps().Has(ecc.CorrectBurst) {
-		t.Fatal("secded must not claim burst correction")
 	}
 }

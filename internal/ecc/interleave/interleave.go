@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/ecc"
 	"repro/internal/ecc/hamming"
-	"repro/internal/ecc/secded"
 )
 
 // cwData and cwLen describe the SEC-DED(72,64) codeword byte layout.
@@ -40,6 +39,9 @@ const (
 
 // Code wraps SEC-DED(72,64) with a depth-Depth-byte bit interleaver.
 type Code struct {
+	// Depth is the longest single burst (fully corrupted bytes
+	// included) the interleaver guarantees to spread to one bit per
+	// codeword, for streams of at least ~73x this length.
 	Depth int
 	inner *hamming.Code
 }
@@ -50,20 +52,8 @@ func NewSECDED(depth, workers int) (*Code, error) {
 	if depth < 2 {
 		return nil, fmt.Errorf("interleave: depth must be >= 2, got %d", depth)
 	}
-	return &Code{Depth: depth, inner: secded.New(64, workers)}, nil
+	return &Code{Depth: depth, inner: hamming.NewSECDED(64, workers)}, nil
 }
-
-// Name implements ecc.Code.
-func (c *Code) Name() string { return fmt.Sprintf("ilsecded%d", c.Depth) }
-
-// Caps implements ecc.Code: sparse correction from SEC-DED plus burst
-// correction from the interleaver.
-func (c *Code) Caps() ecc.Capability {
-	return ecc.DetectSparse | ecc.CorrectSparse | ecc.CorrectBurst
-}
-
-// Overhead implements ecc.Code (padding is asymptotically negligible).
-func (c *Code) Overhead() float64 { return c.inner.Overhead() }
 
 // cwCount is the number of codewords covering n data bytes.
 func cwCount(n int) int { return (n + cwData - 1) / cwData }
@@ -77,11 +67,6 @@ func (c *Code) EncodedSize(n int) int {
 	g := groupedSize(n)
 	return (g + c.Depth - 1) / c.Depth * c.Depth
 }
-
-// MaxBurstBytes is the longest single burst (fully corrupted bytes
-// included) the interleaver guarantees to spread to one bit per
-// codeword, for streams of at least ~73x this length.
-func (c *Code) MaxBurstBytes() int { return c.Depth }
 
 // groupInto rearranges a SEC-DED encoding (data region + check region)
 // into codeword-contiguous order in g (len groupedSize(origLen)),
@@ -129,12 +114,13 @@ const (
 	slotGrouped = 1 // codeword-contiguous bit string
 )
 
-// Encode implements ecc.Code.
+// Encode is EncodeTo(nil, data, nil), kept as the entry point the
+// benchmark's ladder times (benchmark/ladder.go).
 func (c *Code) Encode(data []byte) []byte {
 	return c.EncodeTo(nil, data, nil)
 }
 
-// EncodeTo implements ecc.EncoderTo. The bit transpose ORs into the
+// EncodeTo implements ecc.Code. The bit transpose ORs into the
 // output, so a reused dst is cleared first.
 func (c *Code) EncodeTo(dst, data []byte, s *ecc.Scratch) []byte {
 	inner := c.inner.EncodeTo(s.Slot(slotInner, c.inner.EncodedSize(len(data))), data, s)
@@ -172,12 +158,7 @@ func (c *Code) EncodeTo(dst, data []byte, s *ecc.Scratch) []byte {
 	return out
 }
 
-// Decode implements ecc.Code.
-func (c *Code) Decode(encoded []byte, origLen int) ([]byte, ecc.Report, error) {
-	return c.DecodeTo(nil, encoded, origLen, nil)
-}
-
-// DecodeTo implements ecc.DecoderTo. Both intermediate buffers (the
+// DecodeTo implements ecc.Code. Both intermediate buffers (the
 // de-transposed bit string and the regrouped inner stream) are fully
 // assigned, so reuse needs no clearing.
 func (c *Code) DecodeTo(dst, encoded []byte, origLen int, s *ecc.Scratch) ([]byte, ecc.Report, error) {
@@ -190,7 +171,7 @@ func (c *Code) DecodeTo(dst, encoded []byte, origLen int, s *ecc.Scratch) ([]byt
 	cols := want * 8 / rows
 	g := s.Slot(slotGrouped, groupedSize(origLen))
 	// Inverse transpose with the same incremental (row, col) walk as
-	// Encode; each grouped byte assembles from eight scattered bits.
+	// EncodeTo; each grouped byte assembles from eight scattered bits.
 	row, col := 0, 0
 	for k := range g {
 		var b byte
@@ -209,8 +190,4 @@ func (c *Code) DecodeTo(dst, encoded []byte, origLen int, s *ecc.Scratch) ([]byt
 	return c.inner.DecodeTo(dst, inner, origLen, s)
 }
 
-var (
-	_ ecc.Code      = (*Code)(nil)
-	_ ecc.EncoderTo = (*Code)(nil)
-	_ ecc.DecoderTo = (*Code)(nil)
-)
+var _ ecc.Code = (*Code)(nil)

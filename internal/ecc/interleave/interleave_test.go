@@ -9,7 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/ecc"
-	"repro/internal/ecc/secded"
+	"repro/internal/ecc/hamming"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -23,28 +23,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Name() != "ilsecded64" {
-		t.Fatalf("name %q", c.Name())
-	}
-	if c.MaxBurstBytes() != 64 {
-		t.Fatal("MaxBurstBytes")
-	}
-}
-
-func TestCapsGainBurst(t *testing.T) {
-	c, err := NewSECDED(64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Caps().Has(ecc.CorrectBurst) {
-		t.Fatal("interleaved secded must claim burst correction")
-	}
-	if !c.Caps().Has(ecc.CorrectSparse) {
-		t.Fatal("inner caps must be preserved")
-	}
-	// Overhead must equal the inner code's (pure permutation).
-	if c.Overhead() != secded.New(64, 1).Overhead() {
-		t.Fatal("interleaving must not change overhead")
+	if c.Depth != 64 {
+		t.Fatalf("depth %d", c.Depth)
 	}
 }
 
@@ -58,14 +38,14 @@ func TestRoundTripClean(t *testing.T) {
 		for _, n := range []int{0, 1, depth - 1, depth, depth + 1, 10_000} {
 			data := make([]byte, n)
 			rng.Read(data)
-			enc := c.Encode(data)
+			enc := c.EncodeTo(nil, data, nil)
 			if len(enc) != c.EncodedSize(n) {
 				t.Fatalf("depth=%d n=%d: size mismatch", depth, n)
 			}
 			if len(enc)%depth != 0 {
 				t.Fatal("encoded size must be a multiple of depth")
 			}
-			got, rep, err := c.Decode(enc, n)
+			got, rep, err := c.DecodeTo(nil, enc, n, nil)
 			if err != nil {
 				t.Fatalf("depth=%d n=%d: %v", depth, n, err)
 			}
@@ -88,7 +68,7 @@ func TestCorrectsBurstUpToDepth(t *testing.T) {
 	}
 	data := make([]byte, 32<<10)
 	rng.Read(data)
-	enc := c.Encode(data)
+	enc := c.EncodeTo(nil, data, nil)
 	for trial := 0; trial < 50; trial++ {
 		mut := append([]byte(nil), enc...)
 		off := rng.Intn(len(mut) - depth)
@@ -97,7 +77,7 @@ func TestCorrectsBurstUpToDepth(t *testing.T) {
 		for i := 0; i < depth; i++ {
 			mut[off+i] ^= byte(1 + rng.Intn(255))
 		}
-		got, rep, err := c.Decode(mut, len(data))
+		got, rep, err := c.DecodeTo(nil, mut, len(data), nil)
 		if err != nil {
 			t.Fatalf("trial %d: burst not corrected: %v", trial, err)
 		}
@@ -114,10 +94,10 @@ func TestPlainSECDEDFailsSameBurst(t *testing.T) {
 	// The motivating contrast: without interleaving the same burst
 	// defeats SEC-DED.
 	rng := rand.New(rand.NewSource(3))
-	plain := secded.New(64, 1)
+	plain := hamming.NewSECDED(64, 1)
 	data := make([]byte, 32<<10)
 	rng.Read(data)
-	enc := plain.Encode(data)
+	enc := plain.EncodeTo(nil, data, nil)
 	failed := false
 	for trial := 0; trial < 20 && !failed; trial++ {
 		mut := append([]byte(nil), enc...)
@@ -125,7 +105,7 @@ func TestPlainSECDEDFailsSameBurst(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			mut[off+i] ^= byte(1 << rng.Intn(8))
 		}
-		if _, _, err := plain.Decode(mut, len(data)); err != nil {
+		if _, _, err := plain.DecodeTo(nil, mut, len(data), nil); err != nil {
 			failed = true
 		}
 	}
@@ -142,12 +122,12 @@ func TestSingleFlipStillCorrected(t *testing.T) {
 	}
 	data := make([]byte, 4096)
 	rng.Read(data)
-	enc := c.Encode(data)
+	enc := c.EncodeTo(nil, data, nil)
 	for trial := 0; trial < 200; trial++ {
 		mut := append([]byte(nil), enc...)
 		bit := rng.Intn(len(mut) * 8)
 		mut[bit/8] ^= 0x80 >> (bit % 8)
-		got, _, err := c.Decode(mut, len(data))
+		got, _, err := c.DecodeTo(nil, mut, len(data), nil)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("trial %d: single flip not corrected: %v", trial, err)
 		}
@@ -159,8 +139,8 @@ func TestTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := c.Encode(make([]byte, 1000))
-	if _, _, err := c.Decode(enc[:len(enc)-1], 1000); !errors.Is(err, ecc.ErrTruncated) {
+	enc := c.EncodeTo(nil, make([]byte, 1000), nil)
+	if _, _, err := c.DecodeTo(nil, enc[:len(enc)-1], 1000, nil); !errors.Is(err, ecc.ErrTruncated) {
 		t.Fatalf("want ErrTruncated, got %v", err)
 	}
 }
@@ -171,8 +151,8 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	prop := func(data []byte) bool {
-		enc := c.Encode(data)
-		got, _, err := c.Decode(enc, len(data))
+		enc := c.EncodeTo(nil, data, nil)
+		got, _, err := c.DecodeTo(nil, enc, len(data), nil)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
@@ -191,8 +171,8 @@ func TestInterleaveIsBitPermutation(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	inner := secded.New(64, 1).Encode(data)
-	outer := c.Encode(data)
+	inner := hamming.NewSECDED(64, 1).EncodeTo(nil, data, nil)
+	outer := c.EncodeTo(nil, data, nil)
 	pop := func(buf []byte) int {
 		n := 0
 		for _, b := range buf {

@@ -36,15 +36,6 @@ func New(blockBytes, workers int) *Code {
 	return &Code{BlockBytes: blockBytes, Workers: workers}
 }
 
-// Name implements ecc.Code.
-func (c *Code) Name() string { return fmt.Sprintf("parity%d", c.BlockBytes) }
-
-// Caps implements ecc.Code: parity detects sparse errors only.
-func (c *Code) Caps() ecc.Capability { return ecc.DetectSparse }
-
-// Overhead implements ecc.Code: one bit per BlockBytes bytes.
-func (c *Code) Overhead() float64 { return 1.0 / (8.0 * float64(c.BlockBytes)) }
-
 // EncodedSize implements ecc.Code.
 func (c *Code) EncodedSize(n int) int {
 	return n + (c.blocks(n)+7)/8
@@ -101,12 +92,7 @@ func (c *Code) parityByte(data []byte, pb, nb int) byte {
 	return v
 }
 
-// Encode implements ecc.Code.
-func (c *Code) Encode(data []byte) []byte {
-	return c.EncodeTo(nil, data, nil)
-}
-
-// EncodeTo implements ecc.EncoderTo. Workers own whole parity bytes
+// EncodeTo implements ecc.Code. Workers own whole parity bytes
 // (groups of eight blocks), so no two goroutines write the same byte;
 // every output byte is fully assigned, so a reused dst needs no
 // clearing.
@@ -136,14 +122,10 @@ func (c *Code) encodeRange(data, par []byte, lo, hi, nb int) {
 	}
 }
 
-// Decode implements ecc.Code. Parity corrects nothing: if any block's
-// parity mismatches, Decode returns the (possibly corrupt) data along
-// with ecc.ErrUncorrectable so the caller can decide what to salvage.
-func (c *Code) Decode(encoded []byte, origLen int) ([]byte, ecc.Report, error) {
-	return c.DecodeTo(nil, encoded, origLen, nil)
-}
-
-// DecodeTo implements ecc.DecoderTo.
+// DecodeTo implements ecc.Code. Parity corrects nothing: if any
+// block's parity mismatches, DecodeTo returns the (possibly corrupt)
+// data along with ecc.ErrUncorrectable so the caller can decide what
+// to salvage.
 func (c *Code) DecodeTo(dst, encoded []byte, origLen int, _ *ecc.Scratch) ([]byte, ecc.Report, error) {
 	var rep ecc.Report
 	if origLen < 0 || len(encoded) < c.EncodedSize(origLen) {
@@ -188,8 +170,4 @@ func (c *Code) countRange(data, par []byte, lo, hi, nb int) int64 {
 	return int64(local)
 }
 
-var (
-	_ ecc.Code      = (*Code)(nil)
-	_ ecc.EncoderTo = (*Code)(nil)
-	_ ecc.DecoderTo = (*Code)(nil)
-)
+var _ ecc.Code = (*Code)(nil)

@@ -140,23 +140,10 @@ func (c *Code) getCS(b []byte) uint32 {
 	return v
 }
 
-// Name implements ecc.Code.
-func (c *Code) Name() string { return fmt.Sprintf("rs-k%d-m%d", c.K, c.M) }
-
-// Caps implements ecc.Code.
-func (c *Code) Caps() ecc.Capability {
-	return ecc.DetectSparse | ecc.CorrectSparse | ecc.CorrectBurst
-}
-
 func (c *Code) stripeDataBytes() int { return c.K * c.DeviceSize }
 
 func (c *Code) stripeEncBytes() int {
 	return (c.K+c.M)*c.DeviceSize + (c.K+c.M)*c.csBytes()
-}
-
-// Overhead implements ecc.Code.
-func (c *Code) Overhead() float64 {
-	return float64(c.stripeEncBytes()-c.stripeDataBytes()) / float64(c.stripeDataBytes())
 }
 
 func (c *Code) stripes(n int) int {
@@ -169,15 +156,7 @@ func (c *Code) stripes(n int) int {
 // EncodedSize implements ecc.Code.
 func (c *Code) EncodedSize(n int) int { return c.stripes(n) * c.stripeEncBytes() }
 
-// MaxCorrectableDevices returns M, the per-stripe correction budget.
-func (c *Code) MaxCorrectableDevices() int { return c.M }
-
-// Encode implements ecc.Code.
-func (c *Code) Encode(data []byte) []byte {
-	return c.EncodeTo(nil, data, nil)
-}
-
-// EncodeTo implements ecc.EncoderTo. The stripe encoder assigns every
+// EncodeTo implements ecc.Code. The stripe encoder assigns every
 // output byte (including explicit zero padding of a partial final
 // stripe), so a reused dst needs no up-front clearing.
 func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
@@ -186,7 +165,7 @@ func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
 	out := ecc.GrowTo(dst, c.EncodedSize(n))
 	// The serial case calls the range body directly: a closure passed
 	// to parallel.For escapes (For hands it to goroutines on its other
-	// path), which would cost an allocation per Encode even for one
+	// path), which would cost an allocation per EncodeTo even for one
 	// worker — the chunk-stream steady state this code serves.
 	if parallel.Clamp(c.Workers, ns) == 1 {
 		c.encodeRange(data, out, 0, ns)
@@ -242,12 +221,7 @@ func (c *Code) encodeStripe(src, dst []byte) {
 	}
 }
 
-// Decode implements ecc.Code.
-func (c *Code) Decode(encoded []byte, origLen int) ([]byte, ecc.Report, error) {
-	return c.DecodeTo(nil, encoded, origLen, nil)
-}
-
-// DecodeTo implements ecc.DecoderTo. With a warm s neither the clean
+// DecodeTo implements ecc.Code. With a warm s neither the clean
 // path nor the repair path allocates beyond growing dst: a damaged
 // stripe's working storage comes from s. With Workers > 1 each worker
 // range brings its own scratch instead (a Scratch must not be shared
@@ -279,7 +253,7 @@ func (c *Code) DecodeTo(dst, encoded []byte, origLen int, s *ecc.Scratch) ([]byt
 	return out, rep, err
 }
 
-// DecodeRef is the retained reference implementation of Decode: serial,
+// DecodeRef is the retained reference implementation of DecodeTo: serial,
 // allocating, every stripe through decodeStripeRef. Kept for
 // differential tests and as the baseline of BenchmarkKernelRSRepair.
 func (c *Code) DecodeRef(encoded []byte, origLen int) ([]byte, ecc.Report, error) {
@@ -311,7 +285,7 @@ func (c *Code) checkLen(encoded []byte, origLen int) error {
 	return nil
 }
 
-// report turns stripe counters into Decode's Report and error.
+// report turns stripe counters into DecodeTo's Report and error.
 func (c *Code) report(detected, corrected, failed int64) (ecc.Report, error) {
 	rep := ecc.Report{DetectedBlocks: int(detected), CorrectedBlocks: int(corrected)}
 	if failed > 0 {
@@ -544,8 +518,4 @@ func (c *Code) decodeStripeRef(stripe, dst []byte) (detected, corrected int, err
 	return detected, corrected, nil
 }
 
-var (
-	_ ecc.Code      = (*Code)(nil)
-	_ ecc.EncoderTo = (*Code)(nil)
-	_ ecc.DecoderTo = (*Code)(nil)
-)
+var _ ecc.Code = (*Code)(nil)

@@ -7,6 +7,7 @@ package reedsolomon
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -14,6 +15,9 @@ import (
 	"repro/internal/ecc"
 	"repro/internal/raceflag"
 )
+
+// name labels c in failure messages.
+func name(c *Code) string { return fmt.Sprintf("rs-k%d-m%d", c.K, c.M) }
 
 // damageDevice makes device dev of stripe st fail its checksum: by
 // xoring x (nonzero) into byte off of the device, or with viaCRC by
@@ -37,16 +41,16 @@ func diffDecode(t testing.TB, c *Code, enc []byte, origLen int, s *ecc.Scratch) 
 	dst := bytes.Repeat([]byte{0xA5}, origLen)
 	got, rep, err := c.DecodeTo(dst, enc, origLen, s)
 	if !bytes.Equal(enc, snapshot) {
-		t.Fatalf("%s: decode modified its input", c.Name())
+		t.Fatalf("%s: decode modified its input", name(c))
 	}
 	if (err == nil) != (wantErr == nil) || errors.Is(err, ecc.ErrUncorrectable) != errors.Is(wantErr, ecc.ErrUncorrectable) {
-		t.Fatalf("%s: err %v, reference %v", c.Name(), err, wantErr)
+		t.Fatalf("%s: err %v, reference %v", name(c), err, wantErr)
 	}
 	if rep != wantRep {
-		t.Fatalf("%s: report %+v, reference %+v", c.Name(), rep, wantRep)
+		t.Fatalf("%s: report %+v, reference %+v", name(c), rep, wantRep)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: output differs from the reference decoder (err %v)", c.Name(), err)
+		t.Fatalf("%s: output differs from the reference decoder (err %v)", name(c), err)
 	}
 	return got, rep, err
 }
@@ -59,15 +63,15 @@ func checkRepair(t testing.TB, c *Code, enc, data []byte, nBad int, overBudget b
 	got, rep, err := diffDecode(t, c, enc, len(data), s)
 	if overBudget {
 		if !errors.Is(err, ecc.ErrUncorrectable) || rep.DetectedBlocks != nBad || rep.CorrectedBlocks != 0 {
-			t.Fatalf("%s: %d bad devices: report %+v err %v, want ErrUncorrectable", c.Name(), nBad, rep, err)
+			t.Fatalf("%s: %d bad devices: report %+v err %v, want ErrUncorrectable", name(c), nBad, rep, err)
 		}
 		return
 	}
 	if err != nil || rep.DetectedBlocks != nBad || rep.CorrectedBlocks != nBad {
-		t.Fatalf("%s: %d bad devices: report %+v err %v", c.Name(), nBad, rep, err)
+		t.Fatalf("%s: %d bad devices: report %+v err %v", name(c), nBad, rep, err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatalf("%s: %d bad devices: repaired output is not the plaintext", c.Name(), nBad)
+		t.Fatalf("%s: %d bad devices: repaired output is not the plaintext", name(c), nBad)
 	}
 }
 
@@ -92,7 +96,7 @@ func TestRepairEveryErasureSet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			clean := c.Encode(data)
+			clean := c.EncodeTo(nil, data, nil)
 			for set := 0; set < 1<<(k+m); set++ {
 				nBad := bits.OnesCount(uint(set))
 				if nBad > m+1 {
@@ -123,7 +127,7 @@ func TestRepairPaperCodes(t *testing.T) {
 	var s ecc.Scratch
 	run := func(c *Code, data []byte, bad []int) {
 		t.Helper()
-		enc := c.Encode(data)
+		enc := c.EncodeTo(nil, data, nil)
 		st := rng.Intn(c.stripes(len(data)))
 		for _, d := range bad {
 			damageDevice(c, enc, st, d, rng.Intn(c.DeviceSize), byte(1+rng.Intn(255)), rng.Intn(4) == 0)
@@ -161,7 +165,7 @@ func TestRepairParallelRanges(t *testing.T) {
 	c := mustNew(t, 20, 4, 32, 4)
 	data := make([]byte, 20*32*9+77)
 	rng.Read(data)
-	enc := c.Encode(data)
+	enc := c.EncodeTo(nil, data, nil)
 	total := 0
 	for st := 0; st < c.stripes(len(data)); st++ {
 		n := 1 + st%4
@@ -181,11 +185,11 @@ func TestParityOnlyDamageIsACopy(t *testing.T) {
 	c := mustNew(t, 241, 15, 64, 1)
 	data := make([]byte, 241*64)
 	rand.New(rand.NewSource(34)).Read(data)
-	smashed := c.Encode(data)
+	smashed := c.EncodeTo(nil, data, nil)
 	for d := 241; d < 256; d += 2 {
 		damageDevice(c, smashed, 0, d, d, 0xFF, false)
 	}
-	tableOnly := c.Encode(data)
+	tableOnly := c.EncodeTo(nil, data, nil)
 	damageDevice(c, tableOnly, 0, 250, 1, 0x04, true)
 	for _, tc := range []struct {
 		name   string
@@ -226,7 +230,7 @@ func TestRepairAllocFree(t *testing.T) {
 	c := mustNew(t, 241, 15, 1024, 1)
 	data := make([]byte, 1<<20)
 	rng.Read(data)
-	enc := c.Encode(data)
+	enc := c.EncodeTo(nil, data, nil)
 	for st := 0; st < c.stripes(len(data)); st++ {
 		for _, d := range rng.Perm(256)[:7] {
 			damageDevice(c, enc, st, d, rng.Intn(1024), 0x5A, false)
@@ -278,7 +282,7 @@ func FuzzRSRepair(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		enc := c.Encode(data)
+		enc := c.EncodeTo(nil, data, nil)
 		ns := c.stripes(len(data))
 		hit := make(map[[2]int]bool)
 		for ; len(damage) >= 3 && ns > 0; damage = damage[3:] {
@@ -288,13 +292,13 @@ func FuzzRSRepair(f *testing.F) {
 		}
 		got, rep, err := diffDecode(t, c, enc, len(data), nil)
 		if err != nil && !errors.Is(err, ecc.ErrUncorrectable) {
-			t.Fatalf("%s: a full-length encoding decoded to %v", c.Name(), err)
+			t.Fatalf("%s: a full-length encoding decoded to %v", name(c), err)
 		}
 		// Two hits on one device can cancel and a 16-bit checksum can
 		// miss one, so ground truth applies only when every hit device
 		// was located.
 		if err == nil && rep.DetectedBlocks == len(hit) && !bytes.Equal(got, data) {
-			t.Fatalf("%s: %d devices located and repaired, output is not the plaintext", c.Name(), len(hit))
+			t.Fatalf("%s: %d devices located and repaired, output is not the plaintext", name(c), len(hit))
 		}
 	})
 }

@@ -11,10 +11,17 @@ import (
 	"repro/internal/ecc/interleave"
 	"repro/internal/ecc/parity"
 	"repro/internal/ecc/reedsolomon"
-	"repro/internal/ecc/secded"
 )
 
-func testCodes(t *testing.T) []ecc.Code {
+// namedCode is a code under test, the name its subtests run under and
+// whether it corrects sparse errors.
+type namedCode struct {
+	name     string
+	code     ecc.Code
+	corrects bool
+}
+
+func testCodes(t *testing.T) []namedCode {
 	t.Helper()
 	rs, err := reedsolomon.New(5, 3, 64, 1)
 	if err != nil {
@@ -24,13 +31,13 @@ func testCodes(t *testing.T) []ecc.Code {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []ecc.Code{
-		parity.New(8, 1),
-		hamming.New(8, 1),
-		hamming.New(64, 1),
-		secded.New(64, 1),
-		rs,
-		il,
+	return []namedCode{
+		{"parity8", parity.New(8, 1), false},
+		{"hamming8", hamming.New(8, 1), true},
+		{"hamming64", hamming.New(64, 1), true},
+		{"secded64", hamming.NewSECDED(64, 1), true},
+		{"rs-k5-m3", rs, true},
+		{"ilsecded4", il, true},
 	}
 }
 
@@ -46,13 +53,14 @@ func poison(b []byte) []byte {
 // TestEncodeToMatchesEncode drives every code's EncodeTo/DecodeTo with
 // deliberately dirty, reused dst and scratch buffers across many
 // lengths (including partial final blocks/stripes/codewords) and
-// requires byte-identical results to the allocating Encode/Decode.
+// requires byte-identical results to the one-shot calls, which start
+// from nil dst and scratch.
 func TestEncodeToMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	lengths := []int{0, 1, 7, 8, 9, 63, 64, 65, 200, 319, 320, 321, 1000, 4096}
-	for _, c := range testCodes(t) {
-		c := c
-		t.Run(c.Name(), func(t *testing.T) {
+	for _, tc := range testCodes(t) {
+		c := tc.code
+		t.Run(tc.name, func(t *testing.T) {
 			var scratch ecc.Scratch
 			var dst, ddst []byte
 			// Reuse dst/scratch across iterations in descending-then-
@@ -62,18 +70,18 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 					data := make([]byte, n)
 					rng.Read(data)
 
-					want := c.Encode(data)
+					want := c.EncodeTo(nil, data, nil)
 					dst = poison(ecc.GrowTo(dst, c.EncodedSize(n)))
-					got := ecc.EncodeTo(c, dst, data, &scratch)
+					got := c.EncodeTo(dst, data, &scratch)
 					if !bytes.Equal(got, want) {
-						t.Fatalf("n=%d pass=%d: EncodeTo differs from Encode", n, pass)
+						t.Fatalf("n=%d pass=%d: reused EncodeTo differs from one-shot", n, pass)
 					}
 
-					wantDec, wantRep, wantErr := c.Decode(want, n)
+					wantDec, wantRep, wantErr := c.DecodeTo(nil, want, n, nil)
 					ddst = poison(ecc.GrowTo(ddst, n))
-					gotDec, gotRep, gotErr := ecc.DecodeTo(c, ddst, got, n, &scratch)
+					gotDec, gotRep, gotErr := c.DecodeTo(ddst, got, n, &scratch)
 					if !bytes.Equal(gotDec, wantDec) || gotRep != wantRep || !errors.Is(gotErr, wantErr) {
-						t.Fatalf("n=%d pass=%d: DecodeTo differs from Decode (rep %+v vs %+v, err %v vs %v)",
+						t.Fatalf("n=%d pass=%d: reused DecodeTo differs from one-shot (rep %+v vs %+v, err %v vs %v)",
 							n, pass, gotRep, wantRep, gotErr, wantErr)
 					}
 					if !bytes.Equal(gotDec, data) {
@@ -93,21 +101,21 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 // path still corrects it with reused scratch.
 func TestDecodeToCorrectsWithDirtyScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, c := range testCodes(t) {
-		if !c.Caps().Has(ecc.CorrectSparse) {
+	for _, tc := range testCodes(t) {
+		if !tc.corrects {
 			continue
 		}
-		c := c
-		t.Run(c.Name(), func(t *testing.T) {
+		c := tc.code
+		t.Run(tc.name, func(t *testing.T) {
 			var scratch ecc.Scratch
 			var dst []byte
 			data := make([]byte, 777)
 			rng.Read(data)
 			for trial := 0; trial < 8; trial++ {
-				enc := ecc.EncodeTo(c, nil, data, &scratch)
+				enc := c.EncodeTo(nil, data, &scratch)
 				enc[rng.Intn(len(enc))] ^= 1 << rng.Intn(8)
 				dst = poison(ecc.GrowTo(dst, len(data)))
-				got, rep, err := ecc.DecodeTo(c, dst, enc, len(data), &scratch)
+				got, rep, err := c.DecodeTo(dst, enc, len(data), &scratch)
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
@@ -121,26 +129,6 @@ func TestDecodeToCorrectsWithDirtyScratch(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// fallbackCode implements only ecc.Code; the package helpers must
-// still work (via Encode/Decode plus copy).
-type fallbackCode struct{ ecc.Code }
-
-func TestToHelpersFallBackForPlainCodes(t *testing.T) {
-	base := parity.New(8, 1)
-	c := fallbackCode{base}
-	data := []byte("the quick brown fox jumps over the lazy dog")
-	var scratch ecc.Scratch
-	dst := poison(make([]byte, base.EncodedSize(len(data))))
-	got := ecc.EncodeTo(c, dst, data, &scratch)
-	if !bytes.Equal(got, base.Encode(data)) {
-		t.Fatal("fallback EncodeTo mismatch")
-	}
-	dec, _, err := ecc.DecodeTo(c, poison(make([]byte, len(data))), got, len(data), &scratch)
-	if err != nil || !bytes.Equal(dec, data) {
-		t.Fatalf("fallback DecodeTo mismatch: %v", err)
 	}
 }
 

@@ -51,11 +51,11 @@ func ExtCrossover(payloadBytes, trials int, seed int64) (*ExtCrossoverResult, er
 			return nil, err
 		}
 		t0 := time.Now()
-		protected := code.Encode(payload)
+		protected := code.EncodeTo(nil, payload, nil)
 		encMBs := mbs(len(payload), time.Since(t0))
 		repair := func(mut []byte) ([]byte, error) {
 			//arcvet:ignore integrityflow campaign verdicts on recovered bytes vs ground truth; per-trial reports are not aggregated
-			got, _, err := code.Decode(mut, len(payload))
+			got, _, err := code.DecodeTo(nil, mut, len(payload), nil)
 			return got, err
 		}
 		for _, bs := range burstSizes {

@@ -244,13 +244,13 @@ func readFrameHeader(r io.Reader, limit int) (Frame, int, error) {
 // as data arrives (see directPayloadCap).
 func readPayload(r io.Reader, dst []byte, n int) ([]byte, error) {
 	if n <= directPayloadCap || cap(dst) >= n {
-		buf := growTo(dst, n)
+		buf := ecc.GrowTo(dst, n)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, fullErr(err)
 		}
 		return buf, nil
 	}
-	buf := growTo(dst, directPayloadCap)
+	buf := ecc.GrowTo(dst, directPayloadCap)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, fullErr(err)
 	}
@@ -272,14 +272,6 @@ func fullErr(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// growTo returns a length-n slice sharing dst's storage when possible.
-func growTo(dst []byte, n int) []byte {
-	if cap(dst) >= n {
-		return dst[:n]
-	}
-	return make([]byte, n)
 }
 
 // Encode requests prefix the data with the requested configuration:

@@ -272,8 +272,8 @@ type request struct {
 //
 // Ownership: bufs holds the request's buffer and every pooled buffer
 // the response was built in. Only the writer recycles them, after the
-// frame is on the socket — payload may alias any of them (a custom
-// ecc.Code may even return its input), so no earlier point is safe.
+// frame is on the socket — payload may alias any of them, so no
+// earlier point is safe.
 type response struct {
 	op      Op
 	status  Status
@@ -588,7 +588,7 @@ func (s *Server) processReadRange(req request, resp *response) {
 		return
 	}
 	out := resp.output()
-	out.b = growTo(out.b, int(n))
+	out.b = ecc.GrowTo(out.b, int(n))
 	got, rep, err := a.rr.ReadRange(out.b, first, n)
 	if rep.Chunks > 0 || err != nil {
 		s.stats.RepairObserved(rep.DetectedBlocks, rep.CorrectedBits, rep.CorrectedBlocks, rep.DigestMismatches,
@@ -644,7 +644,7 @@ func (s *Server) decodeRequest(req request, resp *response) *core.DecodeResult {
 	// never adopted as the buffer's storage: a custom code may return
 	// bytes aliasing the request's buffer instead.
 	out := resp.output()
-	out.b = growTo(out.b, len(req.payload))
+	out.b = ecc.GrowTo(out.b, len(req.payload))
 	res, err := core.DecodeContainer(out.b, req.payload, s.cfg.Threads)
 	if res != nil {
 		rep, digest := res.Report, 0

@@ -1,5 +1,5 @@
 #!/bin/sh
-# verify.sh — the full local gate, mirroring .github/workflows/ci.yml.
+# verify.sh — the full gate; .github/workflows/ci.yml runs exactly this.
 # Usage: ./verify.sh [quick]
 #   quick   skip the race detector and fuzz smoke (seconds, not minutes)
 set -eu
@@ -28,7 +28,7 @@ echo "== govulncheck =="
 if command -v govulncheck >/dev/null 2>&1; then
     govulncheck ./...
 else
-    echo "govulncheck not installed; skipping (CI runs it)"
+    echo "govulncheck not installed; skipping (CI installs it)"
 fi
 
 echo "== gofmt =="
