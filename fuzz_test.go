@@ -121,7 +121,6 @@ func FuzzZFPDecompress(f *testing.F) {
 			return
 		}
 		_, _, _ = zfp.Decompress(data)
-		_, _, _ = zfp.DecompressProgressive(data, 8, 1)
 	})
 }
 
@@ -514,8 +513,8 @@ func FuzzSZDecodeCorruptHeader(f *testing.F) {
 
 // FuzzZFPDecodeCorruptHeader is the ZFP counterpart: the header
 // (magic, version, mode, dims, param) is stored uncompressed, so a
-// direct byte flip reaches every field. Both the plain and the
-// progressive decode paths must fail with a bounded error.
+// direct byte flip reaches every field. Decode must fail with a
+// bounded error.
 func FuzzZFPDecodeCorruptHeader(f *testing.F) {
 	field := make([]float64, 256)
 	for i := range field {
@@ -533,6 +532,8 @@ func FuzzZFPDecodeCorruptHeader(f *testing.F) {
 		streams = append(streams, valid)
 	}
 	f.Add(uint16(5), byte(0xFF))  // mode byte
+	f.Add(uint16(5), byte(0x01))  // mode byte: Rate (2) becomes 3
+	f.Add(uint16(5), byte(0x02))  // mode byte: ACC (1) becomes 3
 	f.Add(uint16(6), byte(0x03))  // ndims
 	f.Add(uint16(7), byte(0x80))  // dim 0, low byte
 	f.Add(uint16(10), byte(0x10)) // dim 0, high byte
@@ -547,7 +548,6 @@ func FuzzZFPDecodeCorruptHeader(f *testing.F) {
 			data[int(pos)%span] ^= mask
 			if delta := decodeAllocDelta(func() {
 				_, _, _ = zfp.Decompress(data)
-				_, _, _ = zfp.DecompressProgressive(data, 4, 1)
 			}); delta > corruptAllocBudget(len(data)) {
 				t.Fatalf("corrupted decode allocated %d bytes for a %d-byte input", delta, len(data))
 			}

@@ -4,11 +4,6 @@
 // them through these helpers turns "trust me, it fits" into an
 // enforced invariant — a violated bound panics with a descriptive
 // message instead of corrupting an encoded stream.
-//
-// The Bits* helpers are the deliberate exceptions: they reinterpret
-// a bit pattern across signedness (two's complement) and exist so
-// intentional reinterpretation reads differently from an accidental
-// conversion.
 package safecast
 
 import (
@@ -49,29 +44,10 @@ func I32(n int) int32 {
 	return int32(n)
 }
 
-// I32From64 converts an int64 that must fit 32 signed bits —
-// quantized regression coefficients serialized as 32-bit fields.
-func I32From64(n int64) int32 {
-	if n < math.MinInt32 || n > math.MaxInt32 {
-		panic(fmt.Sprintf("safecast: %d does not fit int32", n))
-	}
-	return int32(n)
-}
-
 // Int converts a uint64 that must fit the platform int.
 func Int(n uint64) int {
 	if n > math.MaxInt {
 		panic(fmt.Sprintf("safecast: %d does not fit int", n))
 	}
 	return int(n)
-}
-
-// Bits32 reinterprets an int32 as its two's-complement bit pattern.
-func Bits32(x int32) uint32 {
-	return uint32(x)
-}
-
-// SignBits32 reinterprets a uint32 bit pattern as a signed int32.
-func SignBits32(x uint32) int32 {
-	return int32(x)
 }

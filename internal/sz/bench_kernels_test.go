@@ -154,11 +154,3 @@ func BenchmarkKernelSZDequantize(b *testing.B) {
 			}
 		}}.bench(b)
 }
-
-func BenchmarkKernelSZQuantizeMixed(b *testing.B) {
-	data := benchQuantField()
-	const eb = 1e-4
-	kernelPair{int64(len(data) * 8),
-		func(testing.TB) { quantizeMixed(data, benchQuantDims, eb) },
-		func(testing.TB) { quantizeMixedRef(data, benchQuantDims, eb) }}.bench(b)
-}

@@ -446,161 +446,3 @@ func dequantize3D(syms *symReader, d0, d1, d2 int, eb float64, unpred []float64,
 	}
 	return nil
 }
-
-// mixedQuantizer carries the state shared by the batched block kernels
-// of quantizeMixed.
-type mixedQuantizer struct {
-	data     []float64
-	recon    []float64
-	res      *mixedResult
-	eb       float64
-	twoEB    float64
-	invTwoEB float64
-	dims     []int
-	zeroRow  []float64
-}
-
-// cell quantizes one value and appends its symbol (and, when
-// unpredictable, its value) to the result streams.
-func (q *mixedQuantizer) cell(idx int, p float64) {
-	v := q.data[idx]
-	r, s, ok := quantOne(v, p, q.eb, q.invTwoEB, q.twoEB)
-	q.res.syms = append(q.res.syms, s)
-	q.recon[idx] = r
-	if !ok {
-		q.res.unpred = append(q.res.unpred, v)
-	}
-}
-
-// lorenzoBlock2D quantizes one block with the Lorenzo predictor.
-// Neighbors outside the block but inside the domain are already
-// reconstructed (blocks are visited in raster order), so only the
-// domain boundary substitutes the zero row.
-func (q *mixedQuantizer) lorenzoBlock2D(lo, hi [3]int) {
-	d1 := q.dims[1]
-	for x := lo[0]; x < hi[0]; x++ {
-		base := x * d1
-		row := q.recon[base : base+d1 : base+d1]
-		up := q.zeroRow
-		if x > 0 {
-			up = q.recon[base-d1 : base : base]
-		}
-		y := lo[1]
-		if y == 0 {
-			p := 0 + up[0] - 0
-			q.cell(base, p)
-			y = 1
-		}
-		for ; y < hi[1]; y++ {
-			p := row[y-1] + up[y] - up[y-1]
-			q.cell(base+y, p)
-		}
-	}
-}
-
-func (q *mixedQuantizer) lorenzoBlock3D(lo, hi [3]int) {
-	d1, d2 := q.dims[1], q.dims[2]
-	planeStride := d1 * d2
-	for z := lo[0]; z < hi[0]; z++ {
-		for y := lo[1]; y < hi[1]; y++ {
-			base := z*planeStride + y*d2
-			row := q.recon[base : base+d2 : base+d2]
-			up, back, backup := q.zeroRow, q.zeroRow, q.zeroRow
-			if y > 0 {
-				up = q.recon[base-d2 : base : base]
-			}
-			if z > 0 {
-				back = q.recon[base-planeStride : base-planeStride+d2 : base-planeStride+d2]
-				if y > 0 {
-					backup = q.recon[base-planeStride-d2 : base-planeStride : base-planeStride]
-				}
-			}
-			x := lo[2]
-			if x == 0 {
-				p := 0 + up[0] + back[0] - 0 - 0 - backup[0] + 0
-				q.cell(base, p)
-				x = 1
-			}
-			for ; x < hi[2]; x++ {
-				p := row[x-1] + up[x] + back[x] - up[x-1] - back[x-1] - backup[x] + backup[x-1]
-				q.cell(base+x, p)
-			}
-		}
-	}
-}
-
-// regBlock2D quantizes one block against its regression model. The
-// row-constant part of the model is hoisted out of the inner loop;
-// regPredict accumulates strictly left-to-right, so the hoisting is
-// exactly associative and bit-identical to the reference.
-func (q *mixedQuantizer) regBlock2D(lo, hi [3]int, coeffs []float64) {
-	d1 := q.dims[1]
-	for x := lo[0]; x < hi[0]; x++ {
-		base := x * d1
-		rowBase := coeffs[0] + coeffs[1]*float64(x-lo[0])
-		for y := lo[1]; y < hi[1]; y++ {
-			p := rowBase + coeffs[2]*float64(y-lo[1])
-			q.cell(base+y, p)
-		}
-	}
-}
-
-func (q *mixedQuantizer) regBlock3D(lo, hi [3]int, coeffs []float64) {
-	d1, d2 := q.dims[1], q.dims[2]
-	planeStride := d1 * d2
-	for z := lo[0]; z < hi[0]; z++ {
-		zBase := coeffs[0] + coeffs[1]*float64(z-lo[0])
-		for y := lo[1]; y < hi[1]; y++ {
-			base := z*planeStride + y*d2
-			rowBase := zBase + coeffs[2]*float64(y-lo[1])
-			for x := lo[2]; x < hi[2]; x++ {
-				p := rowBase + coeffs[3]*float64(x-lo[2])
-				q.cell(base+x, p)
-			}
-		}
-	}
-}
-
-// quantizeMixed runs prediction + quantization with per-block predictor
-// selection. Blocks are visited in raster order and cells within a
-// block in row-major order, which guarantees every Lorenzo neighbor is
-// already reconstructed. Model fitting and selection are unchanged from
-// the reference; the per-cell quantization runs through the batched
-// block kernels above.
-func quantizeMixed(data []float64, dims []int, eb float64) *mixedResult {
-	g := newRegGrid(dims)
-	nd := len(dims)
-	res := &mixedResult{
-		syms:  make([]int32, 0, len(data)),
-		modes: make([]bool, g.blocks),
-	}
-	rowLen := dims[nd-1]
-	q := &mixedQuantizer{
-		data:     data,
-		recon:    make([]float64, len(data)),
-		res:      res,
-		eb:       eb,
-		twoEB:    2 * eb,
-		invTwoEB: 1 / (2 * eb),
-		dims:     dims,
-		zeroRow:  make([]float64, rowLen),
-	}
-	for b := 0; b < g.blocks; b++ {
-		lo, hi := g.blockBounds(b)
-		coeffs, qc, useReg := chooseRegression(data, dims, lo, hi, eb)
-		res.modes[b] = useReg
-		switch {
-		case useReg && nd == 2:
-			res.qcoeffs = append(res.qcoeffs, qc[:nd+1]...)
-			q.regBlock2D(lo, hi, coeffs[:])
-		case useReg:
-			res.qcoeffs = append(res.qcoeffs, qc[:nd+1]...)
-			q.regBlock3D(lo, hi, coeffs[:])
-		case nd == 2:
-			q.lorenzoBlock2D(lo, hi)
-		default:
-			q.lorenzoBlock3D(lo, hi)
-		}
-	}
-	return res
-}

@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// quantTestDims exercises 1D/2D/3D, odd extents, single-row/column
-// degenerate shapes, and fields smaller and larger than a regression
-// block.
+// quantTestDims exercises 1D/2D/3D, odd extents, and single-row/column
+// degenerate shapes.
 var quantTestDims = [][]int{
 	{1}, {7}, {64}, {1000},
 	{1, 1}, {1, 17}, {17, 1}, {5, 7}, {6, 6}, {13, 29}, {40, 33},
@@ -109,46 +108,6 @@ func TestDequantizeExhaustedPool(t *testing.T) {
 	}
 }
 
-func TestQuantizeMixedMatchesRef(t *testing.T) {
-	for di, dims := range quantTestDims {
-		if len(dims) < 2 {
-			continue // mixed prediction requires 2D/3D
-		}
-		for _, eb := range []float64{1e-3, 1e-8} {
-			data := quantTestField(dims, int64(200+di))
-			got := quantizeMixed(data, dims, eb)
-			want := quantizeMixedRef(data, dims, eb)
-			if len(got.syms) != len(want.syms) {
-				t.Fatalf("dims=%v eb=%g: %d syms, want %d", dims, eb, len(got.syms), len(want.syms))
-			}
-			for i := range got.syms {
-				if got.syms[i] != want.syms[i] {
-					t.Fatalf("dims=%v eb=%g: syms[%d]=%d, want %d", dims, eb, i, got.syms[i], want.syms[i])
-				}
-			}
-			if !sameFloats(got.unpred, want.unpred) {
-				t.Fatalf("dims=%v eb=%g: unpredictable pool diverges", dims, eb)
-			}
-			if len(got.modes) != len(want.modes) {
-				t.Fatalf("dims=%v eb=%g: %d modes, want %d", dims, eb, len(got.modes), len(want.modes))
-			}
-			for i := range got.modes {
-				if got.modes[i] != want.modes[i] {
-					t.Fatalf("dims=%v eb=%g: modes[%d]=%v, want %v", dims, eb, i, got.modes[i], want.modes[i])
-				}
-			}
-			if len(got.qcoeffs) != len(want.qcoeffs) {
-				t.Fatalf("dims=%v eb=%g: %d qcoeffs, want %d", dims, eb, len(got.qcoeffs), len(want.qcoeffs))
-			}
-			for i := range got.qcoeffs {
-				if got.qcoeffs[i] != want.qcoeffs[i] {
-					t.Fatalf("dims=%v eb=%g: qcoeffs[%d]=%d, want %d", dims, eb, i, got.qcoeffs[i], want.qcoeffs[i])
-				}
-			}
-		}
-	}
-}
-
 // TestQuantizeRoundTripFast pins the batched encoder to the batched
 // decoder directly (the pipeline tests cover them through Compress).
 func TestQuantizeRoundTripFast(t *testing.T) {
@@ -176,8 +135,7 @@ func TestQuantizeRoundTripFast(t *testing.T) {
 
 // TestQuantizeAllocs bounds the allocations of the batched kernels:
 // symbol buffer, reconstruction buffer, zero row, and the unpred pool
-// growth on a predictable field — and, for the mixed predictor, nothing
-// per block: the fit and its coefficients are values, not slices.
+// growth on a predictable field.
 func TestQuantizeAllocs(t *testing.T) {
 	dims := []int{32, 32}
 	data := make([]float64, 32*32) // constant field: fully predictable
@@ -186,12 +144,6 @@ func TestQuantizeAllocs(t *testing.T) {
 		quantize(data, dims, 1e-3)
 	}); allocs > 3 {
 		t.Errorf("quantize allocates %v times per run, want <= 3", allocs)
-	}
-	mixed := quantTestField(dims, 1) // 36 blocks, regression and Lorenzo both chosen
-	if allocs := testing.AllocsPerRun(10, func() {
-		quantizeMixed(mixed, dims, 1e-3)
-	}); allocs > 20 {
-		t.Errorf("quantizeMixed allocates %v times per run, want <= 20", allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
 		if _, err := dequantize(&symReader{have: syms}, dims, 1e-3, unpred); err != nil {

@@ -1,7 +1,6 @@
 package sz
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -126,26 +125,5 @@ func TestRegionsGarbage(t *testing.T) {
 	bad := append([]byte("SZR1"), 0xFF, 0xFF, 0xFF, 0xFF)
 	if _, _, err := DecompressRegions(bad, 1); err == nil {
 		t.Fatal("huge region count must fail")
-	}
-}
-
-func TestRegionsWithRegression(t *testing.T) {
-	data, dims := smoothField2D(48, 48, 205)
-	buf, err := CompressRegions(data, dims, Options{Mode: ModeABS, ErrorBound: 0.01, Regression: true}, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := DecompressRegions(buf, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var worst float64
-	for i := range data {
-		if d := math.Abs(got[i] - data[i]); d > worst {
-			worst = d
-		}
-	}
-	if worst > 0.01+1e-12 {
-		t.Fatalf("regression+regions bound violated: %g", worst)
 	}
 }

@@ -24,10 +24,9 @@ func chunkField(n int) []float64 {
 }
 
 // TestDecompressAcrossSymbolChunks decodes fields of more than symChunk
-// symbols whose rows and regression blocks do not divide the chunk, so
-// requests straddle refills, and holds Decompress to the in-memory
-// path: the symbols quantize produced, dequantized by the scalar
-// reference (Lorenzo) or from one slice (mixed).
+// symbols whose rows do not divide the chunk, so requests straddle
+// refills, and holds Decompress to the in-memory path: the symbols
+// quantize produced, dequantized by the scalar reference.
 func TestDecompressAcrossSymbolChunks(t *testing.T) {
 	const eb = 1e-3
 	for _, dims := range [][]int{{150_001}, {301, 299}, {2, 70_001}, {47, 41, 53}, {3, 5, 9001}} {
@@ -62,26 +61,6 @@ func TestDecompressAcrossSymbolChunks(t *testing.T) {
 		_, _, err = Decompress(cutHuffmanSection(t, stream, len(dims)))
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "symbol ") {
 			t.Fatalf("dims %v: cut Huffman section: %v, want a symbol decode error", dims, err)
-		}
-
-		if len(dims) == 1 {
-			continue
-		}
-		mr := quantizeMixed(data, dims, eb)
-		want, err = dequantizeMixed(&symReader{have: mr.syms}, dims, eb, mr.unpred, mr.modes, mr.qcoeffs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream, err = Compress(data, dims, Options{Mode: ModeABS, ErrorBound: eb, Regression: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err = Decompress(stream)
-		if err != nil {
-			t.Fatalf("dims %v mixed: %v", dims, err)
-		}
-		if !sameFloats(got, want) {
-			t.Fatalf("dims %v mixed: Decompress differs from the one-slice path", dims)
 		}
 	}
 }

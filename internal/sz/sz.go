@@ -69,20 +69,12 @@ type Options struct {
 	// ErrorBound is interpreted per Mode: absolute bound (ABS),
 	// relative bound (PWREL), or target PSNR in dB (PSNR).
 	ErrorBound float64
-	// Regression enables SZ 2.x's block-wise linear-regression
-	// predictor, selected per 6^d block against Lorenzo (2D/3D only;
-	// 1D always uses Lorenzo).
-	Regression bool
 }
 
 // quantRadius is the half-width of the quantization code alphabet:
 // codes lie in (-quantRadius, +quantRadius), symbol 0 marks an
 // unpredictable value (SZ's default 65536-interval quantizer).
 const quantRadius = 32768
-
-// flagRegression marks streams produced with the mixed
-// regression/Lorenzo predictor.
-const flagRegression = 0x01
 
 const (
 	magic   = "SZG1"
@@ -116,10 +108,9 @@ func Compress(data []float64, dims []int, opts Options) ([]byte, error) {
 	if opts.ErrorBound <= 0 {
 		return nil, fmt.Errorf("sz: error bound must be positive, got %g", opts.ErrorBound)
 	}
-	useReg := opts.Regression && len(dims) >= 2
 	switch opts.Mode {
 	case ModeABS:
-		return compressABS(data, dims, opts.ErrorBound, ModeABS, opts.ErrorBound, useReg)
+		return compressABS(data, dims, opts.ErrorBound, ModeABS, opts.ErrorBound)
 	case ModePSNR:
 		lo, hi := valueRange(data)
 		rng := hi - lo
@@ -129,9 +120,9 @@ func Compress(data []float64, dims []int, opts Options) ([]byte, error) {
 		// PSNR = 20*log10(range/RMSE); uniform quantization error in
 		// [-eb, eb] has RMSE eb/sqrt(3), so target eb accordingly.
 		eb := rng * math.Pow(10, -opts.ErrorBound/20) * math.Sqrt(3)
-		return compressABS(data, dims, eb, ModePSNR, opts.ErrorBound, useReg)
+		return compressABS(data, dims, eb, ModePSNR, opts.ErrorBound)
 	case ModePWREL:
-		return compressPWREL(data, dims, opts.ErrorBound, useReg)
+		return compressPWREL(data, dims, opts.ErrorBound)
 	default:
 		return nil, fmt.Errorf("sz: unknown mode %d", opts.Mode)
 	}
@@ -289,20 +280,16 @@ func (p *predictor) predict(i int) float64 {
 
 // compressABS implements the core pipeline for an absolute bound; the
 // PSNR mode reuses it with a derived bound.
-func compressABS(data []float64, dims []int, eb float64, mode Mode, param float64, useReg bool) ([]byte, error) {
-	if useReg {
-		mr := quantizeMixed(data, dims, eb)
-		return assemble(mode, param, eb, dims, mr.syms, mr.unpred, nil, 0, mr)
-	}
+func compressABS(data []float64, dims []int, eb float64, mode Mode, param float64) ([]byte, error) {
 	syms, unpred := quantize(data, dims, eb)
-	return assemble(mode, param, eb, dims, syms, unpred, nil, 0, nil)
+	return assemble(mode, param, eb, dims, syms, unpred, nil, 0)
 }
 
 // compressPWREL implements the point-wise relative mode via SZ's
 // log-domain transform: bounding log2|v| absolutely by log2(1+rel)
 // bounds the relative error of v by rel. Signs and exact zeros travel
 // in a side stream of 2-bit flags.
-func compressPWREL(data []float64, dims []int, rel float64, useReg bool) ([]byte, error) {
+func compressPWREL(data []float64, dims []int, rel float64) ([]byte, error) {
 	n := len(data)
 	logs := make([]float64, n)
 	flags := make([]byte, n) // 0: positive, 1: negative, 2: zero
@@ -331,12 +318,8 @@ func compressPWREL(data []float64, dims []int, rel float64, useReg bool) ([]byte
 		}
 	}
 	eb := math.Log2(1 + rel)
-	if useReg {
-		mr := quantizeMixed(logs, dims, eb)
-		return assemble(ModePWREL, rel, eb, dims, mr.syms, mr.unpred, flags, minLog, mr)
-	}
 	syms, unpred := quantize(logs, dims, eb)
-	return assemble(ModePWREL, rel, eb, dims, syms, unpred, flags, minLog, nil)
+	return assemble(ModePWREL, rel, eb, dims, syms, unpred, flags, minLog)
 }
 
 // encScratch holds assemble's large reusable state: the symbol
@@ -402,20 +385,14 @@ var flateWriterPool = sync.Pool{New: func() any {
 }}
 
 // assemble serializes all streams into the final compressed buffer:
-// header, optional regression sections, Huffman table + codes,
-// unpredictable values, optional PWREL flag stream — then the DEFLATE
-// lossless pass over the whole payload. mr is non-nil when the mixed
-// regression/Lorenzo predictor produced the streams.
-func assemble(mode Mode, param, eb float64, dims []int, syms []int32, unpred []float64, flags []byte, minLog float64, mr *mixedResult) ([]byte, error) {
+// header, Huffman table + codes, unpredictable values, optional PWREL
+// flag stream — then the DEFLATE lossless pass over the whole payload.
+func assemble(mode Mode, param, eb float64, dims []int, syms []int32, unpred []float64, flags []byte, minLog float64) ([]byte, error) {
 	var payload bytes.Buffer
 	payload.WriteString(magic)
 	payload.WriteByte(version)
 	payload.WriteByte(byte(mode))
-	var streamFlags byte
-	if mr != nil {
-		streamFlags |= flagRegression
-	}
-	payload.WriteByte(streamFlags)
+	payload.WriteByte(0) // stream flags: none are defined
 	payload.WriteByte(safecast.U8(len(dims)))
 	for _, d := range dims {
 		putU32(&payload, safecast.U32(d))
@@ -424,30 +401,6 @@ func assemble(mode Mode, param, eb float64, dims []int, syms []int32, unpred []f
 	putU64(&payload, math.Float64bits(param))
 	putU64(&payload, math.Float64bits(minLog))
 	putU32(&payload, safecast.U32(len(unpred)))
-	if mr != nil {
-		putU32(&payload, safecast.U32(len(mr.modes)))
-		// Pack the per-block mode flags 64 at a time through the bit
-		// writer's word path; the layout matches one WriteBit per flag.
-		var mw bitio.Writer
-		var acc uint64
-		nAcc := 0
-		for _, m := range mr.modes {
-			acc <<= 1
-			if m {
-				acc |= 1
-			}
-			if nAcc++; nAcc == 64 {
-				mw.WriteBits(acc, 64)
-				acc, nAcc = 0, 0
-			}
-		}
-		mw.WriteBits(acc, nAcc)
-		payload.Write(mw.Bytes())
-		putU32(&payload, safecast.U32(len(mr.qcoeffs)))
-		for _, q := range mr.qcoeffs {
-			putU32(&payload, safecast.Bits32(safecast.I32From64(q)))
-		}
-	}
 
 	// Huffman stage over the symbol alphabet actually used. The
 	// histogram and codec tables come from the scratch pool so repeated
@@ -499,8 +452,8 @@ func assemble(mode Mode, param, eb float64, dims []int, syms []int32, unpred []f
 
 // putU32 and putU64 append a little-endian value to a buffer (whose
 // writes cannot fail) without binary.Write's reflection and boxing per
-// value: a field with many unpredictable values or regression
-// coefficients writes one of these for each.
+// value: a field with many unpredictable values writes one of these for
+// each.
 func putU32(b *bytes.Buffer, v uint32) {
 	var tmp [4]byte
 	binary.LittleEndian.PutUint32(tmp[:], v)
@@ -692,8 +645,7 @@ func parsePayload(p []byte) ([]float64, []int, error) {
 		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
 	mode := Mode(rd.u8())
-	streamFlags := rd.u8()
-	if streamFlags&^flagRegression != 0 {
+	if streamFlags := rd.u8(); streamFlags != 0 {
 		return nil, nil, fmt.Errorf("%w: unknown stream flags %#x", ErrCorrupt, streamFlags)
 	}
 	ndims := int(rd.u8())
@@ -717,40 +669,6 @@ func parsePayload(p []byte) ([]float64, []int, error) {
 	_ = math.Float64frombits(rd.u64()) // original user parameter, informational
 	minLog := math.Float64frombits(rd.u64())
 	nUnpred := int(rd.u32())
-	var modes []bool
-	var qcoeffs []int64
-	if streamFlags&flagRegression != 0 {
-		nBlocks := int(rd.u32())
-		wantBlocks := newRegGrid(dims).blocks
-		if rd.err != nil || nBlocks != wantBlocks {
-			return nil, nil, fmt.Errorf("%w: block count %d != %d", ErrCorrupt, nBlocks, wantBlocks)
-		}
-		mb := rd.take((nBlocks + 7) / 8)
-		if rd.err != nil {
-			return nil, nil, fmt.Errorf("%w: truncated mode bits", ErrCorrupt)
-		}
-		br := bitio.NewReader(mb)
-		modes = make([]bool, nBlocks)
-		nReg := 0
-		for i := range modes {
-			b, err := br.ReadBit()
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: mode bits", ErrCorrupt)
-			}
-			modes[i] = b == 1
-			if modes[i] {
-				nReg++
-			}
-		}
-		nc := int(rd.u32())
-		if rd.err != nil || nc != nReg*(ndims+1) {
-			return nil, nil, fmt.Errorf("%w: coefficient count %d", ErrCorrupt, nc)
-		}
-		qcoeffs = make([]int64, nc)
-		for i := range qcoeffs {
-			qcoeffs[i] = int64(safecast.SignBits32(rd.u32()))
-		}
-	}
 	huffLen := int(rd.u32())
 	if rd.err != nil {
 		return nil, nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
@@ -799,12 +717,7 @@ func parsePayload(p []byte) ([]float64, []int, error) {
 	}
 	syms := &symReader{codec: codec, br: br, chunk: ds.chunk, left: n}
 	defer func() { ds.chunk = syms.chunk }()
-	var recon []float64
-	if streamFlags&flagRegression != 0 {
-		recon, err = dequantizeMixed(syms, dims, eb, unpred, modes, qcoeffs)
-	} else {
-		recon, err = dequantize(syms, dims, eb, unpred)
-	}
+	recon, err := dequantize(syms, dims, eb, unpred)
 	if err != nil {
 		return nil, nil, err
 	}

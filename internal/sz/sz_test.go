@@ -242,6 +242,26 @@ func TestDecompressGarbage(t *testing.T) {
 	}
 }
 
+// TestStreamFlagsAreRefused rebuilds a valid stream with its flags byte
+// set to 1 under a well-formed lossless wrapper: no flag is defined, so
+// the parser must refuse it instead of decoding it some other way.
+func TestStreamFlagsAreRefused(t *testing.T) {
+	data, dims := smoothField2D(16, 16, 9)
+	buf, err := Compress(data, dims, Options{Mode: ModeABS, ErrorBound: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := unwrapPayload(t, buf)
+	const flagsAt = len(magic) + 2 // after the version and mode bytes
+	if payload[flagsAt] != 0 {
+		t.Fatalf("Compress wrote flags %#x, want 0", payload[flagsAt])
+	}
+	payload[flagsAt] = 0x01
+	if _, _, err := Decompress(wrapPayload(t, payload)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("flags 0x01: err %v, want ErrCorrupt", err)
+	}
+}
+
 func TestBitFlipsProduceErrorOrGarbageNeverPanic(t *testing.T) {
 	data, dims := smoothField2D(32, 32, 7)
 	buf, err := Compress(data, dims, Options{Mode: ModeABS, ErrorBound: 0.1})

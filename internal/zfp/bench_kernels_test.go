@@ -205,9 +205,9 @@ func codePlanes(tb testing.TB, fields []planesBench, buf []byte, got []uint64, w
 			clear(got[:f.size])
 			var err error
 			if word {
-				err = decodePlanes(r, got[:f.size], f.size, kmin, unlimited, 0)
+				err = decodePlanes(r, got[:f.size], f.size, kmin, unlimited)
 			} else {
-				err = decodePlanesRef(r, got[:f.size], f.size, intPrec-1, kmin, 0, unlimited, 0)
+				err = decodePlanesRef(r, got[:f.size], f.size, intPrec-1, kmin, 0, unlimited)
 			}
 			if err != nil {
 				tb.Fatal(err)

@@ -59,41 +59,32 @@ func minRate(size int) float64 {
 // blockParams is what one Compress or Decompress call fixes for every
 // block of the stream, worked out once instead of once per block.
 type blockParams struct {
-	rate      bool
-	budget    int  // bits per block: exact in ModeRate, out of reach otherwise
-	kmin      int  // lowest plane kept (0 in ModeRate: the budget decides)
-	perExp    bool // ModeAccuracy: kmin is for exponent 0 and falls as emax rises
-	maxPlanes int
+	rate   bool
+	budget int // bits per block: exact in ModeRate, out of reach otherwise
+	kmin   int // ModeAccuracy: lowest plane kept at exponent 0, falling as emax rises
 }
 
 func newBlockParams(opts Options, size int) blockParams {
-	p := blockParams{budget: 1 + expBits + intPrec*size} // effectively unlimited
-	switch opts.Mode {
-	case ModeRate:
-		p.rate = true
-		p.budget = blockBits(opts.Param, size)
-		p.maxPlanes = opts.maxDecodePlanes
-	case ModePrecision:
-		// Exactly Param planes from the top are kept.
-		p.kmin = intPrec - int(opts.Param)
-	default: // ModeAccuracy
-		// Bit k of a coefficient carries weight 2^(k-fixedPointBits+emax),
-		// and truncation below the tolerance (with a safety margin for
-		// inverse transform growth) is allowed:
-		// 2^(kmin - fixedPointBits + emax) <= tol / 2^accMargin
-		p.kmin = int(math.Floor(math.Log2(opts.Param))) + fixedPointBits - accMargin
-		p.perExp = true
+	if opts.Mode == ModeRate {
+		return blockParams{rate: true, budget: blockBits(opts.Param, size)}
 	}
-	return p
+	// ModeAccuracy. Bit k of a coefficient carries weight
+	// 2^(k-fixedPointBits+emax), and truncation below the tolerance (with
+	// a safety margin for inverse transform growth) is allowed:
+	// 2^(kmin - fixedPointBits + emax) <= tol / 2^accMargin
+	return blockParams{
+		budget: 1 + expBits + intPrec*size, // effectively unlimited
+		kmin:   int(math.Floor(math.Log2(opts.Param))) + fixedPointBits - accMargin,
+	}
 }
 
-// kminFor returns the lowest bit plane a block with exponent emax keeps.
+// kminFor returns the lowest bit plane a block with exponent emax keeps:
+// 0 in ModeRate, where the budget decides.
 func (p *blockParams) kminFor(emax int) int {
-	k := p.kmin
-	if p.perExp {
-		k -= emax
+	if p.rate {
+		return 0
 	}
-	return min(max(k, 0), intPrec)
+	return min(max(p.kmin-emax, 0), intPrec)
 }
 
 // blockExp returns the max binary exponent over the block per
@@ -182,7 +173,7 @@ func decodeBlock(r *bitio.Reader, s *blockScratch, bl *blocker, p *blockParams) 
 		// zeroed.
 		u := s.u
 		clear(u)
-		if err := decodePlanes(r, u, size, p.kminFor(emax), p.budget-1-expBits, p.maxPlanes); err != nil {
+		if err := decodePlanes(r, u, size, p.kminFor(emax), p.budget-1-expBits); err != nil {
 			return err
 		}
 		uint2intBlock(coeffs, u, bl.perm)

@@ -69,30 +69,22 @@ var goldenStreams = map[string]string{
 	"CESM-30x50/Rate-8/decoded":       "cf7b35651f8f4ae635f5a2bf0ccfeeffdfa9769e8162da21ab5727ffa266b240",
 	"CESM-30x50/Rate-2.5":             "6783c33d9f5f4ec757d5136bfbb505e75871b3160a74da88d8b28435d11bb7ee",
 	"CESM-30x50/Rate-2.5/decoded":     "5652ce42b30f9bbdcec3bf77624951ba1716970fe00bebe8c3d55583f89bdadd",
-	"CESM-30x50/Prec-16":              "f8d1e28d7d9ed382affbd29780ad8c61404b1b7d54a525e1ac1f6ba1584c191f",
-	"CESM-30x50/Prec-16/decoded":      "77c46fe239294bb6c7c58e5175afeb3b6e83449349b2e17b9a58c2bebb205c2a",
 	"Isabel-6x13x10/ACC-1e-3":         "715ebf9b41fe24ecd1b23847749c9bf9e1a3e9be47892301320bb73c5c093e83",
 	"Isabel-6x13x10/ACC-1e-3/decoded": "6fd24dc7a936e6c1871a58048a993c7be16934207bd36b75eda51a208aea293b",
 	"Isabel-6x13x10/Rate-8":           "61f272262ae652956d85fd3fc3894ccbebf746b66f1652daf6b8d304415575a0",
 	"Isabel-6x13x10/Rate-8/decoded":   "a95e44f973955803781b32dddf38260ea6e43436ef47265b2b7a8a564c043978",
 	"Isabel-6x13x10/Rate-2.5":         "e8aa4c6574d45d950a04077da696e3d1bebb220541fc676dd502d557611337f8",
 	"Isabel-6x13x10/Rate-2.5/decoded": "613d2d9aed07812eba32525f82c818510005cb4bb7f2283b43f529febc322e72",
-	"Isabel-6x13x10/Prec-16":          "38dfa8b08d20b8717d4d0b4b81c3336adea916a476e276cf8ccb830acd7deb54",
-	"Isabel-6x13x10/Prec-16/decoded":  "1c5aa6f50307d522319d7ffe2be4016f43079c8e06aea70093140c5020fb8f8c",
 	"NYX-9x9x11/ACC-1e-3":             "7e1d504b5bf4699b9c409d2a57fc71d1c402ae61cd94e20740526411462e3e61",
 	"NYX-9x9x11/ACC-1e-3/decoded":     "ddc3ff3fc6fe3067256bd061e4de8e2ddd1cd9458249c144a4f46a2d3a10c8e9",
 	"NYX-9x9x11/Rate-8":               "e0743ef22863b5221c48829944d6599e6760a395d4895455d39c8c002074198f",
 	"NYX-9x9x11/Rate-8/decoded":       "ec7066cc9c6edb597b8e9a6a046c7d6558da03decb2ebf41abd6d93062ab25ad",
 	"NYX-9x9x11/Rate-2.5":             "cf68c2022875ed580947b841f359d163924b1f1857bf86bb14354fdae3c07bd5",
 	"NYX-9x9x11/Rate-2.5/decoded":     "457d0ad9cd291850f96de03f82467bd50cc0b920f37b485970c5b28d4e9e3237",
-	"NYX-9x9x11/Prec-16":              "632dc7d7b016702f2c6ea3bb65cd4ce2e87285c82c836bf52fef861c52c2b3fa",
-	"NYX-9x9x11/Prec-16/decoded":      "eaac40e85c7ff539010bce211e6ba289c8f2d2a36af41fca2ef231c829339d8f",
 	"CESM-row-50/ACC-1e-3":            "0d30dc0a0e48895a52578579d6adad6fdd6b0d8aee921f3f5182f4212ad73ce3",
 	"CESM-row-50/ACC-1e-3/decoded":    "657ec86f6adc5337b30b7404b3626b224da724ab71fcd8c39111e8d4376ca223",
 	"CESM-row-50/Rate-8":              "24c7ebf7a5c67397e285a2c920855b87ac46ea291b1ea4c1f5f9495210f3e1c3",
 	"CESM-row-50/Rate-8/decoded":      "f9bed5bccf49f246dceb2d69c12d1ecb9ed285dcd15ea687f727880e3a2c5506",
-	"CESM-row-50/Prec-16":             "2aef958d86f27adbca93d5d27dabb5fe5010b9657ebbac50e78d447451278ef7",
-	"CESM-row-50/Prec-16/decoded":     "dcd24e0cded6885b11879e16c9a4476bdc0d44d42404a870f5ee0a57e0c7f0e4",
 }
 
 func TestGoldenStreams(t *testing.T) {
@@ -112,7 +104,6 @@ func TestGoldenStreams(t *testing.T) {
 			{"ACC-1e-3", Options{Mode: ModeAccuracy, Param: 1e-3 * valueRange(f.data)}},
 			{"Rate-8", Options{Mode: ModeRate, Param: 8}},
 			{"Rate-2.5", Options{Mode: ModeRate, Param: 2.5}},
-			{"Prec-16", Options{Mode: ModePrecision, Param: 16}},
 		}
 		for _, m := range modes {
 			key := f.name + "/" + m.name

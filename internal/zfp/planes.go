@@ -136,10 +136,8 @@ func encodePlanes(w *bitio.Writer, u []uint64, size, kmin, budget int) {
 
 // decodePlanes mirrors encodePlanes and yields what decodePlanesRef
 // yields on any input: the same u, the same reader position, the same
-// error. maxPlanes > 0 stops the consumption early (progressive
-// decode); the caller skips the block's remaining budget, which is only
-// sound for fixed-rate blocks.
-func decodePlanes(r *bitio.Reader, u []uint64, size, kmin, budget, maxPlanes int) error {
+// error.
+func decodePlanes(r *bitio.Reader, u []uint64, size, kmin, budget int) error {
 	// win is the 64 bits at the reader's position, shifted left by the
 	// used of them consumed here; the reader itself moves only when the
 	// window is reloaded and when this function hands over or returns.
@@ -155,9 +153,6 @@ func decodePlanes(r *bitio.Reader, u []uint64, size, kmin, budget, maxPlanes int
 	n, k := 0, intPrec-1
 	for ; k >= kmin; k-- {
 		if worst := planeWorst(size, n); budget < worst || r.Remaining()-used < worst {
-			break
-		}
-		if maxPlanes > 0 && intPrec-k > maxPlanes {
 			break
 		}
 		var x uint64
@@ -207,7 +202,7 @@ func decodePlanes(r *bitio.Reader, u []uint64, size, kmin, budget, maxPlanes int
 	}
 	_ = r.Skip(used)
 	if k >= kmin && budget > 0 {
-		return decodePlanesRef(r, u, size, k, kmin, n, budget, maxPlanes)
+		return decodePlanesRef(r, u, size, k, kmin, n, budget)
 	}
 	return nil
 }
@@ -260,11 +255,8 @@ func encodePlanesRef(w *bitio.Writer, u []uint64, size, kmax, kmin, n, bits int)
 }
 
 // decodePlanesRef mirrors encodePlanesRef exactly.
-func decodePlanesRef(r *bitio.Reader, u []uint64, size, kmax, kmin, n, bits, maxPlanes int) error {
+func decodePlanesRef(r *bitio.Reader, u []uint64, size, kmax, kmin, n, bits int) error {
 	for k := kmax; k >= kmin && bits > 0; k-- {
-		if maxPlanes > 0 && intPrec-k > maxPlanes {
-			break
-		}
 		m := n
 		if m > bits {
 			m = bits

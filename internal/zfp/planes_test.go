@@ -18,13 +18,12 @@ import (
 // writer/reader that starts pre bits into a byte, and where to damage
 // the encoded block before decoding it.
 type planesCase struct {
-	u         []uint64 // len 4, 16 or 64
-	kmin      int      // 0..intPrec
-	budget    int      // >= 1
-	pre       int      // 0..7
-	maxPlanes int
-	flip      int // bit to flip, reduced modulo the stream length
-	cut       int // bytes to keep, reduced modulo the stream length
+	u      []uint64 // len 4, 16 or 64
+	kmin   int      // 0..intPrec
+	budget int      // >= 1
+	pre    int      // 0..7
+	flip   int      // bit to flip, reduced modulo the stream length
+	cut    int      // bytes to keep, reduced modulo the stream length
 }
 
 // checkPlanes holds encodePlanes to encodePlanesRef (bytes and bit
@@ -71,8 +70,8 @@ func checkPlanes(t *testing.T, c planesCase) {
 		_ = fr.Skip(c.pre)
 		clear(want)
 		clear(got)
-		wantErr := decodePlanesRef(rr, want, size, intPrec-1, c.kmin, 0, c.budget, c.maxPlanes)
-		gotErr := decodePlanes(fr, got, size, c.kmin, c.budget, c.maxPlanes)
+		wantErr := decodePlanesRef(rr, want, size, intPrec-1, c.kmin, 0, c.budget)
+		gotErr := decodePlanes(fr, got, size, c.kmin, c.budget)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("%+v %s: err %v, reference %v", c, name, gotErr, wantErr)
 		}
@@ -84,7 +83,7 @@ func checkPlanes(t *testing.T, c planesCase) {
 				t.Fatalf("%+v %s: u[%d] = %#x, reference %#x", c, name, i, got[i], want[i])
 			}
 		}
-		if name == "clean" && c.maxPlanes == 0 && c.budget >= intPrec*size+size {
+		if name == "clean" && c.budget >= intPrec*size+size {
 			// Nothing limited the coder: every kept plane must come back.
 			for i, v := range c.u {
 				if keep := v >> uint(c.kmin) << uint(c.kmin); got[i] != keep {
@@ -142,9 +141,8 @@ func TestPlanesMatchRef(t *testing.T) {
 				}
 				checkPlanes(t, c)
 				// The same block under a fixed-rate budget, down to one
-				// bit, and as a progressive decode.
+				// bit.
 				c.budget = 1 + rng.Intn(1+rng.Intn(unlimited))
-				c.maxPlanes = rng.Intn(21)
 				checkPlanes(t, c)
 				c.budget = 1 + rng.Intn(3*size)
 				checkPlanes(t, c)
@@ -153,23 +151,22 @@ func TestPlanesMatchRef(t *testing.T) {
 	}
 }
 
-// planesCaseFromBytes decodes a fuzz input: eight parameter bytes, then
+// planesCaseFromBytes decodes a fuzz input: seven parameter bytes, then
 // the coefficients (missing ones are zero).
 func planesCaseFromBytes(data []byte) planesCase {
-	var hdr [8]byte
+	var hdr [7]byte
 	copy(hdr[:], data)
 	size := []int{4, 16, 64}[hdr[0]%3]
 	c := planesCase{
-		u:         make([]uint64, size),
-		kmin:      int(hdr[1]) % (intPrec + 1),
-		budget:    1 + int(binary.LittleEndian.Uint16(hdr[2:]))%(2+expBits+intPrec*size),
-		pre:       int(hdr[4]) % 8,
-		maxPlanes: int(hdr[5]) % 32,
-		flip:      int(hdr[6]) * 7,
-		cut:       int(hdr[7]),
+		u:      make([]uint64, size),
+		kmin:   int(hdr[1]) % (intPrec + 1),
+		budget: 1 + int(binary.LittleEndian.Uint16(hdr[2:]))%(2+expBits+intPrec*size),
+		pre:    int(hdr[4]) % 8,
+		flip:   int(hdr[5]) * 7,
+		cut:    int(hdr[6]),
 	}
-	if len(data) > 8 {
-		data = data[8:]
+	if len(data) > len(hdr) {
+		data = data[len(hdr):]
 		for i := range c.u {
 			if len(data) < 8 {
 				break
@@ -186,11 +183,11 @@ func planesCaseFromBytes(data []byte) planesCase {
 
 func FuzzZFPPlanes(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0xff, 0xff, 3, 0, 9, 200, 1, 2, 3, 4, 5, 6, 7, 0, 9, 9, 9, 9, 9, 9, 9, 3})
-	f.Add(bytes.Repeat([]byte{2, 40, 0x81, 0x00, 5, 7, 31, 77}, 65))
-	f.Add(bytes.Repeat([]byte{0xff}, 8+16*8))
+	f.Add([]byte{1, 0, 0xff, 0xff, 3, 9, 200, 1, 2, 3, 4, 5, 6, 7, 0, 9, 9, 9, 9, 9, 9, 9, 3})
+	f.Add(append([]byte{2, 40, 0x81, 0x00, 5, 31, 77}, bytes.Repeat([]byte{2, 40, 0x81, 0x00, 5, 7, 31, 77}, 64)...))
+	f.Add(bytes.Repeat([]byte{0xff}, 7+16*8))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 8+64*8 {
+		if len(data) > 7+64*8 {
 			return
 		}
 		checkPlanes(t, planesCaseFromBytes(data))
@@ -214,15 +211,9 @@ func blockExpRef(vals []float64) (int, bool) {
 	return e, nonzero
 }
 
-// kminRef is the original per-block kminFor.
+// kminRef is the original per-block kminFor of ModeAccuracy.
 func kminRef(opts Options, emax int) int {
-	var k int
-	switch opts.Mode {
-	case ModePrecision:
-		k = intPrec - int(opts.Param)
-	default: // ModeAccuracy
-		k = int(math.Floor(math.Log2(opts.Param))) + fixedPointBits - emax - accMargin
-	}
+	k := int(math.Floor(math.Log2(opts.Param))) + fixedPointBits - emax - accMargin
 	if k < 0 {
 		k = 0
 	}
@@ -325,7 +316,7 @@ func decompressRef(t *testing.T, buf []byte, dims []int, opts Options) []float64
 				kmin = kminRef(opts, emax)
 			}
 			clear(u)
-			if err := decodePlanesRef(r, u, size, intPrec-1, kmin, 0, budget-1-expBits, 0); err != nil {
+			if err := decodePlanesRef(r, u, size, intPrec-1, kmin, 0, budget-1-expBits); err != nil {
 				t.Fatal(err)
 			}
 			for i, p := range bl.perm {
@@ -399,8 +390,6 @@ func TestCompressMatchesRef(t *testing.T) {
 		{Mode: ModeRate, Param: 8},
 		{Mode: ModeRate, Param: 3.25},
 		{Mode: ModeRate, Param: 64},
-		{Mode: ModePrecision, Param: 16},
-		{Mode: ModePrecision, Param: 64},
 	}
 	for _, f := range fields {
 		for _, opts := range modes {

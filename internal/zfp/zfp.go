@@ -22,6 +22,11 @@
 //     Blocks are fixed size and independent, so a flip corrupts at most
 //     one block (<= 16 values in 2D) and decoding never fails — both
 //     hallmark findings of the paper.
+//
+// No other mode exists, and the decoder refuses any other mode byte, so
+// a flip of the header's mode byte cannot turn a Rate stream into one
+// that decodes every block wrongly: it fails with ErrCorrupt instead of
+// returning a silently wrong field.
 package zfp
 
 import (
@@ -43,9 +48,6 @@ const (
 	ModeAccuracy Mode = iota + 1
 	// ModeRate spends exactly Param bits per value.
 	ModeRate
-	// ModePrecision keeps exactly Param bit planes per block (ZFP's
-	// fixed-precision mode; variable-length blocks like ModeAccuracy).
-	ModePrecision
 )
 
 func (m Mode) String() string {
@@ -54,8 +56,6 @@ func (m Mode) String() string {
 		return "ZFP-ACC"
 	case ModeRate:
 		return "ZFP-Rate"
-	case ModePrecision:
-		return "ZFP-Prec"
 	default:
 		return fmt.Sprintf("ZFP-mode%d", uint8(m))
 	}
@@ -70,12 +70,8 @@ type Options struct {
 	// Workers parallelizes ModeRate compression and decompression over
 	// block ranges (0/1 = serial). Fixed-rate blocks are independent
 	// and fixed-size, which is exactly what makes ZFP's OpenMP and
-	// CUDA execution possible; the variable-length modes stay serial.
+	// CUDA execution possible; ModeAccuracy stays serial.
 	Workers int
-
-	// maxDecodePlanes caps how many bit planes a ModeRate decode
-	// consumes per block (0 = all). Set via DecompressProgressive.
-	maxDecodePlanes int
 }
 
 // ErrCorrupt reports an undecodable stream.
@@ -118,10 +114,6 @@ func Compress(data []float64, dims []int, opts Options) ([]byte, error) {
 			return nil, fmt.Errorf("zfp: rate %g cannot hold a block header; need >= %.3f for %dD data",
 				opts.Param, floor, len(dims))
 		}
-	case ModePrecision:
-		if opts.Param < 1 || opts.Param > intPrec || opts.Param != math.Trunc(opts.Param) {
-			return nil, fmt.Errorf("zfp: precision must be an integer in [1, %d], got %g", intPrec, opts.Param)
-		}
 	default:
 		return nil, fmt.Errorf("zfp: unknown mode %d", opts.Mode)
 	}
@@ -129,9 +121,8 @@ func Compress(data []float64, dims []int, opts Options) ([]byte, error) {
 	bl := newBlocker(dims)
 	p := newBlockParams(opts, bl.blockSize)
 	// Header and payload share one buffer, sized once: exactly in rate
-	// mode, and otherwise for a 6x ratio — the variable-length modes at
-	// the study's bounds land between 7x and 14x — past which append
-	// grows it.
+	// mode, and otherwise for a 6x ratio — accuracy mode at the study's
+	// bounds lands between 7x and 14x — past which append grows it.
 	payload := len(data) * 8 / 6
 	if p.rate {
 		payload = (bl.numBlocks*p.budget + 7) / 8
@@ -216,84 +207,63 @@ func checkDims(data []float64, dims []int) error {
 	return nil
 }
 
-// DecompressProgressive decodes a fixed-rate stream at reduced
-// precision: at most maxPlanes bit planes per block are consumed, the
-// rest skipped — ZFP's progressive-access property (a low-resolution
-// preview without reading/decoding full precision). maxPlanes <= 0
-// decodes everything; non-rate streams are rejected.
-func DecompressProgressive(buf []byte, maxPlanes, workers int) ([]float64, []int, error) {
-	out, dims, mode, err := decompress(buf, maxPlanes, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	if maxPlanes > 0 && mode != ModeRate {
-		return nil, nil, fmt.Errorf("zfp: progressive decode requires a fixed-rate stream, got %s", mode)
-	}
-	return out, dims, nil
-}
-
 // Decompress reverses Compress.
 func Decompress(buf []byte) ([]float64, []int, error) {
-	out, dims, _, err := decompress(buf, 0, 0)
-	return out, dims, err
+	return decompress(buf, 0)
 }
 
-func decompress(buf []byte, maxPlanes, workers int) ([]float64, []int, Mode, error) {
+func decompress(buf []byte, workers int) ([]float64, []int, error) {
 	if len(buf) < len(magic) || string(buf[:len(magic)]) != magic {
-		return nil, nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	rest := buf[len(magic):]
 	if len(rest) < 3 {
-		return nil, nil, 0, fmt.Errorf("%w: truncated header", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	ver, modeB, ndims := rest[0], rest[1], rest[2]
 	rest = rest[3:]
 	if ver != version {
-		return nil, nil, 0, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
+		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
 	mode := Mode(modeB)
-	if mode != ModeAccuracy && mode != ModeRate && mode != ModePrecision {
-		return nil, nil, 0, fmt.Errorf("%w: bad mode %d", ErrCorrupt, modeB)
+	if mode != ModeAccuracy && mode != ModeRate {
+		return nil, nil, fmt.Errorf("%w: bad mode %d", ErrCorrupt, modeB)
 	}
 	if ndims < 1 || ndims > 3 {
-		return nil, nil, 0, fmt.Errorf("%w: bad ndims %d", ErrCorrupt, ndims)
+		return nil, nil, fmt.Errorf("%w: bad ndims %d", ErrCorrupt, ndims)
 	}
 	dims := make([]int, ndims)
 	n := 1
 	for i := range dims {
 		if len(rest) < 4 {
-			return nil, nil, 0, fmt.Errorf("%w: truncated dims", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: truncated dims", ErrCorrupt)
 		}
 		d := binary.LittleEndian.Uint32(rest)
 		rest = rest[4:]
 		if d == 0 || d > maxDim {
-			return nil, nil, 0, fmt.Errorf("%w: bad dimension %d", ErrCorrupt, d)
+			return nil, nil, fmt.Errorf("%w: bad dimension %d", ErrCorrupt, d)
 		}
 		dims[i] = int(d)
 		n *= int(d)
 		if n > maxElements {
-			return nil, nil, 0, fmt.Errorf("%w: element count overflows cap", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: element count overflows cap", ErrCorrupt)
 		}
 	}
 	if len(rest) < 8 {
-		return nil, nil, 0, fmt.Errorf("%w: truncated param", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: truncated param", ErrCorrupt)
 	}
 	paramBits := binary.LittleEndian.Uint64(rest)
 	payload := rest[8:]
 	param := math.Float64frombits(paramBits)
-	opts := Options{Mode: mode, Param: param, Workers: workers, maxDecodePlanes: maxPlanes}
+	opts := Options{Mode: mode, Param: param, Workers: workers}
 	switch mode {
 	case ModeAccuracy:
 		if !(param > 0) || math.IsInf(param, 0) {
-			return nil, nil, 0, fmt.Errorf("%w: bad tolerance", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: bad tolerance", ErrCorrupt)
 		}
 	case ModeRate:
 		if !(param > 0) || param > 64 {
-			return nil, nil, 0, fmt.Errorf("%w: bad rate", ErrCorrupt)
-		}
-	case ModePrecision:
-		if param < 1 || param > intPrec {
-			return nil, nil, 0, fmt.Errorf("%w: bad precision", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: bad rate", ErrCorrupt)
 		}
 	}
 
@@ -304,25 +274,25 @@ func decompress(buf []byte, maxPlanes, workers int) ([]float64, []int, Mode, err
 	// Rejecting it before sizing the output keeps allocations
 	// proportional to the input instead of to header-claimed dims.
 	if bl.numBlocks > 8*len(payload) {
-		return nil, nil, 0, fmt.Errorf("%w: %d blocks cannot fit in %d payload bytes", ErrCorrupt, bl.numBlocks, len(payload))
+		return nil, nil, fmt.Errorf("%w: %d blocks cannot fit in %d payload bytes", ErrCorrupt, bl.numBlocks, len(payload))
 	}
 	out := make([]float64, n)
 	if p.rate && opts.Workers > 1 && bl.numBlocks > 1 {
 		if err := decodeRateParallel(payload, out, bl, opts); err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
-		return out, dims, mode, nil
+		return out, dims, nil
 	}
 	br := bitio.NewReader(payload)
 	s := getBlockScratch(bl.blockSize)
 	defer putBlockScratch(s)
 	for b := 0; b < bl.numBlocks; b++ {
 		if err := decodeBlock(br, s, bl, &p); err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		bl.scatter(out, b, s.vals)
 	}
-	return out, dims, mode, nil
+	return out, dims, nil
 }
 
 // decodeRateParallel is the random-access decode path: each worker

@@ -216,6 +216,49 @@ func TestRateFlipNeverFailsAndStaysLocal(t *testing.T) {
 	}
 }
 
+// TestModeByteFlipsAreRefused flips each bit of the header's mode byte
+// in an ACC and a Rate stream: no flip may turn one mode into another
+// that decodes, so the one-block containment of a Rate flip holds
+// against the header too.
+func TestModeByteFlipsAreRefused(t *testing.T) {
+	data, dims := smooth2D(96, 96, 60)
+	for _, opts := range []Options{{Mode: ModeAccuracy, Param: 0.01}, {Mode: ModeRate, Param: 8}} {
+		buf, err := Compress(data, dims, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bit := 0; bit < 8; bit++ {
+			mut := append([]byte(nil), buf...)
+			mut[len(magic)+1] ^= 1 << bit
+			if _, _, err := Decompress(mut); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, mode byte %d -> %d: err %v, want ErrCorrupt", opts.Mode, buf[len(magic)+1], mut[len(magic)+1], err)
+			}
+		}
+	}
+}
+
+func TestRateTooLowForBlockHeaderRejected(t *testing.T) {
+	// 1D blocks hold 4 values; rate 1 gives 4 bits per block, below
+	// the 13-bit block header — an undecodable stream if allowed.
+	data := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	if _, err := Compress(data, []int{8}, Options{Mode: ModeRate, Param: 1}); err == nil {
+		t.Fatal("1D rate 1 must be rejected")
+	}
+	// Rate 4 (16 bits/block) is fine in 1D.
+	buf, err := Compress(data, []int{8}, Options{Mode: ModeRate, Param: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Decompress(buf); err != nil {
+		t.Fatal(err)
+	}
+	// 2D rate 1 stays legal (16 bits per 16-value block).
+	d2 := make([]float64, 16)
+	if _, err := Compress(d2, []int{4, 4}, Options{Mode: ModeRate, Param: 1}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAccuracyFlipPropagates(t *testing.T) {
 	// Variable-length blocks: a flip desynchronizes later blocks, so
 	// corruption typically spreads far beyond 16 elements.

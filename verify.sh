@@ -103,8 +103,8 @@ go test -run '^$' -fuzz '^FuzzRSRepair$' -fuzztime 10s ./internal/ecc/reedsolomo
 
 echo "== zfp embedded coder fuzz smoke (10s) =="
 # Differential fuzz of the word-speed group-testing coder (block size,
-# kmin, bit budget, bit offset, progressive cap; clean, truncated,
-# bit-flipped and zero-extended input) against the per-bit reference.
+# kmin, bit budget, bit offset; clean, truncated, bit-flipped and
+# zero-extended input) against the per-bit reference.
 go test -run '^$' -fuzz '^FuzzZFPPlanes$' -fuzztime 10s ./internal/zfp
 
 echo "== huffman batch decode fuzz smoke (10s) =="
