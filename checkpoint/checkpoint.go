@@ -133,7 +133,10 @@ func Save(w io.Writer, a *arc.ARC, data []float64, dims []int, opts Options) (*I
 }
 
 // Load reads a checkpoint from r, repairing soft errors through ARC,
-// and decompresses the field. workers bounds decode parallelism.
+// and decompresses the field. workers bounds the parallelism of the
+// ARC stream's chunk decode only. A field above 2^18 values is stored
+// as slabs (see internal/pressio), and those decompress on every core,
+// GOMAXPROCS at a time, whatever workers says.
 func Load(r io.Reader, workers int) ([]float64, []int, *Info, error) {
 	ar := arc.NewReader(r, workers)
 	// WriteTo, not io.ReadAll: the reader hands over whole repaired

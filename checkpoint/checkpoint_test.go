@@ -158,6 +158,30 @@ func TestLoadManyChunks(t *testing.T) {
 	}
 }
 
+// TestSaveLoadSlabField: a field above pressio's cut threshold (2^18
+// values) is saved as a slab container inside the same checkpoint
+// format, and loads back whole with its bound kept across the seams.
+func TestSaveLoadSlabField(t *testing.T) {
+	a := testARC(t)
+	f := datasets.Isabel(40, 96, 96, 9) // 368 640 values: slabs of 28 and 12 planes
+	for _, name := range []string{"SZ-ABS", "ZFP-ACC"} {
+		var buf bytes.Buffer
+		if _, err := Save(&buf, a, f.Data, f.Dims, Options{Compressor: name, Bound: 0.01}); err != nil {
+			t.Fatal(err)
+		}
+		got, dims, info, err := Load(bytes.NewReader(buf.Bytes()), 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if info.Elements != f.N() || dims[0] != f.Dims[0] || dims[2] != f.Dims[2] {
+			t.Fatalf("%s: dims %v, info %+v", name, dims, info)
+		}
+		if n := metrics.CountIncorrect(f.Data, got, 0.01*(1+1e-9)); n != 0 {
+			t.Fatalf("%s: %d bound violations", name, n)
+		}
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, _, _, err := Load(bytes.NewReader([]byte("not a checkpoint")), 1); err == nil {
 		t.Fatal("garbage must fail")

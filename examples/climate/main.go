@@ -33,7 +33,7 @@ func main() {
 	mut := append([]byte(nil), compressed...)
 	bit := rng.Intn(len(mut) * 8)
 	mut[bit/8] ^= 0x80 >> (bit % 8)
-	if dec, dims, err := sz.Decompress(mut); err != nil {
+	if dec, dims, err := sz.Decompress(nil, mut); err != nil {
 		fmt.Printf("without ARC: flip at bit %d -> decompression exception (%v)\n", bit, err)
 	} else {
 		_ = dims
@@ -60,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal("ARC failed to repair: ", err)
 	}
-	restored, _, err := sz.Decompress(dec.Data)
+	restored, _, err := sz.Decompress(nil, dec.Data)
 	if err != nil {
 		log.Fatal(err)
 	}

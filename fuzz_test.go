@@ -21,6 +21,7 @@ import (
 	"repro/internal/bitio"
 	"repro/internal/core"
 	"repro/internal/huffman"
+	"repro/internal/pressio"
 	"repro/internal/sz"
 	"repro/internal/zfp"
 )
@@ -92,8 +93,7 @@ func FuzzSZDecompress(f *testing.F) {
 		if len(data) > 1<<20 {
 			return
 		}
-		_, _, _ = sz.Decompress(data)
-		_, _, _ = sz.DecompressRegions(data, 1)
+		_, _, _ = sz.Decompress(nil, data)
 	})
 }
 
@@ -120,7 +120,66 @@ func FuzzZFPDecompress(f *testing.F) {
 		if len(data) > 1<<20 {
 			return
 		}
-		_, _, _ = zfp.Decompress(data)
+		_, _, _ = zfp.Decompress(nil, data)
+	})
+}
+
+// FuzzPressioDecompress feeds arbitrary bytes to both codecs' pressio
+// decoders, which take a bare stream or a slab container (an index of
+// per-slab stream lengths in front of the streams). Seeds are one
+// multi-slab container per codec, kept to a few hundred bytes by
+// fields their codec predicts almost perfectly. Every input must decode
+// or fail without a panic, within the allocation budget of the
+// single-stream decoders' corrupt-header fuzzers.
+func FuzzPressioDecompress(f *testing.F) {
+	const n = 1<<18 + 1000 // just past the cut threshold
+	ramp := make([]float64, n)
+	for i := range ramp {
+		ramp[i] = float64(i)
+	}
+	comps := make([]pressio.Compressor, 0, 2)
+	for _, seed := range []struct {
+		name  string
+		bound float64
+		data  []float64
+		dims  []int
+	}{
+		{"SZ-ABS", 0.5, ramp, []int{n}},
+		{"ZFP-ACC", 0.01, make([]float64, 68*64*64), []int{68, 64, 64}},
+	} {
+		c, err := pressio.New(seed.name, seed.bound)
+		if err != nil {
+			f.Fatal(err)
+		}
+		valid, err := c.Compress(seed.data, seed.dims)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(valid)
+		mut := slices.Clone(valid)
+		mut[len(mut)/2] ^= 0x10
+		f.Add(mut)
+		comps = append(comps, c)
+	}
+	f.Add([]byte("PSLB"))
+	// An index claiming the cap's 2^27 values in 512 slabs of 32 bytes
+	// each: the output may be sized only after every slab has opened.
+	forged := binary.LittleEndian.AppendUint32([]byte("PSLB\x01"), 1<<27)
+	for range 512 {
+		forged = binary.LittleEndian.AppendUint32(forged, 32)
+	}
+	f.Add(append(forged, make([]byte, 32*512)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<20 {
+			return
+		}
+		for _, c := range comps {
+			if delta := decodeAllocDelta(func() {
+				_, _, _ = c.Decompress(data)
+			}); delta > corruptAllocBudget(len(data)) {
+				t.Fatalf("%s: decode allocated %d bytes for a %d-byte input", c.Name(), delta, len(data))
+			}
+		}
 	})
 }
 
@@ -472,8 +531,7 @@ func FuzzSZDecodeCorruptHeader(f *testing.F) {
 		}
 		data[int(pos)%span] ^= mask
 		if delta := decodeAllocDelta(func() {
-			_, _, _ = sz.Decompress(data)
-			_, _, _ = sz.DecompressRegions(data, 1)
+			_, _, _ = sz.Decompress(nil, data)
 		}); delta > corruptAllocBudget(len(data)) {
 			t.Fatalf("outer-corrupted decode allocated %d bytes for a %d-byte input", delta, len(data))
 		}
@@ -504,7 +562,7 @@ func FuzzSZDecodeCorruptHeader(f *testing.F) {
 		}
 		data = rewrapped.Bytes()
 		if delta := decodeAllocDelta(func() {
-			_, _, _ = sz.Decompress(data)
+			_, _, _ = sz.Decompress(nil, data)
 		}); delta > corruptAllocBudget(len(data)) {
 			t.Fatalf("inner-corrupted decode allocated %d bytes for a %d-byte input", delta, len(data))
 		}
@@ -547,7 +605,7 @@ func FuzzZFPDecodeCorruptHeader(f *testing.F) {
 			}
 			data[int(pos)%span] ^= mask
 			if delta := decodeAllocDelta(func() {
-				_, _, _ = zfp.Decompress(data)
+				_, _, _ = zfp.Decompress(nil, data)
 			}); delta > corruptAllocBudget(len(data)) {
 				t.Fatalf("corrupted decode allocated %d bytes for a %d-byte input", delta, len(data))
 			}

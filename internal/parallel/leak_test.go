@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -71,12 +72,10 @@ func TestForErrLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestForErrPanicStillJoins documents that a panicking body is not
-// recovered (it crashes the process like a serial loop would); this
-// test instead pins the contract that a worker returning normally can
-// never be abandoned by an early return in the caller: ForErr only
-// returns after Wait, so the goroutine count is back to base the
-// moment it does.
+// TestForJoinIsSynchronous pins the contract that a worker returning
+// normally can never be abandoned by an early return in the caller:
+// For only returns after every worker is done, so the goroutine count
+// is back to base the moment it does.
 func TestForJoinIsSynchronous(t *testing.T) {
 	base := runtime.NumGoroutine()
 	release := make(chan struct{})
@@ -95,5 +94,40 @@ func TestForJoinIsSynchronous(t *testing.T) {
 	if !goroutinesSettleTo(base) {
 		t.Fatalf("goroutines leaked after join: %d live, started with %d",
 			runtime.NumGoroutine(), base)
+	}
+}
+
+// TestPanicReachesCaller: whichever range a panic happens in, the
+// caller's recover sees it, and only after every other range has run:
+// no worker outlives the call.
+func TestPanicReachesCaller(t *testing.T) {
+	const n = 8
+	for bad := 0; bad < n; bad++ {
+		for name, run := range map[string]func(body func(i int)){
+			"For": func(body func(i int)) {
+				For(n, n, func(lo, hi int) { body(lo) })
+			},
+			"ForErr": func(body func(i int)) {
+				_ = ForErr(n, n, func(lo, hi int) error { body(lo); return nil })
+			},
+		} {
+			var done atomic.Int64
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				run(func(i int) {
+					defer done.Add(1)
+					if i == bad {
+						panic(fmt.Sprintf("range %d", i))
+					}
+				})
+				return nil
+			}()
+			if got != fmt.Sprintf("range %d", bad) {
+				t.Errorf("%s: range %d panicked; the caller recovered %v", name, bad, got)
+			}
+			if d := done.Load(); d != n {
+				t.Errorf("%s: range %d panicked; %d of %d ranges had run when the caller saw it", name, bad, d, n)
+			}
+		}
 	}
 }

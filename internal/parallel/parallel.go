@@ -37,7 +37,9 @@ func Clamp(workers, n int) int {
 // parallel with other ranges. For blocks until all ranges complete.
 //
 // A worker count of 1 (or n <= 1) runs inline with no goroutines, so
-// serial paths pay no synchronization cost.
+// serial paths pay no synchronization cost. A panic in body is raised
+// again on the caller's goroutine once every range has finished, so a
+// recover around the call sees it as it would a serial loop's.
 func For(n, workers int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -47,7 +49,7 @@ func For(n, workers int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	var wg sync.WaitGroup
+	var j join
 	chunk := n / workers
 	rem := n % workers
 	lo := 0
@@ -57,19 +59,20 @@ func For(n, workers int, body func(lo, hi int)) {
 			size++
 		}
 		hi := lo + size
-		wg.Add(1)
+		j.Add(1)
 		go func(lo, hi int) {
-			defer wg.Done()
+			defer j.done()
 			body(lo, hi)
 		}(lo, hi)
 		lo = hi
 	}
-	wg.Wait()
+	j.wait()
 }
 
 // ForErr is For with error collection: the first non-nil error (by
 // range order) is returned after all workers finish. Workers do not
-// cancel each other; ranges are independent by contract.
+// cancel each other; ranges are independent by contract. A panic
+// reaches the caller as For's does.
 func ForErr(n, workers int, body func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil
@@ -79,7 +82,7 @@ func ForErr(n, workers int, body func(lo, hi int) error) error {
 		return body(0, n)
 	}
 	errs := make([]error, workers)
-	var wg sync.WaitGroup
+	var j join
 	chunk := n / workers
 	rem := n % workers
 	lo := 0
@@ -89,18 +92,43 @@ func ForErr(n, workers int, body func(lo, hi int) error) error {
 			size++
 		}
 		hi := lo + size
-		wg.Add(1)
+		j.Add(1)
 		go func(w, lo, hi int) {
-			defer wg.Done()
+			defer j.done()
 			errs[w] = body(lo, hi)
 		}(w, lo, hi)
 		lo = hi
 	}
-	wg.Wait()
+	j.wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// join waits for a set of workers and carries the first panic among
+// them back to the goroutine that waits.
+type join struct {
+	sync.WaitGroup
+	once     sync.Once
+	panicked any
+}
+
+// done is deferred by each worker in place of Done: it stops the
+// worker's panic, keeping the first one, and marks the worker done.
+func (j *join) done() {
+	if r := recover(); r != nil {
+		j.once.Do(func() { j.panicked = r })
+	}
+	j.Done()
+}
+
+// wait waits for every worker, then raises the kept panic, if any.
+func (j *join) wait() {
+	j.Wait()
+	if j.panicked != nil {
+		panic(j.panicked)
+	}
 }

@@ -3,6 +3,12 @@
 // SZ and ZFP. It exposes the five compressor/mode configurations the
 // fault study evaluates behind one interface and a registry keyed by
 // the paper's mode names.
+//
+// A field of more than 2^18 values is cut into slabs along its slowest
+// dimension, each compressed as a complete SZ or ZFP stream and all of
+// them run on every core (slab.go); a smaller field, and an SZ-PSNR
+// field of any size, is one bare codec stream, byte for byte what the
+// codec writes.
 package pressio
 
 import (
@@ -21,7 +27,8 @@ type Compressor interface {
 	Name() string
 	// Compress encodes row-major data with the given dims (1-3).
 	Compress(data []float64, dims []int) ([]byte, error)
-	// Decompress decodes a buffer produced by Compress.
+	// Decompress decodes a buffer produced by Compress (a bare stream
+	// of the configuration's codec, or a slab container of them).
 	Decompress(buf []byte) ([]float64, []int, error)
 	// Bound returns the configured error-bounding parameter.
 	Bound() float64
@@ -41,9 +48,18 @@ type szComp struct {
 
 func (c szComp) Name() string { return c.mode.String() }
 func (c szComp) Compress(data []float64, dims []int) ([]byte, error) {
-	return sz.Compress(data, dims, sz.Options{Mode: c.mode, ErrorBound: c.bound})
+	opts := sz.Options{Mode: c.mode, ErrorBound: c.bound}
+	if c.mode == sz.ModePSNR {
+		// SZ-PSNR takes its error bound from the value range of the data
+		// it is given; a slab's range is not the field's, so the field
+		// is never cut.
+		return sz.Compress(data, dims, opts)
+	}
+	return compress(data, dims, func(data []float64, dims []int) ([]byte, error) {
+		return sz.Compress(data, dims, opts)
+	})
 }
-func (c szComp) Decompress(buf []byte) ([]float64, []int, error) { return sz.Decompress(buf) }
+func (c szComp) Decompress(buf []byte) ([]float64, []int, error) { return decompress(buf, szCodec) }
 func (c szComp) Bound() float64                                  { return c.bound }
 func (c szComp) BoundsError() bool                               { return c.mode != sz.ModePSNR }
 func (c szComp) WithBound(b float64) Compressor                  { return szComp{c.mode, b} }
@@ -55,9 +71,12 @@ type zfpComp struct {
 
 func (c zfpComp) Name() string { return c.mode.String() }
 func (c zfpComp) Compress(data []float64, dims []int) ([]byte, error) {
-	return zfp.Compress(data, dims, zfp.Options{Mode: c.mode, Param: c.bound})
+	opts := zfp.Options{Mode: c.mode, Param: c.bound}
+	return compress(data, dims, func(data []float64, dims []int) ([]byte, error) {
+		return zfp.Compress(data, dims, opts)
+	})
 }
-func (c zfpComp) Decompress(buf []byte) ([]float64, []int, error) { return zfp.Decompress(buf) }
+func (c zfpComp) Decompress(buf []byte) ([]float64, []int, error) { return decompress(buf, zfpCodec) }
 func (c zfpComp) Bound() float64                                  { return c.bound }
 func (c zfpComp) BoundsError() bool                               { return c.mode == zfp.ModeAccuracy }
 func (c zfpComp) WithBound(b float64) Compressor                  { return zfpComp{c.mode, b} }
@@ -104,8 +123,10 @@ func StudySet() []Compressor {
 // SearchBound binary-searches the bounding parameter so that the
 // compression ratio (uncompressed float64 bytes / compressed bytes)
 // lands within tol of target. It returns the tuned compressor and the
-// achieved ratio. Only monotone modes are supported (CR grows with the
-// bound); ZFP-Rate's ratio is set directly from the rate instead.
+// achieved ratio. The ratio must be monotone in the bound: it grows
+// with an error bound, and falls as SZ-PSNR's target PSNR rises, so
+// that mode searches the other way. ZFP-Rate's ratio is set directly
+// from the rate instead.
 func SearchBound(c Compressor, data []float64, dims []int, target, tol float64, maxIter int) (Compressor, float64, error) {
 	if c.Name() == "ZFP-Rate" {
 		// CR = 64 bits per value / rate, so invert directly.
@@ -120,6 +141,7 @@ func SearchBound(c Compressor, data []float64, dims []int, target, tol float64, 
 		}
 		return tuned, ratio(data, buf), nil
 	}
+	falls := c.Name() == "SZ-PSNR"
 	lo, hi := 1e-12, 1e12
 	var achieved float64
 	best := c
@@ -132,12 +154,14 @@ func SearchBound(c Compressor, data []float64, dims []int, target, tol float64, 
 		}
 		achieved = ratio(data, buf)
 		best = tuned
-		if achieved > target*(1+tol) {
-			hi = mid // too lossy: shrink bound
-		} else if achieved < target*(1-tol) {
-			lo = mid
-		} else {
+		tooHigh, tooLow := achieved > target*(1+tol), achieved < target*(1-tol)
+		if !tooHigh && !tooLow {
 			return tuned, achieved, nil
+		}
+		if tooHigh != falls {
+			hi = mid // too lossy: tighten the bound
+		} else {
+			lo = mid
 		}
 	}
 	return best, achieved, nil

@@ -144,7 +144,7 @@ func BenchmarkKernelSZDequantize(b *testing.B) {
 	syms, unpred := quantize(data, benchQuantDims, eb)
 	kernelPair{int64(len(data) * 8),
 		func(tb testing.TB) {
-			if _, err := dequantize(&symReader{have: syms}, benchQuantDims, eb, unpred); err != nil {
+			if _, err := dequantize(nil, &symReader{have: syms}, benchQuantDims, eb, unpred); err != nil {
 				tb.Fatal(err)
 			}
 		},

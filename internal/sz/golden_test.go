@@ -164,7 +164,7 @@ func TestGoldenStreams(t *testing.T) {
 			}
 			// The recorded stream must also still decode to what it
 			// decoded to then: value-identity of the decoder.
-			out, _, err := Decompress(buf)
+			out, _, err := Decompress(nil, buf)
 			if err != nil {
 				t.Errorf("%s: decompress: %v", key, err)
 				continue

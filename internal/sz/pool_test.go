@@ -40,7 +40,7 @@ func TestPooledPathsAreDeterministic(t *testing.T) {
 			} else if !bytes.Equal(buf, first) {
 				t.Fatalf("%s iter %d: compressed bytes differ from first run", opts.Mode, iter)
 			}
-			out, gotDims, err := Decompress(buf)
+			out, gotDims, err := Decompress(nil, buf)
 			if err != nil {
 				t.Fatalf("%s iter %d: decompress: %v", opts.Mode, iter, err)
 			}
@@ -87,7 +87,7 @@ func TestPooledPathsConcurrent(t *testing.T) {
 					errs <- errStreamMismatch
 					return
 				}
-				if _, _, err := Decompress(buf); err != nil {
+				if _, _, err := Decompress(nil, buf); err != nil {
 					errs <- err
 					return
 				}
@@ -137,7 +137,7 @@ func TestPooledBuffersConcurrentSizes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			values, _, err := Decompress(stream)
+			values, _, err := Decompress(nil, stream)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestPooledBuffersConcurrentSizes(t *testing.T) {
 					t.Errorf("goroutine %d: field %d opts %d: stream differs from the single-threaded one", g, i, j)
 					return
 				}
-				values, _, err := Decompress(stream)
+				values, _, err := Decompress(nil, stream)
 				if err != nil {
 					t.Errorf("goroutine %d: decompress: %v", g, err)
 					return
@@ -203,7 +203,7 @@ func unwrapPayload(t *testing.T, stream []byte) []byte {
 }
 
 // wrapPayload puts a well-formed lossless stage around payload, so that
-// whatever is wrong with it reaches parsePayload.
+// whatever is wrong with it reaches DecodePayload.
 func wrapPayload(t *testing.T, payload []byte) []byte {
 	t.Helper()
 	var out bytes.Buffer
@@ -238,25 +238,25 @@ func TestDecompressAfterFailedDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBig, _, err := Decompress(bigStream)
+	wantBig, _, err := Decompress(nil, bigStream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSmall, _, err := Decompress(smallStream)
+	wantSmall, _, err := Decompress(nil, smallStream)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := cutHuffmanSection(t, bigStream, len(big.Dims))
 	for round := 0; round < 3; round++ {
-		_, _, err := Decompress(bad)
+		_, _, err := Decompress(nil, bad)
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "symbol ") {
 			t.Fatalf("round %d: cut Huffman section: %v, want a symbol decode error", round, err)
 		}
-		got, _, err := Decompress(smallStream)
+		got, _, err := Decompress(nil, smallStream)
 		if err != nil || !sameFloats(got, wantSmall) {
 			t.Fatalf("round %d: small field after a failed decode: err %v, values equal %v", round, err, sameFloats(got, wantSmall))
 		}
-		got, _, err = Decompress(bigStream)
+		got, _, err = Decompress(nil, bigStream)
 		if err != nil || !sameFloats(got, wantBig) {
 			t.Fatalf("round %d: same field after a failed decode: err %v, values equal %v", round, err, sameFloats(got, wantBig))
 		}

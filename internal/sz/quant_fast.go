@@ -301,13 +301,17 @@ func quantize3D(data []float64, d0, d1, d2 int, eb float64, syms []int32, recon 
 // unpredictable values, through the same dimension-specialized batched
 // kernels; dequantizeRef is the retained scalar reference. Symbols are
 // taken from syms a row at a time, so a Huffman-backed reader decodes
-// them a chunk ahead and the field's worth is never in memory.
-func dequantize(syms *symReader, dims []int, eb float64, unpred []float64) ([]float64, error) {
+// them a chunk ahead and the field's worth is never in memory. The
+// values go to dst, which must hold exactly the field; nil allocates.
+func dequantize(dst []float64, syms *symReader, dims []int, eb float64, unpred []float64) ([]float64, error) {
 	n := 1
 	for _, d := range dims {
 		n *= d
 	}
-	recon := make([]float64, n)
+	recon := dst
+	if recon == nil {
+		recon = make([]float64, n)
+	}
 	var err error
 	switch len(dims) {
 	case 2:

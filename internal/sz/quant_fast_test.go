@@ -81,7 +81,7 @@ func TestDequantizeMatchesRef(t *testing.T) {
 		eb := 1e-4
 		data := quantTestField(dims, int64(100+di))
 		syms, unpred := quantizeRef(data, dims, eb)
-		got, err := dequantize(&symReader{have: syms}, dims, eb, unpred)
+		got, err := dequantize(nil, &symReader{have: syms}, dims, eb, unpred)
 		if err != nil {
 			t.Fatalf("dims=%v: dequantize: %v", dims, err)
 		}
@@ -102,7 +102,7 @@ func TestDequantizeExhaustedPool(t *testing.T) {
 			n *= d
 		}
 		syms := make([]int32, n) // all unpredictable, empty pool
-		if _, err := dequantize(&symReader{have: syms}, dims, 1e-3, nil); err == nil {
+		if _, err := dequantize(nil, &symReader{have: syms}, dims, 1e-3, nil); err == nil {
 			t.Fatalf("dims=%v: no error on exhausted unpredictable pool", dims)
 		}
 	}
@@ -115,7 +115,7 @@ func TestQuantizeRoundTripFast(t *testing.T) {
 		eb := 1e-5
 		data := quantTestField(dims, int64(300+di))
 		syms, unpred := quantize(data, dims, eb)
-		recon, err := dequantize(&symReader{have: syms}, dims, eb, unpred)
+		recon, err := dequantize(nil, &symReader{have: syms}, dims, eb, unpred)
 		if err != nil {
 			t.Fatalf("dims=%v: %v", dims, err)
 		}
@@ -146,7 +146,7 @@ func TestQuantizeAllocs(t *testing.T) {
 		t.Errorf("quantize allocates %v times per run, want <= 3", allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if _, err := dequantize(&symReader{have: syms}, dims, 1e-3, unpred); err != nil {
+		if _, err := dequantize(nil, &symReader{have: syms}, dims, 1e-3, unpred); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 2 {

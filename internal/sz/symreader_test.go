@@ -48,7 +48,7 @@ func TestDecompressAcrossSymbolChunks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := Decompress(stream)
+		got, _, err := Decompress(nil, stream)
 		if err != nil {
 			t.Fatalf("dims %v: %v", dims, err)
 		}
@@ -58,7 +58,7 @@ func TestDecompressAcrossSymbolChunks(t *testing.T) {
 
 		// A section cut in half fails at a symbol past the first chunk,
 		// with the index the per-symbol loop would report.
-		_, _, err = Decompress(cutHuffmanSection(t, stream, len(dims)))
+		_, _, err = Decompress(nil, cutHuffmanSection(t, stream, len(dims)))
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "symbol ") {
 			t.Fatalf("dims %v: cut Huffman section: %v, want a symbol decode error", dims, err)
 		}

@@ -467,11 +467,29 @@ func putU64(b *bytes.Buffer, v uint64) {
 }
 
 // Decompress reverses Compress, returning the reconstructed values and
-// dimensions. Any inconsistency in the stream yields an error wrapping
-// ErrCorrupt; wildly corrupted metadata can instead make the call slow
-// (bounded by maxElements), which the fault-injection harness
-// classifies as a timeout, as the paper observed with real SZ.
-func Decompress(buf []byte) ([]float64, []int, error) {
+// dimensions. The values are written to dst, which must hold exactly
+// the stream's element count (a stream of another size is refused as
+// corrupt before anything is written); a nil dst allocates the output.
+// Any inconsistency in the stream yields an error wrapping ErrCorrupt;
+// wildly corrupted metadata can instead make the call slow (bounded by
+// maxElements), which the fault-injection harness classifies as a
+// timeout, as the paper observed with real SZ.
+//
+// Decompress is Inflate followed by DecodePayload.
+func Decompress(dst []float64, buf []byte) ([]float64, []int, error) {
+	payload, _, err := Inflate(buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	return DecodePayload(dst, payload)
+}
+
+// Inflate undoes a stream's lossless stage and checks the payload's
+// header as DecodePayload does before it sizes anything, returning the
+// payload and the dims it claims. It allocates only as DEFLATE really
+// produces bytes, so a caller that decodes several streams into one
+// output can check every stream's dims before allocating that output.
+func Inflate(buf []byte) ([]byte, []int, error) {
 	if len(buf) < len(magic)+8 {
 		return nil, nil, fmt.Errorf("%w: short buffer", ErrCorrupt)
 	}
@@ -490,7 +508,11 @@ func Decompress(buf []byte) ([]float64, []int, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: lossless stage: %v", ErrCorrupt, err)
 	}
-	return parsePayload(payload)
+	h, err := readHeader(&byteReader{buf: payload})
+	if err != nil {
+		return nil, nil, err
+	}
+	return payload, h.dims, nil
 }
 
 // maxDeflateRatio bounds DEFLATE's expansion: no deflate stream
@@ -636,62 +658,93 @@ func (r *symReader) fill(n int) error {
 	return nil
 }
 
-func parsePayload(p []byte) ([]float64, []int, error) {
-	rd := &byteReader{buf: p}
+// header is a payload's fixed part, checked against itself and the
+// bytes behind it.
+type header struct {
+	mode    Mode
+	dims    []int
+	n       int // values
+	eb      float64
+	minLog  float64
+	nUnpred int
+	huff    []byte // the Huffman section
+}
+
+// readHeader reads and checks a payload's header, leaving rd at the
+// unpredictable values. Every count it returns is bounded by the bytes
+// of the payload, so sizing a buffer by it costs memory in proportion
+// to the input.
+func readHeader(rd *byteReader) (header, error) {
+	var h header
 	if string(rd.take(len(magic))) != magic {
-		return nil, nil, fmt.Errorf("%w: bad inner magic", ErrCorrupt)
+		return h, fmt.Errorf("%w: bad inner magic", ErrCorrupt)
 	}
 	if v := rd.u8(); v != version {
-		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
+		return h, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
-	mode := Mode(rd.u8())
+	h.mode = Mode(rd.u8())
 	if streamFlags := rd.u8(); streamFlags != 0 {
-		return nil, nil, fmt.Errorf("%w: unknown stream flags %#x", ErrCorrupt, streamFlags)
+		return h, fmt.Errorf("%w: unknown stream flags %#x", ErrCorrupt, streamFlags)
 	}
 	ndims := int(rd.u8())
 	if rd.err != nil || ndims < 1 || ndims > 3 {
-		return nil, nil, fmt.Errorf("%w: bad ndims", ErrCorrupt)
+		return h, fmt.Errorf("%w: bad ndims", ErrCorrupt)
 	}
-	dims := make([]int, ndims)
-	n := 1
-	for i := range dims {
+	h.dims = make([]int, ndims)
+	h.n = 1
+	for i := range h.dims {
 		d := int(rd.u32())
 		if d <= 0 || d > maxDim {
-			return nil, nil, fmt.Errorf("%w: bad dimension %d", ErrCorrupt, d)
+			return h, fmt.Errorf("%w: bad dimension %d", ErrCorrupt, d)
 		}
-		dims[i] = d
-		n *= d
-		if n > maxElements {
-			return nil, nil, fmt.Errorf("%w: element count overflows cap", ErrCorrupt)
+		h.dims[i] = d
+		h.n *= d
+		if h.n > maxElements {
+			return h, fmt.Errorf("%w: element count overflows cap", ErrCorrupt)
 		}
 	}
-	eb := math.Float64frombits(rd.u64())
+	h.eb = math.Float64frombits(rd.u64())
 	_ = math.Float64frombits(rd.u64()) // original user parameter, informational
-	minLog := math.Float64frombits(rd.u64())
-	nUnpred := int(rd.u32())
+	h.minLog = math.Float64frombits(rd.u64())
+	h.nUnpred = int(rd.u32())
 	huffLen := int(rd.u32())
 	if rd.err != nil {
-		return nil, nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+		return h, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
-	if nUnpred < 0 || nUnpred > n {
-		return nil, nil, fmt.Errorf("%w: unpredictable count %d out of range", ErrCorrupt, nUnpred)
+	if h.nUnpred < 0 || h.nUnpred > h.n {
+		return h, fmt.Errorf("%w: unpredictable count %d out of range", ErrCorrupt, h.nUnpred)
 	}
-	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
-		return nil, nil, fmt.Errorf("%w: invalid error bound", ErrCorrupt)
+	if h.eb <= 0 || math.IsNaN(h.eb) || math.IsInf(h.eb, 0) {
+		return h, fmt.Errorf("%w: invalid error bound", ErrCorrupt)
 	}
-	hb := rd.take(huffLen)
+	h.huff = rd.take(huffLen)
 	if rd.err != nil {
-		return nil, nil, fmt.Errorf("%w: truncated huffman section", ErrCorrupt)
+		return h, fmt.Errorf("%w: truncated huffman section", ErrCorrupt)
 	}
 	// Every decoded symbol costs at least one bit, so the Huffman
 	// section must hold at least n bits; a shorter section means the
 	// count metadata is corrupt. Checking before sizing the symbol and
 	// reconstruction buffers keeps allocations proportional to the
 	// stream instead of to header-claimed dimensions.
-	if n > 8*huffLen {
-		return nil, nil, wrapCorrupt("element count %d exceeds huffman section capacity (%d bytes)", n, huffLen)
+	if h.n > 8*huffLen {
+		return h, wrapCorrupt("element count %d exceeds huffman section capacity (%d bytes)", h.n, huffLen)
 	}
-	unpred := make([]float64, nUnpred)
+	return h, nil
+}
+
+// DecodePayload decodes a payload Inflate returned; with it, it is
+// Decompress.
+func DecodePayload(dst []float64, p []byte) ([]float64, []int, error) {
+	rd := &byteReader{buf: p}
+	h, err := readHeader(rd)
+	if err != nil {
+		return nil, nil, err
+	}
+	mode, dims, n, eb, minLog, nUnpred := h.mode, h.dims, h.n, h.eb, h.minLog, h.nUnpred
+	if dst != nil && len(dst) != n {
+		return nil, nil, wrapCorrupt("stream holds %d values, dst %d", n, len(dst))
+	}
+	unpred := make([]float64, nUnpred) //arcvet:ignore allocguard readHeader bounds nUnpred <= n <= 8*len(huff section)
 	for i := range unpred {
 		unpred[i] = math.Float64frombits(rd.u64())
 	}
@@ -706,7 +759,7 @@ func parsePayload(p []byte) ([]float64, []int, error) {
 		ds = new(decScratch) // unreachable: the pool's New returns *decScratch
 	}
 	defer decScratchPool.Put(ds)
-	br := bitio.NewReader(hb)
+	br := bitio.NewReader(h.huff)
 	codec, err := huffman.ReadTableMaxInto(&ds.codec, br, 2*quantRadius)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -717,7 +770,7 @@ func parsePayload(p []byte) ([]float64, []int, error) {
 	}
 	syms := &symReader{codec: codec, br: br, chunk: ds.chunk, left: n}
 	defer func() { ds.chunk = syms.chunk }()
-	recon, err := dequantize(syms, dims, eb, unpred)
+	recon, err := dequantize(dst, syms, dims, eb, unpred) //arcvet:ignore allocguard readHeader caps the dims' product at maxElements and at 8*len(huff section)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -726,8 +779,9 @@ func parsePayload(p []byte) ([]float64, []int, error) {
 		if rd.err != nil {
 			return nil, nil, fmt.Errorf("%w: truncated flag stream", ErrCorrupt)
 		}
+		// Each value leaves the log domain in place: it depends only on
+		// its own reconstruction and flag.
 		fr := bitio.NewReader(flagBytes)
-		out := make([]float64, n)
 		for i := 0; i < n; i++ {
 			f, err := fr.ReadBits(2)
 			if err != nil {
@@ -735,15 +789,14 @@ func parsePayload(p []byte) ([]float64, []int, error) {
 			}
 			switch f {
 			case 2:
-				out[i] = 0
+				recon[i] = 0
 			case 1:
-				out[i] = -math.Exp2(recon[i])
+				recon[i] = -math.Exp2(recon[i])
 			default:
-				out[i] = math.Exp2(recon[i])
+				recon[i] = math.Exp2(recon[i])
 			}
 		}
 		_ = minLog
-		return out, dims, nil
 	}
 	return recon, dims, nil
 }

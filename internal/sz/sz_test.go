@@ -44,7 +44,7 @@ func TestABSRoundTripBoundHolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotDims, err := Decompress(buf)
+		got, gotDims, err := Decompress(nil, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestABS1DAnd3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Decompress(buf)
+	got, _, err := Decompress(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestABS1DAnd3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got3, _, err := Decompress(buf3)
+	got3, _, err := Decompress(nil, buf3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestPWRELBoundHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Decompress(buf)
+	got, _, err := Decompress(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestPSNRTargetMet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Decompress(buf)
+	got, _, err := Decompress(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestUnpredictableValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Decompress(buf)
+	got, _, err := Decompress(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestNaNAndInfSurvive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Decompress(buf)
+	got, _, err := Decompress(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,10 +234,10 @@ func TestValidation(t *testing.T) {
 }
 
 func TestDecompressGarbage(t *testing.T) {
-	if _, _, err := Decompress(nil); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := Decompress(nil, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("nil buffer must be corrupt")
 	}
-	if _, _, err := Decompress([]byte("not a stream at all")); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := Decompress(nil, []byte("not a stream at all")); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("garbage must be corrupt")
 	}
 }
@@ -257,7 +257,7 @@ func TestStreamFlagsAreRefused(t *testing.T) {
 		t.Fatalf("Compress wrote flags %#x, want 0", payload[flagsAt])
 	}
 	payload[flagsAt] = 0x01
-	if _, _, err := Decompress(wrapPayload(t, payload)); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := Decompress(nil, wrapPayload(t, payload)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("flags 0x01: err %v, want ErrCorrupt", err)
 	}
 }
@@ -280,7 +280,7 @@ func TestBitFlipsProduceErrorOrGarbageNeverPanic(t *testing.T) {
 					t.Fatalf("bit %d: decompression panicked: %v", bit, r)
 				}
 			}()
-			if _, _, err := Decompress(mut); err != nil {
+			if _, _, err := Decompress(nil, mut); err != nil {
 				failed++
 			} else {
 				completed++
@@ -309,7 +309,7 @@ func TestConstantField(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		got, _, err := Decompress(buf)
+		got, _, err := Decompress(nil, buf)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -373,7 +373,7 @@ func TestQuantizeDequantizeInverse(t *testing.T) {
 	data, dims := smoothField2D(24, 24, 300)
 	eb := 0.01
 	syms, unpred := quantize(data, dims, eb)
-	recon, err := dequantize(&symReader{have: syms}, dims, eb, unpred)
+	recon, err := dequantize(nil, &symReader{have: syms}, dims, eb, unpred)
 	if err != nil {
 		t.Fatal(err)
 	}

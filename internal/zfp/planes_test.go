@@ -402,7 +402,7 @@ func TestCompressMatchesRef(t *testing.T) {
 				t.Fatalf("%s %s %g: stream differs from the reference build (%d vs %d bytes)",
 					f.name, opts.Mode, opts.Param, len(got), len(want))
 			}
-			dec, _, err := Decompress(got)
+			dec, _, err := Decompress(nil, got)
 			if err != nil {
 				t.Fatalf("%s %s %g: decompress: %v", f.name, opts.Mode, opts.Param, err)
 			}

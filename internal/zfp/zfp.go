@@ -36,7 +36,6 @@ import (
 	"math"
 
 	"repro/internal/bitio"
-	"repro/internal/parallel"
 	"repro/internal/safecast"
 )
 
@@ -67,11 +66,6 @@ type Options struct {
 	// Param is the absolute error tolerance (ModeAccuracy) or the rate
 	// in bits per value (ModeRate).
 	Param float64
-	// Workers parallelizes ModeRate compression and decompression over
-	// block ranges (0/1 = serial). Fixed-rate blocks are independent
-	// and fixed-size, which is exactly what makes ZFP's OpenMP and
-	// CUDA execution possible; ModeAccuracy stays serial.
-	Workers int
 }
 
 // ErrCorrupt reports an undecodable stream.
@@ -135,9 +129,6 @@ func Compress(data []float64, dims []int, opts Options) ([]byte, error) {
 	}
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(opts.Param))
 
-	if p.rate && opts.Workers > 1 && bl.numBlocks > 1 {
-		return encodeRateParallel(out, data, bl, opts), nil
-	}
 	w := bitio.NewWriter(out)
 	s := getBlockScratch(bl.blockSize)
 	for b := 0; b < bl.numBlocks; b++ {
@@ -146,48 +137,6 @@ func Compress(data []float64, dims []int, opts Options) ([]byte, error) {
 	}
 	putBlockScratch(s)
 	return w.Bytes(), nil
-}
-
-// rateGroup returns the number of fixed-rate blocks whose combined bit
-// length is byte-aligned, so parallel workers can own whole groups and
-// their buffers concatenate without bit shifting.
-func rateGroup(opts Options, size int) int {
-	bb := blockBits(opts.Param, size)
-	g := 8 / gcdInt(bb, 8)
-	return g
-}
-
-func gcdInt(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// encodeRateParallel compresses fixed-rate blocks with worker-owned
-// byte-aligned groups and appends them to dst; the output is
-// bit-identical to the serial path.
-func encodeRateParallel(dst []byte, data []float64, bl *blocker, opts Options) []byte {
-	p := newBlockParams(opts, bl.blockSize)
-	group := rateGroup(opts, bl.blockSize)
-	groups := (bl.numBlocks + group - 1) / group
-	bufs := make([][]byte, groups)
-	parallel.For(groups, opts.Workers, func(lo, hi int) {
-		s := getBlockScratch(bl.blockSize)
-		defer putBlockScratch(s)
-		for g := lo; g < hi; g++ {
-			var w bitio.Writer
-			for b := g * group; b < (g+1)*group && b < bl.numBlocks; b++ {
-				bl.gather(data, b, s.vals)
-				encodeBlock(&w, s, bl, &p)
-			}
-			bufs[g] = w.Bytes()
-		}
-	})
-	for _, b := range bufs {
-		dst = append(dst, b...)
-	}
-	return dst
 }
 
 func checkDims(data []float64, dims []int) error {
@@ -207,81 +156,27 @@ func checkDims(data []float64, dims []int) error {
 	return nil
 }
 
-// Decompress reverses Compress.
-func Decompress(buf []byte) ([]float64, []int, error) {
-	return decompress(buf, 0)
-}
-
-func decompress(buf []byte, workers int) ([]float64, []int, error) {
-	if len(buf) < len(magic) || string(buf[:len(magic)]) != magic {
-		return nil, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+// Decompress reverses Compress. The values are written to dst, which
+// must hold exactly the stream's element count (a stream of another
+// size is refused as corrupt before anything is written); a nil dst
+// allocates the output.
+func Decompress(dst []float64, buf []byte) ([]float64, []int, error) {
+	dims, opts, payload, err := readHeader(buf)
+	if err != nil {
+		return nil, nil, err
 	}
-	rest := buf[len(magic):]
-	if len(rest) < 3 {
-		return nil, nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
-	}
-	ver, modeB, ndims := rest[0], rest[1], rest[2]
-	rest = rest[3:]
-	if ver != version {
-		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
-	}
-	mode := Mode(modeB)
-	if mode != ModeAccuracy && mode != ModeRate {
-		return nil, nil, fmt.Errorf("%w: bad mode %d", ErrCorrupt, modeB)
-	}
-	if ndims < 1 || ndims > 3 {
-		return nil, nil, fmt.Errorf("%w: bad ndims %d", ErrCorrupt, ndims)
-	}
-	dims := make([]int, ndims)
-	n := 1
-	for i := range dims {
-		if len(rest) < 4 {
-			return nil, nil, fmt.Errorf("%w: truncated dims", ErrCorrupt)
-		}
-		d := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if d == 0 || d > maxDim {
-			return nil, nil, fmt.Errorf("%w: bad dimension %d", ErrCorrupt, d)
-		}
-		dims[i] = int(d)
-		n *= int(d)
-		if n > maxElements {
-			return nil, nil, fmt.Errorf("%w: element count overflows cap", ErrCorrupt)
-		}
-	}
-	if len(rest) < 8 {
-		return nil, nil, fmt.Errorf("%w: truncated param", ErrCorrupt)
-	}
-	paramBits := binary.LittleEndian.Uint64(rest)
-	payload := rest[8:]
-	param := math.Float64frombits(paramBits)
-	opts := Options{Mode: mode, Param: param, Workers: workers}
-	switch mode {
-	case ModeAccuracy:
-		if !(param > 0) || math.IsInf(param, 0) {
-			return nil, nil, fmt.Errorf("%w: bad tolerance", ErrCorrupt)
-		}
-	case ModeRate:
-		if !(param > 0) || param > 64 {
-			return nil, nil, fmt.Errorf("%w: bad rate", ErrCorrupt)
-		}
-	}
-
 	bl := newBlocker(dims)
 	p := newBlockParams(opts, bl.blockSize)
-	// Every block consumes at least one bit (the zero-block flag), so a
-	// payload shorter than numBlocks bits cannot be a valid stream.
-	// Rejecting it before sizing the output keeps allocations
-	// proportional to the input instead of to header-claimed dims.
-	if bl.numBlocks > 8*len(payload) {
-		return nil, nil, fmt.Errorf("%w: %d blocks cannot fit in %d payload bytes", ErrCorrupt, bl.numBlocks, len(payload))
+	n := 1
+	for _, d := range dims {
+		n *= d
 	}
-	out := make([]float64, n)
-	if p.rate && opts.Workers > 1 && bl.numBlocks > 1 {
-		if err := decodeRateParallel(payload, out, bl, opts); err != nil {
-			return nil, nil, err
-		}
-		return out, dims, nil
+	out := dst
+	switch {
+	case out == nil:
+		out = make([]float64, n)
+	case len(out) != n:
+		return nil, nil, fmt.Errorf("%w: stream holds %d values, dst %d", ErrCorrupt, n, len(out))
 	}
 	br := bitio.NewReader(payload)
 	s := getBlockScratch(bl.blockSize)
@@ -295,29 +190,83 @@ func decompress(buf []byte, workers int) ([]float64, []int, error) {
 	return out, dims, nil
 }
 
-// decodeRateParallel is the random-access decode path: each worker
-// seeks directly to its group's byte offset.
-func decodeRateParallel(payload []byte, out []float64, bl *blocker, opts Options) error {
-	p := newBlockParams(opts, bl.blockSize)
-	group := rateGroup(opts, bl.blockSize)
-	groups := (bl.numBlocks + group - 1) / group
-	groupBytes := group * p.budget / 8
-	return parallel.ForErr(groups, opts.Workers, func(lo, hi int) error {
-		s := getBlockScratch(bl.blockSize)
-		defer putBlockScratch(s)
-		for g := lo; g < hi; g++ {
-			off := g * groupBytes
-			if off > len(payload) {
-				return fmt.Errorf("%w: payload ends before group %d", ErrCorrupt, g)
-			}
-			br := bitio.NewReader(payload[off:])
-			for b := g * group; b < (g+1)*group && b < bl.numBlocks; b++ {
-				if err := decodeBlock(br, s, bl, &p); err != nil {
-					return err
-				}
-				bl.scatter(out, b, s.vals)
-			}
+// Dims checks a stream's header as Decompress does before it sizes its
+// output, and returns the dims the stream claims. A caller that decodes
+// several streams into one output checks each with it first.
+func Dims(buf []byte) ([]int, error) {
+	dims, _, _, err := readHeader(buf)
+	return dims, err
+}
+
+// readHeader reads and checks a stream's header, returning its dims,
+// its options and the block payload behind it. The dims are bounded by
+// the payload's bytes, so sizing an output by them costs memory in
+// proportion to the input.
+func readHeader(buf []byte) (dims []int, opts Options, payload []byte, err error) {
+	bad := func(format string, args ...any) ([]int, Options, []byte, error) {
+		return nil, Options{}, nil, fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+	}
+	if len(buf) < len(magic) || string(buf[:len(magic)]) != magic {
+		return bad("bad magic")
+	}
+	rest := buf[len(magic):]
+	if len(rest) < 3 {
+		return bad("truncated header")
+	}
+	ver, modeB, ndims := rest[0], rest[1], rest[2]
+	rest = rest[3:]
+	if ver != version {
+		return bad("unsupported version %d", ver)
+	}
+	mode := Mode(modeB)
+	if mode != ModeAccuracy && mode != ModeRate {
+		return bad("bad mode %d", modeB)
+	}
+	if ndims < 1 || ndims > 3 {
+		return bad("bad ndims %d", ndims)
+	}
+	dims = make([]int, ndims)
+	n := 1
+	for i := range dims {
+		if len(rest) < 4 {
+			return bad("truncated dims")
 		}
-		return nil
-	})
+		d := binary.LittleEndian.Uint32(rest)
+		rest = rest[4:]
+		if d == 0 || d > maxDim {
+			return bad("bad dimension %d", d)
+		}
+		dims[i] = int(d)
+		n *= int(d)
+		if n > maxElements {
+			return bad("element count overflows cap")
+		}
+	}
+	if len(rest) < 8 {
+		return bad("truncated param")
+	}
+	param := math.Float64frombits(binary.LittleEndian.Uint64(rest))
+	payload = rest[8:]
+	switch mode {
+	case ModeAccuracy:
+		if !(param > 0) || math.IsInf(param, 0) {
+			return bad("bad tolerance")
+		}
+	case ModeRate:
+		if !(param > 0) || param > 64 {
+			return bad("bad rate")
+		}
+	}
+	// Every block consumes at least one bit (the zero-block flag), so a
+	// payload shorter than numBlocks bits cannot be a valid stream.
+	// Rejecting it before sizing the output keeps allocations
+	// proportional to the input instead of to header-claimed dims.
+	blocks := 1
+	for _, d := range dims {
+		blocks *= (d + 3) / 4
+	}
+	if blocks > 8*len(payload) {
+		return bad("%d blocks cannot fit in %d payload bytes", blocks, len(payload))
+	}
+	return dims, Options{Mode: mode, Param: param}, payload, nil
 }

@@ -95,7 +95,7 @@ func TestAccuracyBoundHolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotDims, err := Decompress(buf)
+		got, gotDims, err := Decompress(nil, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestAccuracy1DAnd3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Decompress(buf)
+	got, _, err := Decompress(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestAccuracy1DAnd3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got3, _, err := Decompress(buf3)
+	got3, _, err := Decompress(nil, buf3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestRateModeExactSize(t *testing.T) {
 		if want := (wantPayloadBits + 7) / 8; gotPayload != want {
 			t.Fatalf("rate=%g: payload %d bytes, want %d", rate, gotPayload, want)
 		}
-		got, _, err := Decompress(buf)
+		got, _, err := Decompress(nil, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestRateFlipNeverFailsAndStaysLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, _, err := Decompress(buf)
+	clean, _, err := Decompress(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestRateFlipNeverFailsAndStaysLocal(t *testing.T) {
 		// container's job to catch, and real ZFP headers are tiny).
 		bit := headerBytes*8 + rng.Intn((len(buf)-headerBytes)*8)
 		mut[bit/8] ^= 0x80 >> (bit % 8)
-		got, _, err := Decompress(mut)
+		got, _, err := Decompress(nil, mut)
 		if err != nil {
 			t.Fatalf("trial %d: rate-mode decode must never fail, got %v", trial, err)
 		}
@@ -230,7 +230,7 @@ func TestModeByteFlipsAreRefused(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), buf...)
 			mut[len(magic)+1] ^= 1 << bit
-			if _, _, err := Decompress(mut); !errors.Is(err, ErrCorrupt) {
+			if _, _, err := Decompress(nil, mut); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("%s, mode byte %d -> %d: err %v, want ErrCorrupt", opts.Mode, buf[len(magic)+1], mut[len(magic)+1], err)
 			}
 		}
@@ -249,7 +249,7 @@ func TestRateTooLowForBlockHeaderRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Decompress(buf); err != nil {
+	if _, _, err := Decompress(nil, buf); err != nil {
 		t.Fatal(err)
 	}
 	// 2D rate 1 stays legal (16 bits per 16-value block).
@@ -267,7 +267,7 @@ func TestAccuracyFlipPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, _, err := Decompress(buf)
+	clean, _, err := Decompress(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestAccuracyFlipPropagates(t *testing.T) {
 		mut := append([]byte(nil), buf...)
 		bit := headerBytes*8 + rng.Intn((len(buf)-headerBytes)/2*8)
 		mut[bit/8] ^= 0x80 >> (bit % 8)
-		got, _, err := Decompress(mut)
+		got, _, err := Decompress(nil, mut)
 		if err != nil {
 			continue // exceptions happen in ACC mode; fine
 		}
@@ -303,7 +303,7 @@ func TestZeroBlockAndConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Decompress(buf)
+	got, _, err := Decompress(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,10 +330,10 @@ func TestValidation(t *testing.T) {
 }
 
 func TestDecompressGarbage(t *testing.T) {
-	if _, _, err := Decompress(nil); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := Decompress(nil, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("nil must be corrupt")
 	}
-	if _, _, err := Decompress([]byte("garbage data here")); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := Decompress(nil, []byte("garbage data here")); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("garbage must be corrupt")
 	}
 }
@@ -366,7 +366,7 @@ func TestRateRandomAccessProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, _, err := Decompress(buf)
+	clean, _, err := Decompress(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestRateRandomAccessProperty(t *testing.T) {
 			mut[off+i] = 0
 		}
 	}
-	got, _, err := Decompress(mut)
+	got, _, err := Decompress(nil, mut)
 	if err != nil {
 		t.Fatal(err)
 	}

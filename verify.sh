@@ -77,7 +77,7 @@ go test -run TestKernelFloors -bench 'Kernel|Stream|Seek' -benchtime=1x \
     . ./internal/core ./internal/sz ./internal/zfp
 
 echo "== fuzz smoke (10s per target) =="
-for target in FuzzContainerDecode FuzzSZDecompress FuzzSZDecodeCorruptHeader FuzzZFPDecompress FuzzZFPDecodeCorruptHeader FuzzHuffmanTable FuzzStreamReader FuzzStreamReaderPipelined FuzzIndexDecode FuzzBitIORoundTrip; do
+for target in FuzzContainerDecode FuzzSZDecompress FuzzSZDecodeCorruptHeader FuzzZFPDecompress FuzzPressioDecompress FuzzZFPDecodeCorruptHeader FuzzHuffmanTable FuzzStreamReader FuzzStreamReaderPipelined FuzzIndexDecode FuzzBitIORoundTrip; do
     go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s .
 done
 
