@@ -174,12 +174,6 @@ func (a *ARC) JointOptimizer(mem, bw float64, res Resiliency) (Choice, error) {
 	return a.eng.Optimizer().Joint(mem, bw, res)
 }
 
-// EncodeWith protects data with an explicit optimizer choice — the
-// paper's "the user can ignore these suggestions" escape hatch.
-func (a *ARC) EncodeWith(data []byte, c Choice) (*EncodeResult, error) {
-	return a.eng.EncodeWith(data, c)
-}
-
 // Decode decodes a container without an engine: containers are fully
 // self-describing. workers bounds the decode parallelism (AnyThreads
 // = all CPUs).
@@ -188,9 +182,10 @@ func Decode(encoded []byte, workers int) (*DecodeResult, error) {
 }
 
 // EncodeContainer encodes a container without an engine, using an
-// explicit configuration choice — the stateless counterpart of Decode,
-// for callers (services, tooling) that pick configurations themselves
-// and never need the trained optimizer.
+// explicit configuration choice — the paper's "the user can ignore
+// these suggestions" escape hatch, and the stateless counterpart of
+// Decode for callers (services, tooling) that pick configurations
+// themselves and never need the trained optimizer.
 func EncodeContainer(data []byte, c Choice) (*EncodeResult, error) {
 	return core.EncodeContainerWith(nil, data, c)
 }

@@ -184,9 +184,9 @@ func TestOptimizerSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The suggestion is advisory: EncodeWith accepts it (or any other).
+	// The suggestion is advisory: EncodeContainer accepts it (or any other).
 	data := make([]byte, 10<<10)
-	enc, err := a.EncodeWith(data, j)
+	enc, err := EncodeContainer(data, j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestOptimizerSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dec.Data, data) {
-		t.Fatal("EncodeWith/Decode mismatch")
+		t.Fatal("EncodeContainer/Decode mismatch")
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/ecc/reedsolomon"
 	"repro/internal/faultinject"
 	"repro/internal/pressio"
 	"repro/internal/sz"
@@ -282,33 +281,6 @@ func BenchmarkAblationBurstProtection(b *testing.B) {
 		cfg := cfg
 		b.Run(cfg.String(), func(b *testing.B) {
 			code, err := cfg.Build(1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(data)))
-			var enc []byte
-			for i := 0; i < b.N; i++ {
-				enc = code.EncodeTo(nil, data, nil)
-			}
-			b.ReportMetric(float64(len(enc)-len(data))/float64(len(data)), "overhead")
-		})
-	}
-}
-
-// BenchmarkAblationCRCWidth compares Reed-Solomon device checksum
-// widths: CRC-32C (miss probability 2^-32) vs truncated CRC-16
-// (2^-16, two bytes per device cheaper).
-func BenchmarkAblationCRCWidth(b *testing.B) {
-	data := make([]byte, 1<<20)
-	rand.New(rand.NewSource(15)).Read(data)
-	for _, width := range []int{2, 4} {
-		width := width
-		b.Run(fmt.Sprintf("crc%d", width*8), func(b *testing.B) {
-			base, err := reedsolomon.New(241, 15, 1024, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			code, err := base.WithChecksumBytes(width)
 			if err != nil {
 				b.Fatal(err)
 			}

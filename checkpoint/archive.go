@@ -6,14 +6,11 @@ package checkpoint
 // compressor configuration — into a single ARC-protected stream.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	arc "repro"
-	"repro/internal/pressio"
 )
 
 const (
@@ -30,11 +27,8 @@ type ArchiveWriter struct {
 }
 
 type archiveField struct {
-	name       string
-	compressor string
-	bound      float64
-	dims       []int
-	compressed []byte
+	name string
+	field
 }
 
 // NewArchiveWriter creates an empty archive.
@@ -51,22 +45,11 @@ func (aw *ArchiveWriter) Add(name string, data []float64, dims []int, opts Optio
 			return fmt.Errorf("checkpoint: duplicate field %q", name)
 		}
 	}
-	opts = opts.withDefaults()
-	comp, err := pressio.New(opts.Compressor, opts.Bound)
-	if err != nil {
-		return err
-	}
-	compressed, err := comp.Compress(data, dims)
+	f, err := compressField(data, dims, opts.withDefaults())
 	if err != nil {
 		return fmt.Errorf("checkpoint: field %q: %w", name, err)
 	}
-	aw.fields = append(aw.fields, archiveField{
-		name:       name,
-		compressor: opts.Compressor,
-		bound:      opts.Bound,
-		dims:       append([]int(nil), dims...),
-		compressed: compressed,
-	})
+	aw.fields = append(aw.fields, archiveField{name, f})
 	return nil
 }
 
@@ -81,35 +64,22 @@ func (aw *ArchiveWriter) Fields() []string {
 
 // WriteTo protects the archive with ARC under the given constraints
 // and writes it to w. The archive (including all metadata) travels
-// inside the ARC stream.
+// inside the ARC stream: after the magic, version and field count, each
+// field is its name, its field header, its compressed length and its
+// compressed bytes.
 func (aw *ArchiveWriter) WriteTo(w io.Writer, a *arc.ARC, mem, bw float64, res arc.Resiliency, chunkBytes int) error {
-	var payload bytes.Buffer
-	payload.WriteString(archiveMagic)
-	payload.WriteByte(archiveVersion)
-	var scratch [8]byte
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(aw.fields)))
-	payload.Write(scratch[:4])
+	payload := append([]byte(archiveMagic), archiveVersion)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(aw.fields)))
 	for _, f := range aw.fields {
-		payload.WriteByte(byte(len(f.name)))
-		payload.WriteString(f.name)
-		payload.WriteByte(byte(len(f.compressor)))
-		payload.WriteString(f.compressor)
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(f.bound))
-		payload.Write(scratch[:])
-		payload.WriteByte(byte(len(f.dims)))
-		for _, d := range f.dims {
-			binary.LittleEndian.PutUint32(scratch[:4], uint32(d))
-			payload.Write(scratch[:4])
-		}
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(f.compressed)))
-		payload.Write(scratch[:4])
-		payload.Write(f.compressed)
+		payload = f.appendHeader(appendString(payload, f.name))
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(f.compressed)))
+		payload = append(payload, f.compressed...)
 	}
-	pw, err := a.NewWriter(w, mem, bw, res, chunkBytes)
+	pw, err := a.NewWriterWith(w, mem, bw, res, arc.StreamOptions{ChunkSize: chunkBytes})
 	if err != nil {
 		return err
 	}
-	if _, err := pw.Write(payload.Bytes()); err != nil {
+	if _, err := pw.Write(payload); err != nil {
 		return err
 	}
 	return pw.Close()
@@ -144,86 +114,53 @@ func (ar *Archive) Get(name string) *ArchiveField {
 // ARC and decompressing every field.
 func LoadArchive(r io.Reader, workers int) (*Archive, error) {
 	pr := arc.NewReader(r, workers)
-	payload, err := io.ReadAll(pr)
+	p, err := io.ReadAll(pr)
 	if err != nil {
 		return nil, err
 	}
-	rd := bytes.NewReader(payload)
-	hdr := make([]byte, len(archiveMagic)+1)
-	if _, err := io.ReadFull(rd, hdr); err != nil || string(hdr[:len(archiveMagic)]) != archiveMagic {
+	if len(p) <= len(archiveMagic) || string(p[:len(archiveMagic)]) != archiveMagic {
 		return nil, fmt.Errorf("%w: bad archive magic", ErrFormat)
 	}
-	if hdr[len(archiveMagic)] != archiveVersion {
-		return nil, fmt.Errorf("%w: unsupported archive version %d", ErrFormat, hdr[len(archiveMagic)])
+	if p[len(archiveMagic)] != archiveVersion {
+		return nil, fmt.Errorf("%w: unsupported archive version %d", ErrFormat, p[len(archiveMagic)])
 	}
-	var scratch [8]byte
-	if _, err := io.ReadFull(rd, scratch[:4]); err != nil {
+	p = p[len(archiveMagic)+1:]
+	if len(p) < 4 {
 		return nil, fmt.Errorf("%w: truncated field count", ErrFormat)
 	}
-	count := int(binary.LittleEndian.Uint32(scratch[:4]))
+	count := int(binary.LittleEndian.Uint32(p))
+	p = p[4:]
 	if count < 0 || count > maxArchiveFields {
 		return nil, fmt.Errorf("%w: implausible field count %d", ErrFormat, count)
 	}
 	ar := &Archive{Repairs: pr.Report()}
-	readStr := func() (string, error) {
-		var l [1]byte
-		if _, err := io.ReadFull(rd, l[:]); err != nil {
-			return "", err
-		}
-		b := make([]byte, l[0])
-		if _, err := io.ReadFull(rd, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
 	for i := 0; i < count; i++ {
-		name, err := readStr()
-		if err != nil {
+		name, rest, ok := cutString(p)
+		if !ok {
 			return nil, fmt.Errorf("%w: field %d name", ErrFormat, i)
 		}
-		compName, err := readStr()
+		f, rest, err := parseFieldHeader(rest)
 		if err != nil {
-			return nil, fmt.Errorf("%w: field %q compressor", ErrFormat, name)
+			return nil, fmt.Errorf("checkpoint: field %q: %w", name, err)
 		}
-		if _, err := io.ReadFull(rd, scratch[:]); err != nil {
-			return nil, fmt.Errorf("%w: field %q bound", ErrFormat, name)
-		}
-		bound := math.Float64frombits(binary.LittleEndian.Uint64(scratch[:]))
-		var nd [1]byte
-		if _, err := io.ReadFull(rd, nd[:]); err != nil || nd[0] < 1 || nd[0] > 3 {
-			return nil, fmt.Errorf("%w: field %q dims", ErrFormat, name)
-		}
-		dims := make([]int, nd[0])
-		for j := range dims {
-			if _, err := io.ReadFull(rd, scratch[:4]); err != nil {
-				return nil, fmt.Errorf("%w: field %q dims", ErrFormat, name)
-			}
-			dims[j] = int(binary.LittleEndian.Uint32(scratch[:4]))
-		}
-		if _, err := io.ReadFull(rd, scratch[:4]); err != nil {
+		if len(rest) < 4 {
 			return nil, fmt.Errorf("%w: field %q length", ErrFormat, name)
 		}
-		clen := int(binary.LittleEndian.Uint32(scratch[:4]))
-		if clen < 0 || clen > rd.Len() {
+		clen := int(binary.LittleEndian.Uint32(rest))
+		rest = rest[4:]
+		if clen < 0 || clen > len(rest) {
 			return nil, fmt.Errorf("%w: field %q length %d", ErrFormat, name, clen)
 		}
-		compressed := make([]byte, clen)
-		if _, err := io.ReadFull(rd, compressed); err != nil {
-			return nil, fmt.Errorf("%w: field %q payload", ErrFormat, name)
-		}
-		comp, err := pressio.New(compName, bound)
-		if err != nil {
-			return nil, fmt.Errorf("%w: field %q: %v", ErrFormat, name, err)
-		}
-		data, gotDims, err := comp.Decompress(compressed)
+		f.compressed, p = rest[:clen], rest[clen:]
+		data, err := f.decompress()
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: field %q: %w", name, err)
 		}
 		ar.Fields = append(ar.Fields, ArchiveField{
 			Name:       name,
-			Compressor: compName,
-			Bound:      bound,
-			Dims:       gotDims,
+			Compressor: f.compressor,
+			Bound:      f.bound,
+			Dims:       f.dims,
 			Data:       data,
 		})
 	}

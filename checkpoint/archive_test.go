@@ -2,6 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -114,5 +117,51 @@ func TestArchiveNotACheckpointStream(t *testing.T) {
 	}
 	if _, err := LoadArchive(bytes.NewReader(single.Bytes()), 1); err == nil {
 		t.Fatal("single checkpoint must not load as archive")
+	}
+}
+
+// TestLoadArchiveRejectsHeaderStreamDimsMismatch is
+// TestLoadRejectsHeaderStreamDimsMismatch for an archive field: its
+// header's dims swapped (16x32 -> 32x16) and the archive protected
+// again, LoadArchive must refuse the field rather than load it in the
+// compressed stream's shape.
+func TestLoadArchiveRejectsHeaderStreamDimsMismatch(t *testing.T) {
+	a := testARC(t)
+	f := datasets.CESM(16, 32, 3)
+	for _, comp := range []string{"SZ-ABS", "ZFP-ACC"} {
+		aw := NewArchiveWriter()
+		if err := aw.Add("f", f.Data, f.Dims, Options{Compressor: comp, Bound: 0.01}); err != nil {
+			t.Fatal(err)
+		}
+		var saved bytes.Buffer
+		if err := aw.WriteTo(&saved, a, arc.AnyMem, arc.AnyBW, arc.AnyECC, 0); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := io.ReadAll(arc.NewReader(bytes.NewReader(saved.Bytes()), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// magic, version, field count, name length, name, compressor
+		// length, compressor, bound, ndims, then the dims.
+		dimsOff := len(archiveMagic) + 1 + 4 + 1 + len("f") + 1 + len(comp) + 8 + 1
+		if got := binary.LittleEndian.Uint32(payload[dimsOff:]); int(got) != f.Dims[0] {
+			t.Fatalf("%s: header layout moved: dims[0] reads %d", comp, got)
+		}
+		binary.LittleEndian.PutUint32(payload[dimsOff:], uint32(f.Dims[1]))
+		binary.LittleEndian.PutUint32(payload[dimsOff+4:], uint32(f.Dims[0]))
+		var forged bytes.Buffer
+		w, err := a.NewWriterWith(&forged, arc.AnyMem, arc.AnyBW, arc.AnyECC, arc.StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadArchive(bytes.NewReader(forged.Bytes()), 1); !errors.Is(err, ErrFormat) {
+			t.Fatalf("%s: header dims disagree with the stream: want ErrFormat, got %v", comp, err)
+		}
 	}
 }

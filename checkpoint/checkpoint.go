@@ -12,15 +12,11 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"slices"
 
 	arc "repro"
-	"repro/internal/pressio"
 )
 
 const (
@@ -80,33 +76,12 @@ type Info struct {
 // writes a protected checkpoint to w.
 func Save(w io.Writer, a *arc.ARC, data []float64, dims []int, opts Options) (*Info, error) {
 	opts = opts.withDefaults()
-	for _, d := range dims {
-		if d < 0 || int64(d) > math.MaxUint32 {
-			return nil, fmt.Errorf("checkpoint: dimension %d does not fit the header's 32 bits", d)
-		}
-	}
-	comp, err := pressio.New(opts.Compressor, opts.Bound)
+	f, err := compressField(data, dims, opts)
 	if err != nil {
 		return nil, err
 	}
-	compressed, err := comp.Compress(data, dims)
-	if err != nil {
-		return nil, err
-	}
-	if len(opts.Compressor) > 255 {
-		return nil, fmt.Errorf("checkpoint: compressor name too long")
-	}
-	hdr := make([]byte, 0, len(magic)+3+len(opts.Compressor)+8+4*len(dims))
-	hdr = append(hdr, magic...)
-	hdr = append(hdr, version, byte(len(opts.Compressor)))
-	hdr = append(hdr, opts.Compressor...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(opts.Bound))
-	hdr = append(hdr, byte(len(dims)))
-	for _, d := range dims {
-		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d))
-	}
-
-	aw, err := a.NewWriter(w, opts.Mem, opts.BW, opts.Resiliency, opts.ChunkBytes)
+	hdr := f.appendHeader(append([]byte(magic), version))
+	aw, err := a.NewWriterWith(w, opts.Mem, opts.BW, opts.Resiliency, arc.StreamOptions{ChunkSize: opts.ChunkBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -116,18 +91,18 @@ func Save(w io.Writer, a *arc.ARC, data []float64, dims []int, opts Options) (*I
 	if _, err := aw.Write(hdr); err != nil {
 		return nil, err
 	}
-	if _, err := aw.Write(compressed); err != nil {
+	if _, err := aw.Write(f.compressed); err != nil {
 		return nil, err
 	}
 	if err := aw.Close(); err != nil {
 		return nil, err
 	}
 	return &Info{
-		Compressor:      opts.Compressor,
-		Bound:           opts.Bound,
-		Dims:            append([]int(nil), dims...),
+		Compressor:      f.compressor,
+		Bound:           f.bound,
+		Dims:            f.dims,
 		Elements:        len(data),
-		CompressedBytes: len(compressed),
+		CompressedBytes: len(f.compressed),
 		Choice:          aw.Choice(),
 	}, nil
 }
@@ -148,57 +123,28 @@ func Load(r io.Reader, workers int) ([]float64, []int, *Info, error) {
 		return nil, nil, nil, err
 	}
 	payload := buf.Bytes()
-	rd := bytes.NewReader(payload)
-	hdr := make([]byte, len(magic)+2)
-	if _, err := io.ReadFull(rd, hdr); err != nil || string(hdr[:len(magic)]) != magic {
+	if len(payload) <= len(magic) || string(payload[:len(magic)]) != magic {
 		return nil, nil, nil, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
-	if hdr[len(magic)] != version {
-		return nil, nil, nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, hdr[len(magic)])
+	if payload[len(magic)] != version {
+		return nil, nil, nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, payload[len(magic)])
 	}
-	nameLen := int(hdr[len(magic)+1])
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(rd, nameBuf); err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: truncated name", ErrFormat)
-	}
-	var scratch [8]byte
-	if _, err := io.ReadFull(rd, scratch[:]); err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: truncated bound", ErrFormat)
-	}
-	bound := math.Float64frombits(binary.LittleEndian.Uint64(scratch[:]))
-	nd := make([]byte, 1)
-	if _, err := io.ReadFull(rd, nd); err != nil || nd[0] < 1 || nd[0] > 3 {
-		return nil, nil, nil, fmt.Errorf("%w: bad dims", ErrFormat)
-	}
-	dims := make([]int, nd[0])
-	for i := range dims {
-		if _, err := io.ReadFull(rd, scratch[:4]); err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: truncated dims", ErrFormat)
-		}
-		dims[i] = int(binary.LittleEndian.Uint32(scratch[:4]))
-	}
-	compressed := payload[len(payload)-rd.Len():]
-	comp, err := pressio.New(string(nameBuf), bound)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	data, gotDims, err := comp.Decompress(compressed)
+	f, rest, err := parseFieldHeader(payload[len(magic)+1:])
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// The header's shape and the compressor stream's must be one shape:
-	// a header that survived ECC with the wrong dims (a miscorrection, a
-	// spliced file) would otherwise load as whatever the stream says.
-	if !slices.Equal(dims, gotDims) {
-		return nil, nil, nil, fmt.Errorf("%w: header dims %v, compressed stream dims %v", ErrFormat, dims, gotDims)
+	f.compressed = rest
+	data, err := f.decompress()
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	info := &Info{
-		Compressor:      string(nameBuf),
-		Bound:           bound,
-		Dims:            gotDims,
+		Compressor:      f.compressor,
+		Bound:           f.bound,
+		Dims:            f.dims,
 		Elements:        len(data),
-		CompressedBytes: len(compressed),
+		CompressedBytes: len(f.compressed),
 		Repairs:         ar.Report(),
 	}
-	return data, gotDims, info, nil
+	return data, f.dims, info, nil
 }

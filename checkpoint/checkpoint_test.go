@@ -189,7 +189,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	// A valid ARC stream that is not a checkpoint payload.
 	a := testARC(t)
 	var buf bytes.Buffer
-	w, err := a.NewWriter(&buf, arc.AnyMem, arc.AnyBW, arc.AnyECC, 0)
+	w, err := a.NewWriterWith(&buf, arc.AnyMem, arc.AnyBW, arc.AnyECC, arc.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestLoadRejectsHeaderStreamDimsMismatch(t *testing.T) {
 		binary.LittleEndian.PutUint32(payload[dimsOff:], uint32(f.Dims[1]))
 		binary.LittleEndian.PutUint32(payload[dimsOff+4:], uint32(f.Dims[0]))
 		var forged bytes.Buffer
-		w, err := a.NewWriter(&forged, arc.AnyMem, arc.AnyBW, arc.AnyECC, 0)
+		w, err := a.NewWriterWith(&forged, arc.AnyMem, arc.AnyBW, arc.AnyECC, arc.StreamOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

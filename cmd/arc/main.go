@@ -2,14 +2,17 @@
 //
 // Usage:
 //
-//	arc encode -in data.sz -out data.arc [-mem 0.2] [-bw 100] [-ecc rs|secded|hamming|parity] [-errors-per-mb 1]
-//	arc decode -in data.arc -out data.sz
+//	arc encode -in data.sz -out data.arc [-mem 0.2] [-bw 100] [-ecc rs|secded|hamming|parity] [-errors-per-mb 1] [-chunk-kb 4096]
+//	arc decode -in data.arc -out data.sz [-range FIRST:COUNT]
+//	arc verify -in data.arc
 //	arc inspect -in data.arc
 //
 // encode picks the optimal ECC configuration under the given
 // constraints (omitting them lifts the bound, as in the paper's
-// ARC_ANY_* flags); decode verifies, repairs, and writes the original
-// bytes; inspect prints the container's configuration.
+// ARC_ANY_* flags) and writes an indexed stream of chunks (-chunk-kb
+// KiB each, 0 = 4 MiB) that decode -range can seek in; decode
+// verifies, repairs, and writes the original bytes; verify only
+// checks; inspect prints each chunk's configuration.
 package main
 
 import (
@@ -79,7 +82,7 @@ func cmdEncode(args []string) (err error) {
 	eccName := fs.String("ecc", "", "restrict to one ECC method: parity|hamming|secded|rs")
 	errPerMB := fs.Float64("errors-per-mb", 0, "expected soft errors per MB to correct")
 	threads := fs.Int("threads", arc.AnyThreads, "maximum threads (0 = all)")
-	chunkKB := fs.Int("chunk-kb", 0, "stream in chunks of this many KiB (0 = single container)")
+	chunkKB := fs.Int("chunk-kb", 0, "plaintext KiB per chunk (0 = the 4 MiB default)")
 	pipeline := fs.Int("pipeline", 0, "chunks encoded concurrently (1 = sequential, 0 = auto)")
 	prof := profiling.AddFlags(fs)
 	_ = fs.Parse(args) // flag.ExitOnError: Parse exits instead of returning
@@ -102,34 +105,20 @@ func cmdEncode(args []string) (err error) {
 	}
 	res.ErrorsPerMB = *errPerMB
 
-	data, err := os.ReadFile(*in)
-	if err != nil {
-		return err
-	}
 	a, err := arc.Init(*threads)
 	if err != nil {
 		return err
 	}
 	defer a.Close()
-	if *chunkKB > 0 {
-		opts := arc.StreamOptions{ChunkSize: *chunkKB << 10, Pipeline: *pipeline}
-		choice, written, err := a.EncodeFileWith(*in, *out, *mem, *bw, res, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("arc: %s, streamed %d -> %d bytes\n", choice.Config, len(data), written)
-		warn(choice)
-		return nil
-	}
-	er, err := a.Encode(data, *mem, *bw, res)
+	opts := arc.StreamOptions{ChunkSize: *chunkKB << 10, Pipeline: *pipeline}
+	c, written, err := a.EncodeFileWith(*in, *out, *mem, *bw, res, opts)
 	if err != nil {
 		return err
 	}
-	c := er.Choice
-	fmt.Printf("arc: %s (threads=%d, overhead %.2f%%, predicted %.1f MB/s)\n",
-		c.Config, c.Threads, 100*er.ActualOverhead, c.PredictedEncMBs)
+	fmt.Printf("arc: %s (threads=%d, predicted %.1f MB/s), wrote %d bytes\n",
+		c.Config, c.Threads, c.PredictedEncMBs, written)
 	warn(c)
-	return os.WriteFile(*out, er.Encoded, 0o644)
+	return nil
 }
 
 func warn(c arc.Choice) {

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	arc "repro"
 )
 
 func TestMain(m *testing.M) {
@@ -45,6 +47,28 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if err := cmdInspect([]string{"-in", enc}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEncodeDefaultIsIndexed holds a plain `arc encode` to an indexed
+// stream, the form `arc decode -range` seeks in.
+func TestEncodeDefaultIsIndexed(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.bin")
+	enc := filepath.Join(dir, "enc.arc")
+	if err := os.WriteFile(in, bytes.Repeat([]byte("indexed "), 5000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdEncode([]string{"-in", in, "-out", enc, "-threads", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := arc.OpenFileReaderAt(enc, arc.RangeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if !r.Indexed() {
+		t.Fatal("default encode wrote a stream without a footer index")
 	}
 }
 

@@ -158,7 +158,7 @@ var registry = []experiment{
 			}
 			return []*experiments.Table{r.Table(), r.BWTable()}, nil
 		}},
-	{"honesty", "beside Figures 11-12: what EncodeFile stored and achieved per request", "threads", params{},
+	{"honesty", "beside Figures 11-12: what EncodeFileWith stored and achieved per request", "threads", params{},
 		func(p params) ([]*experiments.Table, error) {
 			return one(experiments.Honesty(p.maxThreads(), 0, 0, nil))
 		}},

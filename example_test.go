@@ -94,13 +94,13 @@ func ExampleSecdedEncode() {
 	// eight-byte
 }
 
-// ExampleARC_NewWriter streams data through chunked protection.
-func ExampleARC_NewWriter() {
+// ExampleARC_NewWriterWith streams data through chunked protection.
+func ExampleARC_NewWriterWith() {
 	a := initExample()
 	defer a.Close()
 
 	var protected bytes.Buffer
-	w, err := a.NewWriter(&protected, arc.AnyMem, arc.AnyBW, arc.AnyECC, 16<<10)
+	w, err := a.NewWriterWith(&protected, arc.AnyMem, arc.AnyBW, arc.AnyECC, arc.StreamOptions{ChunkSize: 16 << 10})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func main() {
 	var plain bytes.Buffer
 	var protected bytes.Buffer
 
-	w, err := a.NewWriter(&protected, 0.2, arc.AnyBW, arc.AnyECC, 256<<10)
+	w, err := a.NewWriterWith(&protected, 0.2, arc.AnyBW, arc.AnyECC, arc.StreamOptions{ChunkSize: 256 << 10})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,18 +11,14 @@ import (
 	"os"
 )
 
-// EncodeFile protects the file at src, writing the ARC stream to dst.
-// Constraints follow Encode; chunkSize <= 0 selects the default.
-// It returns the configuration choice and the encoded size.
-func (a *ARC) EncodeFile(src, dst string, mem, bw float64, res Resiliency, chunkSize int) (Choice, int64, error) {
-	return a.EncodeFileWith(src, dst, mem, bw, res, StreamOptions{ChunkSize: chunkSize})
-}
-
-// EncodeFileWith is EncodeFile with explicit stream options (chunk
-// size and encode pipelining). File archives are always written in
-// container v2 — the footer index costs a few dozen bytes per chunk
-// and buys ReaderAt random access — so opts.Indexed is forced on;
-// callers needing a bare v1 stream can use NewWriterWith directly.
+// EncodeFileWith protects the file at src, writing the ARC stream to
+// dst. Constraints follow Encode; opts sets the chunk size (<= 0
+// selects the default) and encode pipelining. It returns the
+// configuration choice and the encoded size. File archives are always
+// written in container v2 — the footer index costs a few dozen bytes
+// per chunk and buys ReaderAt random access — so opts.Indexed is
+// forced on; callers needing a bare v1 stream can use NewWriterWith
+// directly.
 func (a *ARC) EncodeFileWith(src, dst string, mem, bw float64, res Resiliency, opts StreamOptions) (Choice, int64, error) {
 	opts.Indexed = true
 	in, err := os.Open(src)
@@ -54,16 +50,11 @@ func (a *ARC) EncodeFileWith(src, dst string, mem, bw float64, res Resiliency, o
 	return w.Choice(), w.BytesWritten(), nil
 }
 
-// DecodeFile verifies and repairs the ARC stream at src, writing the
-// recovered payload to dst. The returned report aggregates repairs
-// over all chunks. Uncorrectable damage aborts with an error after
-// writing every chunk that preceded it.
-func DecodeFile(src, dst string, workers int) (StreamReport, error) {
-	return DecodeFileWith(src, dst, workers, StreamOptions{})
-}
-
-// DecodeFileWith is DecodeFile with explicit stream options (decode
-// pipelining / read-ahead).
+// DecodeFileWith verifies and repairs the ARC stream at src, writing
+// the recovered payload to dst; opts sets decode pipelining
+// (read-ahead). The returned report aggregates repairs over all
+// chunks. Uncorrectable damage aborts with an error after writing
+// every chunk that preceded it.
 func DecodeFileWith(src, dst string, workers int, opts StreamOptions) (StreamReport, error) {
 	in, err := os.Open(src)
 	if err != nil {

@@ -19,7 +19,7 @@ func TestEncodeDecodeFile(t *testing.T) {
 	if err := os.WriteFile(src, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	choice, written, err := a.EncodeFile(src, enc, 0.2, AnyBW, AnyECC, 128<<10)
+	choice, written, err := a.EncodeFileWith(src, enc, 0.2, AnyBW, AnyECC, StreamOptions{ChunkSize: 128 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestEncodeDecodeFile(t *testing.T) {
 	if fi.Size() != written {
 		t.Fatalf("reported %d bytes, file has %d", written, fi.Size())
 	}
-	rep, err := DecodeFile(enc, dst, 1)
+	rep, err := DecodeFileWith(enc, dst, 1, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestDecodeFileRepairs(t *testing.T) {
 	if err := os.WriteFile(src, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.EncodeFile(src, enc, AnyMem, AnyBW, WithErrorsPerMB(1), 32<<10); err != nil {
+	if _, _, err := a.EncodeFileWith(src, enc, AnyMem, AnyBW, WithErrorsPerMB(1), StreamOptions{ChunkSize: 32 << 10}); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a few bits on disk.
@@ -76,7 +76,7 @@ func TestDecodeFileRepairs(t *testing.T) {
 	if err := os.WriteFile(enc, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := DecodeFile(enc, dst, 1)
+	rep, err := DecodeFileWith(enc, dst, 1, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +94,10 @@ func TestDecodeFileRepairs(t *testing.T) {
 
 func TestEncodeFileMissingSource(t *testing.T) {
 	a := initTest(t, 1)
-	if _, _, err := a.EncodeFile("/nonexistent/file", filepath.Join(t.TempDir(), "x"), AnyMem, AnyBW, AnyECC, 0); err == nil {
+	if _, _, err := a.EncodeFileWith("/nonexistent/file", filepath.Join(t.TempDir(), "x"), AnyMem, AnyBW, AnyECC, StreamOptions{}); err == nil {
 		t.Fatal("missing source must fail")
 	}
-	if _, err := DecodeFile("/nonexistent/file", filepath.Join(t.TempDir(), "y"), 1); err == nil {
+	if _, err := DecodeFileWith("/nonexistent/file", filepath.Join(t.TempDir(), "y"), 1, StreamOptions{}); err == nil {
 		t.Fatal("missing encoded file must fail")
 	}
 }

@@ -220,7 +220,7 @@ func FuzzStreamReader(f *testing.F) {
 	}
 	defer eng.Close()
 	var buf bytes.Buffer
-	w, err := eng.NewWriter(&buf, AnyMem, AnyBW, AnyECC, 2048)
+	w, err := eng.NewWriterWith(&buf, AnyMem, AnyBW, AnyECC, StreamOptions{ChunkSize: 2048})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -171,13 +171,6 @@ func (r *Reader) Skip(n int) error {
 	return nil
 }
 
-// AlignByte advances to the next byte boundary (no-op when aligned).
-func (r *Reader) AlignByte() {
-	if rem := r.pos % 8; rem != 0 {
-		r.pos += 8 - rem
-	}
-}
-
 // Peek returns the next n bits (MSB first) without advancing. When
 // fewer than n bits remain, the missing low bits are zero and avail
 // reports how many were real. n must be in [0, 64].

@@ -82,19 +82,6 @@ func TestSkipAndPos(t *testing.T) {
 	}
 }
 
-func TestAlignByte(t *testing.T) {
-	r := NewReader([]byte{0x00, 0xFF})
-	_, _ = r.ReadBits(3)
-	r.AlignByte()
-	if r.Pos() != 8 {
-		t.Fatalf("pos = %d, want 8", r.Pos())
-	}
-	r.AlignByte() // aligned: no-op
-	if r.Pos() != 8 {
-		t.Fatal("AlignByte on boundary must be a no-op")
-	}
-}
-
 func TestRoundTripRandomFields(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	type field struct {

@@ -206,16 +206,6 @@ func AllConfigs() []Config {
 	return cs
 }
 
-// ParseConfig inverts Config.String.
-func ParseConfig(s string) (Config, error) {
-	for _, c := range AllConfigs() {
-		if c.String() == s {
-			return c, nil
-		}
-	}
-	return Config{}, fmt.Errorf("core: unknown configuration %q", s)
-}
-
 // secdedCollisionLimit is the errors-per-MB rate up to which SEC-DED's
 // one-correction-per-codeword budget is statistically safe: with r
 // uniform errors per MB and 2^17 8-byte codewords per MB, the expected

@@ -137,12 +137,6 @@ func (e *Engine) Encode(data []byte, mem, bw float64, res Resiliency) (*EncodeRe
 	if err != nil {
 		return nil, err
 	}
-	return e.EncodeWith(data, choice)
-}
-
-// EncodeWith protects data with an explicit optimizer choice, for
-// callers that want to inspect or override the selection.
-func (e *Engine) EncodeWith(data []byte, choice Choice) (*EncodeResult, error) {
 	return EncodeContainerWith(nil, data, choice)
 }
 

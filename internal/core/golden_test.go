@@ -51,9 +51,9 @@ func TestContainerFormatGolden(t *testing.T) {
 		"rs-m15":     {ecc.MethodReedSolomon, 15},
 		"ilsecded64": {ecc.MethodInterleavedSECDED, 64},
 	}
-	eng := &Engine{maxThreads: 1} // EncodeWith needs no training state
+	eng := &Engine{maxThreads: 1}
 	for name, cfg := range configs {
-		res, err := eng.EncodeWith(data, Choice{Config: cfg, Threads: 1})
+		res, err := EncodeContainerWith(nil, data, Choice{Config: cfg, Threads: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -77,13 +77,12 @@ func TestContainerFormatGolden(t *testing.T) {
 
 func TestEncodingIsDeterministic(t *testing.T) {
 	data := goldenInput()
-	eng := &Engine{maxThreads: 4}
 	for _, cfg := range AllConfigs() {
-		a, err := eng.EncodeWith(data, Choice{Config: cfg, Threads: 1})
+		a, err := EncodeContainerWith(nil, data, Choice{Config: cfg, Threads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := eng.EncodeWith(data, Choice{Config: cfg, Threads: 4})
+		b, err := EncodeContainerWith(nil, data, Choice{Config: cfg, Threads: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

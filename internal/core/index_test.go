@@ -72,7 +72,7 @@ func TestIndexedStreamRoundTrip(t *testing.T) {
 
 	// Sequential readers deliver exactly the original bytes: the
 	// footer is skipped, not decoded as data.
-	cr := NewChunkReader(bytes.NewReader(stream), 1)
+	cr := NewChunkReaderWith(bytes.NewReader(stream), 1, StreamOptions{})
 	got, err := io.ReadAll(cr)
 	if err != nil {
 		t.Fatalf("sequential read of v2 stream: %v", err)

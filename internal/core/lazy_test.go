@@ -340,7 +340,12 @@ func TestLazyConcurrentColdEngine(t *testing.T) {
 					}
 					continue
 				}
-				w, err := eng.NewChunkWriterWith(io.Discard, r.mem, r.bw, r.res, StreamOptions{ChunkSize: 16 << 10})
+				choice, err := eng.Optimizer().Joint(r.mem, r.bw, r.res)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				w, err := eng.NewChunkWriterChoice(io.Discard, choice, StreamOptions{ChunkSize: 16 << 10})
 				if err != nil {
 					t.Error(err)
 					return

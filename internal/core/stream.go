@@ -102,25 +102,10 @@ type ChunkWriter struct {
 	emitErr  atomic.Value // error; first writer-side error wins
 }
 
-// NewChunkWriter creates a streaming encoder. chunkSize <= 0 selects
-// DefaultChunkSize. The configuration choice is made once, up front,
-// from the given constraints.
-func (e *Engine) NewChunkWriter(w io.Writer, mem, bw float64, res Resiliency, chunkSize int) (*ChunkWriter, error) {
-	return e.NewChunkWriterWith(w, mem, bw, res, StreamOptions{ChunkSize: chunkSize})
-}
-
-// NewChunkWriterWith is NewChunkWriter with explicit stream options.
-func (e *Engine) NewChunkWriterWith(w io.Writer, mem, bw float64, res Resiliency, opts StreamOptions) (*ChunkWriter, error) {
-	choice, err := e.Optimizer().Joint(mem, bw, res)
-	if err != nil {
-		return nil, err
-	}
-	return e.NewChunkWriterChoice(w, choice, opts)
-}
-
 // NewChunkWriterChoice creates a streaming encoder with an explicit
-// optimizer choice, bypassing constraint optimization (the streaming
-// analog of EncodeWith). It needs no trained engine state.
+// optimizer choice (the streaming analog of EncodeContainerWith); a
+// caller with constraints asks e.Optimizer() first. It needs no
+// trained engine state.
 func (e *Engine) NewChunkWriterChoice(w io.Writer, choice Choice, opts StreamOptions) (*ChunkWriter, error) {
 	if _, err := choice.Config.Build(choice.Threads); err != nil {
 		return nil, err // reject invalid configurations up front
@@ -446,13 +431,9 @@ type Report struct {
 	DigestMismatches int
 }
 
-// NewChunkReader creates a streaming decoder over r.
-func NewChunkReader(r io.Reader, workers int) *ChunkReader {
-	return NewChunkReaderWith(r, workers, StreamOptions{})
-}
-
-// NewChunkReaderWith is NewChunkReader with explicit stream options
-// (ChunkSize is ignored on the read side: chunks are self-describing).
+// NewChunkReaderWith creates a streaming decoder over r. Of opts only
+// Pipeline matters (ChunkSize is ignored on the read side: chunks are
+// self-describing).
 func NewChunkReaderWith(r io.Reader, workers int, opts StreamOptions) *ChunkReader {
 	opts = opts.normalize(workers)
 	return &ChunkReader{r: r, workers: workers, pipeline: opts.Pipeline}

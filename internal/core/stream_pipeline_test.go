@@ -280,7 +280,7 @@ func TestPipelinedWriterCloseIsTheOnlyJoinNeeded(t *testing.T) {
 	if cw.BytesWritten() != int64(buf.Len()) {
 		t.Fatalf("BytesWritten %d != emitted %d after Close", cw.BytesWritten(), buf.Len())
 	}
-	got, err := io.ReadAll(NewChunkReader(bytes.NewReader(buf.Bytes()), 1))
+	got, err := io.ReadAll(NewChunkReaderWith(bytes.NewReader(buf.Bytes()), 1, StreamOptions{}))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("round trip after pipelined Close: err=%v", err)
 	}

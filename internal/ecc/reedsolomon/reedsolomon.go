@@ -14,12 +14,13 @@
 // capability.
 //
 // Stripe layout: K data devices, then M parity devices, then a CRC
-// table of 4 (or 2) bytes per device. A corrupted CRC entry merely
+// table of 4 bytes per device. A corrupted CRC entry merely
 // marks its (healthy) device as an erasure, which the same machinery
 // repairs.
 package reedsolomon
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -33,6 +34,10 @@ import (
 // castagnoli is the CRC-32C table used for device checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// csBytes is the width of one device's entry in a stripe's checksum
+// table: its CRC-32C, little-endian.
+const csBytes = 4
+
 // Code is a Reed-Solomon code with K data devices and M code devices
 // per stripe of K*DeviceSize bytes.
 type Code struct {
@@ -40,11 +45,6 @@ type Code struct {
 	M          int // code (parity) devices per stripe
 	DeviceSize int // bytes per device
 	Workers    int
-	// ChecksumBytes is the per-device checksum width: 4 (CRC-32C, the
-	// default) or 2 (truncated CRC-16 — less overhead, but a corrupted
-	// device escapes detection with probability 2^-16 instead of
-	// 2^-32; see BenchmarkAblationCRCWidth).
-	ChecksumBytes int
 
 	gen *gf256.Matrix // (K+M) x K systematic generator
 }
@@ -77,73 +77,18 @@ func New(k, m, deviceSize, workers int) (*Code, error) {
 		}
 		genCache.Store(genKey{k, m}, gen)
 	}
-	return &Code{K: k, M: m, DeviceSize: deviceSize, Workers: workers, ChecksumBytes: 4, gen: gen}, nil
+	return &Code{K: k, M: m, DeviceSize: deviceSize, Workers: workers, gen: gen}, nil
 }
 
-// NewCauchy is New with a Cauchy-derived generator matrix instead of
-// the Vandermonde one (Jerasure offers both constructions; the codes
-// are equally MDS but not stream-compatible with each other).
-func NewCauchy(k, m, deviceSize, workers int) (*Code, error) {
-	if deviceSize <= 0 {
-		deviceSize = DefaultDeviceSize
-	}
-	gen, err := gf256.RSCauchyGeneratorMatrix(k, m)
-	if err != nil {
-		return nil, fmt.Errorf("reedsolomon: %w", err)
-	}
-	return &Code{K: k, M: m, DeviceSize: deviceSize, Workers: workers, ChecksumBytes: 4, gen: gen}, nil
-}
-
-// WithChecksumBytes returns a copy of the code using the given device
-// checksum width (2 or 4 bytes).
-func (c *Code) WithChecksumBytes(n int) (*Code, error) {
-	if n != 2 && n != 4 {
-		return nil, fmt.Errorf("reedsolomon: checksum width must be 2 or 4, got %d", n)
-	}
-	cc := *c
-	cc.ChecksumBytes = n
-	return &cc, nil
-}
-
-// csBytes is ChecksumBytes with the zero value treated as 4.
-func (c *Code) csBytes() int {
-	if c.ChecksumBytes == 0 {
-		return 4
-	}
-	return c.ChecksumBytes
-}
-
-// checksum computes the device checksum at the configured width.
-func (c *Code) checksum(dev []byte) uint32 {
-	sum := crc32.Checksum(dev, castagnoli)
-	if c.csBytes() == 2 {
-		return sum & 0xFFFF
-	}
-	return sum
-}
-
-// putCS/getCS store checksums at the configured width.
-func (c *Code) putCS(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	if c.csBytes() == 4 {
-		b[2] = byte(v >> 16)
-		b[3] = byte(v >> 24)
-	}
-}
-
-func (c *Code) getCS(b []byte) uint32 {
-	v := uint32(b[0]) | uint32(b[1])<<8
-	if c.csBytes() == 4 {
-		v |= uint32(b[2])<<16 | uint32(b[3])<<24
-	}
-	return v
+// deviceOK reports whether dev matches its checksum table entry cs.
+func deviceOK(dev, cs []byte) bool {
+	return crc32.Checksum(dev, castagnoli) == binary.LittleEndian.Uint32(cs)
 }
 
 func (c *Code) stripeDataBytes() int { return c.K * c.DeviceSize }
 
 func (c *Code) stripeEncBytes() int {
-	return (c.K+c.M)*c.DeviceSize + (c.K+c.M)*c.csBytes()
+	return (c.K + c.M) * (c.DeviceSize + csBytes)
 }
 
 func (c *Code) stripes(n int) int {
@@ -214,10 +159,9 @@ func (c *Code) encodeStripe(src, dst []byte) {
 		}
 	}
 	// Checksum table.
-	cs := c.csBytes()
 	crcs := dst[(c.K+c.M)*ds:]
 	for d := 0; d < c.K+c.M; d++ {
-		c.putCS(crcs[d*cs:], c.checksum(devices[d*ds:(d+1)*ds]))
+		binary.LittleEndian.PutUint32(crcs[d*csBytes:], crc32.Checksum(devices[d*ds:(d+1)*ds], castagnoli))
 	}
 }
 
@@ -326,11 +270,10 @@ func (c *Code) decodeStripe(stripe, dst []byte, s *ecc.Scratch) (detected, corre
 	total := c.K + c.M
 	devices := stripe[:total*ds]
 	crcs := stripe[total*ds:]
-	cs := c.csBytes()
 	var badBuf [gf256.Order]byte // device indices fit a byte: K+M <= 256
 	bad := badBuf[:0]
 	for d := 0; d < total; d++ {
-		if c.checksum(devices[d*ds:(d+1)*ds]) != c.getCS(crcs[d*cs:]) {
+		if !deviceOK(devices[d*ds:(d+1)*ds], crcs[d*csBytes:]) {
 			bad = append(bad, byte(d))
 		}
 	}
@@ -456,10 +399,9 @@ func (c *Code) decodeStripeRef(stripe, dst []byte) (detected, corrected int, err
 	total := c.K + c.M
 	devices := stripe[:total*ds]
 	crcs := stripe[total*ds:]
-	cs := c.csBytes()
 	var bad []int
 	for d := 0; d < total; d++ {
-		if c.checksum(devices[d*ds:(d+1)*ds]) != c.getCS(crcs[d*cs:]) {
+		if !deviceOK(devices[d*ds:(d+1)*ds], crcs[d*csBytes:]) {
 			bad = append(bad, d)
 		}
 	}

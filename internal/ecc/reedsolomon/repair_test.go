@@ -26,7 +26,7 @@ func name(c *Code) string { return fmt.Sprintf("rs-k%d-m%d", c.K, c.M) }
 func damageDevice(c *Code, enc []byte, st, dev, off int, x byte, viaCRC bool) {
 	base := st * c.stripeEncBytes()
 	if viaCRC {
-		enc[base+(c.K+c.M)*c.DeviceSize+dev*c.csBytes()+off%c.csBytes()] ^= x
+		enc[base+(c.K+c.M)*c.DeviceSize+dev*csBytes+off%csBytes] ^= x
 		return
 	}
 	enc[base+dev*c.DeviceSize+off%c.DeviceSize] ^= x
@@ -78,41 +78,28 @@ func checkRepair(t testing.TB, c *Code, enc, data []byte, nBad int, overBudget b
 // TestRepairEveryErasureSet damages every device subset of size <= M+1
 // of a 5+3 code, in a full stripe and in the final partial one (where
 // device 2 straddles origLen and devices 3 and 4 lie past it), through
-// the device bytes and through the checksum table, for both generator
-// constructions and both checksum widths.
+// the device bytes and through the checksum table.
 func TestRepairEveryErasureSet(t *testing.T) {
 	const k, m, ds = 5, 3, 8
 	data := make([]byte, k*ds+2*ds+3)
 	rand.New(rand.NewSource(31)).Read(data)
-	vand := mustNew(t, k, m, ds, 1)
-	cauchy, err := NewCauchy(k, m, ds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustNew(t, k, m, ds, 1)
 	var s ecc.Scratch
-	for _, base := range []*Code{vand, cauchy} {
-		for _, width := range []int{2, 4} {
-			c, err := base.WithChecksumBytes(width)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clean := c.EncodeTo(nil, data, nil)
-			for set := 0; set < 1<<(k+m); set++ {
-				nBad := bits.OnesCount(uint(set))
-				if nBad > m+1 {
-					continue
-				}
-				for st := 0; st < 2; st++ {
-					for _, viaCRC := range []bool{false, true} {
-						enc := bytes.Clone(clean)
-						for d := 0; d < k+m; d++ {
-							if set>>d&1 != 0 {
-								damageDevice(c, enc, st, d, set+d, 0x40, viaCRC)
-							}
-						}
-						checkRepair(t, c, enc, data, nBad, nBad > m, &s)
+	clean := c.EncodeTo(nil, data, nil)
+	for set := 0; set < 1<<(k+m); set++ {
+		nBad := bits.OnesCount(uint(set))
+		if nBad > m+1 {
+			continue
+		}
+		for st := 0; st < 2; st++ {
+			for _, viaCRC := range []bool{false, true} {
+				enc := bytes.Clone(clean)
+				for d := 0; d < k+m; d++ {
+					if set>>d&1 != 0 {
+						damageDevice(c, enc, st, d, set+d, 0x40, viaCRC)
 					}
 				}
+				checkRepair(t, c, enc, data, nBad, nBad > m, &s)
 			}
 		}
 	}
@@ -254,8 +241,7 @@ func TestRepairAllocFree(t *testing.T) {
 }
 
 // FuzzRSRepair is the differential fuzz of the repair path: arbitrary
-// code shape, generator construction, checksum width, worker count and
-// erasure pattern (over budget, parity-only, mixed, checksum-table-only,
+// code shape, worker count and erasure pattern (over budget, parity-only, mixed, checksum-table-only,
 // either side of origLen in the final stripe), decodeStripe against
 // decodeStripeRef.
 func FuzzRSRepair(f *testing.F) {
@@ -267,20 +253,12 @@ func FuzzRSRepair(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, k8, m8, ds8, sel uint8, damage []byte) {
 		k, m, ds := 1+int(k8)%40, 1+int(m8)%16, 1+int(ds8)%48
 		workers := 1
-		if sel&4 != 0 {
+		if sel&4 != 0 { // sel's other bits are unused
 			workers = 4
 		}
 		c, err := New(k, m, ds, workers)
-		if sel&1 != 0 {
-			c, err = NewCauchy(k, m, ds, workers)
-		}
 		if err != nil {
 			t.Fatal(err)
-		}
-		if sel&2 != 0 {
-			if c, err = c.WithChecksumBytes(2); err != nil {
-				t.Fatal(err)
-			}
 		}
 		enc := c.EncodeTo(nil, data, nil)
 		ns := c.stripes(len(data))
@@ -294,9 +272,8 @@ func FuzzRSRepair(f *testing.F) {
 		if err != nil && !errors.Is(err, ecc.ErrUncorrectable) {
 			t.Fatalf("%s: a full-length encoding decoded to %v", name(c), err)
 		}
-		// Two hits on one device can cancel and a 16-bit checksum can
-		// miss one, so ground truth applies only when every hit device
-		// was located.
+		// Two hits on one device can cancel, so ground truth applies
+		// only when every hit device was located.
 		if err == nil && rep.DetectedBlocks == len(hit) && !bytes.Equal(got, data) {
 			t.Fatalf("%s: %d devices located and repaired, output is not the plaintext", name(c), len(hit))
 		}

@@ -221,7 +221,7 @@ func TestFig11ConstraintTracking(t *testing.T) {
 }
 
 // TestHonestyConstraintsKept is the constraint-honesty gate: what
-// EncodeFile stores stays within the budget whenever the choice does
+// EncodeFileWith stores stays within the budget whenever the choice does
 // not say OverBudget (deterministic, always checked), and what it
 // achieves is at least half the bound whenever the choice does not say
 // UnderThroughput (timed, median of 3 on 16 MiB; the shared VM forbids

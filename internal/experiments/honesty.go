@@ -14,7 +14,7 @@ import (
 )
 
 // HonestyResult is the constraint-honesty check: for a grid of
-// (mem, bw, res) requests, what EncodeFile stored and how fast it ran
+// (mem, bw, res) requests, what EncodeFileWith stored and how fast it ran
 // next to what was asked and what the optimizer promised.
 type HonestyResult struct {
 	SampleBytes int
@@ -34,13 +34,13 @@ type HonestyRow struct {
 	ChoiceOverhead   float64 // the configuration's asymptotic overhead
 	RealizedOverhead float64 // (stored - plain) / plain, framing and index included
 	PredictedMBs     float64 // the measured point the choice rests on
-	AchievedMBs      float64 // median EncodeFile throughput, file I/O included
+	AchievedMBs      float64 // median EncodeFileWith throughput, file I/O included
 }
 
 // Kept reports whether the run honoured what the choice claimed: the
 // stored file within the budget unless flagged OverBudget, and — when
 // timed is set — at least half the bound unless flagged
-// UnderThroughput (half: EncodeFile adds file I/O to the codec the
+// UnderThroughput (half: EncodeFileWith adds file I/O to the codec the
 // table rates, on a shared host).
 func (r HonestyRow) Kept(timed bool) bool {
 	if !r.OverBudget && r.RealizedOverhead > r.Mem {
@@ -61,7 +61,7 @@ var honestyResiliencies = []struct {
 	{"rs", core.Resiliency{Methods: []ecc.Method{ecc.MethodReedSolomon}}},
 }
 
-// Honesty runs the grid through arc.EncodeFile on a fresh handle (no
+// Honesty runs the grid through arc.EncodeFileWith on a fresh handle (no
 // cache, default training sample, so each request measures the points
 // it needs at chunk size): every request encodes a sampleBytes file
 // reps times and keeps the median throughput.
@@ -100,7 +100,7 @@ func Honesty(maxThreads, sampleBytes, reps int, bws []float64) (*HonestyResult, 
 				secs := make([]float64, reps)
 				for i := range secs {
 					t0 := time.Now()
-					if choice, stored, err = a.EncodeFile(src, dst, mem, bw, rc.res, 0); err != nil {
+					if choice, stored, err = a.EncodeFileWith(src, dst, mem, bw, rc.res, arc.StreamOptions{}); err != nil {
 						return nil, fmt.Errorf("honesty mem=%g bw=%g res=%s: %w", mem, bw, rc.name, err)
 					}
 					secs[i] = time.Since(t0).Seconds()
@@ -124,7 +124,7 @@ func Honesty(maxThreads, sampleBytes, reps int, bws []float64) (*HonestyResult, 
 // Table renders the grid.
 func (r *HonestyResult) Table() *Table {
 	t := &Table{
-		Title: fmt.Sprintf("Constraint honesty: EncodeFile of %d MiB, request vs outcome", r.SampleBytes>>20),
+		Title: fmt.Sprintf("Constraint honesty: EncodeFileWith of %d MiB, request vs outcome", r.SampleBytes>>20),
 		Header: []string{"res", "mem", "bw MB/s", "config", "threads", "flags",
 			"choice ovh", "stored ovh", "predicted MB/s", "achieved MB/s", "kept"},
 		Caption: "kept: stored overhead <= mem unless flagged over, and achieved >= 0.5 x bw unless\n" +

@@ -98,7 +98,7 @@ func decodeOne(container []byte) ([]byte, error) {
 }
 
 func decodeStream(stream []byte) ([]byte, error) {
-	return io.ReadAll(core.NewChunkReader(bytes.NewReader(stream), 1))
+	return io.ReadAll(core.NewChunkReaderWith(bytes.NewReader(stream), 1, core.StreamOptions{}))
 }
 
 // headerAndPayload bursts 4 bytes of a container's replicated header

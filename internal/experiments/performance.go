@@ -102,7 +102,7 @@ func Fig11(maxThreads, scale int, seed int64, memTargets, bwTargets []float64) (
 			return nil, err
 		}
 		t0 := time.Now()
-		if _, err := eng.EncodeWith(payload, choice); err != nil {
+		if _, err := core.EncodeContainerWith(nil, payload, choice); err != nil {
 			return nil, err
 		}
 		observed := mbs(len(payload), time.Since(t0))
@@ -232,7 +232,7 @@ func Fig12(maxThreads, scale int, seed int64, memTargets []float64) (*Fig12Resul
 				return nil, err
 			}
 			t0 := time.Now()
-			if _, err := eng.EncodeWith(payload, choice); err != nil {
+			if _, err := core.EncodeContainerWith(nil, payload, choice); err != nil {
 				return nil, err
 			}
 			res.BWRows = append(res.BWRows, Fig12BWRow{

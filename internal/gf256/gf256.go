@@ -4,7 +4,7 @@
 // The field is constructed with the primitive polynomial
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11D), the same polynomial used by most
 // storage erasure-coding libraries (including Jerasure, which the paper
-// builds on). Multiplication and division run through log/exp tables
+// builds on). Multiplication and inversion run through log/exp tables
 // built once at package init.
 package gf256
 
@@ -35,7 +35,7 @@ func init() {
 		}
 	}
 	// logTable[0] is undefined in the field; leave it zero. Callers must
-	// special-case zero operands, as Mul and Div below do.
+	// special-case zero operands, as Mul and Inv below do.
 }
 
 // Add returns a+b in GF(2^8). Addition is XOR; it is its own inverse,
@@ -53,23 +53,6 @@ func Mul(a, b byte) byte {
 	return expTable[int(logTable[a])+int(logTable[b])]
 }
 
-// Div returns a/b in GF(2^8). Div panics if b is zero, mirroring
-// integer division by zero; callers construct matrices from nonzero
-// pivots only.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	d := int(logTable[a]) - int(logTable[b])
-	if d < 0 {
-		d += 255
-	}
-	return expTable[d]
-}
-
 // Inv returns the multiplicative inverse of a. It panics when a is zero.
 func Inv(a byte) byte {
 	if a == 0 {
@@ -85,15 +68,6 @@ func Exp(n int) byte {
 		panic("gf256: negative exponent")
 	}
 	return expTable[n%255]
-}
-
-// Log returns the discrete logarithm base 2 of a. It panics when a is
-// zero, which has no logarithm.
-func Log(a byte) int {
-	if a == 0 {
-		panic("gf256: log of zero")
-	}
-	return int(logTable[a])
 }
 
 // Pow returns a raised to the power n.

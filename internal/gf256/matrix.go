@@ -245,50 +245,3 @@ func intRange(n int) []int {
 	}
 	return r
 }
-
-// Cauchy returns the rows x cols Cauchy matrix with element (r, c)
-// equal to 1/(x_r + y_c) for distinct points x_r = r + cols and
-// y_c = c. Every square submatrix of a Cauchy matrix is invertible,
-// which makes it an alternative Reed-Solomon generator construction
-// (Jerasure offers both); rows + cols must not exceed the field order.
-func Cauchy(rows, cols int) (*Matrix, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("gf256: invalid Cauchy shape %dx%d", rows, cols)
-	}
-	if rows+cols > Order {
-		return nil, fmt.Errorf("gf256: rows+cols = %d exceeds field order %d", rows+cols, Order)
-	}
-	m := NewMatrix(rows, cols)
-	for r := 0; r < rows; r++ {
-		x := byte(r + cols)
-		for c := 0; c < cols; c++ {
-			y := byte(c)
-			m.Set(r, c, Inv(Add(x, y)))
-		}
-	}
-	return m, nil
-}
-
-// RSCauchyGeneratorMatrix builds a systematic (k+m) x k generator with
-// Cauchy parity rows: identity on top, a k x m Cauchy block below. The
-// MDS property follows from every Cauchy submatrix being nonsingular.
-func RSCauchyGeneratorMatrix(k, m int) (*Matrix, error) {
-	if k <= 0 || m <= 0 {
-		return nil, fmt.Errorf("gf256: invalid RS shape k=%d m=%d", k, m)
-	}
-	if k+m > Order {
-		return nil, fmt.Errorf("gf256: k+m = %d exceeds field order %d", k+m, Order)
-	}
-	cau, err := Cauchy(m, k)
-	if err != nil {
-		return nil, err
-	}
-	g := NewMatrix(k+m, k)
-	for i := 0; i < k; i++ {
-		g.Set(i, i, 1)
-	}
-	for r := 0; r < m; r++ {
-		copy(g.Row(k+r), cau.Row(r))
-	}
-	return g, nil
-}

@@ -249,68 +249,3 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal("Clone must not alias")
 	}
 }
-
-func TestCauchyInvertibleSubmatrices(t *testing.T) {
-	c, err := Cauchy(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Invert(); err != nil {
-		t.Fatal("full Cauchy matrix must invert")
-	}
-	// Every element must be nonzero (definitional: 1/(x+y)).
-	for _, v := range c.Data {
-		if v == 0 {
-			t.Fatal("Cauchy entries are nonzero by construction")
-		}
-	}
-	if _, err := Cauchy(0, 4); err == nil {
-		t.Fatal("zero rows must fail")
-	}
-	if _, err := Cauchy(200, 100); err == nil {
-		t.Fatal("overflowing the field must fail")
-	}
-}
-
-func TestRSCauchyGeneratorMDS(t *testing.T) {
-	k, m := 4, 3
-	g, err := RSCauchyGeneratorMatrix(k, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Systematic top.
-	for r := 0; r < k; r++ {
-		for c := 0; c < k; c++ {
-			want := byte(0)
-			if r == c {
-				want = 1
-			}
-			if g.At(r, c) != want {
-				t.Fatal("top square must be identity")
-			}
-		}
-	}
-	// MDS: all C(7,4) row subsets invertible.
-	var rows []int
-	var recurse func(start int)
-	recurse = func(start int) {
-		if len(rows) == k {
-			if _, err := g.SubMatrix(rows).Invert(); err != nil {
-				t.Fatalf("rows %v singular: Cauchy MDS violated", rows)
-			}
-			return
-		}
-		for i := start; i < k+m; i++ {
-			rows = append(rows, i)
-			recurse(i + 1)
-			rows = rows[:len(rows)-1]
-		}
-	}
-	recurse(0)
-	if _, err := RSCauchyGeneratorMatrix(0, 1); err == nil {
-		t.Fatal("k=0 must fail")
-	}
-	if _, err := RSCauchyGeneratorMatrix(200, 100); err == nil {
-		t.Fatal("k+m > 256 must fail")
-	}
-}

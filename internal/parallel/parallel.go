@@ -49,24 +49,7 @@ func For(n, workers int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	var j join
-	chunk := n / workers
-	rem := n % workers
-	lo := 0
-	for w := 0; w < workers; w++ {
-		size := chunk
-		if w < rem {
-			size++
-		}
-		hi := lo + size
-		j.Add(1)
-		go func(lo, hi int) {
-			defer j.done()
-			body(lo, hi)
-		}(lo, hi)
-		lo = hi
-	}
-	j.wait()
+	split(n, workers, func(_, lo, hi int) { body(lo, hi) })
 }
 
 // ForErr is For with error collection: the first non-nil error (by
@@ -82,30 +65,35 @@ func ForErr(n, workers int, body func(lo, hi int) error) error {
 		return body(0, n)
 	}
 	errs := make([]error, workers)
-	var j join
-	chunk := n / workers
-	rem := n % workers
-	lo := 0
-	for w := 0; w < workers; w++ {
-		size := chunk
-		if w < rem {
-			size++
-		}
-		hi := lo + size
-		j.Add(1)
-		go func(w, lo, hi int) {
-			defer j.done()
-			errs[w] = body(lo, hi)
-		}(w, lo, hi)
-		lo = hi
-	}
-	j.wait()
+	split(n, workers, func(w, lo, hi int) { errs[w] = body(lo, hi) })
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// split cuts [0, n) into workers > 1 contiguous, near-equal ranges,
+// runs run(w, lo, hi) for range w on its own goroutine, and returns
+// once every range is done, raising the first panic among them.
+func split(n, workers int, run func(w, lo, hi int)) {
+	var j join
+	chunk, rem := n/workers, n%workers
+	lo := 0
+	for w := 0; w < workers; w++ {
+		hi := lo + chunk
+		if w < rem {
+			hi++
+		}
+		j.Add(1)
+		go func(w, lo, hi int) {
+			defer j.done()
+			run(w, lo, hi)
+		}(w, lo, hi)
+		lo = hi
+	}
+	j.wait()
 }
 
 // join waits for a set of workers and carries the first panic among

@@ -36,14 +36,6 @@ func U64(n int) uint64 {
 	return uint64(n)
 }
 
-// I32 converts an int that must fit 32 signed bits.
-func I32(n int) int32 {
-	if n < math.MinInt32 || n > math.MaxInt32 {
-		panic(fmt.Sprintf("safecast: %d does not fit int32", n))
-	}
-	return int32(n)
-}
-
 // Int converts a uint64 that must fit the platform int.
 func Int(n uint64) int {
 	if n > math.MaxInt {

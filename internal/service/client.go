@@ -96,7 +96,7 @@ func (c *Client) roundTrip(ctx context.Context, op Op, head, body []byte) ([]byt
 }
 
 // Encode asks the server to protect data with the given ECC
-// configuration (method 0 selects the server's default). It returns
+// configuration (method 0 selects secded64). It returns
 // the ARC container, copied out of the receive buffer.
 func (c *Client) Encode(ctx context.Context, method ecc.Method, param int, data []byte) ([]byte, error) {
 	h := encodeRequestHeader(method, param)

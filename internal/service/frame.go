@@ -277,7 +277,7 @@ func fullErr(err error) error {
 // Encode requests prefix the data with the requested configuration:
 //
 //	offset size field
-//	0      1    ecc method (0 = server default)
+//	0      1    ecc method (0 = secded64)
 //	1      2    method parameter
 //	3      n    data to protect
 const encodeReqHeaderLen = 3

@@ -42,9 +42,6 @@ type Config struct {
 	// service concurrency comes from many requests, not from
 	// splitting one).
 	Threads int
-	// Default is the encode configuration used when a request carries
-	// method 0. The zero value selects SEC-DED over 64-bit blocks.
-	Default core.Config
 	// Root, when non-empty, is the directory whose ARC archives
 	// READ_RANGE requests may address by bare file name. Empty
 	// disables the operation.
@@ -66,9 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Threads <= 0 {
 		c.Threads = 1
-	}
-	if c.Default.Method == 0 {
-		c.Default = core.Config{Method: ecc.MethodSECDED, Param: 64}
 	}
 	return c
 }
@@ -607,11 +601,18 @@ func (s *Server) processReadRange(req request, resp *response) {
 	resp.payload = out.b[:got]
 }
 
+// The encode configuration a request selects with method 0: SEC-DED
+// over 64-bit blocks.
+const (
+	defaultMethod = ecc.MethodSECDED
+	defaultParam  = 64
+)
+
 // chooseConfig resolves a request's method/param prefix, falling back
-// to the server default for method 0.
-func (s *Server) chooseConfig(method ecc.Method, param int) core.Config {
+// to the default for method 0.
+func chooseConfig(method ecc.Method, param int) core.Config {
 	if method == 0 {
-		return s.cfg.Default
+		method, param = defaultMethod, defaultParam
 	}
 	return core.Config{Method: method, Param: param}
 }
@@ -622,7 +623,7 @@ func (s *Server) processEncode(req request, resp *response) {
 		resp.fail(StatusBadRequest, err.Error())
 		return
 	}
-	cfg := s.chooseConfig(method, param)
+	cfg := chooseConfig(method, param)
 	out := resp.output()
 	res, err := core.EncodeContainerWith(out.b, data, core.Choice{Config: cfg, Threads: s.cfg.Threads})
 	if err != nil {

@@ -19,8 +19,8 @@ func TestFileReaderAtRoundTrip(t *testing.T) {
 	if err := os.WriteFile(src, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// EncodeFile writes container v2, so the reader opens indexed.
-	if _, _, err := a.EncodeFile(src, enc, 0.3, AnyBW, AnyECC, 64<<10); err != nil {
+	// EncodeFileWith writes container v2, so the reader opens indexed.
+	if _, _, err := a.EncodeFileWith(src, enc, 0.3, AnyBW, AnyECC, StreamOptions{ChunkSize: 64 << 10}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -30,7 +30,7 @@ func TestFileReaderAtRoundTrip(t *testing.T) {
 	}
 	defer r.Close()
 	if !r.Indexed() {
-		t.Fatal("EncodeFile output opened without a v2 index")
+		t.Fatal("EncodeFileWith output opened without a v2 index")
 	}
 	if r.Size() != int64(len(data)) {
 		t.Fatalf("Size() = %d, want %d", r.Size(), len(data))

@@ -37,24 +37,19 @@ type Writer struct {
 	cw *core.ChunkWriter
 }
 
-// NewWriter creates a streaming encoder over w under the usual three
-// constraints. chunkSize <= 0 selects the 4 MiB default.
-func (a *ARC) NewWriter(w io.Writer, mem, bw float64, res Resiliency, chunkSize int) (*Writer, error) {
-	return a.NewWriterWith(w, mem, bw, res, StreamOptions{ChunkSize: chunkSize})
-}
-
-// NewWriterWith is NewWriter with explicit stream options (chunk size
-// and encode pipelining).
+// NewWriterWith creates a streaming encoder over w under the usual
+// three constraints; opts sets the chunk size (<= 0 selects the 4 MiB
+// default), encode pipelining and the footer index.
 func (a *ARC) NewWriterWith(w io.Writer, mem, bw float64, res Resiliency, opts StreamOptions) (*Writer, error) {
-	cw, err := a.eng.NewChunkWriterWith(w, mem, bw, res, opts)
+	c, err := a.JointOptimizer(mem, bw, res)
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{cw: cw}, nil
+	return a.NewWriterChoice(w, c, opts)
 }
 
 // NewWriterChoice creates a streaming encoder with an explicit
-// optimizer choice — the streaming analog of EncodeWith.
+// optimizer choice — the streaming analog of EncodeContainer.
 func (a *ARC) NewWriterChoice(w io.Writer, c Choice, opts StreamOptions) (*Writer, error) {
 	cw, err := a.eng.NewChunkWriterChoice(w, c, opts)
 	if err != nil {

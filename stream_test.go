@@ -16,7 +16,7 @@ func TestStreamRoundTrip(t *testing.T) {
 	rand.New(rand.NewSource(70)).Read(data)
 
 	var encoded bytes.Buffer
-	w, err := a.NewWriter(&encoded, 0.2, AnyBW, AnyECC, 64<<10)
+	w, err := a.NewWriterWith(&encoded, 0.2, AnyBW, AnyECC, StreamOptions{ChunkSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestStreamRepairsFlips(t *testing.T) {
 	rand.New(rand.NewSource(71)).Read(data)
 
 	var encoded bytes.Buffer
-	w, err := a.NewWriter(&encoded, AnyMem, AnyBW, WithErrorsPerMB(1), 32<<10)
+	w, err := a.NewWriterWith(&encoded, AnyMem, AnyBW, WithErrorsPerMB(1), StreamOptions{ChunkSize: 32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestStreamUncorrectableChunkStopsCleanly(t *testing.T) {
 	data := make([]byte, 128<<10)
 	rand.New(rand.NewSource(73)).Read(data)
 	var encoded bytes.Buffer
-	w, err := a.NewWriter(&encoded, AnyMem, AnyBW, WithMethods(Parity), 32<<10)
+	w, err := a.NewWriterWith(&encoded, AnyMem, AnyBW, WithMethods(Parity), StreamOptions{ChunkSize: 32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestStreamEmptyAndTruncated(t *testing.T) {
 
 	a := initTest(t, 1)
 	var encoded bytes.Buffer
-	w, err := a.NewWriter(&encoded, AnyMem, AnyBW, AnyECC, 0)
+	w, err := a.NewWriterWith(&encoded, AnyMem, AnyBW, AnyECC, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestStreamEmptyAndTruncated(t *testing.T) {
 func TestStreamWriteAfterClose(t *testing.T) {
 	a := initTest(t, 1)
 	var encoded bytes.Buffer
-	w, err := a.NewWriter(&encoded, AnyMem, AnyBW, AnyECC, 0)
+	w, err := a.NewWriterWith(&encoded, AnyMem, AnyBW, AnyECC, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestStreamWriteAfterClose(t *testing.T) {
 func TestStreamChoiceExposed(t *testing.T) {
 	a := initTest(t, 1)
 	var encoded bytes.Buffer
-	w, err := a.NewWriter(&encoded, AnyMem, AnyBW, WithMethods(SECDED), 0)
+	w, err := a.NewWriterWith(&encoded, AnyMem, AnyBW, WithMethods(SECDED), StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestStreamPipelinedReaderCloseEarly(t *testing.T) {
 	data := make([]byte, 64<<10)
 	rand.New(rand.NewSource(81)).Read(data)
 	var encoded bytes.Buffer
-	w, err := a.NewWriter(&encoded, AnyMem, AnyBW, AnyECC, 4<<10)
+	w, err := a.NewWriterWith(&encoded, AnyMem, AnyBW, AnyECC, StreamOptions{ChunkSize: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestInspectStream(t *testing.T) {
 	data := make([]byte, 100<<10)
 	rand.New(rand.NewSource(75)).Read(data)
 	var encoded bytes.Buffer
-	w, err := a.NewWriter(&encoded, 0.2, AnyBW, AnyECC, 32<<10)
+	w, err := a.NewWriterWith(&encoded, 0.2, AnyBW, AnyECC, StreamOptions{ChunkSize: 32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
