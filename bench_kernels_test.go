@@ -18,6 +18,7 @@ import (
 	"repro/internal/ecc"
 	"repro/internal/ecc/hamming"
 	"repro/internal/ecc/interleave"
+	"repro/internal/ecc/parity"
 	"repro/internal/ecc/reedsolomon"
 	"repro/internal/gf256"
 	"repro/internal/huffman"
@@ -149,6 +150,13 @@ func TestKernelFloors(t *testing.T) {
 		src, dst := randBytes(kernelBuf, 12), randBytes(kernelBuf, 13)
 		floors = append(floors, floor{"GF256MulSliceAVX2VsSSSE3",
 			kernelPair{kernelBuf, mulSliceTier("avx2", src, dst), mulSliceTier("ssse3", src, dst)}, 1.5})
+		// The XOR codes' AVX2 kernels over their table path, the same
+		// call under the word tier (SEC-DED encode 10-11x, decode
+		// 6.3-8.5x, parity8 encode 5.3-7.6x when they landed).
+		floors = append(floors,
+			floor{"SECDED64EncodeAVX2VsWord", tierPair(secdedEncodePair().kernel), 5},
+			floor{"SECDED64DecodeAVX2VsWord", tierPair(secdedDecodePair().kernel), 3},
+			floor{"Parity8EncodeAVX2VsWord", tierPair(parity8EncodeOp()), 2.5})
 	}
 	for _, f := range floors {
 		got := f.pair.speedup(t, f.min)
@@ -170,14 +178,25 @@ func BenchmarkKernelGF256MulSlice(b *testing.B) { mulSlicePair().bench(b) }
 
 // mulSliceTier is one MulSlice under the named dispatch tier.
 func mulSliceTier(tier string, src, dst []byte) func(testing.TB) {
+	return underTier(tier, func(testing.TB) { gf256.MulSlice(0x1D, src, dst) })
+}
+
+// underTier is op run under the named gf256 dispatch tier.
+func underTier(tier string, op func(testing.TB)) func(testing.TB) {
 	return func(tb testing.TB) {
 		restore, err := gf256.ForceTier(tier)
 		if err != nil {
 			tb.Fatalf("ForceTier(%q): %v", tier, err)
 		}
-		gf256.MulSlice(0x1D, src, dst)
+		op(tb)
 		restore()
 	}
+}
+
+// tierPair is op of kernelBuf bytes under the avx2 tier against op
+// under the word tier.
+func tierPair(op func(testing.TB)) kernelPair {
+	return kernelPair{kernelBuf, underTier("avx2", op), underTier("word", op)}
 }
 
 // BenchmarkKernelGF256MulSliceTier measures MulSlice under every SIMD
@@ -208,6 +227,35 @@ func secdedEncodePair() kernelPair {
 }
 
 func BenchmarkKernelSECDED64Encode(b *testing.B) { secdedEncodePair().bench(b) }
+
+// parity8EncodeOp is one parity8 EncodeTo of kernelBuf bytes into a
+// reused buffer.
+func parity8EncodeOp() func(testing.TB) {
+	code := parity.New(8, 1)
+	data := randBytes(kernelBuf, 16)
+	var dst []byte
+	return func(testing.TB) { dst = code.EncodeTo(dst, data, nil) }
+}
+
+// BenchmarkKernelXORCodeTier runs SEC-DED(72,64) encode and decode and
+// parity8 encode under every dispatch tier the host supports: the
+// AVX2 kernels under avx2, the table path under the others.
+func BenchmarkKernelXORCodeTier(b *testing.B) {
+	ops := []struct {
+		name string
+		op   func(testing.TB)
+	}{
+		{"SECDED64Encode", secdedEncodePair().kernel},
+		{"SECDED64Decode", secdedDecodePair().kernel},
+		{"Parity8Encode", parity8EncodeOp()},
+	}
+	for _, o := range ops {
+		for _, tier := range gf256.Tiers() {
+			op := underTier(tier, o.op)
+			b.Run(o.name+"/"+tier, func(b *testing.B) { benchOp(b, kernelBuf, op) })
+		}
+	}
+}
 
 // secdedDecodeInputs is a SEC-DED(72,64) encoding of kernelBuf bytes
 // with one correctable flip ("word": the repair logic runs once) and

@@ -19,7 +19,9 @@
 // are 8*CheckLen bits, always whole bytes, and come from byte tables
 // (stepCheck). DecodeTo recomputes a step's packed check words, compares
 // them with the stored ones in one word compare, and looks at single
-// blocks (decodeBlock) only where the two differ.
+// blocks (decodeBlock) only where the two differ. While gf256 dispatches
+// to its avx2 tier, the K=64 codes take pairs of whole steps through an
+// AVX2 kernel (checkBytesAVX2) instead of the tables.
 package hamming
 
 import (
@@ -29,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ecc"
+	"repro/internal/gf256"
 	"repro/internal/parallel"
 )
 
@@ -123,6 +126,12 @@ func (p *Params) blockCheck(data uint64) uint16 {
 // non-extended code masks the overall bit off.
 var checkTabs = [2][][256]byte{make([][256]byte, 1), make([][256]byte, 8)}
 
+// nibTabs is checkTabs[1] split by nibble for checkBytesAVX2: entry r
+// holds the low-nibble rows of data bytes 2r and 2r+1, then their
+// high-nibble rows, 16 bytes each. A check word is linear in the data,
+// so T[i][v] = T[i][v&0x0F] ^ T[i][v&0xF0].
+var nibTabs [4][64]byte
+
 func init() {
 	for _, tab := range checkTabs {
 		p := NewParams(8*len(tab), true)
@@ -130,6 +139,14 @@ func init() {
 			for v := range tab[i] {
 				tab[i][v] = byte(p.blockCheck(uint64(v) << (8 * i)))
 			}
+		}
+	}
+	// Derived here, after the loop above, not in nibTabs' initializer:
+	// package variables are initialized before any init runs.
+	for i, row := range checkTabs[1] {
+		for v := range 16 {
+			nibTabs[i/2][16*(i%2)+v] = row[v]
+			nibTabs[i/2][32+16*(i%2)+v] = row[v<<4]
 		}
 	}
 }
@@ -232,6 +249,19 @@ func (c *Code) stepCheck(data []byte, s int) uint64 {
 	return c.P.stepCheck(pad[:span])
 }
 
+// vector reports whether this call takes the AVX2 kernel: a K=64 code
+// while gf256 dispatches to its avx2 tier, so ARC_SIMD and
+// gf256.ForceTier choose for both packages.
+func (c *Code) vector() bool {
+	return c.P.K == 64 && gf256.ActiveTier() == gf256.TierAVX2
+}
+
+// kernelEnd is where checkBytesAVX2's steps end in [lo, end) of an
+// n-byte input: it takes whole steps only, in pairs (128 bytes).
+func kernelEnd(lo, end, n int) int {
+	return lo + max(min(end, n/64)-lo, 0)&^1
+}
+
 // EncodeTo implements ecc.Code. Every check byte is fully
 // assigned (encodeSteps writes whole bytes, zero bits after the last
 // block), so a reused dst needs no clearing.
@@ -239,14 +269,15 @@ func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
 	n := len(data)
 	out := ecc.GrowTo(dst, c.EncodedSize(n))
 	steps := (c.blocks(n) + 7) / 8
+	vec := c.vector()
 	// Serial fast path: a closure handed to parallel.For escapes and
 	// would allocate even when it runs inline — the chunk-stream
 	// steady state encodes with one worker.
 	if parallel.Clamp(c.Workers, steps) == 1 {
-		c.encodeSteps(out, data, 0, steps)
+		c.encodeSteps(out, data, 0, steps, vec)
 	} else {
 		parallel.For(steps, c.Workers, func(lo, hi int) {
-			c.encodeSteps(out, data, lo, hi)
+			c.encodeSteps(out, data, lo, hi, vec)
 		})
 	}
 	return out
@@ -259,23 +290,60 @@ func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
 const copySteps = 64
 
 // encodeSteps copies the data of steps [lo, hi) into out and stores
-// their check words after the data. A step owns check bytes
+// their check words after the data, through checkBytesAVX2 when vec
+// and the tables otherwise. A step owns check bytes
 // [s*CheckLen, (s+1)*CheckLen), cut short at the end of out for the
 // final step, so ranges never share a byte.
-func (c *Code) encodeSteps(out, data []byte, lo, hi int) {
-	cl, span := c.P.CheckLen, c.P.K
+func (c *Code) encodeSteps(out, data []byte, lo, hi int, vec bool) {
+	span := c.P.K
 	chk := out[len(data):]
+	var ext [8 * copySteps]byte // the kernel's check bytes when CheckLen < 8
 	for ; lo < hi; lo += copySteps {
 		end := min(lo+copySteps, hi)
-		copy(out[lo*span:], data[lo*span:min(end*span, len(data))])
-		for s := lo; s < end; s++ {
-			// MSB-align: big-endian byte k of w is check byte k of the step.
-			w := c.stepCheck(data, s) << uint(64-8*cl)
-			var be [8]byte
-			binary.BigEndian.PutUint64(be[:], w)
-			copy(chk[s*cl:min(s*cl+cl, len(chk))], be[:])
+		s := lo
+		if vec {
+			s = kernelEnd(lo, end, len(data))
+			src, dst := data[lo*span:s*span], out[lo*span:s*span]
+			if c.P.CheckLen == 8 {
+				// SEC-DED(72,64): the extended check bytes are the check bytes.
+				checkBytesAVX2(&nibTabs, src, dst, chk[lo*8:s*8])
+			} else {
+				checkBytesAVX2(&nibTabs, src, dst, ext[:8*(s-lo)])
+				for i := lo; i < s; i++ {
+					c.putStep(chk, i, c.P.packStep(ext[8*(i-lo):]))
+				}
+			}
+		}
+		copy(out[s*span:], data[s*span:min(end*span, len(data))])
+		for ; s < end; s++ {
+			c.putStep(chk, s, c.stepCheck(data, s))
 		}
 	}
+}
+
+// putStep stores w, step s's packed check word, as the step's check
+// bytes in chk, cut short at its end.
+func (c *Code) putStep(chk []byte, s int, w uint64) {
+	cl := c.P.CheckLen
+	// MSB-align: big-endian byte k of w is check byte k of the step.
+	var be [8]byte
+	binary.BigEndian.PutUint64(be[:], w<<uint(64-8*cl))
+	copy(chk[s*cl:min(s*cl+cl, len(chk))], be[:])
+}
+
+// packStep packs the extended check bytes of a step's eight K=64
+// blocks, ext[:8], into the step's check word as stepCheck returns it:
+// the CheckLen low bits of each, the first block's highest.
+func (p *Params) packStep(ext []byte) uint64 {
+	if p.CheckLen == 8 {
+		return binary.BigEndian.Uint64(ext)
+	}
+	keep := byte(1<<p.CheckLen - 1)
+	var acc uint64
+	for _, x := range ext[:8] {
+		acc = acc<<uint(p.CheckLen) | uint64(x&keep)
+	}
+	return acc
 }
 
 // EncodeRef is the retained scalar reference implementation of EncodeTo
@@ -384,16 +452,17 @@ func (c *Code) DecodeTo(dst, encoded []byte, origLen int, _ *ecc.Scratch) ([]byt
 	out := ecc.GrowTo(dst, origLen)
 	encoded = encoded[:c.EncodedSize(origLen)]
 	steps := (c.blocks(origLen) + 7) / 8
+	vec := c.vector()
 	var total blockStats
 	// Serial fast path: see EncodeTo — the closure plus the counters it
 	// captures by address would otherwise allocate per DecodeTo.
 	if parallel.Clamp(c.Workers, steps) == 1 {
-		c.decodeSteps(out, encoded, 0, steps, &total)
+		c.decodeSteps(out, encoded, 0, steps, vec, &total)
 	} else {
 		var detected, corrBits, corrBlocks, uncorrectable int64
 		parallel.For(steps, c.Workers, func(lo, hi int) {
 			var st blockStats
-			c.decodeSteps(out, encoded, lo, hi, &st)
+			c.decodeSteps(out, encoded, lo, hi, vec, &st)
 			atomic.AddInt64(&detected, st.det)
 			atomic.AddInt64(&corrBits, st.bits)
 			atomic.AddInt64(&corrBlocks, st.blocks)
@@ -412,38 +481,61 @@ func (c *Code) DecodeTo(dst, encoded []byte, origLen int, _ *ecc.Scratch) ([]byt
 
 // decodeSteps copies the data of steps [lo, hi) from encoded into out,
 // then verifies and repairs it there, accumulating into st; safe to
-// run concurrently on disjoint ranges. A step whose recomputed check
-// words equal the stored ones is clean and costs one compare; in any
-// other, exactly the blocks whose fields differ go to decodeBlock,
-// which is where every verdict is made.
-func (c *Code) decodeSteps(out, encoded []byte, lo, hi int, st *blockStats) {
-	cl, span := c.P.CheckLen, c.P.K
+// run concurrently on disjoint ranges. The check words are recomputed
+// as encodeSteps computes them, and verifyStep compares them with the
+// stored ones; SEC-DED(72,64) first compares the kernel's eight check
+// bytes of a step with the stored eight as one word.
+func (c *Code) decodeSteps(out, encoded []byte, lo, hi int, vec bool, st *blockStats) {
+	span := c.P.K
 	chk := encoded[len(out):]
 	nb := c.blocks(len(out))
-	field := uint64(1)<<cl - 1
+	var ext [8 * copySteps]byte
 	for ; lo < hi; lo += copySteps {
 		end := min(lo+copySteps, hi)
-		copy(out[lo*span:], encoded[lo*span:min(end*span, len(out))])
-		for s := lo; s < end; s++ {
-			// The step's check bytes, right-aligned like stepCheck's result.
-			var be [8]byte
-			copy(be[:cl], chk[s*cl:])
-			stored := binary.BigEndian.Uint64(be[:]) >> uint(64-8*cl)
-			if n := nb - 8*s; n < 8 {
-				// Final short step: the bits after its last block are
-				// padding that EncodeTo never sets and DecodeTo never reads.
-				stored &^= 1<<uint(cl*(8-n)) - 1
-			}
-			diff := stored ^ c.stepCheck(out, s)
-			if diff == 0 {
-				continue
-			}
-			for j := 0; j < 8; j++ {
-				sh := uint(cl * (7 - j))
-				if diff>>sh&field != 0 {
-					c.decodeBlock(out, 8*s+j, uint16(stored>>sh&field), st)
+		s := lo
+		if vec {
+			s = kernelEnd(lo, end, len(out))
+			checkBytesAVX2(&nibTabs, encoded[lo*span:s*span], out[lo*span:s*span], ext[:8*(s-lo)])
+			for i := lo; i < s; i++ {
+				e := ext[8*(i-lo):]
+				if c.P.CheckLen == 8 && binary.LittleEndian.Uint64(chk[8*i:]) == binary.LittleEndian.Uint64(e) {
+					continue
 				}
+				c.verifyStep(out, chk, i, nb, c.P.packStep(e), st)
 			}
+		}
+		copy(out[s*span:], encoded[s*span:min(end*span, len(out))])
+		for ; s < end; s++ {
+			c.verifyStep(out, chk, s, nb, c.stepCheck(out, s), st)
+		}
+	}
+}
+
+// verifyStep compares got, the recomputed check word of step s of out
+// (nb blocks), with the one stored in chk. A step whose words are equal
+// is clean and costs one compare; in any other, exactly the blocks
+// whose fields differ go to decodeBlock, which is where every verdict
+// is made.
+func (c *Code) verifyStep(out, chk []byte, s, nb int, got uint64, st *blockStats) {
+	cl := c.P.CheckLen
+	// The step's check bytes, right-aligned like stepCheck's result.
+	var be [8]byte
+	copy(be[:cl], chk[s*cl:])
+	stored := binary.BigEndian.Uint64(be[:]) >> uint(64-8*cl)
+	if n := nb - 8*s; n < 8 {
+		// Final short step: the bits after its last block are
+		// padding that EncodeTo never sets and DecodeTo never reads.
+		stored &^= 1<<uint(cl*(8-n)) - 1
+	}
+	diff := stored ^ got
+	if diff == 0 {
+		return
+	}
+	field := uint64(1)<<cl - 1
+	for j := 0; j < 8; j++ {
+		sh := uint(cl * (7 - j))
+		if diff>>sh&field != 0 {
+			c.decodeBlock(out, 8*s+j, uint16(stored>>sh&field), st)
 		}
 	}
 }

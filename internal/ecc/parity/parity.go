@@ -1,7 +1,9 @@
 // Package parity implements ARC's lightest-weight protection: one even
 // parity bit per N-byte data block. It detects any odd number of bit
 // flips within a block (so all single-bit errors) but corrects nothing,
-// matching the paper's ARC_PARITY method.
+// matching the paper's ARC_PARITY method. While gf256 dispatches to its
+// avx2 tier, 8-byte blocks take an AVX2 kernel (parityBytesAVX2) for
+// every parity byte whose 64 data bytes all exist.
 package parity
 
 import (
@@ -11,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ecc"
+	"repro/internal/gf256"
 	"repro/internal/parallel"
 )
 
@@ -42,6 +45,17 @@ func (c *Code) EncodedSize(n int) int {
 }
 
 func (c *Code) blocks(n int) int { return (n + c.BlockBytes - 1) / c.BlockBytes }
+
+// vector reports whether this call takes the AVX2 kernel: 8-byte
+// blocks while gf256 dispatches to its avx2 tier, so ARC_SIMD and
+// gf256.ForceTier choose for both packages.
+func (c *Code) vector() bool {
+	return c.BlockBytes == 8 && gf256.ActiveTier() == gf256.TierAVX2
+}
+
+// kernelEnd is where the kernel's parity bytes end in [lo, hi) of an
+// n-byte input: it takes those whose 64 data bytes all exist.
+func kernelEnd(lo, hi, n int) int { return max(min(hi, n/64), lo) }
 
 // blockParity returns the even-parity bit (0 or 1) over the block.
 // The parity of the whole block equals the parity of the XOR-fold of
@@ -93,30 +107,44 @@ func (c *Code) parityByte(data []byte, pb, nb int) byte {
 }
 
 // EncodeTo implements ecc.Code. Workers own whole parity bytes
-// (groups of eight blocks), so no two goroutines write the same byte;
-// every output byte is fully assigned, so a reused dst needs no
-// clearing.
+// (groups of eight blocks) and the data they cover, so no two
+// goroutines write the same byte; every output byte is fully assigned,
+// so a reused dst needs no clearing.
 func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
 	n := len(data)
 	nb := c.blocks(n)
 	out := ecc.GrowTo(dst, c.EncodedSize(n))
-	copy(out, data)
 	par := out[n:]
+	vec := c.vector()
 	// Serial fast path: a closure handed to parallel.For escapes and
 	// would allocate even when it runs inline.
 	if parallel.Clamp(c.Workers, len(par)) == 1 {
-		c.encodeRange(data, par, 0, len(par), nb)
+		c.encodeRange(data, out, par, 0, len(par), nb, vec)
 	} else {
 		parallel.For(len(par), c.Workers, func(lo, hi int) {
-			c.encodeRange(data, par, lo, hi, nb)
+			c.encodeRange(data, out, par, lo, hi, nb, vec)
 		})
 	}
 	return out
 }
 
-// encodeRange fills parity bytes [lo, hi); safe to run concurrently on
-// disjoint ranges.
-func (c *Code) encodeRange(data, par []byte, lo, hi, nb int) {
+// span is the data bytes parity bytes [lo, hi) cover in an n-byte
+// input.
+func (c *Code) span(lo, hi, n int) (int, int) {
+	return lo * 8 * c.BlockBytes, min(hi*8*c.BlockBytes, n)
+}
+
+// encodeRange copies the data parity bytes [lo, hi) cover into out and
+// fills them, through parityBytesAVX2 when vec; safe to run
+// concurrently on disjoint ranges.
+func (c *Code) encodeRange(data, out, par []byte, lo, hi, nb int, vec bool) {
+	if vec {
+		end := kernelEnd(lo, hi, len(data))
+		parityBytesAVX2(data[lo*64:end*64], out[lo*64:end*64], par[lo:end])
+		lo = end
+	}
+	from, to := c.span(lo, hi, len(data))
+	copy(out[from:to], data[from:to])
 	for pb := lo; pb < hi; pb++ {
 		par[pb] = c.parityByte(data, pb, nb)
 	}
@@ -134,40 +162,105 @@ func (c *Code) DecodeTo(dst, encoded []byte, origLen int, _ *ecc.Scratch) ([]byt
 	data := encoded[:origLen]
 	par := encoded[origLen:c.EncodedSize(origLen)]
 	nb := c.blocks(origLen)
+	out := ecc.GrowTo(dst, origLen)
 	var detected int64
+	vec := c.vector()
 	// Serial fast path: see EncodeTo. The atomic counter is declared
 	// inside the parallel branch so its heap allocation (it is captured
 	// by an escaping closure) never taxes the serial path.
 	if parallel.Clamp(c.Workers, len(par)) == 1 {
-		detected = c.countRange(data, par, 0, len(par), nb)
+		detected = c.countRange(data, out, par, 0, len(par), nb, vec)
 	} else {
 		var adet int64
 		parallel.For(len(par), c.Workers, func(lo, hi int) {
-			if local := c.countRange(data, par, lo, hi, nb); local > 0 {
+			if local := c.countRange(data, out, par, lo, hi, nb, vec); local > 0 {
 				atomic.AddInt64(&adet, local)
 			}
 		})
 		detected = adet
 	}
 	rep.DetectedBlocks = int(detected)
-	out := ecc.GrowTo(dst, origLen)
-	copy(out, data)
 	if rep.DetectedBlocks > 0 {
 		return out, rep, fmt.Errorf("%w: parity mismatch in %d block(s)", ecc.ErrUncorrectable, rep.DetectedBlocks)
 	}
 	return out, rep, nil
 }
 
-// countRange counts mismatched parity bits over parity bytes [lo, hi);
-// safe to run concurrently on disjoint ranges.
-func (c *Code) countRange(data, par []byte, lo, hi, nb int) int64 {
+// countRange copies the data parity bytes [lo, hi) cover into out and
+// counts the bits where their recomputed parity, as encodeRange
+// computes it, differs from par; safe to run concurrently on disjoint
+// ranges.
+func (c *Code) countRange(data, out, par []byte, lo, hi, nb int, vec bool) int64 {
 	local := 0
+	if vec {
+		var got [512]byte
+		for end := kernelEnd(lo, hi, len(data)); lo < end; {
+			k := min(end-lo, len(got))
+			parityBytesAVX2(data[lo*64:(lo+k)*64], out[lo*64:(lo+k)*64], got[:k])
+			for i, g := range got[:k] {
+				local += bits.OnesCount8(g ^ par[lo+i])
+			}
+			lo += k
+		}
+	}
+	from, to := c.span(lo, hi, len(data))
+	copy(out[from:to], data[from:to])
 	for pb := lo; pb < hi; pb++ {
 		if diff := c.parityByte(data, pb, nb) ^ par[pb]; diff != 0 {
 			local += bits.OnesCount8(diff)
 		}
 	}
 	return int64(local)
+}
+
+// EncodeRef is the retained per-block reference of EncodeTo, kept as
+// the oracle of the differential tests: each block's bit is the parity
+// of its bytes' popcounts, set MSB-first. Its output is byte-identical
+// to EncodeTo's.
+func (c *Code) EncodeRef(data []byte) []byte {
+	n := len(data)
+	out := make([]byte, c.EncodedSize(n))
+	copy(out, data)
+	par := out[n:]
+	for b := range c.blocks(n) {
+		if refParity(data[b*c.BlockBytes:min((b+1)*c.BlockBytes, n)]) == 1 {
+			par[b/8] |= 0x80 >> (b % 8)
+		}
+	}
+	return out
+}
+
+// DecodeRef is the retained per-block reference of DecodeTo: the same
+// output, report and error class. A bit after the last block in the
+// final parity byte stands for an empty block, whose parity is 0, so a
+// flip there is detected as DecodeTo detects it.
+func (c *Code) DecodeRef(encoded []byte, origLen int) ([]byte, ecc.Report, error) {
+	var rep ecc.Report
+	if origLen < 0 || len(encoded) < c.EncodedSize(origLen) {
+		return nil, rep, fmt.Errorf("%w: need %d bytes, have %d", ecc.ErrTruncated, c.EncodedSize(origLen), len(encoded))
+	}
+	out := make([]byte, origLen)
+	copy(out, encoded)
+	par := encoded[origLen:c.EncodedSize(origLen)]
+	for b := range 8 * len(par) {
+		block := out[min(b*c.BlockBytes, origLen):min((b+1)*c.BlockBytes, origLen)]
+		if refParity(block) != par[b/8]>>(7-b%8)&1 {
+			rep.DetectedBlocks++
+		}
+	}
+	if rep.DetectedBlocks > 0 {
+		return out, rep, fmt.Errorf("%w: parity mismatch in %d block(s)", ecc.ErrUncorrectable, rep.DetectedBlocks)
+	}
+	return out, rep, nil
+}
+
+// refParity is the parity bit of block, one byte at a time.
+func refParity(block []byte) byte {
+	ones := 0
+	for _, x := range block {
+		ones += bits.OnesCount8(x)
+	}
+	return byte(ones & 1)
 }
 
 var _ ecc.Code = (*Code)(nil)

@@ -143,11 +143,12 @@ func TestFig89ShapeClaims(t *testing.T) {
 			t.Fatalf("secded (%.0f) must out-encode RS (%.0f)", enc["secded64"], enc["rs-m15"])
 		}
 	}
-	// Parity over SEC-DED is not structural here: since the table
-	// kernel both run near memory speed (results/scale.txt: 2 559 vs
-	// 1 936 MB/s at 4 MiB), 1.3x apart on an idle host and inside each
-	// other's noise on a shared one. Require only that parity is not
-	// clearly slower: within a 25 % band of SEC-DED.
+	// Parity over SEC-DED is not structural here: both are AVX2
+	// kernels that move the data once, 11-16 GB/s each at this 1 MiB on
+	// the 2-vCPU host and inside each other's noise (results/scale.txt,
+	// at 4 MiB: parity8 0.85-1.64x secded64 over 1-4 threads). Require
+	// only that parity is not clearly slower: within a 25 % band of
+	// SEC-DED.
 	const noiseBand = 0.25
 	if enc["parity8"] < (1-noiseBand)*enc["secded64"] {
 		t.Fatalf("parity (%.0f) encodes more than %.0f%% below secded (%.0f)",
@@ -173,10 +174,10 @@ func TestFig10ShapeClaims(t *testing.T) {
 	// cost about what encoding the stripe did, on top of the CRC scan
 	// that is all a clean decode pays. (One error no longer shows: it
 	// is a 1x1 solve in one stripe — the deviation from the paper's
-	// Figure 10 that EXPERIMENTS.md records.) Hamming and SEC-DED
-	// syndrome repair is one table lookup in this implementation, so
-	// their drop is within timing noise; only require they never speed
-	// up beyond noise.
+	// Figure 10 that EXPERIMENTS.md records.) How far Hamming and
+	// SEC-DED drop depends on how fast their clean decode is (≈ 6x for
+	// secded64 at 100k errors with the AVX2 kernel, ≈ 2x on the table
+	// path); only require they never speed up beyond noise.
 	rs := dec["rs-m15"]
 	if rs[20000] >= rs[1]/2 {
 		t.Fatalf("RS under 20k errors decoded %.1f MB/s vs %.1f clean; expected a sharp drop", rs[20000], rs[1])

@@ -60,6 +60,11 @@ go test -race ./internal/core -run 'Lazy|Train|Cache'
 
 # These run-time gates are the repo's concurrency checks; arcvet has
 # no concurrency analyzer.
+echo "== word tier (ARC_SIMD=word: the table kernels and the goldens on an AVX2 host) =="
+# ARC_SIMD is read in gf256's init, which the test cache does not key
+# on: without -count=1 this would replay the results of the run above.
+ARC_SIMD=word go test -count=1 ./internal/ecc/... ./internal/core
+
 echo "== stream close/decode-error race regression (race, 5 runs) =="
 go test -race -run 'TestChunkReaderCloseRacesMidStreamError' -count=5 ./internal/core
 
@@ -91,9 +96,15 @@ echo "== gf256 dispatch fuzz smoke (10s) =="
 go test -run '^$' -fuzz '^FuzzGF256Dispatch$' -fuzztime 10s ./internal/gf256
 
 echo "== hamming kernel fuzz smoke (10s) =="
-# Differential fuzz of the eight-codeword table kernel (all four codes,
-# one and four workers) against the per-block references.
+# Differential fuzz of the eight-codeword table kernel and the AVX2
+# kernel (all four codes, one and four workers, every dispatch tier)
+# against the per-block references.
 go test -run '^$' -fuzz '^FuzzHammingKernel$' -fuzztime 10s ./internal/ecc/hamming
+
+echo "== parity kernel fuzz smoke (10s) =="
+# Differential fuzz of parity's encode and decode (block size, workers,
+# every dispatch tier, flips) against the per-block references.
+go test -run '^$' -fuzz '^FuzzParityKernel$' -fuzztime 10s ./internal/ecc/parity
 
 echo "== reed-solomon repair fuzz smoke (10s) =="
 # Differential fuzz of the repair path (code shape, generator, checksum
