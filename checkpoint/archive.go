@@ -68,21 +68,14 @@ func (aw *ArchiveWriter) Fields() []string {
 // field is its name, its field header, its compressed length and its
 // compressed bytes.
 func (aw *ArchiveWriter) WriteTo(w io.Writer, a *arc.ARC, mem, bw float64, res arc.Resiliency, chunkBytes int) error {
-	payload := append([]byte(archiveMagic), archiveVersion)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(aw.fields)))
+	head := append([]byte(archiveMagic), archiveVersion)
+	parts := [][]byte{binary.LittleEndian.AppendUint32(head, uint32(len(aw.fields)))}
 	for _, f := range aw.fields {
-		payload = f.appendHeader(appendString(payload, f.name))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(f.compressed)))
-		payload = append(payload, f.compressed...)
+		h := f.appendHeader(appendString(nil, f.name))
+		parts = append(parts, binary.LittleEndian.AppendUint32(h, uint32(len(f.compressed))), f.compressed)
 	}
-	pw, err := a.NewWriterWith(w, mem, bw, res, arc.StreamOptions{ChunkSize: chunkBytes})
-	if err != nil {
-		return err
-	}
-	if _, err := pw.Write(payload); err != nil {
-		return err
-	}
-	return pw.Close()
+	_, err := protect(w, a, mem, bw, res, chunkBytes, parts...)
+	return err
 }
 
 // ArchiveField is one loaded field.
@@ -113,18 +106,10 @@ func (ar *Archive) Get(name string) *ArchiveField {
 // LoadArchive reads an archive from r, repairing soft errors through
 // ARC and decompressing every field.
 func LoadArchive(r io.Reader, workers int) (*Archive, error) {
-	pr := arc.NewReader(r, workers)
-	p, err := io.ReadAll(pr)
+	p, rep, err := open(r, workers, archiveMagic, archiveVersion)
 	if err != nil {
 		return nil, err
 	}
-	if len(p) <= len(archiveMagic) || string(p[:len(archiveMagic)]) != archiveMagic {
-		return nil, fmt.Errorf("%w: bad archive magic", ErrFormat)
-	}
-	if p[len(archiveMagic)] != archiveVersion {
-		return nil, fmt.Errorf("%w: unsupported archive version %d", ErrFormat, p[len(archiveMagic)])
-	}
-	p = p[len(archiveMagic)+1:]
 	if len(p) < 4 {
 		return nil, fmt.Errorf("%w: truncated field count", ErrFormat)
 	}
@@ -133,7 +118,7 @@ func LoadArchive(r io.Reader, workers int) (*Archive, error) {
 	if count < 0 || count > maxArchiveFields {
 		return nil, fmt.Errorf("%w: implausible field count %d", ErrFormat, count)
 	}
-	ar := &Archive{Repairs: pr.Report()}
+	ar := &Archive{Repairs: rep}
 	for i := 0; i < count; i++ {
 		name, rest, ok := cutString(p)
 		if !ok {

@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math/rand"
@@ -162,6 +164,44 @@ func TestLoadArchiveRejectsHeaderStreamDimsMismatch(t *testing.T) {
 		}
 		if _, err := LoadArchive(bytes.NewReader(forged.Bytes()), 1); !errors.Is(err, ErrFormat) {
 			t.Fatalf("%s: header dims disagree with the stream: want ErrFormat, got %v", comp, err)
+		}
+	}
+}
+
+// TestArchiveStreamUnchanged pins the bytes ArchiveWriter.WriteTo
+// writes, recorded while it still joined the whole archive into one
+// buffer for a single Write: the chunk writer cuts by byte count, so
+// writing the archive piece by piece must be the same stream, in one
+// chunk or across many.
+func TestArchiveStreamUnchanged(t *testing.T) {
+	a := testARC(t)
+	cesm := datasets.CESM(32, 64, 1)
+	nyx := datasets.NYX(16, 16, 16, 6)
+	aw := NewArchiveWriter()
+	if err := aw.Add("cesm", cesm.Data, cesm.Dims, Options{Compressor: "SZ-ABS", Bound: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	if err := aw.Add("nyx", nyx.Data, nyx.Dims, Options{Compressor: "ZFP-ACC", Bound: 1e-6}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		chunk int
+		size  int
+		want  string
+	}{
+		{0, 25492, "adc9046a8676d2e2b66e845ca311f447d5710d18891acac42acb69dae0e42eab"},
+		{4 << 10, 26062, "223200f8b5a5bbd1728a4bc1f2f9e3b7cca0353cf8cbd085ecfab1294af0a34b"},
+		{256, 35524, "e0814b08aab8047a5fdbfb0665982e40575ff5882e52afd160b27df4836789c2"},
+	} {
+		// An error rate and no storage budget is the one request whose
+		// answer does not depend on what training measured.
+		var buf bytes.Buffer
+		if err := aw.WriteTo(&buf, a, arc.AnyMem, arc.AnyBW, arc.WithErrorsPerMB(1), c.chunk); err != nil {
+			t.Fatalf("chunk %d: %v", c.chunk, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != c.want || buf.Len() != c.size {
+			t.Errorf("chunk %d: stream sha256 = %s (%d bytes), want %s (%d bytes)", c.chunk, got, buf.Len(), c.want, c.size)
 		}
 	}
 }

@@ -81,20 +81,8 @@ func Save(w io.Writer, a *arc.ARC, data []float64, dims []int, opts Options) (*I
 		return nil, err
 	}
 	hdr := f.appendHeader(append([]byte(magic), version))
-	aw, err := a.NewWriterWith(w, opts.Mem, opts.BW, opts.Resiliency, arc.StreamOptions{ChunkSize: opts.ChunkBytes})
+	choice, err := protect(w, a, opts.Mem, opts.BW, opts.Resiliency, opts.ChunkBytes, hdr, f.compressed)
 	if err != nil {
-		return nil, err
-	}
-	// Header and field go in as two writes: the chunk writer cuts the
-	// stream by byte count, so it is the stream one write of both makes,
-	// without a second copy of the field to put them side by side.
-	if _, err := aw.Write(hdr); err != nil {
-		return nil, err
-	}
-	if _, err := aw.Write(f.compressed); err != nil {
-		return nil, err
-	}
-	if err := aw.Close(); err != nil {
 		return nil, err
 	}
 	return &Info{
@@ -103,7 +91,7 @@ func Save(w io.Writer, a *arc.ARC, data []float64, dims []int, opts Options) (*I
 		Dims:            f.dims,
 		Elements:        len(data),
 		CompressedBytes: len(f.compressed),
-		Choice:          aw.Choice(),
+		Choice:          choice,
 	}, nil
 }
 
@@ -113,23 +101,11 @@ func Save(w io.Writer, a *arc.ARC, data []float64, dims []int, opts Options) (*I
 // as slabs (see internal/pressio), and those decompress on every core,
 // GOMAXPROCS at a time, whatever workers says.
 func Load(r io.Reader, workers int) ([]float64, []int, *Info, error) {
-	ar := arc.NewReader(r, workers)
-	// WriteTo, not io.ReadAll: the reader hands over whole repaired
-	// chunks (4 MiB by default), so the buffer is sized once for a
-	// one-chunk checkpoint and doubles past that, where reading in small
-	// pieces allocates five times the payload in growth steps.
-	var buf bytes.Buffer
-	if _, err := ar.WriteTo(&buf); err != nil {
+	payload, rep, err := open(r, workers, magic, version)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	payload := buf.Bytes()
-	if len(payload) <= len(magic) || string(payload[:len(magic)]) != magic {
-		return nil, nil, nil, fmt.Errorf("%w: bad magic", ErrFormat)
-	}
-	if payload[len(magic)] != version {
-		return nil, nil, nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, payload[len(magic)])
-	}
-	f, rest, err := parseFieldHeader(payload[len(magic)+1:])
+	f, rest, err := parseFieldHeader(payload)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -144,7 +120,52 @@ func Load(r io.Reader, workers int) ([]float64, []int, *Info, error) {
 		Dims:            f.dims,
 		Elements:        len(data),
 		CompressedBytes: len(f.compressed),
-		Repairs:         ar.Report(),
+		Repairs:         rep,
 	}
 	return data, f.dims, info, nil
+}
+
+// protect writes parts, in order, as one ARC stream to w under the
+// given constraints, and closes the stream on every path so that a
+// failed write leaves no encoder running. The chunk writer cuts the
+// stream by byte count, so it is the stream one write of the parts
+// joined would make, without the copy that joins them.
+func protect(w io.Writer, a *arc.ARC, mem, bw float64, res arc.Resiliency, chunkBytes int, parts ...[]byte) (arc.Choice, error) {
+	pw, err := a.NewWriterWith(w, mem, bw, res, arc.StreamOptions{ChunkSize: chunkBytes})
+	if err != nil {
+		return arc.Choice{}, err
+	}
+	for _, p := range parts {
+		if _, err = pw.Write(p); err != nil {
+			break
+		}
+	}
+	// Close joins the encoders on every path; a write error wins.
+	if cerr := pw.Close(); err == nil {
+		err = cerr
+	}
+	return pw.Choice(), err
+}
+
+// open reads the ARC stream on r, repairing soft errors, and returns
+// the payload after its magic and version, with what the repair did.
+// workers bounds the parallelism of the chunk decode.
+func open(r io.Reader, workers int, magic string, version byte) ([]byte, arc.StreamReport, error) {
+	ar := arc.NewReader(r, workers)
+	// WriteTo, not io.ReadAll: the reader hands over whole repaired
+	// chunks (4 MiB by default), so the buffer is sized once for a
+	// one-chunk stream and doubles past that, where reading in small
+	// pieces allocates five times the payload in growth steps.
+	var buf bytes.Buffer
+	if _, err := ar.WriteTo(&buf); err != nil {
+		return nil, arc.StreamReport{}, err
+	}
+	p := buf.Bytes()
+	if len(p) <= len(magic) || string(p[:len(magic)]) != magic {
+		return nil, arc.StreamReport{}, fmt.Errorf("%w: bad magic, want %q", ErrFormat, magic)
+	}
+	if p[len(magic)] != version {
+		return nil, arc.StreamReport{}, fmt.Errorf("%w: unsupported %s version %d", ErrFormat, magic, p[len(magic)])
+	}
+	return p[len(magic)+1:], ar.Report(), nil
 }

@@ -9,9 +9,11 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	arc "repro"
 	"repro/internal/datasets"
@@ -302,5 +304,52 @@ func TestSaveStreamUnchanged(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != c.want {
 			t.Errorf("%s: stream sha256 = %s (%d bytes), want %s", c.name, got, buf.Len(), c.want)
 		}
+	}
+}
+
+// failingWriter refuses every write.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestSaveFailingWriterLeaksNothing: when the destination fails, Save
+// and ArchiveWriter.WriteTo return its error and leave no chunk-writer
+// goroutine (emitter or encoder) behind.
+func TestSaveFailingWriterLeaksNothing(t *testing.T) {
+	a, err := arc.InitWithOptions(4, arc.Options{CacheDir: "-", TrainSampleBytes: 32 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := a.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	f := datasets.CESM(256, 512, 1)
+	opts := Options{ChunkBytes: 1 << 10}
+	aw := NewArchiveWriter()
+	if err := aw.Add("f", f.Data, f.Dims, opts); err != nil {
+		t.Fatal(err)
+	}
+	// One good save first, so that whatever the engine starts for
+	// training is counted in the baseline.
+	if _, err := Save(io.Discard, a, f.Data, f.Dims, opts); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if _, err := Save(failingWriter{}, a, f.Data, f.Dims, opts); err == nil {
+			t.Fatal("Save to a failing writer succeeded")
+		}
+		if err := aw.WriteTo(failingWriter{}, a, opts.Mem, opts.BW, opts.Resiliency, opts.ChunkBytes); err == nil {
+			t.Fatal("WriteTo to a failing writer succeeded")
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines left behind", n-base)
 	}
 }

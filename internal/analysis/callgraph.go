@@ -57,25 +57,6 @@ func (g *CallGraph) Keys() []string {
 	return out
 }
 
-// ReachableFrom returns the set of keys reachable from the given
-// roots (inclusive) by following call edges.
-func (g *CallGraph) ReachableFrom(roots ...string) map[string]bool {
-	seen := map[string]bool{}
-	queue := append([]string(nil), roots...)
-	for len(queue) > 0 {
-		key := queue[0]
-		queue = queue[1:]
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if n := g.nodes[key]; n != nil {
-			queue = append(queue, n.Callees...)
-		}
-	}
-	return seen
-}
-
 func (g *CallGraph) node(key string) *CGNode {
 	n := g.nodes[key]
 	if n == nil {

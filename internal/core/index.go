@@ -65,9 +65,11 @@ const (
 
 // indexEntry locates one chunk: where its container starts in the
 // stream, how long its encoded payload is, and which original byte
-// range it reproduces. HdrCRC digests the chunk's replicated header
-// region so a stale or misdirected index is detected before a decode
-// is attempted.
+// range it reproduces. HdrCRC, a CRC of the chunk's replicated header
+// region, is written but no reader checks it. What catches a stale or
+// misdirected index is loadChunk: the header it reads must promise the
+// entry's OrigLen and header length, and a version-2 chunk's digest
+// covers the original offset the entry maps it to.
 type indexEntry struct {
 	Off       int64  // container offset from stream start
 	EncLen    int64  // encoded payload length (container is hdrLen + EncLen)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,12 +21,10 @@ type RangeOptions struct {
 	// loaded and decoded concurrently (<= 0 selects the worker-budget
 	// default, as in StreamOptions).
 	Pipeline int
-	// CacheBytes is the private decoded-chunk cache budget when Cache
-	// is nil (<= 0 selects cache.DefaultBudgetBytes).
-	CacheBytes int64
 	// Cache, when non-nil, is a shared cache (e.g. one per arcd
 	// server). The reader then never closes it, and CacheKey must be
-	// unique per archive sharing it.
+	// unique per archive sharing it. When nil, the reader keeps a
+	// private cache of cache.DefaultBudgetBytes.
 	Cache    *cache.Cache
 	CacheKey uint64
 }
@@ -40,6 +39,7 @@ type RangeOptions struct {
 // are self-describing. A RangeReader is safe for concurrent use.
 type RangeReader struct {
 	src      io.ReaderAt
+	file     *os.File // owned when opened by OpenRangeFile
 	size     int64
 	workers  int
 	pipeline int
@@ -83,7 +83,7 @@ func OpenRangeReader(src io.ReaderAt, size int64, opts RangeOptions) (*RangeRead
 	if opts.Cache != nil {
 		rr.cache = opts.Cache
 	} else {
-		rr.cache = cache.New(opts.CacheBytes)
+		rr.cache = cache.New(0)
 		rr.ownCache = true
 	}
 	if err := rr.loadIndex(); err != nil {
@@ -101,6 +101,25 @@ func OpenRangeReader(src io.ReaderAt, size int64, opts RangeOptions) (*RangeRead
 		rr.total = 0
 	}
 	return rr, nil
+}
+
+// OpenRangeFile opens the ARC stream in the file at path for random
+// access. The reader owns the file handle: Close releases it.
+func OpenRangeFile(path string, opts RangeOptions) (*RangeReader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := f.Stat()
+	if err == nil {
+		var rr *RangeReader
+		if rr, err = OpenRangeReader(f, fi.Size(), opts); err == nil {
+			rr.file = f
+			return rr, nil
+		}
+	}
+	_ = f.Close() // error path: the stat or open error wins
+	return nil, err
 }
 
 // loadIndex locates and decodes the v2 footer. Every length below is
@@ -215,14 +234,17 @@ func (rr *RangeReader) Report() Report {
 
 // Close releases the reader. A private cache is closed, which also
 // unblocks concurrent ReadRange calls parked on in-flight chunk loads
-// (they fail with the cache's closed error). Close is idempotent and
-// does not touch src.
+// (they fail with the cache's closed error). Close is idempotent; it
+// closes the file OpenRangeFile opened and no other src.
 func (rr *RangeReader) Close() error {
 	if rr.closed.Swap(true) {
 		return nil
 	}
 	if rr.ownCache {
 		_ = rr.cache.Close() // Close on a cache never fails
+	}
+	if rr.file != nil {
+		return rr.file.Close()
 	}
 	return nil
 }

@@ -9,8 +9,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -51,6 +54,32 @@ func TestReadRangeSpotChecks(t *testing.T) {
 		if err := rr.Close(); err != nil {
 			t.Fatalf("pipeline %d: close: %v", pipeline, err)
 		}
+	}
+}
+
+// TestOpenRangeFile: a file-backed reader serves the file's stream and
+// owns the handle, which Close releases; a missing path is an error.
+func TestOpenRangeFile(t *testing.T) {
+	stream, data := encodeIndexed(t, 4<<10, 10<<10, 1)
+	path := filepath.Join(t.TempDir(), "s.arc")
+	if err := os.WriteFile(path, stream, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	rr, err := OpenRangeFile(path, RangeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, rr); !bytes.Equal(got, data) {
+		t.Fatal("file-backed reader returned other bytes")
+	}
+	if err := rr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rr.file.Stat(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("file still open after Close: %v", err)
+	}
+	if _, err := OpenRangeFile(filepath.Join(t.TempDir(), "missing"), RangeOptions{}); err == nil {
+		t.Fatal("missing file opened")
 	}
 }
 
@@ -187,10 +216,9 @@ func TestRangeReaderHammer(t *testing.T) {
 	const chunks = 32
 	stream, data := encodeIndexed(t, chunkSize, chunkSize*chunks, 4)
 
-	rr := openRange(t, stream, RangeOptions{
-		Pipeline:   4,
-		CacheBytes: 20 << 10, // ~2.5 chunks: constant churn
-	})
+	c := cache.New(20 << 10)            // ~2.5 chunks: constant churn
+	t.Cleanup(func() { _ = c.Close() }) // Close on a cache never fails
+	rr := openRange(t, stream, RangeOptions{Pipeline: 4, Cache: c, CacheKey: 1})
 
 	const goroutines = 8
 	const iters = 60

@@ -631,48 +631,22 @@ func (cr *ChunkReader) readChunk() (encChunk, error) {
 		return encChunk{}, err
 	}
 	pb := getChunkBuf(0)
-	pb.b, err = readCappedInto(cr.r, pb.b, h.EncLen)
+	b, err := ecc.ReadN(cr.r, pb.b, h.EncLen, directReadCap)
 	if err != nil {
 		putChunkBuf(pb)
 		return encChunk{}, fmt.Errorf("%w: truncated chunk payload: %v", ErrContainer, err)
 	}
+	pb.b = b
 	off := cr.nextOrig
 	cr.nextOrig += int64(h.OrigLen)
 	return encChunk{h: h, off: off, buf: pb}, nil
 }
 
-// directReadCap is the largest chunk payload readCappedInto pre-sizes
-// in a single allocation; larger claims grow geometrically as bytes
-// actually arrive.
+// directReadCap is the largest chunk payload readChunk allocates up
+// front; larger claims grow as bytes actually arrive (ecc.ReadN), so a
+// forged (CRC-colliding) EncLen cannot allocate up to maxChunkPayload
+// from a short stream.
 const directReadCap = 1 << 20
-
-// readCappedInto reads exactly n bytes from r, reusing dst's storage
-// when possible. Pre-sizing a fresh buffer from the header would let a
-// forged (CRC-colliding) EncLen allocate up to maxChunkPayload from a
-// short stream; growing as data arrives keeps the cost proportional to
-// the bytes the reader really delivers. A pooled dst that already paid
-// for n bytes in an earlier chunk is reused directly — that grants a
-// forged length nothing new.
-func readCappedInto(r io.Reader, dst []byte, n int) ([]byte, error) {
-	if n <= directReadCap || cap(dst) >= n {
-		buf := ecc.GrowTo(dst, n)
-		_, err := io.ReadFull(r, buf)
-		return buf, err
-	}
-	buf := ecc.GrowTo(dst, directReadCap)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	for len(buf) < n {
-		grown := make([]byte, min(len(buf)*2, n))
-		copy(grown, buf)
-		if _, err := io.ReadFull(r, grown[len(buf):]); err != nil {
-			return nil, err
-		}
-		buf = grown
-	}
-	return buf, nil
-}
 
 // shutdown cancels and joins the pipelined machinery; safe to call on
 // a sequential or never-started reader.

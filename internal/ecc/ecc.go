@@ -3,7 +3,10 @@
 // the capability/flag vocabulary the ARC optimizer filters on.
 package ecc
 
-import "errors"
+import (
+	"errors"
+	"io"
+)
 
 // Code is an error-correcting code over byte streams. Implementations
 // are stateless after construction and safe for concurrent use. A code
@@ -73,6 +76,33 @@ func GrowTo(b []byte, n int) []byte {
 		return b[:n]
 	}
 	return make([]byte, n)
+}
+
+// ReadN reads exactly n bytes from r into dst's storage when its
+// capacity suffices. Otherwise it allocates at most direct (> 0) bytes
+// up front and grows geometrically as bytes actually arrive, so a
+// forged length costs memory in proportion to the stream delivered,
+// not to the length claimed; a dst that already paid for n bytes
+// grants a forged length nothing new. It fails as io.ReadFull does
+// and then returns no buffer.
+func ReadN(r io.Reader, dst []byte, n, direct int) ([]byte, error) {
+	first := n
+	if n > direct && cap(dst) < n {
+		first = direct
+	}
+	buf := GrowTo(dst, first)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	for len(buf) < n {
+		grown := make([]byte, min(len(buf)*2, n))
+		copy(grown, buf)
+		if _, err := io.ReadFull(r, grown[len(buf):]); err != nil {
+			return nil, err
+		}
+		buf = grown
+	}
+	return buf, nil
 }
 
 // Report summarizes what a DecodeTo observed.

@@ -1,6 +1,11 @@
 package ecc
 
-import "testing"
+import (
+	"bytes"
+	"errors"
+	"io"
+	"testing"
+)
 
 func TestMethodString(t *testing.T) {
 	want := map[Method]string{
@@ -54,5 +59,35 @@ func TestReportMerge(t *testing.T) {
 	a.Merge(b)
 	if a.DetectedBlocks != 11 || a.CorrectedBits != 22 || a.CorrectedBlocks != 33 {
 		t.Fatalf("merged %+v", a)
+	}
+}
+
+// TestReadN covers the three ways ReadN sizes its buffer: a claim
+// within direct, a dst that already holds the claim, and a claim that
+// grows as bytes arrive, whole or cut short.
+func TestReadN(t *testing.T) {
+	src := make([]byte, 100)
+	for i := range src {
+		src[i] = byte(i)
+	}
+	const direct = 8
+	got, err := ReadN(bytes.NewReader(src), nil, 5, direct)
+	if err != nil || !bytes.Equal(got, src[:5]) {
+		t.Fatalf("within direct: %v %v", got, err)
+	}
+	dst := make([]byte, 0, 64)
+	got, err = ReadN(bytes.NewReader(src), dst, 50, direct)
+	if err != nil || !bytes.Equal(got, src[:50]) || &got[0] != &dst[:1][0] {
+		t.Fatalf("dst with room: %v, reused %v", err, err == nil && &got[0] == &dst[:1][0])
+	}
+	got, err = ReadN(bytes.NewReader(src), nil, 100, direct)
+	if err != nil || !bytes.Equal(got, src) {
+		t.Fatalf("grown: %v %v", got, err)
+	}
+	for _, have := range []int{0, 3, direct, 20} {
+		got, err := ReadN(bytes.NewReader(src[:have]), nil, 100, direct)
+		if got != nil || err == nil || !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%d of 100 bytes: %v, %v", have, got, err)
+		}
 	}
 }

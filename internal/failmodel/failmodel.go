@@ -79,16 +79,6 @@ func (s System) MTBFDays() float64 {
 // MultiBitFraction is the share of faults that are not single-bit.
 func (s System) MultiBitFraction() float64 { return 1 - s.SingleBitFraction }
 
-// ExpectedErrorsPerMB estimates the number of soft errors a resident
-// dataset of the given size accumulates per MB over a residency
-// duration, assuming errors land uniformly over the node's memory.
-func (s System) ExpectedErrorsPerMB(nodeMemoryMB float64, residencyDays float64) float64 {
-	if nodeMemoryMB <= 0 {
-		return 0
-	}
-	return s.SoftErrorsPerNodePerDay * residencyDays / nodeMemoryMB * 1e6 // scaled: errors spread over node memory
-}
-
 // Recommendation is the constraint advice derived from a system
 // profile (the paper's Section 6.4 guidance).
 type Recommendation struct {
@@ -129,35 +119,4 @@ func Recommend(s System) Recommendation {
 			"%s fails every %.1f days and %.1f%% of faults are single-bit: ARC_COR_SPARSE (SEC-DED) corrects them with ~12.5%% overhead.",
 			s.Name, s.MTBFDays(), 100*s.SingleBitFraction),
 	}
-}
-
-// FromFIT builds a System profile from first principles, the way
-// Sridharan et al. derive theirs: a per-DRAM-device fault rate in FIT
-// (failures per 10^9 device-hours), the device count per node, and the
-// share of faults that are transient (soft). An altitude scaling
-// approximates the neutron-flux effect the study attributes Cielo's
-// elevated rate to (roughly 2.2x from sea level to 7,300 ft).
-func FromFIT(name string, nodes, devicesPerNode int, fitPerDevice, softFraction float64, altitudeFeet int) System {
-	// FIT -> faults per device-day.
-	perDeviceDay := fitPerDevice * 24 / 1e9
-	alt := altitudeScale(altitudeFeet)
-	return System{
-		Name:                    name,
-		Nodes:                   nodes,
-		AltitudeFeet:            altitudeFeet,
-		SoftErrorsPerNodePerDay: perDeviceDay * float64(devicesPerNode) * softFraction * alt,
-		SoftErrorFraction:       softFraction,
-		SingleBitFraction:       0.85, // field-study ballpark when unknown
-		BurstFraction:           0.25,
-	}
-}
-
-// altitudeScale approximates the relative neutron flux at an altitude
-// versus sea level (doubling roughly every ~6,500 ft in the troposphere,
-// consistent with Cielo/Hopper's ~2x at 7,300 ft vs 43 ft).
-func altitudeScale(feet int) float64 {
-	if feet <= 0 {
-		return 1
-	}
-	return math.Pow(2, float64(feet)/6500)
 }

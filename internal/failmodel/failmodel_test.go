@@ -77,52 +77,9 @@ func TestAltitudeRelationship(t *testing.T) {
 	}
 }
 
-func TestExpectedErrorsPerMB(t *testing.T) {
-	s := Cielo()
-	low := s.ExpectedErrorsPerMB(128*1024, 1)
-	high := s.ExpectedErrorsPerMB(128*1024, 30)
-	if low <= 0 || high <= low {
-		t.Fatalf("rates must grow with residency: %g vs %g", low, high)
-	}
-	if s.ExpectedErrorsPerMB(0, 10) != 0 {
-		t.Fatal("zero memory must yield zero rate")
-	}
-}
-
 func TestInfiniteMTBFForIdleSystem(t *testing.T) {
 	s := System{Name: "idle", Nodes: 0, SoftErrorsPerNodePerDay: 0}
 	if !math.IsInf(s.MTBFDays(), 1) {
 		t.Fatal("zero rate must give infinite MTBF")
-	}
-}
-
-func TestFromFIT(t *testing.T) {
-	// 25 FIT/device, 144 devices/node, 40% soft, sea level.
-	s := FromFIT("custom", 1000, 144, 25, 0.4, 0)
-	if s.MTBFDays() <= 0 || math.IsInf(s.MTBFDays(), 1) {
-		t.Fatalf("MTBF %g", s.MTBFDays())
-	}
-	// Altitude raises the rate (lowers MTBF).
-	high := FromFIT("custom-high", 1000, 144, 25, 0.4, 7300)
-	if high.MTBFDays() >= s.MTBFDays() {
-		t.Fatal("altitude must lower MTBF")
-	}
-	ratio := s.MTBFDays() / high.MTBFDays()
-	if ratio < 1.8 || ratio > 2.7 {
-		t.Fatalf("7300 ft should be ~2x sea level, got %.2fx", ratio)
-	}
-	// Recommend works on synthetic profiles too.
-	rec := Recommend(s)
-	if rec.Config.Method == 0 {
-		t.Fatal("no recommendation")
-	}
-}
-
-func TestAltitudeScale(t *testing.T) {
-	if altitudeScale(0) != 1 || altitudeScale(-5) != 1 {
-		t.Fatal("sea level must scale 1")
-	}
-	if s := altitudeScale(6500); math.Abs(s-2) > 1e-9 {
-		t.Fatalf("6500 ft = %g, want 2", s)
 	}
 }

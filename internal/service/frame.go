@@ -121,15 +121,6 @@ var (
 	ErrFrameTooLarge = errors.New("service: frame payload exceeds limit")
 )
 
-// AppendFrame appends f's wire encoding to dst and returns the
-// extended slice. It never fails: lengths above MaxUint32 cannot be
-// constructed through the exported API (ReadFrame would refuse them
-// anyway).
-func AppendFrame(dst []byte, f Frame) []byte {
-	dst = appendFrameHeader(dst, f.Op, f.Status, len(f.Payload))
-	return append(dst, f.Payload...)
-}
-
 // appendFrameHeader appends the 12-byte header of a frame whose
 // payload is n bytes long.
 func appendFrameHeader(dst []byte, op Op, status Status, n int) []byte {
@@ -139,13 +130,6 @@ func appendFrameHeader(dst []byte, op Op, status Status, n int) []byte {
 	h[4] = byte(status)
 	binary.BigEndian.PutUint32(h[8:], uint32(n))
 	return append(dst, h[:]...)
-}
-
-// WriteFrame writes one frame to w as one net.Buffers: a single writev
-// on a TCP connection, sequential writes on other writers.
-func WriteFrame(w io.Writer, f Frame) error {
-	var fw frameWriter
-	return fw.write(w, f.Op, f.Status, nil, f.Payload)
 }
 
 // frameWriter writes frames whose payload is a short head followed by
@@ -193,9 +177,9 @@ func ReadFrame(r io.Reader, limit int, scratch []byte) (Frame, error) {
 	if err != nil || n == 0 {
 		return f, err
 	}
-	buf, err := readPayload(r, scratch, n)
+	buf, err := ecc.ReadN(r, scratch, n, directPayloadCap)
 	if err != nil {
-		return Frame{}, err
+		return Frame{}, fullErr(err)
 	}
 	f.Payload = buf
 	return f, nil
@@ -239,32 +223,6 @@ func readFrameHeader(r io.Reader, limit int) (Frame, int, error) {
 	return Frame{Op: op, Status: status}, int(n64), nil
 }
 
-// readPayload reads exactly n bytes, reusing dst's storage when it
-// suffices and otherwise growing geometrically from directPayloadCap
-// as data arrives (see directPayloadCap).
-func readPayload(r io.Reader, dst []byte, n int) ([]byte, error) {
-	if n <= directPayloadCap || cap(dst) >= n {
-		buf := ecc.GrowTo(dst, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fullErr(err)
-		}
-		return buf, nil
-	}
-	buf := ecc.GrowTo(dst, directPayloadCap)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fullErr(err)
-	}
-	for len(buf) < n {
-		grown := make([]byte, min(len(buf)*2, n))
-		copy(grown, buf)
-		if _, err := io.ReadFull(r, grown[len(buf):]); err != nil {
-			return nil, fullErr(err)
-		}
-		buf = grown
-	}
-	return buf, nil
-}
-
 // fullErr normalizes a short payload read to io.ErrUnexpectedEOF: a
 // clean EOF mid-payload is still a truncated frame.
 func fullErr(err error) error {
@@ -281,15 +239,6 @@ func fullErr(err error) error {
 //	1      2    method parameter
 //	3      n    data to protect
 const encodeReqHeaderLen = 3
-
-// AppendEncodeRequest appends an OpEncode request payload: the
-// method/param prefix followed by data. Method 0 asks the server to
-// use its configured default.
-func AppendEncodeRequest(dst []byte, method ecc.Method, param int, data []byte) []byte {
-	h := encodeRequestHeader(method, param)
-	dst = append(dst, h[:]...)
-	return append(dst, data...)
-}
 
 // encodeRequestHeader is the method/param prefix of an OpEncode payload.
 func encodeRequestHeader(method ecc.Method, param int) [encodeReqHeaderLen]byte {

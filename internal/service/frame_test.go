@@ -14,7 +14,7 @@ import (
 // by any future implementation must match these exact bytes, and these
 // exact bytes must parse back. Change the protocol, bump the version.
 func TestFrameGolden(t *testing.T) {
-	got := AppendFrame(nil, Frame{Op: OpEncode, Status: StatusRequest, Payload: []byte("hi")})
+	got := appendFrame(nil, Frame{Op: OpEncode, Status: StatusRequest, Payload: []byte("hi")})
 	want := []byte{
 		0x41, 0xF7, // magic
 		1,       // version
@@ -37,26 +37,52 @@ func TestFrameGolden(t *testing.T) {
 	}
 
 	// An empty-payload response frame, same treatment.
-	got = AppendFrame(nil, Frame{Op: OpStats, Status: StatusOK})
+	got = appendFrame(nil, Frame{Op: OpStats, Status: StatusOK})
 	want = []byte{0x41, 0xF7, 1, 5, 1, 0, 0, 0, 0, 0, 0, 0}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("golden empty frame mismatch:\n got %x\nwant %x", got, want)
 	}
 }
 
+// appendFrame appends f's wire encoding to dst.
+func appendFrame(dst []byte, f Frame) []byte {
+	return append(appendFrameHeader(dst, f.Op, f.Status, len(f.Payload)), f.Payload...)
+}
+
+// writeFrame writes f to w as one frame, the way the server and the
+// client write theirs.
+func writeFrame(w io.Writer, f Frame) error {
+	var fw frameWriter
+	return fw.write(w, f.Op, f.Status, nil, f.Payload)
+}
+
+// appendEncodeRequest appends an OpEncode request payload: the
+// method/param prefix followed by data.
+func appendEncodeRequest(dst []byte, method ecc.Method, param int, data []byte) []byte {
+	h := encodeRequestHeader(method, param)
+	return append(append(dst, h[:]...), data...)
+}
+
+// TestWriteFrameMatchesAppendFrame: frameWriter sends a head and a
+// body without joining them, and the frame on the wire is the one
+// appendFrame encodes from the joined payload, for every split.
 func TestWriteFrameMatchesAppendFrame(t *testing.T) {
-	f := Frame{Op: OpRepair, Status: StatusOK, Payload: []byte("payload bytes")}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), AppendFrame(nil, f)) {
-		t.Fatalf("WriteFrame and AppendFrame disagree:\n%x\n%x", buf.Bytes(), AppendFrame(nil, f))
+	payload := []byte("payload bytes")
+	want := appendFrame(nil, Frame{Op: OpRepair, Status: StatusOK, Payload: payload})
+	var fw frameWriter
+	for split := 0; split <= len(payload); split++ {
+		var buf bytes.Buffer
+		if err := fw.write(&buf, OpRepair, StatusOK, payload[:split], payload[split:]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("head of %d bytes: frameWriter and appendFrame disagree:\n%x\n%x", split, buf.Bytes(), want)
+		}
 	}
 }
 
 func TestReadFrameRejectsMalformed(t *testing.T) {
-	valid := AppendFrame(nil, Frame{Op: OpDecode, Status: StatusRequest, Payload: []byte("x")})
+	valid := appendFrame(nil, Frame{Op: OpDecode, Status: StatusRequest, Payload: []byte("x")})
 	mutate := func(i int, v byte) []byte {
 		b := append([]byte(nil), valid...)
 		b[i] = v
@@ -86,7 +112,7 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 }
 
 func TestReadFrameTruncated(t *testing.T) {
-	full := AppendFrame(nil, Frame{Op: OpVerify, Status: StatusRequest, Payload: bytes.Repeat([]byte("a"), 100)})
+	full := appendFrame(nil, Frame{Op: OpVerify, Status: StatusRequest, Payload: bytes.Repeat([]byte("a"), 100)})
 	// A clean EOF between frames is io.EOF; anything shorter than a
 	// whole frame is io.ErrUnexpectedEOF.
 	if _, err := ReadFrame(bytes.NewReader(nil), 0, nil); !errors.Is(err, io.EOF) {
@@ -101,7 +127,7 @@ func TestReadFrameTruncated(t *testing.T) {
 
 func TestReadFrameOversized(t *testing.T) {
 	f := Frame{Op: OpEncode, Status: StatusRequest, Payload: bytes.Repeat([]byte("b"), 2048)}
-	enc := AppendFrame(nil, f)
+	enc := appendFrame(nil, f)
 	got, err := ReadFrame(bytes.NewReader(enc), 1024, nil)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
@@ -122,7 +148,7 @@ func TestReadFrameOversized(t *testing.T) {
 // bytes backed by almost no data must cost bounded allocation, not a
 // 32 MiB up-front make.
 func TestReadFrameForgedLengthBoundedAlloc(t *testing.T) {
-	header := AppendFrame(nil, Frame{Op: OpDecode, Status: StatusRequest})
+	header := appendFrame(nil, Frame{Op: OpDecode, Status: StatusRequest})
 	// Rewrite the length field to promise the full default budget.
 	header[8], header[9], header[10], header[11] = 0x02, 0x00, 0x00, 0x00 // 32 MiB
 	for _, body := range []int{0, 1, directPayloadCap, directPayloadCap + 1, 3 * directPayloadCap} {
@@ -158,7 +184,7 @@ func decodeAllocDelta(fn func()) uint64 {
 
 func TestReadFrameScratchReuse(t *testing.T) {
 	payload := bytes.Repeat([]byte("s"), 4096)
-	enc := AppendFrame(nil, Frame{Op: OpDecode, Status: StatusOK, Payload: payload})
+	enc := appendFrame(nil, Frame{Op: OpDecode, Status: StatusOK, Payload: payload})
 	scratch := make([]byte, 0, 8192)
 	f, err := ReadFrame(bytes.NewReader(enc), 0, scratch)
 	if err != nil {
@@ -174,7 +200,7 @@ func TestReadFrameScratchReuse(t *testing.T) {
 
 func TestEncodeRequestRoundTrip(t *testing.T) {
 	data := []byte("some plaintext")
-	req := AppendEncodeRequest(nil, ecc.MethodSECDED, 64, data)
+	req := appendEncodeRequest(nil, ecc.MethodSECDED, 64, data)
 	method, param, got, err := ParseEncodeRequest(req)
 	if err != nil {
 		t.Fatal(err)
@@ -209,9 +235,9 @@ func TestReportRoundTrip(t *testing.T) {
 // the length prefix claims, no panics, and exact re-encode round trips
 // for every accepted frame.
 func FuzzFrameDecode(f *testing.F) {
-	f.Add(AppendFrame(nil, Frame{Op: OpEncode, Status: StatusRequest, Payload: []byte("seed")}))
-	f.Add(AppendFrame(nil, Frame{Op: OpStats, Status: StatusOK}))
-	forged := AppendFrame(nil, Frame{Op: OpDecode, Status: StatusRequest})
+	f.Add(appendFrame(nil, Frame{Op: OpEncode, Status: StatusRequest, Payload: []byte("seed")}))
+	f.Add(appendFrame(nil, Frame{Op: OpStats, Status: StatusOK}))
+	forged := appendFrame(nil, Frame{Op: OpDecode, Status: StatusRequest})
 	forged[8] = 0x7F // promise ~2 GiB
 	f.Add(forged)
 	f.Add([]byte{0x41, 0xF7, 1})
@@ -232,7 +258,7 @@ func FuzzFrameDecode(f *testing.F) {
 		// Accepted frames must survive an exact re-encode round trip,
 		// and the encoding must be a prefix of the input (trailing
 		// bytes are the next frame's business).
-		enc := AppendFrame(nil, frame)
+		enc := appendFrame(nil, frame)
 		if !bytes.Equal(enc, data[:len(enc)]) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", enc, data[:len(enc)])
 		}

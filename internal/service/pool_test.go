@@ -82,7 +82,7 @@ func mixedRequest(rng *rand.Rand, configs []core.Config, plain []byte) ([]byte, 
 		if err != nil {
 			panic(err)
 		}
-		return AppendEncodeRequest(nil, cfg.Method, cfg.Param, data), wantResponse{op: OpEncode, status: StatusOK, payload: enc.Encoded}
+		return appendEncodeRequest(nil, cfg.Method, cfg.Param, data), wantResponse{op: OpEncode, status: StatusOK, payload: enc.Encoded}
 	case 2:
 		_, _, _, err := ParseEncodeRequest(data[:min(size, 2)])
 		return data[:min(size, 2)], wantResponse{op: OpEncode, status: StatusBadRequest, payload: []byte(err.Error())}
@@ -137,7 +137,7 @@ func TestPooledBuffersNeverReusedEarly(t *testing.T) {
 		for i := range want {
 			var payload []byte
 			payload, want[i] = mixedRequest(rng, configs, plain)
-			burst = AppendFrame(burst, Frame{Op: want[i].op, Status: StatusRequest, Payload: payload})
+			burst = appendFrame(burst, Frame{Op: want[i].op, Status: StatusRequest, Payload: payload})
 		}
 		// The whole burst goes out at once while responses come back:
 		// neither side of the socket may wait for the other.

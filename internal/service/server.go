@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -105,15 +104,9 @@ type Server struct {
 	// stops.
 	cache    *cache.Cache
 	archMu   sync.Mutex
-	archives map[string]*archive
+	archives map[string]*core.RangeReader
 	archSeq  atomic.Uint64 // cache-key allocator
 	archOnce sync.Once     // guards closeArchives
-}
-
-// archive is one lazily opened ARC file served by READ_RANGE.
-type archive struct {
-	f  *os.File
-	rr *core.RangeReader
 }
 
 // New creates an unstarted server.
@@ -128,7 +121,7 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Root != "" {
 		s.cache = cache.New(cfg.CacheBytes)
-		s.archives = make(map[string]*archive)
+		s.archives = make(map[string]*core.RangeReader)
 		s.stats.SetCacheSource(s.cache.Stats)
 	}
 	return s
@@ -383,9 +376,10 @@ func (s *Server) readRequests(conn net.Conn, pipe *parallel.Pipe[request, respon
 			// pipeline worker and must survive until the writer is done
 			// with the response.
 			fb = getBuf()
-			if f.Payload, err = readPayload(conn, fb.b[:0], n); err == nil {
+			if f.Payload, err = ecc.ReadN(conn, fb.b[:0], n, directPayloadCap); err == nil {
 				fb.b = f.Payload
 			}
+			err = fullErr(err)
 		}
 		if err != nil {
 			putBuf(fb)
@@ -516,47 +510,35 @@ func validArchiveName(name string) error {
 // archive returns the open reader for name, opening it on first use.
 // File and index I/O run outside archMu so a slow open never blocks
 // requests for already-open archives; a racing duplicate open loses
-// the insert and closes its handles.
-func (s *Server) archive(name string) (*archive, error) {
+// the insert and closes its reader, file included.
+func (s *Server) archive(name string) (*core.RangeReader, error) {
 	if err := validArchiveName(name); err != nil {
 		return nil, err
 	}
 	s.archMu.Lock()
-	a, ok := s.archives[name]
+	rr, ok := s.archives[name]
 	s.archMu.Unlock()
 	if ok {
-		return a, nil
+		return rr, nil
 	}
-	f, err := os.Open(filepath.Join(s.cfg.Root, name))
-	if err != nil {
-		return nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		_ = f.Close() // error path: the stat error wins
-		return nil, err
-	}
-	rr, err := core.OpenRangeReader(f, fi.Size(), core.RangeOptions{
+	rr, err := core.OpenRangeFile(filepath.Join(s.cfg.Root, name), core.RangeOptions{
 		Workers:  s.cfg.Threads,
 		Pipeline: s.cfg.perConnWorkers(),
 		Cache:    s.cache,
 		CacheKey: s.archSeq.Add(1),
 	})
 	if err != nil {
-		_ = f.Close() // error path: the open error wins
 		return nil, err
 	}
-	a = &archive{f: f, rr: rr}
 	s.archMu.Lock()
 	if ex, ok := s.archives[name]; ok {
 		s.archMu.Unlock()
-		_ = rr.Close() // lost the race; shared cache unaffected
-		_ = f.Close()
+		_ = rr.Close() // lost the race; read-only file, shared cache unaffected
 		return ex, nil
 	}
-	s.archives[name] = a
+	s.archives[name] = rr
 	s.archMu.Unlock()
-	return a, nil
+	return rr, nil
 }
 
 // processReadRange decodes (and repairs) one byte range of a root
@@ -576,14 +558,14 @@ func (s *Server) processReadRange(req request, resp *response) {
 		resp.fail(StatusBadRequest, fmt.Sprintf("range of %d bytes exceeds the response frame budget (%d)", n, s.cfg.MaxPayload-reportLen))
 		return
 	}
-	a, err := s.archive(name)
+	rr, err := s.archive(name)
 	if err != nil {
 		resp.fail(StatusBadRequest, err.Error())
 		return
 	}
 	out := resp.output()
 	out.b = ecc.GrowTo(out.b, int(n))
-	got, rep, err := a.rr.ReadRange(out.b, first, n)
+	got, rep, err := rr.ReadRange(out.b, first, n)
 	if rep.Chunks > 0 || err != nil {
 		s.stats.RepairObserved(rep.DetectedBlocks, rep.CorrectedBits, rep.CorrectedBlocks, rep.DigestMismatches,
 			err != nil && !errors.Is(err, io.EOF))
@@ -739,9 +721,8 @@ func (s *Server) closeArchives() {
 		}
 		s.archMu.Lock()
 		defer s.archMu.Unlock()
-		for name, a := range s.archives {
-			_ = a.rr.Close() // RangeReader.Close never fails
-			_ = a.f.Close()  // read-only handle; nothing to flush
+		for name, rr := range s.archives {
+			_ = rr.Close() // read-only file; nothing to flush
 			delete(s.archives, name)
 		}
 		_ = s.cache.Close() // Close on a cache never fails

@@ -248,8 +248,8 @@ func TestServerOversizedFrame(t *testing.T) {
 	}
 	defer func() { _ = conn.Close() }() // already closed by the server on the happy path
 
-	big := AppendEncodeRequest(nil, 0, 0, make([]byte, 4096))
-	if err := WriteFrame(conn, Frame{Op: OpEncode, Status: StatusRequest, Payload: big}); err != nil {
+	big := appendEncodeRequest(nil, 0, 0, make([]byte, 4096))
+	if err := writeFrame(conn, Frame{Op: OpEncode, Status: StatusRequest, Payload: big}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ReadFrame(conn, 0, nil)
@@ -320,8 +320,8 @@ func TestServerPipelinedResponsesInOrder(t *testing.T) {
 	var burst []byte
 	for i := range sizes {
 		sizes[i] = 128 << (i % 5)
-		payload := AppendEncodeRequest(nil, 0, 0, bytes.Repeat([]byte{byte(i)}, sizes[i]))
-		burst = AppendFrame(burst, Frame{Op: OpEncode, Status: StatusRequest, Payload: payload})
+		payload := appendEncodeRequest(nil, 0, 0, bytes.Repeat([]byte{byte(i)}, sizes[i]))
+		burst = appendFrame(burst, Frame{Op: OpEncode, Status: StatusRequest, Payload: payload})
 	}
 	if _, err := conn.Write(burst); err != nil {
 		t.Fatal(err)
@@ -372,12 +372,12 @@ func TestArcdShutdownDrains(t *testing.T) {
 	}
 	defer func() { _ = connB.Close() }() // as above
 
-	bigReq := AppendEncodeRequest(nil, 0, 0, make([]byte, 2<<20))
-	if err := WriteFrame(connA, Frame{Op: OpEncode, Status: StatusRequest, Payload: bigReq}); err != nil {
+	bigReq := appendEncodeRequest(nil, 0, 0, make([]byte, 2<<20))
+	if err := writeFrame(connA, Frame{Op: OpEncode, Status: StatusRequest, Payload: bigReq}); err != nil {
 		t.Fatal(err)
 	}
-	smallReq := AppendEncodeRequest(nil, 0, 0, []byte("queued behind the big one"))
-	if err := WriteFrame(connB, Frame{Op: OpEncode, Status: StatusRequest, Payload: smallReq}); err != nil {
+	smallReq := appendEncodeRequest(nil, 0, 0, []byte("queued behind the big one"))
+	if err := writeFrame(connB, Frame{Op: OpEncode, Status: StatusRequest, Payload: smallReq}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -437,7 +437,7 @@ func TestArcdClientDisconnectMidStream(t *testing.T) {
 	})
 	t.Run("mid payload", func(t *testing.T) {
 		abandon(t, func(conn net.Conn) {
-			full := AppendFrame(nil, Frame{Op: OpEncode, Status: StatusRequest, Payload: make([]byte, 100_000)})
+			full := appendFrame(nil, Frame{Op: OpEncode, Status: StatusRequest, Payload: make([]byte, 100_000)})
 			_, _ = conn.Write(full[:len(full)/2]) // half the promised payload
 		})
 	})
@@ -445,8 +445,8 @@ func TestArcdClientDisconnectMidStream(t *testing.T) {
 		abandon(t, func(conn net.Conn) {
 			var burst []byte
 			for i := 0; i < 8; i++ {
-				payload := AppendEncodeRequest(nil, 0, 0, bytes.Repeat([]byte{1}, 64<<10))
-				burst = AppendFrame(burst, Frame{Op: OpEncode, Status: StatusRequest, Payload: payload})
+				payload := appendEncodeRequest(nil, 0, 0, bytes.Repeat([]byte{1}, 64<<10))
+				burst = appendFrame(burst, Frame{Op: OpEncode, Status: StatusRequest, Payload: payload})
 			}
 			_, _ = conn.Write(burst) // never reads a single response
 		})
@@ -578,7 +578,7 @@ func TestServerRejectsResponseStatusRequests(t *testing.T) {
 	}
 	defer func() { _ = conn.Close() }() // server closes first on this path
 
-	if err := WriteFrame(conn, Frame{Op: OpStats, Status: StatusOK}); err != nil {
+	if err := writeFrame(conn, Frame{Op: OpStats, Status: StatusOK}); err != nil {
 		t.Fatal(err)
 	}
 	if err := readUntilClosed(conn); err != nil {

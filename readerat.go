@@ -10,7 +10,6 @@ package arc
 
 import (
 	"io"
-	"os"
 
 	"repro/internal/core"
 )
@@ -23,28 +22,20 @@ type RangeOptions struct {
 	// loaded and repaired concurrently (<= 0 selects a default bounded
 	// by the worker budget, as in StreamOptions).
 	Pipeline int
-	// CacheBytes is the decoded-chunk cache budget (<= 0 selects the
-	// 64 MiB default).
-	CacheBytes int64
 }
 
 // ReaderAt is random access over an ARC stream. It implements
 // io.ReaderAt over the original (decoded, repaired) bytes and is safe
-// for concurrent use.
+// for concurrent use. Its decoded-chunk cache holds 64 MiB.
 type ReaderAt struct {
 	rr *core.RangeReader
-	f  *os.File // owned when opened via OpenFileReaderAt
 }
 
 // OpenReaderAt opens an ARC stream of the given size for random
 // access. The caller keeps ownership of src, which must stay usable
 // until Close.
 func OpenReaderAt(src io.ReaderAt, size int64, opts RangeOptions) (*ReaderAt, error) {
-	rr, err := core.OpenRangeReader(src, size, core.RangeOptions{
-		Workers:    opts.Workers,
-		Pipeline:   opts.Pipeline,
-		CacheBytes: opts.CacheBytes,
-	})
+	rr, err := core.OpenRangeReader(src, size, core.RangeOptions{Workers: opts.Workers, Pipeline: opts.Pipeline})
 	if err != nil {
 		return nil, err
 	}
@@ -54,22 +45,11 @@ func OpenReaderAt(src io.ReaderAt, size int64, opts RangeOptions) (*ReaderAt, er
 // OpenFileReaderAt opens the ARC stream at path for random access,
 // owning the file handle: Close releases it.
 func OpenFileReaderAt(path string, opts RangeOptions) (*ReaderAt, error) {
-	f, err := os.Open(path)
+	rr, err := core.OpenRangeFile(path, core.RangeOptions{Workers: opts.Workers, Pipeline: opts.Pipeline})
 	if err != nil {
 		return nil, err
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		_ = f.Close() // error path: the stat error wins
-		return nil, err
-	}
-	r, err := OpenReaderAt(f, fi.Size(), opts)
-	if err != nil {
-		_ = f.Close() // error path: the open error wins
-		return nil, err
-	}
-	r.f = f
-	return r, nil
+	return &ReaderAt{rr: rr}, nil
 }
 
 // ReadRange reads n original bytes starting at first into dst,
@@ -108,14 +88,4 @@ func (r *ReaderAt) Report() StreamReport { return r.rr.Report() }
 // Close releases the reader (and the file handle, when the reader owns
 // one). Concurrent reads parked on in-flight chunk loads are unblocked
 // with an error. Close is idempotent.
-func (r *ReaderAt) Close() error {
-	err := r.rr.Close()
-	if r.f != nil {
-		cerr := r.f.Close()
-		r.f = nil
-		if err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+func (r *ReaderAt) Close() error { return r.rr.Close() }

@@ -89,6 +89,12 @@ done
 echo "== service frame fuzz smoke (10s) =="
 go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 10s ./internal/service
 
+echo "== checkpoint loader fuzz smoke (10s) =="
+# Arbitrary plaintext, protected under secded64, through Load and
+# LoadArchive: no panic, and every field that loads has a shape that
+# matches its length.
+go test -run '^$' -fuzz '^FuzzCheckpointLoad$' -fuzztime 10s ./checkpoint
+
 echo "== gf256 dispatch fuzz smoke (10s) =="
 # Differential fuzz across every SIMD tier the host supports: each
 # input must produce byte-identical results under avx2/ssse3/neon and
