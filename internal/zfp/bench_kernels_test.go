@@ -1,19 +1,22 @@
 package zfp
 
 // Kernel benchmarks: the unrolled lifting transform and the word-speed
-// embedded coder, each paired with its retained reference and timed in
-// the same run. TestKernelFloors holds both pairs to their floors.
+// embedded coder, each paired with its retained reference, and the AVX2
+// plane transposes paired with the word path, timed in the same run.
+// TestKernelFloors holds the pairs to their floors.
 
 import (
 	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/bitio"
 	"repro/internal/datasets"
+	"repro/internal/gf256"
 	"repro/internal/raceflag"
 )
 
@@ -99,20 +102,28 @@ func timeOps(tb testing.TB, op func(testing.TB), n int) time.Duration {
 }
 
 // TestKernelFloors holds the lifting transform to 2x its strided
-// reference and the embedded coder to 1.8x the per-bit one (3.6-3.8x
-// when the word coder landed).
+// reference, the embedded coder to 1.8x the per-bit one (3.6-3.8x when
+// the word coder landed) and, where the avx2 tier is active, the AVX2
+// plane transposes to 5x the word path (10.6-12.7x when they landed).
 func TestKernelFloors(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector distorts kernel timings")
 	}
-	for _, f := range []struct {
+	type floor struct {
 		name string
 		pair kernelPair
 		min  float64
-	}{
+	}
+	floors := []floor{
 		{"ZFPLift", liftPair(), 2},
 		{"ZFPPlanes", planesPair(), 1.8},
-	} {
+	}
+	if gf256.ActiveTier() == gf256.TierAVX2 {
+		floors = append(floors, floor{"ZFPTranspose", transposePair(), 5})
+	} else {
+		t.Logf("ZFPTranspose: skipped under the %s tier", gf256.ActiveTier())
+	}
+	for _, f := range floors {
 		got := f.pair.speedup(t, f.min)
 		t.Logf("%s: %.2fx (floor %gx)", f.name, got, f.min)
 		if got < f.min {
@@ -230,7 +241,63 @@ func planesPair() kernelPair {
 		func(tb testing.TB) { codePlanes(tb, fields, buf, got, false) }}
 }
 
-func BenchmarkKernelZFPPlanes(b *testing.B) { planesPair().bench(b) }
+// BenchmarkKernelZFPPlanes times the coder under the avx2 tier (where
+// the host has it) and the word tier, and the per-bit reference.
+func BenchmarkKernelZFPPlanes(b *testing.B) {
+	p := planesPair()
+	for _, tier := range []string{gf256.TierAVX2, gf256.TierWord} {
+		b.Run(tier, func(b *testing.B) {
+			restore, err := gf256.ForceTier(tier)
+			if err != nil {
+				b.Skip(err)
+			}
+			defer restore()
+			benchOp(b, p.bytes, p.kernel)
+		})
+	}
+	b.Run("scalar", func(b *testing.B) { benchOp(b, p.bytes, p.ref) })
+}
+
+// transposePair moves every group of eight planes of 256 3-D blocks of
+// a study field into plane words and back into a cleared block: the
+// AVX2 transpose and untranspose, against transposePlanes and the
+// set-bit scatter of the word tier.
+func transposePair() kernelPair {
+	pb := newPlanesBench(datasets.NYX(32, 32, 32, 3))
+	blocks := pb.u[:64*256]
+	got := make([]uint64, 64)
+	return kernelPair{int64(len(blocks) * 8),
+		func(testing.TB) {
+			var planes [8]uint64
+			for off := 0; off < len(blocks); off += 64 {
+				clear(got)
+				for base := 0; base < intPrec; base += 8 {
+					transposePlanesAVX2(&planes, blocks[off:off+64], base)
+					untransposePlanesAVX2(&planes, got, base)
+				}
+			}
+		},
+		func(testing.TB) {
+			var planes [intPrec]uint64
+			for off := 0; off < len(blocks); off += 64 {
+				clear(got)
+				for base := 0; base < intPrec; base += 8 {
+					transposePlanes(&planes, blocks[off:off+64], base)
+					untransposePlanes((*[8]uint64)(planes[base:base+8]), got, base)
+				}
+			}
+		}}
+}
+
+// BenchmarkKernelZFPTranspose times transposePair's two sides.
+func BenchmarkKernelZFPTranspose(b *testing.B) {
+	if !slices.Contains(gf256.Features(), gf256.TierAVX2) {
+		b.Skip("no AVX2 on this host")
+	}
+	p := transposePair()
+	b.Run("avx2", func(b *testing.B) { benchOp(b, p.bytes, p.kernel) })
+	b.Run("word", func(b *testing.B) { benchOp(b, p.bytes, p.ref) })
+}
 
 // TestCodePlanesAllocs pins a pass of the word coder to zero
 // allocations.

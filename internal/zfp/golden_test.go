@@ -88,47 +88,49 @@ var goldenStreams = map[string]string{
 }
 
 func TestGoldenStreams(t *testing.T) {
-	for _, f := range goldenFields() {
-		if got := sha(floatBytes(f.data)); got != f.inputSHA {
-			if runtime.GOARCH == "amd64" {
-				t.Errorf("%s: input sha256 = %s, want %s: the generator changed, and the table below is about another field", f.name, got, f.inputSHA)
-			} else {
-				t.Logf("%s: input differs from the amd64 recording (sha %s); skipping its streams", f.name, got)
-			}
-			continue
-		}
-		modes := []struct {
-			name string
-			opts Options
-		}{
-			{"ACC-1e-3", Options{Mode: ModeAccuracy, Param: 1e-3 * valueRange(f.data)}},
-			{"Rate-8", Options{Mode: ModeRate, Param: 8}},
-			{"Rate-2.5", Options{Mode: ModeRate, Param: 2.5}},
-		}
-		for _, m := range modes {
-			key := f.name + "/" + m.name
-			if m.opts.Mode == ModeRate && m.opts.Param < minRate(newBlocker(f.dims).blockSize) {
-				continue // 1-D blocks cannot hold a header at 2.5 bits/value
-			}
-			buf, err := Compress(f.data, f.dims, m.opts)
-			if err != nil {
-				t.Errorf("%s: %v", key, err)
+	forEachTier(t, func(t *testing.T) {
+		for _, f := range goldenFields() {
+			if got := sha(floatBytes(f.data)); got != f.inputSHA {
+				if runtime.GOARCH == "amd64" {
+					t.Errorf("%s: input sha256 = %s, want %s: the generator changed, and the table below is about another field", f.name, got, f.inputSHA)
+				} else {
+					t.Logf("%s: input differs from the amd64 recording (sha %s); skipping its streams", f.name, got)
+				}
 				continue
 			}
-			if got := sha(buf); got != goldenStreams[key] {
-				t.Errorf("%s: stream sha256 = %s (%d bytes), want %s", key, got, len(buf), goldenStreams[key])
+			modes := []struct {
+				name string
+				opts Options
+			}{
+				{"ACC-1e-3", Options{Mode: ModeAccuracy, Param: 1e-3 * valueRange(f.data)}},
+				{"Rate-8", Options{Mode: ModeRate, Param: 8}},
+				{"Rate-2.5", Options{Mode: ModeRate, Param: 2.5}},
 			}
-			// The recorded stream must also still decode to what it
-			// decoded to then: value-identity of the decoder.
-			out, _, err := Decompress(nil, buf)
-			if err != nil {
-				t.Errorf("%s: decompress: %v", key, err)
-				continue
-			}
-			dkey := key + "/decoded"
-			if got := sha(floatBytes(out)); got != goldenStreams[dkey] {
-				t.Errorf("%s: sha256 = %s, want %s", dkey, got, goldenStreams[dkey])
+			for _, m := range modes {
+				key := f.name + "/" + m.name
+				if m.opts.Mode == ModeRate && m.opts.Param < minRate(newBlocker(f.dims).blockSize) {
+					continue // 1-D blocks cannot hold a header at 2.5 bits/value
+				}
+				buf, err := Compress(f.data, f.dims, m.opts)
+				if err != nil {
+					t.Errorf("%s: %v", key, err)
+					continue
+				}
+				if got := sha(buf); got != goldenStreams[key] {
+					t.Errorf("%s: stream sha256 = %s (%d bytes), want %s", key, got, len(buf), goldenStreams[key])
+				}
+				// The recorded stream must also still decode to what it
+				// decoded to then: value-identity of the decoder.
+				out, _, err := Decompress(nil, buf)
+				if err != nil {
+					t.Errorf("%s: decompress: %v", key, err)
+					continue
+				}
+				dkey := key + "/decoded"
+				if got := sha(floatBytes(out)); got != goldenStreams[dkey] {
+					t.Errorf("%s: sha256 = %s, want %s", dkey, got, goldenStreams[dkey])
+				}
 			}
 		}
-	}
+	})
 }

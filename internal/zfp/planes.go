@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/bitio"
+	"repro/internal/gf256"
 )
 
 // ZFP's embedded group-testing coder. For each bit plane from the MSB
@@ -22,6 +23,17 @@ import (
 // plane might not fit what is left of the block's bit budget or of the
 // input: exhaustion in the middle of a run, and every truncation error,
 // are defined by the reference and by nothing else.
+//
+// 16- and 64-coefficient blocks move between coefficients and planes
+// with AVX2 kernels (planes_amd64.s) while gf256 dispatches to its avx2
+// tier, so ARC_SIMD and gf256.ForceTier choose for zfp too; under every
+// other tier, and for 1-D blocks, the Go word path below does it.
+
+// vector reports whether a block of size coefficients takes the AVX2
+// transposes.
+func vector(size int) bool {
+	return size > 4 && gf256.ActiveTier() == gf256.TierAVX2
+}
 
 // planeWorst bounds the bits one plane can take with n coefficients
 // already significant: n verbatim bits, then for each of the size-n
@@ -91,13 +103,18 @@ func encodePlanes(w *bitio.Writer, u []uint64, size, kmin, budget int) {
 		budget -= empty
 		k -= empty
 	}
+	vec := vector(size)
 	var planes [intPrec]uint64 // bit i of planes[k] is bit k of u[i], for k >= lo
 	for lo := k + 1; k >= kmin && budget >= planeWorst(size, n); k-- {
 		if k < lo {
 			// Eight more planes, on demand: a fixed-rate block stops
 			// wherever its budget ends, usually long before plane 0.
 			lo = max(k-7, 0)
-			transposePlanes(&planes, u, lo)
+			if vec {
+				transposePlanesAVX2((*[8]uint64)(planes[lo:lo+8]), u, lo)
+			} else {
+				transposePlanes(&planes, u, lo)
+			}
 		}
 		x := planes[k]
 		// The n verbatim bits go out LSB of x first; the writer is
@@ -139,20 +156,29 @@ func encodePlanes(w *bitio.Writer, u []uint64, size, kmin, budget int) {
 // error.
 func decodePlanes(r *bitio.Reader, u []uint64, size, kmin, budget int) error {
 	// win is the 64 bits at the reader's position, shifted left by the
-	// used of them consumed here; the reader itself moves only when the
-	// window is reloaded and when this function hands over or returns.
-	// No read can fail or run into Peek's zero padding: a plane is taken
-	// here only when its worst case fits the input.
+	// used of them consumed here, and rest is what the reader has left;
+	// the reader itself moves only when the window is reloaded and when
+	// this function hands over or returns. No read can fail or run into
+	// Peek's zero padding: a plane is taken here only when its worst case
+	// fits the input.
 	win, _ := r.Peek(intPrec)
-	used := 0
+	used, rest := 0, r.Remaining()
 	reload := func() {
 		_ = r.Skip(used)
 		win, _ = r.Peek(intPrec)
+		rest -= used
 		used = 0
 	}
+	// On the AVX2 path a decoded plane waits in planes until the last of
+	// its group of eight (aligned on plane 0) is decoded or the word
+	// step ends, and the group goes into u in one kernel call; pending
+	// is the OR of the planes waiting.
+	vec := vector(size)
+	var planes [intPrec]uint64
+	var pending uint64
 	n, k := 0, intPrec-1
 	for ; k >= kmin; k-- {
-		if worst := planeWorst(size, n); budget < worst || r.Remaining()-used < worst {
+		if worst := planeWorst(size, n); budget < worst || rest-used < worst {
 			break
 		}
 		var x uint64
@@ -196,9 +222,23 @@ func decodePlanes(r *bitio.Reader, u []uint64, size, kmin, budget int) error {
 			used += field
 			budget -= field
 		}
-		for ; x != 0; x &= x - 1 {
-			u[bits.TrailingZeros64(x)] |= 1 << uint(k)
+		if !vec {
+			for ; x != 0; x &= x - 1 {
+				u[bits.TrailingZeros64(x)] |= 1 << uint(k)
+			}
+			continue
 		}
+		planes[k], pending = x, pending|x
+		if k&7 == 0 && pending != 0 {
+			untransposePlanesAVX2((*[8]uint64)(planes[k:k+8]), u, k)
+			pending = 0
+		}
+	}
+	if pending != 0 {
+		// The group of the last plane decoded, k+1; its planes below
+		// k+1 were never set and are zero.
+		lo := (k + 1) &^ 7
+		untransposePlanesAVX2((*[8]uint64)(planes[lo:lo+8]), u, lo)
 	}
 	_ = r.Skip(used)
 	if k >= kmin && budget > 0 {

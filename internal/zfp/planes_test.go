@@ -4,14 +4,33 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitio"
 	"repro/internal/datasets"
+	"repro/internal/gf256"
 	"repro/internal/raceflag"
 	"repro/internal/safecast"
 )
+
+// forEachTier runs f as a subtest under every gf256 dispatch tier the
+// host supports; 16- and 64-coefficient blocks take the AVX2 transposes
+// under avx2 and the word path under every other.
+func forEachTier(t *testing.T, f func(t *testing.T)) {
+	for _, tier := range gf256.Tiers() {
+		t.Run(tier, func(t *testing.T) {
+			restore, err := gf256.ForceTier(tier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restore()
+			f(t)
+		})
+	}
+}
 
 // planesCase is one differential trial of the word coder against the
 // per-bit reference: a coefficient block, the coder's parameters, a
@@ -122,39 +141,110 @@ func randomCoeffs(rng *rand.Rand, size int) []uint64 {
 }
 
 func TestPlanesMatchRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	rounds := 12
-	if testing.Short() || raceflag.Enabled {
-		rounds = 2
-	}
-	for _, size := range []int{4, 16, 64} {
-		unlimited := 1 + expBits + intPrec*size
-		for kmin := 0; kmin <= intPrec; kmin++ {
-			for round := 0; round < rounds; round++ {
-				c := planesCase{
-					u:      randomCoeffs(rng, size),
-					kmin:   kmin,
-					budget: unlimited,
-					pre:    rng.Intn(8),
-					flip:   rng.Int(),
-					cut:    rng.Int(),
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(18))
+		rounds := 12
+		if testing.Short() || raceflag.Enabled {
+			rounds = 2
+		}
+		for _, size := range []int{4, 16, 64} {
+			unlimited := 1 + expBits + intPrec*size
+			for kmin := 0; kmin <= intPrec; kmin++ {
+				for round := 0; round < rounds; round++ {
+					c := planesCase{
+						u:      randomCoeffs(rng, size),
+						kmin:   kmin,
+						budget: unlimited,
+						pre:    rng.Intn(8),
+						flip:   rng.Int(),
+						cut:    rng.Int(),
+					}
+					checkPlanes(t, c)
+					// The same block under a fixed-rate budget, down to
+					// one bit.
+					c.budget = 1 + rng.Intn(1+rng.Intn(unlimited))
+					checkPlanes(t, c)
+					c.budget = 1 + rng.Intn(3*size)
+					checkPlanes(t, c)
 				}
-				checkPlanes(t, c)
-				// The same block under a fixed-rate budget, down to one
-				// bit.
-				c.budget = 1 + rng.Intn(1+rng.Intn(unlimited))
-				checkPlanes(t, c)
-				c.budget = 1 + rng.Intn(3*size)
-				checkPlanes(t, c)
+			}
+		}
+	})
+}
+
+// untransposePlanes is the word tier's way planes go back into u, as
+// decodePlanes does it: bit base+p of u[i] is set for each set bit i of
+// planes[p].
+func untransposePlanes(planes *[8]uint64, u []uint64, base int) {
+	for p, x := range planes {
+		for ; x != 0; x &= x - 1 {
+			u[bits.TrailingZeros64(x)] |= 1 << uint(base+p)
+		}
+	}
+}
+
+// TestTransposePlanesTiers holds the AVX2 transposes to the word path
+// at every base, on random blocks, all-ones blocks and blocks of top
+// bits, and checks that neither kernel touches a word past the block.
+func TestTransposePlanesTiers(t *testing.T) {
+	if !slices.Contains(gf256.Features(), gf256.TierAVX2) {
+		t.Skip("no AVX2 on this host")
+	}
+	rng := rand.New(rand.NewSource(21))
+	const sentinel = 0x5a5a5a5a5a5a5a5a
+	for _, size := range []int{16, 64} {
+		blocks := [][]uint64{make([]uint64, size), make([]uint64, size), make([]uint64, size)}
+		for i := range blocks[0] {
+			blocks[0][i] = ^uint64(0)
+			blocks[1][i] = 1 << (intPrec - 1)
+		}
+		blocks[2][rng.Intn(size)] = 1 << (intPrec - 1)
+		for range 20 {
+			blocks = append(blocks, randomCoeffs(rng, size))
+		}
+		for bi, blk := range blocks {
+			for base := 0; base <= intPrec-8; base++ {
+				// Each kernel sees its block at the front of a longer
+				// array whose tail must come back unchanged.
+				src := append(slices.Clone(blk), sentinel)
+				var want, got [intPrec]uint64
+				transposePlanes(&want, blk, base)
+				transposePlanesAVX2((*[8]uint64)(got[base:base+8]), src[:size], base)
+				for p := base; p < base+8; p++ {
+					if got[p] != want[p] {
+						t.Fatalf("size %d block %d base %d: plane %d = %#x, word path %#x", size, bi, base, p, got[p], want[p])
+					}
+				}
+				if src[size] != sentinel {
+					t.Fatalf("size %d base %d: transpose wrote past the block", size, base)
+				}
+
+				// Back into a block that already holds bits elsewhere:
+				// the untranspose ORs.
+				planes := (*[8]uint64)(want[base : base+8])
+				prior := randomCoeffs(rng, size)
+				wantU := slices.Clone(prior)
+				untransposePlanes(planes, wantU, base)
+				gotU := append(slices.Clone(prior), sentinel)
+				untransposePlanesAVX2(planes, gotU[:size], base)
+				for i := range wantU {
+					if gotU[i] != wantU[i] {
+						t.Fatalf("size %d block %d base %d: u[%d] = %#x, word path %#x", size, bi, base, i, gotU[i], wantU[i])
+					}
+				}
+				if gotU[size] != sentinel {
+					t.Fatalf("size %d base %d: untranspose wrote past the block", size, base)
+				}
 			}
 		}
 	}
 }
 
-// planesCaseFromBytes decodes a fuzz input: seven parameter bytes, then
-// the coefficients (missing ones are zero).
-func planesCaseFromBytes(data []byte) planesCase {
-	var hdr [7]byte
+// planesCaseFromBytes decodes a fuzz input: seven parameter bytes, the
+// index of the dispatch tier in gf256.Tiers(), then the coefficients
+// (missing ones are zero).
+func planesCaseFromBytes(data []byte) (planesCase, string) {
+	var hdr [8]byte
 	copy(hdr[:], data)
 	size := []int{4, 16, 64}[hdr[0]%3]
 	c := planesCase{
@@ -178,19 +268,26 @@ func planesCaseFromBytes(data []byte) planesCase {
 			data = data[8:]
 		}
 	}
-	return c
+	tiers := gf256.Tiers()
+	return c, tiers[int(hdr[7])%len(tiers)]
 }
 
 func FuzzZFPPlanes(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0xff, 0xff, 3, 9, 200, 1, 2, 3, 4, 5, 6, 7, 0, 9, 9, 9, 9, 9, 9, 9, 3})
-	f.Add(append([]byte{2, 40, 0x81, 0x00, 5, 31, 77}, bytes.Repeat([]byte{2, 40, 0x81, 0x00, 5, 7, 31, 77}, 64)...))
-	f.Add(bytes.Repeat([]byte{0xff}, 7+16*8))
+	f.Add([]byte{1, 0, 0xff, 0xff, 3, 9, 200, 2, 1, 2, 3, 4, 5, 6, 7, 0, 9, 9, 9, 9, 9, 9, 9, 3})
+	f.Add(append([]byte{2, 40, 0x81, 0x00, 5, 31, 77, 0}, bytes.Repeat([]byte{2, 40, 0x81, 0x00, 5, 7, 31, 77}, 64)...))
+	f.Add(bytes.Repeat([]byte{0xff}, 8+16*8))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 7+64*8 {
+		if len(data) > 8+64*8 {
 			return
 		}
-		checkPlanes(t, planesCaseFromBytes(data))
+		c, tier := planesCaseFromBytes(data)
+		restore, err := gf256.ForceTier(tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer restore()
+		checkPlanes(t, c)
 	})
 }
 
@@ -391,29 +488,31 @@ func TestCompressMatchesRef(t *testing.T) {
 		{Mode: ModeRate, Param: 3.25},
 		{Mode: ModeRate, Param: 64},
 	}
-	for _, f := range fields {
-		for _, opts := range modes {
-			got, err := Compress(f.data, f.dims, opts)
-			if err != nil {
-				t.Fatalf("%s %s %g: %v", f.name, opts.Mode, opts.Param, err)
-			}
-			want := compressRef(f.data, f.dims, opts)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s %s %g: stream differs from the reference build (%d vs %d bytes)",
-					f.name, opts.Mode, opts.Param, len(got), len(want))
-			}
-			dec, _, err := Decompress(nil, got)
-			if err != nil {
-				t.Fatalf("%s %s %g: decompress: %v", f.name, opts.Mode, opts.Param, err)
-			}
-			ref := decompressRef(t, got, f.dims, opts)
-			for i := range ref {
-				if math.Float64bits(dec[i]) != math.Float64bits(ref[i]) {
-					t.Fatalf("%s %s %g: value %d = %v, reference %v", f.name, opts.Mode, opts.Param, i, dec[i], ref[i])
+	forEachTier(t, func(t *testing.T) {
+		for _, f := range fields {
+			for _, opts := range modes {
+				got, err := Compress(f.data, f.dims, opts)
+				if err != nil {
+					t.Fatalf("%s %s %g: %v", f.name, opts.Mode, opts.Param, err)
+				}
+				want := compressRef(f.data, f.dims, opts)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s %s %g: stream differs from the reference build (%d vs %d bytes)",
+						f.name, opts.Mode, opts.Param, len(got), len(want))
+				}
+				dec, _, err := Decompress(nil, got)
+				if err != nil {
+					t.Fatalf("%s %s %g: decompress: %v", f.name, opts.Mode, opts.Param, err)
+				}
+				ref := decompressRef(t, got, f.dims, opts)
+				for i := range ref {
+					if math.Float64bits(dec[i]) != math.Float64bits(ref[i]) {
+						t.Fatalf("%s %s %g: value %d = %v, reference %v", f.name, opts.Mode, opts.Param, i, dec[i], ref[i])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestBlockExpMatchesRef pins the one-Frexp block exponent to the

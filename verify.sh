@@ -60,10 +60,13 @@ go test -race ./internal/core -run 'Lazy|Train|Cache'
 
 # These run-time gates are the repo's concurrency checks; arcvet has
 # no concurrency analyzer.
-echo "== word tier (ARC_SIMD=word: the table kernels and the goldens on an AVX2 host) =="
-# ARC_SIMD is read in gf256's init, which the test cache does not key
-# on: without -count=1 this would replay the results of the run above.
-ARC_SIMD=word go test -count=1 ./internal/ecc/... ./internal/core
+echo "== word tier (ARC_SIMD=word: the table kernels, the zfp word path and the goldens on an AVX2 host) =="
+# The ECC codes and ZFP's plane coder leave their AVX2 kernels for the
+# word path under ARC_SIMD=word; the ECC, chunk, ZFP, slab and
+# checkpoint goldens must pass there too. ARC_SIMD is read in gf256's
+# init, which the test cache does not key on: without -count=1 this
+# would replay the results of the run above.
+ARC_SIMD=word go test -count=1 ./internal/ecc/... ./internal/core ./internal/zfp ./internal/pressio ./checkpoint
 
 echo "== stream close/decode-error race regression (race, 5 runs) =="
 go test -race -run 'TestChunkReaderCloseRacesMidStreamError' -count=5 ./internal/core
