@@ -233,15 +233,16 @@ func cmdInspect(args []string) error {
 	}
 	defer f.Close()
 	infos, ierr := arc.InspectStream(f)
-	totalOrig, totalEnc := 0, 0
+	totalOrig, totalEnc, totalHdr := 0, 0, 0
 	for i, ci := range infos {
 		fmt.Printf("chunk %d: %s, %d -> %d bytes\n", i, ci.Config, ci.OrigLen, ci.EncLen)
 		totalOrig += ci.OrigLen
 		totalEnc += ci.EncLen
+		totalHdr += ci.HeaderLen
 	}
 	fmt.Printf("chunks:        %d\n", len(infos))
 	fmt.Printf("original size: %d bytes\n", totalOrig)
-	fmt.Printf("encoded size:  %d bytes (+ %d header bytes/chunk)\n", totalEnc, arc.ContainerOverheadBytes)
+	fmt.Printf("encoded size:  %d bytes (%d payload + %d header)\n", totalEnc+totalHdr, totalEnc, totalHdr)
 	if ierr != nil {
 		fmt.Printf("status:        DAMAGED (%v)\n", ierr)
 		return nil

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	arc "repro"
@@ -221,4 +224,46 @@ func TestEncodeWritesProfiles(t *testing.T) {
 			t.Fatalf("profile %s is empty", p)
 		}
 	}
+}
+
+// TestInspectReportsHeaderBytesOfEachVersion runs `arc inspect` on a
+// golden stream of version-1 chunk headers (102 bytes each, not the
+// 114 a version-2 header takes): the total it prints must be the file's
+// size.
+func TestInspectReportsHeaderBytesOfEachVersion(t *testing.T) {
+	const golden = "../../internal/core/testdata/stream_parity8_3chunks.arc"
+	fi, err := os.Stat(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() error { return cmdInspect([]string{"-in", golden}) })
+	want := fmt.Sprintf("encoded size:  %d bytes (3120 payload + 306 header)\n", fi.Size())
+	if !strings.Contains(out, want) {
+		t.Fatalf("inspect printed\n%s\nwant a line %q", out, want)
+	}
+}
+
+// captureStdout returns what fn prints to os.Stdout.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	got := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r) // the pipe closes below; a read error leaves the output short and the test fails on it
+		got <- b
+	}()
+	ferr := fn()
+	os.Stdout = stdout
+	_ = w.Close() // ends the reader
+	out := string(<-got)
+	_ = r.Close()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return out
 }

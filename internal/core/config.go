@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ecc"
@@ -241,11 +242,8 @@ func MethodsForErrorRate(perMB float64) []ecc.Method {
 // smallest Reed-Solomon configuration whose code devices cover several
 // times the expected per-stripe hit count.
 func MinimalAdequateConfig(perMB float64) Config {
-	methods := MethodsForErrorRate(perMB)
-	for _, m := range methods {
-		if m == ecc.MethodSECDED {
-			return Config{ecc.MethodSECDED, 64}
-		}
+	if slices.Contains(MethodsForErrorRate(perMB), ecc.MethodSECDED) {
+		return Config{ecc.MethodSECDED, 64}
 	}
 	// RS-only regime: expected devices hit per stripe, assuming each
 	// error lands in a distinct device (worst case for the budget).

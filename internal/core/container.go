@@ -97,7 +97,7 @@ func marshalHeaderInto(dst []byte, h header) {
 	}
 }
 
-// errHeader is a value so that readHeader's version-1 try at a
+// errHeader is a value so that the chunk walk's version-1 try at a
 // version-2 header allocates nothing.
 var errHeader = fmt.Errorf("%w: no version 1 or 2 header, even after voting the replicas", ErrContainer)
 

@@ -177,11 +177,11 @@ func parseTrailerRecord(r []byte) (int64, int, error) {
 
 // decodeIndexPayload verifies and repairs an index chunk's encoded
 // payload and parses its entries. h is the (already voted) index chunk
-// header, entries the trailer's entry count, and streamSize the total
-// stream length — every allocation and bound below is cross-checked
-// against those before it is trusted. The returned ecc.Report counts
-// the index's own repairs.
-func decodeIndexPayload(h header, enc []byte, entries int, indexOff, streamSize int64) ([]indexEntry, ecc.Report, error) {
+// header, entries the trailer's entry count, and indexOff where the
+// index chunk starts — every allocation and bound below is
+// cross-checked against those before it is trusted. The returned
+// ecc.Report counts the index's own repairs.
+func decodeIndexPayload(h header, enc []byte, entries int, indexOff int64) ([]indexEntry, ecc.Report, error) {
 	var zero ecc.Report
 	rawLen := entries*indexEntrySize + 4
 	if h.OrigLen != rawLen {
@@ -212,10 +212,12 @@ func decodeIndexPayload(h header, enc []byte, entries int, indexOff, streamSize 
 			HdrCRC:    binary.LittleEndian.Uint32(p[28:]),
 			hdrLen:    hdrLen,
 		}
-		if e.Off != nextOff || e.OrigStart != nextOrig || e.EncLen < 0 || e.OrigLen <= 0 {
+		// The chunk walk's rule (OrigLen fits by its width), less the
+		// empty chunk: an index never records one.
+		if e.Off != nextOff || e.OrigStart != nextOrig || e.EncLen < 0 || e.EncLen > maxChunkPayload || e.OrigLen == 0 {
 			return nil, rep, fmt.Errorf("%w: index entry %d is inconsistent", ErrContainer, i)
 		}
-		if e.Off+hdrLen+e.EncLen > indexOff || indexOff > streamSize {
+		if e.Off+hdrLen+e.EncLen > indexOff {
 			return nil, rep, fmt.Errorf("%w: index entry %d exceeds the stream", ErrContainer, i)
 		}
 		nextOff = e.Off + hdrLen + e.EncLen

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/ecc"
 )
@@ -34,34 +35,9 @@ var AnyECC = Resiliency{}
 
 // allows reports whether the constraint admits a configuration.
 func (r Resiliency) allows(c Config) bool {
-	if len(r.Methods) > 0 {
-		ok := false
-		for _, m := range r.Methods {
-			if m == c.Method {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	if r.Caps != 0 && !c.Caps().Has(r.Caps) {
-		return false
-	}
-	if r.ErrorsPerMB > 0 {
-		ok := false
-		for _, m := range MethodsForErrorRate(r.ErrorsPerMB) {
-			if m == c.Method {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return (len(r.Methods) == 0 || slices.Contains(r.Methods, c.Method)) &&
+		(r.Caps == 0 || c.Caps().Has(r.Caps)) &&
+		(r.ErrorsPerMB <= 0 || slices.Contains(MethodsForErrorRate(r.ErrorsPerMB), c.Method))
 }
 
 // Choice is the optimizer's selected configuration.

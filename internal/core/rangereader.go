@@ -34,9 +34,10 @@ type RangeOptions struct {
 // serving hot chunks from the decoded-chunk cache. It is built from
 // the v2 footer index when present and intact (repairing the index
 // with its own ECC if needed); otherwise — v1 streams, or v2 streams
-// whose footer was destroyed — it falls back to a sequential header
-// scan, which still yields full random access because chunk headers
-// are self-describing. A RangeReader is safe for concurrent use.
+// whose footer was destroyed — from the chunk walk (walk.go) over its
+// headers, the same walk a sequential reader makes, which still yields
+// full random access because chunk headers are self-describing. A
+// RangeReader is safe for concurrent use.
 type RangeReader struct {
 	src      io.ReaderAt
 	file     *os.File // owned when opened by OpenRangeFile
@@ -86,19 +87,13 @@ func OpenRangeReader(src io.ReaderAt, size int64, opts RangeOptions) (*RangeRead
 		rr.cache = cache.New(0)
 		rr.ownCache = true
 	}
-	if err := rr.loadIndex(); err != nil {
+	if rr.loadIndex() != nil {
 		// The footer is missing or damaged beyond its ECC: degrade to
 		// the sequential scan. Data chunks are unaffected.
-		rr.entries = rr.entries[:0]
-		rr.indexed = false
-		rr.idxRep = ecc.Report{}
 		rr.scanEntries()
 	}
 	if n := len(rr.entries); n > 0 {
-		last := rr.entries[n-1]
-		rr.total = last.OrigStart + last.OrigLen
-	} else {
-		rr.total = 0
+		rr.total = rr.entries[n-1].OrigStart + rr.entries[n-1].OrigLen
 	}
 	return rr, nil
 }
@@ -126,8 +121,7 @@ func OpenRangeFile(path string, opts RangeOptions) (*RangeReader, error) {
 // cross-checked against the stream size before it drives a read or an
 // allocation, so a forged trailer costs a bounded read, never memory.
 func (rr *RangeReader) loadIndex() error {
-	minV2 := int64(TrailerBytes) + headerLenV1*headerReplicas
-	if rr.size < minV2 {
+	if rr.size < TrailerBytes {
 		return fmt.Errorf("%w: stream too short for a v2 footer", ErrContainer)
 	}
 	var tbuf [TrailerBytes]byte
@@ -138,16 +132,11 @@ func (rr *RangeReader) loadIndex() error {
 	if err != nil {
 		return err
 	}
-	if indexOff < 0 || indexOff > rr.size-minV2 {
-		return fmt.Errorf("%w: trailer places the index outside the stream", ErrContainer)
+	w := rangeWalk(rr.src, indexOff, rr.size-int64(TrailerBytes))
+	if _, ok := w.next(); ok || w.end != endFooter {
+		return fmt.Errorf("%w: the trailer's index offset holds no index chunk (%v)", ErrContainer, w.err)
 	}
-	h, err := rr.headerAt(indexOff, rr.size-int64(TrailerBytes))
-	if err != nil {
-		return err
-	}
-	if h.Method != indexMethod {
-		return fmt.Errorf("%w: trailer points at a non-index chunk", ErrContainer)
-	}
+	h := w.index
 	payloadLen := rr.size - int64(TrailerBytes) - indexOff - int64(h.size())
 	if int64(h.EncLen) != payloadLen {
 		return fmt.Errorf("%w: index payload length %d disagrees with the trailer (%d)", ErrContainer, h.EncLen, payloadLen)
@@ -156,7 +145,7 @@ func (rr *RangeReader) loadIndex() error {
 	if _, err := rr.src.ReadAt(enc, indexOff+int64(h.size())); err != nil {
 		return fmt.Errorf("%w: index payload read: %v", ErrContainer, err)
 	}
-	entries, rep, err := decodeIndexPayload(h, enc, n, indexOff, rr.size)
+	entries, rep, err := decodeIndexPayload(h, enc, n, indexOff)
 	if err != nil {
 		return err
 	}
@@ -166,48 +155,18 @@ func (rr *RangeReader) loadIndex() error {
 
 // scanEntries builds the chunk table by walking the self-describing
 // headers front to back — the v1 path, also the fallback when a v2
-// footer is destroyed. The walk stops cleanly at the first header that
-// does not parse (or at the index pseudo-chunk), so everything before
-// the damage stays readable; scanning is best-effort by design and
-// never fails the open.
+// footer is destroyed. The walk reads headers only and stops at its
+// first end, so everything before damage stays readable; scanning is
+// best-effort by design and never fails the open. An empty chunk gets
+// no entry: it holds no byte to look up.
 func (rr *RangeReader) scanEntries() {
-	var off, orig int64
-	for {
-		h, err := rr.headerAt(off, rr.size)
-		if err != nil || h.Method == indexMethod {
-			return
+	w := rangeWalk(rr.src, 0, rr.size)
+	for c, ok := w.next(); ok; c, ok = w.next() {
+		if c.h.OrigLen > 0 {
+			rr.entries = append(rr.entries, indexEntry{Off: c.off, EncLen: int64(c.h.EncLen),
+				OrigStart: c.orig, OrigLen: int64(c.h.OrigLen), hdrLen: int64(c.h.size())})
 		}
-		hdrLen, encLen := int64(h.size()), int64(h.EncLen)
-		if encLen < 0 || encLen > rr.size-off-hdrLen {
-			return // truncated or forged: the chunk does not fit the stream
-		}
-		if h.OrigLen <= 0 || int64(h.OrigLen) > maxIndexedChunk {
-			return
-		}
-		rr.entries = append(rr.entries, indexEntry{
-			Off:       off,
-			EncLen:    encLen,
-			OrigStart: orig,
-			OrigLen:   int64(h.OrigLen),
-			hdrLen:    hdrLen,
-		})
-		orig += int64(h.OrigLen)
-		off += hdrLen + encLen
 	}
-}
-
-// headerAt reads and parses the chunk header at off without reading at
-// or past end: a version-2 header where one fits, else a version-1 one.
-func (rr *RangeReader) headerAt(off, end int64) (header, error) {
-	var hdr [ContainerOverheadBytes]byte
-	n := min(int64(len(hdr)), end-off)
-	if n < headerLenV1*headerReplicas {
-		return header{}, fmt.Errorf("%w: no room for a chunk header at %d", ErrContainer, off)
-	}
-	if _, err := rr.src.ReadAt(hdr[:n], off); err != nil {
-		return header{}, fmt.Errorf("%w: header read: %v", ErrContainer, err)
-	}
-	return unmarshalHeader(hdr[:n])
 }
 
 // Size returns the total original bytes the stream reproduces.
@@ -276,10 +235,7 @@ func (rr *RangeReader) ReadRange(dst []byte, first, n int64) (int, Report, error
 	if first >= rr.total {
 		return 0, rep, io.EOF
 	}
-	end := first + n
-	if end > rr.total {
-		end = rr.total
-	}
+	end := min(first+n, rr.total)
 	lo := sort.Search(len(rr.entries), func(i int) bool {
 		e := rr.entries[i]
 		return e.OrigStart+e.OrigLen > first

@@ -275,10 +275,8 @@ const maxIndexedChunk = 1<<32 - 1
 
 // firstErr surfaces the pipeline's first writer-side error, if any.
 func (cw *ChunkWriter) firstErr() error {
-	if err, _ := cw.emitErr.Load().(error); err != nil {
-		return err
-	}
-	return nil
+	err, _ := cw.emitErr.Load().(error)
+	return err
 }
 
 // flush encodes and emits the buffered chunk.
@@ -379,16 +377,14 @@ func (cw *ChunkWriter) BytesWritten() int64 { return cw.written.Load() }
 // ChunkReader decodes a stream of containers, verifying and repairing
 // each chunk as it goes.
 type ChunkReader struct {
-	r        io.Reader
+	walk     chunkWalk
 	workers  int
 	pipeline int
 	cur      []byte
 	curBuf   *chunkBuf // owner of cur's storage; recycled once drained
-	hdr      [ContainerOverheadBytes]byte
 	err      error
 	closed   bool
 	report   Report
-	nextOrig int64         // original offset of the next chunk read off r
 	seq      *chunkScratch // sequential-path scratch (pipeline == 1)
 
 	// Pipelined state (nil/unused when pipeline == 1). The producer
@@ -436,7 +432,7 @@ type Report struct {
 // self-describing).
 func NewChunkReaderWith(r io.Reader, workers int, opts StreamOptions) *ChunkReader {
 	opts = opts.normalize(workers)
-	return &ChunkReader{r: r, workers: workers, pipeline: opts.Pipeline}
+	return &ChunkReader{walk: chunkWalk{r: r}, workers: workers, pipeline: opts.Pipeline}
 }
 
 // Report returns the accumulated repair statistics.
@@ -520,7 +516,14 @@ func (cr *ChunkReader) Close() error {
 // next produces the next decoded chunk into cr.cur.
 func (cr *ChunkReader) next() error {
 	if cr.pipeline <= 1 {
-		return cr.nextChunk()
+		c, err := cr.readChunk()
+		if err != nil {
+			return err
+		}
+		if cr.seq == nil {
+			cr.seq = new(chunkScratch)
+		}
+		return cr.deliver(cr.decode(c, cr.seq))
 	}
 	if !cr.started {
 		cr.started = true
@@ -576,7 +579,7 @@ func (cr *ChunkReader) decode(c encChunk, s *chunkScratch) (decChunk, error) {
 	out := getChunkBuf(0)
 	data, rep, err := decodeChunk(out.b, c.h, c.buf.b, c.off, cr.workers, s)
 	putChunkBuf(c.buf)
-	if data == nil {
+	if data == nil && err != nil { // an empty chunk decodes to nil too
 		putChunkBuf(out)
 		return decChunk{rep: rep}, err
 	}
@@ -587,66 +590,20 @@ func (cr *ChunkReader) decode(c encChunk, s *chunkScratch) (decChunk, error) {
 	return decChunk{data: out, rep: rep}, err
 }
 
-// readHeader reads the next chunk header of a sequential stream into
-// hdr (ContainerOverheadBytes long) and parses it, consuming exactly
-// the header: a version-1 one, then the rest of a version-2 one if it
-// is not that. io.EOF is the clean end: the stream stopped at a chunk
-// boundary, or the v2 footer began — its index payload and trailer are
-// consumed, so a caller layering more reads on the same stream lands
-// past the footer.
-func readHeader(r io.Reader, hdr []byte) (header, error) {
-	v1 := hdr[:headerLenV1*headerReplicas]
-	if _, err := io.ReadFull(r, v1); err != nil {
-		if err == io.EOF {
-			return header{}, io.EOF
-		}
-		return header{}, fmt.Errorf("%w: truncated chunk header: %v", ErrContainer, err)
-	}
-	h, err := unmarshalHeader(v1)
-	if err != nil {
-		if _, err := io.ReadFull(r, hdr[len(v1):]); err != nil {
-			return header{}, fmt.Errorf("%w: truncated chunk header: %v", ErrContainer, err)
-		}
-		if h, err = unmarshalHeader(hdr); err != nil {
-			return header{}, err
-		}
-	}
-	if h.Method == indexMethod {
-		if _, err := io.CopyN(io.Discard, r, int64(h.EncLen)); err == nil {
-			_, _ = io.CopyN(io.Discard, r, TrailerBytes) // best-effort: a short trailer changes nothing already delivered
-		}
-		return header{}, io.EOF
-	}
-	if h.EncLen > maxChunkPayload {
-		return header{}, fmt.Errorf("%w: implausible chunk payload %d", ErrContainer, h.EncLen)
-	}
-	return h, nil
-}
-
 // readChunk reads one encoded container (header + payload) off the
 // underlying reader into a pooled payload buffer.
 func (cr *ChunkReader) readChunk() (encChunk, error) {
-	h, err := readHeader(cr.r, cr.hdr[:])
-	if err != nil {
-		return encChunk{}, err
-	}
+	c, ok := cr.walk.next()
 	pb := getChunkBuf(0)
-	b, err := ecc.ReadN(cr.r, pb.b, h.EncLen, directReadCap)
-	if err != nil {
-		putChunkBuf(pb)
-		return encChunk{}, fmt.Errorf("%w: truncated chunk payload: %v", ErrContainer, err)
+	if ok {
+		pb.b, ok = cr.walk.payload(pb.b)
 	}
-	pb.b = b
-	off := cr.nextOrig
-	cr.nextOrig += int64(h.OrigLen)
-	return encChunk{h: h, off: off, buf: pb}, nil
+	if !ok {
+		putChunkBuf(pb)
+		return encChunk{}, cr.walk.err
+	}
+	return encChunk{h: c.h, off: c.orig, buf: pb}, nil
 }
-
-// directReadCap is the largest chunk payload readChunk allocates up
-// front; larger claims grow as bytes actually arrive (ecc.ReadN), so a
-// forged (CRC-colliding) EncLen cannot allocate up to maxChunkPayload
-// from a short stream.
-const directReadCap = 1 << 20
 
 // shutdown cancels and joins the pipelined machinery; safe to call on
 // a sequential or never-started reader.
@@ -670,48 +627,27 @@ func (cr *ChunkReader) shutdown() {
 	cr.pipe = nil
 }
 
-// nextChunk reads and decodes one container sequentially.
-func (cr *ChunkReader) nextChunk() error {
-	c, err := cr.readChunk()
-	if err != nil {
-		return err
-	}
-	if cr.seq == nil {
-		cr.seq = new(chunkScratch)
-	}
-	return cr.deliver(cr.decode(c, cr.seq))
-}
-
 // ChunkInfo summarizes one container of a stream without decoding its
 // payload.
 type ChunkInfo struct {
-	Config  Config
-	DevSize int
-	OrigLen int
-	EncLen  int
+	Config    Config
+	DevSize   int
+	OrigLen   int
+	EncLen    int
+	HeaderLen int // the replicated header's bytes (its version's): the container is HeaderLen + EncLen
 }
 
 // InspectStream walks a stream (single container or chunked), parsing
 // headers and skipping payloads. It returns per-chunk metadata.
 func InspectStream(r io.Reader) ([]ChunkInfo, error) {
 	var infos []ChunkInfo
-	hdr := make([]byte, ContainerOverheadBytes)
-	for {
-		h, err := readHeader(r, hdr)
-		if err == io.EOF {
-			return infos, nil
-		}
-		if err != nil {
-			return infos, fmt.Errorf("after %d chunk(s): %w", len(infos), err)
-		}
-		if _, err := io.CopyN(io.Discard, r, int64(h.EncLen)); err != nil {
-			return infos, fmt.Errorf("%w: truncated payload: %v", ErrContainer, err)
-		}
-		infos = append(infos, ChunkInfo{
-			Config:  h.config(),
-			DevSize: h.DevSize,
-			OrigLen: h.OrigLen,
-			EncLen:  h.EncLen,
-		})
+	w := chunkWalk{r: r}
+	for c, ok := w.next(); ok && w.skip(); c, ok = w.next() {
+		infos = append(infos, ChunkInfo{Config: c.h.config(), DevSize: c.h.DevSize,
+			OrigLen: c.h.OrigLen, EncLen: c.h.EncLen, HeaderLen: c.h.size()})
 	}
+	if w.err != io.EOF {
+		return infos, fmt.Errorf("after %d chunk(s): %w", len(infos), w.err)
+	}
+	return infos, nil
 }

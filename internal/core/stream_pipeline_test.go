@@ -27,7 +27,7 @@ func streamTestEngine(threads int) *Engine {
 
 // encodeStream encodes data with the given choice and options,
 // failing the test on any error.
-func encodeStream(t *testing.T, choice Choice, opts StreamOptions, data []byte) []byte {
+func encodeStream(t testing.TB, choice Choice, opts StreamOptions, data []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	cw, err := streamTestEngine(4).NewChunkWriterChoice(&buf, choice, opts)

@@ -18,11 +18,3 @@ func voteBytes(dst, a, b, c []byte) {
 		dst[i] = vote3(a[i], b[i], c[i])
 	}
 }
-
-// voteBytesRef is the scalar reference implementation of voteBytes,
-// retained for differential tests and benchmarks.
-func voteBytesRef(dst, a, b, c []byte) {
-	for i := range dst {
-		dst[i] = vote3(a[i], b[i], c[i])
-	}
-}

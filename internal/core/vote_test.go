@@ -84,3 +84,11 @@ func BenchmarkKernelVote3(b *testing.B) {
 		}
 	})
 }
+
+// voteBytesRef is the scalar reference implementation of voteBytes: the
+// oracle of TestVoteBytesMatchesRef and BenchmarkKernelVote3.
+func voteBytesRef(dst, a, b, c []byte) {
+	for i := range dst {
+		dst[i] = vote3(a[i], b[i], c[i])
+	}
+}

@@ -89,6 +89,13 @@ for target in FuzzContainerDecode FuzzSZDecompress FuzzSZDecodeCorruptHeader Fuz
     go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s .
 done
 
+echo "== chunk walk fuzz smoke (10s) =="
+# Differential: over arbitrary bytes, InspectStream, the chunks a
+# ChunkReader delivers and the range scan list the same chunks and end
+# the same way. It lives in internal/core because it compares the
+# package's own chunk lists and walk ends.
+go test -run '^$' -fuzz '^FuzzChunkWalk$' -fuzztime 10s ./internal/core
+
 echo "== service frame fuzz smoke (10s) =="
 go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 10s ./internal/service
 
