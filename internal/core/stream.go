@@ -543,10 +543,11 @@ func (cr *ChunkReader) next() error {
 
 // deliver accounts for one decoded chunk and makes it current.
 func (cr *ChunkReader) deliver(out decChunk, err error) error {
+	ord := cr.report.Chunks // 0-based, as RangeReader numbers chunks
 	cr.report.add(out.rep, err)
 	if err != nil {
 		putChunkBuf(out.data)
-		return fmt.Errorf("chunk %d: %w", cr.report.Chunks, err)
+		return fmt.Errorf("chunk %d: %w", ord, err)
 	}
 	cr.cur = out.data.b
 	cr.curBuf = out.data

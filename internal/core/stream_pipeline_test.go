@@ -133,6 +133,40 @@ func TestPipelinedReaderRepairsAndCountsCorrections(t *testing.T) {
 	}
 }
 
+// TestChunkErrorsNameOneOrdinal: the stream reader and the range
+// reader name a damaged chunk by the same 0-based ordinal, sequential
+// or pipelined.
+func TestChunkErrorsNameOneOrdinal(t *testing.T) {
+	data := make([]byte, 6<<10)
+	rand.New(rand.NewSource(105)).Read(data)
+	choice := Choice{Config: Config{Method: ecc.MethodParity, Param: 8}, Threads: 1}
+	enc := encodeStream(t, choice, StreamOptions{ChunkSize: 2 << 10, Pipeline: 1}, data)
+	// Parity detects but cannot correct: a payload flip in the first of
+	// the three chunks is terminal.
+	enc[ContainerOverheadBytes+50] ^= 0x01
+	const want = "chunk 0: "
+	for _, pipeline := range []int{1, 4} {
+		cr := NewChunkReaderWith(bytes.NewReader(enc), 1, StreamOptions{Pipeline: pipeline})
+		if _, err := io.ReadAll(cr); !errors.Is(err, ecc.ErrUncorrectable) || !bytes.HasPrefix([]byte(err.Error()), []byte(want)) {
+			t.Errorf("pipeline %d: ChunkReader error %q, want ErrUncorrectable starting %q", pipeline, err, want)
+		}
+		rr, err := OpenRangeReader(bytes.NewReader(enc), int64(len(enc)), RangeOptions{Pipeline: pipeline})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rr.Chunks() != 3 {
+			t.Fatalf("stream has %d chunks, want 3", rr.Chunks())
+		}
+		_, _, err = rr.ReadRange(make([]byte, len(data)), 0, int64(len(data)))
+		if !errors.Is(err, ecc.ErrUncorrectable) || !bytes.HasPrefix([]byte(err.Error()), []byte(want)) {
+			t.Errorf("pipeline %d: ReadRange error %q, want ErrUncorrectable starting %q", pipeline, err, want)
+		}
+		if err := rr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestPipelinedReaderMidStreamErrorWinsInOrder(t *testing.T) {
 	base := runtime.NumGoroutine()
 	data := make([]byte, 16<<10)
@@ -158,7 +192,7 @@ func TestPipelinedReaderMidStreamErrorWinsInOrder(t *testing.T) {
 	if !bytes.Equal(got, data[:wantPrefix]) {
 		t.Fatal("intact prefix corrupted")
 	}
-	if want := "chunk 4:"; err == nil || !bytes.Contains([]byte(err.Error()), []byte(want)) {
+	if want := "chunk 3:"; err == nil || !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Fatalf("error %q does not name the failing chunk (%s)", err, want)
 	}
 	// A failed stream read must not strand producer or workers.

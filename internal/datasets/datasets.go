@@ -12,7 +12,10 @@
 // repository; the generators reproduce what the study needs from the
 // data — smooth spatial correlation with fine-scale variation at
 // dataset-specific magnitudes — and are fully deterministic given a
-// seed, so every trial is reproducible.
+// seed, so every trial is reproducible. Every product that feeds a sum
+// is written float64(a*b), which forbids the compiler to fuse the two
+// into one multiply-add: a field is the same numbers on every
+// architecture.
 package datasets
 
 import (
@@ -53,24 +56,24 @@ func CESM(ny, nx int, seed int64) *Field {
 		bumps[i] = bump{
 			cy:  rng.Float64(),
 			cx:  rng.Float64(),
-			r:   0.05 + 0.15*rng.Float64(),
-			amp: 0.6 * (rng.Float64() - 0.3),
+			r:   0.05 + float64(0.15*rng.Float64()),
+			amp: 0.6 * (float64(rng.Float64()) - 0.3), // Float64 inlines a product too
 		}
 	}
 	for y := 0; y < ny; y++ {
 		fy := float64(y) / float64(ny)
-		band := 0.45 + 0.3*math.Cos(3*math.Pi*(fy-0.5)) // cloudy mid-latitudes
+		band := 0.45 + float64(0.3*math.Cos(float64(3*math.Pi*(fy-0.5)))) // cloudy mid-latitudes
 		for x := 0; x < nx; x++ {
 			fx := float64(x) / float64(nx)
-			v := band + 0.1*math.Sin(2*math.Pi*(4*fx+2*fy))
+			v := band + float64(0.1*math.Sin(float64(2*math.Pi*(float64(4*fx)+float64(2*fy)))))
 			for _, b := range bumps {
 				dy, dx := fy-b.cy, wrapDist(fx, b.cx)
-				d2 := (dy*dy + dx*dx) / (b.r * b.r)
+				d2 := (float64(dy*dy) + float64(dx*dx)) / (b.r * b.r)
 				if d2 < 9 {
-					v += b.amp * math.Exp(-d2)
+					v += float64(b.amp * math.Exp(-d2))
 				}
 			}
-			v += 0.02 * rng.NormFloat64()
+			v += float64(0.02 * rng.NormFloat64())
 			data[y*nx+x] = clamp01(v)
 		}
 	}
@@ -84,21 +87,21 @@ func CESM(ny, nx int, seed int64) *Field {
 func Isabel(nz, ny, nx int, seed int64) *Field {
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]float64, nz*ny*nx)
-	cy, cx := 0.45+0.1*rng.Float64(), 0.55+0.1*rng.Float64()
+	cy, cx := 0.45+float64(0.1*rng.Float64()), 0.55+float64(0.1*rng.Float64())
 	i := 0
 	for z := 0; z < nz; z++ {
 		fz := float64(z) / float64(max(nz, 1))
-		base := 1013.0 * math.Exp(-1.2*fz) // hydrostatic-ish decay
+		base := float64(1013.0 * math.Exp(-1.2*fz)) // hydrostatic-ish decay
 		for y := 0; y < ny; y++ {
 			fy := float64(y) / float64(ny)
 			for x := 0; x < nx; x++ {
 				fx := float64(x) / float64(nx)
 				dy, dx := fy-cy, fx-cx
-				r := math.Sqrt(dy*dy + dx*dx)
+				r := math.Sqrt(float64(dy*dy) + float64(dx*dx))
 				// Vortex: deep central depression with spiral bands.
-				depress := -90 * math.Exp(-r*r/0.02) * (1 - 0.6*fz)
-				spiral := 4 * math.Sin(10*r-6*math.Atan2(dy, dx)) * math.Exp(-r*r/0.08)
-				data[i] = base + depress + spiral + 0.3*rng.NormFloat64()
+				depress := float64(-90 * math.Exp(-r*r/0.02) * (1 - float64(0.6*fz)))
+				spiral := float64(4 * math.Sin(float64(10*r)-float64(6*math.Atan2(dy, dx))) * math.Exp(-r*r/0.08))
+				data[i] = base + depress + spiral + float64(0.3*rng.NormFloat64())
 				i++
 			}
 		}
@@ -122,7 +125,7 @@ func NYX(nz, ny, nx int, seed int64) *Field {
 			ky:  float64(1 + rng.Intn(3)),
 			kx:  float64(1 + rng.Intn(3)),
 			ph:  2 * math.Pi * rng.Float64(),
-			amp: 0.5 + 0.5*rng.Float64(),
+			amp: 0.5 + float64(0.5*rng.Float64()),
 		}
 	}
 	i := 0
@@ -134,9 +137,9 @@ func NYX(nz, ny, nx int, seed int64) *Field {
 				fx := float64(x) / float64(nx)
 				logT := 4.5 // ~3*10^4 K
 				for _, m := range modes {
-					logT += 0.35 * m.amp * math.Sin(2*math.Pi*(m.kz*fz+m.ky*fy+m.kx*fx)+m.ph)
+					logT += float64(0.35 * m.amp * math.Sin(float64(2*math.Pi*(float64(m.kz*fz)+float64(m.ky*fy)+float64(m.kx*fx)))+m.ph))
 				}
-				logT += 0.05 * rng.NormFloat64()
+				logT += float64(0.05 * rng.NormFloat64())
 				data[i] = math.Pow(10, logT)
 				i++
 			}

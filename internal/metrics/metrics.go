@@ -36,7 +36,7 @@ func RMSE(orig, got []float64) float64 {
 	var sum float64
 	for i := range orig {
 		d := orig[i] - got[i]
-		sum += d * d
+		sum += float64(d * d) // no fused multiply-add: one RMSE on every architecture
 	}
 	return math.Sqrt(sum / float64(len(orig)))
 }

@@ -354,7 +354,56 @@ func (s *Server) forgetConn(conn net.Conn) {
 	s.mu.Lock()
 	delete(s.conns, conn)
 	s.mu.Unlock()
+	closeConn(conn)
+}
+
+// Bounds of a drain. drainGrace is how long a frame the server has
+// begun to read has to arrive in full once Shutdown starts; closeLinger
+// is how long closeConn reads what a client sent after its last
+// request was taken.
+const (
+	drainGrace  = 2 * time.Second
+	closeLinger = 100 * time.Millisecond
+)
+
+// closeConn closes a connection whose responses are all written. A
+// close with request bytes still unread makes the kernel reset the
+// connection, and the reset discards the responses the client has not
+// read yet. So the write side is shut first (the FIN follows the last
+// response), what the client sent is read and dropped until it closes
+// or closeLinger passes, and only then is the socket closed. A
+// connection Close or Shutdown already severed just closes.
+func closeConn(conn net.Conn) {
+	if cw, ok := conn.(interface{ CloseWrite() error }); ok && cw.CloseWrite() == nil {
+		if conn.SetReadDeadline(time.Now().Add(closeLinger)) == nil {
+			_, _ = io.Copy(io.Discard, conn) // ends at EOF or the deadline
+		}
+	}
 	_ = conn.Close() // best-effort: Close/Shutdown may have closed it already
+}
+
+// frameReader reads a connection's frames. The immediate read deadline
+// Shutdown sets ends a read waiting for a frame to start, but a frame
+// the server has begun to read is a request in flight: it gets
+// drainGrace more to arrive, so it is answered like the requests
+// already taken, and its bytes are not left unread.
+type frameReader struct {
+	conn    net.Conn
+	quit    chan struct{}
+	started bool // a byte of the current frame has been read
+	graced  bool // the drain deadline has been extended once
+}
+
+func (r *frameReader) Read(p []byte) (int, error) {
+	n, err := r.conn.Read(p)
+	if n > 0 {
+		r.started = true
+	}
+	if err != nil && r.started && !r.graced && isDrainTimeout(err, r.quit) {
+		r.graced = true
+		err = r.conn.SetReadDeadline(time.Now().Add(drainGrace))
+	}
+	return n, err
 }
 
 // readRequests is the connection's producer loop: it reads frames
@@ -363,20 +412,22 @@ func (s *Server) forgetConn(conn net.Conn) {
 // payload) produce an error response through the pipeline so ordering
 // holds, then end the loop; unframeable input just ends the loop.
 func (s *Server) readRequests(conn net.Conn, pipe *parallel.Pipe[request, response]) {
+	fr := &frameReader{conn: conn, quit: s.quit}
 	for {
 		select {
 		case <-s.quit:
 			return
 		default:
 		}
-		f, n, err := readFrameHeader(conn, s.cfg.MaxPayload)
+		fr.started = false
+		f, n, err := readFrameHeader(fr, s.cfg.MaxPayload)
 		var fb *frameBuf
 		if err == nil {
 			// Each payload gets its own pooled buffer: it is handed to a
 			// pipeline worker and must survive until the writer is done
 			// with the response.
 			fb = getBuf()
-			if f.Payload, err = ecc.ReadN(conn, fb.b[:0], n, directPayloadCap); err == nil {
+			if f.Payload, err = ecc.ReadN(fr, fb.b[:0], n, directPayloadCap); err == nil {
 				fb.b = f.Payload
 			}
 			err = fullErr(err)
@@ -387,7 +438,8 @@ func (s *Server) readRequests(conn net.Conn, pipe *parallel.Pipe[request, respon
 			case errors.Is(err, io.EOF):
 				// Clean disconnect between frames.
 			case isDrainTimeout(err, s.quit):
-				// Shutdown unblocked this read via the deadline; the
+				// Shutdown unblocked this read via the deadline between
+				// frames (or a begun frame outlasted drainGrace); the
 				// requests already submitted still drain.
 			case errors.Is(err, ErrFrameTooLarge):
 				// The op survives the refusal, so the client hears

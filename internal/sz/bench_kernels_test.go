@@ -9,9 +9,12 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/datasets"
+	"repro/internal/gf256"
 	"repro/internal/raceflag"
 )
 
@@ -115,16 +118,79 @@ func timeOps(tb testing.TB, op func(testing.TB), n int) time.Duration {
 }
 
 // TestKernelFloors holds the batched quantizer to 2x its scalar
-// reference on a 3-D field.
+// reference on a 3-D field and, where the avx2 tier is active, the
+// AVX2 Lorenzo kernels to 1x the word tier's 2-row kernels on each of
+// the benchmark's three slab shapes: half the lowest of 20 runs beside
+// another package's tests (2.05-2.11x; 2.4-2.7x on a quiet host).
 func TestKernelFloors(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector distorts kernel timings")
 	}
-	const floor = 2.0
-	got := quantizePair().speedup(t, floor)
-	t.Logf("SZQuantize: %.2fx (floor %gx)", got, floor)
-	if got < floor {
-		t.Errorf("SZQuantize runs %.2fx its reference, below the %gx floor", got, floor)
+	type floor struct {
+		name string
+		pair kernelPair
+		min  float64
+	}
+	floors := []floor{{"SZQuantize", quantizePair(), 2}}
+	if gf256.ActiveTier() == gf256.TierAVX2 {
+		for _, f := range slabFields() {
+			floors = append(floors, floor{"SZQuantizeAVX2/" + f.Name, quantizeTierPair(f), 1})
+		}
+	} else {
+		t.Logf("SZQuantizeAVX2: skipped under the %s tier", gf256.ActiveTier())
+	}
+	for _, f := range floors {
+		got := f.pair.speedup(t, f.min)
+		t.Logf("%s: %.2fx (floor %gx)", f.name, got, f.min)
+		if got < f.min {
+			t.Errorf("%s runs %.2fx its reference, below the %gx floor", f.name, got, f.min)
+		}
+	}
+}
+
+// slabFields are one slab of each benchmark field: the shapes pressio
+// cuts the checkpoint workload's CESM, Isabel and NYX fields into.
+func slabFields() []*datasets.Field {
+	return []*datasets.Field{
+		datasets.CESM(128, 2048, 1),
+		datasets.Isabel(8, 192, 192, 2),
+		datasets.NYX(16, 128, 128, 3),
+	}
+}
+
+// quantizeTierPair runs the kernels behind quantize on f into reused
+// buffers, at an error bound of 1e-3 of f's value range: under the avx2
+// tier, and under the word tier.
+func quantizeTierPair(f *datasets.Field) kernelPair {
+	lo, hi := f.Data[0], f.Data[0]
+	for _, v := range f.Data {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	eb := 1e-3 * (hi - lo)
+	syms, recon := make([]int32, len(f.Data)), make([]float64, len(f.Data))
+	under := func(tier string) func(testing.TB) {
+		return func(tb testing.TB) {
+			restore, err := gf256.ForceTier(tier)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			quantizeRecon(f.Data, f.Dims, eb, syms, recon)
+			restore()
+		}
+	}
+	return kernelPair{int64(len(f.Data) * 8), under(gf256.TierAVX2), under(gf256.TierWord)}
+}
+
+// BenchmarkKernelSZQuantizeAVX2 times quantizeTierPair's two sides on
+// each slab shape.
+func BenchmarkKernelSZQuantizeAVX2(b *testing.B) {
+	if !slices.Contains(gf256.Features(), gf256.TierAVX2) {
+		b.Skip("no AVX2 on this host")
+	}
+	for _, f := range slabFields() {
+		p := quantizeTierPair(f)
+		b.Run(f.Name+"/avx2", func(b *testing.B) { benchOp(b, p.bytes, p.kernel) })
+		b.Run(f.Name+"/word", func(b *testing.B) { benchOp(b, p.bytes, p.ref) })
 	}
 }
 

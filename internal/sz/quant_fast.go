@@ -29,86 +29,147 @@ package sz
 //     quotients, probability ~ULP) pick a neighboring code; both codes
 //     satisfy the bound.
 //
-// The remaining latency is attacked by software pipelining: row x+1
-// depends on row x only at columns <= k-1, so interleaving element
-// (x, k) with (x+1, k-2) runs two reconstruction chains concurrently.
-// The per-element expressions and their evaluation order are untouched
-// — only the schedule across independent elements changes — so the
-// interleaved kernels stay bit-identical. Unpredictable values from
-// the second row of a pair are staged in a scratch buffer and flushed
-// after the pair, keeping the pool in raster order.
+// The remaining latency is attacked by running rows side by side: row
+// x+1 depends on row x only at columns <= k-1, so element (x, k) and
+// element (x+1, k-s) are independent for any skew s >= 1. The word
+// path interleaves two rows at a skew of two; under gf256's avx2 tier
+// (ARC_SIMD and gf256.ForceTier choose) the kernels in quant_amd64.s
+// carry eight rows at a skew of one, a lane each. The per-element
+// expressions and their evaluation order are untouched — only the
+// schedule across independent elements changes — so every path stays
+// bit-identical. Only an unpredictable value gets symbol 0, so the
+// pool is collected after the kernel in raster order and no kernel
+// queues it.
 //
 // Differential tests in quant_fast_test.go pin every path to its
 // reference.
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/gf256"
+)
 
 // quantOne quantizes one value against its prediction. It returns the
-// reconstructed value, the symbol, and whether the value was
-// predictable; unpredictable values reconstruct exactly. Small enough
-// to inline (RoundToEven and Abs are compiler intrinsics).
-func quantOne(v, p, eb, invTwoEB, twoEB float64) (float64, int32, bool) {
+// reconstructed value and the symbol, 0 for an unpredictable value,
+// which reconstructs exactly. Small enough to inline (RoundToEven and
+// Abs are compiler intrinsics).
+func quantOne(v, p, eb, invTwoEB, twoEB float64) (float64, int32) {
 	code := math.RoundToEven((v - p) * invTwoEB)
 	// A NaN code needs no explicit check: NaN fails the < comparison.
 	if math.Abs(code) < quantRadius-1 {
-		r := p + code*twoEB
+		// float64() rounds the product before the sum, as the decoder
+		// does on every architecture (docs/FORMAT.md): no fused
+		// multiply-add.
+		r := p + float64(code*twoEB)
 		// Guard against floating-point rounding pushing the
 		// reconstruction out of bounds. This also catches any code the
 		// reciprocal selection placed one step off the reference choice.
 		if math.Abs(r-v) <= eb {
-			return r, int32(code) + quantRadius, true
+			return r, int32(code) + quantRadius
 		}
 	}
-	return v, 0, false
+	return v, 0
 }
 
 // quantize runs the prediction + quantization stage, producing the
 // symbol stream (0 = unpredictable, otherwise code+quantRadius) and
-// the unpredictable values in order of appearance. It dispatches to a
-// dimension-specialized batched kernel; quantizeRef is the retained
-// scalar reference.
+// the unpredictable values in order of appearance. quantizeRef is the
+// retained scalar reference.
 func quantize(data []float64, dims []int, eb float64) (syms []int32, unpred []float64) {
-	n := len(data)
-	syms = make([]int32, n)
-	recon := make([]float64, n)
-	switch len(dims) {
-	case 2:
-		unpred = quantize2D(data, dims[0], dims[1], eb, syms, recon)
-	case 3:
-		unpred = quantize3D(data, dims[0], dims[1], dims[2], eb, syms, recon)
-	default:
-		unpred = quantize1D(data, eb, syms, recon)
+	syms = make([]int32, len(data))
+	quantizeRecon(data, dims, eb, syms, make([]float64, len(data)))
+	for i, s := range syms {
+		if s == 0 {
+			unpred = append(unpred, data[i])
+		}
 	}
 	return syms, unpred
 }
 
-func quantize1D(data []float64, eb float64, syms []int32, recon []float64) (unpred []float64) {
+// quantizeRecon fills syms and the reconstruction recon for data
+// through a dimension-specialized batched kernel.
+func quantizeRecon(data []float64, dims []int, eb float64, syms []int32, recon []float64) {
+	switch len(dims) {
+	case 2:
+		quantize2D(data, dims[0], dims[1], eb, syms, recon)
+	case 3:
+		quantize3D(data, dims[0], dims[1], dims[2], eb, syms, recon)
+	default:
+		quantize1D(data, eb, syms, recon)
+	}
+}
+
+func quantize1D(data []float64, eb float64, syms []int32, recon []float64) {
 	twoEB := 2 * eb
 	invTwoEB := 1 / twoEB
 	left := 0.0
 	for i, v := range data {
-		r, s, ok := quantOne(v, left, eb, invTwoEB, twoEB)
+		r, s := quantOne(v, left, eb, invTwoEB, twoEB)
 		syms[i] = s
 		recon[i] = r
-		if !ok {
-			unpred = append(unpred, v)
-		}
 		left = r
 	}
-	return unpred
 }
 
 // rowSkew is the column offset between the two interleaved rows of a
-// software-pipelined pair: element (x+1, k-rowSkew) only reads row x at
-// columns k-rowSkew and k-rowSkew-1, both already written.
+// word-path pair: element (x+1, k-rowSkew) only reads row x at columns
+// k-rowSkew and k-rowSkew-1, both already written.
 const rowSkew = 2
 
-func quantize2D(data []float64, d0, d1 int, eb float64, syms []int32, recon []float64) (unpred []float64) {
+// vecRows is how many rows the AVX2 kernels carry: lanes 0-7 of two
+// four-lane vectors, lane r on row y+r at step k's column k-r. Step
+// vecRows-1 is the first at which every lane has a column.
+const vecRows = 8
+
+// vectorRows reports whether rows of the given width take the AVX2
+// kernels: under gf256's avx2 tier, and wide enough for one step with
+// all eight lanes.
+func vectorRows(width int) bool {
+	return width >= vecRows && gf256.ActiveTier() == gf256.TierAVX2
+}
+
+// quantRow2D quantizes columns [lo, hi) of one row of a 2-D field
+// against up, the reconstructed row above it (a zero row for the
+// first); columns before lo must be done.
+func quantRow2D(src, row []float64, ss []int32, up []float64, lo, hi int, eb, invTwoEB, twoEB float64) {
+	if lo >= hi {
+		return
+	}
+	var left float64
+	if lo == 0 {
+		// y == 0: left and up-left are zero (explicit zero terms keep
+		// the expression identical to the reference stencil).
+		p := 0 + up[0] - 0
+		left, ss[0] = quantOne(src[0], p, eb, invTwoEB, twoEB)
+		row[0] = left
+		lo = 1
+	} else {
+		left = row[lo-1]
+	}
+	for y := lo; y < hi; y++ {
+		p := left + up[y] - up[y-1]
+		r, s := quantOne(src[y], p, eb, invTwoEB, twoEB)
+		ss[y] = s
+		row[y] = r
+		left = r
+	}
+}
+
+func quantize2D(data []float64, d0, d1 int, eb float64, syms []int32, recon []float64) {
 	twoEB := 2 * eb
 	invTwoEB := 1 / twoEB
 	zeroRow := make([]float64, d1)
-	var pending []float64
 	x := 0
+	if vectorRows(d1) {
+		for ; x+vecRows <= d0; x += vecRows {
+			up := zeroRow
+			if x > 0 {
+				up = recon[(x-1)*d1 : x*d1]
+			}
+			quantGroup2D(data, recon, syms, up, x, d1, eb, invTwoEB, twoEB)
+		}
+	}
 	for ; x+1 < d0; x += 2 {
 		base0 := x * d1
 		base1 := base0 + d1
@@ -122,25 +183,18 @@ func quantize2D(data []float64, d0, d1 int, eb float64, syms []int32, recon []fl
 		src1 := data[base1 : base1+d1 : base1+d1]
 		ss0 := syms[base0 : base0+d1 : base0+d1]
 		ss1 := syms[base1 : base1+d1 : base1+d1]
-		pending = pending[:0]
 		var left0, left1 float64
 		for k := 0; k < d1+rowSkew; k++ {
 			if k < d1 {
 				var p float64
 				if k == 0 {
-					// y == 0: left and up-left are zero (explicit zero
-					// terms keep the expression identical to the
-					// reference stencil).
 					p = 0 + up0[0] - 0
 				} else {
 					p = left0 + up0[k] - up0[k-1]
 				}
-				r, s, ok := quantOne(src0[k], p, eb, invTwoEB, twoEB)
+				r, s := quantOne(src0[k], p, eb, invTwoEB, twoEB)
 				ss0[k] = s
 				row0[k] = r
-				if !ok {
-					unpred = append(unpred, src0[k])
-				}
 				left0 = r
 			}
 			if j := k - rowSkew; j >= 0 {
@@ -150,16 +204,12 @@ func quantize2D(data []float64, d0, d1 int, eb float64, syms []int32, recon []fl
 				} else {
 					p = left1 + row0[j] - row0[j-1]
 				}
-				r, s, ok := quantOne(src1[j], p, eb, invTwoEB, twoEB)
+				r, s := quantOne(src1[j], p, eb, invTwoEB, twoEB)
 				ss1[j] = s
 				row1[j] = r
-				if !ok {
-					pending = append(pending, src1[j])
-				}
 				left1 = r
 			}
 		}
-		unpred = append(unpred, pending...)
 	}
 	for ; x < d0; x++ { // odd trailing row
 		base := x * d1
@@ -167,38 +217,84 @@ func quantize2D(data []float64, d0, d1 int, eb float64, syms []int32, recon []fl
 		if x > 0 {
 			up = recon[base-d1 : base : base]
 		}
-		row := recon[base : base+d1 : base+d1]
-		src := data[base : base+d1 : base+d1]
-		ss := syms[base : base+d1 : base+d1]
-		p := 0 + up[0] - 0
-		left, s, ok := quantOne(src[0], p, eb, invTwoEB, twoEB)
-		ss[0] = s
-		row[0] = left
-		if !ok {
-			unpred = append(unpred, src[0])
-		}
-		for y := 1; y < d1; y++ {
-			p := left + up[y] - up[y-1]
-			r, s, ok := quantOne(src[y], p, eb, invTwoEB, twoEB)
-			ss[y] = s
-			row[y] = r
-			if !ok {
-				unpred = append(unpred, src[y])
-			}
-			left = r
-		}
+		quantRow2D(data[base:base+d1], recon[base:base+d1], syms[base:base+d1], up, 0, d1, eb, invTwoEB, twoEB)
 	}
-	return unpred
 }
 
-func quantize3D(data []float64, d0, d1, d2 int, eb float64, syms []int32, recon []float64) (unpred []float64) {
+// quantGroup2D quantizes rows x to x+vecRows-1 of a 2-D field: the
+// columns each lane has before the first full step and after the last
+// in Go, the full steps in lorenzo2DAVX2. up is the row above the
+// group.
+func quantGroup2D(data, recon []float64, syms []int32, up []float64, x, d1 int, eb, invTwoEB, twoEB float64) {
+	const first = vecRows - 1
+	var st [32]float64
+	for r := 0; r < vecRows; r++ {
+		b := (x + r) * d1
+		upr := up
+		if r > 0 {
+			upr = recon[b-d1 : b]
+		}
+		quantRow2D(data[b:b+d1], recon[b:b+d1], syms[b:b+d1], upr, 0, first-r, eb, invTwoEB, twoEB)
+		if c := first - 1 - r; c >= 0 { // lane r's left and up-left
+			st[r], st[vecRows+r] = recon[b+c], upr[c]
+		}
+	}
+	b := x*d1 + first
+	lorenzo2DAVX2(&data[b], &recon[b], &syms[b], &up[first], &st, d1, d1-first, eb, invTwoEB, twoEB)
+	for r := 1; r < vecRows; r++ {
+		b := (x + r) * d1
+		quantRow2D(data[b:b+d1], recon[b:b+d1], syms[b:b+d1], recon[b-d1:b], d1-r, d1, eb, invTwoEB, twoEB)
+	}
+}
+
+// quantRow3D quantizes columns [lo, hi) of one row of a 3-D plane
+// against the reconstructed rows up (above it), back (behind it, in
+// the previous plane) and backup (above back), each a zero row where
+// the field has none; columns before lo must be done.
+func quantRow3D(src, row []float64, ss []int32, up, back, backup []float64, lo, hi int, eb, invTwoEB, twoEB float64) {
+	if lo >= hi {
+		return
+	}
+	var left float64
+	if lo == 0 {
+		// x == 0: every left-shifted term is zero; term order matches
+		// the reference Lorenzo expression exactly.
+		p := 0 + up[0] + back[0] - 0 - 0 - backup[0] + 0
+		left, ss[0] = quantOne(src[0], p, eb, invTwoEB, twoEB)
+		row[0] = left
+		lo = 1
+	} else {
+		left = row[lo-1]
+	}
+	for x := lo; x < hi; x++ {
+		p := left + up[x] + back[x] - up[x-1] - back[x-1] - backup[x] + backup[x-1]
+		r, s := quantOne(src[x], p, eb, invTwoEB, twoEB)
+		ss[x] = s
+		row[x] = r
+		left = r
+	}
+}
+
+func quantize3D(data []float64, d0, d1, d2 int, eb float64, syms []int32, recon []float64) {
 	twoEB := 2 * eb
 	invTwoEB := 1 / twoEB
-	zeroRow := make([]float64, d2)
+	vec := vectorRows(d2) && d1 >= vecRows
+	// A vector group reads the plane behind it at its lanes' strides,
+	// so the zero plane behind plane 0 is vecRows zero rows.
+	zeroRows := 1
+	if vec {
+		zeroRows = vecRows
+	}
+	zero := make([]float64, zeroRows*d2)
+	zeroRow := zero[:d2:d2]
 	planeStride := d1 * d2
-	var pending []float64
 	for z := 0; z < d0; z++ {
 		y := 0
+		if vec {
+			for ; y+vecRows <= d1; y += vecRows {
+				quantGroup3D(data, recon, syms, zero, z, y, d1, d2, eb, invTwoEB, twoEB)
+			}
+		}
 		for ; y+1 < d1; y += 2 { // software-pipelined row pairs
 			base0 := z*planeStride + y*d2
 			base1 := base0 + d2
@@ -221,25 +317,18 @@ func quantize3D(data []float64, d0, d1, d2 int, eb float64, syms []int32, recon 
 					backup0 = recon[base0-planeStride-d2 : base0-planeStride : base0-planeStride]
 				}
 			}
-			pending = pending[:0]
 			var left0, left1 float64
 			for k := 0; k < d2+rowSkew; k++ {
 				if k < d2 {
 					var p float64
 					if k == 0 {
-						// x == 0: every left-shifted term is zero; term
-						// order matches the reference Lorenzo expression
-						// exactly.
 						p = 0 + up0[0] + back0[0] - 0 - 0 - backup0[0] + 0
 					} else {
 						p = left0 + up0[k] + back0[k] - up0[k-1] - back0[k-1] - backup0[k] + backup0[k-1]
 					}
-					r, s, ok := quantOne(src0[k], p, eb, invTwoEB, twoEB)
+					r, s := quantOne(src0[k], p, eb, invTwoEB, twoEB)
 					ss0[k] = s
 					row0[k] = r
-					if !ok {
-						unpred = append(unpred, src0[k])
-					}
 					left0 = r
 				}
 				if j := k - rowSkew; j >= 0 {
@@ -249,52 +338,69 @@ func quantize3D(data []float64, d0, d1, d2 int, eb float64, syms []int32, recon 
 					} else {
 						p = left1 + row0[j] + back1[j] - row0[j-1] - back1[j-1] - backup1[j] + backup1[j-1]
 					}
-					r, s, ok := quantOne(src1[j], p, eb, invTwoEB, twoEB)
+					r, s := quantOne(src1[j], p, eb, invTwoEB, twoEB)
 					ss1[j] = s
 					row1[j] = r
-					if !ok {
-						pending = append(pending, src1[j])
-					}
 					left1 = r
 				}
 			}
-			unpred = append(unpred, pending...)
 		}
 		for ; y < d1; y++ { // odd trailing row of the plane
 			base := z*planeStride + y*d2
-			row := recon[base : base+d2 : base+d2]
-			src := data[base : base+d2 : base+d2]
-			ss := syms[base : base+d2 : base+d2]
-			up, back, backup := zeroRow, zeroRow, zeroRow
-			if y > 0 {
-				up = recon[base-d2 : base : base]
-			}
-			if z > 0 {
-				back = recon[base-planeStride : base-planeStride+d2 : base-planeStride+d2]
-				if y > 0 {
-					backup = recon[base-planeStride-d2 : base-planeStride : base-planeStride]
-				}
-			}
-			p := 0 + up[0] + back[0] - 0 - 0 - backup[0] + 0
-			left, s, ok := quantOne(src[0], p, eb, invTwoEB, twoEB)
-			ss[0] = s
-			row[0] = left
-			if !ok {
-				unpred = append(unpred, src[0])
-			}
-			for x := 1; x < d2; x++ {
-				p := left + up[x] + back[x] - up[x-1] - back[x-1] - backup[x] + backup[x-1]
-				r, s, ok := quantOne(src[x], p, eb, invTwoEB, twoEB)
-				ss[x] = s
-				row[x] = r
-				if !ok {
-					unpred = append(unpred, src[x])
-				}
-				left = r
-			}
+			up, back, backup := neighbourRows(recon, zeroRow, z, y, d1, d2)
+			quantRow3D(data[base:base+d2], recon[base:base+d2], syms[base:base+d2], up, back, backup, 0, d2, eb, invTwoEB, twoEB)
 		}
 	}
-	return unpred
+}
+
+// neighbourRows returns the reconstructed rows around row y of plane z
+// of a 3-D field: up (above it), back (behind it, in the previous
+// plane) and backup (above back), each zeroRow where the field has
+// none.
+func neighbourRows(recon, zeroRow []float64, z, y, d1, d2 int) (up, back, backup []float64) {
+	planeStride := d1 * d2
+	base := z*planeStride + y*d2
+	up, back, backup = zeroRow, zeroRow, zeroRow
+	if y > 0 {
+		up = recon[base-d2 : base : base]
+	}
+	if z > 0 {
+		back = recon[base-planeStride : base-planeStride+d2 : base-planeStride+d2]
+		if y > 0 {
+			backup = recon[base-planeStride-d2 : base-planeStride : base-planeStride]
+		}
+	}
+	return up, back, backup
+}
+
+// quantGroup3D is quantGroup2D for rows y to y+vecRows-1 of plane z of
+// a 3-D field. zero holds vecRows zero rows: the plane behind plane 0.
+func quantGroup3D(data, recon []float64, syms []int32, zero []float64, z, y, d1, d2 int, eb, invTwoEB, twoEB float64) {
+	const first = vecRows - 1
+	zeroRow := zero[:d2:d2]
+	planeStride := d1 * d2
+	base := z*planeStride + y*d2 // lane 0's row
+	var st [32]float64
+	for r := 0; r < vecRows; r++ {
+		b := base + r*d2
+		up, back, backup := neighbourRows(recon, zeroRow, z, y+r, d1, d2)
+		quantRow3D(data[b:b+d2], recon[b:b+d2], syms[b:b+d2], up, back, backup, 0, first-r, eb, invTwoEB, twoEB)
+		if c := first - 1 - r; c >= 0 { // lane r's left, up-left, back-left and back-up-left
+			st[r], st[vecRows+r], st[2*vecRows+r], st[3*vecRows+r] = recon[b+c], up[c], back[c], backup[c]
+		}
+	}
+	up, _, backup := neighbourRows(recon, zeroRow, z, y, d1, d2)
+	backLanes := zero[first:] // lane r's back row at lane 0's offset + r*(d2-1)
+	if z > 0 {
+		backLanes = recon[base-planeStride+first:]
+	}
+	b := base + first
+	lorenzo3DAVX2(&data[b], &recon[b], &syms[b], &up[first], &backLanes[0], &backup[first], &st, d2, d2-first, eb, invTwoEB, twoEB)
+	for r := 1; r < vecRows; r++ {
+		b := base + r*d2
+		up, back, backup := neighbourRows(recon, zeroRow, z, y+r, d1, d2)
+		quantRow3D(data[b:b+d2], recon[b:b+d2], syms[b:b+d2], up, back, backup, d2-r, d2, eb, invTwoEB, twoEB)
+	}
 }
 
 // dequantize reverses quantize given the symbol stream and the
@@ -349,7 +455,7 @@ func dequantize1D(syms *symReader, eb float64, unpred []float64, recon []float64
 				left = unpred[ui]
 				ui++
 			} else {
-				left += float64(s-quantRadius) * twoEB
+				left += float64(float64(s-quantRadius) * twoEB)
 			}
 			out[i] = left
 		}
@@ -377,7 +483,7 @@ func dequantize2D(syms *symReader, d0, d1 int, eb float64, unpred []float64, rec
 			ui++
 		} else {
 			p := 0 + up[0] - 0
-			left = p + float64(s-quantRadius)*twoEB
+			left = p + float64(float64(s-quantRadius)*twoEB)
 		}
 		row[0] = left
 		for y := 1; y < d1; y++ {
@@ -389,7 +495,7 @@ func dequantize2D(syms *symReader, d0, d1 int, eb float64, unpred []float64, rec
 				ui++
 			} else {
 				p := left + up[y] - up[y-1]
-				left = p + float64(s-quantRadius)*twoEB
+				left = p + float64(float64(s-quantRadius)*twoEB)
 			}
 			row[y] = left
 		}
@@ -430,7 +536,7 @@ func dequantize3D(syms *symReader, d0, d1, d2 int, eb float64, unpred []float64,
 				ui++
 			} else {
 				p := 0 + up[0] + back[0] - 0 - 0 - backup[0] + 0
-				left = p + float64(s-quantRadius)*twoEB
+				left = p + float64(float64(s-quantRadius)*twoEB)
 			}
 			row[0] = left
 			for x := 1; x < d2; x++ {
@@ -442,7 +548,7 @@ func dequantize3D(syms *symReader, d0, d1, d2 int, eb float64, unpred []float64,
 					ui++
 				} else {
 					p := left + up[x] + back[x] - up[x-1] - back[x-1] - backup[x] + backup[x-1]
-					left = p + float64(s-quantRadius)*twoEB
+					left = p + float64(float64(s-quantRadius)*twoEB)
 				}
 				row[x] = left
 			}

@@ -1,17 +1,39 @@
 package sz
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/gf256"
 )
 
-// quantTestDims exercises 1D/2D/3D, odd extents, and single-row/column
-// degenerate shapes.
+// quantTestDims exercises 1D/2D/3D, odd extents, single-row/column
+// degenerate shapes, shapes the AVX2 kernels take whole or with rows
+// and columns left over, and the benchmark's CESM, Isabel and NYX slab
+// shapes.
 var quantTestDims = [][]int{
 	{1}, {7}, {64}, {1000},
-	{1, 1}, {1, 17}, {17, 1}, {5, 7}, {6, 6}, {13, 29}, {40, 33},
-	{1, 1, 1}, {1, 5, 9}, {9, 1, 5}, {5, 9, 1}, {3, 4, 5}, {6, 6, 6}, {7, 11, 13},
+	{1, 1}, {1, 17}, {17, 1}, {5, 7}, {6, 6}, {13, 29}, {40, 33}, {8, 8}, {16, 9}, {19, 64},
+	{1, 1, 1}, {1, 5, 9}, {9, 1, 5}, {5, 9, 1}, {3, 4, 5}, {6, 6, 6}, {7, 11, 13}, {2, 8, 8}, {3, 17, 23},
+	{128, 2048}, {8, 192, 192}, {16, 128, 128},
+}
+
+// forEachTier runs f as a subtest under every gf256 dispatch tier the
+// host supports; rows of eight or more columns take the AVX2 kernels
+// under avx2 and the word path under every other.
+func forEachTier(t *testing.T, f func(t *testing.T)) {
+	for _, tier := range gf256.Tiers() {
+		t.Run(tier, func(t *testing.T) {
+			restore, err := gf256.ForceTier(tier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restore()
+			f(t)
+		})
+	}
 }
 
 // quantTestField fills a field with smooth structure plus noise, and
@@ -56,24 +78,126 @@ func sameFloats(a, b []float64) bool {
 }
 
 func TestQuantizeMatchesRef(t *testing.T) {
-	for di, dims := range quantTestDims {
-		for _, eb := range []float64{1e-3, 1e-6, 1e-12} {
-			data := quantTestField(dims, int64(di))
-			syms, unpred := quantize(data, dims, eb)
-			wantSyms, wantUnpred := quantizeRef(data, dims, eb)
-			if len(syms) != len(wantSyms) {
-				t.Fatalf("dims=%v eb=%g: %d syms, want %d", dims, eb, len(syms), len(wantSyms))
-			}
-			for i := range syms {
-				if syms[i] != wantSyms[i] {
-					t.Fatalf("dims=%v eb=%g: syms[%d]=%d, want %d", dims, eb, i, syms[i], wantSyms[i])
+	forEachTier(t, func(t *testing.T) {
+		for di, dims := range quantTestDims {
+			for _, eb := range []float64{1e-3, 1e-6, 1e-12} {
+				data := quantTestField(dims, int64(di))
+				syms, unpred := quantize(data, dims, eb)
+				wantSyms, wantUnpred := quantizeRef(data, dims, eb)
+				if i := firstSymDiff(syms, wantSyms); i >= 0 {
+					t.Fatalf("dims=%v eb=%g: syms diverge from the reference at %d", dims, eb, i)
+				}
+				if !sameFloats(unpred, wantUnpred) {
+					t.Fatalf("dims=%v eb=%g: unpredictable pool diverges from reference", dims, eb)
 				}
 			}
-			if !sameFloats(unpred, wantUnpred) {
-				t.Fatalf("dims=%v eb=%g: unpredictable pool diverges from reference", dims, eb)
-			}
+		}
+	})
+}
+
+// firstSymDiff is the first index at which a and b differ, or -1.
+func firstSymDiff(a, b []int32) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
 		}
 	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// checkQuantizeTier quantizes data under the active tier and under the
+// word tier's 2-row kernel: the symbols, the reconstruction bits and
+// the unpredictable pool must agree, and the symbols must be
+// quantizeRef's.
+func checkQuantizeTier(t *testing.T, data []float64, dims []int, eb float64) {
+	t.Helper()
+	n := len(data)
+	syms, recon := make([]int32, n), make([]float64, n)
+	quantizeRecon(data, dims, eb, syms, recon)
+	_, unpred := quantize(data, dims, eb)
+
+	restore, err := gf256.ForceTier(gf256.TierWord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSyms, wantRecon := make([]int32, n), make([]float64, n)
+	quantizeRecon(data, dims, eb, wantSyms, wantRecon)
+	_, wantUnpred := quantize(data, dims, eb)
+	restore()
+
+	if i := firstSymDiff(syms, wantSyms); i >= 0 {
+		t.Fatalf("dims=%v eb=%g: syms diverge from the word kernel's at %d", dims, eb, i)
+	}
+	if !sameFloats(recon, wantRecon) {
+		t.Fatalf("dims=%v eb=%g: reconstruction diverges from the word kernel's", dims, eb)
+	}
+	if !sameFloats(unpred, wantUnpred) {
+		t.Fatalf("dims=%v eb=%g: unpredictable pool diverges from the word kernel's", dims, eb)
+	}
+	refSyms, _ := quantizeRef(data, dims, eb)
+	if i := firstSymDiff(syms, refSyms); i >= 0 {
+		t.Fatalf("dims=%v eb=%g: syms diverge from the reference at %d", dims, eb, i)
+	}
+}
+
+// TestQuantizeTiersAgree pins every tier's kernels to the word tier's
+// bit for bit, reconstruction included.
+func TestQuantizeTiersAgree(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		for di, dims := range quantTestDims {
+			for _, eb := range []float64{1e-2, 1e-5, 1e-12} {
+				checkQuantizeTier(t, quantTestField(dims, int64(200+di)), dims, eb)
+			}
+		}
+	})
+}
+
+// quantSpecials are the values FuzzSZQuantize salts its fields with.
+var quantSpecials = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+	math.SmallestNonzeroFloat64, -1e-310, 1e300, -1e300, math.MaxFloat64,
+}
+
+// FuzzSZQuantize runs quantize on 2-D and 3-D fields of arbitrary
+// extents (1 to 48 in 2-D, 1 to 24 in 3-D), an error bound from 1e-12
+// to 1, a smooth field from a seed salted at chosen positions with
+// NaN, infinities, signed zeros, denormals and huge values, under the
+// tier the input picks. The smooth base keeps exact half-way quotients,
+// where code selection may differ from quantizeRef's, out of reach.
+func FuzzSZQuantize(f *testing.F) {
+	f.Add(uint8(0), uint8(7), uint8(40), uint8(0), uint16(40000), int64(1), uint8(0), []byte{})
+	f.Add(uint8(1), uint8(2), uint8(9), uint8(8), uint16(50000), int64(2), uint8(0), []byte{1, 0, 0, 9, 0, 3, 50, 0, 7})
+	f.Add(uint8(1), uint8(4), uint8(16), uint8(23), uint16(0), int64(3), uint8(1), []byte{0, 1, 5})
+	f.Add(uint8(0), uint8(17), uint8(8), uint8(0), uint16(65535), int64(4), uint8(2), []byte{7, 0, 1, 8, 0, 2})
+	f.Fuzz(func(t *testing.T, shape, e0, e1, e2 uint8, ebBits uint16, seed int64, tier uint8, salts []byte) {
+		dims := []int{1 + int(e0)%48, 1 + int(e1)%48}
+		if shape%2 == 1 {
+			dims = []int{1 + int(e0)%24, 1 + int(e1)%24, 1 + int(e2)%24}
+		}
+		eb := math.Pow(10, -12+12*float64(ebBits)/math.MaxUint16)
+		n := 1
+		for _, d := range dims {
+			n *= d
+		}
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]float64, n)
+		for i := range data {
+			data[i] = math.Sin(float64(i)/9.0) + 0.05*rng.Float64()
+		}
+		for ; len(salts) >= 3; salts = salts[3:] {
+			data[int(binary.LittleEndian.Uint16(salts))%n] = quantSpecials[int(salts[2])%len(quantSpecials)]
+		}
+		tiers := gf256.Tiers()
+		restore, err := gf256.ForceTier(tiers[int(tier)%len(tiers)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer restore()
+		checkQuantizeTier(t, data, dims, eb)
+	})
 }
 
 func TestDequantizeMatchesRef(t *testing.T) {
@@ -111,26 +235,28 @@ func TestDequantizeExhaustedPool(t *testing.T) {
 // TestQuantizeRoundTripFast pins the batched encoder to the batched
 // decoder directly (the pipeline tests cover them through Compress).
 func TestQuantizeRoundTripFast(t *testing.T) {
-	for di, dims := range quantTestDims {
-		eb := 1e-5
-		data := quantTestField(dims, int64(300+di))
-		syms, unpred := quantize(data, dims, eb)
-		recon, err := dequantize(nil, &symReader{have: syms}, dims, eb, unpred)
-		if err != nil {
-			t.Fatalf("dims=%v: %v", dims, err)
-		}
-		for i, v := range data {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				if math.Float64bits(recon[i]) != math.Float64bits(v) {
-					t.Fatalf("dims=%v: special value at %d not exact", dims, i)
+	forEachTier(t, func(t *testing.T) {
+		for di, dims := range quantTestDims {
+			eb := 1e-5
+			data := quantTestField(dims, int64(300+di))
+			syms, unpred := quantize(data, dims, eb)
+			recon, err := dequantize(nil, &symReader{have: syms}, dims, eb, unpred)
+			if err != nil {
+				t.Fatalf("dims=%v: %v", dims, err)
+			}
+			for i, v := range data {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					if math.Float64bits(recon[i]) != math.Float64bits(v) {
+						t.Fatalf("dims=%v: special value at %d not exact", dims, i)
+					}
+					continue
 				}
-				continue
-			}
-			if math.Abs(recon[i]-v) > eb {
-				t.Fatalf("dims=%v: |recon-orig|=%g > eb at %d", dims, math.Abs(recon[i]-v), i)
+				if math.Abs(recon[i]-v) > eb {
+					t.Fatalf("dims=%v: |recon-orig|=%g > eb at %d", dims, math.Abs(recon[i]-v), i)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestQuantizeAllocs bounds the allocations of the batched kernels:

@@ -177,7 +177,7 @@ func quantizeRef(data []float64, dims []int, eb float64) (syms []int32, unpred [
 		diff := data[i] - p
 		code := math.Round(diff / twoEB)
 		if math.Abs(code) < quantRadius-1 && !math.IsNaN(code) {
-			r := p + code*twoEB
+			r := p + float64(code*twoEB)
 			// Guard against floating-point rounding pushing the
 			// reconstruction out of bounds.
 			if math.Abs(r-data[i]) <= eb {
@@ -211,7 +211,7 @@ func dequantizeRef(syms []int32, dims []int, eb float64, unpred []float64) ([]fl
 			continue
 		}
 		code := float64(syms[i] - quantRadius)
-		recon[i] = pred.predict(i) + code*twoEB
+		recon[i] = pred.predict(i) + float64(code*twoEB)
 	}
 	return recon, nil
 }

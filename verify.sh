@@ -24,6 +24,27 @@ echo "== cross-compile arm64 (NEON dispatch path) =="
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./...
 
+echo "== no fused multiply-add in the float packages (arm64 listings) =="
+# Go may fuse x*y + z into one rounding, and the arm64 backend does.
+# SZ's reconstruction is two roundings (docs/FORMAT.md), and the study
+# fields and error metrics must be the same numbers on every host, so
+# each product that feeds a sum is written float64(a*b), which the spec
+# says forbids fusion. The compiler replays a cached package's listing,
+# so an empty one is an error, not a pass.
+for pkg in sz zfp pressio datasets metrics; do
+    listing=$(GOARCH=arm64 go build -gcflags="repro/internal/$pkg=-S" "./internal/$pkg" 2>&1)
+    if ! printf '%s\n' "$listing" | grep -q 'TEXT'; then
+        echo "no arm64 listing for internal/$pkg" >&2
+        exit 1
+    fi
+    fused=$(printf '%s\n' "$listing" | grep -E '[[:space:]]F(N?MADD|N?MSUB)D[[:space:]]' || true)
+    if [ -n "$fused" ]; then
+        echo "fused multiply-add in internal/$pkg:" >&2
+        echo "$fused" >&2
+        exit 1
+    fi
+done
+
 echo "== govulncheck =="
 if command -v govulncheck >/dev/null 2>&1; then
     govulncheck ./...
@@ -60,13 +81,13 @@ go test -race ./internal/core -run 'Lazy|Train|Cache'
 
 # These run-time gates are the repo's concurrency checks; arcvet has
 # no concurrency analyzer.
-echo "== word tier (ARC_SIMD=word: the table kernels, the zfp word path and the goldens on an AVX2 host) =="
-# The ECC codes and ZFP's plane coder leave their AVX2 kernels for the
-# word path under ARC_SIMD=word; the ECC, chunk, ZFP, slab and
-# checkpoint goldens must pass there too. ARC_SIMD is read in gf256's
-# init, which the test cache does not key on: without -count=1 this
-# would replay the results of the run above.
-ARC_SIMD=word go test -count=1 ./internal/ecc/... ./internal/core ./internal/zfp ./internal/pressio ./checkpoint
+echo "== word tier (ARC_SIMD=word: the table kernels, the zfp and sz word paths and the goldens on an AVX2 host) =="
+# The ECC codes, ZFP's plane coder and SZ's Lorenzo quantizer leave
+# their AVX2 kernels for the word path under ARC_SIMD=word; the ECC,
+# chunk, SZ, ZFP, slab and checkpoint goldens must pass there too.
+# ARC_SIMD is read in gf256's init, which the test cache does not key
+# on: without -count=1 this would replay the results of the run above.
+ARC_SIMD=word go test -count=1 ./internal/ecc/... ./internal/core ./internal/sz ./internal/zfp ./internal/pressio ./checkpoint
 
 echo "== stream close/decode-error race regression (race, 5 runs) =="
 go test -race -run 'TestChunkReaderCloseRacesMidStreamError' -count=5 ./internal/core
@@ -133,6 +154,12 @@ echo "== zfp embedded coder fuzz smoke (10s) =="
 # kmin, bit budget, bit offset; clean, truncated, bit-flipped and
 # zero-extended input) against the per-bit reference.
 go test -run '^$' -fuzz '^FuzzZFPPlanes$' -fuzztime 10s ./internal/zfp
+
+echo "== sz quantizer fuzz smoke (10s) =="
+# Differential fuzz of the Lorenzo quantizer (2-D and 3-D extents,
+# error bound, special values, every dispatch tier) against the word
+# tier's 2-row kernel, bit for bit, and against quantizeRef's symbols.
+go test -run '^$' -fuzz '^FuzzSZQuantize$' -fuzztime 10s ./internal/sz
 
 echo "== huffman batch decode fuzz smoke (10s) =="
 # Differential fuzz of DecodeAll (local bit window, multi-symbol table)
