@@ -47,17 +47,27 @@ type Code struct {
 	Workers    int
 
 	gen *gf256.Matrix // (K+M) x K systematic generator
+	// check is the M x (K+M) parity check [P | I], P the generator's
+	// parity rows: device K+p is row p applied to the data devices,
+	// and row p over the whole stripe sums to 0.
+	check *gf256.MulMatrix
 }
 
 // DefaultDeviceSize is used when callers pass deviceSize <= 0.
 const DefaultDeviceSize = 1024
 
-// genCache memoizes generator matrices per (K, M): deriving one costs
-// a K x K inversion, which would otherwise dominate small encodes.
+// genCache memoizes a code's matrices per (K, M): deriving the
+// generator costs a K x K inversion and preparing the parity check 32
+// bytes per coefficient, which would otherwise dominate small encodes.
 // Cached matrices are immutable after construction.
-var genCache sync.Map // genKey -> *gf256.Matrix
+var genCache sync.Map // genKey -> codeMatrices
 
 type genKey struct{ k, m int }
+
+type codeMatrices struct {
+	gen   *gf256.Matrix
+	check *gf256.MulMatrix
+}
 
 // New constructs a Reed-Solomon code. K and M must be positive with
 // K+M <= 256 (the field order); deviceSize <= 0 selects
@@ -66,18 +76,22 @@ func New(k, m, deviceSize, workers int) (*Code, error) {
 	if deviceSize <= 0 {
 		deviceSize = DefaultDeviceSize
 	}
-	var gen *gf256.Matrix
-	if cached, ok := genCache.Load(genKey{k, m}); ok {
-		gen = cached.(*gf256.Matrix)
-	} else {
-		var err error
-		gen, err = gf256.RSGeneratorMatrix(k, m)
+	cached, ok := genCache.Load(genKey{k, m})
+	if !ok {
+		gen, err := gf256.RSGeneratorMatrix(k, m)
 		if err != nil {
 			return nil, fmt.Errorf("reedsolomon: %w", err)
 		}
-		genCache.Store(genKey{k, m}, gen)
+		check := gf256.NewMatrix(m, k+m)
+		for p := 0; p < m; p++ {
+			copy(check.Row(p), gen.Row(k+p))
+			check.Set(p, k+p, 1)
+		}
+		cached = codeMatrices{gen, gf256.NewMulMatrix(check)}
+		genCache.Store(genKey{k, m}, cached)
 	}
-	return &Code{K: k, M: m, DeviceSize: deviceSize, Workers: workers, gen: gen}, nil
+	cm := cached.(codeMatrices)
+	return &Code{K: k, M: m, DeviceSize: deviceSize, Workers: workers, gen: cm.gen, check: cm.check}, nil
 }
 
 // deviceOK reports whether dev matches its checksum table entry cs.
@@ -135,34 +149,67 @@ func (c *Code) encodeRange(data, out []byte, lo, hi int) {
 }
 
 // encodeStripe fills one encoded stripe from up to stripeDataBytes of
-// source data (shorter input is zero-padded).
+// source data (shorter input is zero-padded): the parity devices in one
+// MulRows, data devices in, parity devices out.
 func (c *Code) encodeStripe(src, dst []byte) {
 	ds := c.DeviceSize
+	devices := c.placeData(src, dst)
+	var data, parity [gf256.Order][]byte
+	for j := range c.K {
+		data[j] = devices[j*ds : (j+1)*ds]
+	}
+	for p := range c.M {
+		parity[p] = devices[(c.K+p)*ds : (c.K+p+1)*ds]
+	}
+	c.check.MulRows(data[:c.K], parity[:c.M])
+	c.putChecksums(dst)
+}
+
+// placeData copies up to stripeDataBytes of source data into the data
+// devices of the encoded stripe dst and returns its devices.
+func (c *Code) placeData(src, dst []byte) []byte {
 	copy(dst, src)
-	if len(src) < c.K*ds {
+	if len(src) < c.K*c.DeviceSize {
 		// Zero-pad the final partial stripe explicitly: dst may be a
 		// reused buffer with stale contents.
-		clear(dst[len(src) : c.K*ds])
+		clear(dst[len(src) : c.K*c.DeviceSize])
 	}
-	devices := dst[:(c.K+c.M)*ds]
-	// Parity devices: parity_i = sum_j gen[K+i][j] * data_j, row-major
-	// over the generator so each coefficient's cached gf256.Table row
-	// stays hot for a full device-length pass. The first term
-	// overwrites (the parity device starts zeroed, so assign == xor)
-	// and saves one read-modify-write pass over pdev.
-	for i := 0; i < c.M; i++ {
-		row := c.gen.Row(c.K + i)
-		pdev := devices[(c.K+i)*ds : (c.K+i+1)*ds]
-		gf256.MulSliceAssign(row[0], devices[:ds], pdev)
-		for j := 1; j < c.K; j++ {
-			gf256.MulSlice(row[j], devices[j*ds:(j+1)*ds], pdev)
-		}
-	}
-	// Checksum table.
+	return dst[:(c.K+c.M)*c.DeviceSize]
+}
+
+// putChecksums writes the checksum table of the encoded stripe dst.
+func (c *Code) putChecksums(dst []byte) {
+	ds := c.DeviceSize
 	crcs := dst[(c.K+c.M)*ds:]
 	for d := 0; d < c.K+c.M; d++ {
-		binary.LittleEndian.PutUint32(crcs[d*csBytes:], crc32.Checksum(devices[d*ds:(d+1)*ds], castagnoli))
+		binary.LittleEndian.PutUint32(crcs[d*csBytes:], crc32.Checksum(dst[d*ds:(d+1)*ds], castagnoli))
 	}
+}
+
+// EncodeRef is the retained reference implementation of EncodeTo:
+// serial, and one mul per (parity, data device) pair, the stripe
+// encoder this package shipped first, on the slice multiply-accumulate
+// mul (gf256.MulSlice, or gf256.MulSliceRef for a scalar oracle). Kept
+// for differential tests and as the baseline of
+// BenchmarkKernelRSEncode; like EncodeTo it writes into dst when its
+// capacity suffices.
+func (c *Code) EncodeRef(dst, data []byte, mul func(c byte, src, dst []byte)) []byte {
+	n := len(data)
+	ds, sdb, seb := c.DeviceSize, c.stripeDataBytes(), c.stripeEncBytes()
+	out := ecc.GrowTo(dst, c.EncodedSize(n))
+	for s := range c.stripes(n) {
+		stripe := out[s*seb : (s+1)*seb]
+		devices := c.placeData(data[min(s*sdb, n):min((s+1)*sdb, n)], stripe)
+		for p := range c.M {
+			pdev := devices[(c.K+p)*ds : (c.K+p+1)*ds]
+			clear(pdev)
+			for j := range c.K {
+				mul(c.gen.At(c.K+p, j), devices[j*ds:(j+1)*ds], pdev)
+			}
+		}
+		c.putChecksums(stripe)
+	}
+	return out
 }
 
 // DecodeTo implements ecc.Code. With a warm s neither the clean
@@ -322,52 +369,49 @@ func (c *Code) repairBytes() int { return 2*c.M*c.M + c.M*c.DeviceSize }
 //
 //	S_a = parity_a - sum_{good j} gen[K+a][j]*data_j = sum_b gen[K+a][bad_b]*data_bad_b
 //
-// The syndromes S_a take one pass over the healthy data, the e x e
-// matrix is inverted on scratch storage, and data_bad = inv * S lands
-// directly in dst. That is e*(K-e) + e*e slice multiplies and an
-// O(e^3) inversion against the 2*K^3 byte operations of inverting K
-// generator rows (decodeStripeRef): for 7 of 241+15 with 1 KiB devices
-// about 1.7 M byte multiplies instead of 30 M.
+// S_a is row a of the parity check [P | I] applied to the healthy data
+// devices and parity device a (coefficient 1), so the e syndromes are
+// one gf256.MulRows over the stripe with the corrupt and unchosen
+// devices left out. The e x e matrix is inverted on scratch storage,
+// and data_bad = inv * S lands directly in dst. That is e*K + e*e
+// slice multiplies and an O(e^3) inversion against the 2*K^3 byte
+// operations of inverting K generator rows (decodeStripeRef): for 7 of
+// 241+15 with 1 KiB devices about 1.7 M byte multiplies instead of
+// 30 M.
 func (c *Code) solveStripe(devices, dst, badData, badParity []byte, s *ecc.Scratch) bool {
 	ds := c.DeviceSize
 	e := len(badData)
 	work := s.Slot(slotRepair, c.repairBytes())
 	mat, inv, syn := work[:e*e], work[c.M*c.M:][:e*e], work[2*c.M*c.M:][:e*ds]
 
-	// Solve from the first e healthy parity devices (at most M corrupt
-	// devices leaves that many). Each syndrome starts as its parity.
-	var rowBuf [gf256.Order]byte
-	rows := rowBuf[:0]
-	for p := 0; len(rows) < e; p++ {
+	// src holds the sources of the syndromes by parity check column,
+	// syns the syndromes by row: the healthy data devices, then the
+	// first e healthy parity devices (at most M corrupt devices leaves
+	// that many), each with its own syndrome.
+	var src, syns [gf256.Order][]byte
+	for j := range c.K {
+		src[j] = devices[j*ds : (j+1)*ds]
+	}
+	for _, d := range badData {
+		src[d] = nil
+	}
+	for p, a := 0, 0; a < e; p++ {
 		if len(badParity) > 0 && int(badParity[0]) == c.K+p {
 			badParity = badParity[1:]
 			continue
 		}
-		a := len(rows)
-		rows = append(rows, byte(p))
 		grow := c.gen.Row(c.K + p)
 		for b, d := range badData {
 			mat[a*e+b] = grow[d]
 		}
-		copy(syn[a*ds:(a+1)*ds], devices[(c.K+p)*ds:(c.K+p+1)*ds])
+		src[c.K+p] = devices[(c.K+p)*ds : (c.K+p+1)*ds]
+		syns[p] = syn[a*ds : (a+1)*ds]
+		a++
 	}
 	if gf256.InvertInPlace(mat, inv, e) != nil {
 		return false
 	}
-	// Syndromes, data-major: each healthy data device is read once and
-	// folded into all e syndromes, which stay cache-resident (e devices)
-	// while the stripe streams past. In GF(2^8) subtraction is xor.
-	skip := badData
-	for j := 0; j < c.K; j++ {
-		if len(skip) > 0 && int(skip[0]) == j {
-			skip = skip[1:]
-			continue
-		}
-		dev := devices[j*ds : (j+1)*ds]
-		for a, p := range rows {
-			gf256.MulSlice(c.gen.At(c.K+int(p), j), dev, syn[a*ds:(a+1)*ds])
-		}
-	}
+	c.check.MulRows(src[:c.K+c.M], syns[:c.M])
 	// data_bad_b = sum_a inv[b][a] * S_a, written over the corrupt bytes
 	// already in dst. Only the bytes dst has room for are computed: in a
 	// final partial stripe a device may straddle origLen or lie past it.

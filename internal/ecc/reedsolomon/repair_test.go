@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/ecc"
@@ -238,6 +239,45 @@ func TestRepairAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(5, decode); avg != 0 {
 		t.Errorf("damaged DecodeTo with a warm scratch: %.1f allocs/op, want 0", avg)
 	}
+}
+
+// TestSharedTablesAcrossWorkers encodes and repairs with four codes of
+// one shape at once, three workers each: every worker of every code
+// reads the generator and parity check tables genCache holds for the
+// shape. verify.sh runs it under -race ten times.
+func TestSharedTablesAcrossWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	data := make([]byte, 6*241*64+17)
+	rng.Read(data)
+	want := mustNew(t, 241, 15, 64, 1).EncodeTo(nil, data, nil)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := New(241, 15, 64, 3)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			enc := c.EncodeTo(nil, data, nil)
+			if !bytes.Equal(enc, want) {
+				t.Errorf("code %d: encoding differs from the serial one", g)
+				return
+			}
+			r := rand.New(rand.NewSource(int64(g)))
+			for st := 0; st < c.stripes(len(data)); st++ {
+				for _, d := range r.Perm(256)[:7] {
+					damageDevice(c, enc, st, d, r.Intn(64), 0x5A, false)
+				}
+			}
+			got, rep, err := c.DecodeTo(nil, enc, len(data), nil)
+			if err != nil || rep.CorrectedBlocks != 7*c.stripes(len(data)) || !bytes.Equal(got, data) {
+				t.Errorf("code %d: repair gave report %+v, err %v, plaintext %v", g, rep, err, bytes.Equal(got, data))
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // FuzzRSRepair is the differential fuzz of the repair path: arbitrary

@@ -110,3 +110,40 @@ func xorSIMD(src, dst []byte) int {
 	}
 	return 0
 }
+
+// mulRowsSIMD runs MulRows over the first n&^31 bytes of every row
+// under the avx2 tier, in passes of at most eight destinations, and
+// returns how many bytes it handled (0 = the caller does them all).
+func mulRowsSIMD(m *MulMatrix, src, dst [][]byte, n int) int {
+	if !useAVX2 || n < 32 {
+		return 0
+	}
+	var refs [Order]srcRef
+	ns := 0
+	for j, s := range src {
+		if s != nil {
+			refs[ns] = srcRef{&s[0], uintptr(j) * 32}
+			ns++
+		}
+	}
+	if ns == 0 {
+		return 0
+	}
+	n &^= 31
+	var rows, dsts [8]*byte
+	k := 0
+	for i, d := range dst {
+		if d == nil {
+			continue
+		}
+		rows[k], dsts[k] = &m.nib[i*m.cols][0], &d[0]
+		if k++; k == len(rows) {
+			mulRowsAVX2(refs[:ns], &rows, &dsts, n, k)
+			k = 0
+		}
+	}
+	if k > 0 {
+		mulRowsAVX2(refs[:ns], &rows, &dsts, n, k)
+	}
+	return n
+}

@@ -69,3 +69,7 @@ func gfMulNEON(tab *[32]byte, src, dst []byte)
 // gfXorNEON computes dst[i] ^= src[i] over len(src) bytes, a multiple
 // of 16. Implemented in mul_arm64.s.
 func gfXorNEON(src, dst []byte)
+
+// mulRowsSIMD leaves MulRows to the MulSlice loop: NEON has no
+// multi-destination kernel.
+func mulRowsSIMD(m *MulMatrix, src, dst [][]byte, n int) int { return 0 }

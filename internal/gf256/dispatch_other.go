@@ -16,6 +16,7 @@ func applyTier(name string) error {
 	return nil
 }
 
-func mulXorSIMD(c byte, src, dst []byte) int    { return 0 }
-func mulAssignSIMD(c byte, src, dst []byte) int { return 0 }
-func xorSIMD(src, dst []byte) int               { return 0 }
+func mulXorSIMD(c byte, src, dst []byte) int                 { return 0 }
+func mulAssignSIMD(c byte, src, dst []byte) int              { return 0 }
+func xorSIMD(src, dst []byte) int                            { return 0 }
+func mulRowsSIMD(m *MulMatrix, src, dst [][]byte, n int) int { return 0 }

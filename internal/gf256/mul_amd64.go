@@ -44,3 +44,17 @@ func gfMulAVX2(tab *[32]byte, src, dst []byte)
 // gfXorAVX2 computes dst[i] ^= src[i] over len(src) bytes, a multiple
 // of 32. Implemented in mul_amd64.s (AVX2).
 func gfXorAVX2(src, dst []byte)
+
+// A srcRef is one MulRows source as mulRowsAVX2 reads it: its first
+// byte and the byte offset of its column's table in a row of tables.
+type srcRef struct {
+	p   *byte
+	off uintptr
+}
+
+// mulRowsAVX2 sets the first nrows (1 to 8) destinations to the sums
+// of the sources times their tables over n bytes, a positive multiple
+// of 32, for at least one source. Implemented in mul_amd64.s (AVX2).
+//
+//go:noescape
+func mulRowsAVX2(srcs []srcRef, rows, dsts *[8]*byte, n, nrows int)

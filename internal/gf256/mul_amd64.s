@@ -195,3 +195,143 @@ xloop:
 xdone:
 	VZEROUPPER
 	RET
+
+// func mulRowsAVX2(srcs []srcRef, rows, dsts *[8]*byte, n, nrows int)
+//
+// dst_i[0:n] = sum_j tab_i,j-multiply(src_j[0:n]) for the first nrows
+// (1 to 8) destinations, n a positive multiple of 32. Each srcRef is a
+// source's base and the offset of its column's 32-byte nibble table in
+// a row of tables; rows[i] is destination i's row of tables. The
+// kernel walks the destinations 32 bytes at a time: it loads every
+// source block of the column once, splits its nibbles once, multiplies
+// it into all nrows accumulators (Y0-Y7) and stores each destination
+// once. It jumps to the body unrolled for nrows, so no accumulator or
+// table load is wasted on an absent row.
+TEXT ·mulRowsAVX2(SB), NOSPLIT, $0-56
+	MOVQ nrows+48(FP), AX
+	CMPQ AX, $8
+	JEQ  r8
+	CMPQ AX, $7
+	JEQ  r7
+	CMPQ AX, $6
+	JEQ  r6
+	CMPQ AX, $5
+	JEQ  r5
+	CMPQ AX, $4
+	JEQ  r4
+	CMPQ AX, $3
+	JEQ  r3
+	CMPQ AX, $2
+	JEQ  r2
+	JMP  mulRows1<>(SB)
+r2:
+	JMP mulRows2<>(SB)
+r3:
+	JMP mulRows3<>(SB)
+r4:
+	JMP mulRows4<>(SB)
+r5:
+	JMP mulRows5<>(SB)
+r6:
+	JMP mulRows6<>(SB)
+r7:
+	JMP mulRows7<>(SB)
+r8:
+	JMP mulRows8<>(SB)
+
+// MULADD multiplies the split source block (Y9 low nibbles, Y10 high)
+// by the coefficient whose table sits at T+CX and xors the product into
+// ACC.
+#define MULADD(T, ACC) \
+	VBROADCASTI128 (T)(CX*1), Y11; \
+	VBROADCASTI128 16(T)(CX*1), Y12; \
+	VPSHUFB        Y9, Y11, Y11; \
+	VPSHUFB        Y10, Y12, Y12; \
+	VPXOR          Y11, Y12, Y11; \
+	VPXOR          Y11, ACC, ACC
+
+// STORE writes ACC to the destination at byte OFF of dsts (in DI), at
+// column AX.
+#define STORE(OFF, ACC) \
+	MOVQ    OFF(DI), CX; \
+	VMOVDQU ACC, (CX)(AX*1)
+
+// ZEROn, MULADDn and STOREn clear, accumulate and store the first n
+// destinations: tables rows R8-R14 and BX, accumulators Y0-Y7.
+#define ZERO1 VPXOR Y0, Y0, Y0
+#define ZERO2 ZERO1; VPXOR Y1, Y1, Y1
+#define ZERO3 ZERO2; VPXOR Y2, Y2, Y2
+#define ZERO4 ZERO3; VPXOR Y3, Y3, Y3
+#define ZERO5 ZERO4; VPXOR Y4, Y4, Y4
+#define ZERO6 ZERO5; VPXOR Y5, Y5, Y5
+#define ZERO7 ZERO6; VPXOR Y6, Y6, Y6
+#define ZERO8 ZERO7; VPXOR Y7, Y7, Y7
+
+#define MULADD1 MULADD(R8, Y0)
+#define MULADD2 MULADD1; MULADD(R9, Y1)
+#define MULADD3 MULADD2; MULADD(R10, Y2)
+#define MULADD4 MULADD3; MULADD(R11, Y3)
+#define MULADD5 MULADD4; MULADD(R12, Y4)
+#define MULADD6 MULADD5; MULADD(R13, Y5)
+#define MULADD7 MULADD6; MULADD(R14, Y6)
+#define MULADD8 MULADD7; MULADD(BX, Y7)
+
+#define STORE1 STORE(0, Y0)
+#define STORE2 STORE1; STORE(8, Y1)
+#define STORE3 STORE2; STORE(16, Y2)
+#define STORE4 STORE3; STORE(24, Y3)
+#define STORE5 STORE4; STORE(32, Y4)
+#define STORE6 STORE5; STORE(40, Y5)
+#define STORE7 STORE6; STORE(48, Y6)
+#define STORE8 STORE7; STORE(56, Y7)
+
+// MULROWS is the kernel body for a fixed number of destinations.
+// Registers: AX the column, SI the srcRef cursor and DX its end, DI a
+// source (then dsts), CX the table offset (then a destination), Y8 the
+// nibble mask.
+#define MULROWS(NAME, ZERO, MULADDS, STORES) \
+TEXT NAME(SB), NOSPLIT, $0-56; \
+	MOVQ           rows+24(FP), DI; \
+	MOVQ           0(DI), R8; \
+	MOVQ           8(DI), R9; \
+	MOVQ           16(DI), R10; \
+	MOVQ           24(DI), R11; \
+	MOVQ           32(DI), R12; \
+	MOVQ           40(DI), R13; \
+	MOVQ           48(DI), R14; \
+	MOVQ           56(DI), BX; \
+	MOVQ           srcs_len+8(FP), DX; \
+	SHLQ           $4, DX; \
+	ADDQ           srcs_base+0(FP), DX; \
+	VBROADCASTI128 nibMask<>(SB), Y8; \
+	XORQ           AX, AX; \
+column: \
+	ZERO; \
+	MOVQ           srcs_base+0(FP), SI; \
+source: \
+	MOVQ           (SI), DI; \
+	MOVQ           8(SI), CX; \
+	VMOVDQU        (DI)(AX*1), Y9; \
+	VPSRLW         $4, Y9, Y10; \
+	VPAND          Y8, Y9, Y9; \
+	VPAND          Y8, Y10, Y10; \
+	MULADDS; \
+	ADDQ           $16, SI; \
+	CMPQ           SI, DX; \
+	JNE            source; \
+	MOVQ           dsts+32(FP), DI; \
+	STORES; \
+	ADDQ           $32, AX; \
+	CMPQ           AX, n+40(FP); \
+	JNE            column; \
+	VZEROUPPER; \
+	RET
+
+MULROWS(mulRows1<>, ZERO1, MULADD1, STORE1)
+MULROWS(mulRows2<>, ZERO2, MULADD2, STORE2)
+MULROWS(mulRows3<>, ZERO3, MULADD3, STORE3)
+MULROWS(mulRows4<>, ZERO4, MULADD4, STORE4)
+MULROWS(mulRows5<>, ZERO5, MULADD5, STORE5)
+MULROWS(mulRows6<>, ZERO6, MULADD6, STORE6)
+MULROWS(mulRows7<>, ZERO7, MULADD7, STORE7)
+MULROWS(mulRows8<>, ZERO8, MULADD8, STORE8)

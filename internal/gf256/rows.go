@@ -1,0 +1,86 @@
+package gf256
+
+import "fmt"
+
+// A MulMatrix is a coefficient matrix prepared for MulRows: its
+// coefficients and, for each one, the 32-byte nibble table of
+// nibTables laid out row-major, so that a kernel reads one row's tables
+// at a fixed stride per column. It is immutable, so goroutines may
+// share one; building it is the per-matrix cost MulRows then never
+// pays (32 bytes per coefficient).
+type MulMatrix struct {
+	rows, cols int
+	coef       []byte     // row-major
+	nib        [][32]byte // nib[i*cols+j] == nibTables[coef[i*cols+j]]
+}
+
+// NewMulMatrix prepares a copy of m for MulRows. m may have at most
+// Order rows and columns, the most devices a code over GF(2^8) has.
+func NewMulMatrix(m *Matrix) *MulMatrix {
+	if m.Rows > Order || m.Cols > Order {
+		panic(fmt.Sprintf("gf256: %dx%d matrix is larger than %dx%d", m.Rows, m.Cols, Order, Order))
+	}
+	mm := &MulMatrix{rows: m.Rows, cols: m.Cols, coef: append([]byte(nil), m.Data...),
+		nib: make([][32]byte, len(m.Data))}
+	for i, c := range mm.coef {
+		mm.nib[i] = nibTables[c]
+	}
+	return mm
+}
+
+// MulRows sets dst[i] = sum_j m[i][j] * src[j] for every non-nil
+// dst[i]: row i of the matrix applied to the sources, src[j] standing
+// for column j. A nil src[j], and every column past len(src),
+// contributes nothing, so a caller picks a subset of rows and columns
+// with nils instead of a second matrix. len(src) may not exceed the
+// matrix's columns nor len(dst) its rows, and every non-nil slice must
+// have the same length. No dst may overlap a src.
+//
+// Under the avx2 tier one kernel pass loads each source block once per
+// 32 bytes and accumulates up to eight destinations in registers; the
+// len%32 tail and the other tiers run one MulSliceAssign and then one
+// MulSlice per (destination, source) pair. Every tier gives the same
+// bytes: the sums are xors, exact and independent of order.
+func (m *MulMatrix) MulRows(src, dst [][]byte) {
+	if len(src) > m.cols || len(dst) > m.rows {
+		panic(fmt.Sprintf("gf256: MulRows of %d sources into %d rows on a %dx%d matrix", len(src), len(dst), m.rows, m.cols))
+	}
+	n := -1
+	for _, s := range [2][][]byte{src, dst} {
+		for _, b := range s {
+			if b == nil {
+				continue
+			}
+			if n >= 0 && len(b) != n {
+				panic("gf256: MulRows length mismatch")
+			}
+			n = len(b)
+		}
+	}
+	done := mulRowsSIMD(m, src, dst, n)
+	if done == n {
+		return
+	}
+	for i, d := range dst {
+		if d == nil {
+			continue
+		}
+		d = d[done:]
+		row := m.coef[i*m.cols:]
+		first := true
+		for j, s := range src {
+			if s == nil {
+				continue
+			}
+			if first {
+				MulSliceAssign(row[j], s[done:], d)
+				first = false
+			} else {
+				MulSlice(row[j], s[done:], d)
+			}
+		}
+		if first {
+			clear(d)
+		}
+	}
+}

@@ -18,7 +18,8 @@
 // above lane 0, CX steps left. With T = (width-1)*4, lane r of a
 // float64 row sits r*2T bytes after lane 0 and lane r of the symbols
 // r*T: R11 = T, R12 = 3T, R13 = 5T and DX = 7T reach all eight with
-// scales 1, 2, 4 and 8.
+// scales 1, 2, 4 and 8. The fix-up path counts the lanes it gives
+// symbol 0 (R9 in 2-D, R14 in 3-D), and the kernels return the count.
 
 // absMask clears the sign bit; codeLim is quantRadius-1; negRadius is
 // -quantRadius, the code whose symbol is 0; radius is quantRadius in
@@ -119,6 +120,12 @@ GLOBL radius<>(SB), RODATA|NOPTR, $16
 	VBLENDVPD F, V, R, R; \
 	VBLENDVPD F, negRadius<>(SB), C, C
 
+// COUNT adds the number of F's failed lanes to N; AX is clobbered.
+#define COUNT(F, N) \
+	VMOVMSKPD F, AX; \
+	POPCNTL   AX, AX; \
+	ADDQ      AX, N
+
 // STRIDES sets R11, R12, R13 and DX from the row width in AX.
 #define STRIDES \
 	DECQ AX; \
@@ -128,12 +135,12 @@ GLOBL radius<>(SB), RODATA|NOPTR, $16
 	LEAQ (AX)(AX*4), R13; \
 	LEAQ (R12)(AX*4), DX
 
-// func lorenzo2DAVX2(src, recon *float64, syms *int32, above *float64, st *[32]float64, width, steps int, eb, invTwoEB, twoEB float64)
+// func lorenzo2DAVX2(src, recon *float64, syms *int32, above *float64, st *[32]float64, width, steps int, eb, invTwoEB, twoEB float64) int
 //
 // st holds left (st[0:8]) and up-left (st[8:16]) of lanes 0-7 at the
 // first step; above is the row above lane 0 at that step's column.
 // p = (left + up) - upleft.
-TEXT ·lorenzo2DAVX2(SB), NOSPLIT, $0-80
+TEXT ·lorenzo2DAVX2(SB), NOSPLIT, $0-88
 	MOVQ src+0(FP), SI
 	MOVQ recon+8(FP), DI
 	MOVQ syms+16(FP), BX
@@ -149,6 +156,7 @@ TEXT ·lorenzo2DAVX2(SB), NOSPLIT, $0-80
 	VBROADCASTSD eb+56(FP), Y6
 	VBROADCASTSD invTwoEB+64(FP), Y4
 	VBROADCASTSD twoEB+72(FP), Y5
+	XORQ         R9, R9
 
 	// Y0/Y1 left (the last results), Y2/Y3 up-left (the last ups).
 	PCALIGN $32
@@ -187,22 +195,25 @@ store2:
 	ADDQ $8, R8
 	DECQ CX
 	JNZ  loop2
+	MOVQ R9, ret+80(FP)
 	VZEROUPPER
 	RET
 
 fix2:
+	COUNT(Y8, R9)
+	COUNT(Y9, R9)
 	FIX(Y8, Y12, Y14, Y0)
 	FIX(Y9, Y13, Y15, Y1)
 	JMP store2
 
-// func lorenzo3DAVX2(src, recon *float64, syms *int32, above, back, backAbove *float64, st *[32]float64, width, steps int, eb, invTwoEB, twoEB float64)
+// func lorenzo3DAVX2(src, recon *float64, syms *int32, above, back, backAbove *float64, st *[32]float64, width, steps int, eb, invTwoEB, twoEB float64) int
 //
 // st holds left, up-left, back-left and back-up-left of lanes 0-7 at
 // the first step, eight each; back is lane 0's row in the previous
 // plane (R10, its lanes at the same strides) and backAbove the row
 // above it (R9). p = left + up + back - upleft - backleft - backup +
 // backupleft, added left to right.
-TEXT ·lorenzo3DAVX2(SB), NOSPLIT, $96-96
+TEXT ·lorenzo3DAVX2(SB), NOSPLIT, $96-104
 	MOVQ src+0(FP), SI
 	MOVQ recon+8(FP), DI
 	MOVQ syms+16(FP), BX
@@ -227,6 +238,7 @@ TEXT ·lorenzo3DAVX2(SB), NOSPLIT, $96-96
 	VMOVUPD      Y8, invv-64(SP)
 	VBROADCASTSD twoEB+88(FP), Y8
 	VMOVUPD      Y8, twov-96(SP)
+	XORQ         R14, R14
 
 	// Y0/Y1 left, Y2/Y3 up-left, Y4/Y5 back-left (the last backs),
 	// Y6/Y7 back-up-left (the last back-ups).
@@ -288,10 +300,13 @@ store3:
 	ADDQ $8, R10
 	DECQ CX
 	JNZ  loop3
+	MOVQ R14, ret+96(FP)
 	VZEROUPPER
 	RET
 
 fix3:
+	COUNT(Y12, R14)
+	COUNT(Y15, R14)
 	FIX(Y12, Y8, Y10, Y0)
 	FIX(Y15, Y9, Y11, Y1)
 	JMP store3

@@ -39,7 +39,8 @@ package sz
 // schedule across independent elements changes — so every path stays
 // bit-identical. Only an unpredictable value gets symbol 0, so the
 // pool is collected after the kernel in raster order and no kernel
-// queues it.
+// queues it; the kernels count the zero symbols they emit, so the pool
+// is sized exactly and a field with none is not scanned.
 //
 // Differential tests in quant_fast_test.go pin every path to its
 // reference.
@@ -78,7 +79,11 @@ func quantOne(v, p, eb, invTwoEB, twoEB float64) (float64, int32) {
 // retained scalar reference.
 func quantize(data []float64, dims []int, eb float64) (syms []int32, unpred []float64) {
 	syms = make([]int32, len(data))
-	quantizeRecon(data, dims, eb, syms, make([]float64, len(data)))
+	zeros := quantizeRecon(data, dims, eb, syms, make([]float64, len(data)))
+	if zeros == 0 {
+		return syms, nil
+	}
+	unpred = make([]float64, 0, zeros)
 	for i, s := range syms {
 		if s == 0 {
 			unpred = append(unpred, data[i])
@@ -88,28 +93,34 @@ func quantize(data []float64, dims []int, eb float64) (syms []int32, unpred []fl
 }
 
 // quantizeRecon fills syms and the reconstruction recon for data
-// through a dimension-specialized batched kernel.
-func quantizeRecon(data []float64, dims []int, eb float64, syms []int32, recon []float64) {
+// through a dimension-specialized batched kernel and returns how many
+// symbols are 0. Like every kernel below it counts the zeros as it
+// emits them.
+func quantizeRecon(data []float64, dims []int, eb float64, syms []int32, recon []float64) int {
 	switch len(dims) {
 	case 2:
-		quantize2D(data, dims[0], dims[1], eb, syms, recon)
+		return quantize2D(data, dims[0], dims[1], eb, syms, recon)
 	case 3:
-		quantize3D(data, dims[0], dims[1], dims[2], eb, syms, recon)
+		return quantize3D(data, dims[0], dims[1], dims[2], eb, syms, recon)
 	default:
-		quantize1D(data, eb, syms, recon)
+		return quantize1D(data, eb, syms, recon)
 	}
 }
 
-func quantize1D(data []float64, eb float64, syms []int32, recon []float64) {
+func quantize1D(data []float64, eb float64, syms []int32, recon []float64) (zeros int) {
 	twoEB := 2 * eb
 	invTwoEB := 1 / twoEB
 	left := 0.0
 	for i, v := range data {
 		r, s := quantOne(v, left, eb, invTwoEB, twoEB)
+		if s == 0 {
+			zeros++
+		}
 		syms[i] = s
 		recon[i] = r
 		left = r
 	}
+	return zeros
 }
 
 // rowSkew is the column offset between the two interleaved rows of a
@@ -131,10 +142,11 @@ func vectorRows(width int) bool {
 
 // quantRow2D quantizes columns [lo, hi) of one row of a 2-D field
 // against up, the reconstructed row above it (a zero row for the
-// first); columns before lo must be done.
-func quantRow2D(src, row []float64, ss []int32, up []float64, lo, hi int, eb, invTwoEB, twoEB float64) {
+// first); columns before lo must be done. It returns how many symbols
+// it set to 0.
+func quantRow2D(src, row []float64, ss []int32, up []float64, lo, hi int, eb, invTwoEB, twoEB float64) (zeros int) {
 	if lo >= hi {
-		return
+		return 0
 	}
 	var left float64
 	if lo == 0 {
@@ -142,6 +154,9 @@ func quantRow2D(src, row []float64, ss []int32, up []float64, lo, hi int, eb, in
 		// the expression identical to the reference stencil).
 		p := 0 + up[0] - 0
 		left, ss[0] = quantOne(src[0], p, eb, invTwoEB, twoEB)
+		if ss[0] == 0 {
+			zeros++
+		}
 		row[0] = left
 		lo = 1
 	} else {
@@ -150,13 +165,17 @@ func quantRow2D(src, row []float64, ss []int32, up []float64, lo, hi int, eb, in
 	for y := lo; y < hi; y++ {
 		p := left + up[y] - up[y-1]
 		r, s := quantOne(src[y], p, eb, invTwoEB, twoEB)
+		if s == 0 {
+			zeros++
+		}
 		ss[y] = s
 		row[y] = r
 		left = r
 	}
+	return zeros
 }
 
-func quantize2D(data []float64, d0, d1 int, eb float64, syms []int32, recon []float64) {
+func quantize2D(data []float64, d0, d1 int, eb float64, syms []int32, recon []float64) (zeros int) {
 	twoEB := 2 * eb
 	invTwoEB := 1 / twoEB
 	zeroRow := make([]float64, d1)
@@ -167,7 +186,7 @@ func quantize2D(data []float64, d0, d1 int, eb float64, syms []int32, recon []fl
 			if x > 0 {
 				up = recon[(x-1)*d1 : x*d1]
 			}
-			quantGroup2D(data, recon, syms, up, x, d1, eb, invTwoEB, twoEB)
+			zeros += quantGroup2D(data, recon, syms, up, x, d1, eb, invTwoEB, twoEB)
 		}
 	}
 	for ; x+1 < d0; x += 2 {
@@ -193,6 +212,9 @@ func quantize2D(data []float64, d0, d1 int, eb float64, syms []int32, recon []fl
 					p = left0 + up0[k] - up0[k-1]
 				}
 				r, s := quantOne(src0[k], p, eb, invTwoEB, twoEB)
+				if s == 0 {
+					zeros++
+				}
 				ss0[k] = s
 				row0[k] = r
 				left0 = r
@@ -205,6 +227,9 @@ func quantize2D(data []float64, d0, d1 int, eb float64, syms []int32, recon []fl
 					p = left1 + row0[j] - row0[j-1]
 				}
 				r, s := quantOne(src1[j], p, eb, invTwoEB, twoEB)
+				if s == 0 {
+					zeros++
+				}
 				ss1[j] = s
 				row1[j] = r
 				left1 = r
@@ -217,15 +242,16 @@ func quantize2D(data []float64, d0, d1 int, eb float64, syms []int32, recon []fl
 		if x > 0 {
 			up = recon[base-d1 : base : base]
 		}
-		quantRow2D(data[base:base+d1], recon[base:base+d1], syms[base:base+d1], up, 0, d1, eb, invTwoEB, twoEB)
+		zeros += quantRow2D(data[base:base+d1], recon[base:base+d1], syms[base:base+d1], up, 0, d1, eb, invTwoEB, twoEB)
 	}
+	return zeros
 }
 
 // quantGroup2D quantizes rows x to x+vecRows-1 of a 2-D field: the
 // columns each lane has before the first full step and after the last
 // in Go, the full steps in lorenzo2DAVX2. up is the row above the
-// group.
-func quantGroup2D(data, recon []float64, syms []int32, up []float64, x, d1 int, eb, invTwoEB, twoEB float64) {
+// group. It returns how many symbols it set to 0.
+func quantGroup2D(data, recon []float64, syms []int32, up []float64, x, d1 int, eb, invTwoEB, twoEB float64) (zeros int) {
 	const first = vecRows - 1
 	var st [32]float64
 	for r := 0; r < vecRows; r++ {
@@ -234,26 +260,28 @@ func quantGroup2D(data, recon []float64, syms []int32, up []float64, x, d1 int, 
 		if r > 0 {
 			upr = recon[b-d1 : b]
 		}
-		quantRow2D(data[b:b+d1], recon[b:b+d1], syms[b:b+d1], upr, 0, first-r, eb, invTwoEB, twoEB)
+		zeros += quantRow2D(data[b:b+d1], recon[b:b+d1], syms[b:b+d1], upr, 0, first-r, eb, invTwoEB, twoEB)
 		if c := first - 1 - r; c >= 0 { // lane r's left and up-left
 			st[r], st[vecRows+r] = recon[b+c], upr[c]
 		}
 	}
 	b := x*d1 + first
-	lorenzo2DAVX2(&data[b], &recon[b], &syms[b], &up[first], &st, d1, d1-first, eb, invTwoEB, twoEB)
+	zeros += lorenzo2DAVX2(&data[b], &recon[b], &syms[b], &up[first], &st, d1, d1-first, eb, invTwoEB, twoEB)
 	for r := 1; r < vecRows; r++ {
 		b := (x + r) * d1
-		quantRow2D(data[b:b+d1], recon[b:b+d1], syms[b:b+d1], recon[b-d1:b], d1-r, d1, eb, invTwoEB, twoEB)
+		zeros += quantRow2D(data[b:b+d1], recon[b:b+d1], syms[b:b+d1], recon[b-d1:b], d1-r, d1, eb, invTwoEB, twoEB)
 	}
+	return zeros
 }
 
 // quantRow3D quantizes columns [lo, hi) of one row of a 3-D plane
 // against the reconstructed rows up (above it), back (behind it, in
 // the previous plane) and backup (above back), each a zero row where
-// the field has none; columns before lo must be done.
-func quantRow3D(src, row []float64, ss []int32, up, back, backup []float64, lo, hi int, eb, invTwoEB, twoEB float64) {
+// the field has none; columns before lo must be done. It returns how
+// many symbols it set to 0.
+func quantRow3D(src, row []float64, ss []int32, up, back, backup []float64, lo, hi int, eb, invTwoEB, twoEB float64) (zeros int) {
 	if lo >= hi {
-		return
+		return 0
 	}
 	var left float64
 	if lo == 0 {
@@ -261,6 +289,9 @@ func quantRow3D(src, row []float64, ss []int32, up, back, backup []float64, lo, 
 		// the reference Lorenzo expression exactly.
 		p := 0 + up[0] + back[0] - 0 - 0 - backup[0] + 0
 		left, ss[0] = quantOne(src[0], p, eb, invTwoEB, twoEB)
+		if ss[0] == 0 {
+			zeros++
+		}
 		row[0] = left
 		lo = 1
 	} else {
@@ -269,13 +300,17 @@ func quantRow3D(src, row []float64, ss []int32, up, back, backup []float64, lo, 
 	for x := lo; x < hi; x++ {
 		p := left + up[x] + back[x] - up[x-1] - back[x-1] - backup[x] + backup[x-1]
 		r, s := quantOne(src[x], p, eb, invTwoEB, twoEB)
+		if s == 0 {
+			zeros++
+		}
 		ss[x] = s
 		row[x] = r
 		left = r
 	}
+	return zeros
 }
 
-func quantize3D(data []float64, d0, d1, d2 int, eb float64, syms []int32, recon []float64) {
+func quantize3D(data []float64, d0, d1, d2 int, eb float64, syms []int32, recon []float64) (zeros int) {
 	twoEB := 2 * eb
 	invTwoEB := 1 / twoEB
 	vec := vectorRows(d2) && d1 >= vecRows
@@ -292,7 +327,7 @@ func quantize3D(data []float64, d0, d1, d2 int, eb float64, syms []int32, recon 
 		y := 0
 		if vec {
 			for ; y+vecRows <= d1; y += vecRows {
-				quantGroup3D(data, recon, syms, zero, z, y, d1, d2, eb, invTwoEB, twoEB)
+				zeros += quantGroup3D(data, recon, syms, zero, z, y, d1, d2, eb, invTwoEB, twoEB)
 			}
 		}
 		for ; y+1 < d1; y += 2 { // software-pipelined row pairs
@@ -327,6 +362,9 @@ func quantize3D(data []float64, d0, d1, d2 int, eb float64, syms []int32, recon 
 						p = left0 + up0[k] + back0[k] - up0[k-1] - back0[k-1] - backup0[k] + backup0[k-1]
 					}
 					r, s := quantOne(src0[k], p, eb, invTwoEB, twoEB)
+					if s == 0 {
+						zeros++
+					}
 					ss0[k] = s
 					row0[k] = r
 					left0 = r
@@ -339,6 +377,9 @@ func quantize3D(data []float64, d0, d1, d2 int, eb float64, syms []int32, recon 
 						p = left1 + row0[j] + back1[j] - row0[j-1] - back1[j-1] - backup1[j] + backup1[j-1]
 					}
 					r, s := quantOne(src1[j], p, eb, invTwoEB, twoEB)
+					if s == 0 {
+						zeros++
+					}
 					ss1[j] = s
 					row1[j] = r
 					left1 = r
@@ -348,9 +389,10 @@ func quantize3D(data []float64, d0, d1, d2 int, eb float64, syms []int32, recon 
 		for ; y < d1; y++ { // odd trailing row of the plane
 			base := z*planeStride + y*d2
 			up, back, backup := neighbourRows(recon, zeroRow, z, y, d1, d2)
-			quantRow3D(data[base:base+d2], recon[base:base+d2], syms[base:base+d2], up, back, backup, 0, d2, eb, invTwoEB, twoEB)
+			zeros += quantRow3D(data[base:base+d2], recon[base:base+d2], syms[base:base+d2], up, back, backup, 0, d2, eb, invTwoEB, twoEB)
 		}
 	}
+	return zeros
 }
 
 // neighbourRows returns the reconstructed rows around row y of plane z
@@ -375,7 +417,7 @@ func neighbourRows(recon, zeroRow []float64, z, y, d1, d2 int) (up, back, backup
 
 // quantGroup3D is quantGroup2D for rows y to y+vecRows-1 of plane z of
 // a 3-D field. zero holds vecRows zero rows: the plane behind plane 0.
-func quantGroup3D(data, recon []float64, syms []int32, zero []float64, z, y, d1, d2 int, eb, invTwoEB, twoEB float64) {
+func quantGroup3D(data, recon []float64, syms []int32, zero []float64, z, y, d1, d2 int, eb, invTwoEB, twoEB float64) (zeros int) {
 	const first = vecRows - 1
 	zeroRow := zero[:d2:d2]
 	planeStride := d1 * d2
@@ -384,7 +426,7 @@ func quantGroup3D(data, recon []float64, syms []int32, zero []float64, z, y, d1,
 	for r := 0; r < vecRows; r++ {
 		b := base + r*d2
 		up, back, backup := neighbourRows(recon, zeroRow, z, y+r, d1, d2)
-		quantRow3D(data[b:b+d2], recon[b:b+d2], syms[b:b+d2], up, back, backup, 0, first-r, eb, invTwoEB, twoEB)
+		zeros += quantRow3D(data[b:b+d2], recon[b:b+d2], syms[b:b+d2], up, back, backup, 0, first-r, eb, invTwoEB, twoEB)
 		if c := first - 1 - r; c >= 0 { // lane r's left, up-left, back-left and back-up-left
 			st[r], st[vecRows+r], st[2*vecRows+r], st[3*vecRows+r] = recon[b+c], up[c], back[c], backup[c]
 		}
@@ -395,12 +437,13 @@ func quantGroup3D(data, recon []float64, syms []int32, zero []float64, z, y, d1,
 		backLanes = recon[base-planeStride+first:]
 	}
 	b := base + first
-	lorenzo3DAVX2(&data[b], &recon[b], &syms[b], &up[first], &backLanes[0], &backup[first], &st, d2, d2-first, eb, invTwoEB, twoEB)
+	zeros += lorenzo3DAVX2(&data[b], &recon[b], &syms[b], &up[first], &backLanes[0], &backup[first], &st, d2, d2-first, eb, invTwoEB, twoEB)
 	for r := 1; r < vecRows; r++ {
 		b := base + r*d2
 		up, back, backup := neighbourRows(recon, zeroRow, z, y+r, d1, d2)
-		quantRow3D(data[b:b+d2], recon[b:b+d2], syms[b:b+d2], up, back, backup, d2-r, d2, eb, invTwoEB, twoEB)
+		zeros += quantRow3D(data[b:b+d2], recon[b:b+d2], syms[b:b+d2], up, back, backup, d2-r, d2, eb, invTwoEB, twoEB)
 	}
+	return zeros
 }
 
 // dequantize reverses quantize given the symbol stream and the

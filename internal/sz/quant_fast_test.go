@@ -111,21 +111,36 @@ func firstSymDiff(a, b []int32) int {
 // checkQuantizeTier quantizes data under the active tier and under the
 // word tier's 2-row kernel: the symbols, the reconstruction bits and
 // the unpredictable pool must agree, and the symbols must be
-// quantizeRef's.
+// quantizeRef's. On both tiers the zero count must be the number of
+// zero symbols, and the pool exactly the values at those symbols, in
+// a slice of exactly that capacity.
 func checkQuantizeTier(t *testing.T, data []float64, dims []int, eb float64) {
 	t.Helper()
 	n := len(data)
-	syms, recon := make([]int32, n), make([]float64, n)
-	quantizeRecon(data, dims, eb, syms, recon)
-	_, unpred := quantize(data, dims, eb)
+	quantizeTier := func(tier string) (syms []int32, recon, unpred []float64) {
+		t.Helper()
+		syms, recon = make([]int32, n), make([]float64, n)
+		zeros := quantizeRecon(data, dims, eb, syms, recon)
+		_, unpred = quantize(data, dims, eb)
+		var pool []float64
+		for i, s := range syms {
+			if s == 0 {
+				pool = append(pool, data[i])
+			}
+		}
+		if zeros != len(pool) || cap(unpred) != len(pool) || !sameFloats(unpred, pool) {
+			t.Fatalf("dims=%v eb=%g tier %s: %d zeros counted and a pool of %d (cap %d), want %d",
+				dims, eb, tier, zeros, len(unpred), cap(unpred), len(pool))
+		}
+		return syms, recon, unpred
+	}
+	syms, recon, unpred := quantizeTier(gf256.ActiveTier())
 
 	restore, err := gf256.ForceTier(gf256.TierWord)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSyms, wantRecon := make([]int32, n), make([]float64, n)
-	quantizeRecon(data, dims, eb, wantSyms, wantRecon)
-	_, wantUnpred := quantize(data, dims, eb)
+	wantSyms, wantRecon, wantUnpred := quantizeTier(gf256.TierWord)
 	restore()
 
 	if i := firstSymDiff(syms, wantSyms); i >= 0 {

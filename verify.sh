@@ -95,6 +95,11 @@ go test -race -run 'TestChunkReaderCloseRacesMidStreamError' -count=5 ./internal
 echo "== worker-pool and pipe goroutine-leak regressions (race, 5 runs) =="
 go test -race -run 'TestPipeStressLeakFree|TestForLeaksNoGoroutines|TestForErrLeaksNoGoroutines' -count=5 ./internal/parallel
 
+echo "== reed-solomon tables shared across workers (race, 10 runs) =="
+# Four codes of one shape encode and repair at once, three workers each,
+# all reading the generator and parity-check tables genCache holds.
+go test -race -run 'TestSharedTablesAcrossWorkers' -count=10 ./internal/ecc/reedsolomon
+
 echo "== service shutdown/disconnect leak regressions (race, 5 runs) =="
 go test -race -run 'TestArcdShutdownDrains|TestArcdClientDisconnectMidStream' -count=5 ./internal/service
 
@@ -131,6 +136,11 @@ echo "== gf256 dispatch fuzz smoke (10s) =="
 # input must produce byte-identical results under avx2/ssse3/neon and
 # the word fallback.
 go test -run '^$' -fuzz '^FuzzGF256Dispatch$' -fuzztime 10s ./internal/gf256
+
+echo "== gf256 multi-destination fuzz smoke (10s) =="
+# Differential fuzz of MulRows (matrix shape, coefficients, nil sources
+# and rows, length, offset, every tier) against sums of MulSliceRef.
+go test -run '^$' -fuzz '^FuzzGF256MulRows$' -fuzztime 10s ./internal/gf256
 
 echo "== hamming kernel fuzz smoke (10s) =="
 # Differential fuzz of the eight-codeword table kernel and the AVX2
