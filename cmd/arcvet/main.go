@@ -13,8 +13,11 @@
 //
 //	arcvet [-format text|json] [-analyzers a,b] [-list] [-waivercheck] [packages...]
 //
-// Package patterns are directories relative to the module root, with
-// "./..." (the default) expanding recursively. Findings print as
+// Package patterns are directories relative to the working directory,
+// with "./..." (the default) expanding recursively. go/build's default
+// context picks each package's files, so GOOS and GOARCH select the
+// platform analyzed, as for any go tool; external test packages are
+// checked the way `go test` builds them. Findings print as
 // file:line:col: [analyzer] message, sorted by (file, line, col,
 // analyzer) across all packages; -format json emits the same ordering
 // as a machine-readable array. -analyzers restricts the run to a

@@ -60,10 +60,10 @@ func TestUnknownAnalyzerListsValidNames(t *testing.T) {
 	}
 }
 
-// TestRepoSweepClean is the gate's one arcvet run (verify.sh and CI
-// have no step of their own): the full suite with waivercheck over the
-// whole module must report nothing, so `go test ./...` fails on a
-// finding or a stale waiver.
+// TestRepoSweepClean is the gate's arcvet run on the host platform
+// (verify.sh adds a GOARCH=arm64 sweep for the !amd64 files): the full
+// suite with waivercheck over the whole module must report nothing, so
+// `go test ./...` fails on a finding or a stale waiver.
 func TestRepoSweepClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks every package of the module")

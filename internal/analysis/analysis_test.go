@@ -2,11 +2,11 @@ package analysis_test
 
 import (
 	"fmt"
+	"go/build"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -214,12 +214,27 @@ func convert(n int, u uint64) {
 }
 
 // TestExternalTestPackage ensures package foo_test files are loaded
-// and analyzed as their own unit.
+// and analyzed as their own unit, type-checked the way `go test`
+// builds them: against p with its in-package test files (the method
+// export_test.go declares), and against a q recompiled on that p, so
+// q's *p.T is the test's *p.T.
 func TestExternalTestPackage(t *testing.T) {
 	files := map[string]string{
 		"p/p.go": `package p
 
+type T struct{ n int }
+
 func MayFail() error { return nil }
+`,
+		"p/export_test.go": `package p
+
+func (t *T) N() int { return t.n }
+`,
+		"q/q.go": `package q
+
+import "fixture/p"
+
+func New() *p.T { return new(p.T) }
 `,
 		"p/ext_test.go": `package p_test
 
@@ -227,10 +242,13 @@ import (
 	"testing"
 
 	"fixture/p"
+	"fixture/q"
 )
 
 func TestUsesP(t *testing.T) {
 	p.MayFail() // want uncheckederr
+	var x *p.T = q.New()
+	_ = x.N()
 }
 `,
 	}
@@ -347,16 +365,17 @@ func TestAppliesTo(t *testing.T) {
 }
 
 // TestBuildConstraints ensures platform-variant files are excluded the
-// way `go build` would exclude them: by //go:build expression and by
-// filename suffix. The excluded files redeclare `impl`, so if either
-// were wrongly loaded the fixture would fail to typecheck.
+// way `go build` would exclude them: by //go:build expression (a tag,
+// ignore, a Go release newer than the toolchain) and by filename
+// suffix. The excluded files redeclare `impl`, so if any were wrongly
+// loaded the fixture would fail to typecheck.
 func TestBuildConstraints(t *testing.T) {
 	otherOS := "windows"
-	if runtime.GOOS == otherOS {
+	if build.Default.GOOS == otherOS {
 		otherOS = "linux"
 	}
 	otherArch := "s390x"
-	if runtime.GOARCH == otherArch {
+	if build.Default.GOARCH == otherArch {
 		otherArch = "amd64"
 	}
 	files := map[string]string{
@@ -385,6 +404,12 @@ const impl = "suffixed"
 package p
 
 const impl = "ignored"
+`,
+		"p/future.go": `//go:build go1.99
+
+package p
+
+const impl = "future"
 `,
 	}
 	root := writeFixture(t, files)

@@ -1,23 +1,25 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
 )
 
-// Loader resolves and type-checks packages. Module-local import paths
-// (below ModulePath) are parsed and checked from source; everything
-// else is delegated to the standard library's source importer. All
+// Loader resolves and type-checks packages the way `go test` builds
+// them. go/build's default context (GOOS, GOARCH, build and release
+// tags, read from the environment as every go tool reads them) picks
+// every file: build.ImportDir those of the module's packages (import
+// paths below ModulePath), checked from source, and the source
+// importer, on the same context, those of every other path. All
 // packages share one token.FileSet so positions stay comparable.
 type Loader struct {
 	Fset       *token.FileSet
@@ -25,7 +27,8 @@ type Loader struct {
 	RootDir    string
 
 	std  types.Importer
-	deps map[string]*types.Package // import-variant cache (no test files)
+	deps map[string]*types.Package // import variants (no test files)
+	srcs map[string][]*ast.File    // their parsed files, by import path
 }
 
 // Unit is one type-checked analysis unit: a package's sources plus,
@@ -66,6 +69,7 @@ func NewLoader(dir string) (*Loader, error) {
 		RootDir:    root,
 		std:        importer.ForCompiler(fset, "source", nil),
 		deps:       map[string]*types.Package{},
+		srcs:       map[string][]*ast.File{},
 	}, nil
 }
 
@@ -84,32 +88,43 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("%s: no module directive", gomod)
 }
 
-// Import implements types.Importer: module-local packages load from
-// source without test files; all other paths go to the stdlib source
-// importer.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		if pkg, ok := l.deps[path]; ok {
-			return pkg, nil
-		}
-		dir := filepath.Join(l.RootDir, strings.TrimPrefix(strings.TrimPrefix(path, l.ModulePath), "/"))
-		files, _, err := l.parseDir(dir, false)
-		if err != nil {
-			return nil, err
-		}
-		pkg, _, err := l.check(path, files)
-		if err != nil {
-			return nil, err
-		}
-		l.deps[path] = pkg
-		return pkg, nil
-	}
-	return l.std.Import(path)
+// local reports whether path names a package of the loader's module.
+func (l *Loader) local(path string) bool {
+	return path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/")
 }
 
-// LoadDir type-checks the package in dir including its test files,
-// returning one Unit for the package itself and, when external
-// (package foo_test) files exist, a second Unit for those.
+// Import implements types.Importer: a module-local package is its
+// import variant, the build's GoFiles checked from source once; all
+// other paths go to the standard library's source importer.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	if !l.local(path) {
+		return l.std.Import(path)
+	}
+	if pkg, ok := l.deps[path]; ok {
+		return pkg, nil
+	}
+	dir := filepath.Join(l.RootDir, strings.TrimPrefix(strings.TrimPrefix(path, l.ModulePath), "/"))
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	files, err := l.parse(dir, bp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := l.check(path, files, l, nil)
+	if err != nil {
+		return nil, err
+	}
+	l.deps[path], l.srcs[path] = pkg, files
+	return pkg, nil
+}
+
+// LoadDir type-checks the package in dir as `go test` would build it:
+// one Unit for the package with its in-package test files (GoFiles and
+// TestGoFiles) and, when XTestGoFiles exist, a second Unit for the
+// external package foo_test. A directory with no buildable Go files
+// yields no unit.
 func (l *Loader) LoadDir(dir string) ([]*Unit, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -123,167 +138,116 @@ func (l *Loader) LoadDir(dir string) ([]*Unit, error) {
 	if rel != "." {
 		path = l.ModulePath + "/" + filepath.ToSlash(rel)
 	}
-	primary, external, err := l.parseDir(abs, true)
+	bp, err := build.ImportDir(abs, 0)
+	var noGo *build.NoGoError
+	if errors.As(err, &noGo) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(primary) == 0 && len(external) == 0 {
-		return nil, nil
-	}
 	var units []*Unit
-	if len(primary) > 0 {
-		pkg, info, err := l.check(path, primary)
+	xtest := &testImporter{l: l, under: path, pkgs: map[string]*types.Package{}, reach: map[string]bool{}}
+	if names := append(bp.GoFiles, bp.TestGoFiles...); len(names) > 0 {
+		u, err := l.unit(path, abs, names, l)
 		if err != nil {
 			return nil, err
 		}
-		units = append(units, &Unit{Path: path, Files: primary, Pkg: pkg, Info: info})
+		units = append(units, u)
+		xtest.pkgs[path] = u.Pkg
 	}
-	if len(external) > 0 {
-		pkg, info, err := l.check(path+"_test", external)
+	if len(bp.XTestGoFiles) > 0 {
+		u, err := l.unit(path+"_test", abs, bp.XTestGoFiles, xtest)
 		if err != nil {
 			return nil, err
 		}
-		units = append(units, &Unit{Path: path + "_test", Files: external, Pkg: pkg, Info: info})
+		units = append(units, u)
 	}
 	return units, nil
 }
 
-// parseDir parses the buildable .go files of one directory, split
-// into the primary package's files (optionally including in-package
-// tests) and external-test-package files.
-func (l *Loader) parseDir(dir string, includeTests bool) (primary, external []*ast.File, err error) {
-	entries, err := os.ReadDir(dir)
+// unit parses and type-checks the named files of dir as one Unit.
+func (l *Loader) unit(path, dir string, names []string, imp types.Importer) (*Unit, error) {
+	files, err := l.parse(dir, names)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		if !includeTests && strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		names = append(names, name)
+	info := NewInfo()
+	pkg, err := l.check(path, files, imp, info)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(names)
+	return &Unit{Path: path, Files: files, Pkg: pkg, Info: info}, nil
+}
+
+// parse parses the named files of dir.
+func (l *Loader) parse(dir string, names []string) ([]*ast.File, error) {
+	files := make([]*ast.File, 0, len(names))
 	for _, name := range names {
-		if !goodOSArchFile(name) {
-			continue
-		}
 		file, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if !buildConstraintsSatisfied(file) {
-			continue
-		}
-		if strings.HasSuffix(file.Name.Name, "_test") {
-			if includeTests {
-				external = append(external, file)
-			}
-			continue
-		}
-		primary = append(primary, file)
+		files = append(files, file)
 	}
-	return primary, external, nil
+	return files, nil
 }
 
-// buildConstraintsSatisfied reports whether the file's `//go:build`
-// expression (if any) holds for the platform arcvet runs on. Without
-// this, platform-variant pairs like mul_amd64.go / mul_noasm.go would
-// both join the package and collide at typecheck.
-func buildConstraintsSatisfied(file *ast.File) bool {
-	for _, cg := range file.Comments {
-		if cg.Pos() > file.Package {
+// testImporter resolves the imports of package P's external test unit
+// as `go test` links them: P is P's own unit, in-package test files
+// included; every module package whose imports reach P is checked
+// again against that unit ("recompiled for test"); every other package
+// is the loader's shared import variant.
+type testImporter struct {
+	l     *Loader
+	under string                    // P's import path
+	pkgs  map[string]*types.Package // P's unit and the recompiled packages
+	reach map[string]bool           // import path -> reaches P
+}
+
+func (ti *testImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := ti.pkgs[path]; ok {
+		return pkg, nil
+	}
+	shared, err := ti.l.Import(path)
+	if err != nil || !ti.reaches(shared) {
+		return shared, err
+	}
+	pkg, err := ti.l.check(path, ti.l.srcs[path], ti, nil)
+	if err != nil {
+		return nil, err
+	}
+	ti.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// reaches reports whether the shared variant pkg imports P, directly
+// or not.
+func (ti *testImporter) reaches(pkg *types.Package) bool {
+	if r, ok := ti.reach[pkg.Path()]; ok {
+		return r
+	}
+	r := false
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == ti.under || ti.l.local(imp.Path()) && ti.reaches(imp) {
+			r = true
 			break
 		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				continue
-			}
-			if !expr.Eval(matchTag) {
-				return false
-			}
-		}
 	}
-	return true
+	ti.reach[pkg.Path()] = r
+	return r
 }
 
-// matchTag evaluates one build tag against the running platform — the
-// same set of facts `go build` would use locally, minus cgo (the
-// analyzers never need it).
-func matchTag(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, runtime.Compiler:
-		return true
-	case "unix":
-		return unixOS[runtime.GOOS]
-	}
-	// Release tags: the toolchain running this code satisfies every
-	// go1.N up to itself; the repo's go.mod floor makes finer checks
-	// moot.
-	return strings.HasPrefix(tag, "go1.")
-}
-
-var unixOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "hurd": true, "illumos": true, "ios": true,
-	"linux": true, "netbsd": true, "openbsd": true, "solaris": true,
-}
-
-var knownOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "hurd": true, "illumos": true, "ios": true,
-	"js": true, "linux": true, "netbsd": true, "openbsd": true,
-	"plan9": true, "solaris": true, "wasip1": true, "windows": true,
-}
-
-var knownArch = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mips64": true, "mips64le": true,
-	"mipsle": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "sparc64": true, "wasm": true,
-}
-
-// goodOSArchFile applies the filename-suffix build rules: a trailing
-// _GOOS, _GOARCH, or _GOOS_GOARCH component restricts the file to that
-// platform (mirroring go/build, with _test stripped first).
-func goodOSArchFile(name string) bool {
-	name = strings.TrimSuffix(name, ".go")
-	name = strings.TrimSuffix(name, "_test")
-	parts := strings.Split(name, "_")
-	// The first component is never a constraint ("amd64.go" is fine).
-	if len(parts) >= 2 {
-		parts = parts[1:]
-	}
-	n := len(parts)
-	if n >= 2 && knownOS[parts[n-2]] && knownArch[parts[n-1]] {
-		return parts[n-2] == runtime.GOOS && parts[n-1] == runtime.GOARCH
-	}
-	if n >= 1 && knownArch[parts[n-1]] {
-		return parts[n-1] == runtime.GOARCH
-	}
-	if n >= 1 && knownOS[parts[n-1]] {
-		return parts[n-1] == runtime.GOOS
-	}
-	return true
-}
-
-// check runs the type checker over files with the loader as importer.
-func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.Info, error) {
-	info := NewInfo()
-	conf := types.Config{Importer: l}
+// check runs the type checker over files with the given importer,
+// recording into info; the variants only imported, which no analyzer
+// reads, pass nil.
+func (l *Loader) check(path string, files []*ast.File, imp types.Importer, info *types.Info) (*types.Package, error) {
+	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {
-		return nil, nil, fmt.Errorf("typecheck %s: %w", path, err)
+		return nil, fmt.Errorf("typecheck %s: %w", path, err)
 	}
-	return pkg, info, nil
+	return pkg, nil
 }
 
 // NewInfo allocates a fully populated types.Info so analyzers never
@@ -300,8 +264,9 @@ func NewInfo() *types.Info {
 }
 
 // ExpandPatterns turns command-line package patterns ("./...", a
-// directory, or a lone "...") into the list of directories under the
-// module that contain Go files.
+// directory, or a lone "...") into the directories they name, relative
+// patterns resolved against root; LoadDir skips those without a
+// buildable package.
 func ExpandPatterns(root string, patterns []string) ([]string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -341,9 +306,7 @@ func ExpandPatterns(root string, patterns []string) ([]string, error) {
 				name == "testdata" || name == "vendor" || name == "node_modules") {
 				return filepath.SkipDir
 			}
-			if hasGoFiles(p) {
-				add(p)
-			}
+			add(p)
 			return nil
 		})
 		if err != nil {
@@ -351,17 +314,4 @@ func ExpandPatterns(root string, patterns []string) ([]string, error) {
 		}
 	}
 	return dirs, nil
-}
-
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasPrefix(e.Name(), ".") {
-			return true
-		}
-	}
-	return false
 }

@@ -24,6 +24,16 @@ echo "== cross-compile arm64 (NEON dispatch path) =="
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./...
 
+echo "== arcvet sweep under GOARCH=arm64 (the !amd64 files) =="
+# arcvet picks files with go/build's default context, so GOARCH=arm64
+# makes it load and analyze the arm64 dispatch and the *_other.go
+# kernel stubs, which the host sweep in go test never sees. The binary
+# is built once for the host and run with the arm64 environment.
+arcvet_dir=$(mktemp -d)
+trap 'rm -rf "$arcvet_dir"' EXIT
+go build -o "$arcvet_dir/arcvet" ./cmd/arcvet
+GOARCH=arm64 "$arcvet_dir/arcvet" -waivercheck ./...
+
 echo "== no fused multiply-add in the float packages (arm64 listings) =="
 # Go may fuse x*y + z into one rounding, and the arm64 backend does.
 # SZ's reconstruction is two roundings (docs/FORMAT.md), and the study
@@ -60,9 +70,10 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-# The arcvet sweep (full suite + waivercheck over ./...) is a test:
-# cmd/arcvet's TestRepoSweepClean, part of go test below. Copied locks
-# and constant over-shifts are go vet's, above.
+# The host's arcvet sweep (full suite + waivercheck over ./...) is a
+# test: cmd/arcvet's TestRepoSweepClean, part of go test below; the
+# arm64 sweep is its own step above. Copied locks and constant
+# over-shifts are go vet's, above.
 if [ "${1:-}" = "quick" ]; then
     echo "== go test (quick) =="
     go test ./...
