@@ -142,14 +142,16 @@ func TestKernelFloors(t *testing.T) {
 		// the e x e solve over the retained K x K inversion (10-11x).
 		{"RSRepair", rsRepairPair(t), 5},
 		// huffman.DecodeAll over one Decode call per symbol (3.1-3.2x).
-		// The encode pair (1.9x) has no floor.
 		{"HuffmanDecode", huffmanDecodePair(t), 1.6},
+		// huffman.EncodeAll over one Encode call per symbol: half the
+		// lowest of 60 runs under load (1.39-2.08x).
+		{"HuffmanEncode", huffmanEncodePair(t), 0.7},
 	}
 	if slices.Contains(gf256.Features(), "avx2") {
 		// Twice the lanes should buy at least 1.5x after memory effects.
 		src, dst := randBytes(kernelBuf, 12), randBytes(kernelBuf, 13)
 		floors = append(floors, floor{"GF256MulSliceAVX2VsSSSE3",
-			kernelPair{kernelBuf, mulSliceTier("avx2", src, dst), mulSliceTier("ssse3", src, dst)}, 1.5})
+			kernelPair{kernelBuf, mulSliceTier("avx2", src, dst, kernelBuf), mulSliceTier("ssse3", src, dst, kernelBuf)}, 1.5})
 		// The XOR codes' AVX2 kernels over their table path, the same
 		// call under the word tier (SEC-DED encode 10-11x, decode
 		// 6.3-8.5x, parity8 encode 5.3-7.6x when they landed).
@@ -162,7 +164,21 @@ func TestKernelFloors(t *testing.T) {
 		// (1.48-1.95x in 20 runs under load). Half the lowest would be
 		// 0.74x, which the per-pair loop passes timed against itself
 		// (0.99-1.27x), so the floor sits above that.
-		floors = append(floors, floor{"RSEncode", rsEncodePair(t), 1.3})
+		floors = append(floors, floor{"RSEncode", rsEncodePair(t, gf256.TierAVX2), 1.3})
+	}
+	if slices.Contains(gf256.Features(), gf256.TierGFNI) {
+		// The same pair under the gfni tier, where both sides multiply
+		// with affine matrices (1.39-1.89x in 20 runs under load).
+		floors = append(floors, floor{"RSEncodeGFNI", rsEncodePair(t, gf256.TierGFNI), 1.3})
+		// MulSlice under gfni over avx2 on 1 KiB slices, the shape of the
+		// e x e repair rebuild: one affine multiply per 32 bytes against
+		// the nibble shuffles (1.37-1.81x in 20 runs under load). With
+		// the gfni kernel pointed at the avx2 one the pair reads
+		// 0.95-1.16x after three measurements, so the floor sits
+		// between the two rather than at half the lowest.
+		src, dst := randBytes(kernelBuf, 12), randBytes(kernelBuf, 13)
+		floors = append(floors, floor{"GF256MulSliceGFNIVsAVX2",
+			kernelPair{kernelBuf, mulSliceTier("gfni", src, dst, 1024), mulSliceTier("avx2", src, dst, 1024)}, 1.2})
 	}
 	for _, f := range floors {
 		got := f.pair.speedup(t, f.min)
@@ -182,9 +198,14 @@ func mulSlicePair() kernelPair {
 
 func BenchmarkKernelGF256MulSlice(b *testing.B) { mulSlicePair().bench(b) }
 
-// mulSliceTier is one MulSlice under the named dispatch tier.
-func mulSliceTier(tier string, src, dst []byte) func(testing.TB) {
-	return underTier(tier, func(testing.TB) { gf256.MulSlice(0x1D, src, dst) })
+// mulSliceTier is MulSlice under the named dispatch tier, one call per
+// piece bytes of src and dst.
+func mulSliceTier(tier string, src, dst []byte, piece int) func(testing.TB) {
+	return underTier(tier, func(testing.TB) {
+		for i := 0; i < len(src); i += piece {
+			gf256.MulSlice(0x1D, src[i:i+piece], dst[i:i+piece])
+		}
+	})
 }
 
 // underTier is op run under the named gf256 dispatch tier.
@@ -211,7 +232,7 @@ func tierPair(op func(testing.TB)) kernelPair {
 func BenchmarkKernelGF256MulSliceTier(b *testing.B) {
 	src, dst := randBytes(kernelBuf, 12), randBytes(kernelBuf, 13)
 	for _, tier := range gf256.Tiers() {
-		op := mulSliceTier(tier, src, dst)
+		op := mulSliceTier(tier, src, dst, kernelBuf)
 		b.Run(tier, func(b *testing.B) { benchOp(b, kernelBuf, op) })
 	}
 }
@@ -372,11 +393,11 @@ func BenchmarkKernelBitioRead(b *testing.B) {
 }
 
 // rsEncodePair is Reed-Solomon encode on the paper's 241+15 with 1 KiB
-// devices, the shape protect-rs runs, under the avx2 tier: EncodeTo
-// (one MulRows per stripe) against the retained EncodeRef (one MulSlice
-// per parity and data device pair, on the same tier), both into a kept
-// buffer.
-func rsEncodePair(tb testing.TB) kernelPair {
+// devices, the shape protect-rs runs, under the named tier: EncodeTo
+// (one MulRows per stripe) against the retained EncodeRef (one
+// MulSlice per parity and data device pair, on the same tier), both
+// into a kept buffer.
+func rsEncodePair(tb testing.TB, tier string) kernelPair {
 	code, err := reedsolomon.New(241, 15, 1024, 1)
 	if err != nil {
 		tb.Fatal(err)
@@ -385,15 +406,19 @@ func rsEncodePair(tb testing.TB) kernelPair {
 	data := randBytes(n, 9)
 	var dst, ref []byte
 	return kernelPair{n,
-		underTier("avx2", func(testing.TB) { dst = code.EncodeTo(dst, data, nil) }),
-		underTier("avx2", func(testing.TB) { ref = code.EncodeRef(ref, data, gf256.MulSlice) })}
+		underTier(tier, func(testing.TB) { dst = code.EncodeTo(dst, data, nil) }),
+		underTier(tier, func(testing.TB) { ref = code.EncodeRef(ref, data, gf256.MulSlice) })}
 }
 
+// BenchmarkKernelRSEncode runs the pair under each tier that has a
+// MulRows kernel.
 func BenchmarkKernelRSEncode(b *testing.B) {
-	if !slices.Contains(gf256.Features(), "avx2") {
-		b.Skip("the pair compares two encoders under the avx2 tier")
+	for _, tier := range []string{gf256.TierGFNI, gf256.TierAVX2} {
+		if !slices.Contains(gf256.Features(), tier) {
+			continue
+		}
+		b.Run(tier, rsEncodePair(b, tier).bench)
 	}
-	rsEncodePair(b).bench(b)
 }
 
 // rsRepairPair is Reed-Solomon repair on the paper's 241+15 with 1 KiB
@@ -506,14 +531,14 @@ func huffmanDecodePair(tb testing.TB) kernelPair {
 
 func BenchmarkKernelHuffmanDecode(b *testing.B) { huffmanDecodePair(b).bench(b) }
 
-// BenchmarkKernelHuffmanEncode pairs EncodeAll (codes packed in a local
-// word, one WriteBits per <= 64 bits) with one Encode per symbol. Both
-// append to a buffer already large enough, as SZ's does.
-func BenchmarkKernelHuffmanEncode(b *testing.B) {
-	codec, syms, coded := huffmanKernelInput(b)
+// huffmanEncodePair is EncodeAll (codes packed in a local word, one
+// WriteBits per <= 64 bits) against one Encode per symbol. Both append
+// to a buffer already large enough, as SZ's does.
+func huffmanEncodePair(tb testing.TB) kernelPair {
+	codec, syms, coded := huffmanKernelInput(tb)
 	buf := make([]byte, 0, len(coded)+8)
 	var w bitio.Writer
-	kernelPair{int64(len(coded)),
+	return kernelPair{int64(len(coded)),
 		func(testing.TB) {
 			w = *bitio.NewWriter(buf)
 			codec.EncodeAll(&w, syms)
@@ -523,5 +548,7 @@ func BenchmarkKernelHuffmanEncode(b *testing.B) {
 			for _, s := range syms {
 				codec.Encode(&w, int(s))
 			}
-		}}.bench(b)
+		}}
 }
+
+func BenchmarkKernelHuffmanEncode(b *testing.B) { huffmanEncodePair(b).bench(b) }

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/ecc"
+	"repro/internal/gf256"
 )
 
 func TestTrainerCacheCorruptionTolerated(t *testing.T) {
@@ -200,6 +202,41 @@ func TestCacheIdentityMismatchDiscarded(t *testing.T) {
 		if got := tr.LoadCache(); len(got.Entries) != 0 {
 			t.Fatalf("%s changed: incomparable points survived a save", name)
 		}
+	}
+}
+
+// TestCacheKeyedOnTier: a table measured under the avx2 tier is not
+// trusted under gfni, whose Reed-Solomon kernel runs at another speed,
+// so its points are measured again rather than reused.
+func TestCacheKeyedOnTier(t *testing.T) {
+	if !slices.Contains(gf256.Features(), gf256.TierGFNI) {
+		t.Skip("the host has no gfni tier")
+	}
+	dir := t.TempDir()
+	tr := &Trainer{CacheDir: dir, SampleBytes: 4 << 10}
+	restore, err := gf256.ForceTier(gf256.TierAVX2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avx2 := tr.newTable()
+	if _, _, err := tr.point(avx2, Config{ecc.MethodReedSolomon, 15}, 1); err != nil {
+		t.Fatal(err)
+	}
+	err = tr.SaveCache(avx2)
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore, err = gf256.ForceTier(gf256.TierGFNI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restore()
+	if avx2.comparable(tr.newTable()) {
+		t.Fatal("a table recorded under avx2 is comparable under gfni")
+	}
+	if got := tr.LoadCache(); len(got.Entries) != 0 {
+		t.Fatalf("gfni loads %d entries measured under avx2, want 0", len(got.Entries))
 	}
 }
 

@@ -250,10 +250,10 @@ func (c *Code) stepCheck(data []byte, s int) uint64 {
 }
 
 // vector reports whether this call takes the AVX2 kernel: a K=64 code
-// while gf256 dispatches to its avx2 tier, so ARC_SIMD and
+// while gf256 dispatches to its avx2 tier or above, so ARC_SIMD and
 // gf256.ForceTier choose for both packages.
 func (c *Code) vector() bool {
-	return c.P.K == 64 && gf256.ActiveTier() == gf256.TierAVX2
+	return c.P.K == 64 && gf256.AtLeast(gf256.LevelAVX2)
 }
 
 // kernelEnd is where checkBytesAVX2's steps end in [lo, end) of an

@@ -28,8 +28,9 @@ func rangeLens(n int) []int {
 }
 
 // forEachTier runs f as a subtest under every gf256 dispatch tier the
-// host supports; the K=64 codes take the AVX2 kernel under avx2 and the
-// tables under every other.
+// host supports; the K=64 codes take the AVX2 kernel under avx2 and
+// every tier above it, and the tables under every other. It fails a
+// tier whose kernel choice says otherwise.
 func forEachTier(t *testing.T, f func(t *testing.T)) {
 	for _, tier := range gf256.Tiers() {
 		t.Run(tier, func(t *testing.T) {
@@ -38,6 +39,10 @@ func forEachTier(t *testing.T, f func(t *testing.T)) {
 				t.Fatal(err)
 			}
 			defer restore()
+			vec := tier == gf256.TierAVX2 || tier == gf256.TierGFNI
+			if got := NewSECDED(64, 1).vector(); got != vec {
+				t.Fatalf("tier %s: the K=64 kernel runs = %v, want %v", tier, got, vec)
+			}
 			f(t)
 		})
 	}

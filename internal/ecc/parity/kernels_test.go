@@ -25,7 +25,8 @@ func kernelCodes() []*Code {
 }
 
 // forEachTier runs f as a subtest under every gf256 dispatch tier the
-// host supports.
+// host supports; parity8 takes the AVX2 kernel under avx2 and every tier
+// above it. It fails a tier whose kernel choice says otherwise.
 func forEachTier(t *testing.T, f func(t *testing.T)) {
 	for _, tier := range gf256.Tiers() {
 		t.Run(tier, func(t *testing.T) {
@@ -34,6 +35,10 @@ func forEachTier(t *testing.T, f func(t *testing.T)) {
 				t.Fatal(err)
 			}
 			defer restore()
+			vec := tier == gf256.TierAVX2 || tier == gf256.TierGFNI
+			if got := New(8, 1).vector(); got != vec {
+				t.Fatalf("tier %s: the parity8 kernel runs = %v, want %v", tier, got, vec)
+			}
 			f(t)
 		})
 	}

@@ -47,10 +47,10 @@ func (c *Code) EncodedSize(n int) int {
 func (c *Code) blocks(n int) int { return (n + c.BlockBytes - 1) / c.BlockBytes }
 
 // vector reports whether this call takes the AVX2 kernel: 8-byte
-// blocks while gf256 dispatches to its avx2 tier, so ARC_SIMD and
-// gf256.ForceTier choose for both packages.
+// blocks while gf256 dispatches to its avx2 tier or above, so ARC_SIMD
+// and gf256.ForceTier choose for both packages.
 func (c *Code) vector() bool {
-	return c.BlockBytes == 8 && gf256.ActiveTier() == gf256.TierAVX2
+	return c.BlockBytes == 8 && gf256.AtLeast(gf256.LevelAVX2)
 }
 
 // kernelEnd is where the kernel's parity bytes end in [lo, hi) of an

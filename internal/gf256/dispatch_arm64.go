@@ -7,27 +7,24 @@ package gf256
 // the TBL kernels are always available and only the ARC_SIMD override
 // can demote the dispatch to the word tier.
 
-var useNEON bool
-
 func features() []string { return []string{TierNEON} }
 
 func applyTier(name string) error {
 	switch name {
 	case TierNEON:
-		useNEON = true
+		activeTierName, activeLevel = name, levelNEON
 	case TierWord:
-		useNEON = false
+		activeTierName, activeLevel = name, levelWord
 	default:
 		return errUnsupportedTier(name)
 	}
-	activeTierName = name
 	return nil
 }
 
 // mulXorSIMD applies dst[i] ^= c*src[i] to a SIMD-width prefix and
 // returns how many bytes it handled (0 = caller takes the word path).
 func mulXorSIMD(c byte, src, dst []byte) int {
-	if useNEON && len(src) >= 16 {
+	if activeLevel >= levelNEON && len(src) >= 16 {
 		n := len(src) &^ 15
 		gfMulXorNEON(&nibTables[c], src[:n], dst[:n])
 		return n
@@ -37,7 +34,7 @@ func mulXorSIMD(c byte, src, dst []byte) int {
 
 // mulAssignSIMD is the overwrite variant of mulXorSIMD.
 func mulAssignSIMD(c byte, src, dst []byte) int {
-	if useNEON && len(src) >= 16 {
+	if activeLevel >= levelNEON && len(src) >= 16 {
 		n := len(src) &^ 15
 		gfMulNEON(&nibTables[c], src[:n], dst[:n])
 		return n
@@ -48,7 +45,7 @@ func mulAssignSIMD(c byte, src, dst []byte) int {
 // xorSIMD applies dst[i] ^= src[i] to a SIMD-width prefix and returns
 // how many bytes it handled.
 func xorSIMD(src, dst []byte) int {
-	if useNEON && len(src) >= 16 {
+	if activeLevel >= levelNEON && len(src) >= 16 {
 		n := len(src) &^ 15
 		gfXorNEON(src[:n], dst[:n])
 		return n

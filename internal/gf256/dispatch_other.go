@@ -12,7 +12,7 @@ func applyTier(name string) error {
 	if name != TierWord {
 		return errUnsupportedTier(name)
 	}
-	activeTierName = name
+	activeTierName, activeLevel = name, levelWord
 	return nil
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzGF256Dispatch feeds the same inputs through every compiled-in
-// dispatch tier (forced via the feature-mask override) plus the scalar
+// dispatch tier, gfni included (forced via ForceTier), plus the scalar
 // references and requires byte-identical outputs. The slice is split at
 // an arbitrary point into src/dst so the fuzzer controls length,
 // alignment, and content of both operands.

@@ -255,6 +255,14 @@ var mulTables [256]*[256]byte
 // them 16 source bytes at a time. 8 KiB total, immutable after init.
 var nibTables [256][32]byte
 
+// affTables holds, per coefficient c, multiplication by c as the 8x8
+// bit matrix VGF2P8AFFINEQB takes: byte 7-i is the mask of the input
+// bits that feed bit i of the product, so bit k of it is bit i of
+// c*2^k. The map is GF(2)-linear for any field polynomial, so the
+// matrix is exact for 0x11D (GF2P8MULB, by contrast, is fixed to
+// 0x11B). 2 KiB total, immutable after init.
+var affTables [256]uint64
+
 func init() {
 	// Precompute all rows eagerly: 64 KiB total, built once, immutable
 	// afterwards, hence safe for concurrent readers.
@@ -268,6 +276,11 @@ func init() {
 		for x := 0; x < 16; x++ {
 			nibTables[c][x] = row[x]
 			nibTables[c][16+x] = row[x<<4]
+		}
+		for k := 0; k < 8; k++ {
+			for i, p := 0, row[1<<k]; i < 8; i++ {
+				affTables[c] |= uint64(p>>i&1) << (8*(7-i) + k)
+			}
 		}
 	}
 }

@@ -9,10 +9,12 @@ package gf256
 // table per nibble half turns the multiply into two byte shuffles and
 // an XOR. The AVX2 kernels broadcast the same 16-byte tables into both
 // 128-bit lanes of a YMM register and process 32 source bytes per
-// iteration. Tier selection (CPUID feature detection, ARC_SIMD
-// override) lives in dispatch_amd64.go; every path is byte-identical
-// because the nibble tables are derived from the same multiplication
-// row.
+// iteration. The GFNI kernels need no tables: multiplication by c is
+// a linear map of GF(2)^8, an 8x8 bit matrix, and VGF2P8AFFINEQB
+// applies one to every byte of a YMM register at once. Tier selection
+// (CPUID feature detection, ARC_SIMD override) lives in
+// dispatch_amd64.go; every path is byte-identical because the nibble
+// tables and the matrices are derived from the same multiplication.
 
 // cpuid executes the CPUID instruction for the given leaf (sub-leaf 0).
 // Implemented in mul_amd64.s.
@@ -45,8 +47,10 @@ func gfMulAVX2(tab *[32]byte, src, dst []byte)
 // of 32. Implemented in mul_amd64.s (AVX2).
 func gfXorAVX2(src, dst []byte)
 
-// A srcRef is one MulRows source as mulRowsAVX2 reads it: its first
-// byte and the byte offset of its column's table in a row of tables.
+// A srcRef is one MulRows source as the kernels read it: its first
+// byte and the byte offset of its column's tables, in a row of nibble
+// tables for mulRowsAVX2 and from a pass's first affine matrix for
+// mulRowsGFNI.
 type srcRef struct {
 	p   *byte
 	off uintptr
@@ -58,3 +62,21 @@ type srcRef struct {
 //
 //go:noescape
 func mulRowsAVX2(srcs []srcRef, rows, dsts *[8]*byte, n, nrows int)
+
+// gfMulXorGFNI computes dst[i] ^= c*src[i] over len(src) bytes, a
+// multiple of 32, where mat is c's affine matrix (affTables): one
+// VGF2P8AFFINEQB per 32 bytes. Implemented in mul_amd64.s (GFNI).
+func gfMulXorGFNI(mat *uint64, src, dst []byte)
+
+// gfMulGFNI is the overwrite variant of gfMulXorGFNI.
+// Implemented in mul_amd64.s (GFNI).
+func gfMulGFNI(mat *uint64, src, dst []byte)
+
+// mulRowsGFNI sets the first nrows (1 to 8) destinations to the
+// sums of the sources times their affine matrices over n bytes, a
+// positive multiple of 32, for at least one source; the matrix of row
+// r of a source is at mats + off + 8*r. Implemented in mul_amd64.s
+// (GFNI).
+//
+//go:noescape
+func mulRowsGFNI(srcs []srcRef, mats *uint64, dsts *[8]*byte, n, nrows int)

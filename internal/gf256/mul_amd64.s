@@ -335,3 +335,156 @@ MULROWS(mulRows5<>, ZERO5, MULADD5, STORE5)
 MULROWS(mulRows6<>, ZERO6, MULADD6, STORE6)
 MULROWS(mulRows7<>, ZERO7, MULADD7, STORE7)
 MULROWS(mulRows8<>, ZERO8, MULADD8, STORE8)
+
+// func gfMulXorGFNI(mat *uint64, src, dst []byte)
+//
+// dst[i] ^= mul(src[i]) over 32-byte lanes, mul the affine map of the
+// 8x8 bit matrix *mat, broadcast to the four qwords of Y0: one
+// VGF2P8AFFINEQB per 32 bytes where gfMulXorAVX2 takes two shuffles,
+// two masks, a shift and an xor. len(src) must be a multiple of 32.
+TEXT ·gfMulXorGFNI(SB), NOSPLIT, $0-56
+	MOVQ         mat+0(FP), AX
+	MOVQ         src_base+8(FP), SI
+	MOVQ         src_len+16(FP), CX
+	MOVQ         dst_base+32(FP), DI
+	VPBROADCASTQ (AX), Y0
+	SHRQ         $5, CX
+	JZ           gxordone
+
+gxorloop:
+	VMOVDQU        (SI), Y1
+	VGF2P8AFFINEQB $0, Y0, Y1, Y1
+	VPXOR          (DI), Y1, Y1
+	VMOVDQU        Y1, (DI)
+	ADDQ           $32, SI
+	ADDQ           $32, DI
+	DECQ           CX
+	JNZ            gxorloop
+
+gxordone:
+	VZEROUPPER
+	RET
+
+// func gfMulGFNI(mat *uint64, src, dst []byte)
+//
+// dst[i] = mul(src[i]) — the overwrite variant of gfMulXorGFNI.
+TEXT ·gfMulGFNI(SB), NOSPLIT, $0-56
+	MOVQ         mat+0(FP), AX
+	MOVQ         src_base+8(FP), SI
+	MOVQ         src_len+16(FP), CX
+	MOVQ         dst_base+32(FP), DI
+	VPBROADCASTQ (AX), Y0
+	SHRQ         $5, CX
+	JZ           gdone
+
+gloop:
+	VMOVDQU        (SI), Y1
+	VGF2P8AFFINEQB $0, Y0, Y1, Y1
+	VMOVDQU        Y1, (DI)
+	ADDQ           $32, SI
+	ADDQ           $32, DI
+	DECQ           CX
+	JNZ            gloop
+
+gdone:
+	VZEROUPPER
+	RET
+
+// func mulRowsGFNI(srcs []srcRef, mats *uint64, dsts *[8]*byte, n, nrows int)
+//
+// mulRowsAVX2 with one affine multiply per pair: dst_r[0:n] = sum_j
+// A_r,j(src_j[0:n]) for the first nrows (1 to 8) destinations. Each
+// srcRef is a source's base and the offset of its column's 8-byte
+// matrices from mats; row r's matrix follows at 8*r, so the pass needs
+// no row pointers. The kernel walks the destinations 32 bytes at a
+// time, loading every source block of the column once, and stores each
+// destination once. It jumps to the body unrolled for nrows.
+TEXT ·mulRowsGFNI(SB), NOSPLIT, $0-56
+	MOVQ nrows+48(FP), AX
+	CMPQ AX, $8
+	JEQ  g8
+	CMPQ AX, $7
+	JEQ  g7
+	CMPQ AX, $6
+	JEQ  g6
+	CMPQ AX, $5
+	JEQ  g5
+	CMPQ AX, $4
+	JEQ  g4
+	CMPQ AX, $3
+	JEQ  g3
+	CMPQ AX, $2
+	JEQ  g2
+	JMP  mulRowsG1<>(SB)
+g2:
+	JMP mulRowsG2<>(SB)
+g3:
+	JMP mulRowsG3<>(SB)
+g4:
+	JMP mulRowsG4<>(SB)
+g5:
+	JMP mulRowsG5<>(SB)
+g6:
+	JMP mulRowsG6<>(SB)
+g7:
+	JMP mulRowsG7<>(SB)
+g8:
+	JMP mulRowsG8<>(SB)
+
+// AFFADD multiplies the source block (Y8) by the matrix at byte OFF
+// past R8+CX, broadcast to the four qwords of Y9, and xors the product
+// into ACC.
+#define AFFADD(OFF, ACC) \
+	VPBROADCASTQ   OFF(R8)(CX*1), Y9; \
+	VGF2P8AFFINEQB $0, Y9, Y8, Y9; \
+	VPXOR          Y9, ACC, ACC
+
+// AFFADDn accumulates the first n destinations, Y0-Y7; ZEROn and
+// STOREn clear and store them as in mulRowsAVX2.
+#define AFFADD1 AFFADD(0, Y0)
+#define AFFADD2 AFFADD1; AFFADD(8, Y1)
+#define AFFADD3 AFFADD2; AFFADD(16, Y2)
+#define AFFADD4 AFFADD3; AFFADD(24, Y3)
+#define AFFADD5 AFFADD4; AFFADD(32, Y4)
+#define AFFADD6 AFFADD5; AFFADD(40, Y5)
+#define AFFADD7 AFFADD6; AFFADD(48, Y6)
+#define AFFADD8 AFFADD7; AFFADD(56, Y7)
+
+// MULROWSGFNI is the kernel body for a fixed number of destinations.
+// Registers: AX the column, SI the srcRef cursor and DX its end, DI a
+// source (then dsts), CX its matrices' offset (then a destination), R8
+// the pass's matrices.
+#define MULROWSGFNI(NAME, ZERO, AFFADDS, STORES) \
+TEXT NAME(SB), NOSPLIT, $0-56; \
+	MOVQ           mats+24(FP), R8; \
+	MOVQ           srcs_len+8(FP), DX; \
+	SHLQ           $4, DX; \
+	ADDQ           srcs_base+0(FP), DX; \
+	XORQ           AX, AX; \
+column: \
+	ZERO; \
+	MOVQ           srcs_base+0(FP), SI; \
+source: \
+	MOVQ           (SI), DI; \
+	MOVQ           8(SI), CX; \
+	VMOVDQU        (DI)(AX*1), Y8; \
+	AFFADDS; \
+	ADDQ           $16, SI; \
+	CMPQ           SI, DX; \
+	JNE            source; \
+	MOVQ           dsts+32(FP), DI; \
+	STORES; \
+	ADDQ           $32, AX; \
+	CMPQ           AX, n+40(FP); \
+	JNE            column; \
+	VZEROUPPER; \
+	RET
+
+MULROWSGFNI(mulRowsG1<>, ZERO1, AFFADD1, STORE1)
+MULROWSGFNI(mulRowsG2<>, ZERO2, AFFADD2, STORE2)
+MULROWSGFNI(mulRowsG3<>, ZERO3, AFFADD3, STORE3)
+MULROWSGFNI(mulRowsG4<>, ZERO4, AFFADD4, STORE4)
+MULROWSGFNI(mulRowsG5<>, ZERO5, AFFADD5, STORE5)
+MULROWSGFNI(mulRowsG6<>, ZERO6, AFFADD6, STORE6)
+MULROWSGFNI(mulRowsG7<>, ZERO7, AFFADD7, STORE7)
+MULROWSGFNI(mulRowsG8<>, ZERO8, AFFADD8, STORE8)

@@ -4,14 +4,20 @@ import "fmt"
 
 // A MulMatrix is a coefficient matrix prepared for MulRows: its
 // coefficients and, for each one, the 32-byte nibble table of
-// nibTables laid out row-major, so that a kernel reads one row's tables
-// at a fixed stride per column. It is immutable, so goroutines may
-// share one; building it is the per-matrix cost MulRows then never
-// pays (32 bytes per coefficient).
+// nibTables laid out row-major, so that the avx2 kernel reads one row's
+// tables at a fixed stride per column, and its 8-byte affine matrix of
+// affTables laid out column-major, so that the gfni kernel reads a run
+// of rows of one column at fixed offsets. The kernel broadcasts each
+// matrix as it loads it: 241x15 matrices of 8 bytes stay in L1 across
+// the stripe's columns, where 32-byte copies spill to L2 and ran the
+// stripe encode ≈ 20 % slower. It is immutable, so goroutines may share
+// one; building it is the per-matrix cost MulRows then never pays (40
+// bytes per coefficient).
 type MulMatrix struct {
 	rows, cols int
 	coef       []byte     // row-major
 	nib        [][32]byte // nib[i*cols+j] == nibTables[coef[i*cols+j]]
+	aff        []uint64   // aff[j*rows+i] == affTables[coef[i*cols+j]]
 }
 
 // NewMulMatrix prepares a copy of m for MulRows. m may have at most
@@ -21,9 +27,10 @@ func NewMulMatrix(m *Matrix) *MulMatrix {
 		panic(fmt.Sprintf("gf256: %dx%d matrix is larger than %dx%d", m.Rows, m.Cols, Order, Order))
 	}
 	mm := &MulMatrix{rows: m.Rows, cols: m.Cols, coef: append([]byte(nil), m.Data...),
-		nib: make([][32]byte, len(m.Data))}
-	for i, c := range mm.coef {
-		mm.nib[i] = nibTables[c]
+		nib: make([][32]byte, len(m.Data)), aff: make([]uint64, len(m.Data))}
+	for k, c := range mm.coef {
+		mm.nib[k] = nibTables[c]
+		mm.aff[k%m.Cols*m.Rows+k/m.Cols] = affTables[c]
 	}
 	return mm
 }
@@ -36,11 +43,11 @@ func NewMulMatrix(m *Matrix) *MulMatrix {
 // matrix's columns nor len(dst) its rows, and every non-nil slice must
 // have the same length. No dst may overlap a src.
 //
-// Under the avx2 tier one kernel pass loads each source block once per
-// 32 bytes and accumulates up to eight destinations in registers; the
-// len%32 tail and the other tiers run one MulSliceAssign and then one
-// MulSlice per (destination, source) pair. Every tier gives the same
-// bytes: the sums are xors, exact and independent of order.
+// Under the gfni and avx2 tiers one kernel pass loads each source
+// block once per 32 bytes and accumulates up to eight destinations in
+// registers; the len%32 tail and the other tiers run one MulSliceAssign
+// and then one MulSlice per (destination, source) pair. Every tier gives
+// the same bytes: the sums are xors, exact and independent of order.
 func (m *MulMatrix) MulRows(src, dst [][]byte) {
 	if len(src) > m.cols || len(dst) > m.rows {
 		panic(fmt.Sprintf("gf256: MulRows of %d sources into %d rows on a %dx%d matrix", len(src), len(dst), m.rows, m.cols))

@@ -115,9 +115,9 @@ func TestMulRowsMisusePanics(t *testing.T) {
 	}
 }
 
-// TestMulRowsAllocFree pins MulRows at zero allocations: Reed-Solomon
-// runs it once per stripe, for encode and for every damaged stripe's
-// syndromes.
+// TestMulRowsAllocFree pins MulRows at zero allocations under every
+// tier: Reed-Solomon runs it once per stripe, for encode and for every
+// damaged stripe's syndromes.
 func TestMulRowsAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation accounting is unreliable under the race detector")
@@ -134,7 +134,14 @@ func TestMulRowsAllocFree(t *testing.T) {
 	for i := range dst {
 		dst[i] = make([]byte, 1024)
 	}
-	if avg := testing.AllocsPerRun(20, func() { m.MulRows(src, dst) }); avg != 0 {
-		t.Errorf("MulRows allocates %.2f allocs/op, want 0", avg)
+	for _, tier := range Tiers() {
+		restore, err := ForceTier(tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(20, func() { m.MulRows(src, dst) }); avg != 0 {
+			t.Errorf("tier %s: MulRows allocates %.2f allocs/op, want 0", tier, avg)
+		}
+		restore()
 	}
 }

@@ -132,7 +132,7 @@ func TestKernelFloors(t *testing.T) {
 		min  float64
 	}
 	floors := []floor{{"SZQuantize", quantizePair(), 2}}
-	if gf256.ActiveTier() == gf256.TierAVX2 {
+	if gf256.AtLeast(gf256.LevelAVX2) {
 		for _, f := range slabFields() {
 			floors = append(floors, floor{"SZQuantizeAVX2/" + f.Name, quantizeTierPair(f), 1})
 		}

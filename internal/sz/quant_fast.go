@@ -134,10 +134,10 @@ const rowSkew = 2
 const vecRows = 8
 
 // vectorRows reports whether rows of the given width take the AVX2
-// kernels: under gf256's avx2 tier, and wide enough for one step with
-// all eight lanes.
+// kernels: under gf256's avx2 tier or above, and wide enough for one
+// step with all eight lanes.
 func vectorRows(width int) bool {
-	return width >= vecRows && gf256.ActiveTier() == gf256.TierAVX2
+	return width >= vecRows && gf256.AtLeast(gf256.LevelAVX2)
 }
 
 // quantRow2D quantizes columns [lo, hi) of one row of a 2-D field

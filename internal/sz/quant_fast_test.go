@@ -22,7 +22,9 @@ var quantTestDims = [][]int{
 
 // forEachTier runs f as a subtest under every gf256 dispatch tier the
 // host supports; rows of eight or more columns take the AVX2 kernels
-// under avx2 and the word path under every other.
+// under avx2 and every tier above it, and the word path under every
+// other. It fails a tier whose kernel choice says otherwise, and
+// TestQuantizeTiersAgree holds each tier's output to the word tier's.
 func forEachTier(t *testing.T, f func(t *testing.T)) {
 	for _, tier := range gf256.Tiers() {
 		t.Run(tier, func(t *testing.T) {
@@ -31,6 +33,10 @@ func forEachTier(t *testing.T, f func(t *testing.T)) {
 				t.Fatal(err)
 			}
 			defer restore()
+			vec := tier == gf256.TierAVX2 || tier == gf256.TierGFNI
+			if got := vectorRows(vecRows); got != vec {
+				t.Fatalf("tier %s: the AVX2 kernels run = %v, want %v", tier, got, vec)
+			}
 			f(t)
 		})
 	}

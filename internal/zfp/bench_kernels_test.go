@@ -118,7 +118,7 @@ func TestKernelFloors(t *testing.T) {
 		{"ZFPLift", liftPair(), 2},
 		{"ZFPPlanes", planesPair(), 1.8},
 	}
-	if gf256.ActiveTier() == gf256.TierAVX2 {
+	if gf256.AtLeast(gf256.LevelAVX2) {
 		floors = append(floors, floor{"ZFPTranspose", transposePair(), 5})
 	} else {
 		t.Logf("ZFPTranspose: skipped under the %s tier", gf256.ActiveTier())

@@ -26,13 +26,14 @@ import (
 //
 // 16- and 64-coefficient blocks move between coefficients and planes
 // with AVX2 kernels (planes_amd64.s) while gf256 dispatches to its avx2
-// tier, so ARC_SIMD and gf256.ForceTier choose for zfp too; under every
-// other tier, and for 1-D blocks, the Go word path below does it.
+// tier or above, so ARC_SIMD and gf256.ForceTier choose for zfp too;
+// under the tiers below avx2, and for 1-D blocks, the Go word path
+// below does it.
 
 // vector reports whether a block of size coefficients takes the AVX2
 // transposes.
 func vector(size int) bool {
-	return size > 4 && gf256.ActiveTier() == gf256.TierAVX2
+	return size > 4 && gf256.AtLeast(gf256.LevelAVX2)
 }
 
 // planeWorst bounds the bits one plane can take with n coefficients

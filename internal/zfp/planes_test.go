@@ -18,7 +18,8 @@ import (
 
 // forEachTier runs f as a subtest under every gf256 dispatch tier the
 // host supports; 16- and 64-coefficient blocks take the AVX2 transposes
-// under avx2 and the word path under every other.
+// under avx2 and every tier above it, and the word path under every
+// other. It fails a tier whose kernel choice says otherwise.
 func forEachTier(t *testing.T, f func(t *testing.T)) {
 	for _, tier := range gf256.Tiers() {
 		t.Run(tier, func(t *testing.T) {
@@ -27,6 +28,10 @@ func forEachTier(t *testing.T, f func(t *testing.T)) {
 				t.Fatal(err)
 			}
 			defer restore()
+			vec := tier == gf256.TierAVX2 || tier == gf256.TierGFNI
+			if got := vector(16) && vector(64); got != vec {
+				t.Fatalf("tier %s: the AVX2 transposes run = %v, want %v", tier, got, vec)
+			}
 			f(t)
 		})
 	}

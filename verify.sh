@@ -100,6 +100,13 @@ echo "== word tier (ARC_SIMD=word: the table kernels, the zfp and sz word paths 
 # on: without -count=1 this would replay the results of the run above.
 ARC_SIMD=word go test -count=1 ./internal/ecc/... ./internal/core ./internal/sz ./internal/zfp ./internal/pressio ./checkpoint
 
+echo "== avx2 tier (ARC_SIMD=avx2: the tier below gfni, with the goldens) =="
+# Where gfni is the default, the AVX2 Reed-Solomon kernels run only
+# inside the per-tier tests; capping the dispatch at avx2 runs every
+# package that reaches them, goldens included, on that tier. A host
+# without AVX2 falls back to its best tier. -count=1 as above.
+ARC_SIMD=avx2 go test -count=1 ./internal/gf256 ./internal/ecc/... ./internal/core ./internal/sz ./internal/zfp
+
 echo "== stream close/decode-error race regression (race, 5 runs) =="
 go test -race -run 'TestChunkReaderCloseRacesMidStreamError' -count=5 ./internal/core
 
