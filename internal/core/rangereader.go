@@ -281,8 +281,9 @@ func (rr *RangeReader) readSequential(dst []byte, first, end int64, lo, hi int, 
 
 // readPipelined fans the covering chunks across a bounded,
 // order-preserving pipe: chunk ord lo+i is the i-th delivery, so the
-// copy loop below needs no reordering. The producer goroutine is
-// joined through the pipe's own drain/Wait discipline on every path.
+// copy loop below needs no reordering. The deferred Stop cancels what
+// is left after an error and joins the producer and the workers on
+// every path.
 func (rr *RangeReader) readPipelined(dst []byte, first, end int64, lo, hi int, acc *Report) (int64, error) {
 	workers := rr.pipeline
 	if n := hi - lo; workers > n {
@@ -291,43 +292,26 @@ func (rr *RangeReader) readPipelined(dst []byte, first, end int64, lo, hi int, a
 	pipe := parallel.NewPipe(workers, workers, func(ord int) ([]byte, error) {
 		return rr.chunkData(ord, acc)
 	})
-	prodDone := make(chan struct{})
-	go func() {
-		defer close(prodDone)
+	defer pipe.Stop(nil) // the producer's only error is a refused Submit
+	pipe.Go(func() error {
 		defer pipe.Close()
 		for ord := lo; ord < hi; ord++ {
-			if pipe.Submit(ord) != nil {
-				return // aborted below; Submit fails once the pipe dies
+			if err := pipe.Submit(ord); err != nil {
+				return err
 			}
 		}
-	}()
+		return nil
+	})
 
 	var written int64
-	var firstErr error
 	for ord := lo; ord < hi; ord++ {
-		data, ok, err := pipe.Next()
-		if !ok {
-			break
-		}
+		data, _, err := pipe.Next()
 		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("chunk %d: %w", ord, err)
-				pipe.Abort()
-			}
-			continue
+			return written, fmt.Errorf("chunk %d: %w", ord, err)
 		}
-		if firstErr == nil {
-			written += copyOverlap(dst, data, rr.entries[ord], first, end)
-		}
+		written += copyOverlap(dst, data, rr.entries[ord], first, end)
 	}
-	for {
-		if _, ok, _ := pipe.Next(); !ok {
-			break
-		}
-	}
-	<-prodDone
-	pipe.Wait()
-	return written, firstErr
+	return written, nil
 }
 
 // copyOverlap copies the intersection of chunk e's bytes with the

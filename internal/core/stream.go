@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -84,8 +85,9 @@ type ChunkWriter struct {
 
 	// v2 index accumulation (nil/inactive unless Indexed). Entries are
 	// appended by whichever goroutine emits chunks — the caller in
-	// sequential mode, the emit goroutine when pipelined — and read by
-	// Close only after that goroutine is joined, so no lock is needed.
+	// sequential mode, emit on the pipe's goroutine when pipelined — and
+	// read by Close only after that goroutine is joined, so no lock is
+	// needed.
 	indexed  bool
 	index    []indexEntry
 	nextOff  int64
@@ -93,13 +95,11 @@ type ChunkWriter struct {
 
 	// Pipelined state (nil/unused when pipeline == 1). The producer
 	// (Write/Close caller) submits full chunks; encoder workers protect
-	// them concurrently; the emitter goroutine writes encoded chunks to
-	// w strictly in submission order. Payload and container buffers
-	// circulate through chunkBufPool, so the steady state allocates
-	// nothing per chunk.
-	pipe     *parallel.Pipe[encChunk, encChunk]
-	emitDone chan struct{}
-	emitErr  atomic.Value // error; first writer-side error wins
+	// them concurrently; emit, which the pipe runs on its own goroutine,
+	// writes encoded chunks to w strictly in submission order. Payload
+	// and container buffers circulate through chunkBufPool, so the
+	// steady state allocates nothing per chunk.
+	pipe *parallel.Pipe[encChunk, encChunk]
 }
 
 // NewChunkWriterChoice creates a streaming encoder with an explicit
@@ -129,8 +129,7 @@ func (e *Engine) NewChunkWriterChoice(w io.Writer, choice Choice, opts StreamOpt
 				putChunkBuf(in.buf) // payload consumed; recycle for the producer
 				return out, err
 			})
-		cw.emitDone = make(chan struct{})
-		go cw.emit()
+		cw.pipe.Go(cw.emit)
 	} else {
 		cw.seq = new(chunkScratch)
 	}
@@ -207,18 +206,19 @@ func (cw *ChunkWriter) encode(data []byte, off int64, s *chunkScratch) (encChunk
 	return encChunk{h: h, off: off, buf: out}, nil
 }
 
-// emit is the pipelined writer's consumer goroutine: it receives
-// encoded chunks in submission order and writes them out. On the first
-// error it aborts the pipe (cancelling in-flight encodes) and keeps
-// draining so the producer is never stuck in Submit.
-func (cw *ChunkWriter) emit() {
-	defer close(cw.emitDone)
+// emit is the pipelined writer's consumer: it receives encoded chunks
+// in submission order and writes them out. On the first error it
+// aborts the pipe (cancelling in-flight encodes, refusing further
+// Submits) and drains the rest back to the pool; the pipe's Wait
+// returns that error.
+func (cw *ChunkWriter) emit() error {
+	var first error
 	for {
 		enc, ok, err := cw.pipe.Next()
 		if !ok {
-			return
+			return first
 		}
-		if cw.emitErr.Load() != nil {
+		if first != nil {
 			putChunkBuf(enc.buf)
 			continue // draining after failure
 		}
@@ -226,7 +226,7 @@ func (cw *ChunkWriter) emit() {
 			err = cw.writeChunk(enc)
 		}
 		if err != nil {
-			cw.emitErr.Store(err)
+			first = err
 			cw.pipe.Abort()
 		}
 	}
@@ -273,12 +273,6 @@ func (cw *ChunkWriter) noteChunk(enc encChunk) {
 // maxIndexedChunk is the largest OrigLen an index entry can record.
 const maxIndexedChunk = 1<<32 - 1
 
-// firstErr surfaces the pipeline's first writer-side error, if any.
-func (cw *ChunkWriter) firstErr() error {
-	err, _ := cw.emitErr.Load().(error)
-	return err
-}
-
 // flush encodes and emits the buffered chunk.
 func (cw *ChunkWriter) flush() error {
 	if cw.payload == nil || len(cw.payload.b) == 0 {
@@ -298,19 +292,13 @@ func (cw *ChunkWriter) flush() error {
 		cw.payload.b = cw.payload.b[:0]
 		return nil
 	}
-	if err := cw.firstErr(); err != nil {
-		cw.err = err
-		return err
-	}
 	// Hand the buffer to the pipeline (blocking while the window is
 	// full) and start a fresh one from the pool; the chunk now belongs
-	// to a worker, which recycles it after encoding.
+	// to a worker, which recycles it after encoding. A refused Submit
+	// means emit has failed and aborted the pipe: join it for its error.
 	if cw.pipe.Submit(encChunk{off: off, buf: cw.payload}) != nil {
-		if err := cw.firstErr(); err != nil {
-			cw.err = err
-			return err
-		}
-		cw.err = parallel.ErrPipeAborted
+		cw.pipe.Close()
+		cw.err = cmp.Or(cw.pipe.Wait(), parallel.ErrPipeAborted)
 		return cw.err
 	}
 	cw.payload = getChunkBuf(cw.chunkSize)
@@ -336,11 +324,7 @@ func (cw *ChunkWriter) Close() error {
 	}
 	if cw.pipe != nil {
 		cw.pipe.Close()
-		<-cw.emitDone
-		cw.pipe.Wait()
-		if err == nil {
-			err = cw.firstErr()
-		}
+		err = cmp.Or(err, cw.pipe.Wait())
 	}
 	putChunkBuf(cw.payload)
 	cw.payload = nil
@@ -356,8 +340,8 @@ func (cw *ChunkWriter) Close() error {
 }
 
 // writeFooter appends the v2 index chunk and trailer after every data
-// chunk has been emitted (the emit goroutine, when any, is already
-// joined, so the index slice is complete and stable).
+// chunk has been emitted (emit, when pipelined, is already joined, so
+// the index slice is complete and stable).
 func (cw *ChunkWriter) writeFooter() error {
 	if cw.indexErr != nil {
 		return cw.indexErr
@@ -387,15 +371,12 @@ type ChunkReader struct {
 	report   Report
 	seq      *chunkScratch // sequential-path scratch (pipeline == 1)
 
-	// Pipelined state (nil/unused when pipeline == 1). The producer
-	// goroutine reads encoded chunks off r sequentially and submits
-	// them; decode workers verify/repair concurrently; Read drains
-	// repaired chunks in order. Payload and output buffers circulate
-	// through chunkBufPool.
-	pipe     *parallel.Pipe[encChunk, decChunk]
-	started  bool
-	prodDone chan struct{}
-	prodErr  error // read-side terminal error; valid once prodDone is closed
+	// Pipelined state (nil until the first pipelined read). produce,
+	// which the pipe runs on its own goroutine, reads encoded chunks off
+	// r sequentially and submits them; decode workers verify/repair
+	// concurrently; Read drains repaired chunks in order. Payload and
+	// output buffers circulate through chunkBufPool.
+	pipe *parallel.Pipe[encChunk, decChunk]
 }
 
 // encChunk is one chunk in a pooled buffer with its original start
@@ -525,18 +506,15 @@ func (cr *ChunkReader) next() error {
 		}
 		return cr.deliver(cr.decode(c, cr.seq))
 	}
-	if !cr.started {
-		cr.started = true
+	if cr.pipe == nil {
 		cr.pipe = parallel.NewPipeWith(cr.pipeline, cr.pipeline,
 			func() *chunkScratch { return new(chunkScratch) },
 			cr.decode)
-		cr.prodDone = make(chan struct{})
-		go cr.produce()
+		cr.pipe.Go(cr.produce)
 	}
 	out, ok, err := cr.pipe.Next()
 	if !ok {
-		<-cr.prodDone
-		return cr.prodErr
+		return cr.pipe.Wait() // produce's terminal error: io.EOF or a malformed container
 	}
 	return cr.deliver(out, err)
 }
@@ -556,18 +534,16 @@ func (cr *ChunkReader) deliver(out decChunk, err error) error {
 
 // produce reads encoded chunks sequentially and feeds the decode
 // pipeline until EOF, a malformed container, or an abort.
-func (cr *ChunkReader) produce() {
-	defer close(cr.prodDone)
+func (cr *ChunkReader) produce() error {
 	defer cr.pipe.Close()
 	for {
 		c, err := cr.readChunk()
 		if err != nil {
-			cr.prodErr = err
-			return
+			return err
 		}
-		if cr.pipe.Submit(c) != nil {
-			cr.prodErr = parallel.ErrPipeAborted
-			return
+		if err := cr.pipe.Submit(c); err != nil {
+			putChunkBuf(c.buf) // refused, so never handed to a worker
+			return err
 		}
 	}
 }
@@ -606,26 +582,13 @@ func (cr *ChunkReader) readChunk() (encChunk, error) {
 	return encChunk{h: c.h, off: c.orig, buf: pb}, nil
 }
 
-// shutdown cancels and joins the pipelined machinery; safe to call on
-// a sequential or never-started reader.
+// shutdown cancels and joins the pipelined machinery, returning
+// decoded-but-undelivered chunks to the pool; safe to call on a
+// sequential or never-started reader, and more than once.
 func (cr *ChunkReader) shutdown() {
-	if cr.pipe == nil {
-		return
+	if cr.pipe != nil {
+		_ = cr.pipe.Stop(func(d decChunk) { putChunkBuf(d.data) }) // the terminal error is cr.err
 	}
-	cr.pipe.Abort()
-	// Drain deliveries so a producer blocked in Submit can exit, then
-	// join producer and workers. Decoded-but-undelivered chunks go back
-	// to the pool.
-	for {
-		out, ok, _ := cr.pipe.Next()
-		if !ok {
-			break
-		}
-		putChunkBuf(out.data)
-	}
-	<-cr.prodDone
-	cr.pipe.Wait()
-	cr.pipe = nil
 }
 
 // ChunkInfo summarizes one container of a stream without decoding its

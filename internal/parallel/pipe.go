@@ -18,13 +18,13 @@ var ErrPipeAborted = errors.New("parallel: pipeline aborted")
 // and a slow consumer backpressures the producer.
 //
 // Contract: exactly one goroutine calls Submit and Close (the
-// producer), and exactly one goroutine calls Next (the consumer); they
-// may be the same or different goroutines. Abort and Wait may be
-// called from anywhere. The shutdown sequence that never leaks is:
-// producer calls Close after its last Submit; consumer drains Next
-// until ok == false; anyone calls Wait. Abort unblocks a producer
-// stuck in Submit and makes workers skip remaining items, but the
-// drain-then-Wait sequence is still required.
+// producer), and exactly one goroutine calls Next (the consumer); the
+// caller runs one side itself and hands the other to Go. The producer
+// calls Close after its last Submit. The pipe then owns its shutdown:
+// a consumer that drained Next to ok == false calls Wait, one that
+// stops early calls Stop, and either way every worker and every Go
+// goroutine is joined. Abort may be called from anywhere: it unblocks
+// a producer stuck in Submit and makes workers skip remaining items.
 //
 // Steady-state Submit/Next round trips are allocation-free: job cells
 // (including their completion channels) are recycled through an
@@ -39,14 +39,20 @@ type Pipe[I, O any] struct {
 	quit    chan struct{}
 
 	// free recycles consumed pipeJob cells. A job is only Put after
-	// Next (or the abort-drain loop) has read its result, at which
-	// point no worker or producer references it.
+	// Next has read its result, at which point no worker or producer
+	// references it.
 	free sync.Pool
 
 	aborted   atomic.Bool
 	workers   sync.WaitGroup
 	closeOnce sync.Once
 	abortOnce sync.Once
+
+	// helpers joins the goroutines Go started; err is the first error
+	// one of them returned, read only after helpers is joined.
+	helpers sync.WaitGroup
+	errOnce sync.Once
+	err     error
 }
 
 // pipeJob carries one item through the pipe. done is a one-slot
@@ -128,6 +134,9 @@ func (p *Pipe[I, O]) putJob(j *pipeJob[I, O]) {
 // full. It returns ErrPipeAborted (without enqueueing) once the pipe
 // has been aborted.
 func (p *Pipe[I, O]) Submit(in I) error {
+	if p.aborted.Load() {
+		return ErrPipeAborted // the select below may still find a free slot
+	}
 	j := p.getJob(in)
 	select {
 	case p.pending <- j:
@@ -183,8 +192,48 @@ func (p *Pipe[I, O]) Abort() {
 	})
 }
 
-// Wait joins the worker goroutines. It returns once Close has been
-// called and every worker has exited; call it after the drain.
-func (p *Pipe[I, O]) Wait() {
+// Go runs f, the side of the pipe the caller does not run itself (its
+// producer or its consumer), on a goroutine that Wait and Stop join. A
+// producer run by Go calls Close before it returns. An error f returns
+// does not abort the pipe: a producer that returns io.EOF, or a
+// malformed input, has ended it, and the consumer still receives every
+// item submitted before.
+func (p *Pipe[I, O]) Go(f func() error) {
+	p.helpers.Add(1)
+	go func() {
+		defer p.helpers.Done()
+		if err := f(); err != nil {
+			p.errOnce.Do(func() { p.err = err })
+		}
+	}()
+}
+
+// Wait joins the goroutines started with Go and the workers, and
+// returns the first error one of those goroutines returned (io.EOF
+// included). Call it once the producer has closed the pipe: after the
+// consumer drained it, or from the producer after Close. Wait may be
+// called again and returns the same error.
+func (p *Pipe[I, O]) Wait() error {
+	p.helpers.Wait()
 	p.workers.Wait()
+	return p.err
+}
+
+// Stop is the consumer's early exit: it aborts the pipe, passes each
+// result not yet delivered by Next to drop (when drop is non-nil;
+// items the abort cancelled arrive as O's zero value), and then does
+// what Wait does. The producer must still close the pipe, which it
+// does promptly, since Submit fails once the pipe is aborted.
+func (p *Pipe[I, O]) Stop(drop func(O)) error {
+	p.Abort()
+	for {
+		out, ok, _ := p.Next()
+		if !ok {
+			break
+		}
+		if drop != nil {
+			drop(out)
+		}
+	}
+	return p.Wait()
 }

@@ -19,17 +19,15 @@ func TestPipePreservesOrder(t *testing.T) {
 		time.Sleep(time.Duration(50-i) * time.Microsecond)
 		return i * i, nil
 	})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	p.Go(func() error {
+		defer p.Close()
 		for i := 0; i < 50; i++ {
 			if err := p.Submit(i); err != nil {
-				t.Errorf("submit %d: %v", i, err)
-				return
+				return fmt.Errorf("submit %d: %w", i, err)
 			}
 		}
-		p.Close()
-	}()
+		return nil
+	})
 	for i := 0; i < 50; i++ {
 		out, ok, err := p.Next()
 		if !ok || err != nil {
@@ -42,8 +40,9 @@ func TestPipePreservesOrder(t *testing.T) {
 	if _, ok, _ := p.Next(); ok {
 		t.Fatal("Next after drain must report done")
 	}
-	<-done
-	p.Wait()
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	if !goroutinesSettleTo(base) {
 		t.Fatalf("goroutines leaked: %d live, started with %d", runtime.NumGoroutine(), base)
 	}
@@ -57,16 +56,15 @@ func TestPipeCarriesPerItemErrors(t *testing.T) {
 		}
 		return i, nil
 	})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	p.Go(func() error {
+		defer p.Close()
 		for i := 0; i < 6; i++ {
 			if err := p.Submit(i); err != nil {
-				t.Errorf("submit: %v", err)
+				return err
 			}
 		}
-		p.Close()
-	}()
+		return nil
+	})
 	for i := 0; i < 6; i++ {
 		out, ok, err := p.Next()
 		if !ok {
@@ -82,8 +80,12 @@ func TestPipeCarriesPerItemErrors(t *testing.T) {
 			t.Fatalf("item %d: out=%d err=%v", i, out, err)
 		}
 	}
-	<-done
-	p.Wait()
+	if _, ok, _ := p.Next(); ok {
+		t.Fatal("Next after drain must report done")
+	}
+	if err := p.Wait(); err != nil {
+		t.Fatalf("Wait = %v: a per-item error is not the producer's", err)
+	}
 }
 
 func TestPipeAbortUnblocksSubmit(t *testing.T) {
@@ -117,7 +119,9 @@ func TestPipeAbortUnblocksSubmit(t *testing.T) {
 			break
 		}
 	}
-	p.Wait()
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	if !goroutinesSettleTo(base) {
 		t.Fatalf("goroutines leaked: %d live, started with %d", runtime.NumGoroutine(), base)
 	}
@@ -150,7 +154,9 @@ func TestPipeAbortCancelsUnstartedWork(t *testing.T) {
 			aborted++
 		}
 	}
-	p.Wait()
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	if aborted == 0 {
 		t.Fatal("abort cancelled no queued work")
 	}
@@ -165,7 +171,9 @@ func TestPipeSingleWorkerDefaultsAndZeroItems(t *testing.T) {
 	if _, ok, _ := p.Next(); ok {
 		t.Fatal("empty closed pipe must be done")
 	}
-	p.Wait()
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // workerScratch is deliberately non-atomic: if two Pipe workers ever
@@ -199,17 +207,15 @@ func TestPipeWithPerWorkerState(t *testing.T) {
 			}
 			return s.id, nil
 		})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	p.Go(func() error {
+		defer p.Close()
 		for i := 0; i < items; i++ {
 			if err := p.Submit(i); err != nil {
-				t.Errorf("submit: %v", err)
-				return
+				return err
 			}
 		}
-		p.Close()
-	}()
+		return nil
+	})
 	seen := make(map[int64]bool)
 	for {
 		id, ok, err := p.Next()
@@ -221,8 +227,9 @@ func TestPipeWithPerWorkerState(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	<-done
-	p.Wait()
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
 
 	if got := created.Load(); got != workers {
 		t.Fatalf("newState called %d times, want exactly %d (once per worker)", got, workers)
@@ -253,12 +260,9 @@ func TestPipeSteadyStateAllocFree(t *testing.T) {
 	p := NewPipe(1, 1, func(i int) (int, error) { return i, nil })
 	defer func() {
 		p.Close()
-		for {
-			if _, ok, _ := p.Next(); !ok {
-				break
-			}
+		if err := p.Stop(nil); err != nil {
+			t.Fatal(err)
 		}
-		p.Wait()
 	}()
 	for i := 0; i < 64; i++ { // warm the job pool
 		if err := p.Submit(i); err != nil {
@@ -287,16 +291,15 @@ func TestPipeStressLeakFree(t *testing.T) {
 		p := NewPipe(4, 8, func(i int) (string, error) {
 			return fmt.Sprint(i), nil
 		})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
+		p.Go(func() error {
+			defer p.Close()
 			for i := 0; i < 100; i++ {
 				if p.Submit(i) != nil {
-					break
+					break // aborted mid-stream below
 				}
 			}
-			p.Close()
-		}()
+			return nil
+		})
 		n := 0
 		for {
 			_, ok, _ := p.Next()
@@ -308,8 +311,133 @@ func TestPipeStressLeakFree(t *testing.T) {
 				p.Abort() // abandon mid-stream every other iteration
 			}
 		}
-		<-done
-		p.Wait()
+		if err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !goroutinesSettleTo(base) {
+		t.Fatalf("goroutines leaked: %d live, started with %d", runtime.NumGoroutine(), base)
+	}
+}
+
+// TestPipeSubmitAfterAbortFails: once Abort has returned, Submit
+// refuses every item, even with free room in the window.
+func TestPipeSubmitAfterAbortFails(t *testing.T) {
+	const n = 1000
+	p := NewPipe(1, n, func(i int) (int, error) { return i, nil })
+	p.Abort()
+	enqueued := 0
+	for i := 0; i < n; i++ {
+		if err := p.Submit(i); err == nil {
+			enqueued++
+		} else if !errors.Is(err, ErrPipeAborted) {
+			t.Fatalf("Submit after Abort = %v, want ErrPipeAborted", err)
+		}
+	}
+	p.Close()
+	if err := p.Stop(nil); err != nil {
+		t.Fatal(err)
+	}
+	if enqueued != 0 {
+		t.Fatalf("%d of %d Submits after Abort enqueued their item", enqueued, n)
+	}
+}
+
+// TestPipeWaitReturnsGoError: the error a Go function returns reaches
+// Wait, and it is no abort: the consumer still receives every item
+// submitted before it.
+func TestPipeWaitReturnsGoError(t *testing.T) {
+	base := runtime.NumGoroutine()
+	sentinel := errors.New("sentinel")
+	p := NewPipe(2, 2, func(i int) (int, error) { return i, nil })
+	p.Go(func() error {
+		defer p.Close()
+		for i := 0; i < 20; i++ {
+			if err := p.Submit(i); err != nil {
+				return err
+			}
+		}
+		return sentinel
+	})
+	for i := 0; ; i++ {
+		out, ok, err := p.Next()
+		if !ok {
+			if i != 20 {
+				t.Fatalf("pipe ended after %d of 20 items", i)
+			}
+			break
+		}
+		if err != nil || out != i {
+			t.Fatalf("item %d: out=%d err=%v", i, out, err)
+		}
+	}
+	if err := p.Wait(); !errors.Is(err, sentinel) {
+		t.Fatalf("Wait = %v, want the producer's error", err)
+	}
+	if err := p.Wait(); !errors.Is(err, sentinel) {
+		t.Fatalf("second Wait = %v, want the same error", err)
+	}
+	if !goroutinesSettleTo(base) {
+		t.Fatalf("goroutines leaked: %d live, started with %d", runtime.NumGoroutine(), base)
+	}
+}
+
+// TestPipeStopUnblocksProducer: a consumer that quits while the
+// producer is blocked in Submit on a full window calls Stop, which
+// returns, hands each undelivered result to drop exactly once, and
+// leaves no goroutine behind.
+func TestPipeStopUnblocksProducer(t *testing.T) {
+	base := runtime.NumGoroutine()
+	type item struct{ i int }
+	p := NewPipe(1, 2, func(i int) (*item, error) { return &item{i}, nil })
+	var accepted atomic.Int64
+	p.Go(func() error {
+		defer p.Close()
+		for i := 0; i < 100; i++ {
+			if err := p.Submit(i); err != nil {
+				return err
+			}
+			accepted.Add(1)
+		}
+		return nil
+	})
+	if out, ok, err := p.Next(); !ok || err != nil || out.i != 0 {
+		t.Fatalf("first item: out=%v ok=%v err=%v", out, ok, err)
+	}
+	// Items 1 and 2 fill the window of 2, so Submit(3) blocks.
+	for deadline := time.Now().Add(drainDeadline); accepted.Load() < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("producer stalled after %d Submits, want 3", accepted.Load())
+		}
+	}
+
+	dropped := map[int]int{}
+	cancelled := 0
+	stopped := make(chan error, 1)
+	go func() {
+		stopped <- p.Stop(func(it *item) {
+			if it == nil {
+				cancelled++ // an item the abort cancelled
+				return
+			}
+			dropped[it.i]++
+		})
+	}()
+	select {
+	case err := <-stopped:
+		if !errors.Is(err, ErrPipeAborted) {
+			t.Fatalf("Stop = %v, want the producer's refused Submit", err)
+		}
+	case <-time.After(drainDeadline):
+		t.Fatal("Stop did not return with the producer blocked in Submit")
+	}
+	for i, n := range dropped {
+		if n != 1 || i < 1 {
+			t.Fatalf("item %d dropped %d times", i, n)
+		}
+	}
+	if got, want := int64(1+len(dropped)+cancelled), accepted.Load(); got != want {
+		t.Fatalf("1 delivered + %d dropped + %d cancelled != %d accepted", len(dropped), cancelled, want)
 	}
 	if !goroutinesSettleTo(base) {
 		t.Fatalf("goroutines leaked: %d live, started with %d", runtime.NumGoroutine(), base)

@@ -297,11 +297,7 @@ func ParseReadRangeRequest(payload []byte) (name string, first, n int64, err err
 // Report is the repair accounting a DECODE, VERIFY, REPAIR, or
 // READ_RANGE response carries ahead of its data: how much damage the
 // container showed and how much was corrected.
-type Report struct {
-	DetectedBlocks  int
-	CorrectedBits   int
-	CorrectedBlocks int
-}
+type Report = ecc.Report
 
 // reportLen is the wire size of a Report.
 const reportLen = 12

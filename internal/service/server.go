@@ -297,16 +297,15 @@ func (r *response) output() *frameBuf {
 }
 
 // recycle returns r's buffers to the pool.
-func (r *response) recycle() {
-	for i, fb := range r.bufs {
+func (r response) recycle() {
+	for _, fb := range r.bufs {
 		putBuf(fb)
-		r.bufs[i] = nil
 	}
 }
 
-// handleConn runs one connection: this goroutine reads frames and
-// submits them to a pipeline (the producer); a second goroutine
-// writes responses in order (the consumer); pipeline workers process
+// handleConn runs one connection: the pipeline's goroutine reads
+// frames and submits them (the producer); this goroutine writes
+// responses in order (the consumer); pipeline workers process
 // requests under the shared budget. The pipeline window bounds
 // in-flight requests, so a slow or absent reader on the client side
 // backpressures all the way to the socket.
@@ -318,35 +317,19 @@ func (s *Server) handleConn(conn net.Conn) {
 	pipe := parallel.NewPipe(s.cfg.perConnWorkers(), s.cfg.Window, func(req request) (response, error) {
 		return s.process(req), nil
 	})
-
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		if err := s.writeResponses(conn, pipe); err != nil {
-			// The client is gone (or wedged a protocol violation):
-			// abort so a producer blocked in Submit on a full window
-			// unblocks — otherwise a half-closed client that keeps
-			// sending would strand this connection forever.
-			pipe.Abort()
-		}
-	}()
-
-	s.readRequests(conn, pipe)
-
-	// Producer side done: no more submissions. Close lets the writer
-	// drain every in-flight request, then join the workers. If the
-	// writer bailed early, drain its leftovers here so pipeline
-	// workers never block on an unread result.
-	pipe.Close()
-	<-writerDone
-	for {
-		resp, ok, _ := pipe.Next()
-		if !ok {
-			break
-		}
-		resp.recycle()
-	}
-	pipe.Wait()
+	pipe.Go(func() error {
+		defer pipe.Close()
+		s.readRequests(conn, pipe)
+		return nil
+	})
+	// The writer returns once every response is written, or early when
+	// the client is gone or committed a protocol violation. Stop then
+	// aborts, so a producer blocked in Submit on a full window unblocks
+	// (a half-closed client that keeps sending would otherwise strand
+	// the connection), recycles the responses never written, and joins
+	// the reader and the workers.
+	s.writeResponses(conn, pipe)
+	_ = pipe.Stop(response.recycle) // the reader returns no error
 }
 
 // forgetConn removes conn from the tracked set and closes it.
@@ -485,14 +468,14 @@ func isDrainTimeout(err error, quit chan struct{}) bool {
 // writeResponses is the connection's consumer loop: it frames results
 // in submission order, each as one writev of header+head and payload,
 // and recycles each response's buffers once its frame is written. A
-// write error (client gone) stops the loop; the handler then aborts
-// and drains the pipeline.
-func (s *Server) writeResponses(conn net.Conn, pipe *parallel.Pipe[request, response]) error {
+// write error (client gone) stops the loop; the handler then stops
+// the pipeline.
+func (s *Server) writeResponses(conn net.Conn, pipe *parallel.Pipe[request, response]) {
 	var fw frameWriter
 	for {
 		resp, ok, err := pipe.Next()
 		if !ok || err != nil {
-			return err
+			return
 		}
 		// Counted when the response is ready, before the client can see
 		// it: a STATS request sent after a reply always includes it.
@@ -500,13 +483,10 @@ func (s *Server) writeResponses(conn net.Conn, pipe *parallel.Pipe[request, resp
 		s.stats.RequestDone(int(resp.op)-1, failed, resp.in, resp.headLen+len(resp.payload), time.Since(resp.start))
 		err = fw.write(conn, resp.op, resp.status, resp.head[:resp.headLen], resp.payload)
 		resp.recycle()
-		if err != nil {
-			return err
-		}
-		if resp.status == StatusOversized {
-			// The request that provoked this was never fully read;
-			// the stream is done.
-			return errors.New("service: oversized request")
+		if err != nil || resp.status == StatusOversized {
+			// The client is gone, or the request that provoked an
+			// oversized response was never fully read: the stream is done.
+			return
 		}
 	}
 }
@@ -693,11 +673,7 @@ func (s *Server) decodeRequest(req request, resp *response) *core.DecodeResult {
 		return nil
 	}
 	resp.status = StatusOK
-	resp.setReport(Report{
-		DetectedBlocks:  res.Report.DetectedBlocks,
-		CorrectedBits:   res.Report.CorrectedBits,
-		CorrectedBlocks: res.Report.CorrectedBlocks,
-	})
+	resp.setReport(res.Report)
 	return res
 }
 

@@ -111,7 +111,8 @@ echo "== stream close/decode-error race regression (race, 5 runs) =="
 go test -race -run 'TestChunkReaderCloseRacesMidStreamError' -count=5 ./internal/core
 
 echo "== worker-pool and pipe goroutine-leak regressions (race, 5 runs) =="
-go test -race -run 'TestPipeStressLeakFree|TestForLeaksNoGoroutines|TestForErrLeaksNoGoroutines' -count=5 ./internal/parallel
+go test -race -run 'TestPipeStressLeakFree|TestPipeSubmitAfterAbortFails|TestPipeWaitReturnsGoError|TestPipeStopUnblocksProducer|TestForLeaksNoGoroutines|TestForErrLeaksNoGoroutines' -count=5 ./internal/parallel
+go test -race -run 'TestPipelinedWriterSinkErrorCancelsAndJoins|TestPipelinedWriterCloseIsTheOnlyJoinNeeded|TestPipelinedReaderCloseWithoutDrain' -count=5 ./internal/core
 
 echo "== reed-solomon tables shared across workers (race, 10 runs) =="
 # Four codes of one shape encode and repair at once, three workers each,
@@ -151,8 +152,8 @@ go test -run '^$' -fuzz '^FuzzCheckpointLoad$' -fuzztime 10s ./checkpoint
 
 echo "== gf256 dispatch fuzz smoke (10s) =="
 # Differential fuzz across every SIMD tier the host supports: each
-# input must produce byte-identical results under avx2/ssse3/neon and
-# the word fallback.
+# input must produce byte-identical results under gfni/avx2/ssse3/neon
+# and the word fallback.
 go test -run '^$' -fuzz '^FuzzGF256Dispatch$' -fuzztime 10s ./internal/gf256
 
 echo "== gf256 multi-destination fuzz smoke (10s) =="
