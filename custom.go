@@ -29,7 +29,8 @@ func RegisterCustomMethod(m CustomMethod) error {
 	return core.RegisterCustomMethod(m)
 }
 
-// UnregisterCustomMethod removes a previously registered family.
+// UnregisterCustomMethod removes a previously registered family; the
+// built-in families stay.
 func UnregisterCustomMethod(id ecc.Method) {
 	core.UnregisterCustomMethod(id)
 }

@@ -149,3 +149,18 @@ func (r *Report) add(rep ecc.Report, err error) {
 		r.DigestMismatches++
 	}
 }
+
+// ChunkError is how ChunkReader and RangeReader report a chunk that
+// failed to read, verify or repair: which chunk, and what went wrong.
+type ChunkError struct {
+	Ordinal   int   // 0-based position in the stream
+	Offset    int64 // where the chunk's header starts in the encoded stream
+	OrigStart int64 // the chunk held original bytes [OrigStart, OrigStart+OrigLen)
+	OrigLen   int64
+	Config    Config // zero when the chunk's header never parsed
+	Err       error
+}
+
+func (e *ChunkError) Error() string { return fmt.Sprintf("chunk %d: %v", e.Ordinal, e.Err) }
+
+func (e *ChunkError) Unwrap() error { return e.Err }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/ecc"
 	"repro/internal/ecc/hamming"
@@ -27,25 +28,7 @@ type Config struct {
 }
 
 // String returns a stable identifier, e.g. "parity8" or "rs-m15".
-func (c Config) String() string {
-	switch c.Method {
-	case ecc.MethodParity:
-		return fmt.Sprintf("parity%d", c.Param)
-	case ecc.MethodHamming:
-		return fmt.Sprintf("hamming%d", c.Param)
-	case ecc.MethodSECDED:
-		return fmt.Sprintf("secded%d", c.Param)
-	case ecc.MethodReedSolomon:
-		return fmt.Sprintf("rs-m%d", c.Param)
-	case ecc.MethodInterleavedSECDED:
-		return fmt.Sprintf("ilsecded%d", c.Param)
-	default:
-		if m, ok := lookupCustom(c.Method); ok {
-			return fmt.Sprintf("%s%d", m.Name, c.Param)
-		}
-		return fmt.Sprintf("unknown-%d-%d", c.Method, c.Param)
-	}
-}
+func (c Config) String() string { return family(c.Method).configName(c.Param) }
 
 // rsTotalDevices fixes k+m for the Reed-Solomon family at the field
 // order, matching the paper's observed configurations (241+15 under a
@@ -64,44 +47,11 @@ func (c Config) Build(workers int) (ecc.Code, error) {
 // BuildWithDeviceSize is Build with an explicit Reed-Solomon device
 // size (ignored by the other methods). The engine shrinks devices on
 // inputs smaller than a full default stripe so padding stays marginal.
-// A registered code comes back behind customCode; built-ins never do.
 func (c Config) BuildWithDeviceSize(workers, devSize int) (ecc.Code, error) {
 	if devSize <= 0 {
 		devSize = rsDeviceSize
 	}
-	switch c.Method {
-	case ecc.MethodParity:
-		if c.Param <= 0 {
-			return nil, fmt.Errorf("core: invalid parity block %d", c.Param)
-		}
-		return parity.New(c.Param, workers), nil
-	case ecc.MethodHamming:
-		if c.Param != 8 && c.Param != 64 {
-			return nil, fmt.Errorf("core: invalid hamming width %d", c.Param)
-		}
-		return hamming.New(c.Param, workers), nil
-	case ecc.MethodSECDED:
-		if c.Param != 8 && c.Param != 64 {
-			return nil, fmt.Errorf("core: invalid secded width %d", c.Param)
-		}
-		return hamming.NewSECDED(c.Param, workers), nil
-	case ecc.MethodReedSolomon:
-		if c.Param <= 0 || c.Param >= rsTotalDevices {
-			return nil, fmt.Errorf("core: invalid RS code devices %d", c.Param)
-		}
-		return reedsolomon.New(rsTotalDevices-c.Param, c.Param, devSize, workers)
-	case ecc.MethodInterleavedSECDED:
-		return interleave.NewSECDED(c.Param, workers)
-	default:
-		if m, ok := lookupCustom(c.Method); ok {
-			code, err := m.Build(c.Param, workers, devSize)
-			if err != nil {
-				return nil, err
-			}
-			return customCode{code}, nil
-		}
-		return nil, fmt.Errorf("core: unknown method %d", c.Method)
-	}
+	return family(c.Method).Build(c.Param, workers, devSize)
 }
 
 // DeviceSizeFor picks the Reed-Solomon device size for an input of n
@@ -126,77 +76,92 @@ func (c Config) DeviceSizeFor(n int) int {
 
 // Overhead returns the configuration's asymptotic storage overhead
 // without building the full code.
-func (c Config) Overhead() float64 {
-	switch c.Method {
-	case ecc.MethodParity:
-		return 1.0 / (8.0 * float64(c.Param))
-	case ecc.MethodHamming:
-		if c.Param == 8 {
-			return 4.0 / 8.0
-		}
-		return 7.0 / 64.0
-	case ecc.MethodSECDED:
-		if c.Param == 8 {
-			return 5.0 / 8.0
-		}
-		return 8.0 / 64.0
-	case ecc.MethodReedSolomon:
-		k := rsTotalDevices - c.Param
-		return (float64(c.Param)*rsDeviceSize + float64(rsTotalDevices)*4) / (float64(k) * rsDeviceSize)
-	case ecc.MethodInterleavedSECDED:
-		return 9.0/8.0 - 1.0 // SEC-DED(72,64) grouping: 9 bytes per 8
-	default:
-		if m, ok := lookupCustom(c.Method); ok {
-			return m.Overhead(c.Param)
-		}
-		return 0
-	}
-}
+func (c Config) Overhead() float64 { return family(c.Method).Overhead(c.Param) }
 
 // Caps returns the configuration's error-response capabilities.
-func (c Config) Caps() ecc.Capability {
-	switch c.Method {
-	case ecc.MethodParity:
-		return ecc.DetectSparse
-	case ecc.MethodHamming, ecc.MethodSECDED:
-		return ecc.DetectSparse | ecc.CorrectSparse
-	case ecc.MethodReedSolomon, ecc.MethodInterleavedSECDED:
-		return ecc.DetectSparse | ecc.CorrectSparse | ecc.CorrectBurst
-	default:
-		if m, ok := lookupCustom(c.Method); ok {
-			return m.Caps
-		}
-		return 0
+func (c Config) Caps() ecc.Capability { return family(c.Method).Caps }
+
+// rsCodeDevices is the Reed-Solomon parameter grid.
+var rsCodeDevices = []int{1, 2, 4, 8, 15, 24, 32, 51, 64, 80, 103, 128}
+
+// methods is the configuration space as one record per ECC family:
+// ARC's five built-ins, and the families RegisterCustomMethod adds.
+var (
+	methodsMu sync.RWMutex
+	methods   = map[ecc.Method]CustomMethod{
+		ecc.MethodParity: {ID: ecc.MethodParity, Name: "parity", Params: []int{1, 2, 4, 8, 16, 32, 64},
+			Overhead: func(block int) float64 { return 1.0 / (8.0 * float64(block)) },
+			Caps:     ecc.DetectSparse,
+			Build: func(block, workers, _ int) (ecc.Code, error) {
+				if block <= 0 {
+					return nil, fmt.Errorf("core: invalid parity block %d", block)
+				}
+				return parity.New(block, workers), nil
+			}},
+		ecc.MethodHamming: hammingFamily(ecc.MethodHamming, "hamming", 4.0/8.0, 7.0/64.0, hamming.New),
+		ecc.MethodSECDED:  hammingFamily(ecc.MethodSECDED, "secded", 5.0/8.0, 8.0/64.0, hamming.NewSECDED),
+		ecc.MethodReedSolomon: {ID: ecc.MethodReedSolomon, Name: "rs-m", Params: rsCodeDevices,
+			Overhead: func(m int) float64 {
+				k := rsTotalDevices - m
+				return (float64(m)*rsDeviceSize + float64(rsTotalDevices)*4) / (float64(k) * rsDeviceSize)
+			},
+			Caps: ecc.DetectSparse | ecc.CorrectSparse | ecc.CorrectBurst,
+			Build: func(m, workers, devSize int) (ecc.Code, error) {
+				if m <= 0 || m >= rsTotalDevices {
+					return nil, fmt.Errorf("core: invalid RS code devices %d", m)
+				}
+				return reedsolomon.New(rsTotalDevices-m, m, devSize, workers)
+			}},
+		ecc.MethodInterleavedSECDED: {ID: ecc.MethodInterleavedSECDED, Name: "ilsecded", Params: []int{64, 256, 1024},
+			Overhead: func(int) float64 { return 9.0/8.0 - 1.0 }, // SEC-DED(72,64) grouping: 9 bytes per 8
+			Caps:     ecc.DetectSparse | ecc.CorrectSparse | ecc.CorrectBurst,
+			Build:    func(depth, workers, _ int) (ecc.Code, error) { return interleave.NewSECDED(depth, workers) }},
 	}
+)
+
+// hammingFamily describes a Hamming-style family: codes over 8- or
+// 64-bit data words, storing overhead w8 or w64.
+func hammingFamily(id ecc.Method, name string, w8, w64 float64, newCode func(width, workers int) *hamming.Code) CustomMethod {
+	return CustomMethod{ID: id, Name: name, Params: []int{8, 64}, Caps: ecc.DetectSparse | ecc.CorrectSparse,
+		Overhead: func(width int) float64 {
+			if width == 8 {
+				return w8
+			}
+			return w64
+		},
+		Build: func(width, workers, _ int) (ecc.Code, error) {
+			if width != 8 && width != 64 {
+				return nil, fmt.Errorf("core: invalid %s width %d", name, width)
+			}
+			return newCode(width, workers), nil
+		}}
 }
 
-// parityBlocks and rsCodeDevices enumerate the per-method parameter
-// grids in ARC's configuration space.
-var (
-	parityBlocks     = []int{1, 2, 4, 8, 16, 32, 64}
-	hammingWidths    = []int{8, 64}
-	rsCodeDevices    = []int{1, 2, 4, 8, 15, 24, 32, 51, 64, 80, 103, 128}
-	interleaveDepths = []int{64, 256, 1024}
-)
+// family returns the record of a method id's family. An id outside the
+// table gets one that names its configurations "unknown-<id>-<param>",
+// costs and offers nothing, and refuses to build.
+func family(id ecc.Method) CustomMethod {
+	methodsMu.RLock()
+	m, ok := methods[id]
+	methodsMu.RUnlock()
+	if !ok {
+		m = CustomMethod{ID: id, Name: fmt.Sprintf("unknown-%d-", id), Overhead: func(int) float64 { return 0 },
+			Build: func(int, int, int) (ecc.Code, error) { return nil, fmt.Errorf("core: unknown method %d", id) }}
+	}
+	return m
+}
 
 // AllConfigs enumerates ARC's full configuration space, sorted by
 // ascending storage overhead.
 func AllConfigs() []Config {
 	var cs []Config
-	for _, b := range parityBlocks {
-		cs = append(cs, Config{ecc.MethodParity, b})
+	methodsMu.RLock()
+	for id, m := range methods {
+		for _, p := range m.Params {
+			cs = append(cs, Config{id, p})
+		}
 	}
-	for _, w := range hammingWidths {
-		cs = append(cs, Config{ecc.MethodHamming, w})
-		cs = append(cs, Config{ecc.MethodSECDED, w})
-	}
-	for _, m := range rsCodeDevices {
-		cs = append(cs, Config{ecc.MethodReedSolomon, m})
-	}
-	for _, d := range interleaveDepths {
-		cs = append(cs, Config{ecc.MethodInterleavedSECDED, d})
-	}
-	cs = append(cs, customConfigs()...)
+	methodsMu.RUnlock()
 	sort.Slice(cs, func(i, j int) bool {
 		oi, oj := cs[i].Overhead(), cs[j].Overhead()
 		if oi != oj {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ecc"
@@ -158,5 +159,69 @@ func TestPaperRSConfigsPresent(t *testing.T) {
 	}
 	if !found15 || !found103 {
 		t.Fatal("paper's RS configurations (m=15, m=103) must be in the space")
+	}
+}
+
+// TestConfigSpacePinned lists ARC's built-in configuration space as
+// AllConfigs returns it: the order, each configuration's name (the
+// training-table key), the exact bits of its overhead (the optimizer's
+// input) and its capabilities.
+func TestConfigSpacePinned(t *testing.T) {
+	const (
+		det   = ecc.DetectSparse
+		cor   = det | ecc.CorrectSparse
+		burst = cor | ecc.CorrectBurst
+	)
+	par, ham, sec := ecc.MethodParity, ecc.MethodHamming, ecc.MethodSECDED
+	rs, il := ecc.MethodReedSolomon, ecc.MethodInterleavedSECDED
+	want := []struct {
+		c        Config
+		name     string
+		overhead uint64
+		caps     ecc.Capability
+	}{
+		{Config{par, 64}, "parity64", 0x3f60000000000000, det},
+		{Config{par, 32}, "parity32", 0x3f70000000000000, det},
+		{Config{par, 16}, "parity16", 0x3f80000000000000, det},
+		{Config{rs, 1}, "rs-m1", 0x3f80101010101010, burst},
+		{Config{rs, 2}, "rs-m2", 0x3f883060c183060c, burst},
+		{Config{par, 8}, "parity8", 0x3f90000000000000, det},
+		{Config{rs, 4}, "rs-m4", 0x3f94514514514514, burst},
+		{Config{par, 4}, "parity4", 0x3fa0000000000000, det},
+		{Config{rs, 8}, "rs-m8", 0x3fa294a5294a5295, burst},
+		{Config{par, 2}, "parity2", 0x3fb0000000000000, det},
+		{Config{rs, 15}, "rs-m15", 0x3fb0fef010fef011, burst},
+		{Config{rs, 24}, "rs-m24", 0x3fbb9611a7b9611a, burst},
+		{Config{ham, 64}, "hamming64", 0x3fbc000000000000, cor},
+		{Config{il, 1024}, "ilsecded1024", 0x3fc0000000000000, burst},
+		{Config{il, 256}, "ilsecded256", 0x3fc0000000000000, burst},
+		{Config{il, 64}, "ilsecded64", 0x3fc0000000000000, burst},
+		{Config{par, 1}, "parity1", 0x3fc0000000000000, det},
+		{Config{sec, 64}, "secded64", 0x3fc0000000000000, cor},
+		{Config{rs, 32}, "rs-m32", 0x3fc2db6db6db6db7, burst},
+		{Config{rs, 51}, "rs-m51", 0x3fd03bf103bf103c, burst},
+		{Config{rs, 64}, "rs-m64", 0x3fd5aaaaaaaaaaab, burst},
+		{Config{rs, 80}, "rs-m80", 0x3fdd745d1745d174, burst},
+		{Config{ham, 8}, "hamming8", 0x3fe0000000000000, cor},
+		{Config{sec, 8}, "secded8", 0x3fe4000000000000, cor},
+		{Config{rs, 103}, "rs-m103", 0x3fe5c06b15c06b16, burst},
+		{Config{rs, 128}, "rs-m128", 0x3ff0200000000000, burst},
+	}
+	got := AllConfigs()
+	if len(got) != len(want) {
+		t.Fatalf("AllConfigs has %d configurations, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		c := got[i]
+		if c != w.c || c.String() != w.name || math.Float64bits(c.Overhead()) != w.overhead || c.Caps() != w.caps {
+			t.Errorf("AllConfigs()[%d] = %v %q %#016x %s, want %v %q %#016x %s", i,
+				c, c, math.Float64bits(c.Overhead()), c.Caps(), w.c, w.name, w.overhead, w.caps)
+		}
+	}
+
+	// A built-in family cannot be unregistered.
+	UnregisterCustomMethod(ecc.MethodSECDED)
+	if _, err := (Config{sec, 64}).Build(1); err != nil {
+		t.Fatalf("secded64 after UnregisterCustomMethod(MethodSECDED): %v", err)
 	}
 }

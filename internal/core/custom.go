@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/ecc"
 )
@@ -13,8 +12,10 @@ import (
 // measures it, the optimizer selects it under all three constraints,
 // and the container records its method id so decode is automatic.
 //
-// Method ids 1-4 are ARC's built-ins; ids in [CustomMethodBase, 255]
-// are reserved for custom codes.
+// Every family in the configuration space is one CustomMethod record in
+// one table (methods, config.go): ARC's five built-ins, method ids 1-5,
+// are described by the same record as the families registered with ids
+// in [CustomMethodBase, 255].
 
 // CustomMethodBase is the first method id available to custom codes.
 const CustomMethodBase ecc.Method = 128
@@ -37,15 +38,14 @@ type CustomMethod struct {
 	Build CustomBuilder
 }
 
-var (
-	customMu      sync.RWMutex
-	customMethods = map[ecc.Method]CustomMethod{}
-)
+// configName is Config{m.ID, param}.String().
+func (m CustomMethod) configName(param int) string { return fmt.Sprintf("%s%d", m.Name, param) }
 
 // RegisterCustomMethod adds an ECC family to ARC's configuration
-// space. It fails on id collisions, reserved ids, or incomplete
-// definitions. Engines built after registration train and select the
-// new family like any built-in.
+// space. It fails on id collisions, reserved ids, incomplete
+// definitions, or a configuration name already in the space (the
+// training table is keyed by name). Engines built after registration
+// train and select the new family like any built-in.
 func RegisterCustomMethod(m CustomMethod) error {
 	if m.ID < CustomMethodBase {
 		return fmt.Errorf("core: custom method id %d is reserved (use >= %d)", m.ID, CustomMethodBase)
@@ -53,41 +53,45 @@ func RegisterCustomMethod(m CustomMethod) error {
 	if m.Name == "" || m.Build == nil || m.Overhead == nil || len(m.Params) == 0 {
 		return fmt.Errorf("core: custom method %d is incompletely defined", m.ID)
 	}
-	customMu.Lock()
-	defer customMu.Unlock()
-	if _, dup := customMethods[m.ID]; dup {
+	methodsMu.Lock()
+	defer methodsMu.Unlock()
+	if _, dup := methods[m.ID]; dup {
 		return fmt.Errorf("core: custom method id %d already registered", m.ID)
 	}
-	customMethods[m.ID] = m
+	names := make(map[string]bool)
+	for _, f := range methods {
+		for _, p := range f.Params {
+			names[f.configName(p)] = true
+		}
+	}
+	for _, p := range m.Params {
+		name := m.configName(p)
+		if names[name] {
+			return fmt.Errorf("core: custom method %d: configuration name %q is taken", m.ID, name)
+		}
+		names[name] = true
+	}
+	build := m.Build
+	m.Build = func(param, workers, devSize int) (ecc.Code, error) {
+		code, err := build(param, workers, devSize)
+		if err != nil {
+			return nil, err
+		}
+		return customCode{code}, nil
+	}
+	methods[m.ID] = m
 	return nil
 }
 
-// UnregisterCustomMethod removes a family (primarily for tests).
+// UnregisterCustomMethod removes a registered family (primarily for
+// tests). Built-in families cannot be removed.
 func UnregisterCustomMethod(id ecc.Method) {
-	customMu.Lock()
-	defer customMu.Unlock()
-	delete(customMethods, id)
-}
-
-// customConfigs lists configurations of all registered families.
-func customConfigs() []Config {
-	customMu.RLock()
-	defer customMu.RUnlock()
-	var cs []Config
-	for id, m := range customMethods {
-		for _, p := range m.Params {
-			cs = append(cs, Config{Method: id, Param: p})
-		}
+	if id < CustomMethodBase {
+		return
 	}
-	return cs
-}
-
-// lookupCustom returns the family for a method id.
-func lookupCustom(id ecc.Method) (CustomMethod, bool) {
-	customMu.RLock()
-	defer customMu.RUnlock()
-	m, ok := customMethods[id]
-	return m, ok
+	methodsMu.Lock()
+	defer methodsMu.Unlock()
+	delete(methods, id)
 }
 
 // customCode holds a registered code to what the chunk codec assumes of
@@ -95,7 +99,8 @@ func lookupCustom(id ecc.Method) (CustomMethod, bool) {
 // return other storage, and a decode result aliasing encoded would be
 // recycled under its reader: ChunkReader.decode returns the payload
 // buffer to the pool before it adopts the result, and arcd recycles the
-// request frame. Built-ins keep to dst and are never wrapped.
+// request frame. RegisterCustomMethod wraps the builder of every
+// registered family; built-ins keep to dst and are never wrapped.
 type customCode struct{ ecc.Code }
 
 func (c customCode) EncodeTo(dst, data []byte, s *ecc.Scratch) []byte {

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/ecc"
@@ -61,6 +62,88 @@ func TestRegisterCustomValidation(t *testing.T) {
 	}
 	if err := RegisterCustomMethod(CustomMethod{ID: CustomMethodBase}); err == nil {
 		t.Fatal("incomplete definition must fail")
+	}
+	// The training table is keyed by Config.String, so a family whose
+	// configuration names repeat one already in the space, or each
+	// other, would be rated with another configuration's speed.
+	for _, m := range []CustomMethod{
+		{Name: "secded", Params: []int{64}},   // secded64 is a built-in's
+		{Name: "secded6", Params: []int{4}},   // so is secded6 + 4
+		{Name: "twice", Params: []int{1, 1}},  // twice1, twice1
+		{Name: "triple", Params: []int{2, 1}}, // triple1 is registered below
+	} {
+		m.ID = CustomMethodBase + 7
+		m.Overhead, m.Caps, m.Build = tripleMethod.Overhead, tripleMethod.Caps, tripleMethod.Build
+		func() {
+			if m.Name == "triple" {
+				if err := RegisterCustomMethod(tripleMethod); err != nil {
+					t.Fatal(err)
+				}
+				defer UnregisterCustomMethod(tripleMethod.ID)
+			}
+			if err := RegisterCustomMethod(m); err == nil {
+				UnregisterCustomMethod(m.ID)
+				t.Errorf("%s%v registered over a configuration name in use", m.Name, m.Params)
+			}
+		}()
+	}
+}
+
+// TestRegistryConcurrentUse: built-in and custom families share one
+// table, so registering and unregistering a family must not disturb the
+// goroutines reading the built-ins (run it under -race).
+func TestRegistryConcurrentUse(t *testing.T) {
+	m := tripleMethod
+	m.ID = CustomMethodBase + 9
+	m.Name = "racer"
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for i := 0; i < 200; i++ {
+			if err := RegisterCustomMethod(m); err != nil {
+				t.Error(err)
+				return
+			}
+			UnregisterCustomMethod(m.ID)
+		}
+	}()
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				cs := AllConfigs()
+				if len(cs) < 26 {
+					t.Errorf("AllConfigs lists %d configurations while a family comes and goes", len(cs))
+					return
+				}
+				c := Config{ecc.MethodSECDED, 64}
+				if c.String() != "secded64" || c.Overhead() != 0.125 || c.Caps() != ecc.DetectSparse|ecc.CorrectSparse {
+					t.Errorf("secded64 reads %q %v %s", c, c.Overhead(), c.Caps())
+					return
+				}
+				if _, err := c.Build(1); err != nil {
+					t.Error(err)
+					return
+				}
+				if s := (Config{m.ID, 1}).String(); s != "racer1" && s != fmt.Sprintf("unknown-%d-1", m.ID) {
+					t.Errorf("the racing family's configuration reads %q", s)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := (Config{m.ID, 1}).Build(1); err == nil {
+		t.Fatal("the racing family is still registered")
 	}
 }
 

@@ -272,7 +272,7 @@ func (rr *RangeReader) readSequential(dst []byte, first, end int64, lo, hi int, 
 	for ord := lo; ord < hi; ord++ {
 		data, err := rr.chunkData(ord, acc)
 		if err != nil {
-			return written, fmt.Errorf("chunk %d: %w", ord, err)
+			return written, err
 		}
 		written += copyOverlap(dst, data, rr.entries[ord], first, end)
 	}
@@ -307,7 +307,7 @@ func (rr *RangeReader) readPipelined(dst []byte, first, end int64, lo, hi int, a
 	for ord := lo; ord < hi; ord++ {
 		data, _, err := pipe.Next()
 		if err != nil {
-			return written, fmt.Errorf("chunk %d: %w", ord, err)
+			return written, err
 		}
 		written += copyOverlap(dst, data, rr.entries[ord], first, end)
 	}
@@ -347,16 +347,21 @@ func (rr *RangeReader) chunkData(ord int, acc *Report) ([]byte, error) {
 }
 
 // loadChunk reads, verifies, and repairs one chunk into a fresh
-// (cacheable, never pooled) buffer.
-func (rr *RangeReader) loadChunk(ord int) ([]byte, ecc.Report, error) {
+// (cacheable, never pooled) buffer. Its every error is a *ChunkError.
+func (rr *RangeReader) loadChunk(ord int) (_ []byte, _ ecc.Report, err error) {
 	e := rr.entries[ord]
+	var h header
+	defer func() {
+		if err != nil {
+			err = &ChunkError{Ordinal: ord, Offset: e.Off, OrigStart: e.OrigStart, OrigLen: e.OrigLen, Config: h.config(), Err: err}
+		}
+	}()
 	buf := getChunkBuf(int(e.hdrLen + e.EncLen))
 	defer putChunkBuf(buf)
 	if _, err := rr.src.ReadAt(buf.b, e.Off); err != nil {
 		return nil, ecc.Report{}, fmt.Errorf("%w: chunk read: %v", ErrContainer, err)
 	}
-	h, err := unmarshalHeader(buf.b)
-	if err != nil {
+	if h, err = unmarshalHeader(buf.b); err != nil {
 		return nil, ecc.Report{}, err
 	}
 	// A stale or misdirected index must error, never mis-serve: the

@@ -386,6 +386,7 @@ type ChunkReader struct {
 type encChunk struct {
 	h   header
 	off int64
+	enc int64 // where the header starts in the encoded stream (read side)
 	buf *chunkBuf
 }
 
@@ -525,7 +526,10 @@ func (cr *ChunkReader) deliver(out decChunk, err error) error {
 	cr.report.add(out.rep, err)
 	if err != nil {
 		putChunkBuf(out.data)
-		return fmt.Errorf("chunk %d: %w", ord, err)
+		if ce, ok := err.(*ChunkError); ok { // decode's every error
+			ce.Ordinal = ord
+		}
+		return err
 	}
 	cr.cur = out.data.b
 	cr.curBuf = out.data
@@ -556,6 +560,9 @@ func (cr *ChunkReader) decode(c encChunk, s *chunkScratch) (decChunk, error) {
 	out := getChunkBuf(0)
 	data, rep, err := decodeChunk(out.b, c.h, c.buf.b, c.off, cr.workers, s)
 	putChunkBuf(c.buf)
+	if err != nil { // deliver numbers it
+		err = &ChunkError{Offset: c.enc, OrigStart: c.off, OrigLen: int64(c.h.OrigLen), Config: c.h.config(), Err: err}
+	}
 	if data == nil && err != nil { // an empty chunk decodes to nil too
 		putChunkBuf(out)
 		return decChunk{rep: rep}, err
@@ -579,7 +586,7 @@ func (cr *ChunkReader) readChunk() (encChunk, error) {
 		putChunkBuf(pb)
 		return encChunk{}, cr.walk.err
 	}
-	return encChunk{h: c.h, off: c.orig, buf: pb}, nil
+	return encChunk{h: c.h, off: c.orig, enc: c.off, buf: pb}, nil
 }
 
 // shutdown cancels and joins the pipelined machinery, returning

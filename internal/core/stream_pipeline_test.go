@@ -13,6 +13,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,34 +136,53 @@ func TestPipelinedReaderRepairsAndCountsCorrections(t *testing.T) {
 
 // TestChunkErrorsNameOneOrdinal: the stream reader and the range
 // reader name a damaged chunk by the same 0-based ordinal, sequential
-// or pipelined.
+// or pipelined, and return the same *ChunkError for it.
 func TestChunkErrorsNameOneOrdinal(t *testing.T) {
 	data := make([]byte, 6<<10)
 	rand.New(rand.NewSource(105)).Read(data)
 	choice := Choice{Config: Config{Method: ecc.MethodParity, Param: 8}, Threads: 1}
-	enc := encodeStream(t, choice, StreamOptions{ChunkSize: 2 << 10, Pipeline: 1}, data)
-	// Parity detects but cannot correct: a payload flip in the first of
-	// the three chunks is terminal.
-	enc[ContainerOverheadBytes+50] ^= 0x01
-	const want = "chunk 0: "
-	for _, pipeline := range []int{1, 4} {
-		cr := NewChunkReaderWith(bytes.NewReader(enc), 1, StreamOptions{Pipeline: pipeline})
-		if _, err := io.ReadAll(cr); !errors.Is(err, ecc.ErrUncorrectable) || !bytes.HasPrefix([]byte(err.Error()), []byte(want)) {
-			t.Errorf("pipeline %d: ChunkReader error %q, want ErrUncorrectable starting %q", pipeline, err, want)
+	clean := encodeStream(t, choice, StreamOptions{ChunkSize: 2 << 10, Pipeline: 1}, data)
+	if len(clean)%3 != 0 {
+		t.Fatalf("%d encoded bytes are not three equal chunks", len(clean))
+	}
+	chunkLen := len(clean) / 3
+	for _, ord := range []int{0, 1} {
+		// Parity detects but cannot correct: a payload flip in chunk ord
+		// of the three is terminal.
+		enc := append([]byte(nil), clean...)
+		enc[ord*chunkLen+ContainerOverheadBytes+50] ^= 0x01
+		want := ChunkError{Ordinal: ord, Offset: int64(ord * chunkLen), OrigStart: int64(ord) << 11,
+			OrigLen: 2 << 10, Config: choice.Config}
+		prefix := fmt.Sprintf("chunk %d: ", ord)
+		check := func(reader string, pipeline int, err error) {
+			t.Helper()
+			var ce *ChunkError
+			if !errors.Is(err, ecc.ErrUncorrectable) || !strings.HasPrefix(fmt.Sprint(err), prefix) || !errors.As(err, &ce) {
+				t.Errorf("pipeline %d: %s error %q, want a *ChunkError wrapping ErrUncorrectable, starting %q", pipeline, reader, err, prefix)
+				return
+			}
+			got := *ce
+			got.Err = nil // checked above
+			if got != want {
+				t.Errorf("pipeline %d: %s error %+v, want %+v", pipeline, reader, got, want)
+			}
 		}
-		rr, err := OpenRangeReader(bytes.NewReader(enc), int64(len(enc)), RangeOptions{Pipeline: pipeline})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rr.Chunks() != 3 {
-			t.Fatalf("stream has %d chunks, want 3", rr.Chunks())
-		}
-		_, _, err = rr.ReadRange(make([]byte, len(data)), 0, int64(len(data)))
-		if !errors.Is(err, ecc.ErrUncorrectable) || !bytes.HasPrefix([]byte(err.Error()), []byte(want)) {
-			t.Errorf("pipeline %d: ReadRange error %q, want ErrUncorrectable starting %q", pipeline, err, want)
-		}
-		if err := rr.Close(); err != nil {
-			t.Fatal(err)
+		for _, pipeline := range []int{1, 4} {
+			cr := NewChunkReaderWith(bytes.NewReader(enc), 1, StreamOptions{Pipeline: pipeline})
+			_, err := io.ReadAll(cr)
+			check("ChunkReader", pipeline, err)
+			rr, err := OpenRangeReader(bytes.NewReader(enc), int64(len(enc)), RangeOptions{Pipeline: pipeline})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rr.Chunks() != 3 {
+				t.Fatalf("stream has %d chunks, want 3", rr.Chunks())
+			}
+			_, _, err = rr.ReadRange(make([]byte, len(data)), 0, int64(len(data)))
+			check("ReadRange", pipeline, err)
+			if err := rr.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -37,7 +37,7 @@ type Code interface {
 }
 
 // EncodeTo forwards to c.EncodeTo. Its one caller is the ECC replay in
-// benchmark/trace.go; ROADMAP item 2(C) deletes both.
+// benchmark/trace.go; ROADMAP item 6(d) deletes both.
 func EncodeTo(c Code, dst, data []byte, s *Scratch) []byte { return c.EncodeTo(dst, data, s) }
 
 // DecodeTo forwards to c.DecodeTo, for the same caller as EncodeTo.

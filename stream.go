@@ -112,6 +112,12 @@ func (r *Reader) Close() error { return r.cr.Close() }
 // Report returns the accumulated repair statistics.
 func (r *Reader) Report() StreamReport { return r.cr.Report() }
 
+// ChunkError is the error a Reader or a ReaderAt returns for a chunk
+// that failed to read, verify or repair: its 0-based ordinal, encoded
+// offset, original byte range and configuration, wrapping the cause
+// (errors.Is(err, ecc.ErrUncorrectable) and the like see through it).
+type ChunkError = core.ChunkError
+
 // ChunkInfo summarizes one container of an ARC stream.
 type ChunkInfo = core.ChunkInfo
 

@@ -122,6 +122,10 @@ func TestStreamUncorrectableChunkStopsCleanly(t *testing.T) {
 	if !errors.Is(rerr, ecc.ErrUncorrectable) {
 		t.Fatalf("want ErrUncorrectable, got %v", rerr)
 	}
+	var ce *ChunkError
+	if !errors.As(rerr, &ce) || ce.Ordinal != 1 || ce.Offset != int64(chunkLen) || ce.OrigStart != 32<<10 || ce.OrigLen != 32<<10 {
+		t.Fatalf("want a *ChunkError for chunk 1 at encoded offset %d, got %#v", chunkLen, ce)
+	}
 	// Everything before the bad chunk must have been delivered intact.
 	if len(got) < 32<<10 {
 		t.Fatalf("only %d bytes delivered before failure", len(got))

@@ -110,6 +110,9 @@ ARC_SIMD=avx2 go test -count=1 ./internal/gf256 ./internal/ecc/... ./internal/co
 echo "== stream close/decode-error race regression (race, 5 runs) =="
 go test -race -run 'TestChunkReaderCloseRacesMidStreamError' -count=5 ./internal/core
 
+echo "== ECC family table under concurrent registration (race, 5 runs) =="
+go test -race -run TestRegistryConcurrentUse -count=5 ./internal/core
+
 echo "== worker-pool and pipe goroutine-leak regressions (race, 5 runs) =="
 go test -race -run 'TestPipeStressLeakFree|TestPipeSubmitAfterAbortFails|TestPipeWaitReturnsGoError|TestPipeStopUnblocksProducer|TestForLeaksNoGoroutines|TestForErrLeaksNoGoroutines' -count=5 ./internal/parallel
 go test -race -run 'TestPipelinedWriterSinkErrorCancelsAndJoins|TestPipelinedWriterCloseIsTheOnlyJoinNeeded|TestPipelinedReaderCloseWithoutDrain' -count=5 ./internal/core
