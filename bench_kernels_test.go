@@ -7,6 +7,7 @@ package arc
 // kernels work and why their output is bit-identical to the references.
 
 import (
+	"hash/crc32"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/bitio"
+	"repro/internal/core"
 	"repro/internal/ecc"
 	"repro/internal/ecc/hamming"
 	"repro/internal/ecc/interleave"
@@ -180,6 +182,22 @@ func TestKernelFloors(t *testing.T) {
 		floors = append(floors, floor{"GF256MulSliceGFNIVsAVX2",
 			kernelPair{kernelBuf, mulSliceTier("gfni", src, dst, 1024), mulSliceTier("avx2", src, dst, 1024)}, 1.2})
 	}
+	floors = append(floors,
+		// The chunk codec with its digest from the code's CRC over the
+		// code plus a separate CRC pass, secded64 on a 4 MiB chunk
+		// (encode 1.23-1.58x, decode 1.01-1.61x in 20 single
+		// measurements under load). A chunk codec that takes the digest
+		// in a pass of its own again is the reference plus a header,
+		// just under 1x, so the floor sits above that.
+		floor{"ChunkDigestEncode", digestPair(t, false), 1.1},
+		floor{"ChunkDigestDecode", digestPair(t, true), 1.1})
+	if gf256.AtLeast(gf256.LevelAVX2) {
+		// Per byte, 1022-byte devices over 1024-byte ones under the
+		// active tier: 0.72-0.92x in 20 runs under load once the
+		// len%32 tail went through the kernel, 0.46-0.52x before, when
+		// it took a MulSlice per device pair.
+		floors = append(floors, floor{"RSEncodeUnaligned", rsUnalignedPair(t), 0.65})
+	}
 	for _, f := range floors {
 		got := f.pair.speedup(t, f.min)
 		t.Logf("%s: %.2fx (floor %gx)", f.name, got, f.min)
@@ -249,7 +267,7 @@ func secdedEncodePair() kernelPair {
 	data := randBytes(kernelBuf, 5)
 	var dst []byte
 	return kernelPair{kernelBuf,
-		func(testing.TB) { dst = code.EncodeTo(dst, data, nil) },
+		func(testing.TB) { dst, _ = code.EncodeTo(dst, data, nil) },
 		func(testing.TB) { code.EncodeRef(data) }}
 }
 
@@ -261,7 +279,7 @@ func parity8EncodeOp() func(testing.TB) {
 	code := parity.New(8, 1)
 	data := randBytes(kernelBuf, 16)
 	var dst []byte
-	return func(testing.TB) { dst = code.EncodeTo(dst, data, nil) }
+	return func(testing.TB) { dst, _ = code.EncodeTo(dst, data, nil) }
 }
 
 // BenchmarkKernelXORCodeTier runs SEC-DED(72,64) encode and decode and
@@ -290,7 +308,7 @@ func BenchmarkKernelXORCodeTier(b *testing.B) {
 // flip per 503 B in distinct codewords, about one step in eight).
 func secdedDecodeInputs() (code *hamming.Code, enc, dense []byte) {
 	code = hamming.NewSECDED(64, 1)
-	enc = code.EncodeTo(nil, randBytes(kernelBuf, 6), nil)
+	enc, _ = code.EncodeTo(nil, randBytes(kernelBuf, 6), nil)
 	dense = append([]byte(nil), enc...)
 	for i := 100; i < kernelBuf; i += 503 {
 		dense[i] ^= 0x10
@@ -304,7 +322,7 @@ func secdedDecodeTo(code *hamming.Code, enc []byte) func(testing.TB) {
 	var dst []byte
 	return func(tb testing.TB) {
 		var err error
-		if dst, _, err = code.DecodeTo(dst, enc, kernelBuf, nil); err != nil {
+		if dst, _, _, err = code.DecodeTo(dst, enc, kernelBuf, nil); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -406,7 +424,7 @@ func rsEncodePair(tb testing.TB, tier string) kernelPair {
 	data := randBytes(n, 9)
 	var dst, ref []byte
 	return kernelPair{n,
-		underTier(tier, func(testing.TB) { dst = code.EncodeTo(dst, data, nil) }),
+		underTier(tier, func(testing.TB) { dst, _ = code.EncodeTo(dst, data, nil) }),
 		underTier(tier, func(testing.TB) { ref = code.EncodeRef(ref, data, gf256.MulSlice) })}
 }
 
@@ -432,7 +450,7 @@ func rsRepairPair(tb testing.TB) kernelPair {
 		tb.Fatal(err)
 	}
 	const n = 4 * 241 * 1024
-	enc := code.EncodeTo(nil, randBytes(n, 14), nil)
+	enc, _ := code.EncodeTo(nil, randBytes(n, 14), nil)
 	rng := rand.New(rand.NewSource(15))
 	stripeEnc := len(enc) / 4
 	for s := 0; s < 4; s++ {
@@ -445,7 +463,7 @@ func rsRepairPair(tb testing.TB) kernelPair {
 	return kernelPair{n,
 		func(tb testing.TB) {
 			var err error
-			if dst, _, err = code.DecodeTo(dst, enc, n, &scratch); err != nil {
+			if dst, _, _, err = code.DecodeTo(dst, enc, n, &scratch); err != nil {
 				tb.Fatal(err)
 			}
 		},
@@ -457,6 +475,77 @@ func rsRepairPair(tb testing.TB) kernelPair {
 }
 
 func BenchmarkKernelRSRepair(b *testing.B) { rsRepairPair(b).bench(b) }
+
+// rsUnalignedPair is Reed-Solomon encode of four 241+15 stripes under
+// the active tier at the 1022-byte devices core picks for a chunk that
+// does not fill its last 4 MiB stripe, against the same at 1024-byte
+// devices: what a device whose rows end in a len%32 tail costs. The
+// reference's stripes hold 0.2 % more bytes, well inside the noise.
+func rsUnalignedPair(tb testing.TB) kernelPair {
+	encode := func(ds int) func(testing.TB) {
+		code, err := reedsolomon.New(241, 15, ds, 1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		data := randBytes(4*241*ds, 9)
+		var dst []byte
+		return func(testing.TB) { dst, _ = code.EncodeTo(dst, data, nil) }
+	}
+	return kernelPair{4 * 241 * 1022, encode(1022), encode(1024)}
+}
+
+func BenchmarkKernelRSEncodeUnaligned(b *testing.B) { rsUnalignedPair(b).bench(b) }
+
+// digestPair is the chunk codec on a 4 MiB secded64 chunk with its
+// digest taken from the CRC-32C the code returns, against the code
+// alone plus a separate crc32.Checksum of the chunk, the second read
+// of every byte that the chunk codec made before its codes returned a
+// CRC: decode (a kept output) if decode, else encode (a kept buffer).
+func digestPair(tb testing.TB, decode bool) kernelPair {
+	const n = 4 << 20
+	data := randBytes(n, 16)
+	choice := core.Choice{Config: core.Config{Method: ecc.MethodSECDED, Param: 64}, Threads: 1}
+	code, err := choice.Config.Build(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	one, err := core.EncodeContainerWith(nil, data, choice)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	enc, out := one.Encoded, make([]byte, n)
+	var scratch ecc.Scratch
+	if decode {
+		return kernelPair{n,
+			func(tb testing.TB) {
+				if _, err := core.DecodeContainer(out, enc, 1); err != nil {
+					tb.Fatal(err)
+				}
+			},
+			func(tb testing.TB) {
+				if _, _, _, err := code.DecodeTo(out, enc[core.ContainerOverheadBytes:], n, &scratch); err != nil {
+					tb.Fatal(err)
+				}
+				crc32.Checksum(out, ecc.Castagnoli)
+			}}
+	}
+	return kernelPair{n,
+		func(tb testing.TB) {
+			if _, err := core.EncodeContainerWith(enc, data, choice); err != nil {
+				tb.Fatal(err)
+			}
+		},
+		func(testing.TB) {
+			code.EncodeTo(enc[core.ContainerOverheadBytes:], data, &scratch)
+			crc32.Checksum(data, ecc.Castagnoli)
+		}}
+}
+
+// BenchmarkKernelChunkDigest runs the pair each way.
+func BenchmarkKernelChunkDigest(b *testing.B) {
+	b.Run("encode", digestPair(b, false).bench)
+	b.Run("decode", digestPair(b, true).bench)
+}
 
 // BenchmarkKernelInterleaveEncode tracks the division-free bit
 // transpose wrapped around SEC-DED.

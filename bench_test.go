@@ -287,7 +287,7 @@ func BenchmarkAblationBurstProtection(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			var enc []byte
 			for i := 0; i < b.N; i++ {
-				enc = code.EncodeTo(nil, data, nil)
+				enc, _ = code.EncodeTo(nil, data, nil)
 			}
 			b.ReportMetric(float64(len(enc)-len(data))/float64(len(data)), "overhead")
 		})

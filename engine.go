@@ -17,41 +17,49 @@ import (
 // Report re-exports the decode report type.
 type Report = ecc.Report
 
+// encodeOnly and decodeOnly drop the CRC-32C a code returns beside its
+// output: a raw ECC stream carries no digest to build from it.
+func encodeOnly(out []byte, _ uint32) []byte { return out }
+
+func decodeOnly(out []byte, _ uint32, rep Report, err error) ([]byte, Report, error) {
+	return out, rep, err
+}
+
 // ParityEncode (arc_parity_encode) protects data with one even parity
 // bit per blockBytes of data.
 func ParityEncode(data []byte, blockBytes, workers int) []byte {
-	return parity.New(blockBytes, workers).EncodeTo(nil, data, nil)
+	return encodeOnly(parity.New(blockBytes, workers).EncodeTo(nil, data, nil))
 }
 
 // ParityDecode (arc_parity_decode) verifies a parity stream. Parity
 // detects but cannot correct: on any mismatch the data is returned
 // together with an error wrapping ecc.ErrUncorrectable.
 func ParityDecode(encoded []byte, origLen, blockBytes, workers int) ([]byte, Report, error) {
-	return parity.New(blockBytes, workers).DecodeTo(nil, encoded, origLen, nil)
+	return decodeOnly(parity.New(blockBytes, workers).DecodeTo(nil, encoded, origLen, nil))
 }
 
 // HammingEncode (arc_hamming_encode) protects data with Hamming
 // codewords over dataBits-wide blocks (8 or 64).
 func HammingEncode(data []byte, dataBits, workers int) []byte {
-	return hamming.New(dataBits, workers).EncodeTo(nil, data, nil)
+	return encodeOnly(hamming.New(dataBits, workers).EncodeTo(nil, data, nil))
 }
 
 // HammingDecode (arc_hamming_decode) corrects single-bit errors per
 // codeword.
 func HammingDecode(encoded []byte, origLen, dataBits, workers int) ([]byte, Report, error) {
-	return hamming.New(dataBits, workers).DecodeTo(nil, encoded, origLen, nil)
+	return decodeOnly(hamming.New(dataBits, workers).DecodeTo(nil, encoded, origLen, nil))
 }
 
 // SecdedEncode (arc_secded_encode) protects data with SEC-DED
 // (extended Hamming) codewords over dataBits-wide blocks (8 or 64).
 func SecdedEncode(data []byte, dataBits, workers int) []byte {
-	return hamming.NewSECDED(dataBits, workers).EncodeTo(nil, data, nil)
+	return encodeOnly(hamming.NewSECDED(dataBits, workers).EncodeTo(nil, data, nil))
 }
 
 // SecdedDecode (arc_secded_decode) corrects single-bit and detects
 // double-bit errors per codeword.
 func SecdedDecode(encoded []byte, origLen, dataBits, workers int) ([]byte, Report, error) {
-	return hamming.NewSECDED(dataBits, workers).DecodeTo(nil, encoded, origLen, nil)
+	return decodeOnly(hamming.NewSECDED(dataBits, workers).DecodeTo(nil, encoded, origLen, nil))
 }
 
 // ReedSolomonEncode (arc_reed_solomon_encode) stripes data over k data
@@ -62,7 +70,7 @@ func ReedSolomonEncode(data []byte, k, m, deviceSize, workers int) ([]byte, erro
 	if err != nil {
 		return nil, err
 	}
-	return c.EncodeTo(nil, data, nil), nil
+	return encodeOnly(c.EncodeTo(nil, data, nil)), nil
 }
 
 // ReedSolomonDecode (arc_reed_solomon_decode) locates corrupt devices
@@ -72,5 +80,5 @@ func ReedSolomonDecode(encoded []byte, origLen, k, m, deviceSize, workers int) (
 	if err != nil {
 		return nil, Report{}, err
 	}
-	return c.DecodeTo(nil, encoded, origLen, nil)
+	return decodeOnly(c.DecodeTo(nil, encoded, origLen, nil))
 }

@@ -22,11 +22,14 @@ import (
 // the family's name, overhead and capabilities are declared once, in
 // its registration below. Like the built-ins it builds its results in
 // dst; a code that returns storage of its own is copied into place.
+// Both methods also return the CRC-32C (ecc.Castagnoli) of the original
+// bytes. ARC takes that CRC again itself for a registered code, so a
+// code that has none at hand may return 0.
 type dupCode struct{}
 
 func (dupCode) EncodedSize(n int) int { return 2 * (n + 4) }
 
-func (c dupCode) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
+func (c dupCode) EncodeTo(dst, data []byte, _ *ecc.Scratch) ([]byte, uint32) {
 	out := ecc.GrowTo(dst, c.EncodedSize(len(data)))
 	sum := crc32.ChecksumIEEE(data)
 	half := len(data) + 4
@@ -34,13 +37,13 @@ func (c dupCode) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
 		copy(out[copyN*half:], data)
 		binary.LittleEndian.PutUint32(out[copyN*half+len(data):], sum)
 	}
-	return out
+	return out, 0
 }
 
-func (c dupCode) DecodeTo(dst, enc []byte, origLen int, _ *ecc.Scratch) ([]byte, ecc.Report, error) {
+func (c dupCode) DecodeTo(dst, enc []byte, origLen int, _ *ecc.Scratch) ([]byte, uint32, ecc.Report, error) {
 	var rep ecc.Report
 	if len(enc) < c.EncodedSize(origLen) {
-		return nil, rep, ecc.ErrTruncated
+		return nil, 0, rep, ecc.ErrTruncated
 	}
 	half := origLen + 4
 	for copyN := 0; copyN < 2; copyN++ {
@@ -49,11 +52,11 @@ func (c dupCode) DecodeTo(dst, enc []byte, origLen int, _ *ecc.Scratch) ([]byte,
 			if copyN > 0 {
 				rep.DetectedBlocks, rep.CorrectedBlocks = 1, 1
 			}
-			return append(dst[:0], payload...), rep, nil
+			return append(dst[:0], payload...), 0, rep, nil
 		}
 	}
 	rep.DetectedBlocks = 2
-	return append(dst[:0], enc[:origLen]...), rep, ecc.ErrUncorrectable
+	return append(dst[:0], enc[:origLen]...), 0, rep, ecc.ErrUncorrectable
 }
 
 func main() {

@@ -87,15 +87,16 @@ func encodeChunk(dst, data []byte, off int64, choice Choice, s *chunkScratch) ([
 		DevSize: devSize,
 		OrigLen: len(data),
 		EncLen:  code.EncodedSize(len(data)),
-		Digest:  chunkDigest(off, data),
 	}
 	dst = ecc.GrowTo(dst, ContainerOverheadBytes+h.EncLen)
-	if enc := code.EncodeTo(dst[ContainerOverheadBytes:], data, &s.ecc); len(enc) != h.EncLen {
+	enc, crc := code.EncodeTo(dst[ContainerOverheadBytes:], data, &s.ecc)
+	if len(enc) != h.EncLen {
 		// Decoders size and check everything off EncodedSize; a code that
 		// disagrees with itself would write chunks they refuse.
 		return nil, header{}, fmt.Errorf("core: code %s encoded %d bytes into %d, but its EncodedSize says %d",
 			choice.Config, len(data), len(enc), h.EncLen)
 	}
+	h.Digest = chunkDigest(off, crc, len(data))
 	marshalHeaderInto(dst, h)
 	return dst, h, nil
 }
@@ -128,11 +129,11 @@ func decodeChunk(dst []byte, h header, payload []byte, off int64, workers int, s
 		return nil, rep, fmt.Errorf("%w: chunk payload of %d bytes (header says %d, %d original bytes need %d)",
 			ErrContainer, len(payload), h.EncLen, h.OrigLen, want)
 	}
-	data, rep, err = code.DecodeTo(ecc.GrowTo(dst, h.OrigLen), payload, h.OrigLen, &s.ecc)
+	data, crc, rep, err := code.DecodeTo(ecc.GrowTo(dst, h.OrigLen), payload, h.OrigLen, &s.ecc)
 	if err != nil && !errors.Is(err, ecc.ErrUncorrectable) {
 		return nil, rep, fmt.Errorf("%w: %v", ErrContainer, err)
 	}
-	if err == nil && h.Version >= 2 && chunkDigest(off, data) != h.Digest {
+	if err == nil && h.Version >= 2 && chunkDigest(off, crc, len(data)) != h.Digest {
 		err = ErrDigestMismatch
 	}
 	return data, rep, err

@@ -181,7 +181,7 @@ func TestDigestCatchesWhatTheECCPasses(t *testing.T) {
 		mut := append([]byte(nil), payload...)
 		mut[0] ^= 0x80
 		mut[bit/8] ^= 0x80 >> (bit % 8)
-		if got, _, err := code.DecodeTo(nil, mut, len(data), nil); err == nil && !bytes.Equal(got, data) {
+		if got, _, _, err := code.DecodeTo(nil, mut, len(data), nil); err == nil && !bytes.Equal(got, data) {
 			damaged = append(append([]byte(nil), one.Encoded[:ContainerOverheadBytes]...), mut...)
 		}
 	}

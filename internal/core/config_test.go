@@ -225,3 +225,22 @@ func TestConfigSpacePinned(t *testing.T) {
 		t.Fatalf("secded64 after UnregisterCustomMethod(MethodSECDED): %v", err)
 	}
 }
+
+// TestDeviceSizeForRSM15 pins the Reed-Solomon device sizes the chunk
+// codec's traffic runs at under rs-m15 (241 data devices): a 64 KiB
+// payload, every arcd ENCODE/DECODE request of the service benchmark,
+// takes 272-byte devices (8·32 + 16), a chunk that does not fill its
+// last stripe (here the last chunk of a 2 214 678-byte file) 1022-byte
+// ones, and a 4 MiB chunk the full 1024.
+func TestDeviceSizeForRSM15(t *testing.T) {
+	cfg := Config{Method: ecc.MethodReedSolomon, Param: 15}
+	for _, tc := range []struct{ n, want int }{
+		{64 << 10, 272},
+		{2_214_678, 1022},
+		{4 << 20, 1024},
+	} {
+		if got := cfg.DeviceSizeFor(tc.n); got != tc.want {
+			t.Errorf("DeviceSizeFor(%d) = %d, want %d", tc.n, got, tc.want)
+		}
+	}
+}

@@ -59,22 +59,20 @@ func replicaLen(version byte) int {
 	return headerLen
 }
 
-// castagnoli selects CRC-32C, which Go computes with the CPU's CRC
-// instruction where there is one.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // chunkDigest is the version-2 chunk digest: CRC-32C over the chunk's
 // original start offset in its stream (8 bytes, little-endian) and then
-// its original bytes. The offset binds a chunk to its place, so a
-// duplicated, reordered or dropped chunk fails the check too.
-func chunkDigest(off int64, data []byte) uint32 {
+// its n original bytes, from crc, the CRC-32C of those bytes that the
+// chunk's code returned from the pass it made over them anyway. The
+// offset binds a chunk to its place, so a duplicated, reordered or
+// dropped chunk fails the check too.
+func chunkDigest(off int64, crc uint32, n int) uint32 {
 	// crc32.Update over the offset's bytes, written out so no 8-byte
 	// buffer escapes to the heap on every chunk.
-	crc := ^uint32(0)
+	oc := ^uint32(0)
 	for i := 0; i < 8; i++ {
-		crc = castagnoli[byte(crc)^byte(off>>(8*i))] ^ crc>>8
+		oc = ecc.Castagnoli[byte(oc)^byte(off>>(8*i))] ^ oc>>8
 	}
-	return crc32.Update(^crc, castagnoli, data)
+	return ecc.CombineCRC(^oc, crc, n)
 }
 
 // marshalHeaderInto writes the replicated version-2 header into dst

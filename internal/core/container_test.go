@@ -96,20 +96,28 @@ func TestHeaderAlignedDamageFails(t *testing.T) {
 	}
 }
 
-// TestChunkDigestIsCRC32COfOffsetAndBytes pins the digest's definition
-// (docs/FORMAT.md): CRC-32C over the little-endian u64 start offset,
-// then the chunk's original bytes.
+// formatDigest is the chunk digest as docs/FORMAT.md defines it:
+// CRC-32C over the little-endian u64 start offset, then the chunk's
+// original bytes, in one pass.
+func formatDigest(off int64, data []byte) uint32 {
+	seeded := append(binary.LittleEndian.AppendUint64(nil, uint64(off)), data...)
+	return crc32.Checksum(seeded, crc32.MakeTable(crc32.Castagnoli))
+}
+
+// TestChunkDigestIsCRC32COfOffsetAndBytes pins the digest's definition:
+// chunkDigest joins the offset's CRC to the bytes' CRC, and the join is
+// the one-pass CRC of both.
 func TestChunkDigestIsCRC32COfOffsetAndBytes(t *testing.T) {
-	data := []byte("a chunk's original bytes")
-	for _, off := range []int64{0, 1, 4 << 20, 1<<40 + 7, -1} {
-		seeded := append(binary.LittleEndian.AppendUint64(nil, uint64(off)), data...)
-		want := crc32.Checksum(seeded, crc32.MakeTable(crc32.Castagnoli))
-		if got := chunkDigest(off, data); got != want {
-			t.Errorf("offset %d: digest %#08x, want %#08x", off, got, want)
+	for _, data := range [][]byte{nil, []byte("a chunk's original bytes"), bytes.Repeat([]byte{0xC3}, 70_000)} {
+		crc := crc32.Checksum(data, ecc.Castagnoli)
+		for _, off := range []int64{0, 1, 4 << 20, 1<<40 + 7, -1} {
+			if got, want := chunkDigest(off, crc, len(data)), formatDigest(off, data); got != want {
+				t.Errorf("%d bytes at offset %d: digest %#08x, want %#08x", len(data), off, got, want)
+			}
 		}
-	}
-	if chunkDigest(0, data) == chunkDigest(int64(len(data)), data) {
-		t.Error("the digest does not depend on the offset")
+		if chunkDigest(0, crc, len(data)) == chunkDigest(int64(len(data))+1, crc, len(data)) {
+			t.Error("the digest does not depend on the offset")
+		}
 	}
 }
 
@@ -148,7 +156,7 @@ func TestContainerRoundTripRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := header{Version: containerVersion, Method: ecc.MethodSECDED, Param: 8, OrigLen: len(data),
-			EncLen: len(enc.Encoded) - ContainerOverheadBytes, Digest: chunkDigest(0, data)}
+			EncLen: len(enc.Encoded) - ContainerOverheadBytes, Digest: formatDigest(0, data)}
 		if h != want {
 			t.Fatalf("header %+v, want %+v", h, want)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/crc32"
 
 	"repro/internal/ecc"
 )
@@ -95,21 +96,28 @@ func UnregisterCustomMethod(id ecc.Method) {
 }
 
 // customCode holds a registered code to what the chunk codec assumes of
-// every code: its result lives in dst. The ecc.Code contract lets a code
-// return other storage, and a decode result aliasing encoded would be
-// recycled under its reader: ChunkReader.decode returns the payload
-// buffer to the pool before it adopts the result, and arcd recycles the
-// request frame. RegisterCustomMethod wraps the builder of every
-// registered family; built-ins keep to dst and are never wrapped.
+// every code: its result lives in dst, and the CRC-32C it returns is
+// that of the original bytes. The ecc.Code contract lets a code return
+// other storage, and a decode result aliasing encoded would be recycled
+// under its reader: ChunkReader.decode returns the payload buffer to
+// the pool before it adopts the result, and arcd recycles the request
+// frame. The CRC is taken here in a pass of its own and the code's is
+// dropped, so a registered code never vouches for its own output: the
+// chunk digest checks it as it did before codes returned one.
+// RegisterCustomMethod wraps the builder of every registered family;
+// built-ins keep to dst, return their output's CRC and are never
+// wrapped.
 type customCode struct{ ecc.Code }
 
-func (c customCode) EncodeTo(dst, data []byte, s *ecc.Scratch) []byte {
-	return inDst(dst, c.Code.EncodeTo(dst, data, s))
+func (c customCode) EncodeTo(dst, data []byte, s *ecc.Scratch) ([]byte, uint32) {
+	out, _ := c.Code.EncodeTo(dst, data, s)
+	return inDst(dst, out), crc32.Checksum(data, ecc.Castagnoli)
 }
 
-func (c customCode) DecodeTo(dst, encoded []byte, origLen int, s *ecc.Scratch) ([]byte, ecc.Report, error) {
-	out, rep, err := c.Code.DecodeTo(dst, encoded, origLen, s)
-	return inDst(dst, out), rep, err
+func (c customCode) DecodeTo(dst, encoded []byte, origLen int, s *ecc.Scratch) ([]byte, uint32, ecc.Report, error) {
+	out, _, rep, err := c.Code.DecodeTo(dst, encoded, origLen, s)
+	out = inDst(dst, out)
+	return out, crc32.Checksum(out, ecc.Castagnoli), rep, err
 }
 
 // inDst returns out in dst's storage: out itself when the code wrote it

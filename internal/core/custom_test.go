@@ -14,23 +14,24 @@ import (
 )
 
 // triplicate is a toy custom code: every byte stored three times,
-// majority-voted on decode. Param is unused (grid of one).
+// majority-voted on decode. Param is unused (grid of one). It returns
+// the CRC-32C of its output, as the built-ins do.
 type triplicate struct{}
 
 func (triplicate) EncodedSize(n int) int { return 3 * n }
 
-func (triplicate) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
+func (triplicate) EncodeTo(dst, data []byte, _ *ecc.Scratch) ([]byte, uint32) {
 	out := ecc.GrowTo(dst, 3*len(data))
 	copy(out, data)
 	copy(out[len(data):], data)
 	copy(out[2*len(data):], data)
-	return out
+	return out, crc32.Checksum(data, ecc.Castagnoli)
 }
 
-func (triplicate) DecodeTo(dst, enc []byte, origLen int, _ *ecc.Scratch) ([]byte, ecc.Report, error) {
+func (triplicate) DecodeTo(dst, enc []byte, origLen int, _ *ecc.Scratch) ([]byte, uint32, ecc.Report, error) {
 	var rep ecc.Report
 	if len(enc) < 3*origLen {
-		return nil, rep, ecc.ErrTruncated
+		return nil, 0, rep, ecc.ErrTruncated
 	}
 	out := ecc.GrowTo(dst, origLen)
 	for i := 0; i < origLen; i++ {
@@ -42,7 +43,7 @@ func (triplicate) DecodeTo(dst, enc []byte, origLen int, _ *ecc.Scratch) ([]byte
 			rep.CorrectedBlocks++
 		}
 	}
-	return out, rep, nil
+	return out, crc32.Checksum(out, ecc.Castagnoli), rep, nil
 }
 
 var tripleMethod = CustomMethod{
@@ -240,27 +241,27 @@ type aliasCode struct{}
 
 func (aliasCode) EncodedSize(n int) int { return 2 * (n + 4) }
 
-func (c aliasCode) EncodeTo(_, data []byte, _ *ecc.Scratch) []byte {
+func (c aliasCode) EncodeTo(_, data []byte, _ *ecc.Scratch) ([]byte, uint32) {
 	out := make([]byte, 0, c.EncodedSize(len(data)))
 	for k := 0; k < 2; k++ {
 		out = append(out, data...)
 		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(data))
 	}
-	return out
+	return out, 0
 }
 
-func (c aliasCode) DecodeTo(_, enc []byte, origLen int, _ *ecc.Scratch) ([]byte, ecc.Report, error) {
+func (c aliasCode) DecodeTo(_, enc []byte, origLen int, _ *ecc.Scratch) ([]byte, uint32, ecc.Report, error) {
 	if len(enc) < c.EncodedSize(origLen) {
-		return nil, ecc.Report{}, ecc.ErrTruncated
+		return nil, 0, ecc.Report{}, ecc.ErrTruncated
 	}
 	half := origLen + 4
 	for k := 0; k < 2; k++ {
 		cp := enc[k*half : k*half+origLen]
 		if crc32.ChecksumIEEE(cp) == binary.LittleEndian.Uint32(enc[k*half+origLen:]) {
-			return cp, ecc.Report{DetectedBlocks: k, CorrectedBlocks: k}, nil
+			return cp, 0, ecc.Report{DetectedBlocks: k, CorrectedBlocks: k}, nil
 		}
 	}
-	return enc[:origLen], ecc.Report{DetectedBlocks: 2}, ecc.ErrUncorrectable
+	return enc[:origLen], 0, ecc.Report{DetectedBlocks: 2}, ecc.ErrUncorrectable
 }
 
 // TestCustomCodeAdapter: a registered code whose results live in its own

@@ -77,6 +77,7 @@ type indexEntry struct {
 	OrigLen   int64  // original bytes this chunk reproduces
 	HdrCRC    uint32 // CRC32 (IEEE) of the container's replicated header
 	hdrLen    int64  // replicated header bytes for the chunk's version (not stored)
+	ord       int    // the chunk's 0-based position in the stream, empty chunks counted (not stored)
 }
 
 // indexCode returns the SEC-DED(64) code protecting index payloads,
@@ -100,7 +101,7 @@ func appendIndexFooter(dst []byte, entries []indexEntry, streamLen int64) []byte
 	crc := crc32.ChecksumIEEE(raw[:len(raw)-4])
 	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc)
 
-	enc := indexCode().EncodeTo(nil, raw, nil)
+	enc, _ := indexCode().EncodeTo(nil, raw, nil)
 	h := header{
 		Method:  indexMethod,
 		Param:   len(entries),
@@ -191,7 +192,7 @@ func decodeIndexPayload(h header, enc []byte, entries int, indexOff int64) ([]in
 	if h.EncLen != code.EncodedSize(rawLen) || h.EncLen != len(enc) {
 		return nil, zero, fmt.Errorf("%w: index payload length %d (want %d)", ErrContainer, len(enc), code.EncodedSize(rawLen))
 	}
-	raw, rep, err := code.DecodeTo(nil, enc, rawLen, nil)
+	raw, _, rep, err := code.DecodeTo(nil, enc, rawLen, nil)
 	if err != nil {
 		return nil, rep, fmt.Errorf("%w: index beyond ECC budget: %v", ErrContainer, err)
 	}
@@ -211,6 +212,7 @@ func decodeIndexPayload(h header, enc []byte, entries int, indexOff int64) ([]in
 			OrigLen:   int64(binary.LittleEndian.Uint32(p[24:])),
 			HdrCRC:    binary.LittleEndian.Uint32(p[28:]),
 			hdrLen:    hdrLen,
+			ord:       i, // an indexed stream holds no empty chunk
 		}
 		// The chunk walk's rule (OrigLen fits by its width), less the
 		// empty chunk: an index never records one.

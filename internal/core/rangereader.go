@@ -158,14 +158,17 @@ func (rr *RangeReader) loadIndex() error {
 // footer is destroyed. The walk reads headers only and stops at its
 // first end, so everything before damage stays readable; scanning is
 // best-effort by design and never fails the open. An empty chunk gets
-// no entry: it holds no byte to look up.
+// no entry: it holds no byte to look up. It still counts in the
+// ordinals, so a chunk is named by the number ChunkReader gives it.
 func (rr *RangeReader) scanEntries() {
 	w := rangeWalk(rr.src, 0, rr.size)
+	ord := 0
 	for c, ok := w.next(); ok; c, ok = w.next() {
 		if c.h.OrigLen > 0 {
 			rr.entries = append(rr.entries, indexEntry{Off: c.off, EncLen: int64(c.h.EncLen),
-				OrigStart: c.orig, OrigLen: int64(c.h.OrigLen), hdrLen: int64(c.h.size())})
+				OrigStart: c.orig, OrigLen: int64(c.h.OrigLen), hdrLen: int64(c.h.size()), ord: ord})
 		}
+		ord++
 	}
 }
 
@@ -353,7 +356,7 @@ func (rr *RangeReader) loadChunk(ord int) (_ []byte, _ ecc.Report, err error) {
 	var h header
 	defer func() {
 		if err != nil {
-			err = &ChunkError{Ordinal: ord, Offset: e.Off, OrigStart: e.OrigStart, OrigLen: e.OrigLen, Config: h.config(), Err: err}
+			err = &ChunkError{Ordinal: e.ord, Offset: e.Off, OrigStart: e.OrigStart, OrigLen: e.OrigLen, Config: h.config(), Err: err}
 		}
 	}()
 	buf := getChunkBuf(int(e.hdrLen + e.EncLen))

@@ -33,7 +33,7 @@ const cacheVersion = 2
 // codecRevision is part of the cache fingerprint. A PR that changes the
 // speed of an ECC kernel or of the chunk codec bumps it, so tables
 // measured against the old code are measured again instead of trusted.
-const codecRevision = 5
+const codecRevision = 6
 
 // Fingerprint says where a table was measured and against which code;
 // throughputs from another fingerprint are not comparable.

@@ -130,15 +130,16 @@ func TestTrainMeasureRunsTheChunkCodec(t *testing.T) {
 	}
 }
 
-// lossyCode decodes without error to bytes that are not the input.
+// lossyCode decodes without error to bytes that are not the input,
+// and vouches for them with the CRC-32C of the input.
 type lossyCode struct{ triplicate }
 
-func (c lossyCode) DecodeTo(dst, enc []byte, origLen int, s *ecc.Scratch) ([]byte, ecc.Report, error) {
-	out, rep, err := c.triplicate.DecodeTo(dst, enc, origLen, s)
+func (c lossyCode) DecodeTo(dst, enc []byte, origLen int, s *ecc.Scratch) ([]byte, uint32, ecc.Report, error) {
+	out, crc, rep, err := c.triplicate.DecodeTo(dst, enc, origLen, s)
 	if len(out) > 0 {
 		out[len(out)/2] ^= 1
 	}
-	return out, rep, err
+	return out, crc, rep, err
 }
 
 // rewriteCache edits the cache file's JSON in place.

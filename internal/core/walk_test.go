@@ -7,12 +7,15 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ecc"
@@ -73,6 +76,38 @@ func TestEmptyChunkIsReadAlikeOnEveryPath(t *testing.T) {
 	}
 	if !bytes.Equal(readAll(t, rr), data) {
 		t.Fatal("range read returned other bytes")
+	}
+}
+
+// TestEmptyChunkCountsInOrdinals: after an empty chunk, the stream
+// reader and the range reader name a damaged chunk by the same
+// ordinal. The range reader keeps no entry for the empty chunk, so it
+// once numbered every chunk after it one low.
+func TestEmptyChunkCountsInOrdinals(t *testing.T) {
+	stream, data := emptyChunkStream(t)
+	infos, err := InspectStream(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Chunk 2 (the data chunk after the empty one): a run of wrecked
+	// bytes puts many flips in one SEC-DED codeword.
+	at := 3*ContainerOverheadBytes + infos[0].EncLen + infos[1].EncLen + 100
+	for i := at; i < at+16; i++ {
+		stream[i] ^= 0xFF
+	}
+	check := func(reader string, err error) {
+		t.Helper()
+		var ce *ChunkError
+		if !errors.As(err, &ce) || ce.Ordinal != 2 || !strings.HasPrefix(err.Error(), "chunk 2: ") {
+			t.Errorf("%s: %v, want a *ChunkError for chunk 2", reader, err)
+		}
+	}
+	for _, pipeline := range []int{1, 4} {
+		_, err := io.ReadAll(NewChunkReaderWith(bytes.NewReader(stream), 1, StreamOptions{Pipeline: pipeline}))
+		check(fmt.Sprintf("ChunkReader, pipeline %d", pipeline), err)
+		rr := openRange(t, stream, RangeOptions{Pipeline: pipeline})
+		_, _, err = rr.ReadRange(make([]byte, len(data)), 0, int64(len(data)))
+		check(fmt.Sprintf("ReadRange, pipeline %d", pipeline), err)
 	}
 }
 
@@ -255,12 +290,13 @@ func chunkWalkCheck(t *testing.T, data []byte) {
 		t.Fatalf("ChunkReader stopped at chunk %d (%v) on %+v; the walk lists %d chunks", k, readErr, cr.walk.cur, len(chunks))
 	}
 
-	// The range scan: one entry a nonempty chunk.
+	// The range scan: one entry a nonempty chunk, numbered by its
+	// place among all of them.
 	var entries []indexEntry
-	for _, c := range chunks {
+	for ord, c := range chunks {
 		if c.h.OrigLen > 0 {
 			entries = append(entries, indexEntry{Off: c.off, EncLen: int64(c.h.EncLen),
-				OrigStart: c.orig, OrigLen: int64(c.h.OrigLen), hdrLen: int64(c.h.size())})
+				OrigStart: c.orig, OrigLen: int64(c.h.OrigLen), hdrLen: int64(c.h.size()), ord: ord})
 		}
 	}
 	if !slices.Equal(scan.entries, entries) {

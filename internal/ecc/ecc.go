@@ -12,6 +12,14 @@ import (
 // are stateless after construction and safe for concurrent use. A code
 // only encodes and decodes: what a configuration is called, what it
 // costs and what it corrects is core.Config's to say.
+//
+// Both entry points also return the CRC-32C (Castagnoli) of the
+// original bytes, taken while the code holds them anyway: a piece or a
+// device at a time, right after it is copied or repaired, the pieces
+// joined with CombineCRC. The chunk codec builds its chunk digest from
+// it instead of reading every byte a second time, so the CRC must be
+// exactly crc32.Checksum of the bytes the call hands back, on every
+// path: clean, repaired, miscorrected or uncorrectable.
 type Code interface {
 	// EncodedSize returns the exact encoded length in bytes for an
 	// input of n bytes.
@@ -20,29 +28,36 @@ type Code interface {
 	// EncodeTo protects data and writes the encoded stream into dst
 	// when cap(dst) suffices (dst may be nil). It returns the encoded
 	// slice, which has length EncodedSize(len(data)) and aliases dst
-	// only when dst's capacity was used. data is not modified and must
-	// not overlap dst. s provides reusable internal scratch and may be
-	// nil (fresh buffers are then allocated): EncodeTo(nil, data, nil)
-	// is the one-shot form.
-	EncodeTo(dst, data []byte, s *Scratch) []byte
+	// only when dst's capacity was used, and the CRC-32C of data.
+	// data is not modified and must not overlap dst. s provides
+	// reusable internal scratch and may be nil (fresh buffers are then
+	// allocated): EncodeTo(nil, data, nil) is the one-shot form.
+	EncodeTo(dst, data []byte, s *Scratch) ([]byte, uint32)
 
 	// DecodeTo verifies encoded, corrects what it can, and writes the
 	// original data (of length origLen, which the caller persists out
 	// of band — ARC's container header carries it) into dst when
-	// cap(dst) suffices (dst may be nil). A non-nil error means errors
-	// were detected that the code could not correct; the returned
-	// Report is valid either way. dst must not overlap encoded. s is
+	// cap(dst) suffices (dst may be nil). It returns the data and its
+	// CRC-32C: that of the bytes written, after correction, never a
+	// checksum stored in encoded. A non-nil error means errors were
+	// detected that the code could not correct; the returned Report and
+	// CRC are valid either way. dst must not overlap encoded. s is
 	// EncodeTo's.
-	DecodeTo(dst, encoded []byte, origLen int, s *Scratch) ([]byte, Report, error)
+	DecodeTo(dst, encoded []byte, origLen int, s *Scratch) ([]byte, uint32, Report, error)
 }
 
-// EncodeTo forwards to c.EncodeTo. Its one caller is the ECC replay in
-// benchmark/trace.go; ROADMAP item 6(d) deletes both.
-func EncodeTo(c Code, dst, data []byte, s *Scratch) []byte { return c.EncodeTo(dst, data, s) }
+// EncodeTo forwards to c.EncodeTo and drops the CRC. Its one caller is
+// the ECC replay in benchmark/trace.go; ROADMAP item 6(d) deletes both.
+func EncodeTo(c Code, dst, data []byte, s *Scratch) []byte {
+	out, _ := c.EncodeTo(dst, data, s)
+	return out
+}
 
-// DecodeTo forwards to c.DecodeTo, for the same caller as EncodeTo.
+// DecodeTo forwards to c.DecodeTo and drops the CRC, for the same
+// caller as EncodeTo.
 func DecodeTo(c Code, dst, encoded []byte, origLen int, s *Scratch) ([]byte, Report, error) {
-	return c.DecodeTo(dst, encoded, origLen, s)
+	out, _, rep, err := c.DecodeTo(dst, encoded, origLen, s)
+	return out, rep, err
 }
 
 // Scratch is a grow-only arena of reusable byte buffers for the *To

@@ -23,12 +23,12 @@ func TestSECDEDEncodeToAllocFree(t *testing.T) {
 	var s ecc.Scratch
 	dst := make([]byte, c.EncodedSize(len(data)))
 	ddst := make([]byte, len(data))
-	enc := c.EncodeTo(dst, data, &s)
+	enc, _ := c.EncodeTo(dst, data, &s)
 	if avg := testing.AllocsPerRun(100, func() { c.EncodeTo(dst, data, &s) }); avg != 0 {
 		t.Errorf("EncodeTo allocates %.2f allocs/op, want 0", avg)
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		if _, _, err := c.DecodeTo(ddst, enc, len(data), &s); err != nil {
+		if _, _, _, err := c.DecodeTo(ddst, enc, len(data), &s); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -27,6 +27,7 @@ package hamming
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/bits"
 	"sync/atomic"
 
@@ -265,7 +266,7 @@ func kernelEnd(lo, end, n int) int {
 // EncodeTo implements ecc.Code. Every check byte is fully
 // assigned (encodeSteps writes whole bytes, zero bits after the last
 // block), so a reused dst needs no clearing.
-func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
+func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) ([]byte, uint32) {
 	n := len(data)
 	out := ecc.GrowTo(dst, c.EncodedSize(n))
 	steps := (c.blocks(n) + 7) / 8
@@ -274,29 +275,30 @@ func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
 	// would allocate even when it runs inline — the chunk-stream
 	// steady state encodes with one worker.
 	if parallel.Clamp(c.Workers, steps) == 1 {
-		c.encodeSteps(out, data, 0, steps, vec)
-	} else {
-		parallel.For(steps, c.Workers, func(lo, hi int) {
-			c.encodeSteps(out, data, lo, hi, vec)
-		})
+		return out, c.encodeSteps(out, data, 0, steps, vec)
 	}
-	return out
+	var crc ecc.CRCJoin
+	parallel.For(steps, c.Workers, func(lo, hi int) {
+		crc.Add(c.encodeSteps(out, data, lo, hi, vec), n-min(hi*c.P.K, n))
+	})
+	return out, crc.Sum()
 }
 
 // copySteps is how many steps' data EncodeTo and DecodeTo copy at a time
-// before computing their check words: 4 KiB of K=64 data, so that the
-// second pass over the bytes finds them in the first-level cache
-// whatever the size of the input.
+// before computing their check words and the data's CRC-32C: 4 KiB of
+// K=64 data, so that the passes after the copy find the bytes in the
+// first-level cache whatever the size of the input.
 const copySteps = 64
 
-// encodeSteps copies the data of steps [lo, hi) into out and stores
-// their check words after the data, through checkBytesAVX2 when vec
-// and the tables otherwise. A step owns check bytes
-// [s*CheckLen, (s+1)*CheckLen), cut short at the end of out for the
-// final step, so ranges never share a byte.
-func (c *Code) encodeSteps(out, data []byte, lo, hi int, vec bool) {
+// encodeSteps copies the data of steps [lo, hi) into out, stores their
+// check words after the data, through checkBytesAVX2 when vec and the
+// tables otherwise, and returns the CRC-32C of the data. A step owns
+// check bytes [s*CheckLen, (s+1)*CheckLen), cut short at the end of
+// out for the final step, so ranges never share a byte.
+func (c *Code) encodeSteps(out, data []byte, lo, hi int, vec bool) uint32 {
 	span := c.P.K
 	chk := out[len(data):]
+	var crc uint32
 	var ext [8 * copySteps]byte // the kernel's check bytes when CheckLen < 8
 	for ; lo < hi; lo += copySteps {
 		end := min(lo+copySteps, hi)
@@ -318,7 +320,9 @@ func (c *Code) encodeSteps(out, data []byte, lo, hi int, vec bool) {
 		for ; s < end; s++ {
 			c.putStep(chk, s, c.stepCheck(data, s))
 		}
+		crc = crc32.Update(crc, ecc.Castagnoli, out[lo*span:min(end*span, len(data))])
 	}
+	return crc
 }
 
 // putStep stores w, step s's packed check word, as the step's check
@@ -444,51 +448,57 @@ func (c *Code) decodeBlock(out []byte, b int, stored uint16, st *blockStats) {
 }
 
 // DecodeTo implements ecc.Code.
-func (c *Code) DecodeTo(dst, encoded []byte, origLen int, _ *ecc.Scratch) ([]byte, ecc.Report, error) {
+func (c *Code) DecodeTo(dst, encoded []byte, origLen int, _ *ecc.Scratch) ([]byte, uint32, ecc.Report, error) {
 	var rep ecc.Report
 	if origLen < 0 || len(encoded) < c.EncodedSize(origLen) {
-		return nil, rep, fmt.Errorf("%w: need %d bytes, have %d", ecc.ErrTruncated, c.EncodedSize(origLen), len(encoded))
+		return nil, 0, rep, fmt.Errorf("%w: need %d bytes, have %d", ecc.ErrTruncated, c.EncodedSize(origLen), len(encoded))
 	}
 	out := ecc.GrowTo(dst, origLen)
 	encoded = encoded[:c.EncodedSize(origLen)]
 	steps := (c.blocks(origLen) + 7) / 8
 	vec := c.vector()
 	var total blockStats
+	var crc uint32
 	// Serial fast path: see EncodeTo — the closure plus the counters it
 	// captures by address would otherwise allocate per DecodeTo.
 	if parallel.Clamp(c.Workers, steps) == 1 {
-		c.decodeSteps(out, encoded, 0, steps, vec, &total)
+		crc = c.decodeSteps(out, encoded, 0, steps, vec, &total)
 	} else {
 		var detected, corrBits, corrBlocks, uncorrectable int64
+		var join ecc.CRCJoin
 		parallel.For(steps, c.Workers, func(lo, hi int) {
 			var st blockStats
-			c.decodeSteps(out, encoded, lo, hi, vec, &st)
+			join.Add(c.decodeSteps(out, encoded, lo, hi, vec, &st), origLen-min(hi*c.P.K, origLen))
 			atomic.AddInt64(&detected, st.det)
 			atomic.AddInt64(&corrBits, st.bits)
 			atomic.AddInt64(&corrBlocks, st.blocks)
 			atomic.AddInt64(&uncorrectable, st.unc)
 		})
 		total = blockStats{det: detected, bits: corrBits, blocks: corrBlocks, unc: uncorrectable}
+		crc = join.Sum()
 	}
 	rep.DetectedBlocks = int(total.det)
 	rep.CorrectedBits = int(total.bits)
 	rep.CorrectedBlocks = int(total.blocks)
 	if total.unc > 0 {
-		return out, rep, fmt.Errorf("%w: %d block(s) with multi-bit damage", ecc.ErrUncorrectable, total.unc)
+		return out, crc, rep, fmt.Errorf("%w: %d block(s) with multi-bit damage", ecc.ErrUncorrectable, total.unc)
 	}
-	return out, rep, nil
+	return out, crc, rep, nil
 }
 
 // decodeSteps copies the data of steps [lo, hi) from encoded into out,
-// then verifies and repairs it there, accumulating into st; safe to
-// run concurrently on disjoint ranges. The check words are recomputed
-// as encodeSteps computes them, and verifyStep compares them with the
-// stored ones; SEC-DED(72,64) first compares the kernel's eight check
-// bytes of a step with the stored eight as one word.
-func (c *Code) decodeSteps(out, encoded []byte, lo, hi int, vec bool, st *blockStats) {
+// then verifies and repairs it there, accumulating into st, and returns
+// the CRC-32C of the data as repaired; safe to run concurrently on
+// disjoint ranges. The check words are recomputed as encodeSteps
+// computes them, and verifyStep compares them with the stored ones;
+// SEC-DED(72,64) first compares the kernel's eight check bytes of a
+// step with the stored eight as one word. A repair stays inside its
+// step, so each piece's CRC is taken after its last repair.
+func (c *Code) decodeSteps(out, encoded []byte, lo, hi int, vec bool, st *blockStats) uint32 {
 	span := c.P.K
 	chk := encoded[len(out):]
 	nb := c.blocks(len(out))
+	var crc uint32
 	var ext [8 * copySteps]byte
 	for ; lo < hi; lo += copySteps {
 		end := min(lo+copySteps, hi)
@@ -508,7 +518,9 @@ func (c *Code) decodeSteps(out, encoded []byte, lo, hi int, vec bool, st *blockS
 		for ; s < end; s++ {
 			c.verifyStep(out, chk, s, nb, c.stepCheck(out, s), st)
 		}
+		crc = crc32.Update(crc, ecc.Castagnoli, out[lo*span:min(end*span, len(out))])
 	}
+	return crc
 }
 
 // verifyStep compares got, the recomputed check word of step s of out

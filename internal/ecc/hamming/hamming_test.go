@@ -46,11 +46,11 @@ func TestRoundTripClean(t *testing.T) {
 				c := &Code{P: NewParams(k, ext), Workers: 1}
 				data := make([]byte, n)
 				rng.Read(data)
-				enc := c.EncodeTo(nil, data, nil)
+				enc, _ := c.EncodeTo(nil, data, nil)
 				if len(enc) != c.EncodedSize(n) {
 					t.Fatalf("k=%d ext=%v n=%d: size mismatch", k, ext, n)
 				}
-				got, rep, err := c.DecodeTo(nil, enc, n, nil)
+				got, _, rep, err := c.DecodeTo(nil, enc, n, nil)
 				if err != nil {
 					t.Fatalf("k=%d ext=%v n=%d: %v", k, ext, n, err)
 				}
@@ -72,7 +72,7 @@ func TestCorrectsEverySingleBitFlip(t *testing.T) {
 			c := &Code{P: NewParams(k, ext), Workers: 1}
 			data := make([]byte, 24)
 			rng.Read(data)
-			enc := c.EncodeTo(nil, data, nil)
+			enc, _ := c.EncodeTo(nil, data, nil)
 			// Bits past usedBits are padding in the final check byte;
 			// flips there are invisible (and harmless).
 			usedBits := len(data)*8 + c.blocks(len(data))*c.P.CheckLen
@@ -80,7 +80,7 @@ func TestCorrectsEverySingleBitFlip(t *testing.T) {
 				mut := make([]byte, len(enc))
 				copy(mut, enc)
 				mut[bit/8] ^= 0x80 >> (bit % 8)
-				got, rep, err := c.DecodeTo(nil, mut, len(data), nil)
+				got, _, rep, err := c.DecodeTo(nil, mut, len(data), nil)
 				if err != nil {
 					t.Fatalf("k=%d ext=%v bit=%d: single flip not corrected: %v", k, ext, bit, err)
 				}
@@ -105,7 +105,7 @@ func TestExtendedDetectsDoubleErrors(t *testing.T) {
 		c := &Code{P: NewParams(k, true), Workers: 1}
 		data := make([]byte, k/8) // exactly one block
 		rng.Read(data)
-		enc := c.EncodeTo(nil, data, nil)
+		enc, _ := c.EncodeTo(nil, data, nil)
 		totalBits := len(enc) * 8
 		trials := 0
 		for t1 := 0; t1 < totalBits && trials < 300; t1++ {
@@ -114,7 +114,7 @@ func TestExtendedDetectsDoubleErrors(t *testing.T) {
 				copy(mut, enc)
 				mut[t1/8] ^= 0x80 >> (t1 % 8)
 				mut[t2/8] ^= 0x80 >> (t2 % 8)
-				got, _, err := c.DecodeTo(nil, mut, len(data), nil)
+				got, _, _, err := c.DecodeTo(nil, mut, len(data), nil)
 				trials++
 				if err == nil && !bytes.Equal(got, data) {
 					t.Fatalf("k=%d flips (%d,%d): silent miscorrection — SEC-DED must detect doubles", k, t1, t2)
@@ -133,7 +133,7 @@ func TestPlainHammingMiscorrectsSomeDoubles(t *testing.T) {
 	// but cannot reliably detect.
 	c := New(8, 1)
 	data := []byte{0xA5}
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 	sawMiscorrection := false
 	total := len(enc) * 8
 	for t1 := 0; t1 < total; t1++ {
@@ -142,7 +142,7 @@ func TestPlainHammingMiscorrectsSomeDoubles(t *testing.T) {
 			copy(mut, enc)
 			mut[t1/8] ^= 0x80 >> (t1 % 8)
 			mut[t2/8] ^= 0x80 >> (t2 % 8)
-			got, _, err := c.DecodeTo(nil, mut, 1, nil)
+			got, _, _, err := c.DecodeTo(nil, mut, 1, nil)
 			if err == nil && !bytes.Equal(got, data) {
 				sawMiscorrection = true
 			}
@@ -155,8 +155,8 @@ func TestPlainHammingMiscorrectsSomeDoubles(t *testing.T) {
 
 func TestTruncated(t *testing.T) {
 	c := New(64, 1)
-	enc := c.EncodeTo(nil, make([]byte, 128), nil)
-	if _, _, err := c.DecodeTo(nil, enc[:len(enc)-1], 128, nil); !errors.Is(err, ecc.ErrTruncated) {
+	enc, _ := c.EncodeTo(nil, make([]byte, 128), nil)
+	if _, _, _, err := c.DecodeTo(nil, enc[:len(enc)-1], 128, nil); !errors.Is(err, ecc.ErrTruncated) {
 		t.Fatalf("want ErrTruncated, got %v", err)
 	}
 }
@@ -167,10 +167,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 	rng.Read(data)
 	for _, k := range []int{8, 64} {
 		for _, ext := range []bool{false, true} {
-			serial := (&Code{P: NewParams(k, ext), Workers: 1}).EncodeTo(nil, data, nil)
+			serial, scrc := (&Code{P: NewParams(k, ext), Workers: 1}).EncodeTo(nil, data, nil)
 			for _, w := range []int{2, 5} {
-				par := (&Code{P: NewParams(k, ext), Workers: w}).EncodeTo(nil, data, nil)
-				if !bytes.Equal(serial, par) {
+				par, pcrc := (&Code{P: NewParams(k, ext), Workers: w}).EncodeTo(nil, data, nil)
+				if !bytes.Equal(serial, par) || pcrc != scrc {
 					t.Fatalf("k=%d ext=%v workers=%d: encoding differs", k, ext, w)
 				}
 			}
@@ -184,10 +184,10 @@ func TestQuickSingleFlipAlwaysCorrected(t *testing.T) {
 		if len(data) == 0 {
 			return true
 		}
-		enc := c.EncodeTo(nil, data, nil)
+		enc, _ := c.EncodeTo(nil, data, nil)
 		bit := int(where) % (len(enc) * 8)
 		enc[bit/8] ^= 0x80 >> (bit % 8)
-		got, _, err := c.DecodeTo(nil, enc, len(data), nil)
+		got, _, _, err := c.DecodeTo(nil, enc, len(data), nil)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -70,10 +71,13 @@ func TestEncodeMatchesRef(t *testing.T) {
 			for _, n := range kernelLens {
 				data := make([]byte, n)
 				rng.Read(data)
-				got := c.EncodeTo(nil, data, nil)
+				got, crc := c.EncodeTo(nil, data, nil)
 				want := c.EncodeRef(data)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("%s workers=%d n=%d: Encode diverges from EncodeRef", name(c), c.Workers, n)
+				}
+				if crc != crc32.Checksum(data, ecc.Castagnoli) {
+					t.Fatalf("%s workers=%d n=%d: EncodeTo's CRC is not the data's", name(c), c.Workers, n)
 				}
 			}
 		}
@@ -91,7 +95,7 @@ func TestDecodeMatchesRef(t *testing.T) {
 			for _, n := range kernelLens {
 				data := make([]byte, n)
 				rng.Read(data)
-				enc := c.EncodeTo(nil, data, nil)
+				enc, _ := c.EncodeTo(nil, data, nil)
 				for _, flips := range []int{0, 1, 2, 5} {
 					cor := append([]byte(nil), enc...)
 					for f := 0; f < flips && len(cor) > 0; f++ {
@@ -139,13 +143,17 @@ func TestDecodeRefTruncated(t *testing.T) {
 }
 
 // decodeBoth runs Decode and DecodeRef on enc and fails unless they
-// agree on bytes, report and error class; it returns Decode's results.
+// agree on bytes, report and error class, and Decode's CRC is that of
+// its output; it returns Decode's results.
 func decodeBoth(t *testing.T, c *Code, enc []byte, n int, what string) ([]byte, ecc.Report, error) {
 	t.Helper()
-	got, gotRep, gotErr := c.DecodeTo(nil, enc, n, nil)
+	got, crc, gotRep, gotErr := c.DecodeTo(nil, enc, n, nil)
 	want, wantRep, wantErr := c.DecodeRef(enc, n)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s workers=%d n=%d %s: Decode output diverges from DecodeRef", name(c), c.Workers, n, what)
+	}
+	if crc != crc32.Checksum(got, ecc.Castagnoli) {
+		t.Fatalf("%s workers=%d n=%d %s: DecodeTo's CRC is not its output's (err %v)", name(c), c.Workers, n, what, gotErr)
 	}
 	if gotRep != wantRep {
 		t.Fatalf("%s workers=%d n=%d %s: report %+v != %+v", name(c), c.Workers, n, what, gotRep, wantRep)
@@ -196,7 +204,7 @@ func TestKernelFlipsMatchRef(t *testing.T) {
 			}
 			data := make([]byte, n)
 			rng.Read(data)
-			enc := c.EncodeTo(nil, data, nil)
+			enc, _ := c.EncodeTo(nil, data, nil)
 			cor := make([]byte, len(enc))
 			for _, b := range blocks {
 				pos := codewordBits(c, n, b)
@@ -238,7 +246,7 @@ func TestPaddingBitSyndromeIsUncorrectable(t *testing.T) {
 		const n = 11
 		data := []byte("padding bit")
 		for _, c := range []*Code{New(64, 1), NewSECDED(64, 1)} {
-			enc := c.EncodeTo(nil, data, nil)
+			enc, _ := c.EncodeTo(nil, data, nil)
 			pos := codewordBits(c, n, 1)
 			cor := make([]byte, len(enc))
 			named := 0
@@ -267,7 +275,8 @@ func TestPaddingBitSyndromeIsUncorrectable(t *testing.T) {
 							continue
 						}
 						dist := 0
-						for k, x := range c.EncodeTo(nil, got, nil) {
+						reenc, _ := c.EncodeTo(nil, got, nil)
+						for k, x := range reenc {
 							dist += bits.OnesCount8(x ^ cor[k])
 						}
 						if dist != rep.CorrectedBits {
@@ -303,9 +312,12 @@ func FuzzHammingKernel(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc := c.EncodeTo(nil, data, nil)
+			enc, crc := c.EncodeTo(nil, data, nil)
 			if !bytes.Equal(enc, want) {
 				t.Fatalf("%s workers=%d n=%d %s: Encode diverges from EncodeRef", name(c), c.Workers, len(data), tier)
+			}
+			if crc != crc32.Checksum(data, ecc.Castagnoli) {
+				t.Fatalf("%s workers=%d n=%d %s: EncodeTo's CRC is not the data's", name(c), c.Workers, len(data), tier)
 			}
 			for f := flips; len(f) >= 2 && len(enc) > 0; f = f[2:] {
 				flipBit(enc, int(binary.BigEndian.Uint16(f))%(len(enc)*8))

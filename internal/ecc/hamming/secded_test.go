@@ -14,14 +14,14 @@ func TestSingleErrorCorrectedDoubleDetected(t *testing.T) {
 	c := NewSECDED(64, 1)
 	data := make([]byte, 64)
 	rng.Read(data)
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 
 	// Single flip anywhere: corrected.
 	for trial := 0; trial < 200; trial++ {
 		bit := rng.Intn(len(enc) * 8)
 		mut := append([]byte(nil), enc...)
 		mut[bit/8] ^= 0x80 >> (bit % 8)
-		got, rep, err := c.DecodeTo(nil, mut, len(data), nil)
+		got, _, rep, err := c.DecodeTo(nil, mut, len(data), nil)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("single flip at %d not corrected: %v", bit, err)
 		}
@@ -42,7 +42,7 @@ func TestSingleErrorCorrectedDoubleDetected(t *testing.T) {
 		mut := append([]byte(nil), enc...)
 		mut[b1/8] ^= 0x80 >> (b1 % 8)
 		mut[b2/8] ^= 0x80 >> (b2 % 8)
-		got, _, err := c.DecodeTo(nil, mut, len(data), nil)
+		got, _, _, err := c.DecodeTo(nil, mut, len(data), nil)
 		if err == nil {
 			if !bytes.Equal(got, data) {
 				t.Fatalf("double flip (%d, %d) silently miscorrected", b1, b2)
@@ -63,13 +63,13 @@ func TestErrorsInDifferentBlocksAllCorrected(t *testing.T) {
 	c := NewSECDED(64, 1)
 	data := make([]byte, 1024)
 	rng.Read(data)
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 	// Flip one bit in each of ten distinct data blocks.
 	for b := 0; b < 10; b++ {
 		bit := (b*13)*64 + rng.Intn(64)
 		enc[bit/8] ^= 0x80 >> (bit % 8)
 	}
-	got, rep, err := c.DecodeTo(nil, enc, len(data), nil)
+	got, _, rep, err := c.DecodeTo(nil, enc, len(data), nil)
 	if err != nil {
 		t.Fatalf("distinct-block errors should all correct: %v", err)
 	}

@@ -117,13 +117,15 @@ const (
 // Encode is EncodeTo(nil, data, nil), kept as the entry point the
 // benchmark's ladder times (benchmark/ladder.go).
 func (c *Code) Encode(data []byte) []byte {
-	return c.EncodeTo(nil, data, nil)
+	out, _ := c.EncodeTo(nil, data, nil)
+	return out
 }
 
 // EncodeTo implements ecc.Code. The bit transpose ORs into the
-// output, so a reused dst is cleared first.
-func (c *Code) EncodeTo(dst, data []byte, s *ecc.Scratch) []byte {
-	inner := c.inner.EncodeTo(s.Slot(slotInner, c.inner.EncodedSize(len(data))), data, s)
+// output, so a reused dst is cleared first. The CRC is the inner
+// code's: the data passes through SEC-DED unpermuted.
+func (c *Code) EncodeTo(dst, data []byte, s *ecc.Scratch) ([]byte, uint32) {
+	inner, crc := c.inner.EncodeTo(s.Slot(slotInner, c.inner.EncodedSize(len(data))), data, s)
 	g := s.Slot(slotGrouped, groupedSize(len(data)))
 	groupInto(g, inner, len(data))
 	padded := c.EncodedSize(len(data))
@@ -155,17 +157,18 @@ func (c *Code) EncodeTo(dst, data []byte, s *ecc.Scratch) []byte {
 			advance(1)
 		}
 	}
-	return out
+	return out, crc
 }
 
 // DecodeTo implements ecc.Code. Both intermediate buffers (the
 // de-transposed bit string and the regrouped inner stream) are fully
-// assigned, so reuse needs no clearing.
-func (c *Code) DecodeTo(dst, encoded []byte, origLen int, s *ecc.Scratch) ([]byte, ecc.Report, error) {
+// assigned, so reuse needs no clearing. The inner SEC-DED decode
+// writes dst, so its CRC is the one returned.
+func (c *Code) DecodeTo(dst, encoded []byte, origLen int, s *ecc.Scratch) ([]byte, uint32, ecc.Report, error) {
 	var rep ecc.Report
 	want := c.EncodedSize(origLen)
 	if origLen < 0 || len(encoded) < want {
-		return nil, rep, fmt.Errorf("%w: need %d bytes, have %d", ecc.ErrTruncated, want, len(encoded))
+		return nil, 0, rep, fmt.Errorf("%w: need %d bytes, have %d", ecc.ErrTruncated, want, len(encoded))
 	}
 	rows := 8 * c.Depth
 	cols := want * 8 / rows

@@ -38,14 +38,14 @@ func TestRoundTripClean(t *testing.T) {
 		for _, n := range []int{0, 1, depth - 1, depth, depth + 1, 10_000} {
 			data := make([]byte, n)
 			rng.Read(data)
-			enc := c.EncodeTo(nil, data, nil)
+			enc, _ := c.EncodeTo(nil, data, nil)
 			if len(enc) != c.EncodedSize(n) {
 				t.Fatalf("depth=%d n=%d: size mismatch", depth, n)
 			}
 			if len(enc)%depth != 0 {
 				t.Fatal("encoded size must be a multiple of depth")
 			}
-			got, rep, err := c.DecodeTo(nil, enc, n, nil)
+			got, _, rep, err := c.DecodeTo(nil, enc, n, nil)
 			if err != nil {
 				t.Fatalf("depth=%d n=%d: %v", depth, n, err)
 			}
@@ -68,7 +68,7 @@ func TestCorrectsBurstUpToDepth(t *testing.T) {
 	}
 	data := make([]byte, 32<<10)
 	rng.Read(data)
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 	for trial := 0; trial < 50; trial++ {
 		mut := append([]byte(nil), enc...)
 		off := rng.Intn(len(mut) - depth)
@@ -77,7 +77,7 @@ func TestCorrectsBurstUpToDepth(t *testing.T) {
 		for i := 0; i < depth; i++ {
 			mut[off+i] ^= byte(1 + rng.Intn(255))
 		}
-		got, rep, err := c.DecodeTo(nil, mut, len(data), nil)
+		got, _, rep, err := c.DecodeTo(nil, mut, len(data), nil)
 		if err != nil {
 			t.Fatalf("trial %d: burst not corrected: %v", trial, err)
 		}
@@ -97,7 +97,7 @@ func TestPlainSECDEDFailsSameBurst(t *testing.T) {
 	plain := hamming.NewSECDED(64, 1)
 	data := make([]byte, 32<<10)
 	rng.Read(data)
-	enc := plain.EncodeTo(nil, data, nil)
+	enc, _ := plain.EncodeTo(nil, data, nil)
 	failed := false
 	for trial := 0; trial < 20 && !failed; trial++ {
 		mut := append([]byte(nil), enc...)
@@ -105,7 +105,7 @@ func TestPlainSECDEDFailsSameBurst(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			mut[off+i] ^= byte(1 << rng.Intn(8))
 		}
-		if _, _, err := plain.DecodeTo(nil, mut, len(data), nil); err != nil {
+		if _, _, _, err := plain.DecodeTo(nil, mut, len(data), nil); err != nil {
 			failed = true
 		}
 	}
@@ -122,12 +122,12 @@ func TestSingleFlipStillCorrected(t *testing.T) {
 	}
 	data := make([]byte, 4096)
 	rng.Read(data)
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 	for trial := 0; trial < 200; trial++ {
 		mut := append([]byte(nil), enc...)
 		bit := rng.Intn(len(mut) * 8)
 		mut[bit/8] ^= 0x80 >> (bit % 8)
-		got, _, err := c.DecodeTo(nil, mut, len(data), nil)
+		got, _, _, err := c.DecodeTo(nil, mut, len(data), nil)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("trial %d: single flip not corrected: %v", trial, err)
 		}
@@ -139,8 +139,8 @@ func TestTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := c.EncodeTo(nil, make([]byte, 1000), nil)
-	if _, _, err := c.DecodeTo(nil, enc[:len(enc)-1], 1000, nil); !errors.Is(err, ecc.ErrTruncated) {
+	enc, _ := c.EncodeTo(nil, make([]byte, 1000), nil)
+	if _, _, _, err := c.DecodeTo(nil, enc[:len(enc)-1], 1000, nil); !errors.Is(err, ecc.ErrTruncated) {
 		t.Fatalf("want ErrTruncated, got %v", err)
 	}
 }
@@ -151,8 +151,8 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	prop := func(data []byte) bool {
-		enc := c.EncodeTo(nil, data, nil)
-		got, _, err := c.DecodeTo(nil, enc, len(data), nil)
+		enc, _ := c.EncodeTo(nil, data, nil)
+		got, _, _, err := c.DecodeTo(nil, enc, len(data), nil)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
@@ -171,8 +171,8 @@ func TestInterleaveIsBitPermutation(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	inner := hamming.NewSECDED(64, 1).EncodeTo(nil, data, nil)
-	outer := c.EncodeTo(nil, data, nil)
+	inner, _ := hamming.NewSECDED(64, 1).EncodeTo(nil, data, nil)
+	outer, _ := c.EncodeTo(nil, data, nil)
 	pop := func(buf []byte) int {
 		n := 0
 		for _, b := range buf {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -45,10 +46,14 @@ func forEachTier(t *testing.T, f func(t *testing.T)) {
 }
 
 // decodeBoth runs DecodeTo and DecodeRef on enc and fails unless they
-// agree on bytes, report and error class.
+// agree on bytes, report and error class, and DecodeTo's CRC is that of
+// its output.
 func decodeBoth(t *testing.T, c *Code, enc []byte, n int, what string) {
 	t.Helper()
-	got, gotRep, gotErr := c.DecodeTo(nil, enc, n, nil)
+	got, crc, gotRep, gotErr := c.DecodeTo(nil, enc, n, nil)
+	if crc != crc32.Checksum(got, ecc.Castagnoli) {
+		t.Fatalf("bb=%d workers=%d n=%d %s: DecodeTo's CRC is not its output's", c.BlockBytes, c.Workers, n, what)
+	}
 	want, wantRep, wantErr := c.DecodeRef(enc, n)
 	if !bytes.Equal(got, want) || gotRep != wantRep ||
 		(gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, ecc.ErrUncorrectable) != errors.Is(wantErr, ecc.ErrUncorrectable) {
@@ -73,9 +78,9 @@ func TestKernelMatchesRef(t *testing.T) {
 			for _, n := range lens {
 				data := make([]byte, n)
 				rng.Read(data)
-				enc := c.EncodeTo(nil, data, nil)
-				if !bytes.Equal(enc, c.EncodeRef(data)) {
-					t.Fatalf("bb=%d workers=%d n=%d: EncodeTo diverges from EncodeRef", c.BlockBytes, c.Workers, n)
+				enc, crc := c.EncodeTo(nil, data, nil)
+				if !bytes.Equal(enc, c.EncodeRef(data)) || crc != crc32.Checksum(data, ecc.Castagnoli) {
+					t.Fatalf("bb=%d workers=%d n=%d: EncodeTo diverges from EncodeRef, or its CRC from the data's", c.BlockBytes, c.Workers, n)
 				}
 				for _, flips := range []int{0, 1, 2, 5} {
 					cor := append([]byte(nil), enc...)
@@ -108,9 +113,9 @@ func FuzzParityKernel(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc := c.EncodeTo(nil, data, nil)
-			if !bytes.Equal(enc, want) {
-				t.Fatalf("bb=%d workers=%d n=%d %s: EncodeTo diverges from EncodeRef", c.BlockBytes, c.Workers, len(data), tier)
+			enc, crc := c.EncodeTo(nil, data, nil)
+			if !bytes.Equal(enc, want) || crc != crc32.Checksum(data, ecc.Castagnoli) {
+				t.Fatalf("bb=%d workers=%d n=%d %s: EncodeTo diverges from EncodeRef, or its CRC from the data's", c.BlockBytes, c.Workers, len(data), tier)
 			}
 			for f := flips; len(f) >= 2 && len(enc) > 0; f = f[2:] {
 				bit := int(binary.BigEndian.Uint16(f)) % (len(enc) * 8)

@@ -9,6 +9,7 @@ package parity
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/bits"
 	"sync/atomic"
 
@@ -110,7 +111,7 @@ func (c *Code) parityByte(data []byte, pb, nb int) byte {
 // (groups of eight blocks) and the data they cover, so no two
 // goroutines write the same byte; every output byte is fully assigned,
 // so a reused dst needs no clearing.
-func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
+func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) ([]byte, uint32) {
 	n := len(data)
 	nb := c.blocks(n)
 	out := ecc.GrowTo(dst, c.EncodedSize(n))
@@ -119,13 +120,14 @@ func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
 	// Serial fast path: a closure handed to parallel.For escapes and
 	// would allocate even when it runs inline.
 	if parallel.Clamp(c.Workers, len(par)) == 1 {
-		c.encodeRange(data, out, par, 0, len(par), nb, vec)
-	} else {
-		parallel.For(len(par), c.Workers, func(lo, hi int) {
-			c.encodeRange(data, out, par, lo, hi, nb, vec)
-		})
+		return out, c.encodeRange(data, out, par, 0, len(par), nb, vec)
 	}
-	return out
+	var crc ecc.CRCJoin
+	parallel.For(len(par), c.Workers, func(lo, hi int) {
+		_, to := c.span(lo, hi, n)
+		crc.Add(c.encodeRange(data, out, par, lo, hi, nb, vec), n-to)
+	})
+	return out, crc.Sum()
 }
 
 // span is the data bytes parity bytes [lo, hi) cover in an n-byte
@@ -134,83 +136,106 @@ func (c *Code) span(lo, hi, n int) (int, int) {
 	return lo * 8 * c.BlockBytes, min(hi*8*c.BlockBytes, n)
 }
 
+// pieceBytes is how many parity bytes encodeRange and countRange take
+// at a time: those of at most 4 KiB of data, so that the CRC-32C of
+// the data copied into out finds it in the first-level cache.
+func (c *Code) pieceBytes() int { return max(4096/(8*c.BlockBytes), 1) }
+
 // encodeRange copies the data parity bytes [lo, hi) cover into out and
-// fills them, through parityBytesAVX2 when vec; safe to run
-// concurrently on disjoint ranges.
-func (c *Code) encodeRange(data, out, par []byte, lo, hi, nb int, vec bool) {
-	if vec {
-		end := kernelEnd(lo, hi, len(data))
-		parityBytesAVX2(data[lo*64:end*64], out[lo*64:end*64], par[lo:end])
-		lo = end
+// fills them, through parityBytesAVX2 when vec, and returns the
+// CRC-32C of that data; safe to run concurrently on disjoint ranges.
+func (c *Code) encodeRange(data, out, par []byte, lo, hi, nb int, vec bool) uint32 {
+	var crc uint32
+	for ; lo < hi; lo += c.pieceBytes() {
+		end := min(lo+c.pieceBytes(), hi)
+		pb := lo
+		if vec {
+			pb = kernelEnd(lo, end, len(data))
+			parityBytesAVX2(data[lo*64:pb*64], out[lo*64:pb*64], par[lo:pb])
+		}
+		from, to := c.span(pb, end, len(data))
+		copy(out[from:to], data[from:to])
+		for ; pb < end; pb++ {
+			par[pb] = c.parityByte(data, pb, nb)
+		}
+		from, to = c.span(lo, end, len(data))
+		crc = crc32.Update(crc, ecc.Castagnoli, out[from:to])
 	}
-	from, to := c.span(lo, hi, len(data))
-	copy(out[from:to], data[from:to])
-	for pb := lo; pb < hi; pb++ {
-		par[pb] = c.parityByte(data, pb, nb)
-	}
+	return crc
 }
 
 // DecodeTo implements ecc.Code. Parity corrects nothing: if any
 // block's parity mismatches, DecodeTo returns the (possibly corrupt)
 // data along with ecc.ErrUncorrectable so the caller can decide what
 // to salvage.
-func (c *Code) DecodeTo(dst, encoded []byte, origLen int, _ *ecc.Scratch) ([]byte, ecc.Report, error) {
+func (c *Code) DecodeTo(dst, encoded []byte, origLen int, _ *ecc.Scratch) ([]byte, uint32, ecc.Report, error) {
 	var rep ecc.Report
 	if origLen < 0 || len(encoded) < c.EncodedSize(origLen) {
-		return nil, rep, fmt.Errorf("%w: need %d bytes, have %d", ecc.ErrTruncated, c.EncodedSize(origLen), len(encoded))
+		return nil, 0, rep, fmt.Errorf("%w: need %d bytes, have %d", ecc.ErrTruncated, c.EncodedSize(origLen), len(encoded))
 	}
 	data := encoded[:origLen]
 	par := encoded[origLen:c.EncodedSize(origLen)]
 	nb := c.blocks(origLen)
 	out := ecc.GrowTo(dst, origLen)
 	var detected int64
+	var crc uint32
 	vec := c.vector()
-	// Serial fast path: see EncodeTo. The atomic counter is declared
-	// inside the parallel branch so its heap allocation (it is captured
-	// by an escaping closure) never taxes the serial path.
+	// Serial fast path: see EncodeTo. The atomic counter and the CRC
+	// join are declared inside the parallel branch so their heap
+	// allocations (they are captured by an escaping closure) never tax
+	// the serial path.
 	if parallel.Clamp(c.Workers, len(par)) == 1 {
-		detected = c.countRange(data, out, par, 0, len(par), nb, vec)
+		detected, crc = c.countRange(data, out, par, 0, len(par), nb, vec)
 	} else {
 		var adet int64
+		var join ecc.CRCJoin
 		parallel.For(len(par), c.Workers, func(lo, hi int) {
-			if local := c.countRange(data, out, par, lo, hi, nb, vec); local > 0 {
+			local, lcrc := c.countRange(data, out, par, lo, hi, nb, vec)
+			if local > 0 {
 				atomic.AddInt64(&adet, local)
 			}
+			_, to := c.span(lo, hi, origLen)
+			join.Add(lcrc, origLen-to)
 		})
-		detected = adet
+		detected, crc = adet, join.Sum()
 	}
 	rep.DetectedBlocks = int(detected)
 	if rep.DetectedBlocks > 0 {
-		return out, rep, fmt.Errorf("%w: parity mismatch in %d block(s)", ecc.ErrUncorrectable, rep.DetectedBlocks)
+		return out, crc, rep, fmt.Errorf("%w: parity mismatch in %d block(s)", ecc.ErrUncorrectable, rep.DetectedBlocks)
 	}
-	return out, rep, nil
+	return out, crc, rep, nil
 }
 
-// countRange copies the data parity bytes [lo, hi) cover into out and
+// countRange copies the data parity bytes [lo, hi) cover into out,
 // counts the bits where their recomputed parity, as encodeRange
-// computes it, differs from par; safe to run concurrently on disjoint
+// computes it, differs from par, and returns the count and the
+// CRC-32C of the data copied; safe to run concurrently on disjoint
 // ranges.
-func (c *Code) countRange(data, out, par []byte, lo, hi, nb int, vec bool) int64 {
+func (c *Code) countRange(data, out, par []byte, lo, hi, nb int, vec bool) (int64, uint32) {
 	local := 0
-	if vec {
-		var got [512]byte
-		for end := kernelEnd(lo, hi, len(data)); lo < end; {
-			k := min(end-lo, len(got))
-			parityBytesAVX2(data[lo*64:(lo+k)*64], out[lo*64:(lo+k)*64], got[:k])
-			for i, g := range got[:k] {
+	var crc uint32
+	var got [64]byte // the kernel's parity bytes of one piece (vec: 8-byte blocks)
+	for ; lo < hi; lo += c.pieceBytes() {
+		end := min(lo+c.pieceBytes(), hi)
+		pb := lo
+		if vec {
+			pb = kernelEnd(lo, end, len(data))
+			parityBytesAVX2(data[lo*64:pb*64], out[lo*64:pb*64], got[:pb-lo])
+			for i, g := range got[:pb-lo] {
 				local += bits.OnesCount8(g ^ par[lo+i])
 			}
-			lo += k
 		}
-	}
-	from, to := c.span(lo, hi, len(data))
-	copy(out[from:to], data[from:to])
-	for pb := lo; pb < hi; pb++ {
-		if diff := c.parityByte(data, pb, nb) ^ par[pb]; diff != 0 {
-			local += bits.OnesCount8(diff)
+		from, to := c.span(pb, end, len(data))
+		copy(out[from:to], data[from:to])
+		for ; pb < end; pb++ {
+			if diff := c.parityByte(data, pb, nb) ^ par[pb]; diff != 0 {
+				local += bits.OnesCount8(diff)
+			}
 		}
+		from, to = c.span(lo, end, len(data))
+		crc = crc32.Update(crc, ecc.Castagnoli, out[from:to])
 	}
-	return int64(local)
+	return int64(local), crc
 }
 
 // EncodeRef is the retained per-block reference of EncodeTo, kept as

@@ -17,11 +17,11 @@ func TestRoundTripClean(t *testing.T) {
 			data := make([]byte, n)
 			rng.Read(data)
 			c := New(bb, 1)
-			enc := c.EncodeTo(nil, data, nil)
+			enc, _ := c.EncodeTo(nil, data, nil)
 			if len(enc) != c.EncodedSize(n) {
 				t.Fatalf("bb=%d n=%d: EncodedSize mismatch", bb, n)
 			}
-			got, rep, err := c.DecodeTo(nil, enc, n, nil)
+			got, _, rep, err := c.DecodeTo(nil, enc, n, nil)
 			if err != nil {
 				t.Fatalf("bb=%d n=%d: clean decode failed: %v", bb, n, err)
 			}
@@ -38,12 +38,12 @@ func TestRoundTripClean(t *testing.T) {
 func TestDetectsEverySingleBitFlip(t *testing.T) {
 	data := []byte{0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x23, 0x45}
 	c := New(2, 1)
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 	for bit := 0; bit < len(enc)*8; bit++ {
 		mut := make([]byte, len(enc))
 		copy(mut, enc)
 		mut[bit/8] ^= 0x80 >> (bit % 8)
-		_, rep, err := c.DecodeTo(nil, mut, len(data), nil)
+		_, _, rep, err := c.DecodeTo(nil, mut, len(data), nil)
 		if err == nil {
 			t.Fatalf("bit %d flip went undetected", bit)
 		}
@@ -60,10 +60,10 @@ func TestMissesEvenErrorsInOneBlock(t *testing.T) {
 	// The documented weakness: two flips in the same block cancel.
 	data := make([]byte, 16)
 	c := New(16, 1)
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 	enc[0] ^= 0x01
 	enc[5] ^= 0x01
-	_, rep, err := c.DecodeTo(nil, enc, len(data), nil)
+	_, _, rep, err := c.DecodeTo(nil, enc, len(data), nil)
 	if err != nil {
 		t.Fatalf("double error in one block should be missed, got %v", err)
 	}
@@ -75,11 +75,11 @@ func TestMissesEvenErrorsInOneBlock(t *testing.T) {
 func TestDetectsOddErrorsAcrossBlocks(t *testing.T) {
 	data := make([]byte, 32)
 	c := New(8, 1)
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 	enc[0] ^= 0x01  // block 0
 	enc[9] ^= 0x01  // block 1
 	enc[17] ^= 0x01 // block 2
-	_, rep, err := c.DecodeTo(nil, enc, len(data), nil)
+	_, _, rep, err := c.DecodeTo(nil, enc, len(data), nil)
 	if err == nil {
 		t.Fatal("three flips across blocks must be detected")
 	}
@@ -90,8 +90,8 @@ func TestDetectsOddErrorsAcrossBlocks(t *testing.T) {
 
 func TestTruncatedStream(t *testing.T) {
 	c := New(8, 1)
-	enc := c.EncodeTo(nil, make([]byte, 64), nil)
-	if _, _, err := c.DecodeTo(nil, enc[:len(enc)-1], 64, nil); !errors.Is(err, ecc.ErrTruncated) {
+	enc, _ := c.EncodeTo(nil, make([]byte, 64), nil)
+	if _, _, _, err := c.DecodeTo(nil, enc[:len(enc)-1], 64, nil); !errors.Is(err, ecc.ErrTruncated) {
 		t.Fatalf("want ErrTruncated, got %v", err)
 	}
 }
@@ -100,9 +100,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	data := make([]byte, 100_003)
 	rng.Read(data)
-	serial := New(8, 1).EncodeTo(nil, data, nil)
+	serial, _ := New(8, 1).EncodeTo(nil, data, nil)
 	for _, w := range []int{2, 3, 8} {
-		par := New(8, w).EncodeTo(nil, data, nil)
+		par, _ := New(8, w).EncodeTo(nil, data, nil)
 		if !bytes.Equal(serial, par) {
 			t.Fatalf("workers=%d produced different encoding", w)
 		}
@@ -112,8 +112,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestQuickRoundTrip(t *testing.T) {
 	c := New(4, 2)
 	prop := func(data []byte) bool {
-		enc := c.EncodeTo(nil, data, nil)
-		got, _, err := c.DecodeTo(nil, enc, len(data), nil)
+		enc, _ := c.EncodeTo(nil, data, nil)
+		got, _, _, err := c.DecodeTo(nil, enc, len(data), nil)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
@@ -127,10 +127,10 @@ func TestQuickSingleFlipDetected(t *testing.T) {
 		if len(data) == 0 {
 			return true
 		}
-		enc := c.EncodeTo(nil, data, nil)
+		enc, _ := c.EncodeTo(nil, data, nil)
 		bit := int(where) % (len(enc) * 8)
 		enc[bit/8] ^= 0x80 >> (bit % 8)
-		_, _, err := c.DecodeTo(nil, enc, len(data), nil)
+		_, _, _, err := c.DecodeTo(nil, enc, len(data), nil)
 		return errors.Is(err, ecc.ErrUncorrectable)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {

@@ -2,6 +2,7 @@ package reedsolomon_test
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -46,9 +47,9 @@ func TestEncodeMatchesMulSliceRef(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := c.EncodeTo(bytes.Repeat([]byte{0xA5}, len(want)), data, nil)
-					if !bytes.Equal(got, want) {
-						t.Errorf("%s (%d+%d), %d-byte devices, tier %s, %d workers: EncodeTo differs from the MulSliceRef encoder",
+					got, crc := c.EncodeTo(bytes.Repeat([]byte{0xA5}, len(want)), data, nil)
+					if !bytes.Equal(got, want) || crc != crc32.Checksum(data, ecc.Castagnoli) {
+						t.Errorf("%s (%d+%d), %d-byte devices, tier %s, %d workers: EncodeTo differs from the MulSliceRef encoder, or its CRC from the data's",
 							cfg, k, m, ds, tier, workers)
 					}
 				}
@@ -59,20 +60,31 @@ func TestEncodeMatchesMulSliceRef(t *testing.T) {
 }
 
 // TestEncodeAllocFree pins a serial EncodeTo into a kept buffer at zero
-// allocations: the stripe's device lists are stack arrays and the
-// tables come prepared from New.
+// allocations under every tier: the stripe's device lists are stack
+// arrays and the tables and CRC shift come prepared from New. The
+// device sizes are core's for a 64 KiB chunk (272), for a chunk that
+// does not fill its last stripe (1022) and for a full one (1024).
 func TestEncodeAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation accounting is unreliable under the race detector")
 	}
-	c, err := reedsolomon.New(241, 15, 1024, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	data := make([]byte, 1<<20)
 	rand.New(rand.NewSource(42)).Read(data)
-	dst := c.EncodeTo(nil, data, nil)
-	if avg := testing.AllocsPerRun(5, func() { dst = c.EncodeTo(dst, data, nil) }); avg != 0 {
-		t.Errorf("EncodeTo into a kept buffer: %.1f allocs/op, want 0", avg)
+	for _, ds := range []int{272, 1022, 1024} {
+		c, err := reedsolomon.New(241, 15, ds, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, _ := c.EncodeTo(nil, data, nil)
+		for _, tier := range gf256.Tiers() {
+			restore, err := gf256.ForceTier(tier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if avg := testing.AllocsPerRun(5, func() { dst, _ = c.EncodeTo(dst, data, nil) }); avg != 0 {
+				t.Errorf("%d-byte devices, tier %s: EncodeTo into a kept buffer: %.1f allocs/op, want 0", ds, tier, avg)
+			}
+			restore()
+		}
 	}
 }

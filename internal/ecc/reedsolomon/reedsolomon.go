@@ -17,6 +17,13 @@
 // table of 4 bytes per device. A corrupted CRC entry merely
 // marks its (healthy) device as an erasure, which the same machinery
 // repairs.
+//
+// The data devices are the original bytes in order, so the CRC-32C
+// that EncodeTo and DecodeTo return is the data devices' CRCs joined
+// with the code's precomputed shift for DeviceSize: the ones the
+// checksum table holds on encode, and on decode the ones taken over
+// each device's bytes in dst, after the copy or the rebuild. A device
+// that the end of the data cuts short is taken over its real bytes.
 package reedsolomon
 
 import (
@@ -31,9 +38,6 @@ import (
 	"repro/internal/parallel"
 )
 
-// castagnoli is the CRC-32C table used for device checksums.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // csBytes is the width of one device's entry in a stripe's checksum
 // table: its CRC-32C, little-endian.
 const csBytes = 4
@@ -46,7 +50,8 @@ type Code struct {
 	DeviceSize int // bytes per device
 	Workers    int
 
-	gen *gf256.Matrix // (K+M) x K systematic generator
+	gen   *gf256.Matrix // (K+M) x K systematic generator
+	shift *ecc.CRCShift // joins a whole device's CRC-32C to the CRC before it
 	// check is the M x (K+M) parity check [P | I], P the generator's
 	// parity rows: device K+p is row p applied to the data devices,
 	// and row p over the whole stripe sums to 0.
@@ -91,12 +96,25 @@ func New(k, m, deviceSize, workers int) (*Code, error) {
 		genCache.Store(genKey{k, m}, cached)
 	}
 	cm := cached.(codeMatrices)
-	return &Code{K: k, M: m, DeviceSize: deviceSize, Workers: workers, gen: cm.gen, check: cm.check}, nil
+	return &Code{K: k, M: m, DeviceSize: deviceSize, Workers: workers, gen: cm.gen, check: cm.check,
+		shift: ecc.ShiftFor(deviceSize)}, nil
 }
 
 // deviceOK reports whether dev matches its checksum table entry cs.
 func deviceOK(dev, cs []byte) bool {
-	return crc32.Checksum(dev, castagnoli) == binary.LittleEndian.Uint32(cs)
+	return crc32.Checksum(dev, ecc.Castagnoli) == binary.LittleEndian.Uint32(cs)
+}
+
+// join continues crc over n <= DeviceSize bytes of a device whose
+// CRC-32C is part.
+func (c *Code) join(crc, part uint32, n int) uint32 {
+	switch n {
+	case 0:
+		return crc
+	case c.DeviceSize:
+		return c.shift.Combine(crc, part)
+	}
+	return ecc.CombineCRC(crc, part, n)
 }
 
 func (c *Code) stripeDataBytes() int { return c.K * c.DeviceSize }
@@ -118,7 +136,7 @@ func (c *Code) EncodedSize(n int) int { return c.stripes(n) * c.stripeEncBytes()
 // EncodeTo implements ecc.Code. The stripe encoder assigns every
 // output byte (including explicit zero padding of a partial final
 // stripe), so a reused dst needs no up-front clearing.
-func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
+func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) ([]byte, uint32) {
 	n := len(data)
 	ns := c.stripes(n)
 	out := ecc.GrowTo(dst, c.EncodedSize(n))
@@ -127,31 +145,34 @@ func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) []byte {
 	// path), which would cost an allocation per EncodeTo even for one
 	// worker — the chunk-stream steady state this code serves.
 	if parallel.Clamp(c.Workers, ns) == 1 {
-		c.encodeRange(data, out, 0, ns)
-	} else {
-		parallel.For(ns, c.Workers, func(lo, hi int) {
-			c.encodeRange(data, out, lo, hi)
-		})
+		return out, c.encodeRange(data, out, 0, ns)
 	}
-	return out
+	var crc ecc.CRCJoin
+	parallel.For(ns, c.Workers, func(lo, hi int) {
+		crc.Add(c.encodeRange(data, out, lo, hi), n-min(hi*c.stripeDataBytes(), n))
+	})
+	return out, crc.Sum()
 }
 
-// encodeRange encodes stripes [lo, hi); safe to run concurrently on
-// disjoint ranges.
-func (c *Code) encodeRange(data, out []byte, lo, hi int) {
+// encodeRange encodes stripes [lo, hi) and returns the CRC-32C of
+// their data; safe to run concurrently on disjoint ranges.
+func (c *Code) encodeRange(data, out []byte, lo, hi int) uint32 {
 	n := len(data)
 	sdb := c.stripeDataBytes()
 	seb := c.stripeEncBytes()
+	var crc uint32
 	for s := lo; s < hi; s++ {
 		src := data[min(s*sdb, n):min((s+1)*sdb, n)]
-		c.encodeStripe(src, out[s*seb:(s+1)*seb])
+		crc = c.encodeStripe(src, out[s*seb:(s+1)*seb], crc)
 	}
+	return crc
 }
 
 // encodeStripe fills one encoded stripe from up to stripeDataBytes of
 // source data (shorter input is zero-padded): the parity devices in one
-// MulRows, data devices in, parity devices out.
-func (c *Code) encodeStripe(src, dst []byte) {
+// MulRows, data devices in, parity devices out. It returns crc
+// continued over src.
+func (c *Code) encodeStripe(src, dst []byte, crc uint32) uint32 {
 	ds := c.DeviceSize
 	devices := c.placeData(src, dst)
 	var data, parity [gf256.Order][]byte
@@ -162,7 +183,7 @@ func (c *Code) encodeStripe(src, dst []byte) {
 		parity[p] = devices[(c.K+p)*ds : (c.K+p+1)*ds]
 	}
 	c.check.MulRows(data[:c.K], parity[:c.M])
-	c.putChecksums(dst)
+	return c.putChecksums(dst, crc, len(src))
 }
 
 // placeData copies up to stripeDataBytes of source data into the data
@@ -177,13 +198,21 @@ func (c *Code) placeData(src, dst []byte) []byte {
 	return dst[:(c.K+c.M)*c.DeviceSize]
 }
 
-// putChecksums writes the checksum table of the encoded stripe dst.
-func (c *Code) putChecksums(dst []byte) {
+// putChecksums writes the checksum table of the encoded stripe dst,
+// whose first n bytes are data, and returns crc continued over them. A
+// device's CRC-32C is taken over its data bytes and then continued over
+// the rest of it, which is the zero padding of a final stripe.
+func (c *Code) putChecksums(dst []byte, crc uint32, n int) uint32 {
 	ds := c.DeviceSize
-	crcs := dst[(c.K+c.M)*ds:]
+	table := dst[(c.K+c.M)*ds:]
 	for d := 0; d < c.K+c.M; d++ {
-		binary.LittleEndian.PutUint32(crcs[d*csBytes:], crc32.Checksum(dst[d*ds:(d+1)*ds], castagnoli))
+		dev := dst[d*ds : (d+1)*ds]
+		real := min(max(n-d*ds, 0), ds)
+		part := crc32.Checksum(dev[:real], ecc.Castagnoli)
+		crc = c.join(crc, part, real)
+		binary.LittleEndian.PutUint32(table[d*csBytes:], crc32.Update(part, ecc.Castagnoli, dev[real:]))
 	}
+	return crc
 }
 
 // EncodeRef is the retained reference implementation of EncodeTo:
@@ -207,7 +236,7 @@ func (c *Code) EncodeRef(dst, data []byte, mul func(c byte, src, dst []byte)) []
 				mul(c.gen.At(c.K+p, j), devices[j*ds:(j+1)*ds], pdev)
 			}
 		}
-		c.putChecksums(stripe)
+		c.putChecksums(stripe, 0, 0)
 	}
 	return out
 }
@@ -217,31 +246,33 @@ func (c *Code) EncodeRef(dst, data []byte, mul func(c byte, src, dst []byte)) []
 // stripe's working storage comes from s. With Workers > 1 each worker
 // range brings its own scratch instead (a Scratch must not be shared
 // between goroutines), allocated only if the range holds damage.
-func (c *Code) DecodeTo(dst, encoded []byte, origLen int, s *ecc.Scratch) ([]byte, ecc.Report, error) {
+func (c *Code) DecodeTo(dst, encoded []byte, origLen int, s *ecc.Scratch) ([]byte, uint32, ecc.Report, error) {
 	if err := c.checkLen(encoded, origLen); err != nil {
-		return nil, ecc.Report{}, err
+		return nil, 0, ecc.Report{}, err
 	}
 	ns := c.stripes(origLen)
 	out := ecc.GrowTo(dst, origLen)
-	var detected, corrected, failed int64
-	// Serial fast path: see EncodeTo. The atomics live inside the
-	// parallel branch — counters captured by an escaping closure are
-	// heap-allocated at their declaration, so they must not be declared
-	// on the path the steady state takes.
+	var st stripeStats
+	// Serial fast path: see EncodeTo. The atomics and the CRC join live
+	// inside the parallel branch — values captured by an escaping
+	// closure are heap-allocated at their declaration, so they must not
+	// be declared on the path the steady state takes.
 	if parallel.Clamp(c.Workers, ns) == 1 {
-		detected, corrected, failed = c.decodeRange(encoded, out, origLen, 0, ns, s)
+		st = c.decodeRange(encoded, out, 0, ns, s)
 	} else {
 		var adet, acor, afail int64
+		var join ecc.CRCJoin
 		parallel.For(ns, c.Workers, func(lo, hi int) {
-			ldet, lcor, lfail := c.decodeRange(encoded, out, origLen, lo, hi, nil)
-			atomic.AddInt64(&adet, ldet)
-			atomic.AddInt64(&acor, lcor)
-			atomic.AddInt64(&afail, lfail)
+			l := c.decodeRange(encoded, out, lo, hi, nil)
+			atomic.AddInt64(&adet, l.det)
+			atomic.AddInt64(&acor, l.cor)
+			atomic.AddInt64(&afail, l.fail)
+			join.Add(l.crc, origLen-min(hi*c.stripeDataBytes(), origLen))
 		})
-		detected, corrected, failed = adet, acor, afail
+		st = stripeStats{det: adet, cor: acor, fail: afail, crc: join.Sum()}
 	}
-	rep, err := c.report(detected, corrected, failed)
-	return out, rep, err
+	rep, err := c.report(st.det, st.cor, st.fail)
+	return out, st.crc, rep, err
 }
 
 // DecodeRef is the retained reference implementation of DecodeTo: serial,
@@ -285,53 +316,66 @@ func (c *Code) report(detected, corrected, failed int64) (ecc.Report, error) {
 	return rep, nil
 }
 
-// decodeRange decodes stripes [lo, hi), returning local counters; safe
-// to run concurrently on disjoint ranges as long as each call has its
-// own s. A nil s stands for a range-local scratch, which stays empty
-// (and on the stack) unless a stripe of the range is damaged.
-func (c *Code) decodeRange(encoded, out []byte, origLen, lo, hi int, s *ecc.Scratch) (det, cor, fail int64) {
+// stripeStats is what a range of stripes reports: counters, and the
+// CRC-32C of the range's data as written to the output.
+type stripeStats struct {
+	det, cor, fail int64
+	crc            uint32
+}
+
+// decodeRange decodes stripes [lo, hi) into out; safe to run
+// concurrently on disjoint ranges as long as each call has its own s.
+// A nil s stands for a range-local scratch, which stays empty (and on
+// the stack) unless a stripe of the range is damaged.
+func (c *Code) decodeRange(encoded, out []byte, lo, hi int, s *ecc.Scratch) (st stripeStats) {
 	var local ecc.Scratch
 	if s == nil {
 		s = &local
 	}
+	n := len(out)
 	sdb := c.stripeDataBytes()
 	seb := c.stripeEncBytes()
-	for st := lo; st < hi; st++ {
-		dst := out[min(st*sdb, origLen):min((st+1)*sdb, origLen)]
-		d, co, err := c.decodeStripe(encoded[st*seb:(st+1)*seb], dst, s)
-		det += int64(d)
-		cor += int64(co)
+	for i := lo; i < hi; i++ {
+		dst := out[min(i*sdb, n):min((i+1)*sdb, n)]
+		d, co, crc, err := c.decodeStripe(encoded[i*seb:(i+1)*seb], dst, st.crc, s)
+		st.det += int64(d)
+		st.cor += int64(co)
+		st.crc = crc
 		if err != nil {
-			fail++
+			st.fail++
 		}
 	}
-	return det, cor, fail
+	return st
 }
 
 // decodeStripe verifies one stripe and writes the recovered data
 // region into dst (len(dst) <= stripeDataBytes for the final stripe).
-// It returns the number of corrupt devices detected and repaired; the
-// stripe itself is never modified.
-func (c *Code) decodeStripe(stripe, dst []byte, s *ecc.Scratch) (detected, corrected int, err error) {
+// It returns the number of corrupt devices detected and repaired, and
+// crc continued over dst as written; the stripe itself is never
+// modified.
+func (c *Code) decodeStripe(stripe, dst []byte, crc uint32, s *ecc.Scratch) (detected, corrected int, _ uint32, err error) {
 	ds := c.DeviceSize
 	total := c.K + c.M
 	devices := stripe[:total*ds]
-	crcs := stripe[total*ds:]
+	table := stripe[total*ds:]
+	var crcs [gf256.Order]uint32 // of each data device's bytes in dst
 	var badBuf [gf256.Order]byte // device indices fit a byte: K+M <= 256
 	bad := badBuf[:0]
 	for d := 0; d < total; d++ {
-		if !deviceOK(devices[d*ds:(d+1)*ds], crcs[d*csBytes:]) {
+		// Healthy data devices pass through as they are; for a clean
+		// stripe that is the whole decode. Past M corrupt devices it is
+		// the best effort: callers may inspect the raw data region. Each
+		// device is checked right after its copy: its bytes in dst, then
+		// the rest of it (padding, or a parity device) in the stripe.
+		dev := devices[d*ds : (d+1)*ds]
+		lo := min(d*ds, len(dst))
+		n := copy(dst[lo:], dev)
+		crcs[d] = crc32.Checksum(dst[lo:lo+n], ecc.Castagnoli)
+		if crc32.Update(crcs[d], ecc.Castagnoli, dev[n:]) != binary.LittleEndian.Uint32(table[d*csBytes:]) {
 			bad = append(bad, byte(d))
 		}
 	}
-	// Healthy data devices pass through as they are; for a clean stripe
-	// that is the whole decode. Past M corrupt devices it is the best
-	// effort: callers may inspect the raw data region.
-	copy(dst, devices)
 	detected = len(bad)
-	if detected > c.M {
-		return detected, 0, ecc.ErrUncorrectable
-	}
 	// bad is ascending, so the corrupt data devices lead it. Corrupt
 	// parity is repairable but needs no rebuilding to produce output:
 	// with no corrupt data device the copy above already was the repair.
@@ -339,11 +383,26 @@ func (c *Code) decodeStripe(stripe, dst []byte, s *ecc.Scratch) (detected, corre
 	for e < detected && int(bad[e]) < c.K {
 		e++
 	}
-	if e > 0 && !c.solveStripe(devices, dst, bad[:e], bad[e:], s) {
+	switch {
+	case detected > c.M:
+		err = ecc.ErrUncorrectable
+	case e > 0 && !c.solveStripe(devices, dst, bad[:e], bad[e:], s):
 		// Cannot happen for an MDS code; treat defensively as failure.
-		return detected, 0, ecc.ErrUncorrectable
+		err = ecc.ErrUncorrectable
+	case e > 0:
+		// The rebuilt devices' CRCs, over what solveStripe wrote.
+		for _, d := range bad[:e] {
+			lo := min(int(d)*ds, len(dst))
+			crcs[d] = crc32.Checksum(dst[lo:min(lo+ds, len(dst))], ecc.Castagnoli)
+		}
 	}
-	return detected, detected, nil
+	for d := 0; d*ds < len(dst); d++ {
+		crc = c.join(crc, crcs[d], min(len(dst)-d*ds, ds))
+	}
+	if err != nil {
+		return detected, 0, crc, err
+	}
+	return detected, detected, crc, nil
 }
 
 // slotRepair is the one ecc.Scratch slot this package uses: the

@@ -47,11 +47,11 @@ func TestRoundTripClean(t *testing.T) {
 		for _, n := range []int{0, 1, cfg.ds - 1, cfg.ds, cfg.k * cfg.ds, cfg.k*cfg.ds + 1, 3 * cfg.k * cfg.ds} {
 			data := make([]byte, n)
 			rng.Read(data)
-			enc := c.EncodeTo(nil, data, nil)
+			enc, _ := c.EncodeTo(nil, data, nil)
 			if len(enc) != c.EncodedSize(n) {
 				t.Fatalf("k=%d m=%d n=%d: size mismatch", cfg.k, cfg.m, n)
 			}
-			got, rep, err := c.DecodeTo(nil, enc, n, nil)
+			got, _, rep, err := c.DecodeTo(nil, enc, n, nil)
 			if err != nil {
 				t.Fatalf("clean decode: %v", err)
 			}
@@ -70,7 +70,7 @@ func TestCorrectsUpToMDeviceErasures(t *testing.T) {
 	c := mustNew(t, 8, 3, 32, 1)
 	data := make([]byte, 8*32*2) // two stripes
 	rng.Read(data)
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 	// Corrupt exactly M devices in stripe 0: smash whole devices.
 	for _, d := range []int{1, 5, 9} { // two data devices + one parity
 		off := d * 32
@@ -78,7 +78,7 @@ func TestCorrectsUpToMDeviceErasures(t *testing.T) {
 			enc[off+i] ^= 0xFF
 		}
 	}
-	got, rep, err := c.DecodeTo(nil, enc, len(data), nil)
+	got, _, rep, err := c.DecodeTo(nil, enc, len(data), nil)
 	if err != nil {
 		t.Fatalf("M erasures must be correctable: %v", err)
 	}
@@ -95,11 +95,11 @@ func TestFailsBeyondMErasures(t *testing.T) {
 	c := mustNew(t, 6, 2, 16, 1)
 	data := make([]byte, 6*16)
 	rng.Read(data)
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 	for _, d := range []int{0, 2, 4} { // M+1 corrupt devices
 		enc[d*16] ^= 0x01
 	}
-	_, rep, err := c.DecodeTo(nil, enc, len(data), nil)
+	_, _, rep, err := c.DecodeTo(nil, enc, len(data), nil)
 	if !errors.Is(err, ecc.ErrUncorrectable) {
 		t.Fatalf("want ErrUncorrectable, got %v", err)
 	}
@@ -115,11 +115,11 @@ func TestBurstErrorWithinOneDevice(t *testing.T) {
 	c := mustNew(t, 10, 2, 64, 1)
 	data := make([]byte, 10*64)
 	rng.Read(data)
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 	for i := 0; i < 64; i++ { // obliterate an entire device
 		enc[3*64+i] = byte(rng.Intn(256))
 	}
-	got, _, err := c.DecodeTo(nil, enc, len(data), nil)
+	got, _, _, err := c.DecodeTo(nil, enc, len(data), nil)
 	if err != nil {
 		t.Fatalf("burst within one device must correct: %v", err)
 	}
@@ -133,12 +133,12 @@ func TestCRCTableCorruptionIsAnErasure(t *testing.T) {
 	c := mustNew(t, 4, 2, 16, 1)
 	data := make([]byte, 4*16)
 	rng.Read(data)
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 	// Flip a bit inside the CRC table: its device looks corrupt but is
 	// healthy; rebuilding it must reproduce identical content.
 	crcOff := (4 + 2) * 16
 	enc[crcOff+1] ^= 0x40
-	got, rep, err := c.DecodeTo(nil, enc, len(data), nil)
+	got, _, rep, err := c.DecodeTo(nil, enc, len(data), nil)
 	if err != nil {
 		t.Fatalf("CRC-entry flip must be recoverable: %v", err)
 	}
@@ -155,10 +155,10 @@ func TestDecodeDoesNotMutateInput(t *testing.T) {
 	c := mustNew(t, 4, 2, 16, 1)
 	data := make([]byte, 4*16)
 	rng.Read(data)
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 	enc[5] ^= 0x10
 	snapshot := append([]byte(nil), enc...)
-	if _, _, err := c.DecodeTo(nil, enc, len(data), nil); err != nil {
+	if _, _, _, err := c.DecodeTo(nil, enc, len(data), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc, snapshot) {
@@ -168,8 +168,8 @@ func TestDecodeDoesNotMutateInput(t *testing.T) {
 
 func TestTruncated(t *testing.T) {
 	c := mustNew(t, 4, 2, 16, 1)
-	enc := c.EncodeTo(nil, make([]byte, 64), nil)
-	if _, _, err := c.DecodeTo(nil, enc[:len(enc)-1], 64, nil); !errors.Is(err, ecc.ErrTruncated) {
+	enc, _ := c.EncodeTo(nil, make([]byte, 64), nil)
+	if _, _, _, err := c.DecodeTo(nil, enc[:len(enc)-1], 64, nil); !errors.Is(err, ecc.ErrTruncated) {
 		t.Fatalf("want ErrTruncated, got %v", err)
 	}
 }
@@ -178,9 +178,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	data := make([]byte, 8*32*7+5)
 	rng.Read(data)
-	serial := mustNew(t, 8, 3, 32, 1).EncodeTo(nil, data, nil)
+	serial, _ := mustNew(t, 8, 3, 32, 1).EncodeTo(nil, data, nil)
 	for _, w := range []int{2, 4} {
-		par := mustNew(t, 8, 3, 32, w).EncodeTo(nil, data, nil)
+		par, _ := mustNew(t, 8, 3, 32, w).EncodeTo(nil, data, nil)
 		if !bytes.Equal(serial, par) {
 			t.Fatalf("workers=%d: encoding differs", w)
 		}
@@ -194,7 +194,7 @@ func TestQuickRandomDeviceCorruption(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		data := make([]byte, 6*8*2)
 		r.Read(data)
-		enc := c.EncodeTo(nil, data, nil)
+		enc, _ := c.EncodeTo(nil, data, nil)
 		nBad := int(nBad8) % 4 // 0..3 == up to M
 		// Pick distinct devices within stripe 0.
 		perm := rng.Perm(9)[:nBad]
@@ -202,7 +202,7 @@ func TestQuickRandomDeviceCorruption(t *testing.T) {
 			off := d * 8
 			enc[off+r.Intn(8)] ^= byte(1 << r.Intn(8))
 		}
-		got, _, err := c.DecodeTo(nil, enc, len(data), nil)
+		got, _, _, err := c.DecodeTo(nil, enc, len(data), nil)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
@@ -218,12 +218,12 @@ func TestPaperConfigurations(t *testing.T) {
 		c := mustNew(t, cfg.k, cfg.m, 64, 2)
 		data := make([]byte, cfg.k*64)
 		rng.Read(data)
-		enc := c.EncodeTo(nil, data, nil)
+		enc, _ := c.EncodeTo(nil, data, nil)
 		// Corrupt m/2 devices.
 		for d := 0; d < cfg.m/2; d++ {
 			enc[d*2*64] ^= 0xAA
 		}
-		got, _, err := c.DecodeTo(nil, enc, len(data), nil)
+		got, _, _, err := c.DecodeTo(nil, enc, len(data), nil)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("k=%d m=%d failed: %v", cfg.k, cfg.m, err)
 		}
@@ -237,17 +237,17 @@ func TestChecksumWidths(t *testing.T) {
 	c := mustNew(t, 8, 3, 64, 1)
 	data := make([]byte, 8*64*2+13)
 	rng.Read(data)
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 	if want := 3 * (8 + 3) * (64 + 4); len(enc) != want { // three stripes
 		t.Fatalf("encoded %d bytes, want %d", len(enc), want)
 	}
-	got, _, err := c.DecodeTo(nil, enc, len(data), nil)
+	got, _, _, err := c.DecodeTo(nil, enc, len(data), nil)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("clean round trip failed: %v", err)
 	}
 	// Device corruption still located and repaired.
 	enc[70] ^= 0x5A
-	got, rep, err := c.DecodeTo(nil, enc, len(data), nil)
+	got, _, rep, err := c.DecodeTo(nil, enc, len(data), nil)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("repair failed: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/bits"
 	"math/rand"
 	"sync"
@@ -34,13 +35,17 @@ func damageDevice(c *Code, enc []byte, st, dev, off int, x byte, viaCRC bool) {
 }
 
 // diffDecode decodes enc with DecodeTo (poisoned dst, the caller's
-// scratch) and with DecodeRef and fails on any difference.
+// scratch) and with DecodeRef and fails on any difference, or if
+// DecodeTo's CRC is not that of its output.
 func diffDecode(t testing.TB, c *Code, enc []byte, origLen int, s *ecc.Scratch) ([]byte, ecc.Report, error) {
 	t.Helper()
 	snapshot := bytes.Clone(enc)
 	want, wantRep, wantErr := c.DecodeRef(enc, origLen)
 	dst := bytes.Repeat([]byte{0xA5}, origLen)
-	got, rep, err := c.DecodeTo(dst, enc, origLen, s)
+	got, crc, rep, err := c.DecodeTo(dst, enc, origLen, s)
+	if crc != crc32.Checksum(got, ecc.Castagnoli) {
+		t.Fatalf("%s: DecodeTo's CRC is not its output's (err %v)", name(c), err)
+	}
 	if !bytes.Equal(enc, snapshot) {
 		t.Fatalf("%s: decode modified its input", name(c))
 	}
@@ -86,7 +91,7 @@ func TestRepairEveryErasureSet(t *testing.T) {
 	rand.New(rand.NewSource(31)).Read(data)
 	c := mustNew(t, k, m, ds, 1)
 	var s ecc.Scratch
-	clean := c.EncodeTo(nil, data, nil)
+	clean, _ := c.EncodeTo(nil, data, nil)
 	for set := 0; set < 1<<(k+m); set++ {
 		nBad := bits.OnesCount(uint(set))
 		if nBad > m+1 {
@@ -115,7 +120,7 @@ func TestRepairPaperCodes(t *testing.T) {
 	var s ecc.Scratch
 	run := func(c *Code, data []byte, bad []int) {
 		t.Helper()
-		enc := c.EncodeTo(nil, data, nil)
+		enc, _ := c.EncodeTo(nil, data, nil)
 		st := rng.Intn(c.stripes(len(data)))
 		for _, d := range bad {
 			damageDevice(c, enc, st, d, rng.Intn(c.DeviceSize), byte(1+rng.Intn(255)), rng.Intn(4) == 0)
@@ -153,7 +158,7 @@ func TestRepairParallelRanges(t *testing.T) {
 	c := mustNew(t, 20, 4, 32, 4)
 	data := make([]byte, 20*32*9+77)
 	rng.Read(data)
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 	total := 0
 	for st := 0; st < c.stripes(len(data)); st++ {
 		n := 1 + st%4
@@ -173,11 +178,11 @@ func TestParityOnlyDamageIsACopy(t *testing.T) {
 	c := mustNew(t, 241, 15, 64, 1)
 	data := make([]byte, 241*64)
 	rand.New(rand.NewSource(34)).Read(data)
-	smashed := c.EncodeTo(nil, data, nil)
+	smashed, _ := c.EncodeTo(nil, data, nil)
 	for d := 241; d < 256; d += 2 {
 		damageDevice(c, smashed, 0, d, d, 0xFF, false)
 	}
-	tableOnly := c.EncodeTo(nil, data, nil)
+	tableOnly, _ := c.EncodeTo(nil, data, nil)
 	damageDevice(c, tableOnly, 0, 250, 1, 0x04, true)
 	for _, tc := range []struct {
 		name   string
@@ -185,7 +190,7 @@ func TestParityOnlyDamageIsACopy(t *testing.T) {
 		bad    int
 	}{{"smashed", smashed, 8}, {"table-only", tableOnly, 1}} {
 		dst := make([]byte, len(data))
-		det, cor, err := c.decodeStripe(tc.stripe, dst, nil)
+		det, cor, _, err := c.decodeStripe(tc.stripe, dst, 0, nil)
 		want := make([]byte, len(data))
 		rdet, rcor, rerr := c.decodeStripeRef(tc.stripe, want)
 		if det != tc.bad || cor != tc.bad || err != nil || det != rdet || cor != rcor || rerr != nil {
@@ -198,7 +203,7 @@ func TestParityOnlyDamageIsACopy(t *testing.T) {
 			continue // allocation accounting is unreliable under the race detector
 		}
 		if avg := testing.AllocsPerRun(20, func() {
-			if _, _, err := c.decodeStripe(tc.stripe, dst, nil); err != nil {
+			if _, _, _, err := c.decodeStripe(tc.stripe, dst, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 		}); avg != 0 {
@@ -218,7 +223,7 @@ func TestRepairAllocFree(t *testing.T) {
 	c := mustNew(t, 241, 15, 1024, 1)
 	data := make([]byte, 1<<20)
 	rng.Read(data)
-	enc := c.EncodeTo(nil, data, nil)
+	enc, _ := c.EncodeTo(nil, data, nil)
 	for st := 0; st < c.stripes(len(data)); st++ {
 		for _, d := range rng.Perm(256)[:7] {
 			damageDevice(c, enc, st, d, rng.Intn(1024), 0x5A, false)
@@ -227,7 +232,7 @@ func TestRepairAllocFree(t *testing.T) {
 	var s ecc.Scratch
 	dst := make([]byte, len(data))
 	decode := func() {
-		got, rep, err := c.DecodeTo(dst, enc, len(data), &s)
+		got, _, rep, err := c.DecodeTo(dst, enc, len(data), &s)
 		if err != nil || rep.CorrectedBlocks != 7*c.stripes(len(data)) || &got[0] != &dst[0] {
 			t.Fatalf("report %+v err %v", rep, err)
 		}
@@ -249,7 +254,7 @@ func TestSharedTablesAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	data := make([]byte, 6*241*64+17)
 	rng.Read(data)
-	want := mustNew(t, 241, 15, 64, 1).EncodeTo(nil, data, nil)
+	want, _ := mustNew(t, 241, 15, 64, 1).EncodeTo(nil, data, nil)
 	var wg sync.WaitGroup
 	for g := range 4 {
 		wg.Add(1)
@@ -260,7 +265,7 @@ func TestSharedTablesAcrossWorkers(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			enc := c.EncodeTo(nil, data, nil)
+			enc, _ := c.EncodeTo(nil, data, nil)
 			if !bytes.Equal(enc, want) {
 				t.Errorf("code %d: encoding differs from the serial one", g)
 				return
@@ -271,7 +276,7 @@ func TestSharedTablesAcrossWorkers(t *testing.T) {
 					damageDevice(c, enc, st, d, r.Intn(64), 0x5A, false)
 				}
 			}
-			got, rep, err := c.DecodeTo(nil, enc, len(data), nil)
+			got, _, rep, err := c.DecodeTo(nil, enc, len(data), nil)
 			if err != nil || rep.CorrectedBlocks != 7*c.stripes(len(data)) || !bytes.Equal(got, data) {
 				t.Errorf("code %d: repair gave report %+v, err %v, plaintext %v", g, rep, err, bytes.Equal(got, data))
 			}
@@ -300,7 +305,10 @@ func FuzzRSRepair(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc := c.EncodeTo(nil, data, nil)
+		enc, crc := c.EncodeTo(nil, data, nil)
+		if crc != crc32.Checksum(data, ecc.Castagnoli) {
+			t.Fatalf("%s: EncodeTo's CRC is not the data's", name(c))
+		}
 		ns := c.stripes(len(data))
 		hit := make(map[[2]int]bool)
 		for ; len(damage) >= 3 && ns > 0; damage = damage[3:] {

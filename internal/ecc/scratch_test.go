@@ -3,6 +3,7 @@ package ecc_test
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -70,16 +71,16 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 					data := make([]byte, n)
 					rng.Read(data)
 
-					want := c.EncodeTo(nil, data, nil)
+					want, _ := c.EncodeTo(nil, data, nil)
 					dst = poison(ecc.GrowTo(dst, c.EncodedSize(n)))
-					got := c.EncodeTo(dst, data, &scratch)
+					got, _ := c.EncodeTo(dst, data, &scratch)
 					if !bytes.Equal(got, want) {
 						t.Fatalf("n=%d pass=%d: reused EncodeTo differs from one-shot", n, pass)
 					}
 
-					wantDec, wantRep, wantErr := c.DecodeTo(nil, want, n, nil)
+					wantDec, _, wantRep, wantErr := c.DecodeTo(nil, want, n, nil)
 					ddst = poison(ecc.GrowTo(ddst, n))
-					gotDec, gotRep, gotErr := c.DecodeTo(ddst, got, n, &scratch)
+					gotDec, _, gotRep, gotErr := c.DecodeTo(ddst, got, n, &scratch)
 					if !bytes.Equal(gotDec, wantDec) || gotRep != wantRep || !errors.Is(gotErr, wantErr) {
 						t.Fatalf("n=%d pass=%d: reused DecodeTo differs from one-shot (rep %+v vs %+v, err %v vs %v)",
 							n, pass, gotRep, wantRep, gotErr, wantErr)
@@ -112,10 +113,10 @@ func TestDecodeToCorrectsWithDirtyScratch(t *testing.T) {
 			data := make([]byte, 777)
 			rng.Read(data)
 			for trial := 0; trial < 8; trial++ {
-				enc := c.EncodeTo(nil, data, &scratch)
+				enc, _ := c.EncodeTo(nil, data, &scratch)
 				enc[rng.Intn(len(enc))] ^= 1 << rng.Intn(8)
 				dst = poison(ecc.GrowTo(dst, len(data)))
-				got, rep, err := c.DecodeTo(dst, enc, len(data), &scratch)
+				got, _, rep, err := c.DecodeTo(dst, enc, len(data), &scratch)
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
@@ -145,5 +146,61 @@ func TestScratchSlotGrowOnly(t *testing.T) {
 	var nilScratch *ecc.Scratch
 	if got := nilScratch.Slot(0, 10); len(got) != 10 {
 		t.Fatal("nil scratch must degrade to allocation")
+	}
+}
+
+// TestCodesReturnTheirOutputsCRC holds every code to the ecc.Code
+// contract on its CRC: EncodeTo's is crc32.Checksum of the data, and
+// DecodeTo's that of the bytes it hands back, whatever the damage did
+// to them: clean, repaired, miscorrected (several flips in one
+// codeword) or uncorrectable. Workers > 1 joins the ranges' CRCs.
+func TestCodesReturnTheirOutputsCRC(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, workers := range []int{1, 3} {
+		rs, err := reedsolomon.New(5, 3, 64, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rsPaper, err := reedsolomon.New(241, 15, 1022, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		il, err := interleave.NewSECDED(4, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			code ecc.Code
+		}{
+			{"parity8", parity.New(8, workers)}, {"parity3", parity.New(3, workers)},
+			{"hamming8", hamming.New(8, workers)}, {"secded64", hamming.NewSECDED(64, workers)},
+			{"rs-k5-m3", rs}, {"rs-m15", rsPaper}, {"ilsecded4", il},
+		} {
+			for _, n := range []int{0, 1, 63, 1000, 4097, 300_001} {
+				data := make([]byte, n)
+				rng.Read(data)
+				enc, crc := tc.code.EncodeTo(nil, data, nil)
+				if crc != crc32.Checksum(data, ecc.Castagnoli) {
+					t.Fatalf("%s workers=%d n=%d: EncodeTo's CRC is not the data's", tc.name, workers, n)
+				}
+				for _, flips := range []int{0, 1, 3, 40, 5000} {
+					bad := bytes.Clone(enc)
+					for f := 0; f < flips && len(bad) > 0; f++ {
+						// Runs of three neighbouring bits: a SEC-DED
+						// codeword that takes one miscorrects.
+						i := rng.Intn(len(bad)*8 - 2)
+						for b := i; b < i+3; b++ {
+							bad[b/8] ^= 0x80 >> (b % 8)
+						}
+					}
+					out, crc, _, err := tc.code.DecodeTo(poison(make([]byte, n)), bad, n, nil)
+					if crc != crc32.Checksum(out, ecc.Castagnoli) {
+						t.Fatalf("%s workers=%d n=%d, %d flips: DecodeTo's CRC is not its output's (err %v)",
+							tc.name, workers, n, flips, err)
+					}
+				}
+			}
+		}
 	}
 }

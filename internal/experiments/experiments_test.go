@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"hash/crc32"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ecc"
 	"repro/internal/faultinject"
 	"repro/internal/raceflag"
 )
@@ -336,6 +338,43 @@ func TestTableRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// TestMatrixPatternsCodeCRC holds every configuration's code to its
+// CRC contract under the matrix's payload fault patterns, the way the
+// chunk codec runs it: the CRC DecodeTo returns is that of the bytes
+// it returns, whatever they are, so the chunk digest built from it
+// sees what a separate pass over them would. The patterns include
+// miscorrections (three flips in a Hamming codeword), which must occur.
+func TestMatrixPatternsCodeCRC(t *testing.T) {
+	const trials = 40
+	payload := randomBytes(6<<10, 17)
+	miscorrected := 0
+	for _, cfg := range core.AllConfigs() {
+		code, err := cfg.BuildWithDeviceSize(1, cfg.DeviceSizeFor(len(payload)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, crc := code.EncodeTo(nil, payload, nil)
+		if crc != crc32.Checksum(payload, ecc.Castagnoli) {
+			t.Fatalf("%s: EncodeTo's CRC is not the data's", cfg)
+		}
+		for _, inj := range faultinject.Patterns() {
+			faultinject.RunRepairCampaign(enc, payload, inj, func(mut []byte) ([]byte, error) {
+				out, crc, _, err := code.DecodeTo(nil, mut, len(payload), nil)
+				if crc != crc32.Checksum(out, ecc.Castagnoli) {
+					t.Fatalf("%s/%s: DecodeTo's CRC is not its output's (err %v)", cfg, inj.Name(), err)
+				}
+				if err == nil && !bytes.Equal(out, payload) {
+					miscorrected++
+				}
+				return out, err
+			}, trials, 19)
+		}
+	}
+	if miscorrected == 0 {
+		t.Error("no pattern produced a miscorrection")
 	}
 }
 

@@ -175,7 +175,7 @@ func Fig10(threadCounts []int, payloadBytes int, errorCounts []int, seed int64) 
 				if err != nil {
 					return nil, err
 				}
-				enc := code.EncodeTo(nil, data, nil)
+				enc, _ := code.EncodeTo(nil, data, nil)
 				injectCorrectable(enc, cfg, len(data), nerr, seed)
 				// Best-of-N over a fresh copy: decode must see the
 				// injected errors every repetition, and the minimum
@@ -193,7 +193,7 @@ func Fig10(threadCounts []int, payloadBytes int, errorCounts []int, seed int64) 
 					t0 := time.Now()
 					var derr error
 					//arcvet:ignore integrityflow repair-cost timing loop; the figure measures latency, not correction counts
-					dec, _, derr = code.DecodeTo(dec, damaged, len(data), &scratch)
+					dec, _, _, derr = code.DecodeTo(dec, damaged, len(data), &scratch)
 					el := time.Since(t0)
 					if derr != nil {
 						return nil, fmt.Errorf("fig10 %s@%d/%d errors: decode failed: %v", cfg, th, nerr, derr)
@@ -316,12 +316,12 @@ func timeCode(code ecc.Code, data []byte) (encMBs, decMBs float64, err error) {
 	var enc, dec []byte
 	for rep := 0; rep < timingReps; rep++ {
 		t0 := time.Now()
-		enc = code.EncodeTo(enc, data, &scratch)
+		enc, _ = code.EncodeTo(enc, data, &scratch)
 		encT := time.Since(t0)
 		t1 := time.Now()
 		var derr error
 		//arcvet:ignore integrityflow throughput timing on uncorrupted bytes; the report is zero by construction
-		dec, _, derr = code.DecodeTo(dec, enc, len(data), &scratch)
+		dec, _, _, derr = code.DecodeTo(dec, enc, len(data), &scratch)
 		decT := time.Since(t1)
 		if derr != nil {
 			return 0, 0, derr

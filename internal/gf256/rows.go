@@ -45,9 +45,10 @@ func NewMulMatrix(m *Matrix) *MulMatrix {
 //
 // Under the gfni and avx2 tiers one kernel pass loads each source
 // block once per 32 bytes and accumulates up to eight destinations in
-// registers; the len%32 tail and the other tiers run one MulSliceAssign
-// and then one MulSlice per (destination, source) pair. Every tier gives
-// the same bytes: the sums are xors, exact and independent of order.
+// registers, and the len%32 tail takes one more pass over 32-byte
+// copies (mulRowsTail); the other tiers run one MulSliceAssign and then
+// one MulSlice per (destination, source) pair. Every tier gives the
+// same bytes: the sums are xors, exact and independent of order.
 func (m *MulMatrix) MulRows(src, dst [][]byte) {
 	if len(src) > m.cols || len(dst) > m.rows {
 		panic(fmt.Sprintf("gf256: MulRows of %d sources into %d rows on a %dx%d matrix", len(src), len(dst), m.rows, m.cols))
@@ -65,7 +66,7 @@ func (m *MulMatrix) MulRows(src, dst [][]byte) {
 		}
 	}
 	done := mulRowsSIMD(m, src, dst, n)
-	if done == n {
+	if done == n || AtLeast(LevelAVX2) && mulRowsTail(m, src, dst, done) {
 		return
 	}
 	for i, d := range dst {
@@ -90,4 +91,42 @@ func (m *MulMatrix) MulRows(src, dst [][]byte) {
 			clear(d)
 		}
 	}
+}
+
+// mulRowsTail runs MulRows over the bytes from done to the end of every
+// row, fewer than 32, through the kernel: each source's tail is copied
+// into a 32-byte slot, one mulRowsSIMD call fills a slot per
+// destination, and each destination's tail is copied back out. The
+// multiply is bytewise, so whatever lies in a slot past the tail only
+// reaches destination bytes that are dropped. It reports false, having
+// written nothing, when no source is non-nil: the caller then clears
+// the destinations.
+//
+// A row's tail otherwise costs one MulSlice call per (destination,
+// source) pair: 3 615 calls of at most 31 bytes per 241+15 stripe,
+// which made a Reed-Solomon device of 1022 bytes 2.5x dearer per byte
+// than one of 1024 (docs/KERNELS.md).
+func mulRowsTail(m *MulMatrix, src, dst [][]byte, done int) bool {
+	var srcSlots, dstSlots [Order][32]byte
+	var srcTail, dstTail [Order][]byte
+	for j, s := range src {
+		if s != nil {
+			copy(srcSlots[j][:], s[done:])
+			srcTail[j] = srcSlots[j][:]
+		}
+	}
+	for i, d := range dst {
+		if d != nil {
+			dstTail[i] = dstSlots[i][:]
+		}
+	}
+	if mulRowsSIMD(m, srcTail[:len(src)], dstTail[:len(dst)], 32) == 0 {
+		return false
+	}
+	for i, d := range dst {
+		if d != nil {
+			copy(d[done:], dstSlots[i][:])
+		}
+	}
+	return true
 }

@@ -175,6 +175,12 @@ echo "== parity kernel fuzz smoke (10s) =="
 # every dispatch tier, flips) against the per-block references.
 go test -run '^$' -fuzz '^FuzzParityKernel$' -fuzztime 10s ./internal/ecc/parity
 
+echo "== CRC-32C combine fuzz smoke (10s) =="
+# The chunk digest is built from the CRC each code returns, joined
+# piece by piece: CombineCRC and CRCShift against crc32.Checksum of the
+# joined bytes, for any A and B up to 64 KiB and any split.
+go test -run '^$' -fuzz '^FuzzCRC32CCombine$' -fuzztime 10s ./internal/ecc
+
 echo "== reed-solomon repair fuzz smoke (10s) =="
 # Differential fuzz of the repair path (code shape, generator, checksum
 # width, workers, arbitrary erasure sets) against the retained K x K
