@@ -41,9 +41,10 @@ func getScratch() *chunkScratch {
 // codecMemo holds the last codec a scratch resolved. Chunks of a
 // homogeneous stream share one header configuration, so after the
 // first chunk every lookup is a key compare; a miss is a rebuild,
-// which costs well under a microsecond for every built-in (codes keep
-// no per-instance tables; reedsolomon caches its generator matrices
-// itself).
+// which costs well under a microsecond for every built-in but
+// Reed-Solomon (its generator matrices are cached per (K, M), and its
+// one per-instance table, the 4 KiB CRC shift for its device size,
+// takes about a microsecond to build).
 type codecMemo struct {
 	key  codecKey
 	code ecc.Code

@@ -24,18 +24,15 @@ var Castagnoli = crc32.MakeTable(crc32.Castagnoli)
 const crcPoly = 0x82f63b78
 
 // mulModP returns a·b mod P of two polynomials in the reflected bit
-// order.
+// order. It stops after a's last term.
 func mulModP(a, b uint32) uint32 {
 	var p uint32
-	for m := uint32(1) << 31; m != 0; m >>= 1 {
+	for m := uint32(1) << 31; a != 0; m >>= 1 {
 		if a&m != 0 {
 			p ^= b
+			a ^= m
 		}
-		if b&1 != 0 {
-			b = b>>1 ^ crcPoly
-		} else {
-			b >>= 1
-		}
+		b = b>>1 ^ crcPoly&-(b&1) // b·x
 	}
 	return p
 }
@@ -74,34 +71,31 @@ func CombineCRC(crcA, crcB uint32, n int) uint32 {
 
 // A CRCShift is CombineCRC for one length n of B, as four byte tables:
 // multiplying by x^(8n) mod P is linear in crcA, so the product is the
-// xor of one entry per byte of crcA. It is immutable once built.
+// xor of one entry per byte of crcA. It is immutable once built. A
+// Reed-Solomon code builds one for its device size and keeps it; no
+// table is shared, so a forged device size in a header costs one build
+// (about a microsecond) and not memory that outlives the code.
 type CRCShift struct {
 	tab [4][256]uint32
 }
 
-// shifts holds one CRCShift per length asked for: a code asks for its
-// device size, and a stream uses a handful of device sizes.
-var shifts sync.Map // int -> *CRCShift
-
-// ShiftFor returns the CRCShift for length n, built once per n.
-func ShiftFor(n int) *CRCShift {
-	if s, ok := shifts.Load(n); ok {
-		return s.(*CRCShift)
+// Init makes s the CRCShift for length n.
+func (s *CRCShift) Init(n int) {
+	// The entry for bit p of crcA is x^(8n)·x^(31-p): from p = 31 down,
+	// each is the one before times x, a shift and a conditional xor.
+	v := xPow8n(n)
+	for p := 31; p >= 0; p-- {
+		s.tab[p/8][1<<(p%8)] = v
+		v = v>>1 ^ crcPoly&-(v&1)
 	}
-	x := xPow8n(n)
-	s := new(CRCShift)
 	for i := range s.tab {
-		for b := 0; b < 8; b++ {
-			s.tab[i][1<<b] = mulModP(x, 1<<(8*i+b))
-		}
-		for v := 3; v < 256; v++ {
-			if low := v & -v; low != v {
-				s.tab[i][v] = s.tab[i][low] ^ s.tab[i][v^low]
+		t := &s.tab[i]
+		for b := 1; b < 256; b <<= 1 {
+			for j := 1; j < b; j++ {
+				t[b+j] = t[b] ^ t[j]
 			}
 		}
 	}
-	got, _ := shifts.LoadOrStore(n, s)
-	return got.(*CRCShift)
 }
 
 // Combine returns CombineCRC(crcA, crcB, n) for the shift's n.
@@ -127,9 +121,7 @@ func (j *CRCJoin) Add(crc uint32, after int) {
 	j.mu.Unlock()
 }
 
-// Sum returns the CRC-32C of the whole pass once every range is added.
-func (j *CRCJoin) Sum() uint32 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.crc
-}
+// Sum returns the CRC-32C of the whole pass. It does not wait for the
+// ranges: call it after every Add has returned, as parallel.For's
+// return guarantees.
+func (j *CRCJoin) Sum() uint32 { return j.crc }

@@ -16,8 +16,10 @@ func checkCombine(t *testing.T, a, b []byte) {
 	if got := CombineCRC(ca, cb, len(b)); got != want {
 		t.Fatalf("CombineCRC over %d+%d bytes = %08x, want %08x", len(a), len(b), got, want)
 	}
-	if got := ShiftFor(len(b)).Combine(ca, cb); got != want {
-		t.Fatalf("ShiftFor(%d).Combine over %d bytes first = %08x, want %08x", len(b), len(a), got, want)
+	var s CRCShift
+	s.Init(len(b))
+	if got := s.Combine(ca, cb); got != want {
+		t.Fatalf("CRCShift for %d bytes: Combine over %d bytes first = %08x, want %08x", len(b), len(a), got, want)
 	}
 }
 

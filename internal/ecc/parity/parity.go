@@ -146,8 +146,8 @@ func (c *Code) pieceBytes() int { return max(4096/(8*c.BlockBytes), 1) }
 // CRC-32C of that data; safe to run concurrently on disjoint ranges.
 func (c *Code) encodeRange(data, out, par []byte, lo, hi, nb int, vec bool) uint32 {
 	var crc uint32
-	for ; lo < hi; lo += c.pieceBytes() {
-		end := min(lo+c.pieceBytes(), hi)
+	for step := c.pieceBytes(); lo < hi; lo += step {
+		end := min(lo+step, hi)
 		pb := lo
 		if vec {
 			pb = kernelEnd(lo, end, len(data))
@@ -215,8 +215,8 @@ func (c *Code) countRange(data, out, par []byte, lo, hi, nb int, vec bool) (int6
 	local := 0
 	var crc uint32
 	var got [64]byte // the kernel's parity bytes of one piece (vec: 8-byte blocks)
-	for ; lo < hi; lo += c.pieceBytes() {
-		end := min(lo+c.pieceBytes(), hi)
+	for step := c.pieceBytes(); lo < hi; lo += step {
+		end := min(lo+step, hi)
 		pb := lo
 		if vec {
 			pb = kernelEnd(lo, end, len(data))

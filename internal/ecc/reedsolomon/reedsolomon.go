@@ -51,7 +51,7 @@ type Code struct {
 	Workers    int
 
 	gen   *gf256.Matrix // (K+M) x K systematic generator
-	shift *ecc.CRCShift // joins a whole device's CRC-32C to the CRC before it
+	shift ecc.CRCShift  // joins a whole device's CRC-32C to the CRC before it
 	// check is the M x (K+M) parity check [P | I], P the generator's
 	// parity rows: device K+p is row p applied to the data devices,
 	// and row p over the whole stripe sums to 0.
@@ -96,8 +96,9 @@ func New(k, m, deviceSize, workers int) (*Code, error) {
 		genCache.Store(genKey{k, m}, cached)
 	}
 	cm := cached.(codeMatrices)
-	return &Code{K: k, M: m, DeviceSize: deviceSize, Workers: workers, gen: cm.gen, check: cm.check,
-		shift: ecc.ShiftFor(deviceSize)}, nil
+	c := &Code{K: k, M: m, DeviceSize: deviceSize, Workers: workers, gen: cm.gen, check: cm.check}
+	c.shift.Init(deviceSize)
+	return c, nil
 }
 
 // deviceOK reports whether dev matches its checksum table entry cs.
@@ -199,20 +200,32 @@ func (c *Code) placeData(src, dst []byte) []byte {
 }
 
 // putChecksums writes the checksum table of the encoded stripe dst,
-// whose first n bytes are data, and returns crc continued over them. A
-// device's CRC-32C is taken over its data bytes and then continued over
-// the rest of it, which is the zero padding of a final stripe.
+// whose first n bytes are data, and returns crc continued over them.
 func (c *Code) putChecksums(dst []byte, crc uint32, n int) uint32 {
 	ds := c.DeviceSize
 	table := dst[(c.K+c.M)*ds:]
 	for d := 0; d < c.K+c.M; d++ {
 		dev := dst[d*ds : (d+1)*ds]
 		real := min(max(n-d*ds, 0), ds)
-		part := crc32.Checksum(dev[:real], ecc.Castagnoli)
+		part, whole := deviceCRC(dev[:real], dev[real:])
 		crc = c.join(crc, part, real)
-		binary.LittleEndian.PutUint32(table[d*csBytes:], crc32.Update(part, ecc.Castagnoli, dev[real:]))
+		binary.LittleEndian.PutUint32(table[d*csBytes:], whole)
 	}
 	return crc
+}
+
+// deviceCRC returns the CRC-32C of a device's data bytes, head, and of
+// the whole device, head followed by tail: the zero padding of a final
+// stripe, or all of a parity device. It reads each byte once, in one
+// call where the device is all data or none.
+func deviceCRC(head, tail []byte) (part, whole uint32) {
+	if len(head) > 0 {
+		part = crc32.Checksum(head, ecc.Castagnoli)
+	}
+	if len(tail) == 0 {
+		return part, part
+	}
+	return part, crc32.Update(part, ecc.Castagnoli, tail)
 }
 
 // EncodeRef is the retained reference implementation of EncodeTo:
@@ -252,27 +265,28 @@ func (c *Code) DecodeTo(dst, encoded []byte, origLen int, s *ecc.Scratch) ([]byt
 	}
 	ns := c.stripes(origLen)
 	out := ecc.GrowTo(dst, origLen)
-	var st stripeStats
+	var detected, corrected, failed int64
+	var crc uint32
 	// Serial fast path: see EncodeTo. The atomics and the CRC join live
 	// inside the parallel branch — values captured by an escaping
 	// closure are heap-allocated at their declaration, so they must not
 	// be declared on the path the steady state takes.
 	if parallel.Clamp(c.Workers, ns) == 1 {
-		st = c.decodeRange(encoded, out, 0, ns, s)
+		detected, corrected, failed, crc = c.decodeRange(encoded, out, 0, ns, s)
 	} else {
 		var adet, acor, afail int64
 		var join ecc.CRCJoin
 		parallel.For(ns, c.Workers, func(lo, hi int) {
-			l := c.decodeRange(encoded, out, lo, hi, nil)
-			atomic.AddInt64(&adet, l.det)
-			atomic.AddInt64(&acor, l.cor)
-			atomic.AddInt64(&afail, l.fail)
-			join.Add(l.crc, origLen-min(hi*c.stripeDataBytes(), origLen))
+			ldet, lcor, lfail, lcrc := c.decodeRange(encoded, out, lo, hi, nil)
+			atomic.AddInt64(&adet, ldet)
+			atomic.AddInt64(&acor, lcor)
+			atomic.AddInt64(&afail, lfail)
+			join.Add(lcrc, origLen-min(hi*c.stripeDataBytes(), origLen))
 		})
-		st = stripeStats{det: adet, cor: acor, fail: afail, crc: join.Sum()}
+		detected, corrected, failed, crc = adet, acor, afail, join.Sum()
 	}
-	rep, err := c.report(st.det, st.cor, st.fail)
-	return out, st.crc, rep, err
+	rep, err := c.report(detected, corrected, failed)
+	return out, crc, rep, err
 }
 
 // DecodeRef is the retained reference implementation of DecodeTo: serial,
@@ -316,18 +330,12 @@ func (c *Code) report(detected, corrected, failed int64) (ecc.Report, error) {
 	return rep, nil
 }
 
-// stripeStats is what a range of stripes reports: counters, and the
-// CRC-32C of the range's data as written to the output.
-type stripeStats struct {
-	det, cor, fail int64
-	crc            uint32
-}
-
-// decodeRange decodes stripes [lo, hi) into out; safe to run
-// concurrently on disjoint ranges as long as each call has its own s.
-// A nil s stands for a range-local scratch, which stays empty (and on
-// the stack) unless a stripe of the range is damaged.
-func (c *Code) decodeRange(encoded, out []byte, lo, hi int, s *ecc.Scratch) (st stripeStats) {
+// decodeRange decodes stripes [lo, hi) into out, returning local
+// counters and the CRC-32C of the range's data as written to out; safe
+// to run concurrently on disjoint ranges as long as each call has its
+// own s. A nil s stands for a range-local scratch, which stays empty
+// (and on the stack) unless a stripe of the range is damaged.
+func (c *Code) decodeRange(encoded, out []byte, lo, hi int, s *ecc.Scratch) (det, cor, fail int64, crc uint32) {
 	var local ecc.Scratch
 	if s == nil {
 		s = &local
@@ -335,17 +343,18 @@ func (c *Code) decodeRange(encoded, out []byte, lo, hi int, s *ecc.Scratch) (st 
 	n := len(out)
 	sdb := c.stripeDataBytes()
 	seb := c.stripeEncBytes()
-	for i := lo; i < hi; i++ {
-		dst := out[min(i*sdb, n):min((i+1)*sdb, n)]
-		d, co, crc, err := c.decodeStripe(encoded[i*seb:(i+1)*seb], dst, st.crc, s)
-		st.det += int64(d)
-		st.cor += int64(co)
-		st.crc = crc
+	for st := lo; st < hi; st++ {
+		dst := out[min(st*sdb, n):min((st+1)*sdb, n)]
+		var d, co int
+		var err error
+		d, co, crc, err = c.decodeStripe(encoded[st*seb:(st+1)*seb], dst, crc, s)
+		det += int64(d)
+		cor += int64(co)
 		if err != nil {
-			st.fail++
+			fail++
 		}
 	}
-	return st
+	return det, cor, fail, crc
 }
 
 // decodeStripe verifies one stripe and writes the recovered data
@@ -370,8 +379,8 @@ func (c *Code) decodeStripe(stripe, dst []byte, crc uint32, s *ecc.Scratch) (det
 		dev := devices[d*ds : (d+1)*ds]
 		lo := min(d*ds, len(dst))
 		n := copy(dst[lo:], dev)
-		crcs[d] = crc32.Checksum(dst[lo:lo+n], ecc.Castagnoli)
-		if crc32.Update(crcs[d], ecc.Castagnoli, dev[n:]) != binary.LittleEndian.Uint32(table[d*csBytes:]) {
+		var whole uint32
+		if crcs[d], whole = deviceCRC(dst[lo:lo+n], dev[n:]); whole != binary.LittleEndian.Uint32(table[d*csBytes:]) {
 			bad = append(bad, byte(d))
 		}
 	}
