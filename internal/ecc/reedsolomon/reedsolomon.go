@@ -106,16 +106,16 @@ func deviceOK(dev, cs []byte) bool {
 	return crc32.Checksum(dev, ecc.Castagnoli) == binary.LittleEndian.Uint32(cs)
 }
 
-// join continues crc over n <= DeviceSize bytes of a device whose
-// CRC-32C is part.
-func (c *Code) join(crc, part uint32, n int) uint32 {
-	switch n {
-	case 0:
-		return crc
-	case c.DeviceSize:
-		return c.shift.Combine(crc, part)
+// joinData continues crc over a stripe's data: whole devices, whose
+// CRC-32Cs are sums, then r bytes more, whose CRC-32C is part.
+func (c *Code) joinData(crc uint32, sums []uint32, part uint32, r int) uint32 {
+	for _, sum := range sums {
+		crc = c.shift.Combine(crc, sum)
 	}
-	return ecc.CombineCRC(crc, part, n)
+	if r > 0 {
+		crc = ecc.CombineCRC(crc, part, r)
+	}
+	return crc
 }
 
 func (c *Code) stripeDataBytes() int { return c.K * c.DeviceSize }
@@ -201,31 +201,38 @@ func (c *Code) placeData(src, dst []byte) []byte {
 
 // putChecksums writes the checksum table of the encoded stripe dst,
 // whose first n bytes are data, and returns crc continued over them.
+// A device that n cuts short is taken over its data bytes and then
+// continued over its padding, one pass.
 func (c *Code) putChecksums(dst []byte, crc uint32, n int) uint32 {
-	ds := c.DeviceSize
-	table := dst[(c.K+c.M)*ds:]
-	for d := 0; d < c.K+c.M; d++ {
-		dev := dst[d*ds : (d+1)*ds]
-		real := min(max(n-d*ds, 0), ds)
-		part, whole := deviceCRC(dev[:real], dev[real:])
-		crc = c.join(crc, part, real)
-		binary.LittleEndian.PutUint32(table[d*csBytes:], whole)
+	ds, total := c.DeviceSize, c.K+c.M
+	full, end := n/ds, (n+ds-1)/ds
+	var sums [gf256.Order]uint32
+	crcDevices(sums[:full], dst, ds)
+	crcDevices(sums[end:total], dst[end*ds:], ds)
+	var part uint32
+	if end > full {
+		dev := dst[full*ds : end*ds]
+		part = crc32.Checksum(dev[:n%ds], ecc.Castagnoli)
+		sums[full] = crc32.Update(part, ecc.Castagnoli, dev[n%ds:])
 	}
-	return crc
+	table := dst[total*ds:]
+	for d, sum := range sums[:total] {
+		binary.LittleEndian.PutUint32(table[d*csBytes:], sum)
+	}
+	return c.joinData(crc, sums[:full], part, n%ds)
 }
 
-// deviceCRC returns the CRC-32C of a device's data bytes, head, and of
-// the whole device, head followed by tail: the zero padding of a final
-// stripe, or all of a parity device. It reads each byte once, in one
-// call where the device is all data or none.
-func deviceCRC(head, tail []byte) (part, whole uint32) {
-	if len(head) > 0 {
-		part = crc32.Checksum(head, ecc.Castagnoli)
+// crcDevices sets sums[i] to the CRC-32C of the ds bytes at i*ds in
+// region, for every i < len(sums): consecutive devices of a stripe,
+// three at a time through crc3.
+func crcDevices(sums []uint32, region []byte, ds int) {
+	i := 0
+	for ; i+3 <= len(sums); i += 3 {
+		sums[i], sums[i+1], sums[i+2] = crc3(region[i*ds:], ds)
 	}
-	if len(tail) == 0 {
-		return part, part
+	for ; i < len(sums); i++ {
+		sums[i] = crc32.Checksum(region[i*ds:(i+1)*ds], ecc.Castagnoli)
 	}
-	return part, crc32.Update(part, ecc.Castagnoli, tail)
 }
 
 // EncodeRef is the retained reference implementation of EncodeTo:
@@ -281,7 +288,7 @@ func (c *Code) DecodeTo(dst, encoded []byte, origLen int, s *ecc.Scratch) ([]byt
 			atomic.AddInt64(&adet, ldet)
 			atomic.AddInt64(&acor, lcor)
 			atomic.AddInt64(&afail, lfail)
-			join.Add(lcrc, origLen-min(hi*c.stripeDataBytes(), origLen))
+			join.Add(lcrc, max(origLen-hi*c.stripeDataBytes(), 0))
 		})
 		detected, corrected, failed, crc = adet, acor, afail, join.Sum()
 	}
@@ -367,20 +374,25 @@ func (c *Code) decodeStripe(stripe, dst []byte, crc uint32, s *ecc.Scratch) (det
 	total := c.K + c.M
 	devices := stripe[:total*ds]
 	table := stripe[total*ds:]
-	var crcs [gf256.Order]uint32 // of each data device's bytes in dst
+	// Healthy data devices pass through as they are; for a clean stripe
+	// that is the whole decode. Past M corrupt devices it is the best
+	// effort: callers may inspect the raw data region. The devices are
+	// checked after the copy, each byte where the output holds it: in
+	// dst, or past its end (padding, parity devices) in the stripe.
+	n := copy(dst, devices)
+	full, end := n/ds, (n+ds-1)/ds
+	var sums [gf256.Order]uint32
+	crcDevices(sums[:full], dst, ds)
+	crcDevices(sums[end:total], devices[end*ds:], ds)
+	var part uint32 // of the data bytes of a device n cuts short
+	if end > full {
+		part = crc32.Checksum(dst[full*ds:], ecc.Castagnoli)
+		sums[full] = crc32.Update(part, ecc.Castagnoli, devices[n:end*ds])
+	}
 	var badBuf [gf256.Order]byte // device indices fit a byte: K+M <= 256
 	bad := badBuf[:0]
-	for d := 0; d < total; d++ {
-		// Healthy data devices pass through as they are; for a clean
-		// stripe that is the whole decode. Past M corrupt devices it is
-		// the best effort: callers may inspect the raw data region. Each
-		// device is checked right after its copy: its bytes in dst, then
-		// the rest of it (padding, or a parity device) in the stripe.
-		dev := devices[d*ds : (d+1)*ds]
-		lo := min(d*ds, len(dst))
-		n := copy(dst[lo:], dev)
-		var whole uint32
-		if crcs[d], whole = deviceCRC(dst[lo:lo+n], dev[n:]); whole != binary.LittleEndian.Uint32(table[d*csBytes:]) {
+	for d, sum := range sums[:total] {
+		if sum != binary.LittleEndian.Uint32(table[d*csBytes:]) {
 			bad = append(bad, byte(d))
 		}
 	}
@@ -399,15 +411,21 @@ func (c *Code) decodeStripe(stripe, dst []byte, crc uint32, s *ecc.Scratch) (det
 		// Cannot happen for an MDS code; treat defensively as failure.
 		err = ecc.ErrUncorrectable
 	case e > 0:
-		// The rebuilt devices' CRCs, over what solveStripe wrote.
+		// The rebuilt devices' CRCs, over what solveStripe wrote; it
+		// writes no device past the end of dst.
 		for _, d := range bad[:e] {
-			lo := min(int(d)*ds, len(dst))
-			crcs[d] = crc32.Checksum(dst[lo:min(lo+ds, len(dst))], ecc.Castagnoli)
+			lo := int(d) * ds
+			if lo >= n {
+				break
+			}
+			if sum := crc32.Checksum(dst[lo:min(lo+ds, n)], ecc.Castagnoli); lo+ds <= n {
+				sums[d] = sum
+			} else {
+				part = sum
+			}
 		}
 	}
-	for d := 0; d*ds < len(dst); d++ {
-		crc = c.join(crc, crcs[d], min(len(dst)-d*ds, ds))
-	}
+	crc = c.joinData(crc, sums[:full], part, n%ds)
 	if err != nil {
 		return detected, 0, crc, err
 	}
