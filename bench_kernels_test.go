@@ -145,9 +145,11 @@ func TestKernelFloors(t *testing.T) {
 		{"RSRepair", rsRepairPair(t), 5},
 		// huffman.DecodeAll over one Decode call per symbol (3.1-3.2x).
 		{"HuffmanDecode", huffmanDecodePair(t), 1.6},
-		// huffman.EncodeAll over one Encode call per symbol: half the
-		// lowest of 60 runs under load (1.39-2.08x).
-		{"HuffmanEncode", huffmanEncodePair(t), 0.7},
+		// huffman.EncodeAll over one Encode call per symbol (1.95-4.31x
+		// in 60 runs under load, 2.5x or more in 59). Half the lowest
+		// would pass the per-symbol loop timed against itself, which
+		// reads 0.99x, so the floor sits between the two.
+		{"HuffmanEncode", huffmanEncodePair(t), 1.3},
 	}
 	if slices.Contains(gf256.Features(), "avx2") {
 		// Twice the lanes should buy at least 1.5x after memory effects.
@@ -620,9 +622,9 @@ func huffmanDecodePair(tb testing.TB) kernelPair {
 
 func BenchmarkKernelHuffmanDecode(b *testing.B) { huffmanDecodePair(b).bench(b) }
 
-// huffmanEncodePair is EncodeAll (codes packed in a local word, one
-// WriteBits per <= 64 bits) against one Encode per symbol. Both append
-// to a buffer already large enough, as SZ's does.
+// huffmanEncodePair is EncodeAll (several codes per unconditional
+// 8-byte store into the writer's spare capacity) against one Encode per
+// symbol. Both append to a buffer already large enough, as SZ's does.
 func huffmanEncodePair(tb testing.TB) kernelPair {
 	codec, syms, coded := huffmanKernelInput(tb)
 	buf := make([]byte, 0, len(coded)+8)

@@ -65,6 +65,28 @@ func (w *Writer) spill(v uint64, n int) {
 	w.acc, w.nAcc = v&(1<<uint(tail)-1), tail
 }
 
+// Tail flushes the whole bytes of the pending bits and returns the
+// buffer with the fewer than 8 bits left over, in the low n bits of v.
+// A batch encoder (huffman.EncodeAll) stores its own words into the
+// buffer's spare capacity from there and hands the writer its state
+// back through Resume.
+func (w *Writer) Tail() (buf []byte, v uint64, n int) {
+	for w.nAcc >= 8 {
+		w.nAcc -= 8
+		w.buf = append(w.buf, byte(w.acc>>uint(w.nAcc)))
+	}
+	w.acc &= 1<<uint(w.nAcc) - 1
+	return w.buf, w.acc, w.nAcc
+}
+
+// Resume continues the writer after buf, which holds what Tail returned
+// and the bytes written behind it, with the n < 8 bits in the low bits
+// of v pending (bits of v above them are ignored).
+func (w *Writer) Resume(buf []byte, v uint64, n int) {
+	w.buf = buf
+	w.acc, w.nAcc = v&(1<<uint(n&7)-1), n&7
+}
+
 // Len returns the number of bits written so far.
 func (w *Writer) Len() int { return (len(w.buf)-w.head)*8 + w.nAcc }
 

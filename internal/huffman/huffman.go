@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/bitio"
 )
@@ -48,6 +47,20 @@ type Codec struct {
 	nodes []hnode
 	// hscratch is the grow-only heap backing array for BuildInto.
 	hscratch []*hnode
+	// order and ufreqs are grow-only scratch for the used symbols in
+	// ascending order (BuildInto and ReadTableMaxInto) and, for
+	// BuildInto, their frequencies.
+	order  []int32
+	ufreqs []int64
+	// tidy reports that lengths and codes are zero everywhere but at
+	// symsByCode, across their whole capacity: the last build succeeded.
+	tidy bool
+
+	// words is EncodeAll's table of packed codes (packWords), filled
+	// for wordSyms; wordsPacked reports that it is the current code's.
+	words       []uint64
+	wordSyms    []int32
+	wordsPacked bool
 }
 
 // grow returns s resized to n elements, reusing its backing array when
@@ -105,43 +118,66 @@ func Build(freqs []int64) (*Codec, error) {
 // chunk allocates nothing in steady state. A nil c allocates a fresh
 // codec. On error c's tables are left in an unspecified state; reusing
 // it for a later BuildInto/ReadTableMaxInto call remains valid.
+//
+// It lists the symbols with a positive frequency and hands them to
+// BuildUsed.
 func BuildInto(c *Codec, freqs []int64) (*Codec, error) {
-	n := len(freqs)
+	if c == nil {
+		c = new(Codec)
+	}
+	used, uf := c.order[:0], c.ufreqs[:0]
+	for s, f := range freqs {
+		if f > 0 {
+			used = append(used, int32(s)) //arcvet:ignore mathbits s < len(freqs), and BuildUsed refuses an alphabet above maxAlphabet (1<<26) before it reads one
+			uf = append(uf, f)
+		}
+	}
+	c.order, c.ufreqs = used, uf
+	return BuildUsed(c, len(freqs), used, uf)
+}
+
+// BuildUsed is BuildInto for an alphabet of n symbols of which only
+// used occur: used lists them in ascending order and freqs[i] > 0 is
+// the frequency of used[i]. It reads nothing of the alphabet beyond
+// them, and a reused c is cleared only where its previous code had
+// entries, so a caller that counted over a narrow range of a large
+// alphabet builds in time proportional to what it used. The code is the
+// one BuildInto makes from the full frequency table.
+func BuildUsed(c *Codec, n int, used []int32, freqs []int64) (*Codec, error) {
 	if n == 0 {
 		return nil, errors.New("huffman: empty alphabet")
 	}
 	if n > maxAlphabet {
 		return nil, fmt.Errorf("huffman: alphabet size %d exceeds limit %d", n, maxAlphabet)
 	}
+	if len(used) == 0 {
+		return nil, errors.New("huffman: no symbols with positive frequency")
+	}
+	if len(freqs) != len(used) {
+		return nil, fmt.Errorf("huffman: %d used symbols with %d frequencies", len(used), len(freqs))
+	}
+	prev := -1
+	for i, s := range used {
+		if int(s) <= prev || int(s) >= n || freqs[i] <= 0 {
+			return nil, fmt.Errorf("huffman: used symbol %d (frequency %d) is out of order, outside the alphabet or unused", s, freqs[i])
+		}
+		prev = int(s)
+	}
 	if c == nil {
 		c = new(Codec)
 	}
-	nused := 0
-	for _, f := range freqs {
-		if f > 0 {
-			nused++
-		}
-	}
-	if nused == 0 {
-		return nil, errors.New("huffman: no symbols with positive frequency")
-	}
-	c.NumSymbols = n
-	c.lengths = grow(c.lengths, n)
-	clear(c.lengths)
-	c.codes = grow(c.codes, n)
+	c.reset(n)
 	// One slab holds every tree node (nused leaves + nused-1 internal);
 	// the heap takes stable pointers into it because the slab is sized
 	// up front and never reallocated mid-build.
+	nused := len(used)
 	c.nodes = grow(c.nodes, 2*nused-1)
-	ni := 0
 	h := hheap(c.hscratch[:0])
-	for s, f := range freqs {
-		if f > 0 {
-			c.nodes[ni] = hnode{freq: f, sym: s}
-			h = append(h, &c.nodes[ni])
-			ni++
-		}
+	for i, s := range used {
+		c.nodes[i] = hnode{freq: freqs[i], sym: int(s)}
+		h = append(h, &c.nodes[i])
 	}
+	ni := nused
 	if len(h) == 1 {
 		// Degenerate single-symbol alphabet: one-bit code.
 		c.lengths[h[0].sym] = 1
@@ -160,10 +196,30 @@ func BuildInto(c *Codec, freqs []int64) (*Codec, error) {
 		}
 	}
 	c.hscratch = h[:0]
-	if err := c.buildCanonical(); err != nil {
+	if err := c.buildCanonical(used); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// reset sizes the length and code tables for an alphabet of n symbols,
+// all zero. A codec whose last build succeeded has nonzero entries only
+// at its symsByCode, so only those are cleared; after a failed build or
+// on first use the whole backing arrays are, so that no entry survives
+// into a later, larger alphabet either.
+func (c *Codec) reset(n int) {
+	if c.tidy {
+		for _, s := range c.symsByCode {
+			c.lengths[s], c.codes[s] = 0, 0
+		}
+	} else {
+		clear(c.lengths[:cap(c.lengths)])
+		clear(c.codes[:cap(c.codes)])
+	}
+	c.tidy, c.wordsPacked = false, false
+	c.NumSymbols = n
+	c.lengths = grow(c.lengths, n)
+	c.codes = grow(c.codes, n)
 }
 
 func assignLengths(n *hnode, depth int, lengths []uint8) error {
@@ -181,23 +237,21 @@ func assignLengths(n *hnode, depth int, lengths []uint8) error {
 }
 
 // buildCanonical derives canonical codes and decode tables from
-// c.lengths. It validates the length distribution (Kraft equality is
-// not required — a single-symbol code underfills — but overfull
+// c.lengths, whose nonzero entries are exactly those of used, listed in
+// ascending order. It validates the length distribution (Kraft equality
+// is not required — a single-symbol code underfills — but overfull
 // distributions are rejected), which is the integrity check corrupted
 // headers trip over.
-func (c *Codec) buildCanonical() error {
+func (c *Codec) buildCanonical(used []int32) error {
 	maxLen := 0
 	var counts [MaxCodeLen + 1]int
-	for _, l := range c.lengths {
-		if int(l) > MaxCodeLen {
+	for _, s := range used {
+		l := c.lengths[s]
+		if l == 0 || int(l) > MaxCodeLen {
 			return ErrCorrupt
 		}
-		if l > 0 {
-			counts[l]++
-			if int(l) > maxLen {
-				maxLen = int(l)
-			}
-		}
+		counts[l]++
+		maxLen = max(maxLen, int(l))
 	}
 	if maxLen == 0 {
 		return ErrCorrupt
@@ -211,22 +265,6 @@ func (c *Codec) buildCanonical() error {
 	if kraft > 1<<uint(maxLen) {
 		return ErrCorrupt
 	}
-	// Symbols sorted by (length, symbol value); the previous build's
-	// slice is reused as the append target.
-	used := c.symsByCode[:0]
-	for s, l := range c.lengths {
-		if l > 0 {
-			used = append(used, int32(s)) //arcvet:ignore mathbits s < maxAlphabet (1<<26), enforced by Build and ReadTable
-		}
-	}
-	sort.Slice(used, func(i, j int) bool {
-		li, lj := c.lengths[used[i]], c.lengths[used[j]]
-		if li != lj {
-			return li < lj
-		}
-		return used[i] < used[j]
-	})
-	c.symsByCode = used
 	c.firstCode = grow(c.firstCode, maxLen+2)
 	c.firstIndex = grow(c.firstIndex, maxLen+2)
 	code := uint64(0)
@@ -239,15 +277,23 @@ func (c *Codec) buildCanonical() error {
 		code <<= 1
 	}
 	c.firstIndex[maxLen+1] = idx
-	// Codes within a length are assigned in symsByCode order, so a
-	// single pass with per-length counters covers every symbol.
+	// One counting pass orders the symbols by (length, symbol): used
+	// ascends, so each length's symbols land in ascending order behind
+	// the length's first index, and take consecutive codes from the
+	// length's first code in that same order.
+	var at [MaxCodeLen + 1]int
 	var next [MaxCodeLen + 1]uint64
+	copy(at[:], c.firstIndex[:maxLen+1])
 	copy(next[:], c.firstCode[:maxLen+1])
+	c.symsByCode = grow(c.symsByCode, len(used))
 	for _, s := range used {
-		l := int(c.lengths[s])
+		l := c.lengths[s] & MaxCodeLen // a no-op (l <= MaxCodeLen above) that spares the index its check
+		c.symsByCode[at[l]] = s
+		at[l]++
 		c.codes[s] = next[l]
 		next[l]++
 	}
+	c.tidy = true
 	c.buildLUT()
 	c.buildMulti()
 	return nil
@@ -341,10 +387,184 @@ func (c *Codec) Encode(w *bitio.Writer, s int) {
 }
 
 // EncodeAll appends the codes of syms to w, exactly the bits one Encode
-// per symbol appends: the codes are packed into a local word and handed
-// to w one field of up to 64 bits at a time. Like Encode it panics on a
-// symbol without a code.
+// per symbol appends. Like Encode it panics on a symbol without a code.
+//
+// While the longest code has at most wordBits bits, the codes go
+// through the group steps straight into the spare capacity of w's
+// buffer, from the partial byte w holds; a buffer whose room runs out
+// before the last word is grown once and continued. The last symbols,
+// which the group steps leave when fewer than eight bytes of room or
+// fewer than a group of symbols remain, go through Encode, so a buffer
+// sized exactly for the stream is never outgrown.
 func (c *Codec) EncodeAll(w *bitio.Writer, syms []int32) {
+	if c.maxLen > wordBits {
+		c.encodeLong(w, syms)
+		return
+	}
+	step := groupSteps[min(wordBits/c.maxLen, len(groupSteps)-1)]
+	words := c.packWords()
+	buf, acc, nb := w.Tail()
+	n := uint(nb) //arcvet:ignore mathbits Tail leaves fewer than 8 bits
+	a := acc << ((64 - n) & 63)
+	pos := len(buf)
+	for {
+		rest, room, ra, rn := step(words, syms, buf[pos:cap(buf)], a, n)
+		pos += len(buf[pos:cap(buf)]) - len(room)
+		syms, a, n = rest, ra, rn
+		if len(room) >= 8 || len(syms) <= tailSyms {
+			break // room is left: what is left is the tail, or a symbol without a code
+		}
+		// Out of room: grow by at least what the rest may need.
+		grown := make([]byte, pos, pos+max(cap(buf), len(syms)*c.maxLen/8+8))
+		copy(grown, buf[:pos])
+		buf = grown
+	}
+	w.Resume(buf[:pos], a>>((64-n)&63), int(n)) //arcvet:ignore mathbits n < 8
+	for _, s := range syms {
+		c.Encode(w, int(s))
+	}
+}
+
+// wordBits is the most code bits a group step puts in one 8-byte store:
+// it starts from up to seven bits of a partial byte, and 7+57 = 64.
+const wordBits = 57
+
+// tailSyms is the most symbols EncodeAll leaves to Encode rather than
+// grow the buffer for: once fewer than eight bytes of room remain, a
+// buffer sized for the stream holds at most 64 more one-bit codes.
+const tailSyms = 64
+
+// A word entry packs what a group step takes from the table for one
+// symbol: the code in the top bits, already aligned as the first bits
+// of a container, and its length in the low wordLenBits, which a code
+// of at most wordBits bits leaves free. A symbol without a code has
+// wordNoCode, a length no group can absorb: the group's bit count
+// passes 64, and the group step stops there.
+const (
+	wordLenBits = 7
+	wordLenMask = 1<<wordLenBits - 1
+	wordNoCode  = wordLenMask
+)
+
+// packWords returns the word table of the current code, filling it the
+// first time EncodeAll asks after a build: only the entries of the
+// symbols the table was last packed for are reset to wordNoCode, so a
+// rebuild over the same alphabet costs what the codes use.
+func (c *Codec) packWords() []uint64 {
+	if c.wordsPacked {
+		return c.words
+	}
+	if len(c.words) != c.NumSymbols {
+		c.words = grow(c.words, c.NumSymbols)
+		for i := range c.words {
+			c.words[i] = wordNoCode
+		}
+	} else {
+		for _, s := range c.wordSyms {
+			c.words[s] = wordNoCode
+		}
+	}
+	for _, s := range c.symsByCode {
+		l := c.lengths[s]
+		c.words[s] = c.codes[s]<<(64-l) | uint64(l)
+	}
+	c.wordSyms = append(c.wordSyms[:0], c.symsByCode...)
+	c.wordsPacked = true
+	return c.words
+}
+
+// A group step encodes syms into buf with a 64-bit container a whose n
+// valid bits (fewer than 8: a partial byte) sit on top, k symbols per
+// 8-byte store, for the k of its name. Each code is shifted straight
+// to its place below the bits before it, so the only chain between
+// codes is the running bit count; every shift count is masked with 63,
+// which spares it a range check. The store writes the whole container
+// big-endian at buf's start and the step moves buf on by the bytes it
+// completed, so the partial byte is written again by the next store.
+// A step stops when fewer than k symbols or eight bytes of buf remain,
+// or before storing a group with a symbol without a code, and returns
+// what is left and the container. The steps are written out for each
+// k, because the compiler keeps a loop over a group in memory rather
+// than in registers; groupSteps[k] is the step for k, the last one also
+// for every larger k.
+type groupStep func(words []uint64, syms []int32, buf []byte, a uint64, n uint) ([]int32, []byte, uint64, uint)
+
+var groupSteps = [...]groupStep{nil, groupStep1, groupStep2, groupStep3, groupStep4}
+
+// place returns the code of word entry e shifted to sit below the top n
+// bits of a container, and the bit count with it.
+func place(e uint64, n uint) (uint64, uint) {
+	return (e &^ wordLenMask) >> (n & 63), n + uint(e&wordLenMask)
+}
+
+// flush stores the container a with its n <= 64 valid bits at buf's
+// start, and returns buf past the whole bytes and the container of the
+// partial byte. The shift by whole bytes is split in two so that 64
+// clears a, which one masked shift would not.
+func flush(buf []byte, a uint64, n uint) ([]byte, uint64, uint) {
+	binary.BigEndian.PutUint64(buf, a)
+	whole := n &^ 7
+	return buf[whole>>3:], a << (whole >> 1 & 63) << ((whole - whole>>1) & 63), n & 7
+}
+
+func groupStep1(words []uint64, syms []int32, buf []byte, a uint64, n uint) ([]int32, []byte, uint64, uint) {
+	for len(syms) >= 1 && len(buf) >= 8 {
+		b0, m := place(words[syms[0]], n)
+		if m > 64 {
+			break
+		}
+		buf, a, n = flush(buf, a|b0, m)
+		syms = syms[1:]
+	}
+	return syms, buf, a, n
+}
+
+func groupStep2(words []uint64, syms []int32, buf []byte, a uint64, n uint) ([]int32, []byte, uint64, uint) {
+	for len(syms) >= 2 && len(buf) >= 8 {
+		b0, m := place(words[syms[0]], n)
+		b1, m := place(words[syms[1]], m)
+		if m > 64 {
+			break
+		}
+		buf, a, n = flush(buf, a|b0|b1, m)
+		syms = syms[2:]
+	}
+	return syms, buf, a, n
+}
+
+func groupStep3(words []uint64, syms []int32, buf []byte, a uint64, n uint) ([]int32, []byte, uint64, uint) {
+	for len(syms) >= 3 && len(buf) >= 8 {
+		b0, m := place(words[syms[0]], n)
+		b1, m := place(words[syms[1]], m)
+		b2, m := place(words[syms[2]], m)
+		if m > 64 {
+			break
+		}
+		buf, a, n = flush(buf, a|b0|b1|b2, m)
+		syms = syms[3:]
+	}
+	return syms, buf, a, n
+}
+
+func groupStep4(words []uint64, syms []int32, buf []byte, a uint64, n uint) ([]int32, []byte, uint64, uint) {
+	for len(syms) >= 4 && len(buf) >= 8 {
+		b0, m := place(words[syms[0]], n)
+		b1, m := place(words[syms[1]], m)
+		b2, m := place(words[syms[2]], m)
+		b3, m := place(words[syms[3]], m)
+		if m > 64 {
+			break
+		}
+		buf, a, n = flush(buf, a|b0|b1|b2|b3, m)
+		syms = syms[4:]
+	}
+	return syms, buf, a, n
+}
+
+// encodeLong is EncodeAll for a code longer than wordBits: the codes
+// are packed into a local word and handed to w one field of up to 64
+// bits at a time.
+func (c *Codec) encodeLong(w *bitio.Writer, syms []int32) {
 	var acc uint64
 	nAcc := 0
 	for _, s := range syms {
@@ -361,6 +581,9 @@ func (c *Codec) EncodeAll(w *bitio.Writer, syms []int32) {
 	}
 	w.WriteBits(acc, nAcc)
 }
+
+// TableBits is the size in bits of what WriteTable writes.
+func (c *Codec) TableBits() int { return 64 + 38*len(c.symsByCode) }
 
 // Decode reads one symbol from r. Invalid codes and truncated streams
 // return ErrCorrupt-wrapped errors.
@@ -524,10 +747,7 @@ func ReadTableMaxInto(c *Codec, r *bitio.Reader, maxSyms int) (*Codec, error) {
 	if c == nil {
 		c = new(Codec)
 	}
-	c.NumSymbols = int(nsym) //arcvet:ignore mathbits nsym <= maxAlphabet is validated above
-	c.lengths = grow(c.lengths, c.NumSymbols)
-	clear(c.lengths) // the duplicate-symbol check below reads zeroes
-	c.codes = grow(c.codes, c.NumSymbols)
+	c.reset(int(nsym)) //arcvet:ignore mathbits nsym <= maxAlphabet is validated above; the duplicate-symbol check below reads reset's zeroes
 	for i := uint64(0); i < nused; i++ {
 		s, err := r.ReadBits(32)
 		if err != nil {
@@ -545,7 +765,14 @@ func ReadTableMaxInto(c *Codec, r *bitio.Reader, maxSyms int) (*Codec, error) {
 		}
 		c.lengths[s] = uint8(l) //arcvet:ignore mathbits l was read from 6 bits, so l < 64
 	}
-	if err := c.buildCanonical(); err != nil {
+	used := c.order[:0]
+	for s, l := range c.lengths {
+		if l > 0 {
+			used = append(used, int32(s)) //arcvet:ignore mathbits s < nsym <= maxAlphabet (1<<26)
+		}
+	}
+	c.order = used
+	if err := c.buildCanonical(used); err != nil {
 		return nil, err
 	}
 	return c, nil

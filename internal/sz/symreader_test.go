@@ -71,7 +71,8 @@ func TestSymReaderRefills(t *testing.T) {
 	n := 3*symChunk + 12_345
 	data := chunkField(n)
 	syms, _ := quantize(data, []int{n}, 1e-3)
-	codec, err := huffman.Build(new(encScratch).count(syms))
+	used, freqs := new(encScratch).count(syms)
+	codec, err := huffman.BuildUsed(nil, 2*quantRadius, used, freqs)
 	if err != nil {
 		t.Fatal(err)
 	}

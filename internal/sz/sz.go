@@ -323,13 +323,14 @@ func compressPWREL(data []float64, dims []int, rel float64) ([]byte, error) {
 }
 
 // encScratch holds assemble's large reusable state: the symbol
-// histogram with its four counting lanes and the Huffman codec whose
-// tables are rebuilt in place via huffman.BuildInto. It circulates
-// through encScratchPool; holders must not retain any view of it past
-// Put.
+// histogram's four counting lanes, the used symbols with their
+// frequencies, and the Huffman codec whose tables are rebuilt in place
+// via huffman.BuildUsed. It circulates through encScratchPool; holders
+// must not retain any view of it past Put.
 type encScratch struct {
+	lanes []uint32 // histLanes partial histograms, back to back; all zero between calls
+	used  []int32
 	freqs []int64
-	lanes []uint32 // histLanes partial histograms, back to back
 	codec huffman.Codec
 }
 
@@ -341,16 +342,23 @@ var encScratchPool = sync.Pool{New: func() any { return new(encScratch) }}
 // neighbours in separate lanes increment independently.
 const histLanes = 4
 
-// count fills es.freqs with the histogram of syms over the quantizer's
-// alphabet. A symbol is a valid index by construction: quantOne emits 0
-// or code+quantRadius with |code| < quantRadius-1.
-func (es *encScratch) count(syms []int32) []int64 {
+// count returns the symbols of syms in ascending order with how often
+// each occurs. A symbol is a valid index by construction: quantOne
+// emits 0 or code+quantRadius with |code| < quantRadius-1.
+//
+// The lanes are zero between calls, and count reads and clears only
+// what syms touched: symbol 0 and a range around the others. The range
+// comes from the histogram itself rather than from the counting loop:
+// codes are residuals over twice the bound, centred on zero, so it
+// grows from quantRadius outward, a symbol each side at a time, until
+// its counters hold every symbol that is not 0. Symbol 0
+// (unpredictable) never widens it. Tracking the least and greatest
+// symbol in the counting loop instead cost more than the counting.
+func (es *encScratch) count(syms []int32) (used []int32, freqs []int64) {
 	const n = 2 * quantRadius
-	if cap(es.freqs) < n {
-		es.freqs = make([]int64, n)
+	if es.lanes == nil {
 		es.lanes = make([]uint32, histLanes*n)
 	}
-	clear(es.lanes)
 	l0, l1, l2, l3 := es.lanes[:n], es.lanes[n:2*n], es.lanes[2*n:3*n], es.lanes[3*n:4*n]
 	i := 0
 	for ; i+histLanes <= len(syms); i += histLanes {
@@ -364,11 +372,29 @@ func (es *encScratch) count(syms []int32) []int64 {
 		l0[syms[i]]++
 	}
 	// A lane holds at most len(syms) <= maxElements (1<<27) per counter.
-	freqs := es.freqs[:n]
-	for s := range freqs {
-		freqs[s] = int64(l0[s]) + int64(l1[s]) + int64(l2[s]) + int64(l3[s])
+	freq := func(s int) int64 { return int64(l0[s]) + int64(l1[s]) + int64(l2[s]) + int64(l3[s]) }
+	used, freqs = es.used[:0], es.freqs[:0]
+	take := func(s int) {
+		if f := freq(s); f > 0 {
+			used = append(used, int32(s)) //arcvet:ignore mathbits s < 2*quantRadius
+			freqs = append(freqs, f)
+		}
+		l0[s], l1[s], l2[s], l3[s] = 0, 0, 0, 0
 	}
-	return freqs
+	rest := int64(len(syms)) - freq(0) // symbols in the range still to find
+	take(0)
+	if rest > 0 {
+		r := 0 // the range is [quantRadius-r, quantRadius+r]
+		for rest -= freq(quantRadius); rest > 0 && r < quantRadius-1; {
+			r++
+			rest -= freq(quantRadius-r) + freq(quantRadius+r)
+		}
+		for s := quantRadius - r; s <= quantRadius+r; s++ {
+			take(s)
+		}
+	}
+	es.used, es.freqs = used, freqs
+	return used, freqs
 }
 
 // flateWriterPool recycles DEFLATE compressors across assemble calls;
@@ -387,59 +413,78 @@ var flateWriterPool = sync.Pool{New: func() any {
 // assemble serializes all streams into the final compressed buffer:
 // header, Huffman table + codes, unpredictable values, optional PWREL
 // flag stream — then the DEFLATE lossless pass over the whole payload.
+// Once the code is built every section's size is known, so the payload
+// is one buffer of exactly its size, and the Huffman stage writes into
+// it in place.
 func assemble(mode Mode, param, eb float64, dims []int, syms []int32, unpred []float64, flags []byte, minLog float64) ([]byte, error) {
-	var payload bytes.Buffer
-	payload.WriteString(magic)
-	payload.WriteByte(version)
-	payload.WriteByte(byte(mode))
-	payload.WriteByte(0) // stream flags: none are defined
-	payload.WriteByte(safecast.U8(len(dims)))
-	for _, d := range dims {
-		putU32(&payload, safecast.U32(d))
-	}
-	putU64(&payload, math.Float64bits(eb))
-	putU64(&payload, math.Float64bits(param))
-	putU64(&payload, math.Float64bits(minLog))
-	putU32(&payload, safecast.U32(len(unpred)))
-
 	// Huffman stage over the symbol alphabet actually used. The
-	// histogram and codec tables come from the scratch pool so repeated
-	// compressions reuse their megabyte and a half of state.
+	// counting lanes and codec tables come from the scratch pool so
+	// repeated compressions reuse their two megabytes of state.
 	es := encScratchPool.Get().(*encScratch)
 	defer encScratchPool.Put(es)
-	var hw bitio.Writer
+	var codec *huffman.Codec
+	huffBits := 0
 	if len(syms) > 0 {
-		codec, err := huffman.BuildInto(&es.codec, es.count(syms))
+		used, freqs := es.count(syms)
+		c, err := huffman.BuildUsed(&es.codec, 2*quantRadius, used, freqs)
 		if err != nil {
 			return nil, err
 		}
-		codec.WriteTable(&hw)
-		codec.EncodeAll(&hw, syms)
+		codec, huffBits = c, c.TableBits()
+		for i, s := range used {
+			huffBits += int(freqs[i]) * c.Length(int(s))
+		}
 	}
-	hb := hw.Bytes()
-	putU32(&payload, safecast.U32(len(hb)))
-	payload.Write(hb)
+	huffLen := (huffBits + 7) / 8
+	size := len(magic) + 4 + 4*len(dims) + 3*8 + 4 + 4 + huffLen + 8*len(unpred)
+	if mode == ModePWREL {
+		size += (2*len(flags) + 7) / 8
+	}
+	p := make([]byte, 0, size)
+	p = append(p, magic...)
+	p = append(p, version, byte(mode), 0, safecast.U8(len(dims))) // stream flags: none are defined
+	for _, d := range dims {
+		p = binary.LittleEndian.AppendUint32(p, safecast.U32(d))
+	}
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(eb))
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(param))
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(minLog))
+	p = binary.LittleEndian.AppendUint32(p, safecast.U32(len(unpred)))
+	p = binary.LittleEndian.AppendUint32(p, safecast.U32(huffLen))
+	if codec != nil {
+		hw := bitio.NewWriter(p)
+		codec.WriteTable(hw)
+		codec.EncodeAll(hw, syms)
+		p = hw.Bytes()
+	}
 	for _, u := range unpred {
-		putU64(&payload, math.Float64bits(u))
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(u))
 	}
 	if mode == ModePWREL {
-		var fw bitio.Writer
+		fw := bitio.NewWriter(p)
 		for _, f := range flags {
 			fw.WriteBits(uint64(f), 2)
 		}
-		payload.Write(fw.Bytes())
+		p = fw.Bytes()
+	}
+	if len(p) != size {
+		panic(fmt.Sprintf("sz: payload of %d bytes, sized for %d", len(p), size))
 	}
 
-	// Final lossless pass (ZStd stand-in). On write/close errors the
-	// writer is abandoned to the GC rather than pooled in an unknown
+	// Final lossless pass (ZStd stand-in). The output is sized for
+	// DEFLATE's worst case, stored blocks of at most 64 KiB with 5 bytes
+	// of framing each, so it is allocated once. On write/close errors
+	// the writer is abandoned to the GC rather than pooled in an unknown
 	// state (bytes.Buffer writes cannot fail, so this never happens in
 	// practice).
-	var out bytes.Buffer
+	out := bytes.NewBuffer(make([]byte, 0, len(magic)+8+size+size>>12+64))
+	var payloadLen [8]byte
+	binary.LittleEndian.PutUint64(payloadLen[:], safecast.U64(len(p)))
 	out.WriteString(magic)
-	putU64(&out, safecast.U64(payload.Len()))
+	out.Write(payloadLen[:])
 	fw := flateWriterPool.Get().(*flate.Writer)
-	fw.Reset(&out)
-	if _, err := fw.Write(payload.Bytes()); err != nil {
+	fw.Reset(out)
+	if _, err := fw.Write(p); err != nil {
 		return nil, err
 	}
 	if err := fw.Close(); err != nil {
@@ -448,22 +493,6 @@ func assemble(mode Mode, param, eb float64, dims []int, syms []int32, unpred []f
 	fw.Reset(io.Discard)
 	flateWriterPool.Put(fw)
 	return out.Bytes(), nil
-}
-
-// putU32 and putU64 append a little-endian value to a buffer (whose
-// writes cannot fail) without binary.Write's reflection and boxing per
-// value: a field with many unpredictable values writes one of these for
-// each.
-func putU32(b *bytes.Buffer, v uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	b.Write(tmp[:])
-}
-
-func putU64(b *bytes.Buffer, v uint64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	b.Write(tmp[:])
 }
 
 // Decompress reverses Compress, returning the reconstructed values and

@@ -206,4 +206,12 @@ echo "== huffman batch decode fuzz smoke (10s) =="
 # same reader position.
 go test -run '^$' -fuzz '^FuzzHuffmanDecodeAll$' -fuzztime 10s ./internal/huffman
 
+echo "== huffman batch encode fuzz smoke (10s) =="
+# Differential fuzz of EncodeAll (several codes per 8-byte store into
+# the writer's spare capacity) against one Encode per symbol, from every
+# bit offset of the writer's partial byte and with every group tail,
+# into a writer with no room and one sized exactly; DecodeAll must read
+# the symbols back.
+go test -run '^$' -fuzz '^FuzzHuffmanEncodeAll$' -fuzztime 10s ./internal/huffman
+
 echo "verify: OK"
