@@ -236,12 +236,11 @@ func BenchmarkFaultInjectionTrial(b *testing.B) {
 		b.Fatal(err)
 	}
 	camp, err := faultinject.Run(faultinject.Config{
-		Compressor:     comp,
-		Data:           f.Data,
-		Dims:           f.Dims,
-		SampleFraction: 1,
-		MaxTrials:      1,
-		Seed:           1,
+		Compressor: comp,
+		Data:       f.Data,
+		Dims:       f.Dims,
+		MaxTrials:  1,
+		Seed:       1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -250,12 +249,11 @@ func BenchmarkFaultInjectionTrial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := faultinject.Run(faultinject.Config{
-			Compressor:     comp,
-			Data:           f.Data,
-			Dims:           f.Dims,
-			SampleFraction: 1,
-			MaxTrials:      10,
-			Seed:           int64(i),
+			Compressor: comp,
+			Data:       f.Data,
+			Dims:       f.Dims,
+			MaxTrials:  10,
+			Seed:       int64(i),
 		}); err != nil {
 			b.Fatal(err)
 		}

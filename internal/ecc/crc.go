@@ -1,9 +1,6 @@
 package ecc
 
-import (
-	"hash/crc32"
-	"sync"
-)
+import "hash/crc32"
 
 // The CRC-32C every code returns beside its output (Code.EncodeTo,
 // Code.DecodeTo) is taken where the code already holds the bytes, a
@@ -102,26 +99,3 @@ func (s *CRCShift) Init(n int) {
 func (s *CRCShift) Combine(crcA, crcB uint32) uint32 {
 	return s.tab[0][byte(crcA)] ^ s.tab[1][byte(crcA>>8)] ^ s.tab[2][byte(crcA>>16)] ^ s.tab[3][crcA>>24] ^ crcB
 }
-
-// CRCJoin joins the CRCs of the ranges of a parallel pass over total
-// bytes, in whatever order the ranges finish: by linearity, crc(R1‖R2‖R3)
-// is crc(R1)·x^(8(|R2|+|R3|)) ^ crc(R2)·x^(8|R3|) ^ crc(R3), one term
-// per range. It is safe for concurrent use.
-type CRCJoin struct {
-	mu  sync.Mutex
-	crc uint32
-}
-
-// Add folds in crc, the CRC-32C of a range followed by after bytes of
-// the pass.
-func (j *CRCJoin) Add(crc uint32, after int) {
-	term := CombineCRC(crc, 0, after)
-	j.mu.Lock()
-	j.crc ^= term
-	j.mu.Unlock()
-}
-
-// Sum returns the CRC-32C of the whole pass. It does not wait for the
-// ranges: call it after every Add has returned, as parallel.For's
-// return guarantees.
-func (j *CRCJoin) Sum() uint32 { return j.crc }

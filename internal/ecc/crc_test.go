@@ -3,7 +3,6 @@ package ecc
 import (
 	"hash/crc32"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -38,27 +37,6 @@ func TestCombineCRC(t *testing.T) {
 	// the same as appending it.
 	zeros := make([]byte, 3<<20)
 	checkCombine(t, buf[:100], zeros)
-}
-
-func TestCRCJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	buf := make([]byte, 10000)
-	rng.Read(buf)
-	cuts := []int{0, 1, 999, 1000, 4096, 9000, 10000}
-	var j CRCJoin
-	var wg sync.WaitGroup
-	for i := len(cuts) - 2; i >= 0; i-- {
-		lo, hi := cuts[i], cuts[i+1]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			j.Add(crc32.Checksum(buf[lo:hi], Castagnoli), len(buf)-hi)
-		}()
-	}
-	wg.Wait()
-	if got, want := j.Sum(), crc32.Checksum(buf, Castagnoli); got != want {
-		t.Fatalf("CRCJoin = %08x, want %08x", got, want)
-	}
 }
 
 // FuzzCRC32CCombine checks the combine against crc32.Checksum of the

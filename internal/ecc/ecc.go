@@ -132,7 +132,8 @@ type Report struct {
 	CorrectedBlocks int
 }
 
-// Merge accumulates another report into r (used by parallel decodes).
+// Merge accumulates another report into r; Split joins the reports
+// of a decode's ranges with it.
 func (r *Report) Merge(o Report) {
 	r.DetectedBlocks += o.DetectedBlocks
 	r.CorrectedBits += o.CorrectedBits

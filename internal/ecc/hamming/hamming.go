@@ -27,13 +27,10 @@ package hamming
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/ecc"
 	"repro/internal/gf256"
-	"repro/internal/parallel"
 )
 
 // Params holds the derived constants for a Hamming code over k data
@@ -178,7 +175,7 @@ func (p *Params) stepCheck(src []byte) uint64 {
 // Code is a Hamming (or extended Hamming) code over fixed-width blocks.
 type Code struct {
 	P       *Params
-	Workers int
+	Workers int // worker count of each pass, as ecc.Split reads it
 }
 
 // New returns a single-error-correcting Hamming code over dataBits-wide
@@ -200,6 +197,9 @@ func (c *Code) blocks(n int) int {
 	bb := c.blockBytes()
 	return (n + bb - 1) / bb
 }
+
+// steps is the number of eight-block steps of an n-byte input.
+func (c *Code) steps(n int) int { return (c.blocks(n) + 7) / 8 }
 
 // EncodedSize implements ecc.Code.
 func (c *Code) EncodedSize(n int) int {
@@ -267,21 +267,9 @@ func kernelEnd(lo, end, n int) int {
 // assigned (encodeSteps writes whole bytes, zero bits after the last
 // block), so a reused dst needs no clearing.
 func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) ([]byte, uint32) {
-	n := len(data)
-	out := ecc.GrowTo(dst, c.EncodedSize(n))
-	steps := (c.blocks(n) + 7) / 8
-	vec := c.vector()
-	// Serial fast path: a closure handed to parallel.For escapes and
-	// would allocate even when it runs inline — the chunk-stream
-	// steady state encodes with one worker.
-	if parallel.Clamp(c.Workers, steps) == 1 {
-		return out, c.encodeSteps(out, data, 0, steps, vec)
-	}
-	var crc ecc.CRCJoin
-	parallel.For(steps, c.Workers, func(lo, hi int) {
-		crc.Add(c.encodeSteps(out, data, lo, hi, vec), n-min(hi*c.P.K, n))
-	})
-	return out, crc.Sum()
+	out := ecc.GrowTo(dst, c.EncodedSize(len(data)))
+	p := ecc.Split(c, (*Code).encodeSteps, ecc.Args{Dst: out, Src: data}, c.steps(len(data)), c.Workers)
+	return out, p.CRC
 }
 
 // copySteps is how many steps' data EncodeTo and DecodeTo copy at a time
@@ -290,15 +278,18 @@ func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) ([]byte, uint32) {
 // first-level cache whatever the size of the input.
 const copySteps = 64
 
-// encodeSteps copies the data of steps [lo, hi) into out, stores their
-// check words after the data, through checkBytesAVX2 when vec and the
-// tables otherwise, and returns the CRC-32C of the data. A step owns
-// check bytes [s*CheckLen, (s+1)*CheckLen), cut short at the end of
-// out for the final step, so ranges never share a byte.
-func (c *Code) encodeSteps(out, data []byte, lo, hi int, vec bool) uint32 {
+// encodeSteps copies the data (a.Src) of steps [lo, hi) into the
+// encoded stream a.Dst, stores their check words after the data,
+// through checkBytesAVX2 when vector() and the tables otherwise, and
+// returns the CRC-32C of the data. A step owns check bytes
+// [s*CheckLen, (s+1)*CheckLen), cut short at the end of out for the
+// final step, so ranges never share a byte.
+func (c *Code) encodeSteps(a ecc.Args, lo, hi int) ecc.Part {
+	out, data := a.Dst, a.Src
 	span := c.P.K
 	chk := out[len(data):]
-	var crc uint32
+	vec := c.vector()
+	var p ecc.Part
 	var ext [8 * copySteps]byte // the kernel's check bytes when CheckLen < 8
 	for ; lo < hi; lo += copySteps {
 		end := min(lo+copySteps, hi)
@@ -320,9 +311,9 @@ func (c *Code) encodeSteps(out, data []byte, lo, hi int, vec bool) uint32 {
 		for ; s < end; s++ {
 			c.putStep(chk, s, c.stepCheck(data, s))
 		}
-		crc = crc32.Update(crc, ecc.Castagnoli, out[lo*span:min(end*span, len(data))])
+		p.Update(out[lo*span : min(end*span, len(data))])
 	}
-	return crc
+	return p
 }
 
 // putStep stores w, step s's packed check word, as the step's check
@@ -370,9 +361,6 @@ func (c *Code) EncodeRef(data []byte) []byte {
 	return out
 }
 
-// blockStats accumulates one worker's decode counters.
-type blockStats struct{ det, bits, blocks, unc int64 }
-
 // correct repairs the single flipped bit that syndrome names in block
 // b (value data) of out. It reports false, leaving out alone, when no
 // stored bit lives there and more than one flip must have produced the
@@ -395,10 +383,10 @@ func (c *Code) correct(out []byte, b int, data uint64, syndrome int) bool {
 }
 
 // decodeBlock verifies block b of out against its stored check word,
-// correcting out in place and updating st. It is shared by DecodeTo,
-// which calls it for the blocks whose check words differ, and
-// DecodeRef, which calls it for every block.
-func (c *Code) decodeBlock(out []byte, b int, stored uint16, st *blockStats) {
+// correcting out in place and counting into p's Report and Failed. It
+// is shared by DecodeTo, which calls it for the blocks whose check
+// words differ, and DecodeRef, which calls it for every block.
+func (c *Code) decodeBlock(out []byte, b int, stored uint16, p *ecc.Part) {
 	data := c.loadBlock(out, b)
 	storedParity := stored & ((1 << c.P.R) - 1)
 	syndrome := int(storedParity ^ uint16(c.P.checkBits(data)))
@@ -413,92 +401,76 @@ func (c *Code) decodeBlock(out []byte, b int, stored uint16, st *blockStats) {
 		case syndrome == 0 && odd:
 			// Only the overall parity bit flipped; the data and check
 			// bits agree.
-			st.det++
-			st.bits++
-			st.blocks++
+			p.Report.DetectedBlocks++
+			p.Report.CorrectedBits++
+			p.Report.CorrectedBlocks++
 		case odd:
 			// Single error; the syndrome names its position.
-			st.det++
+			p.Report.DetectedBlocks++
 			if !c.correct(out, b, data, syndrome) {
 				// At least a triple flip. Detect only.
-				st.unc++
+				p.Failed++
 				return
 			}
-			st.bits++
-			st.blocks++
+			p.Report.CorrectedBits++
+			p.Report.CorrectedBlocks++
 		default:
 			// Nonzero syndrome with even weight: a double error.
 			// Detect only — this is the "DED" in SEC-DED.
-			st.det++
-			st.unc++
+			p.Report.DetectedBlocks++
+			p.Failed++
 		}
 		return
 	}
 	if syndrome == 0 {
 		return
 	}
-	st.det++
+	p.Report.DetectedBlocks++
 	if !c.correct(out, b, data, syndrome) {
 		// Multi-bit corruption. Detect only.
-		st.unc++
+		p.Failed++
 		return
 	}
-	st.bits++
-	st.blocks++
+	p.Report.CorrectedBits++
+	p.Report.CorrectedBlocks++
 }
 
 // DecodeTo implements ecc.Code.
 func (c *Code) DecodeTo(dst, encoded []byte, origLen int, _ *ecc.Scratch) ([]byte, uint32, ecc.Report, error) {
-	var rep ecc.Report
 	if origLen < 0 || len(encoded) < c.EncodedSize(origLen) {
-		return nil, 0, rep, fmt.Errorf("%w: need %d bytes, have %d", ecc.ErrTruncated, c.EncodedSize(origLen), len(encoded))
+		return nil, 0, ecc.Report{}, fmt.Errorf("%w: need %d bytes, have %d", ecc.ErrTruncated, c.EncodedSize(origLen), len(encoded))
 	}
 	out := ecc.GrowTo(dst, origLen)
-	encoded = encoded[:c.EncodedSize(origLen)]
-	steps := (c.blocks(origLen) + 7) / 8
-	vec := c.vector()
-	var total blockStats
-	var crc uint32
-	// Serial fast path: see EncodeTo — the closure plus the counters it
-	// captures by address would otherwise allocate per DecodeTo.
-	if parallel.Clamp(c.Workers, steps) == 1 {
-		crc = c.decodeSteps(out, encoded, 0, steps, vec, &total)
-	} else {
-		var detected, corrBits, corrBlocks, uncorrectable int64
-		var join ecc.CRCJoin
-		parallel.For(steps, c.Workers, func(lo, hi int) {
-			var st blockStats
-			join.Add(c.decodeSteps(out, encoded, lo, hi, vec, &st), origLen-min(hi*c.P.K, origLen))
-			atomic.AddInt64(&detected, st.det)
-			atomic.AddInt64(&corrBits, st.bits)
-			atomic.AddInt64(&corrBlocks, st.blocks)
-			atomic.AddInt64(&uncorrectable, st.unc)
-		})
-		total = blockStats{det: detected, bits: corrBits, blocks: corrBlocks, unc: uncorrectable}
-		crc = join.Sum()
-	}
-	rep.DetectedBlocks = int(total.det)
-	rep.CorrectedBits = int(total.bits)
-	rep.CorrectedBlocks = int(total.blocks)
-	if total.unc > 0 {
-		return out, crc, rep, fmt.Errorf("%w: %d block(s) with multi-bit damage", ecc.ErrUncorrectable, total.unc)
-	}
-	return out, crc, rep, nil
+	a := ecc.Args{Dst: out, Src: encoded[:c.EncodedSize(origLen)]}
+	p := ecc.Split(c, (*Code).decodeSteps, a, c.steps(origLen), c.Workers)
+	return out, p.CRC, p.Report, failure(p.Failed)
 }
 
-// decodeSteps copies the data of steps [lo, hi) from encoded into out,
-// then verifies and repairs it there, accumulating into st, and returns
-// the CRC-32C of the data as repaired; safe to run concurrently on
-// disjoint ranges. The check words are recomputed as encodeSteps
-// computes them, and verifyStep compares them with the stored ones;
+// failure is DecodeTo's error for failed blocks, detected with
+// multi-bit damage and left as they were: nil for none.
+func failure(failed int) error {
+	if failed > 0 {
+		return fmt.Errorf("%w: %d block(s) with multi-bit damage", ecc.ErrUncorrectable, failed)
+	}
+	return nil
+}
+
+// decodeSteps copies the data of steps [lo, hi) from the encoded
+// stream a.Src into a.Dst, then verifies and repairs it there, and
+// returns the CRC-32C of the data as repaired and what the repair saw;
+// safe to run concurrently on disjoint ranges. The check words are
+// recomputed as encodeSteps computes them, and verifyStep compares
+// them with the stored ones;
 // SEC-DED(72,64) first compares the kernel's eight check bytes of a
 // step with the stored eight as one word. A repair stays inside its
 // step, so each piece's CRC is taken after its last repair.
-func (c *Code) decodeSteps(out, encoded []byte, lo, hi int, vec bool, st *blockStats) uint32 {
+func (c *Code) decodeSteps(a ecc.Args, lo, hi int) ecc.Part {
+	out, encoded := a.Dst, a.Src
 	span := c.P.K
 	chk := encoded[len(out):]
 	nb := c.blocks(len(out))
-	var crc uint32
+	vec := c.vector()
+	var p ecc.Part
 	var ext [8 * copySteps]byte
 	for ; lo < hi; lo += copySteps {
 		end := min(lo+copySteps, hi)
@@ -511,16 +483,16 @@ func (c *Code) decodeSteps(out, encoded []byte, lo, hi int, vec bool, st *blockS
 				if c.P.CheckLen == 8 && binary.LittleEndian.Uint64(chk[8*i:]) == binary.LittleEndian.Uint64(e) {
 					continue
 				}
-				c.verifyStep(out, chk, i, nb, c.P.packStep(e), st)
+				c.verifyStep(out, chk, i, nb, c.P.packStep(e), &p)
 			}
 		}
 		copy(out[s*span:], encoded[s*span:min(end*span, len(out))])
 		for ; s < end; s++ {
-			c.verifyStep(out, chk, s, nb, c.stepCheck(out, s), st)
+			c.verifyStep(out, chk, s, nb, c.stepCheck(out, s), &p)
 		}
-		crc = crc32.Update(crc, ecc.Castagnoli, out[lo*span:min(end*span, len(out))])
+		p.Update(out[lo*span : min(end*span, len(out))])
 	}
-	return crc
+	return p
 }
 
 // verifyStep compares got, the recomputed check word of step s of out
@@ -528,7 +500,7 @@ func (c *Code) decodeSteps(out, encoded []byte, lo, hi int, vec bool, st *blockS
 // is clean and costs one compare; in any other, exactly the blocks
 // whose fields differ go to decodeBlock, which is where every verdict
 // is made.
-func (c *Code) verifyStep(out, chk []byte, s, nb int, got uint64, st *blockStats) {
+func (c *Code) verifyStep(out, chk []byte, s, nb int, got uint64, p *ecc.Part) {
 	cl := c.P.CheckLen
 	// The step's check bytes, right-aligned like stepCheck's result.
 	var be [8]byte
@@ -547,7 +519,7 @@ func (c *Code) verifyStep(out, chk []byte, s, nb int, got uint64, st *blockStats
 	for j := 0; j < 8; j++ {
 		sh := uint(cl * (7 - j))
 		if diff>>sh&field != 0 {
-			c.decodeBlock(out, 8*s+j, uint16(stored>>sh&field), st)
+			c.decodeBlock(out, 8*s+j, uint16(stored>>sh&field), p)
 		}
 	}
 }
@@ -556,29 +528,22 @@ func (c *Code) verifyStep(out, chk []byte, s, nb int, got uint64, st *blockStats
 // (per-bit readBits unpacking), kept for differential tests and as the
 // benchmark baseline. Results are identical to DecodeTo's.
 func (c *Code) DecodeRef(encoded []byte, origLen int) ([]byte, ecc.Report, error) {
-	var rep ecc.Report
 	if origLen < 0 || len(encoded) < c.EncodedSize(origLen) {
-		return nil, rep, fmt.Errorf("%w: need %d bytes, have %d", ecc.ErrTruncated, c.EncodedSize(origLen), len(encoded))
+		return nil, ecc.Report{}, fmt.Errorf("%w: need %d bytes, have %d", ecc.ErrTruncated, c.EncodedSize(origLen), len(encoded))
 	}
 	out := make([]byte, origLen)
 	copy(out, encoded[:origLen])
 	chk := encoded[origLen:c.EncodedSize(origLen)]
 	nb := c.blocks(origLen)
 	cl := c.P.CheckLen
-	var st blockStats
+	var p ecc.Part
 	bitPos := 0
 	for b := 0; b < nb; b++ {
 		stored := uint16(readBits(chk, bitPos, cl))
 		bitPos += cl
-		c.decodeBlock(out, b, stored, &st)
+		c.decodeBlock(out, b, stored, &p)
 	}
-	rep.DetectedBlocks = int(st.det)
-	rep.CorrectedBits = int(st.bits)
-	rep.CorrectedBlocks = int(st.blocks)
-	if st.unc > 0 {
-		return out, rep, fmt.Errorf("%w: %d block(s) with multi-bit damage", ecc.ErrUncorrectable, st.unc)
-	}
-	return out, rep, nil
+	return out, p.Report, failure(p.Failed)
 }
 
 // writeBits stores the low `width` bits of v into buf starting at

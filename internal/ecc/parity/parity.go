@@ -9,13 +9,10 @@ package parity
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/ecc"
 	"repro/internal/gf256"
-	"repro/internal/parallel"
 )
 
 // Code protects data with one even-parity bit per BlockBytes of data.
@@ -26,7 +23,7 @@ type Code struct {
 	// BlockBytes is the number of data bytes covered by each parity
 	// bit. Smaller blocks raise overhead and detection granularity.
 	BlockBytes int
-	// Workers is the parallelism level (0 = GOMAXPROCS).
+	// Workers is the worker count of each pass, as ecc.Split reads it.
 	Workers int
 }
 
@@ -112,22 +109,9 @@ func (c *Code) parityByte(data []byte, pb, nb int) byte {
 // goroutines write the same byte; every output byte is fully assigned,
 // so a reused dst needs no clearing.
 func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) ([]byte, uint32) {
-	n := len(data)
-	nb := c.blocks(n)
-	out := ecc.GrowTo(dst, c.EncodedSize(n))
-	par := out[n:]
-	vec := c.vector()
-	// Serial fast path: a closure handed to parallel.For escapes and
-	// would allocate even when it runs inline.
-	if parallel.Clamp(c.Workers, len(par)) == 1 {
-		return out, c.encodeRange(data, out, par, 0, len(par), nb, vec)
-	}
-	var crc ecc.CRCJoin
-	parallel.For(len(par), c.Workers, func(lo, hi int) {
-		_, to := c.span(lo, hi, n)
-		crc.Add(c.encodeRange(data, out, par, lo, hi, nb, vec), n-to)
-	})
-	return out, crc.Sum()
+	out := ecc.GrowTo(dst, c.EncodedSize(len(data)))
+	p := ecc.Split(c, (*Code).encodeRange, ecc.Args{Dst: out, Src: data}, len(out)-len(data), c.Workers)
+	return out, p.CRC
 }
 
 // span is the data bytes parity bytes [lo, hi) cover in an n-byte
@@ -141,11 +125,14 @@ func (c *Code) span(lo, hi, n int) (int, int) {
 // the data copied into out finds it in the first-level cache.
 func (c *Code) pieceBytes() int { return max(4096/(8*c.BlockBytes), 1) }
 
-// encodeRange copies the data parity bytes [lo, hi) cover into out and
-// fills them, through parityBytesAVX2 when vec, and returns the
-// CRC-32C of that data; safe to run concurrently on disjoint ranges.
-func (c *Code) encodeRange(data, out, par []byte, lo, hi, nb int, vec bool) uint32 {
-	var crc uint32
+// encodeRange copies the data (a.Src) parity bytes [lo, hi) cover into
+// the encoded stream a.Dst and fills them, through parityBytesAVX2 when
+// vector(), and returns the CRC-32C of that data; safe to run
+// concurrently on disjoint ranges.
+func (c *Code) encodeRange(a ecc.Args, lo, hi int) ecc.Part {
+	data, out := a.Src, a.Dst
+	par, nb, vec := out[len(data):], c.blocks(len(data)), c.vector()
+	var p ecc.Part
 	for step := c.pieceBytes(); lo < hi; lo += step {
 		end := min(lo+step, hi)
 		pb := lo
@@ -158,10 +145,9 @@ func (c *Code) encodeRange(data, out, par []byte, lo, hi, nb int, vec bool) uint
 		for ; pb < end; pb++ {
 			par[pb] = c.parityByte(data, pb, nb)
 		}
-		from, to = c.span(lo, end, len(data))
-		crc = crc32.Update(crc, ecc.Castagnoli, out[from:to])
+		p.Update(out[lo*8*c.BlockBytes : to])
 	}
-	return crc
+	return p
 }
 
 // DecodeTo implements ecc.Code. Parity corrects nothing: if any
@@ -169,51 +155,36 @@ func (c *Code) encodeRange(data, out, par []byte, lo, hi, nb int, vec bool) uint
 // data along with ecc.ErrUncorrectable so the caller can decide what
 // to salvage.
 func (c *Code) DecodeTo(dst, encoded []byte, origLen int, _ *ecc.Scratch) ([]byte, uint32, ecc.Report, error) {
-	var rep ecc.Report
 	if origLen < 0 || len(encoded) < c.EncodedSize(origLen) {
-		return nil, 0, rep, fmt.Errorf("%w: need %d bytes, have %d", ecc.ErrTruncated, c.EncodedSize(origLen), len(encoded))
+		return nil, 0, ecc.Report{}, fmt.Errorf("%w: need %d bytes, have %d", ecc.ErrTruncated, c.EncodedSize(origLen), len(encoded))
 	}
-	data := encoded[:origLen]
-	par := encoded[origLen:c.EncodedSize(origLen)]
-	nb := c.blocks(origLen)
 	out := ecc.GrowTo(dst, origLen)
-	var detected int64
-	var crc uint32
-	vec := c.vector()
-	// Serial fast path: see EncodeTo. The atomic counter and the CRC
-	// join are declared inside the parallel branch so their heap
-	// allocations (they are captured by an escaping closure) never tax
-	// the serial path.
-	if parallel.Clamp(c.Workers, len(par)) == 1 {
-		detected, crc = c.countRange(data, out, par, 0, len(par), nb, vec)
-	} else {
-		var adet int64
-		var join ecc.CRCJoin
-		parallel.For(len(par), c.Workers, func(lo, hi int) {
-			local, lcrc := c.countRange(data, out, par, lo, hi, nb, vec)
-			if local > 0 {
-				atomic.AddInt64(&adet, local)
-			}
-			_, to := c.span(lo, hi, origLen)
-			join.Add(lcrc, origLen-to)
-		})
-		detected, crc = adet, join.Sum()
-	}
-	rep.DetectedBlocks = int(detected)
-	if rep.DetectedBlocks > 0 {
-		return out, crc, rep, fmt.Errorf("%w: parity mismatch in %d block(s)", ecc.ErrUncorrectable, rep.DetectedBlocks)
-	}
-	return out, crc, rep, nil
+	a := ecc.Args{Dst: out, Src: encoded[:c.EncodedSize(origLen)]}
+	p := ecc.Split(c, (*Code).countRange, a, len(a.Src)-origLen, c.Workers)
+	return out, p.CRC, p.Report, mismatch(p.Failed)
 }
 
-// countRange copies the data parity bytes [lo, hi) cover into out,
-// counts the bits where their recomputed parity, as encodeRange
-// computes it, differs from par, and returns the count and the
-// CRC-32C of the data copied; safe to run concurrently on disjoint
-// ranges.
-func (c *Code) countRange(data, out, par []byte, lo, hi, nb int, vec bool) (int64, uint32) {
+// mismatch is DecodeTo's error for failed blocks whose parity
+// mismatches: nil for none.
+func mismatch(failed int) error {
+	if failed > 0 {
+		return fmt.Errorf("%w: parity mismatch in %d block(s)", ecc.ErrUncorrectable, failed)
+	}
+	return nil
+}
+
+// countRange copies the data parity bytes [lo, hi) cover from the
+// encoded stream a.Src into a.Dst, counts the bits where their
+// recomputed parity, as encodeRange computes it, differs from the
+// stored one, and returns the count, as both detected and failed
+// blocks, and the CRC-32C of the data copied; safe to run concurrently
+// on disjoint ranges.
+func (c *Code) countRange(a ecc.Args, lo, hi int) ecc.Part {
+	out := a.Dst
+	data, par := a.Src[:len(out)], a.Src[len(out):]
+	nb, vec := c.blocks(len(data)), c.vector()
 	local := 0
-	var crc uint32
+	var p ecc.Part
 	var got [64]byte // the kernel's parity bytes of one piece (vec: 8-byte blocks)
 	for step := c.pieceBytes(); lo < hi; lo += step {
 		end := min(lo+step, hi)
@@ -232,10 +203,10 @@ func (c *Code) countRange(data, out, par []byte, lo, hi, nb int, vec bool) (int6
 				local += bits.OnesCount8(diff)
 			}
 		}
-		from, to = c.span(lo, end, len(data))
-		crc = crc32.Update(crc, ecc.Castagnoli, out[from:to])
+		p.Update(out[lo*8*c.BlockBytes : to])
 	}
-	return int64(local), crc
+	p.Report.DetectedBlocks, p.Failed = local, local
+	return p
 }
 
 // EncodeRef is the retained per-block reference of EncodeTo, kept as
@@ -273,10 +244,7 @@ func (c *Code) DecodeRef(encoded []byte, origLen int) ([]byte, ecc.Report, error
 			rep.DetectedBlocks++
 		}
 	}
-	if rep.DetectedBlocks > 0 {
-		return out, rep, fmt.Errorf("%w: parity mismatch in %d block(s)", ecc.ErrUncorrectable, rep.DetectedBlocks)
-	}
-	return out, rep, nil
+	return out, rep, mismatch(rep.DetectedBlocks)
 }
 
 // refParity is the parity bit of block, one byte at a time.

@@ -31,11 +31,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ecc"
 	"repro/internal/gf256"
-	"repro/internal/parallel"
 )
 
 // csBytes is the width of one device's entry in a stripe's checksum
@@ -48,7 +46,7 @@ type Code struct {
 	K          int // data devices per stripe
 	M          int // code (parity) devices per stripe
 	DeviceSize int // bytes per device
-	Workers    int
+	Workers    int // worker count of each pass, as ecc.Split reads it
 
 	gen   *gf256.Matrix // (K+M) x K systematic generator
 	shift ecc.CRCShift  // joins a whole device's CRC-32C to the CRC before it
@@ -138,35 +136,24 @@ func (c *Code) EncodedSize(n int) int { return c.stripes(n) * c.stripeEncBytes()
 // output byte (including explicit zero padding of a partial final
 // stripe), so a reused dst needs no up-front clearing.
 func (c *Code) EncodeTo(dst, data []byte, _ *ecc.Scratch) ([]byte, uint32) {
-	n := len(data)
-	ns := c.stripes(n)
-	out := ecc.GrowTo(dst, c.EncodedSize(n))
-	// The serial case calls the range body directly: a closure passed
-	// to parallel.For escapes (For hands it to goroutines on its other
-	// path), which would cost an allocation per EncodeTo even for one
-	// worker — the chunk-stream steady state this code serves.
-	if parallel.Clamp(c.Workers, ns) == 1 {
-		return out, c.encodeRange(data, out, 0, ns)
-	}
-	var crc ecc.CRCJoin
-	parallel.For(ns, c.Workers, func(lo, hi int) {
-		crc.Add(c.encodeRange(data, out, lo, hi), n-min(hi*c.stripeDataBytes(), n))
-	})
-	return out, crc.Sum()
+	out := ecc.GrowTo(dst, c.EncodedSize(len(data)))
+	p := ecc.Split(c, (*Code).encodeRange, ecc.Args{Dst: out, Src: data}, c.stripes(len(data)), c.Workers)
+	return out, p.CRC
 }
 
-// encodeRange encodes stripes [lo, hi) and returns the CRC-32C of
-// their data; safe to run concurrently on disjoint ranges.
-func (c *Code) encodeRange(data, out []byte, lo, hi int) uint32 {
-	n := len(data)
-	sdb := c.stripeDataBytes()
-	seb := c.stripeEncBytes()
-	var crc uint32
+// encodeRange encodes stripes [lo, hi) of a.Src into a.Dst and returns
+// the CRC-32C of their data; safe to run concurrently on disjoint
+// ranges.
+func (c *Code) encodeRange(a ecc.Args, lo, hi int) ecc.Part {
+	n := len(a.Src)
+	sdb, seb := c.stripeDataBytes(), c.stripeEncBytes()
+	var p ecc.Part
 	for s := lo; s < hi; s++ {
-		src := data[min(s*sdb, n):min((s+1)*sdb, n)]
-		crc = c.encodeStripe(src, out[s*seb:(s+1)*seb], crc)
+		src := a.Src[min(s*sdb, n):min((s+1)*sdb, n)]
+		p.CRC = c.encodeStripe(src, a.Dst[s*seb:(s+1)*seb], p.CRC)
+		p.Len += len(src)
 	}
-	return crc
+	return p
 }
 
 // encodeStripe fills one encoded stripe from up to stripeDataBytes of
@@ -264,36 +251,17 @@ func (c *Code) EncodeRef(dst, data []byte, mul func(c byte, src, dst []byte)) []
 // DecodeTo implements ecc.Code. With a warm s neither the clean
 // path nor the repair path allocates beyond growing dst: a damaged
 // stripe's working storage comes from s. With Workers > 1 each worker
-// range brings its own scratch instead (a Scratch must not be shared
-// between goroutines), allocated only if the range holds damage.
+// range brings its own scratch instead, allocated only if the range
+// holds damage.
 func (c *Code) DecodeTo(dst, encoded []byte, origLen int, s *ecc.Scratch) ([]byte, uint32, ecc.Report, error) {
 	if err := c.checkLen(encoded, origLen); err != nil {
 		return nil, 0, ecc.Report{}, err
 	}
-	ns := c.stripes(origLen)
 	out := ecc.GrowTo(dst, origLen)
-	var detected, corrected, failed int64
-	var crc uint32
-	// Serial fast path: see EncodeTo. The atomics and the CRC join live
-	// inside the parallel branch — values captured by an escaping
-	// closure are heap-allocated at their declaration, so they must not
-	// be declared on the path the steady state takes.
-	if parallel.Clamp(c.Workers, ns) == 1 {
-		detected, corrected, failed, crc = c.decodeRange(encoded, out, 0, ns, s)
-	} else {
-		var adet, acor, afail int64
-		var join ecc.CRCJoin
-		parallel.For(ns, c.Workers, func(lo, hi int) {
-			ldet, lcor, lfail, lcrc := c.decodeRange(encoded, out, lo, hi, nil)
-			atomic.AddInt64(&adet, ldet)
-			atomic.AddInt64(&acor, lcor)
-			atomic.AddInt64(&afail, lfail)
-			join.Add(lcrc, max(origLen-hi*c.stripeDataBytes(), 0))
-		})
-		detected, corrected, failed, crc = adet, acor, afail, join.Sum()
-	}
-	rep, err := c.report(detected, corrected, failed)
-	return out, crc, rep, err
+	a := ecc.Args{Dst: out, Src: encoded, Scratch: s}
+	p := ecc.Split(c, (*Code).decodeRange, a, c.stripes(origLen), c.Workers)
+	rep, err := c.report(p)
+	return out, p.CRC, rep, err
 }
 
 // DecodeRef is the retained reference implementation of DecodeTo: serial,
@@ -306,17 +274,13 @@ func (c *Code) DecodeRef(encoded []byte, origLen int) ([]byte, ecc.Report, error
 	out := make([]byte, origLen)
 	sdb := c.stripeDataBytes()
 	seb := c.stripeEncBytes()
-	var detected, corrected, failed int64
+	var p ecc.Part
 	for s := 0; s < c.stripes(origLen); s++ {
 		dst := out[min(s*sdb, origLen):min((s+1)*sdb, origLen)]
 		d, co, err := c.decodeStripeRef(encoded[s*seb:(s+1)*seb], dst)
-		detected += int64(d)
-		corrected += int64(co)
-		if err != nil {
-			failed++
-		}
+		tally(&p, d, co, err)
 	}
-	rep, err := c.report(detected, corrected, failed)
+	rep, err := c.report(p)
 	return out, rep, err
 }
 
@@ -328,40 +292,47 @@ func (c *Code) checkLen(encoded []byte, origLen int) error {
 	return nil
 }
 
-// report turns stripe counters into DecodeTo's Report and error.
-func (c *Code) report(detected, corrected, failed int64) (ecc.Report, error) {
-	rep := ecc.Report{DetectedBlocks: int(detected), CorrectedBlocks: int(corrected)}
-	if failed > 0 {
-		return rep, fmt.Errorf("%w: %d stripe(s) had more than %d corrupt devices", ecc.ErrUncorrectable, failed, c.M)
+// report turns a decode's part into DecodeTo's Report and error.
+func (c *Code) report(p ecc.Part) (ecc.Report, error) {
+	if p.Failed > 0 {
+		return p.Report, fmt.Errorf("%w: %d stripe(s) had more than %d corrupt devices", ecc.ErrUncorrectable, p.Failed, c.M)
 	}
-	return rep, nil
+	return p.Report, nil
 }
 
-// decodeRange decodes stripes [lo, hi) into out, returning local
-// counters and the CRC-32C of the range's data as written to out; safe
-// to run concurrently on disjoint ranges as long as each call has its
-// own s. A nil s stands for a range-local scratch, which stays empty
-// (and on the stack) unless a stripe of the range is damaged.
-func (c *Code) decodeRange(encoded, out []byte, lo, hi int, s *ecc.Scratch) (det, cor, fail int64, crc uint32) {
+// tally counts a stripe's decode into p.
+func tally(p *ecc.Part, detected, corrected int, err error) {
+	p.Report.DetectedBlocks += detected
+	p.Report.CorrectedBlocks += corrected
+	if err != nil {
+		p.Failed++
+	}
+}
+
+// decodeRange decodes stripes [lo, hi) of the encoded stream a.Src
+// into a.Dst, returning what it saw and the CRC-32C of the range's data
+// as written; safe to run concurrently on disjoint ranges as long as
+// each call has its own a.Scratch. A nil a.Scratch stands for a
+// range-local scratch, which stays empty (and on the stack) unless a
+// stripe of the range is damaged.
+func (c *Code) decodeRange(a ecc.Args, lo, hi int) ecc.Part {
 	var local ecc.Scratch
+	s := a.Scratch
 	if s == nil {
 		s = &local
 	}
+	out := a.Dst
 	n := len(out)
 	sdb := c.stripeDataBytes()
 	seb := c.stripeEncBytes()
+	var p ecc.Part
 	for st := lo; st < hi; st++ {
 		dst := out[min(st*sdb, n):min((st+1)*sdb, n)]
-		var d, co int
-		var err error
-		d, co, crc, err = c.decodeStripe(encoded[st*seb:(st+1)*seb], dst, crc, s)
-		det += int64(d)
-		cor += int64(co)
-		if err != nil {
-			fail++
-		}
+		d, co, crc, err := c.decodeStripe(a.Src[st*seb:(st+1)*seb], dst, p.CRC, s)
+		p.CRC, p.Len = crc, p.Len+len(dst)
+		tally(&p, d, co, err)
 	}
-	return det, cor, fail, crc
+	return p
 }
 
 // decodeStripe verifies one stripe and writes the recovered data

@@ -3,6 +3,7 @@ package ecc_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/ecc/interleave"
 	"repro/internal/ecc/parity"
 	"repro/internal/ecc/reedsolomon"
+	"repro/internal/raceflag"
 )
 
 // namedCode is a code under test, the name its subtests run under and
@@ -153,51 +155,77 @@ func TestScratchSlotGrowOnly(t *testing.T) {
 // contract on its CRC: EncodeTo's is crc32.Checksum of the data, and
 // DecodeTo's that of the bytes it hands back, whatever the damage did
 // to them: clean, repaired, miscorrected (several flips in one
-// codeword) or uncorrectable. Workers > 1 joins the ranges' CRCs.
+// codeword) or uncorrectable. It also holds each code to one answer at
+// every worker count: the same stream from the same data, and from the
+// same damaged stream the same bytes, CRC, Report and error. Above
+// 4 KiB the ranges of workers > 1 end inside a piece (4 KiB of data)
+// or leave a final stripe short.
 func TestCodesReturnTheirOutputsCRC(t *testing.T) {
+	sizes := []int{0, 1, 63, 1000, 4097, 300_001}
+	if raceflag.Enabled {
+		// The detector slows hamming's word path about 50x; the largest
+		// size still cuts rs-k5-m3 and secded64 into several ranges.
+		sizes = []int{0, 1, 63, 1000, 4097, 12_001}
+	}
+	workers := []int{1, 2, 3, 7}
+	names := []string{"parity8", "parity3", "hamming8", "secded64", "rs-k5-m3", "rs-m15", "ilsecded4"}
+	codes := make([][]ecc.Code, len(workers)) // codes[i][j]: names[j] at workers[i]
+	for i, w := range workers {
+		rs, err := reedsolomon.New(5, 3, 64, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rsPaper, err := reedsolomon.New(241, 15, 1022, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		il, err := interleave.NewSECDED(4, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes[i] = []ecc.Code{parity.New(8, w), parity.New(3, w), hamming.New(8, w), hamming.NewSECDED(64, w), rs, rsPaper, il}
+	}
 	rng := rand.New(rand.NewSource(53))
-	for _, workers := range []int{1, 3} {
-		rs, err := reedsolomon.New(5, 3, 64, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rsPaper, err := reedsolomon.New(241, 15, 1022, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		il, err := interleave.NewSECDED(4, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tc := range []struct {
-			name string
-			code ecc.Code
-		}{
-			{"parity8", parity.New(8, workers)}, {"parity3", parity.New(3, workers)},
-			{"hamming8", hamming.New(8, workers)}, {"secded64", hamming.NewSECDED(64, workers)},
-			{"rs-k5-m3", rs}, {"rs-m15", rsPaper}, {"ilsecded4", il},
-		} {
-			for _, n := range []int{0, 1, 63, 1000, 4097, 300_001} {
-				data := make([]byte, n)
-				rng.Read(data)
-				enc, crc := tc.code.EncodeTo(nil, data, nil)
-				if crc != crc32.Checksum(data, ecc.Castagnoli) {
-					t.Fatalf("%s workers=%d n=%d: EncodeTo's CRC is not the data's", tc.name, workers, n)
+	var s ecc.Scratch
+	for j, name := range names {
+		for _, n := range sizes {
+			data := make([]byte, n)
+			rng.Read(data)
+			enc, crc := codes[0][j].EncodeTo(nil, data, nil)
+			if crc != crc32.Checksum(data, ecc.Castagnoli) {
+				t.Fatalf("%s n=%d: EncodeTo's CRC is not the data's", name, n)
+			}
+			for i := 1; i < len(workers); i++ {
+				got, gotCRC := codes[i][j].EncodeTo(poison(make([]byte, len(enc))), data, &s)
+				if !bytes.Equal(got, enc) || gotCRC != crc {
+					t.Fatalf("%s n=%d: EncodeTo with %d workers differs from one worker's", name, n, workers[i])
 				}
-				for _, flips := range []int{0, 1, 3, 40, 5000} {
-					bad := bytes.Clone(enc)
-					for f := 0; f < flips && len(bad) > 0; f++ {
-						// Runs of three neighbouring bits: a SEC-DED
-						// codeword that takes one miscorrects.
-						i := rng.Intn(len(bad)*8 - 2)
-						for b := i; b < i+3; b++ {
-							bad[b/8] ^= 0x80 >> (b % 8)
-						}
+			}
+			for _, flips := range []int{0, 1, 3, 40, 5000} {
+				bad := bytes.Clone(enc)
+				for f := 0; f < flips && len(bad) > 0; f++ {
+					// Runs of three neighbouring bits: a SEC-DED
+					// codeword that takes one miscorrects.
+					i := rng.Intn(len(bad)*8 - 2)
+					for b := i; b < i+3; b++ {
+						bad[b/8] ^= 0x80 >> (b % 8)
 					}
-					out, crc, _, err := tc.code.DecodeTo(poison(make([]byte, n)), bad, n, nil)
+				}
+				var want []byte
+				var wantCRC uint32
+				var wantRep ecc.Report
+				var wantErr string
+				for i, c := range codes {
+					out, crc, rep, err := c[j].DecodeTo(poison(make([]byte, n)), bad, n, &s)
 					if crc != crc32.Checksum(out, ecc.Castagnoli) {
 						t.Fatalf("%s workers=%d n=%d, %d flips: DecodeTo's CRC is not its output's (err %v)",
-							tc.name, workers, n, flips, err)
+							name, workers[i], n, flips, err)
+					}
+					if i == 0 {
+						want, wantCRC, wantRep, wantErr = out, crc, rep, fmt.Sprint(err)
+					} else if !bytes.Equal(out, want) || crc != wantCRC || rep != wantRep || fmt.Sprint(err) != wantErr {
+						t.Fatalf("%s n=%d, %d flips: DecodeTo with %d workers (report %+v, err %v) differs from one worker's (report %+v, err %s)",
+							name, n, flips, workers[i], rep, err, wantRep, wantErr)
 					}
 				}
 			}

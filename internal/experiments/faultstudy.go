@@ -59,13 +59,12 @@ func Fig1(o StudyOptions) (*Fig1Result, error) {
 		return nil, err
 	}
 	camp, err := faultinject.Run(faultinject.Config{
-		Compressor:     comp,
-		Data:           f.Data,
-		Dims:           f.Dims,
-		SampleFraction: 1,
-		MaxTrials:      o.MaxTrials,
-		Seed:           o.Seed,
-		Workers:        o.Workers,
+		Compressor: comp,
+		Data:       f.Data,
+		Dims:       f.Dims,
+		MaxTrials:  o.MaxTrials,
+		Seed:       o.Seed,
+		Workers:    o.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -130,13 +129,12 @@ func Fig2(o StudyOptions) (*Fig2Result, error) {
 	for _, field := range datasets.StudyFields(o.Scale, o.Seed) {
 		for _, comp := range pressio.StudySet() {
 			camp, err := faultinject.Run(faultinject.Config{
-				Compressor:     comp,
-				Data:           field.Data,
-				Dims:           field.Dims,
-				SampleFraction: 1,
-				MaxTrials:      o.MaxTrials,
-				Seed:           o.Seed,
-				Workers:        o.Workers,
+				Compressor: comp,
+				Data:       field.Data,
+				Dims:       field.Dims,
+				MaxTrials:  o.MaxTrials,
+				Seed:       o.Seed,
+				Workers:    o.Workers,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("fig2 %s/%s: %w", comp.Name(), field.Name, err)
@@ -231,13 +229,12 @@ func Fig3(o StudyOptions) (*Fig3Result, error) {
 			return nil, err
 		}
 		camp, err := faultinject.Run(faultinject.Config{
-			Compressor:     comp,
-			Data:           f.Data,
-			Dims:           f.Dims,
-			SampleFraction: 1,
-			MaxTrials:      o.MaxTrials,
-			Seed:           o.Seed,
-			Workers:        o.Workers,
+			Compressor: comp,
+			Data:       f.Data,
+			Dims:       f.Dims,
+			MaxTrials:  o.MaxTrials,
+			Seed:       o.Seed,
+			Workers:    o.Workers,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fig3 %s: %w", name, err)
@@ -325,13 +322,12 @@ func Fig4(o StudyOptions) (*Fig4Result, error) {
 				return nil, fmt.Errorf("fig4 %s@%gx: %w", name, target, err)
 			}
 			camp, err := faultinject.Run(faultinject.Config{
-				Compressor:     tuned,
-				Data:           f.Data,
-				Dims:           f.Dims,
-				SampleFraction: 1,
-				MaxTrials:      o.MaxTrials,
-				Seed:           o.Seed,
-				Workers:        o.Workers,
+				Compressor: tuned,
+				Data:       f.Data,
+				Dims:       f.Dims,
+				MaxTrials:  o.MaxTrials,
+				Seed:       o.Seed,
+				Workers:    o.Workers,
 			})
 			if err != nil {
 				return nil, err
@@ -423,13 +419,12 @@ func Fig5(o StudyOptions) (*Fig5Result, error) {
 func fig5Dataset(o StudyOptions, f *datasets.Field, res *Fig5Result) error {
 	for _, comp := range pressio.StudySet() {
 		camp, err := faultinject.Run(faultinject.Config{
-			Compressor:     comp,
-			Data:           f.Data,
-			Dims:           f.Dims,
-			SampleFraction: 1,
-			MaxTrials:      o.MaxTrials,
-			Seed:           o.Seed,
-			Workers:        o.Workers,
+			Compressor: comp,
+			Data:       f.Data,
+			Dims:       f.Dims,
+			MaxTrials:  o.MaxTrials,
+			Seed:       o.Seed,
+			Workers:    o.Workers,
 		})
 		if err != nil {
 			return err

@@ -114,22 +114,20 @@ type TrialResult struct {
 	Elapsed      time.Duration
 }
 
-// Config parameterizes a fault-injection campaign.
+// timeoutFactor scales the average clean decode time into a trial's
+// time budget (the paper's 3x).
+const timeoutFactor = 3
+
+// Config parameterizes a fault-injection campaign. Every bit of the
+// compressed stream is tested, as in the paper's runs.
 type Config struct {
 	Compressor pressio.Compressor
 	Data       []float64
 	Dims       []int
-	// SampleFraction selects the uniform fraction of compressed bits
-	// to test, e.g. 0.01 for 1% (the paper scales this by dataset
-	// size). Values >= 1 test every bit.
-	SampleFraction float64
-	// MaxTrials caps the number of trials regardless of fraction
-	// (0 = no cap).
+	// MaxTrials caps the number of trials: a stream of more bits is
+	// sampled uniformly, one bit per stratum (0 = every bit).
 	MaxTrials int
 	Seed      int64
-	// TimeoutFactor scales the average clean decode time into the
-	// trial budget (paper: 3.0). 0 defaults to 3.
-	TimeoutFactor float64
 	// Workers runs trials concurrently.
 	Workers int
 }
@@ -205,16 +203,12 @@ func Run(cfg Config) (*Campaign, error) {
 	}
 	camp.Control = metrics.Evaluate(cfg.Data, control, camp.Bound)
 
-	tf := cfg.TimeoutFactor
-	if tf <= 0 {
-		tf = 3
-	}
-	budget := time.Duration(float64(controlTime) * tf)
+	budget := timeoutFactor * controlTime
 	if budget < 10*time.Millisecond {
 		budget = 10 * time.Millisecond // floor for timer resolution
 	}
 
-	bits := sampleBits(len(buf)*8, cfg.SampleFraction, cfg.MaxTrials, cfg.Seed)
+	bits := sampleBits(len(buf)*8, cfg.MaxTrials, cfg.Seed)
 	camp.Trials = make([]TrialResult, len(bits))
 	parallel.For(len(bits), cfg.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -248,18 +242,13 @@ func runTrial(c pressio.Compressor, buf []byte, bit int, orig []float64, bound f
 	return tr
 }
 
-// sampleBits picks a uniform sample of bit positions.
-func sampleBits(totalBits int, fraction float64, maxTrials int, seed int64) []int {
+// sampleBits picks every bit position, or a uniform sample of
+// maxTrials of them when that is fewer.
+func sampleBits(totalBits int, maxTrials int, seed int64) []int {
 	if totalBits <= 0 {
 		return nil
 	}
 	n := totalBits
-	if fraction > 0 && fraction < 1 {
-		n = int(float64(totalBits) * fraction)
-		if n < 1 {
-			n = 1
-		}
-	}
 	if maxTrials > 0 && n > maxTrials {
 		n = maxTrials
 	}

@@ -46,7 +46,7 @@ func TestFlipBitInPlace(t *testing.T) {
 }
 
 func TestSampleBits(t *testing.T) {
-	bits := sampleBits(1000, 0.1, 0, 1)
+	bits := sampleBits(1000, 100, 1)
 	if len(bits) != 100 {
 		t.Fatalf("sampled %d bits, want 100", len(bits))
 	}
@@ -58,17 +58,13 @@ func TestSampleBits(t *testing.T) {
 	if bits[0] >= 100 || bits[len(bits)-1] < 900 {
 		t.Fatal("stratified sampling must cover the whole stream")
 	}
-	// Full coverage.
-	all := sampleBits(64, 1.0, 0, 1)
-	if len(all) != 64 {
-		t.Fatalf("fraction 1 must test every bit, got %d", len(all))
+	// Full coverage, uncapped or under a cap the stream does not reach.
+	for _, maxTrials := range []int{0, 64, 1000} {
+		if all := sampleBits(64, maxTrials, 1); len(all) != 64 {
+			t.Fatalf("MaxTrials %d must test every bit of 64, got %d", maxTrials, len(all))
+		}
 	}
-	// Cap.
-	capped := sampleBits(1000, 1.0, 50, 1)
-	if len(capped) != 50 {
-		t.Fatalf("MaxTrials cap failed: %d", len(capped))
-	}
-	if sampleBits(0, 1, 0, 1) != nil {
+	if sampleBits(0, 0, 1) != nil {
 		t.Fatal("zero-length stream must sample nothing")
 	}
 }
@@ -97,13 +93,12 @@ func TestCampaignSZ(t *testing.T) {
 		t.Fatal(err)
 	}
 	camp, err := Run(Config{
-		Compressor:     c,
-		Data:           f.Data,
-		Dims:           f.Dims,
-		SampleFraction: 1,
-		MaxTrials:      300,
-		Seed:           1,
-		Workers:        1,
+		Compressor: c,
+		Data:       f.Data,
+		Dims:       f.Dims,
+		MaxTrials:  300,
+		Seed:       1,
+		Workers:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,13 +130,12 @@ func TestCampaignZFPRateAllComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	camp, err := Run(Config{
-		Compressor:     c,
-		Data:           f.Data,
-		Dims:           f.Dims,
-		SampleFraction: 1,
-		MaxTrials:      200,
-		Seed:           2,
-		Workers:        1,
+		Compressor: c,
+		Data:       f.Data,
+		Dims:       f.Dims,
+		MaxTrials:  200,
+		Seed:       2,
+		Workers:    1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func For(n, workers int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	split(n, workers, func(_, lo, hi int) { body(lo, hi) })
+	Ranges(n, workers, func(_, lo, hi int) { body(lo, hi) })
 }
 
 // ForErr is For with error collection: the first non-nil error (by
@@ -65,7 +65,7 @@ func ForErr(n, workers int, body func(lo, hi int) error) error {
 		return body(0, n)
 	}
 	errs := make([]error, workers)
-	split(n, workers, func(w, lo, hi int) { errs[w] = body(lo, hi) })
+	Ranges(n, workers, func(w, lo, hi int) { errs[w] = body(lo, hi) })
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -74,10 +74,12 @@ func ForErr(n, workers int, body func(lo, hi int) error) error {
 	return nil
 }
 
-// split cuts [0, n) into workers > 1 contiguous, near-equal ranges,
-// runs run(w, lo, hi) for range w on its own goroutine, and returns
-// once every range is done, raising the first panic among them.
-func split(n, workers int, run func(w, lo, hi int)) {
+// Ranges cuts [0, n) into workers contiguous, near-equal ranges, runs
+// run(w, lo, hi) for range w on its own goroutine, and returns once
+// every range is done, raising the first panic among them. It is the
+// indexed form For and ForErr are built on; like them, its callers
+// Clamp workers first and run a single range inline.
+func Ranges(n, workers int, run func(w, lo, hi int)) {
 	var j join
 	chunk, rem := n/workers, n%workers
 	lo := 0

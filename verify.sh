@@ -122,6 +122,13 @@ echo "== reed-solomon tables shared across workers (race, 10 runs) =="
 # all reading the generator and parity-check tables genCache holds.
 go test -race -run 'TestSharedTablesAcrossWorkers' -count=10 ./internal/ecc/reedsolomon
 
+echo "== ECC codes agree across worker counts (race, 10 runs) =="
+# Every code decodes one damaged stream with 1, 2, 3 and 7 workers
+# through ecc.Split; the detector sees ranges share the output and
+# checks that none is handed the caller's Scratch. Sizes are capped
+# under -race (raceflag) so the ten runs take seconds.
+go test -race -run 'TestCodesReturnTheirOutputsCRC|TestSplit' -count=10 ./internal/ecc
+
 echo "== service shutdown/disconnect leak regressions (race, 5 runs) =="
 go test -race -run 'TestArcdShutdownDrains|TestArcdClientDisconnectMidStream' -count=5 ./internal/service
 
